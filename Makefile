@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/topospec -run '^$$' -fuzz FuzzTopoSpec -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzFlowSim -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/flowsim -run '^$$' -fuzz FuzzIncrementalAlloc -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzAppendFixed3 -fuzztime $(FUZZ_TIME)
 
 # cover fails if total statement coverage over the library packages drops
 # below COVERAGE_BASELINE percent.

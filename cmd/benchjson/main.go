@@ -10,6 +10,12 @@
 //	go run ./cmd/benchjson -out BENCH_baseline.json
 //	go run ./cmd/benchjson -compare BENCH_2026-08-05.json
 //
+// The default package list is the end-to-end suite at the module root plus
+// the layer packages whose micro-benchmarks sit beside the code they measure:
+// internal/trace (BenchmarkWriteCSV, BenchmarkWriteCSVWide,
+// BenchmarkAppendFixed3), internal/flowsim (BenchmarkEpochSparse) and
+// internal/topospec (BenchmarkSpecValidate100k).
+//
 // Each benchmark entry records ns/op, B/op, allocs/op and every custom
 // metric the benchmarks report (Mevents/s, jain, losses/run, ...). For
 // statistical comparisons between two snapshots, prefer benchstat on the
@@ -73,19 +79,19 @@ func main() {
 	benchtime := flag.String("benchtime", "1x", "per-benchmark budget (go test -benchtime)")
 	count := flag.Int("count", 1, "repetitions per benchmark (go test -count)")
 	out := flag.String("out", "", "output file (default BENCH_<date>.json)")
-	pkg := flag.String("pkg", ".", "package to benchmark")
+	pkg := flag.String("pkg", ". ./internal/trace ./internal/flowsim ./internal/topospec", "space-separated packages to benchmark")
 	compare := flag.String("compare", "", "previous snapshot to diff against instead of writing one; throughput regressions beyond -max-regress fail the command")
 	maxRegress := flag.Float64("max-regress", 0.05, "largest tolerated fractional throughput drop per benchmark in -compare mode (0.05 = 5%)")
 	flag.Parse()
 
-	args := []string{
-		"test", *pkg,
+	args := append([]string{"test"}, strings.Fields(*pkg)...)
+	args = append(args,
 		"-run", "^$",
 		"-bench", *bench,
 		"-benchmem",
 		"-benchtime", *benchtime,
 		"-count", strconv.Itoa(*count),
-	}
+	)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	var buf bytes.Buffer

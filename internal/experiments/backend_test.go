@@ -128,6 +128,35 @@ func TestValidateChain(t *testing.T) {
 	}
 }
 
+// TestValidateChainBeforeNormalize: Validate is public, and callers run it on
+// the scenario as they hand it to Run — before Run's normalisation derives
+// NumFlows from the chain. A chain stands in for NumFlows there exactly like
+// Spec and Generate do.
+func TestValidateChainBeforeNormalize(t *testing.T) {
+	sc := Scenario{
+		Scheme:   SchemeCorelite,
+		Duration: time.Second,
+		Backend:  BackendFlow,
+		Chain:    &ChainTopology{Cores: 5, Flows: 10},
+	}
+	if err := sc.Validate(); err != nil {
+		t.Errorf("un-normalised chain scenario rejected: %v", err)
+	}
+	sc.NumFlows = 10
+	if err := sc.Validate(); err != nil {
+		t.Errorf("chain scenario that sets NumFlows itself rejected: %v", err)
+	}
+	sc.NumFlows = 0
+	sc.Chain = &ChainTopology{Cores: 5}
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "at least 1 flow") {
+		t.Errorf("0-flow chain: err = %v, want the chain's own rejection", err)
+	}
+	sc.Chain = nil
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "non-positive NumFlows") {
+		t.Errorf("no topology source and no NumFlows: err = %v", err)
+	}
+}
+
 // TestChainRunFlow exercises the generated chain end to end on the flow
 // backend: deterministic, non-trivial rates on every flow.
 func TestChainRunFlow(t *testing.T) {

@@ -112,6 +112,7 @@ func (flowEngine) Run(sc Scenario) (*Result, error) {
 		Events:          out.Events,
 		SampleWindow:    sc.SampleWindow,
 		Duration:        sc.Duration,
+		Flows:           make([]FlowResult, 0, len(fm.model.Flows)),
 	}
 	perEdge := make(map[string]int)
 	for i, f := range fm.model.Flows {
@@ -218,21 +219,36 @@ func specFullyPinned(s *topospec.Spec) bool {
 // packet network's PacketsPerSecond(1000)) and the same placements — so
 // the generic and direct builders are interchangeable (pinned by the
 // differential test in engine_flow_test.go).
+//
+// Validate-once rule: a spec that normalize expanded from sc.Generate left
+// topogen validated and has only had its weights rewritten since (AddFlow
+// checks those), so it is not validated again; a caller-supplied Scenario.Spec
+// gets its one full validation here.
 func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 	s := sc.Spec
-	if err := s.Validate(); err != nil {
-		return nil, err
+	if sc.Generate == nil {
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	roles := make(map[string]topospec.NodeRole, len(s.Nodes))
 	for _, n := range s.Nodes {
 		roles[n.Name] = n.Role
 	}
-	rate := make(map[string]float64, len(s.Links))
+	// byName holds each link's "from->to" name next to its rate, so a hop
+	// resolves to the one name string built here: the lookup key below is a
+	// temporary that never reaches the heap, and the rate lookup, promotion,
+	// AddLink and Placement.CoreLinks all share the link's own string.
+	type specLink struct {
+		name string
+		pps  float64
+	}
+	byName := make(map[string]specLink, len(s.Links))
 	caps := make(map[string]float64, len(s.Links))
 	for _, l := range s.Links {
 		name := l.From + "->" + l.To
 		pps := l.RateBps / (8 * 1000.0)
-		rate[name] = pps
+		byName[name] = specLink{name, pps}
 		// Core-core links are capacity constraints even when no flow
 		// crosses them (cross traffic may target them), mirroring
 		// Cloud.CoreLinks before per-flow promotion.
@@ -245,33 +261,32 @@ func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 	sort.Slice(flows, func(i, j int) bool { return flows[i].Index < flows[j].Index })
 	// Every link on a pinned path is promoted into the constraint set, the
 	// same rule Build applies to via-pinned flows.
-	for _, f := range flows {
-		for i := 0; i+1 < len(f.Via); i++ {
-			name := f.Via[i] + "->" + f.Via[i+1]
-			pps, ok := rate[name]
+	crossed := make([][]string, len(flows))
+	for fi, f := range flows {
+		names := make([]string, len(f.Via)-1)
+		for i := range names {
+			l, ok := byName[f.Via[i]+"->"+f.Via[i+1]]
 			if !ok {
-				return nil, fmt.Errorf("flow %d: pinned hop %q is not a link", f.Index, name)
+				return nil, fmt.Errorf("flow %d: pinned hop %q is not a link", f.Index, f.Via[i]+"->"+f.Via[i+1])
 			}
-			caps[name] = pps
+			caps[l.name] = l.pps
+			names[i] = l.name
 		}
+		crossed[fi] = names
 	}
 	if err := applyCross(sc, caps); err != nil {
 		return nil, err
 	}
 	m := flowsim.NewModel()
 	placements := make([]topology.Placement, 0, len(flows))
-	for _, f := range flows {
-		nHops := len(f.Via) - 1
-		links := make([]int, 0, nHops)
-		crossed := make([]string, 0, nHops)
-		for i := 0; i+1 < len(f.Via); i++ {
-			name := f.Via[i] + "->" + f.Via[i+1]
+	for fi, f := range flows {
+		links := make([]int, 0, len(crossed[fi]))
+		for _, name := range crossed[fi] {
 			li, err := m.AddLink(name, caps[name])
 			if err != nil {
 				return nil, err
 			}
 			links = append(links, li)
-			crossed = append(crossed, name)
 		}
 		if err := m.AddFlow(flowsim.Flow{
 			Index:       f.Index,
@@ -287,8 +302,8 @@ func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 			Weight:    f.Weight,
 			Ingress:   f.Ingress,
 			Egress:    f.Egress,
-			CoreLinks: crossed,
-			Hops:      nHops,
+			CoreLinks: crossed[fi],
+			Hops:      len(crossed[fi]),
 			Relays:    f.Relays,
 		})
 	}

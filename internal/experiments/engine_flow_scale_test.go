@@ -3,8 +3,11 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/topospec"
 )
 
 // scaleSpecScenario returns a normalized fat-tree scenario big enough
@@ -93,5 +96,28 @@ func TestFlowExpectedRatesLargeMatchesMaxmin(t *testing.T) {
 				t.Errorf("%v: flow %d expected rate %.9g (allocator) vs %.9g (maxmin)", scheme, idx, g, w)
 			}
 		}
+	}
+}
+
+// TestDirectSpecBuildValidatesOnce pins the validate-once rule on the direct
+// builder: a caller-supplied Scenario.Spec gets topospec's full validation
+// there (nothing else on the fluid path looks at it), while a spec normalize
+// expanded from Generate was validated by topogen and is not walked again.
+// The probe is a defect only Validate reports — a node declared twice — which
+// the model build itself never trips over.
+func TestDirectSpecBuildValidatesOnce(t *testing.T) {
+	sc := scaleSpecScenario(t, SchemeCorelite)
+	spec := *sc.Spec
+	spec.Nodes = append(append([]topospec.NodeSpec(nil), spec.Nodes...), spec.Nodes[0])
+	sc.Spec = &spec
+	if _, err := buildSpecModelDirect(sc); err != nil {
+		t.Errorf("generated spec was validated a second time: %v", err)
+	}
+	sc.Generate = nil
+	if _, err := buildSpecModelDirect(sc); err == nil || !strings.Contains(err.Error(), "duplicate node") {
+		t.Errorf("caller-supplied spec: err = %v, want topospec's duplicate-node rejection", err)
+	}
+	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "duplicate node") {
+		t.Errorf("Run on a caller-supplied invalid spec: err = %v, want topospec's duplicate-node rejection", err)
 	}
 }

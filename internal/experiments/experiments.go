@@ -458,7 +458,7 @@ func (sc Scenario) Validate() error {
 	if sc.Duration <= 0 {
 		return fmt.Errorf("experiments: non-positive duration %v", sc.Duration)
 	}
-	if sc.NumFlows <= 0 && sc.Spec == nil && sc.Generate == nil {
+	if sc.NumFlows <= 0 && sc.Spec == nil && sc.Generate == nil && sc.Chain == nil {
 		return fmt.Errorf("experiments: non-positive NumFlows %d", sc.NumFlows)
 	}
 	if len(sc.MinRates) > 0 && sc.Scheme != SchemeCorelite {
@@ -949,6 +949,7 @@ func (packetEngine) Run(sc Scenario) (*Result, error) {
 		Events:          sched.Processed(),
 		SampleWindow:    sc.SampleWindow,
 		Duration:        sc.Duration,
+		Flows:           make([]FlowResult, 0, len(refs)),
 	}
 	for _, ref := range refs {
 		fr := FlowResult{

@@ -3,6 +3,7 @@ package flowsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/adapt"
@@ -289,6 +290,11 @@ type engine struct {
 	cumPrev []float64 // cum at the previous flush
 	fb      []float64 // fractional-indication accumulators (see epoch)
 
+	// liveBits mirrors active as a bitset (arrivals and departures in step
+	// write both), so the control epoch visits live flows only — in ascending
+	// index order, which is the order the dense scan added them in.
+	liveBits []uint64
+
 	// Lazy integration (incremental solver only): the solver writes achieved
 	// rates into rates, and cur mirrors it flow by flow as the engine settles
 	// each touched flow's delivered/lost integrals up to lastSec. Untouched
@@ -301,9 +307,16 @@ type engine struct {
 	advT    []float64 // per-flow last integration time, seconds
 	lastSec float64   // lastT in seconds, maintained by advance
 
-	sumDemand []float64 // per-link demand sums, epoch scratch
-	sumMark   []float64 // per-link marker-rate sums, epoch scratch
+	// Per-link state of the marker control epoch. Invariant between epochs:
+	// sumDemand, sumMark and linkFn are zero and linkSeen false on every link
+	// outside touched, the links under a flow that was live at the last
+	// epoch; the next epoch resets exactly those.
+	sumDemand []float64 // per-link demand sums
+	sumMark   []float64 // per-link marker-rate sums
 	linkFn    []float64 // per-link feedback volume of the last epoch
+	headroom  []float64 // per-link capacity − Threshold, fixed for the run
+	touched   []int32
+	linkSeen  []bool
 	checkSum  []float64 // per-link conservation scratch (checkers only)
 
 	// Change-set threading: every event that may move a flow's demand or
@@ -319,6 +332,8 @@ type engine struct {
 	out    *Output
 	events eventHeap
 	seq    int32
+	// Work the current timestamp batch has asked for once it is solved.
+	flushPending, samplePending bool
 
 	// Liveness bookkeeping (Progress) and observability hooks (Obs). All
 	// instrument pointers are nil-receiver-safe, so the hot path pays a nil
@@ -338,6 +353,30 @@ type engine struct {
 
 // Run executes the fluid model to the horizon.
 func Run(cfg Config) (*Output, error) {
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.attachObs()
+	progress := e.cfg.Progress
+	progress.SetHorizon(e.cfg.Horizon)
+
+	e.schedule()
+	e.run()
+	progress.Update(e.cfg.Horizon, e.out.Events, 0)
+	progress.AddFlowSec(e.flowSec - e.flowSecSent)
+	e.flowSecSent = e.flowSec
+	progress.MarkDone()
+	for i := range e.out.Flows {
+		e.out.Flows[i].Delivered = e.cum[i]
+		e.out.Flows[i].Lost = e.lost[i]
+	}
+	return e.out, nil
+}
+
+// newEngine validates cfg, applies its defaults and allocates one run's
+// state; nothing is scheduled yet.
+func newEngine(cfg Config) (*engine, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("flowsim: nil model")
 	}
@@ -397,23 +436,33 @@ func Run(cfg Config) (*Output, error) {
 	}
 
 	n := len(cfg.Model.Flows)
+	nLinks := len(cfg.Model.Links)
 	e := &engine{
-		cfg:       cfg,
-		m:         alnModel,
-		alloc:     newAllocator(alnModel),
-		active:    make([]bool, n),
-		fixed:     make([]bool, n),
-		demand:    make([]float64, n),
-		cur:       make([]float64, n),
-		ctrl:      make([]*adapt.Controller, n),
-		cum:       make([]float64, n),
-		lost:      make([]float64, n),
-		cumPrev:   make([]float64, n),
-		fb:        make([]float64, n),
-		sumDemand: make([]float64, len(cfg.Model.Links)),
-		sumMark:   make([]float64, len(cfg.Model.Links)),
-		linkFn:    make([]float64, len(cfg.Model.Links)),
-		out:       &Output{Flows: make([]FlowOutput, n)},
+		cfg:      cfg,
+		m:        alnModel,
+		alloc:    newAllocator(alnModel),
+		active:   make([]bool, n),
+		liveBits: make([]uint64, (n+63)/64),
+		fixed:    make([]bool, n),
+		demand:   make([]float64, n),
+		cur:      make([]float64, n),
+		ctrl:     make([]*adapt.Controller, n),
+		cum:      make([]float64, n),
+		lost:     make([]float64, n),
+		cumPrev:  make([]float64, n),
+		fb:       make([]float64, n),
+		out:      &Output{Flows: make([]FlowOutput, n)},
+	}
+	if cfg.Control == ControlMarker {
+		e.sumDemand = make([]float64, nLinks)
+		e.sumMark = make([]float64, nLinks)
+		e.linkFn = make([]float64, nLinks)
+		e.headroom = make([]float64, nLinks)
+		for li := range e.headroom {
+			e.headroom[li] = cfg.Model.Links[li].Capacity - cfg.Threshold
+		}
+		e.touched = make([]int32, 0, nLinks)
+		e.linkSeen = make([]bool, nLinks)
 	}
 	e.incremental = cfg.Solver == SolverIncremental ||
 		(cfg.Solver == SolverAuto && n >= IncrementalMinFlows)
@@ -427,7 +476,7 @@ func Run(cfg Config) (*Output, error) {
 	e.changed = make([]int32, 0, n)
 	e.changedMark = make([]bool, n)
 	if cfg.OnViolation != nil || cfg.OnChecks != nil {
-		e.checkSum = make([]float64, len(cfg.Model.Links))
+		e.checkSum = make([]float64, nLinks)
 	}
 	for i := range e.ctrl {
 		ac := cfg.Adapt
@@ -435,29 +484,22 @@ func Run(cfg Config) (*Output, error) {
 		e.ctrl[i] = adapt.NewController(ac)
 		e.fixed[i] = cfg.Model.Flows[i].FixedDemand > 0
 	}
-	// Size the measurement series up front: at 100k flows the flush-time
-	// growslice churn (300k growing series) otherwise dominates the run.
+	// The 3·F measurement series are carved out of one slab (300k separate
+	// allocations otherwise dominate a 100k-flow run), kind by kind so each
+	// CSV reads one contiguous third. The engine flushes exactly nsamp times;
+	// the three-index slices make an append beyond that reallocate instead of
+	// running into the neighbour. The Output owns the slab.
 	nsamp := int(cfg.Horizon / cfg.SampleWindow)
+	slab := make([]metrics.Sample, 3*n*nsamp)
+	carve := func(kind, i int) metrics.Series {
+		lo := (kind*n + i) * nsamp
+		return slab[lo : lo : lo+nsamp]
+	}
 	for i := range e.out.Flows {
 		f := &e.out.Flows[i]
-		f.Allowed = make(metrics.Series, 0, nsamp)
-		f.Rate = make(metrics.Series, 0, nsamp)
-		f.Cumulative = make(metrics.Series, 0, nsamp)
+		f.Allowed, f.Rate, f.Cumulative = carve(0, i), carve(1, i), carve(2, i)
 	}
-	e.attachObs()
-	cfg.Progress.SetHorizon(cfg.Horizon)
-
-	e.schedule()
-	e.run()
-	cfg.Progress.Update(cfg.Horizon, e.out.Events, 0)
-	cfg.Progress.AddFlowSec(e.flowSec - e.flowSecSent)
-	e.flowSecSent = e.flowSec
-	cfg.Progress.MarkDone()
-	for i := range e.out.Flows {
-		e.out.Flows[i].Delivered = e.cum[i]
-		e.out.Flows[i].Lost = e.lost[i]
-	}
-	return e.out, nil
+	return e, nil
 }
 
 // schedule seeds the event queue: per-flow activity windows, control epochs,
@@ -514,76 +556,83 @@ func (e *engine) markChanged(i int) {
 // — a slow-start epoch between doublings, say — skips the solve: the
 // allocation is a pure function of the unchanged memberships and demands).
 func (e *engine) run() {
-	flush := false
-	sample := false
 	for len(e.events) > 0 {
-		ev := e.events.pop()
-		e.advance(ev.at)
-		e.out.Events++
-		switch ev.prio {
-		case prioDeparture:
-			i := int(ev.flow)
-			if e.incremental {
-				// Settle the integrals at the pre-departure demand before it
-				// is zeroed (the solve settles the rate itself).
-				e.integrate(i)
-			}
-			if !e.fixed[i] {
-				e.ctrl[i].Stop()
-			}
-			e.active[i] = false
-			e.demand[i] = 0
-			e.fb[i] = 0
-			e.nActive--
-			e.markChanged(i)
-		case prioArrival:
-			i := int(ev.flow)
-			if e.incremental {
-				// Skip the inactive span: rate and loss were zero while off.
-				e.advT[i] = e.lastSec
-			}
-			e.active[i] = true
-			if e.fixed[i] {
-				// Unresponsive: the demand is pinned; no slow-start, no
-				// controller.
-				e.demand[i] = e.cfg.Model.Flows[i].FixedDemand
-			} else {
-				e.ctrl[i].Start(ev.at)
-				e.demand[i] = e.ctrl[i].Rate()
-			}
-			e.fb[i] = 0
-			e.nActive++
-			e.markChanged(i)
-		case prioEpoch:
-			e.epoch(ev.at)
-			if e.obsEvery > 0 {
-				e.epochN++
-				if e.epochN%e.obsEvery == 0 {
-					sample = true
-				}
-			}
-		case prioFlush:
-			flush = true
-		}
-		if len(e.events) > 0 && e.events[0].at == ev.at {
-			continue
-		}
-		e.solve()
-		if sample {
-			// Gauge snapshot at the epoch boundary, after the re-solve, on
-			// the engine's own event — no extra events, no model reads that
-			// could perturb integration intervals.
-			e.cfg.Obs.Sample(ev.at)
-			sample = false
-		}
-		if flush {
-			e.flush(ev.at)
-			flush = false
-		}
+		e.step()
 	}
 	e.advance(e.cfg.Horizon)
 	if e.incremental {
 		e.integrateAll()
+	}
+}
+
+// step processes the next event and, when it is the last of its timestamp,
+// closes the batch: solve, then the gauge sample and the measurement flush
+// the batch's events asked for.
+func (e *engine) step() {
+	ev := e.events.pop()
+	e.advance(ev.at)
+	e.out.Events++
+	switch ev.prio {
+	case prioDeparture:
+		i := int(ev.flow)
+		if e.incremental {
+			// Settle the integrals at the pre-departure demand before it
+			// is zeroed (the solve settles the rate itself).
+			e.integrate(i)
+		}
+		if !e.fixed[i] {
+			e.ctrl[i].Stop()
+		}
+		e.active[i] = false
+		e.liveBits[i>>6] &^= 1 << (uint(i) & 63)
+		e.demand[i] = 0
+		e.fb[i] = 0
+		e.nActive--
+		e.markChanged(i)
+	case prioArrival:
+		i := int(ev.flow)
+		if e.incremental {
+			// Skip the inactive span: rate and loss were zero while off.
+			e.advT[i] = e.lastSec
+		}
+		e.active[i] = true
+		e.liveBits[i>>6] |= 1 << (uint(i) & 63)
+		if e.fixed[i] {
+			// Unresponsive: the demand is pinned; no slow-start, no
+			// controller.
+			e.demand[i] = e.cfg.Model.Flows[i].FixedDemand
+		} else {
+			e.ctrl[i].Start(ev.at)
+			e.demand[i] = e.ctrl[i].Rate()
+		}
+		e.fb[i] = 0
+		e.nActive++
+		e.markChanged(i)
+	case prioEpoch:
+		e.epoch(ev.at)
+		if e.obsEvery > 0 {
+			e.epochN++
+			if e.epochN%e.obsEvery == 0 {
+				e.samplePending = true
+			}
+		}
+	case prioFlush:
+		e.flushPending = true
+	}
+	if len(e.events) > 0 && e.events[0].at == ev.at {
+		return
+	}
+	e.solve()
+	if e.samplePending {
+		// Gauge snapshot at the epoch boundary, after the re-solve, on
+		// the engine's own event — no extra events, no model reads that
+		// could perturb integration intervals.
+		e.cfg.Obs.Sample(ev.at)
+		e.samplePending = false
+	}
+	if e.flushPending {
+		e.flush(ev.at)
+		e.flushPending = false
 	}
 }
 
@@ -724,81 +773,92 @@ func (e *engine) markerRate(i int) float64 {
 // infinitesimal indication — and in equilibrium, where sub-marker feedback
 // arrives as occasional whole markers between loss-free (increasing)
 // epochs, just as at a packet edge.
+//
+// Both passes walk liveBits, so an epoch costs O(live flows · span), not
+// O(flows + links). Ascending bit order is the dense scan's order, which
+// keeps every per-link floating-point sum — and so every result — bit for
+// bit what the dense sweep produced.
 func (e *engine) epoch(now time.Duration) {
 	epochSec := e.cfg.Epoch.Seconds()
 	beta := e.cfg.Adapt.Beta
 	if beta <= 0 {
 		beta = 1
 	}
-	if e.cfg.Control == ControlMarker {
-		for li := range e.sumDemand {
-			e.sumDemand[li] = 0
-			e.sumMark[li] = 0
+	marker := e.cfg.Control == ControlMarker
+	if marker {
+		for _, li := range e.touched {
+			e.sumDemand[li], e.sumMark[li], e.linkFn[li] = 0, 0, 0
+			e.linkSeen[li] = false
 		}
-		for i, on := range e.active {
-			if !on {
-				continue
-			}
-			mr := e.markerRate(i)
-			for _, li := range e.m.Flows[i].Links {
-				e.sumDemand[li] += e.demand[i]
-				e.sumMark[li] += mr
+		e.touched = e.touched[:0]
+		for w, word := range e.liveBits {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				mr := e.markerRate(i)
+				for _, li := range e.m.Flows[i].Links {
+					if !e.linkSeen[li] {
+						e.linkSeen[li] = true
+						e.touched = append(e.touched, int32(li))
+					}
+					e.sumDemand[li] += e.demand[i]
+					e.sumMark[li] += mr
+				}
 			}
 		}
 		// Per-link feedback volume F_n = gain·excess/β, computed once per
-		// link (the fn/<link> gauges read it between epochs).
-		for li := range e.linkFn {
-			excess := e.sumDemand[li] - (e.m.Links[li].Capacity - e.cfg.Threshold)
+		// link (the fn/<link> gauges read it between epochs). A link under
+		// no live flow has no marker mass to split, so its F_n stays the 0
+		// it was reset to.
+		for _, li := range e.touched {
+			excess := e.sumDemand[li] - e.headroom[li]
 			if excess > 0 && e.sumMark[li] > 0 {
 				e.linkFn[li] = e.cfg.FeedbackGain * excess / beta
-			} else {
-				e.linkFn[li] = 0
 			}
 		}
 	}
 	anyInd := false
-	for i, on := range e.active {
-		if !on || e.fixed[i] {
-			// Unresponsive flows ignore feedback: their demand never moves.
-			continue
-		}
-		var ind float64
-		switch e.cfg.Control {
-		case ControlMarker:
-			if mr := e.markerRate(i); mr > 0 {
-				for _, li := range e.m.Flows[i].Links {
-					if e.linkFn[li] <= 0 {
-						continue
-					}
-					if share := e.linkFn[li] * mr / e.sumMark[li]; share > ind {
-						ind = share
+	for w, word := range e.liveBits {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if e.fixed[i] {
+				// Unresponsive flows ignore feedback: their demand never moves.
+				continue
+			}
+			var ind float64
+			if marker {
+				if mr := e.markerRate(i); mr > 0 {
+					for _, li := range e.m.Flows[i].Links {
+						if e.linkFn[li] <= 0 {
+							continue
+						}
+						if share := e.linkFn[li] * mr / e.sumMark[li]; share > ind {
+							ind = share
+						}
 					}
 				}
-			}
-		case ControlLoss:
-			if excess := e.demand[i] - e.cur[i]; excess > 0 {
+			} else if excess := e.demand[i] - e.cur[i]; excess > 0 {
 				ind = excess * epochSec
 			}
-		}
-		if ind > 0 {
-			anyInd = true
-		}
-		e.fb[i] += ind
-		ind = 0
-		if e.fb[i] >= 1 {
-			ind = e.fb[i]
-			e.fb[i] = 0
-			e.ctrFeedback.Add(int64(ind))
-		}
-		if next := e.ctrl[i].OnEpoch(now, ind); next != e.demand[i] {
-			if e.incremental && e.cfg.Control == ControlLoss {
-				// Loss accrues against the demand, so settle the integrals at
-				// the old demand before it moves (under the marker control
-				// only fixed flows accrue loss and their demand never moves).
-				e.integrate(i)
+			if ind > 0 {
+				anyInd = true
 			}
-			e.demand[i] = next
-			e.markChanged(i)
+			e.fb[i] += ind
+			ind = 0
+			if e.fb[i] >= 1 {
+				ind = e.fb[i]
+				e.fb[i] = 0
+				e.ctrFeedback.Add(int64(ind))
+			}
+			if next := e.ctrl[i].OnEpoch(now, ind); next != e.demand[i] {
+				if e.incremental && !marker {
+					// Loss accrues against the demand, so settle the integrals at
+					// the old demand before it moves (under the marker control
+					// only fixed flows accrue loss and their demand never moves).
+					e.integrate(i)
+				}
+				e.demand[i] = next
+				e.markChanged(i)
+			}
 		}
 	}
 	e.ctrEpochs.Inc()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -217,5 +218,28 @@ func TestModelValidation(t *testing.T) {
 	}
 	if err := m.AddFlow(Flow{Index: 1, Weight: 1, Links: []int{li}}); err == nil {
 		t.Error("duplicate flow index accepted")
+	}
+}
+
+// TestSeriesSlabIsolation: the measurement series share one slab, so each
+// must be capped at its own cells — an append by the caller reallocates
+// rather than writing into the next flow's first sample.
+func TestSeriesSlabIsolation(t *testing.T) {
+	m := singleLink(t, 100, 1, 1)
+	out, err := Run(Config{Model: m, Horizon: 5 * time.Second, Control: ControlMarker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fo := range out.Flows {
+		for name, s := range map[string]metrics.Series{"Allowed": fo.Allowed, "Rate": fo.Rate, "Cumulative": fo.Cumulative} {
+			if len(s) != 5 || cap(s) != 5 {
+				t.Errorf("flow %d %s: len %d cap %d, want 5 and 5", i, name, len(s), cap(s))
+			}
+		}
+	}
+	next := out.Flows[1].Allowed[0]
+	_ = append(out.Flows[0].Allowed, metrics.Sample{At: time.Hour, Value: -1})
+	if out.Flows[1].Allowed[0] != next {
+		t.Errorf("appending to flow 0's series overwrote flow 1's first sample: %v", out.Flows[1].Allowed[0])
 	}
 }

@@ -266,7 +266,14 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 	}
 	k := c.K
 	half := k / 2
-	spec := &topospec.Spec{}
+	// (k/2)² core + k·k/2 aggregation + k·k/2 edge switches joined by
+	// k·(k/2)·k duplex fabric links; a host pair and two duplex host links
+	// per flow.
+	spec := &topospec.Spec{
+		Nodes: make([]topospec.NodeSpec, 0, half*half+k*k+2*c.Flows),
+		Links: make([]topospec.LinkSpec, 0, 2*k*half*k+4*c.Flows),
+		Flows: make([]topospec.FlowSpec, 0, c.Flows),
+	}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	host := topospec.LinkSpec{RateBps: c.HostRateBps, Delay: c.HostDelay, QueueCap: c.QueueCap}
 	duplex := func(tmpl topospec.LinkSpec, a, b string) {

@@ -304,21 +304,37 @@ func ParseBandwidth(s string) (float64, error) {
 	return v * unit, nil
 }
 
-// Validate checks the spec's internal consistency.
+// Validate checks the spec's internal consistency. Node names are interned
+// to dense ids once, so the per-link and per-hop checks index slices and a
+// packed id-pair set instead of hashing strings per flow — at 100k pinned
+// flows that is most of a generated scenario's set-up.
 func (s *Spec) Validate() error {
-	roles := make(map[string]NodeRole, len(s.Nodes))
-	for _, n := range s.Nodes {
-		if _, dup := roles[n.Name]; dup {
+	ids := make(map[string]int32, len(s.Nodes))
+	roles := make([]NodeRole, len(s.Nodes))
+	for i, n := range s.Nodes {
+		if _, dup := ids[n.Name]; dup {
 			return fmt.Errorf("topospec: duplicate node %q", n.Name)
 		}
-		roles[n.Name] = n.Role
+		ids[n.Name] = int32(i)
+		roles[i] = n.Role
 	}
-	haveLink := make(map[[2]string]bool, len(s.Links))
+	// lookup resolves a name to its id and role; an undeclared name (and a
+	// node declared without a role) reads as role 0.
+	lookup := func(name string) (int32, NodeRole) {
+		if id, ok := ids[name]; ok {
+			return id, roles[id]
+		}
+		return -1, 0
+	}
+	pair := func(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
+	haveLink := make(map[uint64]struct{}, len(s.Links))
 	for _, l := range s.Links {
-		if roles[l.From] == 0 {
+		from, fromRole := lookup(l.From)
+		if fromRole == 0 {
 			return fmt.Errorf("topospec: link references unknown node %q", l.From)
 		}
-		if roles[l.To] == 0 {
+		to, toRole := lookup(l.To)
+		if toRole == 0 {
 			return fmt.Errorf("topospec: link references unknown node %q", l.To)
 		}
 		if l.RateBps <= 0 {
@@ -327,25 +343,31 @@ func (s *Spec) Validate() error {
 		if l.Delay < 0 {
 			return fmt.Errorf("topospec: link %s->%s has negative delay", l.From, l.To)
 		}
-		haveLink[[2]string{l.From, l.To}] = true
+		haveLink[pair(from, to)] = struct{}{}
 	}
 	seen := make(map[int]bool, len(s.Flows))
 	if len(s.Flows) == 0 {
 		return fmt.Errorf("topospec: no flows declared")
 	}
 	// Via-pinned flows install route overrides keyed by their endpoint
-	// nodes, so endpoint hosts must be uniquely wired across them.
-	viaIn := make(map[string]int)
-	viaOut := make(map[string]int)
-	for _, f := range s.Flows {
+	// nodes, so endpoint hosts must be uniquely wired across them. viaIn,
+	// viaOut and onPath hold, per node id, the 1-based position in s.Flows of
+	// the flow that claimed the node, so onPath needs no clearing.
+	viaIn := make([]int32, len(s.Nodes))
+	viaOut := make([]int32, len(s.Nodes))
+	onPath := make([]int32, len(s.Nodes))
+	for fi, f := range s.Flows {
+		stamp := int32(fi + 1)
 		if seen[f.Index] {
 			return fmt.Errorf("topospec: duplicate flow index %d", f.Index)
 		}
 		seen[f.Index] = true
-		if roles[f.Ingress] != RoleEdge {
+		in, inRole := lookup(f.Ingress)
+		if inRole != RoleEdge {
 			return fmt.Errorf("topospec: flow %d ingress %q is not an edge node", f.Index, f.Ingress)
 		}
-		if roles[f.Egress] != RoleEdge {
+		out, outRole := lookup(f.Egress)
+		if outRole != RoleEdge {
 			return fmt.Errorf("topospec: flow %d egress %q is not an edge node", f.Index, f.Egress)
 		}
 		if len(f.Relays) > 0 && len(f.Via) == 0 {
@@ -360,35 +382,42 @@ func (s *Spec) Validate() error {
 		if len(f.Via) < 2 {
 			return fmt.Errorf("topospec: flow %d via path needs at least two nodes", f.Index)
 		}
-		onPath := make(map[string]bool, len(f.Via))
+		// A hop is checked when its far end is resolved (an undeclared far
+		// end, id -1, pairs with no link), which keeps the checks in path
+		// order: node i, hop i->i+1, node i+1.
+		prev := int32(-1)
 		for i, name := range f.Via {
-			if roles[name] == 0 {
+			id, role := lookup(name)
+			if i > 0 {
+				if _, ok := haveLink[pair(prev, id)]; !ok {
+					return fmt.Errorf("topospec: flow %d via hop %s->%s has no link (disconnected path)", f.Index, f.Via[i-1], name)
+				}
+			}
+			if role == 0 {
 				return fmt.Errorf("topospec: flow %d via references unknown node %q", f.Index, name)
 			}
-			if onPath[name] {
+			if onPath[id] == stamp {
 				return fmt.Errorf("topospec: flow %d via path visits %q twice", f.Index, name)
 			}
-			onPath[name] = true
-			if i+1 < len(f.Via) && !haveLink[[2]string{name, f.Via[i+1]}] {
-				return fmt.Errorf("topospec: flow %d via hop %s->%s has no link (disconnected path)", f.Index, name, f.Via[i+1])
-			}
+			onPath[id] = stamp
+			prev = id
 		}
-		if prev, dup := viaIn[f.Ingress]; dup {
-			return fmt.Errorf("topospec: flows %d and %d share via ingress %q (hosts must be uniquely wired)", prev, f.Index, f.Ingress)
+		if dup := viaIn[in]; dup != 0 {
+			return fmt.Errorf("topospec: flows %d and %d share via ingress %q (hosts must be uniquely wired)", s.Flows[dup-1].Index, f.Index, f.Ingress)
 		}
-		if prev, dup := viaOut[f.Egress]; dup {
-			return fmt.Errorf("topospec: flows %d and %d share via egress %q (hosts must be uniquely wired)", prev, f.Index, f.Egress)
+		if dup := viaOut[out]; dup != 0 {
+			return fmt.Errorf("topospec: flows %d and %d share via egress %q (hosts must be uniquely wired)", s.Flows[dup-1].Index, f.Index, f.Egress)
 		}
-		viaIn[f.Ingress] = f.Index
-		viaOut[f.Egress] = f.Index
+		viaIn[in], viaOut[out] = stamp, stamp
 		for _, rel := range f.Relays {
-			if !onPath[rel] {
+			id, role := lookup(rel)
+			if id < 0 || onPath[id] != stamp {
 				return fmt.Errorf("topospec: flow %d relay %q is not on the via path", f.Index, rel)
 			}
 			if rel == f.Ingress || rel == f.Egress {
 				return fmt.Errorf("topospec: flow %d relay %q cannot be an endpoint", f.Index, rel)
 			}
-			if roles[rel] != RoleEdge {
+			if role != RoleEdge {
 				return fmt.Errorf("topospec: flow %d relay %q is not an edge node", f.Index, rel)
 			}
 		}

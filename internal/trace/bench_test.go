@@ -49,3 +49,16 @@ func BenchmarkWriteCSV(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWriteCSVWide is the flow_fattree100k shape: 100k columns, 18 rows.
+// The cost per op must be the 1.8M cells, with no per-flow setup on top.
+func BenchmarkWriteCSVWide(b *testing.B) {
+	res := syntheticResult(100000, 18)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteCSV(io.Discard, res, SeriesAllowed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

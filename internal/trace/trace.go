@@ -6,6 +6,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -54,11 +55,17 @@ func seriesOf(f experiments.FlowResult, kind SeriesKind) metrics.Series {
 	}
 }
 
-// WriteCSV writes "time_s,flow1,flow2,..." rows for the chosen series. Rows
-// are emitted at the result's sample-window granularity; missing samples
-// render as empty cells. Rows are assembled into one reused buffer
-// (strconv.Append*, no per-cell string concatenation), so cost stays linear
-// in cells — this path renders every figure of an evaluation batch.
+// WriteCSV writes "time_s,flow1,flow2,..." rows for the chosen series: one
+// row per distinct sample time across all flows, ascending; a flow without
+// a sample at a row's time renders an empty cell, and of several samples
+// sharing one At the last wins.
+//
+// Rows come from a k-way cursor merge over the per-flow series, which the
+// engines emit in time order (metrics.Series is "an ordered list of
+// samples"): the row time is the minimum over the cursors and a flow fills
+// its cell iff its cursor sits on that time, so cost is O(rows·flows) with
+// O(1) allocations. A series found out of order is sorted into a copy first,
+// which keeps the one merge path for any input.
 func WriteCSV(w io.Writer, res *experiments.Result, kind SeriesKind) error {
 	if res == nil {
 		return fmt.Errorf("trace: nil result")
@@ -74,36 +81,41 @@ func WriteCSV(w io.Writer, res *experiments.Result, kind SeriesKind) error {
 		return err
 	}
 
-	// Collect the union of sample times.
-	timeSet := make(map[time.Duration]bool)
-	for _, f := range res.Flows {
-		for _, s := range seriesOf(f, kind) {
-			timeSet[s.At] = true
-		}
-	}
-	times := make([]time.Duration, 0, len(timeSet))
-	for t := range timeSet {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-
-	// Index samples per flow for O(1) row assembly.
-	perFlow := make([]map[time.Duration]float64, len(res.Flows))
+	// rest[i] is flow i's not-yet-emitted suffix; next is the minimum head
+	// time over the non-empty suffixes, recomputed while a row is emitted.
+	rest := make([]metrics.Series, len(res.Flows))
+	var next time.Duration
+	more := false
 	for i, f := range res.Flows {
-		m := make(map[time.Duration]float64)
-		for _, s := range seriesOf(f, kind) {
-			m[s.At] = s.Value
+		s := timeOrdered(seriesOf(f, kind))
+		rest[i] = s
+		if len(s) > 0 && (!more || s[0].At < next) {
+			next, more = s[0].At, true
 		}
-		perFlow[i] = m
 	}
-
-	for _, t := range times {
-		buf = buf[:0]
-		buf = strconv.AppendFloat(buf, t.Seconds(), 'f', 3, 64)
-		for i := range res.Flows {
+	for more {
+		t := next
+		more = false
+		buf = appendFixed3(buf[:0], t.Seconds())
+		for i, s := range rest {
 			buf = append(buf, ',')
-			if v, ok := perFlow[i][t]; ok {
-				buf = strconv.AppendFloat(buf, v, 'f', 3, 64)
+			if len(s) == 0 {
+				continue
+			}
+			if s[0].At == t {
+				k := 1
+				for k < len(s) && s[k].At == t {
+					k++
+				}
+				buf = appendFixed3(buf, s[k-1].Value)
+				s = s[k:]
+				rest[i] = s
+				if len(s) == 0 {
+					continue
+				}
+			}
+			if !more || s[0].At < next {
+				next, more = s[0].At, true
 			}
 		}
 		buf = append(buf, '\n')
@@ -112,6 +124,59 @@ func WriteCSV(w io.Writer, res *experiments.Result, kind SeriesKind) error {
 		}
 	}
 	return nil
+}
+
+// timeOrdered returns s when it is sorted by At (ties allowed) and a stably
+// sorted copy otherwise: the caller's series is never reordered, and
+// stability keeps "the last sample at a time wins" the last in its order.
+func timeOrdered(s metrics.Series) metrics.Series {
+	for i := 1; i < len(s); i++ {
+		if s[i].At < s[i-1].At {
+			c := append(metrics.Series(nil), s...)
+			sort.SliceStable(c, func(a, b int) bool { return c[a].At < c[b].At })
+			return c
+		}
+	}
+	return s
+}
+
+// appendFixed3 appends v with exactly three decimals, byte-for-byte what
+// strconv.AppendFloat(b, v, 'f', 3, 64) appends. strconv takes its
+// multi-precision path for every 'f' conversion with an explicit precision;
+// for three decimals the correctly rounded result needs only integers:
+// |v| = m·2^e with m < 2^53, so |v|·1000 = (m·1000)/2^-e where m·1000 <
+// 2^63 fits a uint64 and the discarded low bits are the exact remainder,
+// which makes round-half-even exact rather than approximate. For e <= -64
+// the quotient is below 2^-1, i.e. 0.000. NaN, ±Inf and values of 2^52 and
+// above (e >= 0, where the scaled integer could overflow) go to strconv.
+func appendFixed3(b []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	exp := int(bits>>52) & 0x7ff
+	m := bits & (1<<52 - 1)
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit, same scale as the smallest normal
+	} else {
+		m |= 1 << 52
+	}
+	if exp >= 1075 {
+		return strconv.AppendFloat(b, v, 'f', 3, 64)
+	}
+	var q uint64
+	if shift := uint(1075 - exp); shift < 64 { // |v| = m / 2^shift
+		num := m * 1000
+		q = num >> shift
+		rem := num & (1<<shift - 1)
+		half := uint64(1) << (shift - 1)
+		if rem > half || (rem == half && q&1 == 1) {
+			q++
+		}
+	}
+	if bits>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, q/1000, 10)
+	f := q % 1000
+	return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
 }
 
 // WriteSummary writes a human-readable per-flow summary table: weight,
