@@ -12,7 +12,9 @@
 //
 // The default package list is the end-to-end suite at the module root plus
 // the layer packages whose micro-benchmarks sit beside the code they measure:
-// internal/trace (BenchmarkWriteCSV, BenchmarkWriteCSVWide,
+// internal/sim (BenchmarkSchedulerChain, BenchmarkSchedulerFanout,
+// BenchmarkCancelHeavy, BenchmarkTickerRearm), internal/trace
+// (BenchmarkWriteCSV, BenchmarkWriteCSVWide,
 // BenchmarkAppendFixed3), internal/flowsim (BenchmarkEpochSparse) and
 // internal/topospec (BenchmarkSpecValidate100k).
 //
@@ -79,7 +81,7 @@ func main() {
 	benchtime := flag.String("benchtime", "1x", "per-benchmark budget (go test -benchtime)")
 	count := flag.Int("count", 1, "repetitions per benchmark (go test -count)")
 	out := flag.String("out", "", "output file (default BENCH_<date>.json)")
-	pkg := flag.String("pkg", ". ./internal/trace ./internal/flowsim ./internal/topospec", "space-separated packages to benchmark")
+	pkg := flag.String("pkg", ". ./internal/sim ./internal/trace ./internal/flowsim ./internal/topospec", "space-separated packages to benchmark")
 	compare := flag.String("compare", "", "previous snapshot to diff against instead of writing one; throughput regressions beyond -max-regress fail the command")
 	maxRegress := flag.Float64("max-regress", 0.05, "largest tolerated fractional throughput drop per benchmark in -compare mode (0.05 = 5%)")
 	flag.Parse()

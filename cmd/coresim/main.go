@@ -65,8 +65,6 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		scheme    = fs.String("scheme", "corelite", "scheme: corelite or csfq")
 		backend   = fs.String("backend", "packet", "execution engine: packet (discrete-event reference) or flow (fluid rates, orders of magnitude faster)")
-		equeue    = fs.String("equeue", "", "event queue: heap (default), calendar, or auto (calendar for high event-density runs); packet backend only")
-		unfused   = fs.Bool("unfused-links", false, "use the two-event reference link pipeline instead of the fused chain (byte-identical output; for profiling and differential runs)")
 		fullSolve = fs.Bool("full-solve", false, "force the flow backend's monolithic water-filling solve instead of the incremental solver large models select (differential reference; no-op below the size cutoff and on the packet backend)")
 		flows     = fs.Int("flows", 10, "number of flows (1-20 on the paper topology)")
 		duration  = fs.Duration("duration", 80*time.Second, "simulated duration")
@@ -127,8 +125,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	sc.Backend = be
-	sc.EventQueue = *equeue
-	sc.UnfusedLinks = *unfused
 	sc.FullSolve = *fullSolve
 	if *ssThresh > 0 {
 		ec := corelite.DefaultEdgeConfig()

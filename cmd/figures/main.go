@@ -138,7 +138,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var figs figList
 	outdir := fs.String("outdir", "figures-out", "directory for CSV output")
 	backend := fs.String("backend", "packet", "execution engine: packet (reference) or flow (fluid, orders of magnitude faster)")
-	equeue := fs.String("equeue", "", "event queue for packet-backend runs: heap (default), calendar, or auto")
 	seed := fs.Int64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent figure runs (1 = serial)")
 	fs.Var(&figs, "fig", "figure number to regenerate: 3-10 paper, 11-14 generated at-scale (repeatable; default all)")
@@ -173,7 +172,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		delete(want, fig.num)
 		selected = append(selected, fig)
 		sc := fig.scenario(*seed)
-		sc.EventQueue = *equeue
 		if *check {
 			sc.Check = corelite.NewInvariantChecker(corelite.InvariantConfig{
 				FairnessTol: corelite.FigureFairnessTol(sc.Name),

@@ -45,7 +45,6 @@ func mainRun(args []string, stdout, stderr io.Writer) error {
 	topo := fs.String("topo", "", "sweep on a generated topology (fattree:k=8,flows=48 / nclouds:n=3 / mesh:nodes=8) instead of the Figure 5 scenario")
 	traffic := fs.String("traffic", "", "generated workload over -topo's flow slots (uniform / heavytail:... / churn:...)")
 	backend := fs.String("backend", "packet", "execution engine: packet (reference) or flow (fluid; note qthresh/latency/k1 are packet-level knobs the fluid model abstracts away)")
-	equeue := fs.String("equeue", "", "event queue for packet-backend runs: heap (default), calendar, or auto")
 	seed := fs.Int64("seed", 1, "random seed")
 	duration := fs.Duration("duration", 80*time.Second, "simulated duration per point")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep points (1 = serial)")
@@ -98,9 +97,6 @@ func mainRun(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-traffic needs a generated -topo (fattree/nclouds/mesh)")
 	}
 	scs := experiments.SweepScenarios(base, points)
-	for i := range scs {
-		scs[i].EventQueue = *equeue
-	}
 	if *check {
 		for i := range scs {
 			scs[i].Check = invariant.New(invariant.Config{FairnessTol: *checkTol})

@@ -456,9 +456,10 @@ func (e *Edge) Start() {
 		return
 	}
 	phase := workload.EpochPhase(e.cfg.PhaseOffset, e.cfg.Epoch, e.node.Name())
-	e.ticker = e.net.Scheduler().MustAfter(phase, func() {
+	sched := e.net.Scheduler()
+	e.ticker = sched.MustAfter(phase, func() {
 		e.onEpoch()
-		e.scheduleEpoch()
+		sched.RescheduleAfter(e.cfg.Epoch)
 	})
 }
 
@@ -468,13 +469,6 @@ func (e *Edge) Stop() {
 		e.ticker.Cancel()
 		e.ticker = nil
 	}
-}
-
-func (e *Edge) scheduleEpoch() {
-	e.ticker = e.net.Scheduler().MustAfter(e.cfg.Epoch, func() {
-		e.onEpoch()
-		e.scheduleEpoch()
-	})
 }
 
 // onEpoch applies the paper's §2.2 adaptation: for each active flow, react

@@ -381,9 +381,10 @@ func (r *Router) Start() {
 		return
 	}
 	phase := workload.EpochPhase(r.cfg.PhaseOffset, r.cfg.Epoch, r.node.Name())
-	r.ticker = r.net.Scheduler().MustAfter(phase, func() {
+	sched := r.net.Scheduler()
+	r.ticker = sched.MustAfter(phase, func() {
 		r.onEpoch()
-		r.scheduleEpoch()
+		sched.RescheduleAfter(r.cfg.Epoch)
 	})
 }
 
@@ -393,13 +394,6 @@ func (r *Router) Stop() {
 		r.ticker.Cancel()
 		r.ticker = nil
 	}
-}
-
-func (r *Router) scheduleEpoch() {
-	r.ticker = r.net.Scheduler().MustAfter(r.cfg.Epoch, func() {
-		r.onEpoch()
-		r.scheduleEpoch()
-	})
 }
 
 // onEpoch performs incipient congestion detection (§3.1) per link and hands

@@ -1,0 +1,54 @@
+package csfq
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/netem"
+	"repro/internal/sim"
+)
+
+// TestTickerRearmAllocs pins the edge's epoch ticker: after Start it runs on
+// one re-armed scheduler handle, so an epoch allocates nothing, and Stop
+// after n epochs cancels that handle — Len() drops by one and epoch n+1
+// never fires.
+func TestTickerRearmAllocs(t *testing.T) {
+	s := sim.NewScheduler()
+	net := netem.New(s)
+	for _, n := range []string{"E", "D"} {
+		if _, err := net.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := net.AddLink("E", "D", netem.LinkConfig{RateBps: 4e6, Delay: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	edge := NewEdge(net, net.Node("E"), DefaultEdgeConfig())
+	if _, err := edge.AddFlow("D", 1); err != nil {
+		t.Fatal(err)
+	}
+	edge.Start()
+	for i := 0; i < 10; i++ {
+		s.Step()
+	}
+	if allocs := testing.AllocsPerRun(200, func() { s.Step() }); allocs != 0 {
+		t.Fatalf("an idle epoch allocates %.1f objects, want 0", allocs)
+	}
+	if got := s.Len(); got != 1 {
+		t.Fatalf("Len() = %d with the ticker re-armed, want 1", got)
+	}
+	edge.Stop()
+	if got := s.Len(); got != 0 {
+		t.Fatalf("Len() = %d after Stop, want 0", got)
+	}
+	before := s.Processed()
+	if err := s.Run(s.Now() + time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if s.Processed() != before {
+		t.Fatalf("%d epochs fired after Stop", s.Processed()-before)
+	}
+}

@@ -5,7 +5,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -59,18 +58,6 @@ type Scenario struct {
 	// fluid engine. The flow backend rejects packet-only knobs (TCP
 	// transports, tracing) at validation time.
 	Backend Backend
-	// EventQueue selects the scheduler's pending-event queue on the packet
-	// backend: "" or "heap" (the default 4-ary heap), "calendar" (the
-	// calendar queue), or "auto" (calendar for high event-density runs —
-	// NumFlows ≥ 16 — heap otherwise). Every kind produces the identical
-	// event order, pinned by the differential scheduler suite, so this is
-	// a performance knob only; the flow backend ignores it.
-	EventQueue string
-	// UnfusedLinks selects the two-event reference link pipeline (separate
-	// transmit-completion and propagation-arrival events per packet)
-	// instead of the fused per-link chain. Output is byte-identical either
-	// way; the knob exists for differential testing and profiling.
-	UnfusedLinks bool
 	// FullSolve forces the flow backend's monolithic water-filling solve
 	// after every event batch instead of the incremental dirty-set solver
 	// that large models select automatically. Small models (fewer than
@@ -512,9 +499,6 @@ func (sc Scenario) Validate() error {
 	if sc.Backend != BackendPacket && sc.Backend != BackendFlow {
 		return fmt.Errorf("experiments: unknown backend %d", int(sc.Backend))
 	}
-	if _, err := sc.queueKind(); err != nil {
-		return err
-	}
 	if sc.Backend == BackendFlow {
 		for idx, tr := range sc.Transports {
 			if tr == TransportTCP {
@@ -542,25 +526,6 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// autoCalendarFlows is the event-density threshold of the "auto" event-queue
-// policy: at 16+ flows the paper topology keeps enough concurrent events in
-// flight at similar timescales that the calendar queue's near-O(1)
-// insert/pop pays for its rotation bookkeeping.
-const autoCalendarFlows = 16
-
-// queueKind resolves the scenario's EventQueue spelling, applying the
-// "auto" density policy. Call on a normalized scenario (auto reads
-// NumFlows).
-func (sc Scenario) queueKind() (sim.QueueKind, error) {
-	if strings.EqualFold(strings.TrimSpace(sc.EventQueue), "auto") {
-		if sc.NumFlows >= autoCalendarFlows {
-			return sim.QueueCalendar, nil
-		}
-		return sim.QueueHeap, nil
-	}
-	return sim.ParseQueueKind(sc.EventQueue)
-}
-
 // packetEngine executes scenarios on the packet-level discrete-event
 // simulator: real netem links and queues, per-packet scheme machinery
 // (markers, labels, drops), shaped sources or TCP hosts. It is the
@@ -570,22 +535,13 @@ type packetEngine struct{}
 // Run implements Engine. sc arrives normalized and validated, with
 // SampleWindow defaulted.
 func (packetEngine) Run(sc Scenario) (*Result, error) {
-	kind, err := sc.queueKind()
-	if err != nil {
-		return nil, err
-	}
-	sched := sim.NewSchedulerKind(kind)
+	sched := sim.NewScheduler()
 	rng := sim.NewRNG(sc.Seed)
 	cloud, err := buildCloud(sc, sched)
 	if err != nil {
 		return nil, fmt.Errorf("build topology: %w", err)
 	}
 	net := cloud.Net
-	if sc.UnfusedLinks {
-		// Select the reference pipeline before any traffic is scheduled;
-		// both pipelines emit the identical event stream.
-		net.SetLinkFusion(false)
-	}
 	if sc.Tracer != nil {
 		net.SetTracer(sc.Tracer)
 	}
@@ -882,8 +838,7 @@ func (packetEngine) Run(sc Scenario) (*Result, error) {
 	}
 
 	// Measurement: flush windows and sample allowed rates.
-	var sampler func()
-	sampler = func() {
+	sched.MustAt(sc.SampleWindow, func() {
 		sched.MarkHandler(sim.KindMeasure)
 		now := net.Now()
 		rec.Flush(now)
@@ -910,10 +865,9 @@ func (packetEngine) Run(sc Scenario) (*Result, error) {
 			sc.Progress.Update(now, sched.Processed(), active)
 		}
 		if now < sc.Duration {
-			sched.MustAfter(sc.SampleWindow, sampler)
+			sched.RescheduleAfter(sc.SampleWindow)
 		}
-	}
-	sched.MustAt(sc.SampleWindow, sampler)
+	})
 	sc.Check.Start(sched, sc.Duration)
 
 	if err := sched.Run(sc.Duration); err != nil {

@@ -176,11 +176,10 @@ func RunFig10(seed int64) (*Result, error) { return Run(Fig10Scenario(seed)) }
 // blasts down to their fair share at the cost of sustained drops.
 func FairnessAtScaleScenario(scheme Scheme, seed int64) Scenario {
 	return Scenario{
-		Name:       "fairness-at-scale-" + scheme.String(),
-		Scheme:     scheme,
-		Duration:   110 * time.Second,
-		Seed:       seed,
-		EventQueue: "auto",
+		Name:     "fairness-at-scale-" + scheme.String(),
+		Scheme:   scheme,
+		Duration: 110 * time.Second,
+		Seed:     seed,
 		Generate: &Generate{
 			Topo: topogen.Config{Kind: topogen.KindFatTree, K: 8, Flows: 40},
 			Traffic: &trafficgen.Config{
@@ -207,11 +206,10 @@ func RunFairnessAtScale(scheme Scheme, seed int64) (*Result, error) {
 // by the fairness residual.
 func ChurnTailScenario(scheme Scheme, seed int64) Scenario {
 	return Scenario{
-		Name:       "churn-tail-" + scheme.String(),
-		Scheme:     scheme,
-		Duration:   200 * time.Second,
-		Seed:       seed,
-		EventQueue: "auto",
+		Name:     "churn-tail-" + scheme.String(),
+		Scheme:   scheme,
+		Duration: 200 * time.Second,
+		Seed:     seed,
 		Generate: &Generate{
 			Topo: topogen.Config{Kind: topogen.KindFatTree, K: 4, Flows: 16},
 			// The 100s settle tail is the measured quantity: restarted

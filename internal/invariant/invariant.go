@@ -233,16 +233,14 @@ func (c *Checker) Start(sched *sim.Scheduler, horizon time.Duration) {
 		return
 	}
 	every := c.cfg.Every
-	var tick func()
-	tick = func() {
+	sched.MustAfter(every, func() {
 		sched.MarkHandler(sim.KindMeasure)
 		now := sched.Now()
 		c.Sweep(now)
 		if now+every <= horizon {
-			sched.MustAfter(every, tick)
+			sched.RescheduleAfter(every)
 		}
-	}
-	sched.MustAfter(every, tick)
+	})
 }
 
 // Report records an externally detected violation, honoring the retention

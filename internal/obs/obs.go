@@ -351,16 +351,14 @@ func (r *Registry) StartSampler(sched *sim.Scheduler, every, horizon time.Durati
 	if r == nil || sched == nil || every <= 0 {
 		return
 	}
-	var tick func()
-	tick = func() {
+	sched.MustAfter(every, func() {
 		sched.MarkHandler(sim.KindMeasure)
 		now := sched.Now()
 		r.Sample(now)
 		if now+every <= horizon {
-			sched.MustAfter(every, tick)
+			sched.RescheduleAfter(every)
 		}
-	}
-	sched.MustAfter(every, tick)
+	})
 }
 
 // SampleTimes returns the sampling instants.

@@ -1,66 +1,97 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
-// BenchmarkSchedulerChain measures pure event throughput: one
-// self-rescheduling event chain (the dominant pattern in the simulator).
+// benchBatch is how many events one benchmark op runs. An op is a batch, not
+// a single event, so the numbers mean something at the -benchtime 1x/3x the
+// snapshot tool (cmd/benchjson) and the CI perf gate use.
+const benchBatch = 1 << 17
+
+// stepBatches runs b.N batches of events on a warm scheduler and reports
+// throughput in the unit the perf gate compares.
+func stepBatches(b *testing.B, s *Scheduler) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N*benchBatch; i++ {
+		s.Step()
+	}
+	b.ReportMetric(float64(b.N)*benchBatch/b.Elapsed().Seconds()/1e6, "Mevents/s")
+}
+
+// BenchmarkSchedulerChain measures pure event throughput: one handler
+// reposting itself, the queue never deeper than one.
 func BenchmarkSchedulerChain(b *testing.B) {
 	s := NewScheduler()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			s.MustAfter(time.Microsecond, tick)
-		}
-	}
-	s.MustAfter(time.Microsecond, tick)
-	b.ResetTimer()
-	if err := s.RunAll(); err != nil {
-		b.Fatal(err)
-	}
-	if n != b.N {
-		b.Fatalf("ran %d events, want %d", n, b.N)
-	}
+	var hid HandlerID
+	hid = s.RegisterHandler(func(arg uint32) { s.PostHandler(time.Microsecond, hid, arg) })
+	s.PostHandler(time.Microsecond, hid, 0)
+	stepBatches(b, s)
 }
 
-// BenchmarkSchedulerFanout measures heap behaviour with many pending
-// events (1024 concurrent chains).
+// BenchmarkSchedulerFanout measures the queue under load: pending
+// self-reposting registered handlers with exponential gaps (mean 1 ms), the
+// shape of the repository benchmark's sim.queue_ns_per_event_p64/p4096.
 func BenchmarkSchedulerFanout(b *testing.B) {
-	const chains = 1024
-	s := NewScheduler()
-	remaining := b.N
-	var tick func(i int)
-	tick = func(i int) {
-		if remaining <= 0 {
-			return
-		}
-		remaining--
-		s.MustAfter(time.Duration(i%7+1)*time.Microsecond, func() { tick(i) })
+	for _, pending := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			s := NewScheduler()
+			rng := NewRNG(1)
+			gaps := make([]time.Duration, 4096)
+			for i := range gaps {
+				gaps[i] = time.Duration(rng.ExpFloat64() * float64(time.Millisecond))
+			}
+			next := 0
+			var hid HandlerID
+			hid = s.RegisterHandler(func(arg uint32) {
+				next = (next + 1) % len(gaps)
+				s.PostHandler(gaps[next], hid, arg)
+			})
+			for i := 0; i < pending; i++ {
+				next = (next + 1) % len(gaps)
+				s.PostHandler(gaps[next], hid, uint32(i))
+			}
+			for i := 0; i < benchBatch/2; i++ { // reach the steady-state queue shape
+				s.Step()
+			}
+			stepBatches(b, s)
+		})
 	}
-	for i := 0; i < chains; i++ {
-		i := i
-		s.MustAfter(time.Duration(i)*time.Nanosecond, func() { tick(i) })
-	}
-	b.ResetTimer()
-	_ = s.RunAll()
 }
 
-// BenchmarkCancelHeavy measures cancellation overhead: half the scheduled
-// events are cancelled before running.
+// BenchmarkCancelHeavy measures lazy cancellation: each op schedules a batch
+// of handles, cancels every other one, and drains — paying for surfacing and
+// discarding the stale entries along with firing the rest.
 func BenchmarkCancelHeavy(b *testing.B) {
 	s := NewScheduler()
-	for i := 0; i < b.N; i++ {
-		e := s.MustAfter(time.Duration(i)*time.Microsecond, func() {})
-		if i%2 == 0 {
-			e.Cancel()
+	fn := func() {}
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		for i := 0; i < benchBatch; i++ {
+			e := s.MustAfter(time.Duration(i)*time.Microsecond, fn)
+			if i%2 == 0 {
+				e.Cancel()
+			}
+		}
+		if err := s.RunAll(); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	_ = s.RunAll()
+	b.ReportMetric(float64(b.N)*benchBatch/b.Elapsed().Seconds()/1e6, "Mevents/s")
+}
+
+// BenchmarkTickerRearm measures the periodic-handle shape of the router and
+// edge epochs and the samplers: 64 tickers, each firing and re-arming its
+// own Event every 100 ms.
+func BenchmarkTickerRearm(b *testing.B) {
+	s := NewScheduler()
+	for i := 0; i < 64; i++ {
+		s.MustAfter(time.Duration(i)*time.Millisecond, func() { s.RescheduleAfter(100 * time.Millisecond) })
+	}
+	stepBatches(b, s)
 }
 
 // BenchmarkRNGStream measures derived-stream draws.

@@ -2,58 +2,56 @@ package sim
 
 import "sort"
 
-// Calendar geometry defaults. Figure-scale scenarios schedule most events
-// within a few milliseconds of now (per-packet service times around 0.1–2ms,
+// Calendar geometry. Figure-scale scenarios schedule most events within a
+// few milliseconds of now (per-packet service times around 0.1–2ms,
 // propagation around 1–10ms), so a 1ms × 256 wheel keeps one rotation —
 // 256ms — comfortably ahead of the densest horizon while spreading the
-// in-flight events over many buckets.
+// in-flight events over many buckets. Geometry affects cost only: every
+// geometry yields the same event order.
 const (
-	defaultCalendarWidth   Time = 1e6 // 1ms
-	defaultCalendarBuckets      = 256
+	calendarWidth   Time = 1e6 // 1ms
+	calendarBuckets      = 256
 )
 
 // calendarQueue is a calendar queue (R. Brown, CACM 1988) adapted to this
-// scheduler's contract: an exact (at, seq) total order and lazy
-// cancellation. Events within the current rotation window hash by timestamp
-// into a ring of buckets; a bucket is sorted only when the wheel reaches it,
-// and later arrivals into the bucket being consumed are placed by binary
-// search so the front of the queue is always the true minimum. Events beyond
-// the rotation horizon wait in an overflow heap and are drained bucket-ward
-// when the wheel rolls over. Cancelled entries are discarded when they
-// surface at the front.
+// scheduler's contract: an exact (at, seq) total order. Events within the
+// current rotation window hash by timestamp into a ring of buckets; a bucket
+// is sorted only when the wheel reaches it, and later arrivals into the
+// bucket being consumed are placed by binary search so the front of the
+// queue is always the true minimum. Events beyond the rotation horizon wait
+// in an overflow heap; when the window has drained it restarts on the
+// earliest of them.
+//
+// Bucket storage follows the resident events, not the traffic that passed
+// through: the consumed prefix of the bucket being drained is reclaimed
+// before that bucket may grow, and a bucket the wheel has left hands its
+// backing array to the next bucket that needs one.
 type calendarQueue struct {
-	sc       *Scheduler // resolves handle args for lazy-cancel checks
 	width    Time
+	nbuckets int
 	rotStart Time      // left edge of the current rotation window
-	buckets  [][]entry // bucket i covers [rotStart+i·width, rotStart+(i+1)·width)
+	buckets  [][]entry // bucket i covers [rotStart+i·width, rotStart+(i+1)·width); nil until first use
+	spare    [][]entry // emptied backing arrays awaiting reuse
 	cur      int       // wheel position: buckets below cur are consumed/empty
 	pos      int       // consumed prefix of buckets[cur]
 	sorted   bool      // whether buckets[cur] is currently in (at, seq) order
-	count    int       // entries resident in buckets (including cancelled)
+	count    int       // entries resident in buckets
 	overflow heapQueue // events at or beyond rotStart + len(buckets)·width
 }
 
-func newCalendarQueue(sc *Scheduler, width Time, nbuckets int) *calendarQueue {
-	if width <= 0 {
-		width = defaultCalendarWidth
-	}
-	if nbuckets <= 0 {
-		nbuckets = defaultCalendarBuckets
-	}
-	return &calendarQueue{sc: sc, width: width, buckets: make([][]entry, nbuckets)}
-}
-
-// discard releases a lazily-cancelled handle entry surfacing at the front.
-func (q *calendarQueue) discard(e *entry) {
-	ev := q.sc.evs[e.arg]
-	q.sc.releaseEv(e.arg)
-	ev.fn = nil
-	ev.index = indexFired
-}
-
-// horizon is the first timestamp past the current rotation window.
+// horizon is the first timestamp past the current rotation window. Before
+// the wheel exists the window is empty, so every push lands in overflow and
+// an idle scheduler costs nothing to build.
 func (q *calendarQueue) horizon() Time {
 	return q.rotStart + Time(len(q.buckets))*q.width
+}
+
+// retire empties bucket b and parks its backing array for reuse.
+func (q *calendarQueue) retire(b int) {
+	if bk := q.buckets[b]; cap(bk) > 0 {
+		q.spare = append(q.spare, bk[:0])
+		q.buckets[b] = nil
+	}
 }
 
 func (q *calendarQueue) push(e entry) {
@@ -77,82 +75,86 @@ func (q *calendarQueue) push(e entry) {
 		// cursor state is disturbed. Compact the consumed prefix out of the
 		// bucket the wheel is leaving first: pos resets to 0, and a later
 		// scan of that bucket must not replay entries that already fired.
-		if q.pos > 0 && q.cur < len(q.buckets) {
-			old := q.buckets[q.cur]
-			q.buckets[q.cur] = old[:copy(old, old[q.pos:])]
-		}
-		q.cur, q.pos, q.sorted = b, 0, true
+		q.compact()
+		q.cur, q.sorted = b, true
 	}
 	bk := q.buckets[b]
+	if cap(bk) == 0 {
+		if n := len(q.spare); n > 0 {
+			bk, q.spare = q.spare[n-1], q.spare[:n-1]
+		}
+	}
 	if b == q.cur && q.sorted {
 		// Keep the consuming bucket ordered: binary-insert into the
 		// unconsumed tail (everything before pos has already fired).
+		// Reclaim that prefix before the slice would grow, so capacity
+		// settles at the bucket's peak residency.
+		if len(bk) == cap(bk) && q.pos > 0 {
+			q.compact()
+			bk = q.buckets[b]
+		}
 		i := q.pos + sort.Search(len(bk)-q.pos, func(i int) bool {
 			return less(&e, &bk[q.pos+i])
 		})
 		bk = append(bk, entry{})
 		copy(bk[i+1:], bk[i:])
 		bk[i] = e
-		q.buckets[b] = bk
 	} else {
-		q.buckets[b] = append(bk, e)
+		bk = append(bk, e)
 	}
+	q.buckets[b] = bk
 	q.count++
 }
 
-// peek surfaces the earliest live entry, discarding cancelled entries and
-// advancing the wheel (including rotations and overflow drains) as needed.
-// The returned pointer is valid until the next queue operation; dropMin and
-// replaceMin act on exactly this entry.
+// compact drops the consumed prefix of the current bucket.
+func (q *calendarQueue) compact() {
+	bk := q.buckets[q.cur]
+	q.buckets[q.cur] = bk[:copy(bk, bk[q.pos:])]
+	q.pos = 0
+}
+
+// peek surfaces the earliest entry, advancing the wheel as needed. The
+// returned pointer is valid until the next queue operation; dropMin acts on
+// exactly this entry.
 func (q *calendarQueue) peek() (*entry, bool) {
 	for {
 		if q.count == 0 {
 			if len(q.overflow.es) == 0 {
 				return nil, false
 			}
-			// Fast-forward the window to the earliest overflow event so
-			// sparse far-future schedules don't spin through empty
-			// rotations. The bucket the wheel stands in still holds its
-			// consumed prefix (clearing normally happens when the scan moves
-			// past); drop it now or the reset cursor would replay it.
-			if q.cur < len(q.buckets) {
-				if bk := q.buckets[q.cur]; len(bk) > 0 {
-					q.buckets[q.cur] = bk[:0]
-				}
+			// The window is drained — at the end of a rotation or across an
+			// idle gap alike — so restart it on the earliest overflow event
+			// and pull in everything the new window covers. The bucket the
+			// wheel stands in still holds its consumed prefix (clearing
+			// normally happens when the scan moves past); drop it now or
+			// the reset cursor would replay it.
+			if q.buckets == nil {
+				q.buckets = make([][]entry, q.nbuckets)
+			} else {
+				q.retire(q.cur)
 			}
 			q.rotStart = q.overflow.es[0].at
 			q.cur, q.pos, q.sorted = 0, 0, false
-			q.drainOverflow()
+			for hz := q.horizon(); len(q.overflow.es) > 0 && q.overflow.es[0].at < hz; {
+				e := q.overflow.es[0]
+				q.overflow.dropMin()
+				q.push(e)
+			}
+		}
+		// count > 0: an unconsumed entry sits in some bucket at or after
+		// cur, so the scan below stops before the end of the ring.
+		bk := q.buckets[q.cur]
+		if q.pos >= len(bk) {
+			q.retire(q.cur)
+			q.cur++
+			q.pos, q.sorted = 0, false
 			continue
 		}
-		for q.cur < len(q.buckets) {
-			bk := q.buckets[q.cur]
-			if q.pos >= len(bk) {
-				if len(bk) > 0 {
-					q.buckets[q.cur] = bk[:0]
-				}
-				q.cur++
-				q.pos, q.sorted = 0, false
-				continue
-			}
-			if !q.sorted {
-				sortEntries(bk)
-				q.sorted = true
-			}
-			head := &q.buckets[q.cur][q.pos]
-			if head.hid == hidHandle && q.sc.evs[head.arg].canceled {
-				q.discard(head)
-				q.pos++
-				q.count--
-				continue
-			}
-			return head, true
+		if !q.sorted {
+			sortEntries(bk)
+			q.sorted = true
 		}
-		// Rotation exhausted: roll the window forward and pull newly
-		// eligible overflow events into the buckets.
-		q.rotStart = q.horizon()
-		q.cur, q.pos, q.sorted = 0, 0, false
-		q.drainOverflow()
+		return &bk[q.pos], true
 	}
 }
 
@@ -165,18 +167,11 @@ func (q *calendarQueue) rebase(start Time) {
 	var resident []entry
 	for b := q.cur; b < len(q.buckets); b++ {
 		bk := q.buckets[b]
-		from := 0
 		if b == q.cur {
-			from = q.pos
+			bk = bk[q.pos:]
 		}
-		for i := from; i < len(bk); i++ {
-			if bk[i].hid == hidHandle && q.sc.evs[bk[i].arg].canceled {
-				q.discard(&bk[i])
-				continue
-			}
-			resident = append(resident, bk[i])
-		}
-		q.buckets[b] = bk[:0]
+		resident = append(resident, bk...)
+		q.retire(b)
 	}
 	q.rotStart = start
 	q.cur, q.pos, q.sorted = 0, 0, false
@@ -186,28 +181,11 @@ func (q *calendarQueue) rebase(start Time) {
 	}
 }
 
-// drainOverflow moves every overflow event now inside the rotation window
-// into its bucket.
-func (q *calendarQueue) drainOverflow() {
-	hz := q.horizon()
-	for len(q.overflow.es) > 0 && q.overflow.es[0].at < hz {
-		e := q.overflow.es[0]
-		q.overflow.dropMin()
-		q.push(e)
-	}
-}
-
 // dropMin consumes the entry peek returned. Entries are pointer-free, so
 // the consumed prefix needs no clearing.
 func (q *calendarQueue) dropMin() {
 	q.pos++
 	q.count--
-}
-
-// replaceMin swaps the entry peek returned for a re-armed one.
-func (q *calendarQueue) replaceMin(e entry) {
-	q.dropMin()
-	q.push(e)
 }
 
 // sortEntries orders a bucket by (at, seq). Keys are unique (seq is), so

@@ -5,6 +5,34 @@ import (
 	"time"
 )
 
+// runAt schedules one event per timestamp on each wheel geometry, drains the
+// scheduler and requires every event to fire exactly once, in order, at its
+// own time.
+func runAt(t *testing.T, times []Time) {
+	t.Helper()
+	for _, g := range diffGeometries {
+		s := newScheduler(g.width, g.buckets)
+		var fired []Time
+		for _, at := range times {
+			s.MustAt(at, func() { fired = append(fired, s.Now()) })
+		}
+		if err := s.RunAll(); err != nil {
+			t.Fatalf("%s: RunAll: %v", g.name, err)
+		}
+		if len(fired) != len(times) {
+			t.Fatalf("%s: fired %d events (%v), want %d (%v)", g.name, len(fired), fired, len(times), times)
+		}
+		for i, at := range times {
+			if fired[i] != at {
+				t.Fatalf("%s: firing sequence %v, want %v", g.name, fired, times)
+			}
+		}
+		if got := s.Processed(); got != uint64(len(times)) {
+			t.Fatalf("%s: Processed() = %d, want %d", g.name, got, len(times))
+		}
+	}
+}
+
 // TestCalendarFastForwardNoReplay pins the fix for a consumed-entry replay:
 // when the wheel goes idle with only far-future (overflow) work left, peek
 // fast-forwards the rotation window onto the overflow minimum and resets the
@@ -14,109 +42,91 @@ import (
 // entries that already fired, executing them a second time with a stale
 // timestamp and driving simulated time backwards.
 func TestCalendarFastForwardNoReplay(t *testing.T) {
-	s := NewSchedulerKind(QueueCalendar)
-	var fired []Time
-	note := func() { fired = append(fired, s.Now()) }
-
-	// Near event lands in a bucket; far event (700ms >= 256ms horizon) waits
-	// in the overflow heap. Consuming the near event leaves its consumed
-	// entry resident in the bucket with count == 0.
-	s.PostAt(Time(time.Millisecond), note)
-	s.PostAt(Time(700*time.Millisecond), note)
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-
-	want := []Time{Time(time.Millisecond), Time(700 * time.Millisecond)}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d events (%v), want %d (%v)", len(fired), fired, len(want), want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("firing order %v, want %v", fired, want)
-		}
-	}
-	if got := s.Processed(); got != 2 {
-		t.Fatalf("Processed() = %d, want 2", got)
-	}
-}
-
-// TestCalendarGeometryOption pins the WithCalendarGeometry plumbing: the
-// option reaches the queue, non-positive values fall back to the defaults,
-// and — geometry being a performance knob only — a deliberately tiny wheel
-// fires events in exactly the reference order.
-func TestCalendarGeometryOption(t *testing.T) {
-	s := NewSchedulerKind(QueueCalendar, WithCalendarGeometry(Time(250*time.Microsecond), 8))
-	q := s.alt.(*calendarQueue)
-	if q.width != Time(250*time.Microsecond) || len(q.buckets) != 8 {
-		t.Fatalf("geometry = %v × %d, want 250µs × 8", q.width, len(q.buckets))
-	}
-
-	d := NewSchedulerKind(QueueCalendar, WithCalendarGeometry(0, -1))
-	dq := d.alt.(*calendarQueue)
-	if dq.width != defaultCalendarWidth || len(dq.buckets) != defaultCalendarBuckets {
-		t.Fatalf("zero-value geometry = %v × %d, want defaults %v × %d",
-			dq.width, len(dq.buckets), defaultCalendarWidth, defaultCalendarBuckets)
-	}
-
-	// A heap option on a heap scheduler is a no-op, not an error.
-	if h := NewSchedulerKind(QueueHeap, WithCalendarGeometry(1, 1)); h.alt != nil {
-		t.Fatal("heap scheduler grew an alternative queue")
-	}
-
-	// 8 × 250µs = 2ms rotation: these spill into overflow and wrap the tiny
-	// wheel repeatedly, yet the order must match the posting times exactly.
-	times := []Time{
-		Time(100 * time.Microsecond),
-		Time(1900 * time.Microsecond),
-		Time(2 * time.Millisecond),
-		Time(30 * time.Millisecond),
-		Time(30*time.Millisecond + 1),
-	}
-	var fired []Time
-	for _, at := range times {
-		s.PostAt(at, func() { fired = append(fired, s.Now()) })
-	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if len(fired) != len(times) {
-		t.Fatalf("fired %d events (%v), want %d", len(fired), fired, len(times))
-	}
-	for i, at := range times {
-		if fired[i] != at {
-			t.Fatalf("firing sequence %v, want %v", fired, times)
-		}
-	}
+	// The near event lands in a bucket; the far event (700ms, beyond either
+	// wheel's horizon once the window sits on the near one) waits in the
+	// overflow heap. Consuming the near event leaves its consumed entry
+	// resident in the bucket with count == 0.
+	runAt(t, []Time{Time(time.Millisecond), Time(700 * time.Millisecond)})
 }
 
 // TestCalendarRepeatedFastForward drives several idle-gap fast-forwards in a
 // row, each leaving consumed residue behind, and checks the firing sequence
 // stays strictly monotonic with every event firing exactly once.
 func TestCalendarRepeatedFastForward(t *testing.T) {
-	s := NewSchedulerKind(QueueCalendar)
-	var fired []Time
-	note := func() { fired = append(fired, s.Now()) }
-
-	times := []Time{
+	runAt(t, []Time{
 		Time(500 * time.Microsecond),
 		Time(300 * time.Millisecond),
 		Time(time.Second),
 		Time(2500 * time.Millisecond),
 		Time(2500*time.Millisecond + 1),
+	})
+}
+
+// TestNewSchedulerIdleIsCheap pins that an idle scheduler never builds its
+// wheel: the flow backend constructs a throw-away packet cloud (and with it
+// a scheduler) per small model.
+func TestNewSchedulerIdleIsCheap(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { NewScheduler() }); allocs > 1 {
+		t.Fatalf("NewScheduler allocates %.0f objects, want 1", allocs)
 	}
-	for _, at := range times {
-		s.PostAt(at, note)
+	s := NewScheduler()
+	s.MustAt(time.Hour, func() {})
+	if s.q.buckets != nil {
+		t.Fatal("wheel built before the first event was due")
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
+}
+
+// denseScheduler returns a scheduler carrying pending self-rescheduling
+// handlers with 0–2 ms gaps — about pending/2 events per 1 ms bucket.
+func denseScheduler(pending int) *Scheduler {
+	s := NewScheduler()
+	rng := NewRNG(1)
+	gaps := make([]time.Duration, 4099) // prime, so handlers drift across the table
+	for i := range gaps {
+		gaps[i] = time.Duration(rng.Float64() * float64(2*time.Millisecond))
 	}
-	if len(fired) != len(times) {
-		t.Fatalf("fired %d events (%v), want %d", len(fired), fired, len(times))
-	}
-	for i, at := range times {
-		if fired[i] != at {
-			t.Fatalf("firing sequence %v, want %v", fired, times)
+	next := 0
+	var hid HandlerID
+	hid = s.RegisterHandler(func(arg uint32) {
+		next = (next + 1) % len(gaps)
+		if arg&1 == 0 {
+			s.PostHandler(gaps[next], hid, arg) // pushed while this entry holds the front
+		} else {
+			s.RescheduleAfter(gaps[next])
 		}
+	})
+	for i := 0; i < pending; i++ {
+		next = (next + 1) % len(gaps)
+		s.PostHandler(gaps[next], hid, uint32(i))
+	}
+	return s
+}
+
+// TestCalendarMemoryTracksResidency pins the bound on the calendar's memory:
+// after 10⁶ events through a queue that never holds more than 4096, the
+// bucket arrays in circulation hold at most four times that — storage
+// follows the resident events, not the traffic that passed through each
+// bucket — and, capacity having settled, a further Step allocates nothing.
+func TestCalendarMemoryTracksResidency(t *testing.T) {
+	const pending = 4096
+	s := denseScheduler(pending)
+	for i := 0; i < 1_000_000; i++ {
+		s.Step()
+	}
+	if s.Len() != pending {
+		t.Fatalf("Len() = %d, want %d", s.Len(), pending)
+	}
+	total := 0
+	for _, bk := range s.q.buckets {
+		total += cap(bk)
+	}
+	for _, bk := range s.q.spare {
+		total += cap(bk)
+	}
+	if total > 4*pending {
+		t.Fatalf("bucket capacity %d entries for %d pending events, want at most %d", total, pending, 4*pending)
+	}
+	if allocs := testing.AllocsPerRun(10000, func() { s.Step() }); allocs != 0 {
+		t.Fatalf("warm scheduler allocates %.2f objects per Step, want 0", allocs)
 	}
 }

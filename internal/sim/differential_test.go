@@ -8,28 +8,38 @@ import (
 )
 
 // refScheduler is a deliberately naive reference implementation of the
-// event-queue contract the heap must preserve: a sorted list ordered by
+// event-queue contract the scheduler must preserve: a sorted list ordered by
 // (time, scheduling sequence), with cancelled events skipped lazily at pop
-// time — the semantics of the original container/heap scheduler. The
-// differential tests below run the same op programs through both engines and
-// require identical firing sequences, so any heap bug that perturbs the
-// total order (and would silently change every figure) is caught directly.
+// time — the semantics of the original container/heap scheduler. A re-arm is
+// an eager insert at the instant the real scheduler draws the re-arm
+// sequence, under the same handle. The differential tests below run the same
+// op programs through both engines and require identical firing sequences,
+// so any queue bug that perturbs the total order (and would silently change
+// every figure) is caught directly.
 type refScheduler struct {
-	now     time.Duration
+	clock   time.Duration
 	seq     uint64
 	events  []*refEvent
+	cur     *refEvent // executing event, for rearm
 	stepped uint64
+	fire    func(tag uint32) // registered-handler callback
 }
 
 type refEvent struct {
-	at       time.Duration
-	seq      uint64
-	canceled bool
-	fn       func()
+	at  time.Duration
+	seq uint64
+	fn  func()
+	h   *refHandle
 }
 
-func (r *refScheduler) at(t time.Duration, fn func()) *refEvent {
-	e := &refEvent{at: t, seq: r.seq, fn: fn}
+// refHandle is the reference's cancellable handle: it follows its event
+// across re-arms.
+type refHandle struct{ canceled bool }
+
+func (h *refHandle) cancel() { h.canceled = true }
+
+func (r *refScheduler) insert(t time.Duration, fn func(), h *refHandle) {
+	e := &refEvent{at: t, seq: r.seq, fn: fn, h: h}
 	r.seq++
 	// Insert keeping (at, seq) order; seq is strictly increasing, so among
 	// equal times the new event always goes last (FIFO).
@@ -40,22 +50,69 @@ func (r *refScheduler) at(t time.Duration, fn func()) *refEvent {
 	r.events = append(r.events, nil)
 	copy(r.events[i+1:], r.events[i:])
 	r.events[i] = e
-	return e
 }
 
-func (r *refScheduler) step() bool {
-	for len(r.events) > 0 {
-		e := r.events[0]
+func (r *refScheduler) at(t time.Duration, fn func()) *refHandle {
+	h := &refHandle{}
+	r.insert(t, fn, h)
+	return h
+}
+
+// skipCanceled drops cancelled events off the front of the list.
+func (r *refScheduler) skipCanceled() {
+	for len(r.events) > 0 && r.events[0].h.canceled {
 		r.events = r.events[1:]
-		if e.canceled {
-			continue
-		}
-		r.now = e.at
-		r.stepped++
-		e.fn()
-		return true
 	}
-	return false
+}
+
+func (r *refScheduler) now() time.Duration { return r.clock }
+
+func (r *refScheduler) pending() int {
+	n := 0
+	for _, e := range r.events {
+		if !e.h.canceled {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refScheduler) handle(t time.Duration, fn func()) func() { return r.at(t, fn).cancel }
+
+func (r *refScheduler) post(t time.Duration, tag uint32) {
+	r.at(t, func() { r.fire(tag) })
+}
+
+func (r *refScheduler) onPost(fire func(tag uint32)) { r.fire = fire }
+
+func (r *refScheduler) rearm(d time.Duration) { r.insert(r.clock+d, r.cur.fn, r.cur.h) }
+
+func (r *refScheduler) step() bool {
+	r.skipCanceled()
+	if len(r.events) == 0 {
+		return false
+	}
+	e := r.events[0]
+	r.events = r.events[1:]
+	r.clock = e.at
+	r.stepped++
+	r.cur = e
+	e.fn()
+	r.cur = nil
+	return true
+}
+
+func (r *refScheduler) run(horizon time.Duration) {
+	for {
+		r.skipCanceled()
+		if len(r.events) == 0 || r.events[0].at > horizon {
+			break
+		}
+		r.step()
+	}
+	if r.clock < horizon {
+		r.clock = horizon
+	}
 }
 
 func (r *refScheduler) runAll() {
@@ -63,27 +120,158 @@ func (r *refScheduler) runAll() {
 	}
 }
 
+// engine is what the op-program interpreters need of a scheduler; the real
+// Scheduler (through simEngine) and refScheduler both provide it, so one
+// interpreter drives both sides of every differential.
+type engine interface {
+	now() time.Duration
+	pending() int
+	// handle schedules a cancellable callback and returns its cancel.
+	handle(at time.Duration, fn func()) (cancel func())
+	// post schedules the registered handler with tag; onPost sets what it runs.
+	post(at time.Duration, tag uint32)
+	onPost(fire func(tag uint32))
+	// rearm re-arms the executing event d from now.
+	rearm(d time.Duration)
+	step() bool
+	run(horizon time.Duration)
+	runAll()
+}
+
+// simEngine adapts a Scheduler to engine.
+type simEngine struct {
+	s    *Scheduler
+	hid  HandlerID
+	fire func(tag uint32)
+}
+
+func newSimEngine(s *Scheduler) *simEngine {
+	e := &simEngine{s: s}
+	e.hid = s.RegisterHandler(func(tag uint32) { e.fire(tag) })
+	return e
+}
+
+func (e *simEngine) now() time.Duration { return e.s.Now() }
+func (e *simEngine) pending() int       { return e.s.Len() }
+func (e *simEngine) handle(at time.Duration, fn func()) func() {
+	return e.s.MustAt(at, fn).Cancel
+}
+func (e *simEngine) post(at time.Duration, tag uint32) { e.s.PostHandlerAt(at, e.hid, tag) }
+func (e *simEngine) onPost(fire func(tag uint32))      { e.fire = fire }
+func (e *simEngine) rearm(d time.Duration)             { e.s.RescheduleAfter(d) }
+func (e *simEngine) step() bool                        { return e.s.Step() }
+func (e *simEngine) run(horizon time.Duration)         { _ = e.s.Run(horizon) }
+func (e *simEngine) runAll()                           { _ = e.s.RunAll() }
+
+// firing is one observation of a run: an event firing (ord ≥ 0 is its tag)
+// or, after each op of a program, a checkpoint of the clock and the live
+// count (ord = -1-Len), so Len and Now are pinned along with the order.
+type firing struct {
+	at  time.Duration
+	ord int
+}
+
+// Op-program alphabet, shared by FuzzScheduler and the differential suite.
+// Each op is a (code, arg) byte pair; codes are taken modulo numOps.
+const (
+	opSchedule    = iota // handle at now + arg·scale
+	opTie                // handle at the last scheduled instant (FIFO tie)
+	opCancel             // cancel handle arg of those scheduled so far
+	opStep               // run one event
+	opTicker             // handle that re-arms itself from inside its callback
+	opCancelRearm        // cancel ticker arg, before or after it re-armed
+	opPost               // registered-handler post; every third one re-arms once
+	opRun                // run to the horizon now + arg·scale
+	numOps
+)
+
+// tickerFirings is how many times an opTicker handle fires if left alone.
+const tickerFirings = 3
+
+// interpret runs an op program against e and returns everything observed.
+// Delays are multiplied by scale.
+func interpret(e engine, program []byte, scale time.Duration) []firing {
+	var (
+		seen    []firing
+		cancels []func() // opSchedule/opTie handles, in scheduling order
+		tickers []func() // opTicker handles
+		nexttag int
+		lastAt  time.Duration
+	)
+	note := func(tag int) { seen = append(seen, firing{e.now(), tag}) }
+	reposted := map[uint32]bool{}
+	e.onPost(func(tag uint32) {
+		note(int(tag))
+		if tag%3 == 0 && !reposted[tag] {
+			reposted[tag] = true
+			e.rearm(time.Duration(tag%4) * scale)
+		}
+	})
+	schedule := func(at time.Duration) {
+		tag := nexttag
+		nexttag++
+		cancels = append(cancels, e.handle(at, func() { note(tag) }))
+	}
+	for i := 0; i+1 < len(program); i += 2 {
+		op, arg := program[i]%numOps, program[i+1]
+		switch op {
+		case opSchedule:
+			lastAt = e.now() + time.Duration(arg)*scale
+			schedule(lastAt)
+		case opTie:
+			if lastAt < e.now() {
+				lastAt = e.now()
+			}
+			schedule(lastAt)
+		case opCancel:
+			if len(cancels) > 0 {
+				cancels[int(arg)%len(cancels)]()
+			}
+		case opStep:
+			e.step()
+		case opTicker:
+			tag := nexttag
+			nexttag++
+			fires := 0
+			period := time.Duration(arg%5) * scale // 0 re-arms at the same instant
+			tickers = append(tickers, e.handle(e.now()+time.Duration(arg)*scale, func() {
+				note(tag)
+				if fires++; fires < tickerFirings {
+					e.rearm(period)
+				}
+			}))
+		case opCancelRearm:
+			if len(tickers) > 0 {
+				tickers[int(arg)%len(tickers)]()
+			}
+		case opPost:
+			tag := nexttag
+			nexttag++
+			e.post(e.now()+time.Duration(arg)*scale, uint32(tag))
+		case opRun:
+			e.run(e.now() + time.Duration(arg)*scale)
+		}
+		seen = append(seen, firing{e.now(), -1 - e.pending()})
+	}
+	e.runAll()
+	seen = append(seen, firing{e.now(), -1 - e.pending()})
+	return seen
+}
+
 // opPrograms is the FuzzScheduler seed corpus (the f.Add seeds plus the
 // regression entries under testdata/fuzz), reused here as deterministic
-// differential inputs, plus a long mixed program exercising deep heaps.
+// differential inputs, plus a long mixed program exercising deep queues.
 func opPrograms() [][]byte {
-	programs := [][]byte{
-		{0, 10, 0, 10, 1, 0, 3, 0, 0, 5, 2, 1, 3, 0},
-		{0, 0, 0, 0, 0, 0},
-		{1, 1, 1, 1, 2, 0, 2, 0},
-		{0, 255, 3, 3, 3, 3},
+	programs := append([][]byte(nil), fuzzSeeds...)
+	programs = append(programs,
 		// testdata/fuzz/FuzzScheduler regression entries.
-		{0, 0, 0, 0, 0, 0, 2, 1, 2, 2, 3, 0, 3, 0, 3, 0}, // all-zero-ties
-		{2, 0, 3, 0, 1, 0, 2, 0},                         // cancel-empty-then-tie
-		{0, 255, 0, 1, 0, 128, 3, 0, 0, 2, 3, 0},         // interleaved-steps
-		{0, 5, 1, 0, 1, 0, 2, 1, 3, 0, 3, 0},             // ties-and-cancel
-		// cancel-heavy
-		{0, 3, 0, 7, 0, 2, 0, 9, 2, 0, 2, 1, 2, 2, 0, 1, 2, 3, 3, 0, 0, 4, 2, 0, 2, 5, 3, 0, 2, 6, 3, 0, 3, 0},
-		// same-timestamp-burst
-		{0, 5, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 3, 0, 1, 0, 1, 0, 2, 3, 3, 0, 3, 0},
-	}
+		[]byte{0, 0, 0, 0, 0, 0, 2, 1, 2, 2, 3, 0, 3, 0, 3, 0}, // all-zero-ties
+		[]byte{2, 0, 3, 0, 1, 0, 2, 0},                         // cancel-empty-then-tie
+		[]byte{0, 255, 0, 1, 0, 128, 3, 0, 0, 2, 3, 0},         // interleaved-steps
+		[]byte{0, 5, 1, 0, 1, 0, 2, 1, 3, 0, 3, 0},             // ties-and-cancel
+	)
 	// A long pseudo-random program (fixed recurrence, no global randomness)
-	// that mixes all four ops and grows the queue well past one heap level.
+	// that mixes every op and grows the queue well past one bucket.
 	long := make([]byte, 0, 2048)
 	x := uint32(0x9e3779b9)
 	for i := 0; i < 1024; i++ {
@@ -93,219 +281,126 @@ func opPrograms() [][]byte {
 	return append(programs, long)
 }
 
-type firing struct {
-	at  time.Duration
-	ord int
-}
-
-// queueKinds are the implementations the differential suite pins against the
-// reference; every test in this file runs each program under all of them.
-var queueKinds = []QueueKind{QueueHeap, QueueCalendar}
-
 // diffScales stretch the op programs' byte-valued delays (≤255 units) onto
 // three calendar regimes: within one bucket, across buckets within one
-// rotation, and across rotations through the overflow heap. The heap is
-// geometry-free, but the calendar's bucket-clearing, rotation-roll and
-// fast-forward paths only run when programs actually cross those boundaries.
+// rotation, and across rotations through the overflow heap. The
+// bucket-clearing, rewind and window-restart paths only run when
+// programs actually cross those boundaries.
 var diffScales = []time.Duration{1, 1100 * time.Microsecond, 97 * time.Millisecond}
 
-// runProgram interprets the op program against the real scheduler (backed by
-// the given queue kind) using cancellable handles and returns the firing
-// sequence. Delays are multiplied by scale.
-func runProgram(t *testing.T, kind QueueKind, program []byte, scale time.Duration) []firing {
+// diffGeometries name the two stores an event can wait in and a wheel that
+// makes each one carry the load: the production geometry keeps nearly every
+// event in the calendar's buckets, the tiny wheel sends nearly every event
+// through the overflow heap and a fast-forward.
+var diffGeometries = []struct {
+	name    string
+	width   Time
+	buckets int
+}{
+	{"calendar", calendarWidth, calendarBuckets},
+	{"heap", Time(50 * time.Microsecond), 4},
+}
+
+// requireSameFirings fails unless got is exactly the reference's sequence
+// and virtual time never ran backwards in it.
+func requireSameFirings(t *testing.T, got, want []firing) {
 	t.Helper()
-	s := NewSchedulerKind(kind)
-	var (
-		fired   []firing
-		pending []*Event
-		nexttag int
-		lastAt  time.Duration
-	)
-	schedule := func(at time.Duration) {
-		tag := nexttag
-		nexttag++
-		ev, err := s.At(at, func() { fired = append(fired, firing{at, tag}) })
-		if err != nil {
-			t.Fatalf("At(%v): %v", at, err)
-		}
-		pending = append(pending, ev)
+	if len(got) != len(want) {
+		t.Fatalf("observed %d firings and checkpoints, reference %d", len(got), len(want))
 	}
-	for i := 0; i+1 < len(program); i += 2 {
-		op, arg := program[i]%4, program[i+1]
-		switch op {
-		case 0:
-			lastAt = s.Now() + time.Duration(arg)*scale
-			schedule(lastAt)
-		case 1:
-			if lastAt < s.Now() {
-				lastAt = s.Now()
-			}
-			schedule(lastAt)
-		case 2:
-			if len(pending) > 0 {
-				pending[int(arg)%len(pending)].Cancel()
-			}
-		case 3:
-			s.Step()
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("observation %d = {at %v, ord %d}, reference {at %v, ord %d}",
+				i, got[i].at, got[i].ord, want[i].at, want[i].ord)
+		}
+		if i > 0 && got[i].at < got[i-1].at {
+			t.Fatalf("observation %d: time went backwards, %v after %v", i, got[i].at, got[i-1].at)
 		}
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("queue not drained: Len() = %d", s.Len())
-	}
-	return fired
 }
 
-// runProgramRef interprets the same program against the reference sorted
-// list.
-func runProgramRef(program []byte, scale time.Duration) []firing {
-	r := &refScheduler{}
-	var (
-		fired   []firing
-		pending []*refEvent
-		nexttag int
-		lastAt  time.Duration
-	)
-	schedule := func(at time.Duration) {
-		tag := nexttag
-		nexttag++
-		pending = append(pending, r.at(at, func() { fired = append(fired, firing{at, tag}) }))
-	}
-	for i := 0; i+1 < len(program); i += 2 {
-		op, arg := program[i]%4, program[i+1]
-		switch op {
-		case 0:
-			lastAt = r.now + time.Duration(arg)*scale
-			schedule(lastAt)
-		case 1:
-			if lastAt < r.now {
-				lastAt = r.now
-			}
-			schedule(lastAt)
-		case 2:
-			if len(pending) > 0 {
-				pending[int(arg)%len(pending)].canceled = true
-			}
-		case 3:
-			r.step()
+// diffProgram runs one program at one scale on the scheduler (every
+// geometry) and on the reference, and requires identical observations.
+func diffProgram(t *testing.T, program []byte, scale time.Duration) {
+	t.Helper()
+	ref := &refScheduler{}
+	want := interpret(ref, program, scale)
+	for _, g := range diffGeometries {
+		s := newScheduler(g.width, g.buckets)
+		got := interpret(newSimEngine(s), program, scale)
+		requireSameFirings(t, got, want)
+		if s.Processed() != ref.stepped {
+			t.Fatalf("%s: Processed() = %d, reference stepped %d", g.name, s.Processed(), ref.stepped)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("%s: queue not drained: Len() = %d", g.name, s.Len())
 		}
 	}
-	r.runAll()
-	return fired
 }
 
-// TestSchedulerDifferential pins each queue implementation's total order
-// against the reference: identical programs must produce identical firing
-// sequences, cancel-skips included.
+// TestSchedulerDifferential pins the scheduler's total order against the
+// reference: identical programs must produce identical firing sequences,
+// cancel-skips and re-arms included.
 func TestSchedulerDifferential(t *testing.T) {
-	for _, kind := range queueKinds {
-		for _, scale := range diffScales {
-			for pi, program := range opPrograms() {
-				got := runProgram(t, kind, program, scale)
-				want := runProgramRef(program, scale)
-				if len(got) != len(want) {
-					t.Fatalf("%v scale %v program %d: fired %d events, reference fired %d",
-						kind, scale, pi, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%v scale %v program %d: firing %d = {at %v, ord %d}, reference {at %v, ord %d}",
-							kind, scale, pi, i, got[i].at, got[i].ord, want[i].at, want[i].ord)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSchedulerDifferentialPost replays the schedule/step ops through the
-// handle-free PostAt path (cancel ops become no-ops on both sides): pooled
-// events must follow exactly the same (time, seq) total order as handles.
-func TestSchedulerDifferentialPost(t *testing.T) {
-	for _, kind := range queueKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			for _, scale := range diffScales {
-				testDifferentialPost(t, kind, scale)
-			}
-		})
-	}
-}
-
-func testDifferentialPost(t *testing.T, kind QueueKind, scale time.Duration) {
-	for pi, program := range opPrograms() {
-		s := NewSchedulerKind(kind)
-		r := &refScheduler{}
-		var got, want []firing
-		nexttag := 0
-		var lastAt time.Duration
-		for i := 0; i+1 < len(program); i += 2 {
-			op, arg := program[i]%4, program[i+1]
-			switch op {
-			case 0, 1:
-				at := s.Now() + time.Duration(arg)*scale
-				if op == 1 {
-					at = lastAt
-					if at < s.Now() {
-						at = s.Now()
-					}
-				}
-				lastAt = at
-				tag := nexttag
-				nexttag++
-				s.PostAt(at, func() { got = append(got, firing{at, tag}) })
-				r.at(at, func() { want = append(want, firing{at, tag}) })
-			case 2:
-				// Post events cannot be cancelled; skip on both sides.
-				_ = arg
-			case 3:
-				s.Step()
-				r.step()
-			}
-		}
-		if err := s.RunAll(); err != nil {
-			t.Fatalf("program %d: RunAll: %v", pi, err)
-		}
-		r.runAll()
-		if len(got) != len(want) {
-			t.Fatalf("program %d: fired %d events, reference fired %d", pi, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("program %d: firing %d = %+v, reference %+v", pi, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestSchedulerDifferentialMixed drives every scheduling tier at once —
-// cancellable handles, pooled closures, registered handlers with in-place
-// re-arms, and the reserved-sequence arrival chain the fused link pipeline
-// uses — through deterministic pseudo-random interleavings, in lockstep
-// against the reference list, under both queue kinds. The reference models a
-// re-arm as an eager insert at the instant the real scheduler draws the
-// re-arm sequence, and a reservation as an eager insert at reservation time,
-// so any drift in sequence accounting surfaces as a firing-order mismatch.
-// The event-loop profiler rides along at stride 1 and its exact per-kind
-// counts must match the reference's manual tally.
-func TestSchedulerDifferentialMixed(t *testing.T) {
-	for _, kind := range queueKinds {
-		for seed := uint64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
-				runMixedDifferential(t, kind, seed)
+	for _, scale := range diffScales {
+		for pi, program := range opPrograms() {
+			t.Run(fmt.Sprintf("scale%v/program%d", scale, pi), func(t *testing.T) {
+				diffProgram(t, program, scale)
 			})
 		}
 	}
 }
 
-func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
+// TestSchedulerDifferentialPost replays the programs with every schedule op
+// turned into a registered-handler post (cancel ops then find nothing to
+// cancel): the pointer-free tier must follow exactly the same (time, seq)
+// total order as handles.
+func TestSchedulerDifferentialPost(t *testing.T) {
+	for _, g := range diffGeometries {
+		t.Run(g.name, func(t *testing.T) {
+			for _, scale := range diffScales {
+				for pi, program := range opPrograms() {
+					posts := append([]byte(nil), program...)
+					for i := 0; i+1 < len(posts); i += 2 {
+						if op := posts[i] % numOps; op == opSchedule || op == opTie || op == opTicker {
+							posts[i] = opPost
+						}
+					}
+					t.Run(fmt.Sprintf("scale%v/program%d", scale, pi), func(t *testing.T) {
+						got := interpret(newSimEngine(newScheduler(g.width, g.buckets)), posts, scale)
+						requireSameFirings(t, got, interpret(&refScheduler{}, posts, scale))
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestSchedulerDifferentialMixed drives both scheduling tiers at once —
+// cancellable handles, handles that re-arm themselves, registered handlers
+// with in-place re-arms, and the reserved-sequence arrival chain the fused
+// link pipeline uses — through deterministic pseudo-random interleavings, in
+// lockstep against the reference list, on both wheel geometries. The
+// reference models a reservation as an eager insert at reservation time, so
+// any drift in sequence accounting surfaces as a firing-order mismatch. The
+// event-loop profiler rides along at stride 1 and its exact per-kind counts
+// must match the reference's manual tally.
+func TestSchedulerDifferentialMixed(t *testing.T) {
+	for _, g := range diffGeometries {
+		for seed := uint64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
+				runMixedDifferential(t, newScheduler(g.width, g.buckets), seed)
+			})
+		}
+	}
+}
+
+func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 	const (
 		ops        = 800
 		rearmDelay = 3 * time.Millisecond
 		chainDelay = 2 * time.Millisecond
 	)
-	s := NewSchedulerKind(kind)
 	prof := NewLoopProfiler(1)
 	s.SetProfiler(prof)
 	r := &refScheduler{}
@@ -329,13 +424,12 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 			s.RescheduleAfter(rearmDelay)
 		}
 	})
-	var refFire func(arg uint32)
-	refFire = func(arg uint32) {
+	r.fire = func(arg uint32) {
 		refCounts[KindLinkTx]++
-		want = append(want, rec{r.now, arg})
+		want = append(want, rec{r.clock, arg})
 		if arg%5 == 0 && !refRearmed[arg] {
 			refRearmed[arg] = true
-			r.at(r.now+rearmDelay, func() { refFire(arg) })
+			r.rearm(rearmDelay)
 		}
 	}
 
@@ -359,7 +453,7 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 
 	var (
 		pending    []*Event
-		refPending []*refEvent
+		refPending []*refHandle
 		tag        uint32
 		lastAt     time.Duration
 	)
@@ -380,16 +474,12 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 			lastAt = at
 			tg := tag
 			tag++
-			ev, err := s.At(at, func() { got = append(got, rec{at, tg}) })
-			if err != nil {
-				t.Fatalf("At: %v", err)
-			}
-			pending = append(pending, ev)
+			pending = append(pending, s.MustAt(at, func() { got = append(got, rec{at, tg}) }))
 			refPending = append(refPending, r.at(at, func() {
 				refCounts[KindOther]++
 				want = append(want, rec{at, tg})
 			}))
-		case op < 6: // pooled closure, far horizons included
+		case op < 6: // periodic handle, far horizons included; re-arms once
 			at := s.Now() + time.Duration(next(300_000_000))
 			lastAt = at
 			tg := tag
@@ -398,21 +488,31 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 			if tg&1 == 1 {
 				mark = KindControl
 			}
-			s.PostAt(at, func() {
+			period := time.Duration(next(400_000_000))
+			fired, refFired := false, false
+			pending = append(pending, s.MustAt(at, func() {
 				s.MarkHandler(mark)
-				got = append(got, rec{at, tg})
-			})
-			r.at(at, func() {
+				got = append(got, rec{s.Now(), tg})
+				if !fired {
+					fired = true
+					s.RescheduleAfter(period)
+				}
+			}))
+			refPending = append(refPending, r.at(at, func() {
 				refCounts[mark]++
-				want = append(want, rec{at, tg})
-			})
+				want = append(want, rec{r.clock, tg})
+				if !refFired {
+					refFired = true
+					r.rearm(period)
+				}
+			}))
 		case op < 9: // registered handler, may re-arm once
 			d := time.Duration(next(5_000_000))
 			lastAt = s.Now() + d
 			tg := tag
 			tag++
 			s.PostHandler(d, hid, tg)
-			r.at(r.now+d, func() { refFire(tg) })
+			r.post(r.clock+d, tg)
 		case op < 11: // reserved-sequence chain hop
 			at := s.Now() + chainDelay
 			seq := s.ReserveSeq()
@@ -430,11 +530,14 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 			if len(pending) > 0 {
 				idx := int(next(uint64(len(pending))))
 				pending[idx].Cancel()
-				refPending[idx].canceled = true
+				refPending[idx].cancel()
 			}
 		default: // step both sides
 			s.Step()
 			r.step()
+		}
+		if s.Len() != r.pending() {
+			t.Fatalf("op %d: Len() = %d, reference holds %d live events", i, s.Len(), r.pending())
 		}
 	}
 	if err := s.RunAll(); err != nil {
@@ -468,8 +571,91 @@ func runMixedDifferential(t *testing.T, kind QueueKind, seed uint64) {
 	}
 }
 
-// TestCancelRemovesEagerly pins the new Cancel semantics: a cancelled event
-// leaves the queue immediately, so Len() counts live events only.
+// soakProgram drives e through cycles of the long-horizon shape that broke
+// the calendar in the past: a dense burst of handles and posts (some
+// spawning children, some cancelled), a partial drain, a lone far-future
+// event several rotations out, a late arrival inside the gap the wheel has
+// already fast-forwarded across, and the idle gap itself.
+func soakProgram(e engine, cycles int, seed uint64) []firing {
+	var seen []firing
+	x := seed*0x9e3779b97f4a7c15 + 1
+	next := func(n uint64) uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x % n
+	}
+	reposted := map[uint32]bool{}
+	e.onPost(func(tag uint32) {
+		seen = append(seen, firing{e.now(), int(tag)})
+		if tag%4 == 0 && !reposted[tag] {
+			reposted[tag] = true
+			e.rearm(time.Duration(tag % 3_000_000))
+		}
+	})
+	tag := 0
+	for c := 0; c < cycles; c++ {
+		var cancels []func()
+		for n := 50 + int(next(200)); n > 0; n-- {
+			tg := tag
+			tag++
+			at := e.now() + time.Duration(next(5_000_000))
+			if tg%3 == 0 {
+				e.post(at, uint32(tg))
+				continue
+			}
+			cancels = append(cancels, e.handle(at, func() {
+				seen = append(seen, firing{e.now(), tg})
+				if tg%7 == 0 {
+					e.post(e.now()+time.Duration(tg%2_000_000), uint32(tg))
+				}
+			}))
+		}
+		for i := range cancels {
+			if next(10) == 0 {
+				cancels[i]()
+			}
+		}
+		e.run(e.now() + time.Duration(next(4_000_000)))
+		gap := 300*time.Millisecond + time.Duration(next(uint64(40*time.Second)))
+		far := tag
+		tag++
+		cancelFar := e.handle(e.now()+gap, func() { seen = append(seen, firing{e.now(), far}) })
+		e.run(e.now() + 20*time.Millisecond) // drains the burst; the wheel jumps to the far event
+		if next(4) == 0 {
+			cancelFar()
+		}
+		late := tag
+		tag++
+		e.handle(e.now()+time.Duration(next(uint64(gap/2))), func() { seen = append(seen, firing{e.now(), late}) })
+		e.run(e.now() + gap)
+		seen = append(seen, firing{e.now(), -1 - e.pending()})
+	}
+	e.runAll()
+	return seen
+}
+
+// TestSchedulerSoak runs the scheduler for 10⁵ simulated seconds (10³ under
+// -short) of alternating bursts, multi-rotation idle gaps and cancels,
+// against the sorted-list reference: virtual time must never regress and the
+// firing sequence must be identical.
+func TestSchedulerSoak(t *testing.T) {
+	cycles, horizon := 5000, 100_000*time.Second // mean cycle ≈ 20 s of virtual time
+	if testing.Short() {
+		cycles, horizon = 60, 1000*time.Second
+	}
+	s := NewScheduler()
+	got := soakProgram(newSimEngine(s), cycles, 1)
+	want := soakProgram(&refScheduler{}, cycles, 1)
+	requireSameFirings(t, got, want)
+	if s.Now() < horizon {
+		t.Fatalf("soak covered %v of virtual time, want at least %v", s.Now(), horizon)
+	}
+}
+
+// TestCancelRemovesEagerly pins that a cancelled event leaves the live count
+// immediately, wherever its entry sits in the queue, so Len() counts live
+// events only (the stale entry itself is discarded when it surfaces).
 func TestCancelRemovesEagerly(t *testing.T) {
 	s := NewScheduler()
 	var evs []*Event
@@ -479,7 +665,7 @@ func TestCancelRemovesEagerly(t *testing.T) {
 	if got := s.Len(); got != 100 {
 		t.Fatalf("Len() = %d, want 100", got)
 	}
-	// Cancel from the middle, the root, and the tail.
+	// Cancel from the middle, the front, and the tail.
 	for _, i := range []int{50, 0, 99, 17, 3} {
 		evs[i].Cancel()
 	}
@@ -497,42 +683,5 @@ func TestCancelRemovesEagerly(t *testing.T) {
 	}
 	if fired != 95 {
 		t.Fatalf("fired %d events, want 95", fired)
-	}
-}
-
-// TestPostSteadyStateAllocs pins the tentpole allocation claim: once the
-// free list is warm, a schedule-and-fire cycle through Post allocates
-// nothing.
-func TestPostSteadyStateAllocs(t *testing.T) {
-	s := NewScheduler()
-	fn := func() {}
-	// Warm the free list and the heap's backing array.
-	for i := 0; i < 8; i++ {
-		s.Post(time.Millisecond, fn)
-	}
-	for s.Step() {
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.Post(time.Millisecond, fn)
-		s.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Post/Step allocates %.1f objects per cycle, want 0", allocs)
-	}
-}
-
-// TestPostChainSteadyStateAllocs covers the self-rescheduling shape the link
-// pipeline uses: an event whose callback posts the next one.
-func TestPostChainSteadyStateAllocs(t *testing.T) {
-	s := NewScheduler()
-	var tick func()
-	tick = func() { s.Post(time.Millisecond, tick) }
-	tick()
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	allocs := testing.AllocsPerRun(1000, func() { s.Step() })
-	if allocs != 0 {
-		t.Fatalf("steady-state chained Post allocates %.1f objects per fire, want 0", allocs)
 	}
 }

@@ -1,141 +1,48 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// FuzzScheduler interprets the fuzz input as a little op program — schedule
-// at an offset, schedule a same-time tie, cancel a pending event, step —
-// runs it against a fresh scheduler of each queue kind, and asserts the
-// discrete-event contract per kind: fired events observe non-decreasing
-// virtual time, same-time events fire in scheduling (FIFO) order, cancelled
-// events never fire, and Processed() counts exactly the events that ran.
-// It then requires the heap and the calendar queue to have produced the
-// byte-for-byte identical firing sequence, making every fuzz input a
-// differential test between the two implementations.
-func FuzzScheduler(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 10, 1, 0, 3, 0, 0, 5, 2, 1, 3, 0})
-	f.Add([]byte{0, 0, 0, 0, 0, 0})
-	f.Add([]byte{1, 1, 1, 1, 2, 0, 2, 0})
-	f.Add([]byte{0, 255, 3, 3, 3, 3})
+// fuzzSeeds are FuzzScheduler's in-code seeds (the differential suite replays
+// them too): the original four-op programs plus one per later op.
+var fuzzSeeds = [][]byte{
+	{0, 10, 0, 10, 1, 0, 3, 0, 0, 5, 2, 1, 3, 0},
+	{0, 0, 0, 0, 0, 0},
+	{1, 1, 1, 1, 2, 0, 2, 0},
+	{0, 255, 3, 3, 3, 3},
 	// Cancel-heavy: more cancels than schedules, interleaved with steps, so
-	// eager heap removal and lazy calendar discards both get exercised.
-	f.Add([]byte{0, 3, 0, 7, 0, 2, 0, 9, 2, 0, 2, 1, 2, 2, 0, 1, 2, 3, 3, 0, 0, 4, 2, 0, 2, 5, 3, 0, 2, 6, 3, 0, 3, 0})
+	// stale entries surface at the front, mid-bucket and in overflow.
+	{0, 3, 0, 7, 0, 2, 0, 9, 2, 0, 2, 1, 2, 2, 0, 1, 2, 3, 3, 0, 0, 4, 2, 0, 2, 5, 3, 0, 2, 6, 3, 0, 3, 0},
 	// Same-timestamp burst: a long FIFO tie train with a mid-train step and
 	// a cancel inside the tie group.
-	f.Add([]byte{0, 5, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 3, 0, 1, 0, 1, 0, 2, 3, 3, 0, 3, 0})
+	{0, 5, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 3, 0, 1, 0, 1, 0, 2, 3, 3, 0, 3, 0},
+	// Re-arm from inside a handle: tickers with zero and non-zero periods
+	// interleaved with plain handles and steps.
+	{4, 3, 0, 4, 4, 5, 3, 0, 3, 0, 0, 1, 4, 255, 3, 0, 7, 9, 3, 0},
+	// Cancel a re-armed handle: before its first firing, between re-arms,
+	// and after its last one.
+	{4, 2, 4, 7, 5, 0, 3, 0, 3, 0, 5, 1, 4, 1, 3, 0, 3, 0, 3, 0, 3, 0, 5, 2, 5, 0},
+	// Registered-handler posts (every third re-arms once) tied with handles
+	// and drained through a horizon run.
+	{6, 4, 6, 4, 0, 4, 6, 0, 1, 0, 6, 200, 7, 3, 6, 1, 2, 0, 7, 255},
+}
+
+// FuzzScheduler interprets the fuzz input as a little op program — schedule
+// at an offset, schedule a same-time tie, cancel, step, a handle that
+// re-arms itself, cancel such a handle, a registered-handler post, run to a
+// horizon — and runs it at every diffScales stretch, so its delays cross
+// calendar buckets and rotations, on the scheduler (both wheel geometries)
+// and on the sorted-list reference. The scheduler must observe exactly what
+// the reference observes — the firing sequence with Now() at each firing,
+// and Now()/Len() after every op — with virtual time never running
+// backwards, Processed() counting exactly the events that ran, and an empty
+// queue at the end.
+func FuzzScheduler(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, program []byte) {
-		type record struct {
-			at  time.Duration
-			ord int // scheduling order, for FIFO ties
-		}
-		// Each program runs at every diffScales stretch so its delays cross
-		// calendar buckets and rotations, not just the first bucket.
-		run := func(kind QueueKind, scale time.Duration) []record {
-			s := NewSchedulerKind(kind)
-			var (
-				pending []*Event // cancellable handles, in scheduling order
-				meta    []record // parallel to pending
-				fired   []record
-				nexttag int
-			)
-			schedule := func(at time.Duration) {
-				tag := nexttag
-				nexttag++
-				ev, err := s.At(at, func() {
-					fired = append(fired, record{at: at, ord: tag})
-					if got := s.Now(); got != at {
-						t.Fatalf("%v: event scheduled for %v fired at Now()=%v", kind, at, got)
-					}
-				})
-				if err != nil {
-					t.Fatalf("%v: At(%v): %v", kind, at, err)
-				}
-				pending = append(pending, ev)
-				meta = append(meta, record{at: at, ord: tag})
-			}
-
-			lastAt := time.Duration(0)
-			for i := 0; i+1 < len(program); i += 2 {
-				op, arg := program[i]%4, program[i+1]
-				switch op {
-				case 0: // schedule at now + arg (relative offsets stay valid)
-					lastAt = s.Now() + time.Duration(arg)*scale
-					schedule(lastAt)
-				case 1: // schedule a tie at the last used instant
-					if lastAt < s.Now() {
-						lastAt = s.Now()
-					}
-					schedule(lastAt)
-				case 2: // cancel one pending event
-					if len(pending) > 0 {
-						pending[int(arg)%len(pending)].Cancel()
-					}
-				case 3: // run one event
-					s.Step()
-				}
-			}
-			if err := s.RunAll(); err != nil {
-				t.Fatalf("%v: RunAll: %v", kind, err)
-			}
-
-			// Every non-cancelled scheduled event fired exactly once; no
-			// cancelled event fired. (An event cancelled after firing stays
-			// fired — Cancel is a no-op then — so filter by the fired list.)
-			firedBy := make(map[int]record, len(fired))
-			for _, r := range fired {
-				if _, dup := firedBy[r.ord]; dup {
-					t.Fatalf("%v: event %d fired twice", kind, r.ord)
-				}
-				firedBy[r.ord] = r
-			}
-			for i, ev := range pending {
-				_, didFire := firedBy[meta[i].ord]
-				if ev.Canceled() && didFire {
-					// Cancel-after-fire is legal and leaves Canceled()
-					// true; the contract is only that cancelling BEFORE the
-					// event pops suppresses it, which the ordering checks
-					// below cover. Nothing to assert here.
-					continue
-				}
-				if !ev.Canceled() && !didFire {
-					t.Fatalf("%v: event %d (at %v) never fired", kind, meta[i].ord, meta[i].at)
-				}
-			}
-
-			// Time monotone, FIFO within ties.
-			for i := 1; i < len(fired); i++ {
-				prev, cur := fired[i-1], fired[i]
-				if cur.at < prev.at {
-					t.Fatalf("%v: time went backwards: %v after %v", kind, cur.at, prev.at)
-				}
-				if cur.at == prev.at && cur.ord < prev.ord {
-					t.Fatalf("%v: same-time events fired out of scheduling order: %d before %d", kind, prev.ord, cur.ord)
-				}
-			}
-
-			if got := s.Processed(); got != uint64(len(fired)) {
-				t.Fatalf("%v: Processed() = %d, want %d fired events", kind, got, len(fired))
-			}
-			if s.Len() != 0 {
-				t.Fatalf("%v: queue not drained: Len() = %d", kind, s.Len())
-			}
-			return fired
-		}
-
 		for _, scale := range diffScales {
-			heapFired := run(QueueHeap, scale)
-			calFired := run(QueueCalendar, scale)
-			if len(heapFired) != len(calFired) {
-				t.Fatalf("scale %v: heap fired %d events, calendar fired %d", scale, len(heapFired), len(calFired))
-			}
-			for i := range heapFired {
-				if heapFired[i] != calFired[i] {
-					t.Fatalf("scale %v firing %d: heap {at %v, ord %d}, calendar {at %v, ord %d}",
-						scale, i, heapFired[i].at, heapFired[i].ord, calFired[i].at, calFired[i].ord)
-				}
-			}
+			diffProgram(t, program, scale)
 		}
 	})
 }

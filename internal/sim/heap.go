@@ -1,100 +1,46 @@
 package sim
 
-// heapQueue is the default pending-event queue: a specialized 4-ary min-heap
-// over inline pointer-free entries ordered by (at, seq). Entries of the
-// cancellable-handle tier name their Event via the arg slot; every move
-// keeps that Event's index field current (through sc), so Cancel can remove
-// an arbitrary entry in O(log n) without searching. The calendar's overflow
-// heap runs with sc == nil — it cancels lazily, so positions are not
-// tracked there.
+// heapQueue is the calendar's overflow store: a specialized 4-ary min-heap
+// over inline pointer-free entries ordered by (at, seq), holding the events
+// scheduled beyond the current rotation window.
 //
 // A 4-ary layout halves the tree height of a binary heap; with 24-byte
 // entries the four children of a node span at most two cache lines, so the
 // extra comparisons per level are cheaper than the levels they save.
 type heapQueue struct {
 	es []entry
-	sc *Scheduler // non-nil ⇒ maintain Event.index for handle entries
 }
 
 const heapArity = 4
 
-// setIndex records the new heap position of a handle entry's Event.
-func (q *heapQueue) setIndex(e *entry, i int) {
-	if e.hid == hidHandle && q.sc != nil {
-		q.sc.evs[e.arg].index = i
-	}
-}
-
-// push inserts e and records its final position when e is a tracked handle.
+// push inserts e, sliding parents down a hole so e is written once at its
+// final slot.
 func (q *heapQueue) push(e entry) {
 	q.es = append(q.es, e)
-	q.siftUp(len(q.es) - 1)
-}
-
-// dropMin removes the root entry.
-func (q *heapQueue) dropMin() {
 	h := q.es
-	n := len(h) - 1
-	last := h[n]
-	q.es = h[:n]
-	if n > 0 {
-		q.es[0] = last
-		q.siftDown(0)
-	}
-}
-
-// replaceMin overwrites the root with e and restores heap order. Used by
-// RescheduleAfter: one siftDown instead of a pop plus a push.
-func (q *heapQueue) replaceMin(e entry) {
-	q.es[0] = e
-	q.siftDown(0)
-}
-
-// removeAt deletes the entry at index i (eager cancellation). The executing
-// event's entry is never a removal target: its handle is marked fired before
-// the callback runs, so Cancel on it returns without reaching the heap —
-// which is what makes leaving the root in place during callbacks safe.
-func (q *heapQueue) removeAt(i int) {
-	h := q.es
-	n := len(h) - 1
-	last := h[n]
-	q.es = h[:n]
-	if i == n {
-		return
-	}
-	q.es[i] = last
-	// The replacement may belong above or below its new slot.
-	if j := q.siftDown(i); j == i {
-		q.siftUp(i)
-	}
-}
-
-// siftUp moves the entry at index i toward the root until its parent is no
-// larger, using a hole: parents slide down and the entry is written once at
-// its final slot. Returns the final index.
-func (q *heapQueue) siftUp(i int) int {
-	h := q.es
-	e := h[i]
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / heapArity
 		if !less(&e, &h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		q.setIndex(&h[i], i)
 		i = parent
 	}
 	h[i] = e
-	q.setIndex(&h[i], i)
-	return i
 }
 
-// siftDown moves the entry at index i toward the leaves until no child is
-// smaller, with the same hole technique. Returns the final index.
-func (q *heapQueue) siftDown(i int) int {
+// dropMin removes the root entry: the last entry sinks from the root until
+// no child is smaller, with the same hole technique.
+func (q *heapQueue) dropMin() {
+	n := len(q.es) - 1
+	e := q.es[n]
+	q.es = q.es[:n]
+	if n == 0 {
+		return
+	}
 	h := q.es
-	n := len(h)
-	e := h[i]
+	i := 0
 	for {
 		first := heapArity*i + 1
 		if first >= n {
@@ -114,10 +60,7 @@ func (q *heapQueue) siftDown(i int) int {
 			break
 		}
 		h[i] = h[min]
-		q.setIndex(&h[i], i)
 		i = min
 	}
 	h[i] = e
-	q.setIndex(&h[i], i)
-	return i
 }

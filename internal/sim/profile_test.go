@@ -33,18 +33,12 @@ func TestProfilerAttribution(t *testing.T) {
 	p := NewLoopProfiler(1)
 	s.SetProfiler(p)
 	for i := 0; i < 5; i++ {
-		if _, err := s.At(Time(i), func() { s.MarkHandler(KindLinkTx) }); err != nil {
-			t.Fatal(err)
-		}
+		s.MustAt(Time(i), func() { s.MarkHandler(KindLinkTx) })
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := s.At(Time(10+i), func() { s.MarkHandler(KindControl) }); err != nil {
-			t.Fatal(err)
-		}
+		s.MustAt(Time(10+i), func() { s.MarkHandler(KindControl) })
 	}
-	if _, err := s.At(20, func() {}); err != nil { // untagged
-		t.Fatal(err)
-	}
+	s.MustAt(20, func() {}) // untagged
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +80,7 @@ func TestProfilerStridedSampling(t *testing.T) {
 	s.SetProfiler(p)
 	const n = 16
 	for i := 0; i < n; i++ {
-		if _, err := s.At(Time(i), func() { s.MarkHandler(KindSource) }); err != nil {
-			t.Fatal(err)
-		}
+		s.MustAt(Time(i), func() { s.MarkHandler(KindSource) })
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
@@ -138,9 +130,7 @@ func TestProfilerDetached(t *testing.T) {
 	if s.Profiler() != nil {
 		t.Error("fresh scheduler has a profiler")
 	}
-	if _, err := s.At(0, func() { s.MarkHandler(KindLinkTx) }); err != nil {
-		t.Fatal(err)
-	}
+	s.MustAt(0, func() { s.MarkHandler(KindLinkTx) })
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}

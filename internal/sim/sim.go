@@ -13,40 +13,39 @@
 // # Memory model
 //
 // A queued event is a 24-byte pointer-free struct — (time, sequence, packed
-// handler id, arg) — stored inline in the queue's backing array. Because the
-// entries hold no pointers, the garbage collector never scans the queue and
-// reordering it (the sift loops of the heap, the bucket sorts of the
-// calendar) is pure memory movement with no write barriers; ordering
-// comparisons read the key straight out of the array, so a sift touches no
-// other cache lines. What an entry *runs* is resolved through the handler
-// id at dispatch time. Three tiers:
+// handler id, arg) — stored inline in the queue's backing arrays. Because
+// the entries hold no pointers, the garbage collector never scans the queue
+// and reordering it (the bucket sorts of the calendar, the sift loops of its
+// overflow heap) is pure memory movement with no write barriers; ordering
+// comparisons read the key straight out of the array. What an entry *runs*
+// is resolved through the handler id at dispatch time. Two tiers:
 //
 //   - Registered handlers (RegisterHandler + PostHandler/PostHandlerAt): the
 //     handler id indexes a table of func(arg uint32) callbacks registered
 //     once per run; the arg typically indexes a caller-side pool (e.g. the
 //     in-flight timer records of the link pipeline). Scheduling one of these
 //     writes no pointers anywhere — this is the hot-path tier.
-//   - Post/PostAt with a func(): the callback parks in a free-listed slot
-//     table on the scheduler and the entry carries the slot number. Two
-//     pointer writes per event (park, clear), zero allocations.
-//   - At/After/MustAt/MustAfter return a cancellable *Event handle. Handles
+//   - Handles (MustAt/MustAfter): a cancellable, re-armable *Event. Handles
 //     are never recycled (a stale handle after the event fired must stay a
 //     safe no-op), so each call allocates one Event record; the entry's arg
-//     names the slot holding it so Cancel can find the queue entry again.
+//     names the scheduler slot holding it.
 //
-// A callback may re-arm its own event with RescheduleAfter: the entry is
-// re-keyed in place at the top of the queue instead of being discarded and
-// re-pushed, which is what the fused link pipeline in internal/netem uses to
-// run one transmit+propagate timer per packet.
+// A callback of either tier may re-arm its own event with RescheduleAfter:
+// the event fires again later under a sequence number drawn at the call, and
+// a handle stays the same live handle — still cancellable — which is how
+// the periodic tickers (router and edge epochs, samplers) run on one Event
+// for a whole simulation. The fused link pipeline in internal/netem runs one
+// transmit+propagate timer per packet the same way, and batches each link's
+// propagation arrivals behind one queued event with the reserved-sequence
+// chain (ReserveSeq, PostReservedHandlerAt, RescheduleReservedAt).
 //
-// # Queue implementations
+// # The queue
 //
-// Two queue implementations live behind the scheduler seam (see QueueKind):
-// the default specialized 4-ary min-heap, which is the byte-identical
-// reference, and a calendar queue for high event-density runs. Both produce
-// exactly the same (time, sequence) total order — pinned by the differential
-// suite in differential_test.go — so scenario output never depends on the
-// queue choice.
+// Pending events live in one calendar queue (calendar.go) with a fixed
+// geometry. Cancel is lazy: it flags the handle, Len stops counting it at
+// once, and the stale entry is discarded when it reaches the front. The
+// (time, sequence) total order is pinned against a sorted-list reference by
+// the differential suite in differential_test.go.
 package sim
 
 import (
@@ -82,39 +81,26 @@ func less(a, b *entry) bool {
 	return a.seq < b.seq
 }
 
-// HandlerID selects what a queue entry runs. Values below hidFirst are the
-// built-in closure and handle tiers; RegisterHandler hands out the rest.
+// HandlerID selects what a queue entry runs: hidHandle is the built-in
+// handle tier, RegisterHandler hands out the rest.
 type HandlerID uint32
 
 const (
-	// hidClosure: arg is a slot in Scheduler.fns holding a parked func().
-	hidClosure HandlerID = 0
 	// hidHandle: arg is a slot in Scheduler.evs holding a live *Event.
-	hidHandle HandlerID = 1
+	hidHandle HandlerID = 0
 	// hidFirst is the first id RegisterHandler returns.
-	hidFirst HandlerID = 2
+	hidFirst HandlerID = 1
 )
 
-// Handle index sentinels (Event.index when the event is not resident in the
-// 4-ary heap).
-const (
-	// indexFired marks a handle whose event already fired, was cancelled,
-	// or was never queued.
-	indexFired = -1
-	// indexLazy marks a handle queued in a lazily-cancelling queue (the
-	// calendar); its position is not tracked and Cancel flags it instead of
-	// removing it.
-	indexLazy = -2
-)
-
-// Event is a scheduled callback handle. It is returned by the scheduling
-// methods so that callers may cancel the event before it fires.
+// Event is a scheduled callback handle. It is returned by MustAt/MustAfter
+// so that callers may cancel the event before it fires; a callback that
+// re-arms itself with RescheduleAfter keeps the same handle.
 type Event struct {
 	at       Time
 	fn       func()
 	sched    *Scheduler
-	index    int    // heap position; indexFired / indexLazy otherwise
-	slot     uint32 // scheduler evs slot while queued
+	slot     uint32 // scheduler evs slot while queued or executing
+	queued   bool   // an entry for this handle is waiting in the queue
 	canceled bool
 }
 
@@ -122,68 +108,40 @@ type Event struct {
 // fire.
 func (e *Event) At() Time { return e.at }
 
-// Cancel prevents the event from firing. Under the heap queue the entry is
-// removed immediately (O(log n) via its tracked index); under the calendar
-// queue it is flagged and discarded when it reaches the front. Either way
-// Len() stops counting it at once. Cancelling an event that already fired or
-// was already cancelled is a no-op. Cancel must only be called from within
-// the simulation (i.e. from event callbacks or before Run), never from
-// another goroutine.
+// Cancel prevents the event from firing (again). Len() stops counting it at
+// once; the queue entry is flagged and discarded when it reaches the front.
+// Cancelling an event that already fired or was already cancelled is a
+// no-op, and a cancelled handle cannot be re-armed. Cancel must only be
+// called from within the simulation (i.e. from event callbacks or before
+// Run), never from another goroutine.
 func (e *Event) Cancel() {
 	if e.canceled {
 		return
 	}
 	e.canceled = true
-	if e.index == indexFired || e.sched == nil {
-		return
+	if e.queued {
+		e.queued = false
+		e.sched.live--
 	}
-	s := e.sched
-	s.live--
-	if e.index >= 0 {
-		s.heap.removeAt(e.index)
-		s.releaseEv(e.slot)
-		e.fn = nil
-		e.index = indexFired
-	}
-	// indexLazy: the stale entry (and its slot) stay until the calendar
-	// discards them at the front.
 }
 
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
-// altQueue is the seam behind which non-default queue implementations live.
-// The contract mirrors what the event loop needs: push an entry, surface the
-// live minimum (discarding lazily-cancelled entries on the way), and either
-// drop that minimum or swap it for a re-armed entry. peek's pointer is valid
-// only until the next queue operation.
-type altQueue interface {
-	push(e entry)
-	peek() (*entry, bool)
-	dropMin()
-	replaceMin(e entry)
-}
-
-// Scheduler owns the virtual clock and the pending-event queue.
-//
-// The zero value is ready to use (with the default heap queue); NewScheduler
-// and NewSchedulerKind construct configured instances.
+// Scheduler owns the virtual clock and the pending-event queue. Construct one
+// with NewScheduler; the zero value has no calendar geometry and is not usable.
 type Scheduler struct {
 	now  Time
 	seq  uint64
 	live int // queued non-cancelled events
 
-	heap heapQueue // default 4-ary inline-entry heap
-	alt  altQueue  // non-nil selects an alternative queue (calendar)
-	kind QueueKind
+	q calendarQueue
 
 	// handlers is the registered-handler dispatch table; slots below
-	// hidFirst are reserved for the built-in tiers.
+	// hidFirst are reserved for the handle tier.
 	handlers []func(arg uint32)
-	// fns parks closure-tier callbacks; evs parks handle-tier events.
-	// Both are free-listed so steady-state scheduling allocates nothing.
-	fns    []func()
-	fnFree []uint32
+	// evs parks handle-tier events, free-listed so a slot is reused once
+	// its event fired or its cancelled entry was discarded.
 	evs    []*Event
 	evFree []uint32
 
@@ -195,20 +153,17 @@ type Scheduler struct {
 	rearmAt  Time
 	rearmSeq uint64
 	rearmSet bool
-	// pend holds the first handle-free entry scheduled during the current
-	// callback. Deferring its queue insertion until the executing entry is
-	// retired lets exec turn a drop+push pair into a single in-place
-	// replace. Deferral is invisible to ordering: the (at, seq) key is
-	// assigned at the schedule call as always, and keys alone define the
-	// pop order.
-	pend    entry
-	pendSet bool
 }
 
-// NewScheduler returns an empty scheduler with the clock at zero, using the
-// default heap queue.
+// NewScheduler returns an empty scheduler with the clock at zero.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
+	return newScheduler(calendarWidth, calendarBuckets)
+}
+
+// newScheduler builds a scheduler on a calendar of the given geometry; tests
+// use small wheels to reach the rotation and fast-forward paths quickly.
+func newScheduler(width Time, buckets int) *Scheduler {
+	return &Scheduler{q: calendarQueue{width: width, nbuckets: buckets}}
 }
 
 // Now reports the current virtual time.
@@ -221,9 +176,6 @@ func (s *Scheduler) Len() int { return s.live }
 
 // Processed reports how many events have been executed so far.
 func (s *Scheduler) Processed() uint64 { return s.stepped }
-
-// Kind reports which queue implementation backs the scheduler.
-func (s *Scheduler) Kind() QueueKind { return s.kind }
 
 // RegisterHandler adds f to the dispatch table and returns its id for use
 // with PostHandler/PostHandlerAt. Handlers are registered once (typically at
@@ -243,47 +195,33 @@ func (s *Scheduler) RegisterHandler(f func(arg uint32)) HandlerID {
 	return id
 }
 
+// badSchedule panics with the programming error a scheduling call tripped
+// on: a timestamp in the past, or an id RegisterHandler never returned. It
+// is out of line so that the checks themselves inline into the posting path.
+func (s *Scheduler) badSchedule(t Time, id HandlerID) {
+	if t < s.now {
+		panic(fmt.Errorf("sim: schedule at %v before now %v", t, s.now))
+	}
+	panic(fmt.Errorf("sim: post unregistered handler %d", id))
+}
+
 // PostHandlerAt schedules registered handler id to run with arg at absolute
 // time t. Nothing is allocated and no pointer is written anywhere: the event
-// is 24 flat bytes in the queue. It panics on the programming errors At
-// reports, and on an unregistered id.
+// is 24 flat bytes in the queue. It panics when t is in the past or id is
+// unregistered.
 func (s *Scheduler) PostHandlerAt(t Time, id HandlerID, arg uint32) {
-	if t < s.now {
-		panic(fmt.Errorf("sim: post at %v before now %v", t, s.now))
+	if t < s.now || id < hidFirst || int(id) >= len(s.handlers) {
+		s.badSchedule(t, id)
 	}
-	if id < hidFirst || int(id) >= len(s.handlers) {
-		panic(fmt.Errorf("sim: post unregistered handler %d", id))
-	}
-	s.pushEntry(entry{at: t, seq: s.seq, hid: id, arg: arg})
+	s.q.push(entry{at: t, seq: s.seq, hid: id, arg: arg})
+	s.seq++
+	s.live++
 }
 
 // PostHandler schedules registered handler id to run d after the current
 // virtual time (see PostHandlerAt).
 func (s *Scheduler) PostHandler(d time.Duration, id HandlerID, arg uint32) {
 	s.PostHandlerAt(s.now+d, id, arg)
-}
-
-// pushEntry assigns the next sequence number's entry to the active queue.
-// The caller has filled every field but relies on seq/live bookkeeping here.
-func (s *Scheduler) pushEntry(e entry) {
-	s.seq++
-	s.live++
-	s.enqueue(e)
-}
-
-// enqueue inserts a fully-keyed entry. During a callback the first entry is
-// parked in pend (see that field); everything else goes straight in.
-func (s *Scheduler) enqueue(e entry) {
-	if s.inStep && !s.pendSet {
-		s.pend = e
-		s.pendSet = true
-		return
-	}
-	if s.alt != nil {
-		s.alt.push(e)
-	} else {
-		s.heap.push(e)
-	}
 }
 
 // ReserveSeq draws the next sequence number for an event the caller will
@@ -308,175 +246,94 @@ func (s *Scheduler) ReserveSeq() uint64 {
 // done here — the reservation already counted the event — so t and seq must
 // be exactly what an eager post at reservation time would have used.
 func (s *Scheduler) PostReservedHandlerAt(t Time, seq uint64, id HandlerID, arg uint32) {
-	if t < s.now {
-		panic(fmt.Errorf("sim: post at %v before now %v", t, s.now))
-	}
-	if id < hidFirst || int(id) >= len(s.handlers) {
-		panic(fmt.Errorf("sim: post unregistered handler %d", id))
+	if t < s.now || id < hidFirst || int(id) >= len(s.handlers) {
+		s.badSchedule(t, id)
 	}
 	if seq >= s.seq {
 		panic(fmt.Errorf("sim: reserved seq %d was never drawn", seq))
 	}
-	s.enqueue(entry{at: t, seq: seq, hid: id, arg: arg})
+	s.q.push(entry{at: t, seq: seq, hid: id, arg: arg})
+}
+
+// MustAt schedules fn to run at absolute virtual time t and returns the
+// handle that cancels it. Scheduling in the past or with a nil callback is
+// a bug in the model, so it panics rather than silently reordering time.
+func (s *Scheduler) MustAt(t Time, fn func()) *Event {
+	if t < s.now {
+		s.badSchedule(t, hidHandle)
+	}
+	if fn == nil {
+		panic(errors.New("sim: schedule nil callback"))
+	}
+	ev := &Event{at: t, fn: fn, sched: s, queued: true}
+	if k := len(s.evFree); k > 0 {
+		ev.slot = s.evFree[k-1]
+		s.evFree = s.evFree[:k-1]
+		s.evs[ev.slot] = ev
+	} else {
+		ev.slot = uint32(len(s.evs))
+		s.evs = append(s.evs, ev)
+	}
+	s.q.push(entry{at: t, seq: s.seq, hid: hidHandle, arg: ev.slot})
+	s.seq++
+	s.live++
+	return ev
+}
+
+// MustAfter schedules fn to run d after the current virtual time (see
+// MustAt); a negative d panics.
+func (s *Scheduler) MustAfter(d time.Duration, fn func()) *Event {
+	return s.MustAt(s.now+d, fn)
+}
+
+// releaseEv retires a handle whose entry left the queue for good.
+func (s *Scheduler) releaseEv(ev *Event) {
+	ev.fn = nil
+	s.evs[ev.slot] = nil
+	s.evFree = append(s.evFree, ev.slot)
+}
+
+// RescheduleAfter re-arms the currently executing event to fire again d
+// after the current time — exactly as if the callback had scheduled itself
+// afresh at this point (the sequence number is drawn here, so tie ordering
+// against other events scheduled in the same callback is identical to that
+// spelling), except nothing is allocated: a registered handler keeps its
+// arg, and a handle stays the same live *Event, cancellable as before. It
+// panics when called outside an event callback, called twice within one
+// callback, or given a negative delay.
+func (s *Scheduler) RescheduleAfter(d time.Duration) {
+	if d < 0 {
+		panic(fmt.Errorf("sim: RescheduleAfter with negative delay %v", d))
+	}
+	s.rearm(s.now+d, s.seq)
+	s.seq++
+	s.live++
 }
 
 // RescheduleReservedAt re-arms the currently executing event at absolute
 // time t under a sequence number previously drawn by ReserveSeq — the
-// chained-FIFO counterpart of RescheduleAfter: the entry is re-keyed in
-// place instead of dropped and re-pushed, and the reservation supplies the
+// chained-FIFO counterpart of RescheduleAfter: the reservation supplies the
 // key instead of a fresh draw. The same panics as RescheduleAfter apply.
 func (s *Scheduler) RescheduleReservedAt(t Time, seq uint64) {
-	if !s.inStep {
-		panic(errors.New("sim: RescheduleReservedAt outside an event callback"))
-	}
-	if s.rearmSet {
-		panic(errors.New("sim: reschedule called twice in one callback"))
-	}
 	if t < s.now {
-		panic(fmt.Errorf("sim: reschedule at %v before now %v", t, s.now))
+		s.badSchedule(t, hidHandle)
 	}
 	if seq >= s.seq {
 		panic(fmt.Errorf("sim: reserved seq %d was never drawn", seq))
 	}
-	s.rearmAt = t
-	s.rearmSeq = seq
-	s.rearmSet = true
+	s.rearm(t, seq)
 }
 
-// allocFn parks fn in a closure slot and returns the slot number.
-func (s *Scheduler) allocFn(fn func()) uint32 {
-	if k := len(s.fnFree); k > 0 {
-		slot := s.fnFree[k-1]
-		s.fnFree = s.fnFree[:k-1]
-		s.fns[slot] = fn
-		return slot
-	}
-	s.fns = append(s.fns, fn)
-	return uint32(len(s.fns) - 1)
-}
-
-// releaseFn clears a closure slot for reuse.
-func (s *Scheduler) releaseFn(slot uint32) {
-	s.fns[slot] = nil
-	s.fnFree = append(s.fnFree, slot)
-}
-
-// allocEv parks ev in a handle slot and returns the slot number.
-func (s *Scheduler) allocEv(ev *Event) uint32 {
-	if k := len(s.evFree); k > 0 {
-		slot := s.evFree[k-1]
-		s.evFree = s.evFree[:k-1]
-		s.evs[slot] = ev
-		return slot
-	}
-	s.evs = append(s.evs, ev)
-	return uint32(len(s.evs) - 1)
-}
-
-// releaseEv clears a handle slot for reuse.
-func (s *Scheduler) releaseEv(slot uint32) {
-	s.evs[slot] = nil
-	s.evFree = append(s.evFree, slot)
-}
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// is an error: models that do this are buggy, so At returns a nil event and
-// an error rather than silently reordering time.
-func (s *Scheduler) At(t Time, fn func()) (*Event, error) {
-	if t < s.now {
-		return nil, fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
-	}
-	if fn == nil {
-		return nil, errors.New("sim: schedule nil callback")
-	}
-	ev := &Event{at: t, fn: fn, sched: s, index: indexFired}
-	slot := s.allocEv(ev)
-	ev.slot = slot
-	ent := entry{at: t, seq: s.seq, hid: hidHandle, arg: slot}
-	if s.alt != nil {
-		ev.index = indexLazy
-		s.seq++
-		s.live++
-		s.alt.push(ent)
-	} else {
-		s.heap.sc = s
-		s.seq++
-		s.live++
-		s.heap.push(ent) // sets ev.index
-	}
-	return ev, nil
-}
-
-// After schedules fn to run d after the current virtual time. A negative d is
-// an error.
-func (s *Scheduler) After(d time.Duration, fn func()) (*Event, error) {
-	return s.At(s.now+d, fn)
-}
-
-// MustAfter is After for callers that schedule with non-negative delays by
-// construction (the common case inside model code). It panics on the
-// programming errors After reports.
-func (s *Scheduler) MustAfter(d time.Duration, fn func()) *Event {
-	e, err := s.After(d, fn)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// MustAt is At for callers that schedule in the future by construction.
-func (s *Scheduler) MustAt(t Time, fn func()) *Event {
-	e, err := s.At(t, fn)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// PostAt schedules fn at absolute time t without returning a handle. The
-// event cannot be cancelled; in exchange the callback parks in a free-listed
-// slot and the queue entry is flat, so posting allocates nothing. It panics
-// on the programming errors At reports.
-func (s *Scheduler) PostAt(t Time, fn func()) {
-	if t < s.now {
-		panic(fmt.Errorf("sim: post at %v before now %v", t, s.now))
-	}
-	if fn == nil {
-		panic(errors.New("sim: post nil callback"))
-	}
-	s.pushEntry(entry{at: t, seq: s.seq, hid: hidClosure, arg: s.allocFn(fn)})
-}
-
-// Post schedules fn to run d after the current virtual time, handle-free and
-// allocation-free (see PostAt).
-func (s *Scheduler) Post(d time.Duration, fn func()) {
-	s.PostAt(s.now+d, fn)
-}
-
-// RescheduleAfter re-arms the currently executing event to fire again d
-// after the current time — exactly as if the callback had rescheduled
-// itself with Post/PostHandler at this point (the sequence number is drawn
-// here, so tie ordering against other events scheduled in the same callback
-// is identical to that spelling), except the queue re-keys the entry in
-// place at the top instead of discarding it and pushing a new one. The
-// re-armed firing is handle-free regardless of how the original event was
-// scheduled (the original handle, if any, is already spent). It panics when
-// called outside an event callback, called twice within one callback, or
-// given a negative delay.
-func (s *Scheduler) RescheduleAfter(d time.Duration) {
+// rearm records the key exec re-queues the executing event under.
+func (s *Scheduler) rearm(t Time, seq uint64) {
 	if !s.inStep {
-		panic(errors.New("sim: RescheduleAfter outside an event callback"))
+		panic(errors.New("sim: reschedule outside an event callback"))
 	}
 	if s.rearmSet {
-		panic(errors.New("sim: RescheduleAfter called twice in one callback"))
+		panic(errors.New("sim: reschedule called twice in one callback"))
 	}
-	if d < 0 {
-		panic(fmt.Errorf("sim: RescheduleAfter with negative delay %v", d))
-	}
-	s.rearmAt = s.now + d
-	s.rearmSeq = s.seq
-	s.seq++
-	s.live++
+	s.rearmAt = t
+	s.rearmSeq = seq
 	s.rearmSet = true
 }
 
@@ -484,98 +341,73 @@ func (s *Scheduler) RescheduleAfter(d time.Duration) {
 // an event callback (e.g. when a termination condition is detected).
 func (s *Scheduler) Halt() { s.halted = true }
 
-// peekLive surfaces the earliest live entry without removing it. The pointer
-// is valid only until the next queue operation; callers copy what they need.
+// peekLive surfaces the earliest live entry without removing it, discarding
+// cancelled handles on the way. The pointer is valid only until the next
+// queue operation; callers copy what they need.
 func (s *Scheduler) peekLive() (*entry, bool) {
-	if s.alt != nil {
-		return s.alt.peek()
+	for {
+		e, ok := s.q.peek()
+		if !ok {
+			return nil, false
+		}
+		if e.hid == hidHandle {
+			if ev := s.evs[e.arg]; ev.canceled {
+				s.releaseEv(ev)
+				s.q.dropMin()
+				continue
+			}
+		}
+		return e, true
 	}
-	if len(s.heap.es) == 0 {
-		return nil, false
-	}
-	return &s.heap.es[0], true
 }
 
 // exec runs the entry peekLive just surfaced. The entry stays at the front
 // of the queue while its callback runs (new events sort strictly after it,
-// so it remains the minimum); afterwards it is either dropped or — when the
-// callback called RescheduleAfter — re-keyed in place.
+// so it remains the minimum); afterwards it is dropped and, when the
+// callback re-armed it, queued again under the new key.
 func (s *Scheduler) exec(e *entry) {
 	s.now = e.at
 	s.stepped++
 	s.live--
 	hid, arg := e.hid, e.arg
-	var fn func()
-	switch hid {
-	case hidClosure:
-		fn = s.fns[arg]
-	case hidHandle:
-		ev := s.evs[arg]
-		s.releaseEv(arg)
-		ev.index = indexFired
-		fn = ev.fn
-		ev.fn = nil
+	var ev *Event
+	if hid == hidHandle {
+		ev = s.evs[arg]
+		ev.queued = false
 	}
 	s.rearmSet = false
 	s.inStep = true
-	if hid >= hidFirst {
-		h := s.handlers[hid]
-		if p := s.prof; p != nil {
-			p.begin()
-			h(arg)
-			p.end()
-		} else {
-			h(arg)
-		}
-	} else if p := s.prof; p != nil {
+	p := s.prof
+	if p != nil {
 		p.begin()
-		fn()
-		p.end()
+	}
+	if ev != nil {
+		ev.fn()
 	} else {
-		fn()
+		s.handlers[hid](arg)
+	}
+	if p != nil {
+		p.end()
 	}
 	s.inStep = false
-	if s.rearmSet {
-		ne := entry{at: s.rearmAt, seq: s.rearmSeq, hid: hid, arg: arg}
-		if hid == hidHandle {
-			// The handle is spent; the re-armed firing keeps the callback
-			// via a closure slot.
-			ne.hid, ne.arg = hidClosure, s.allocFn(fn)
-		}
-		if s.alt != nil {
-			s.alt.replaceMin(ne)
-			if s.pendSet {
-				s.pendSet = false
-				s.alt.push(s.pend)
-			}
-		} else {
-			s.heap.replaceMin(ne)
-			if s.pendSet {
-				s.pendSet = false
-				s.heap.push(s.pend)
-			}
+	s.q.dropMin()
+	if !s.rearmSet {
+		if ev != nil {
+			s.releaseEv(ev)
 		}
 		return
 	}
-	if hid == hidClosure {
-		s.releaseFn(arg)
-	}
-	if s.pendSet {
-		// The callback retired its own entry and scheduled a new one: one
-		// in-place replace instead of a drop plus a push.
-		s.pendSet = false
-		if s.alt != nil {
-			s.alt.replaceMin(s.pend)
-		} else {
-			s.heap.replaceMin(s.pend)
+	if ev != nil {
+		if ev.canceled {
+			// Re-armed and cancelled in the same callback: the re-arm's
+			// count is withdrawn with the handle.
+			s.live--
+			s.releaseEv(ev)
+			return
 		}
-		return
+		ev.at, ev.queued = s.rearmAt, true
 	}
-	if s.alt != nil {
-		s.alt.dropMin()
-	} else {
-		s.heap.dropMin()
-	}
+	s.q.push(entry{at: s.rearmAt, seq: s.rearmSeq, hid: hid, arg: arg})
 }
 
 // Step executes the single earliest pending event. It reports whether an

@@ -15,9 +15,7 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	times := []time.Duration{5 * time.Second, time.Second, 3 * time.Second, 2 * time.Second}
 	for _, at := range times {
 		at := at
-		if _, err := s.At(at, func() { got = append(got, at) }); err != nil {
-			t.Fatalf("At(%v): %v", at, err)
-		}
+		s.MustAt(at, func() { got = append(got, at) })
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -54,24 +52,53 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
 func TestSchedulePastRejected(t *testing.T) {
 	s := NewScheduler()
+	hid := s.RegisterHandler(func(uint32) {})
 	s.MustAt(2*time.Second, func() {})
 	if !s.Step() {
 		t.Fatal("Step returned false with a pending event")
 	}
-	if _, err := s.At(time.Second, func() {}); err == nil {
-		t.Error("At in the past succeeded, want error")
-	}
-	if _, err := s.After(-time.Second, func() {}); err == nil {
-		t.Error("After with negative delay succeeded, want error")
+	mustPanic(t, "MustAt in the past", func() { s.MustAt(time.Second, func() {}) })
+	mustPanic(t, "MustAfter with negative delay", func() { s.MustAfter(-time.Second, func() {}) })
+	mustPanic(t, "PostHandlerAt in the past", func() { s.PostHandlerAt(time.Second, hid, 0) })
+	mustPanic(t, "PostHandler on an unregistered id", func() { s.PostHandler(time.Second, hid+1, 0) })
+	if s.Len() != 0 {
+		t.Errorf("rejected schedules left Len() = %d, want 0", s.Len())
 	}
 }
 
 func TestScheduleNilCallbackRejected(t *testing.T) {
 	s := NewScheduler()
-	if _, err := s.At(time.Second, nil); err == nil {
-		t.Error("At with nil callback succeeded, want error")
+	mustPanic(t, "MustAt with nil callback", func() { s.MustAt(time.Second, nil) })
+	mustPanic(t, "RegisterHandler(nil)", func() { s.RegisterHandler(nil) })
+}
+
+// TestRescheduleMisuseRejected pins the re-arm panics: outside a callback,
+// twice in one callback, into the past, and under an undrawn sequence.
+func TestRescheduleMisuseRejected(t *testing.T) {
+	s := NewScheduler()
+	mustPanic(t, "RescheduleAfter outside a callback", func() { s.RescheduleAfter(time.Second) })
+	s.MustAt(time.Second, func() {
+		mustPanic(t, "negative RescheduleAfter", func() { s.RescheduleAfter(-1) })
+		mustPanic(t, "RescheduleReservedAt in the past", func() { s.RescheduleReservedAt(0, 0) })
+		mustPanic(t, "RescheduleReservedAt with an undrawn seq", func() { s.RescheduleReservedAt(s.Now(), 99) })
+		s.RescheduleAfter(time.Second)
+		mustPanic(t, "second RescheduleAfter", func() { s.RescheduleAfter(time.Second) })
+	})
+	if !s.Step() || s.Len() != 1 {
+		t.Fatalf("after the misuse callback Len() = %d, want the one re-arm", s.Len())
 	}
 }
 
@@ -101,6 +128,87 @@ func TestCancelFromEarlierEvent(t *testing.T) {
 	}
 	if fired {
 		t.Error("event cancelled by an earlier event still fired")
+	}
+}
+
+// TestHandleRearmKeepsHandle pins the ticker contract: a handle that re-arms
+// itself from inside its callback stays the same live, cancellable *Event —
+// At() follows the re-arm, and Cancel after n re-arms prevents firing n+1
+// and drops Len() by one.
+func TestHandleRearmKeepsHandle(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	ev := s.MustAfter(time.Second, func() {
+		fired++
+		s.RescheduleAfter(time.Second)
+	})
+	s.MustAt(time.Hour, func() {}) // keeps Len() comparisons non-trivial
+	for n := 1; n <= 5; n++ {
+		if !s.Step() {
+			t.Fatalf("Step %d returned false", n)
+		}
+		if fired != n {
+			t.Fatalf("after %d steps the ticker fired %d times", n, fired)
+		}
+		if want := time.Duration(n+1) * time.Second; ev.At() != want {
+			t.Fatalf("after %d firings At() = %v, want %v", n, ev.At(), want)
+		}
+	}
+	if got := s.Len(); got != 2 {
+		t.Fatalf("Len() = %d with the ticker armed, want 2", got)
+	}
+	ev.Cancel()
+	if got := s.Len(); got != 1 {
+		t.Fatalf("Len() = %d after cancelling the re-armed ticker, want 1", got)
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if fired != 5 {
+		t.Fatalf("ticker fired %d times, want 5 (cancelled before the 6th)", fired)
+	}
+	if s.Now() != time.Hour || s.Processed() != 6 {
+		t.Fatalf("Now() = %v, Processed() = %d, want 1h and 6", s.Now(), s.Processed())
+	}
+}
+
+// TestCancelInsideOwnCallback pins that a handle cancelled from inside its
+// own callback does not fire again, whichever side of the re-arm the Cancel
+// falls on, and that the live count comes out even.
+func TestCancelInsideOwnCallback(t *testing.T) {
+	for _, cancelFirst := range []bool{true, false} {
+		s := NewScheduler()
+		fired := 0
+		var ev *Event
+		ev = s.MustAfter(time.Second, func() {
+			fired++
+			if cancelFirst {
+				ev.Cancel()
+			}
+			s.RescheduleAfter(time.Second)
+			if !cancelFirst {
+				ev.Cancel()
+			}
+		})
+		if err := s.RunAll(); err != nil {
+			t.Fatalf("RunAll: %v", err)
+		}
+		if fired != 1 || s.Len() != 0 {
+			t.Fatalf("cancelFirst=%v: fired %d times with Len() = %d, want 1 and 0", cancelFirst, fired, s.Len())
+		}
+	}
+}
+
+// TestTickerRearmAllocs pins that a periodic handle costs nothing per period
+// once armed: no Event, no closure, no queue growth.
+func TestTickerRearmAllocs(t *testing.T) {
+	s := NewScheduler()
+	s.MustAfter(time.Millisecond, func() { s.RescheduleAfter(100 * time.Millisecond) })
+	for i := 0; i < 8; i++ {
+		s.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
+		t.Fatalf("re-arming ticker allocates %.1f objects per period, want 0", allocs)
 	}
 }
 
