@@ -2,7 +2,7 @@
 #
 #   make         -> build + vet + test
 #   make race    -> race-detector pass over the concurrent packages
-#   make check   -> everything (the documented verify flow)
+#   make check   -> everything (the documented verify flow), gofmt included
 #   make profile -> CPU-profile a short evaluation run and print hot spots
 
 GO ?= go
@@ -20,7 +20,7 @@ COVERAGE_BASELINE ?= 85
 BENCH ?= .
 BENCHTIME ?= 1x
 
-.PHONY: all build test race vet bench bench-json check profile fuzz cover
+.PHONY: all build test race vet fmt bench bench-json check profile fuzz cover
 
 all: build vet test
 
@@ -38,6 +38,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would rewrite any file, and names the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -88,4 +92,4 @@ cover:
 		if (t+0 < base+0) { printf "coverage %.1f%% is below the %s%% baseline\n", t, base; exit 1 } \
 		else { printf "coverage %.1f%% meets the %s%% baseline\n", t, base } }'
 
-check: build vet test race
+check: build vet fmt test race

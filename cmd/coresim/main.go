@@ -63,30 +63,29 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("coresim", flag.ContinueOnError)
 	var (
-		scheme    = fs.String("scheme", "corelite", "scheme: corelite or csfq")
-		backend   = fs.String("backend", "packet", "execution engine: packet (discrete-event reference) or flow (fluid rates, orders of magnitude faster)")
-		fullSolve = fs.Bool("full-solve", false, "force the flow backend's monolithic water-filling solve instead of the incremental solver large models select (differential reference; no-op below the size cutoff and on the packet backend)")
-		flows     = fs.Int("flows", 10, "number of flows (1-20 on the paper topology)")
-		duration  = fs.Duration("duration", 80*time.Second, "simulated duration")
-		seed      = fs.Int64("seed", 1, "random seed")
-		weights   = fs.String("weights", "", "per-flow weights, e.g. 1:1,2:2,5:3 (default weight 1)")
-		defaultW  = fs.Float64("default-weight", 1, "weight for flows not listed in -weights")
-		dumbbell  = fs.Bool("dumbbell", false, "use a single-bottleneck dumbbell instead of the paper topology")
-		topo      = fs.String("topo", "", "topology spec file, or a generator spec like fattree:k=8,flows=48 / nclouds:n=3,remark=1 / mesh:nodes=8 (overrides -flows/-dumbbell/-weights)")
-		traffic   = fs.String("traffic", "", "generated workload over a generated topology: uniform / heavytail:unresp=0.1,urate=350 / churn:heavy=0.25 (requires a generator -topo)")
-		sample    = fs.Duration("sample", time.Second, "measurement window")
-		out       = fs.String("out", "", "output file prefix for CSV series (empty = no CSV)")
-		traceOut  = fs.String("trace", "", "write an ns-2-style packet event trace to this file")
-		summary   = fs.Bool("summary", true, "print the per-flow summary")
-		runs      = fs.Int("runs", 1, "seed replicas of the scenario (derived per-run seeds)")
-		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent replicas (1 = serial)")
-		obsDir    = fs.String("obs", "", "directory for control-plane telemetry (events JSONL/CSV, sampled series, histograms, engine perf profile, Chrome trace)")
-		progress  = fs.Bool("progress", false, "print aggregated live progress (sim-time rate, throughput, active flows, ETA) to stderr every 2s")
-		check     = fs.Bool("check", false, "attach the runtime invariant checker (conservation, queue bounds, marker accounting, fairness residual); violations fail the run")
-		checkTol  = fs.Float64("check-tol", 0.05, "fairness-residual tolerance for -check")
-		ssThresh  = fs.Float64("ss-thresh", 0, "slow-start exit threshold in pkt/s (0 = the paper's 32); raise it on fat fabrics so flows reach large fair shares exponentially instead of by linear increase")
-		cpuProf   = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
-		memProf   = fs.String("memprofile", "", "write a post-run heap profile to this file")
+		scheme   = fs.String("scheme", "corelite", "scheme: corelite or csfq")
+		backend  = fs.String("backend", "packet", "execution engine: packet (discrete-event reference) or flow (fluid rates, orders of magnitude faster)")
+		flows    = fs.Int("flows", 10, "number of flows (1-20 on the paper topology)")
+		duration = fs.Duration("duration", 80*time.Second, "simulated duration")
+		seed     = fs.Int64("seed", 1, "random seed")
+		weights  = fs.String("weights", "", "per-flow weights, e.g. 1:1,2:2,5:3 (default weight 1)")
+		defaultW = fs.Float64("default-weight", 1, "weight for flows not listed in -weights")
+		dumbbell = fs.Bool("dumbbell", false, "use a single-bottleneck dumbbell instead of the paper topology")
+		topo     = fs.String("topo", "", "topology spec file, or a generator spec like fattree:k=8,flows=48 / nclouds:n=3,remark=1 / mesh:nodes=8 (overrides -flows/-dumbbell/-weights)")
+		traffic  = fs.String("traffic", "", "generated workload over a generated topology: uniform / heavytail:unresp=0.1,urate=350 / churn:heavy=0.25 (requires a generator -topo)")
+		sample   = fs.Duration("sample", time.Second, "measurement window")
+		out      = fs.String("out", "", "output file prefix for CSV series (empty = no CSV)")
+		traceOut = fs.String("trace", "", "write an ns-2-style packet event trace to this file")
+		summary  = fs.Bool("summary", true, "print the per-flow summary")
+		runs     = fs.Int("runs", 1, "seed replicas of the scenario (derived per-run seeds)")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent replicas (1 = serial)")
+		obsDir   = fs.String("obs", "", "directory for control-plane telemetry (events JSONL/CSV, sampled series, histograms, engine perf profile, Chrome trace)")
+		progress = fs.Bool("progress", false, "print aggregated live progress (sim-time rate, throughput, active flows, ETA) to stderr every 2s")
+		check    = fs.Bool("check", false, "attach the runtime invariant checker (conservation, queue bounds, marker accounting, fairness residual); violations fail the run")
+		checkTol = fs.Float64("check-tol", 0.05, "fairness-residual tolerance for -check")
+		ssThresh = fs.Float64("ss-thresh", 0, "slow-start exit threshold in pkt/s (0 = the paper's 32); raise it on fat fabrics so flows reach large fair shares exponentially instead of by linear increase")
+		cpuProf  = fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
+		memProf  = fs.String("memprofile", "", "write a post-run heap profile to this file")
 
 		chainCores = fs.Int("chain-cores", 0, "generate a synthetic chain of N core nodes instead of a built-in topology (flow backend only)")
 		chainFlows = fs.Int("chain-flows", 0, "flows crossing the generated chain (default -flows)")
@@ -125,7 +124,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	sc.Backend = be
-	sc.FullSolve = *fullSolve
 	if *ssThresh > 0 {
 		ec := corelite.DefaultEdgeConfig()
 		ec.Adapt.SSThresh = *ssThresh

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/flowsim"
-	"repro/internal/maxmin"
 	"repro/internal/obs"
 	"repro/internal/topogen"
 	"repro/internal/trafficgen"
@@ -227,20 +226,13 @@ func writeObsBundle(dir string, states []flowsim.LIMDState, flows, epochs int) e
 // bottleneck the weighted max-min allocation is w_i/Σw · C, and the LIMD
 // fixed point must oscillate within tol of it.
 func checkOracle(final, weights []float64, capacity, tol float64) error {
-	p := maxmin.Problem{
-		Capacity: map[string]float64{"L": capacity},
-		Flows:    make(map[string]maxmin.Flow, len(weights)),
-	}
-	for i, w := range weights {
-		p.Flows[strconv.Itoa(i)] = maxmin.Flow{Weight: w, Links: []string{"L"}}
-	}
-	alloc, err := maxmin.Solve(p)
-	if err != nil {
-		return fmt.Errorf("check: oracle: %w", err)
+	sumW := 0.0
+	for _, w := range weights {
+		sumW += w
 	}
 	worst := 0.0
-	for i := range weights {
-		want := alloc[strconv.Itoa(i)]
+	for i, w := range weights {
+		want := w / sumW * capacity
 		if want <= 0 {
 			continue
 		}

@@ -57,8 +57,8 @@ import (
 	"repro/internal/topogen"
 	"repro/internal/topology"
 	"repro/internal/topospec"
-	"repro/internal/trafficgen"
 	"repro/internal/trace"
+	"repro/internal/trafficgen"
 	"repro/internal/workload"
 )
 

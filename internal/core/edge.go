@@ -180,7 +180,7 @@ func (e *Edge) AddFlow(dst string, weight float64) (int, error) {
 // reflect only the flow's out-of-profile rate (b_g − min)/w, so core
 // feedback targets excess traffic exclusively. Contract admission control
 // (Σ minimums ≤ capacity on every link) is the operator's responsibility —
-// see maxmin.SolveWithMinimums for the feasibility check.
+// the experiments harness refuses an over-subscribed scenario before it runs.
 func (e *Edge) AddFlowContract(dst string, weight, minRate float64) (int, error) {
 	if weight <= 0 {
 		return 0, fmt.Errorf("core: flow weight %v must be positive", weight)

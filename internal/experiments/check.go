@@ -8,13 +8,11 @@ import (
 	"repro/internal/topology"
 )
 
-// steadyWindow finds the last interval of the run over which the set of
-// active flows is constant and non-empty. Schedule start/stop instants (with
-// stops resolved against the horizon, exactly as the runner resolves them)
-// partition the run into intervals of constant membership; walking the
-// partition backwards yields the window the fairness oracle is compared
-// over.
-func steadyWindow(sc Scenario, placements []topology.Placement) (from, to time.Duration, active map[int]bool, ok bool) {
+// phaseBounds returns the instants at which the set of active flows can
+// change, sorted: 0, the horizon, and every schedule start/stop in between
+// (stops resolved against the horizon, exactly as the runner resolves them).
+// Membership is constant between consecutive bounds.
+func phaseBounds(sc Scenario, placements []topology.Placement) []time.Duration {
 	bset := map[time.Duration]bool{0: true, sc.Duration: true}
 	for _, pl := range placements {
 		for _, iv := range scheduleOf(sc, pl.Index) {
@@ -34,37 +32,49 @@ func steadyWindow(sc Scenario, placements []topology.Placement) (from, to time.D
 		bounds = append(bounds, b)
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	return bounds
+}
 
+// activeAt returns the flows whose schedule has them active at time t.
+func activeAt(sc Scenario, placements []topology.Placement, t time.Duration) map[int]bool {
+	active := make(map[int]bool)
+	for _, pl := range placements {
+		if scheduleOf(sc, pl.Index).ActiveAt(t, sc.Duration) {
+			active[pl.Index] = true
+		}
+	}
+	return active
+}
+
+// steadyWindow finds the last interval of the run over which the set of
+// active flows is constant and non-empty — the window the fairness oracle is
+// compared over — by walking the phase bounds backwards.
+func steadyWindow(sc Scenario, placements []topology.Placement) (from, to time.Duration, active map[int]bool, ok bool) {
+	bounds := phaseBounds(sc, placements)
 	for i := len(bounds) - 1; i > 0; i-- {
 		lo, hi := bounds[i-1], bounds[i]
-		mid := lo + (hi-lo)/2
-		act := make(map[int]bool)
-		for _, pl := range placements {
-			if scheduleOf(sc, pl.Index).ActiveAt(mid, sc.Duration) {
-				act[pl.Index] = true
-			}
-		}
-		if len(act) > 0 {
+		if act := activeAt(sc, placements, lo+(hi-lo)/2); len(act) > 0 {
 			return lo, hi, act, true
 		}
 	}
 	return 0, 0, nil, false
 }
 
-// checkFairness feeds the invariant checker's differential oracle: measured
-// steady-state goodput per flow versus the weighted max-min allocation for
-// the flows active over the last steady window. The goodput is averaged
-// over the window's second half so convergence transients right after the
-// last membership change do not count against the residual. TCP-transport
-// flows are skipped (their goodput is congestion-control-, not
-// shaper-limited), as are windows shorter than the configured minimum.
-func checkFairness(sc Scenario, cloud *topology.Cloud, res *Result) {
+// checkFairness feeds the invariant checker's differential oracle, for
+// either engine: measured steady-state goodput per flow versus the weighted
+// max-min allocation for the flows active over the last steady window. The
+// goodput is averaged over the window's second half so convergence
+// transients right after the last membership change do not count against
+// the residual. TCP-transport flows are skipped (their goodput is
+// congestion-control-, not shaper-limited), as are windows shorter than the
+// configured minimum.
+func checkFairness(sc Scenario, fm *flowModel, res *Result) {
 	cfg := sc.Check.Config()
-	from, to, active, ok := steadyWindow(sc, cloud.Placements)
+	from, to, active, ok := steadyWindow(sc, fm.placements)
 	if !ok || to-from < cfg.MinSteady {
 		return
 	}
-	expected, err := expectedRates(sc, cloud, active)
+	expected, err := expectedRates(sc, fm, active)
 	if err != nil {
 		return
 	}

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestMinRateContractScenario(t *testing.T) {
@@ -69,15 +72,35 @@ func TestMinRateValidation(t *testing.T) {
 	if _, err := Run(neg); err == nil {
 		t.Error("negative contract accepted")
 	}
-	// Over-subscribed contracts surface as an oracle error.
-	over := Scenario{
-		Scheme:   SchemeCorelite,
-		Duration: 2 * time.Second,
-		NumFlows: 2,
-		MinRates: map[int]float64{1: 400, 2: 400},
-		Dumbbell: true,
+	// Over-subscribed contracts are refused up front, with the link named,
+	// on both backends and at every size: the 20-slot dumbbell and a
+	// generated 300-flow fabric whose every flow asks for 400 of its
+	// 500 pkt/s links. The packet engine must not have advanced simulated
+	// time when it says so.
+	gen, err := ParseGenerate("fattree:k=4,flows=300", "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Run(over); err == nil {
-		t.Error("over-subscribed contracts accepted")
+	everyFlow := make(map[int]float64, 300)
+	for i := 1; i <= 300; i++ {
+		everyFlow[i] = 400
+	}
+	for _, over := range []Scenario{
+		{Name: "dumbbell", NumFlows: 2, MinRates: map[int]float64{1: 400, 2: 400}, Dumbbell: true},
+		{Name: "fattree-300", Generate: gen, MinRates: everyFlow},
+	} {
+		over.Scheme = SchemeCorelite
+		over.Duration = 2 * time.Second
+		for _, backend := range []Backend{BackendPacket, BackendFlow} {
+			over.Backend = backend
+			over.Progress = new(obs.Progress)
+			_, err := Run(over)
+			if err == nil || !strings.Contains(err.Error(), "contracted minimums over-subscribe link \"") {
+				t.Errorf("%s on %v: err = %v, want the over-subscription error naming the link", over.Name, backend, err)
+			}
+			if snap := over.Progress.Snapshot(); snap.Sim != 0 || snap.Events != 0 {
+				t.Errorf("%s on %v: refused only after simulating to %v (%d events)", over.Name, backend, snap.Sim, snap.Events)
+			}
+		}
 	}
 }

@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/flowsim"
 	"repro/internal/invariant"
-	"repro/internal/maxmin"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -20,14 +18,15 @@ import (
 // flowEngine executes scenarios on the fluid engine (internal/flowsim): no
 // packets, no queues — per-flow rates advance between events as the
 // demand-capped weighted water-filling allocation, with the schemes' LIMD
-// loops driving the demands. It reuses the scenario layer's topology
-// builders and oracle so that, over steady windows, its rates agree with
-// the packet engine within the figure tolerances (pinned by the
-// differential tests in backend_diff_test.go).
+// loops driving the demands. Over steady windows its rates agree with the
+// packet engine within the figure tolerances (pinned by the differential
+// tests in backend_diff_test.go).
 type flowEngine struct{}
 
-// flowModel is the fluid engine's view of one scenario: the capacity graph
-// plus the placement metadata the measurement layer needs.
+// flowModel is the one description of "who shares which link at what
+// capacity" behind the engine seam: the fluid engine simulates it, and both
+// engines' oracle (expectedRates) and fairness check read it. It carries the
+// capacity graph plus the placement metadata the measurement layer needs.
 type flowModel struct {
 	model *flowsim.Model
 	// placements mirror Model.Flows order; for generated chains they are
@@ -41,6 +40,10 @@ func (flowEngine) Run(sc Scenario) (*Result, error) {
 	fm, err := buildFlowModel(sc)
 	if err != nil {
 		return nil, fmt.Errorf("build flow model: %w", err)
+	}
+	expected, err := expectedRates(sc, fm, nil)
+	if err != nil {
+		return nil, fmt.Errorf("expected rates: %w", err)
 	}
 
 	control := flowsim.ControlMarker
@@ -77,11 +80,6 @@ func (flowEngine) Run(sc Scenario) (*Result, error) {
 		onChecks = sc.Check.AddChecks
 	}
 
-	solver := flowsim.SolverAuto
-	if sc.FullSolve {
-		solver = flowsim.SolverFull
-	}
-
 	out, err := flowsim.Run(flowsim.Config{
 		Model:        fm.model,
 		Horizon:      sc.Duration,
@@ -89,7 +87,6 @@ func (flowEngine) Run(sc Scenario) (*Result, error) {
 		SampleWindow: sc.SampleWindow,
 		Control:      control,
 		Adapt:        adaptCfg,
-		Solver:       solver,
 		Schedules:    schedules,
 		OnViolation:  onViolation,
 		OnChecks:     onChecks,
@@ -101,10 +98,6 @@ func (flowEngine) Run(sc Scenario) (*Result, error) {
 		return nil, fmt.Errorf("run scenario %q: %w", sc.Name, err)
 	}
 
-	expected, err := flowExpectedRates(sc, fm, nil)
-	if err != nil {
-		return nil, fmt.Errorf("expected rates: %w", err)
-	}
 	res := &Result{
 		Name:            sc.Name,
 		Scheme:          sc.Scheme,
@@ -134,49 +127,54 @@ func (flowEngine) Run(sc Scenario) (*Result, error) {
 		res.Flows = append(res.Flows, fr)
 	}
 	if sc.Check.Enabled() {
-		checkFairnessFlows(sc, fm, res)
+		checkFairness(sc, fm, res)
 		res.Violations = sc.Check.Violations()
 		res.InvariantChecks = sc.Check.Checks()
 	}
 	return res, nil
 }
 
-// buildFlowModel converts the scenario's topology into a fluid capacity
-// graph. Built-in and spec topologies go through the same builders as the
-// packet engine (so placements, weights and link capacities are identical);
-// generated chains are constructed directly, which is what lets the flow
-// backend scale to thousands of nodes without the all-pairs route
-// computation a packet network needs.
+// buildFlowModel converts the scenario's topology into its capacity graph,
+// choosing the builder from the shape of the input: generated chains and
+// fully pinned specs are constructed directly — no packet network, which is
+// what lets the flow backend scale past what netem can build and route —
+// and everything else (the built-in topologies, specs with routed flows)
+// goes through the packet cloud. The spec builders are interchangeable
+// wherever both apply (TestDirectSpecBuildMatchesGeneric).
 func buildFlowModel(sc Scenario) (*flowModel, error) {
 	if sc.Chain != nil {
 		return buildChainModel(sc)
 	}
-	if sc.Spec != nil && len(sc.Spec.Flows) >= flowsim.IncrementalMinFlows && specFullyPinned(sc.Spec) {
+	if sc.Spec != nil && specFullyPinned(sc.Spec) {
 		return buildSpecModelDirect(sc)
 	}
-	return buildCloudModel(sc)
-}
-
-// buildCloudModel is the generic fluid-model builder: construct the packet
-// network, take its oracle problem, and mirror it into a fluid graph.
-func buildCloudModel(sc Scenario) (*flowModel, error) {
 	cloud, err := buildCloud(sc, sim.NewScheduler())
 	if err != nil {
 		return nil, err
 	}
-	p := cloud.MaxMinProblem(nil)
-	if err := applyCross(sc, p.Capacity); err != nil {
+	return cloudModel(sc, cloud)
+}
+
+// cloudModel mirrors a built packet cloud into the capacity graph: its core
+// links at their packet service rates (less cross traffic), its placements
+// as flows. The packet engine calls it on the cloud it simulates.
+func cloudModel(sc Scenario, cloud *topology.Cloud) (*flowModel, error) {
+	caps := make(map[string]float64, len(cloud.CoreLinks))
+	for name, l := range cloud.CoreLinks {
+		caps[name] = l.PacketsPerSecond(1000)
+	}
+	if err := applyCross(sc, caps); err != nil {
 		return nil, err
 	}
 	m := flowsim.NewModel()
 	for _, pl := range cloud.Placements {
 		links := make([]int, 0, len(pl.CoreLinks))
 		for _, name := range pl.CoreLinks {
-			cap, ok := p.Capacity[name]
+			c, ok := caps[name]
 			if !ok {
-				return nil, fmt.Errorf("flow %d: core link %q missing from oracle problem", pl.Index, name)
+				return nil, fmt.Errorf("flow %d: core link %q missing from the cloud", pl.Index, name)
 			}
-			li, err := m.AddLink(name, cap)
+			li, err := m.AddLink(name, c)
 			if err != nil {
 				return nil, err
 			}
@@ -216,9 +214,8 @@ func specFullyPinned(s *topospec.Spec) bool {
 // fluid engine then never touches; this path produces the identical model —
 // the same link set (each pinned path's links, promoted like Build does),
 // the same capacities (RateBps over 8·1000-byte packets, exactly the
-// packet network's PacketsPerSecond(1000)) and the same placements — so
-// the generic and direct builders are interchangeable (pinned by the
-// differential test in engine_flow_test.go).
+// packet network's PacketsPerSecond(1000)) and the same placements — as
+// cloudModel over Spec.Build.
 //
 // Validate-once rule: a spec that normalize expanded from sc.Generate left
 // topogen validated and has only had its weights rewritten since (AddFlow
@@ -378,8 +375,8 @@ func buildChainModel(sc Scenario) (*flowModel, error) {
 }
 
 // applyCross subtracts each cross stream's mean rate from its link's
-// capacity — the same adjustment the packet oracle makes — so the fluid
-// allocation sees the residual capacity the adaptive flows compete for.
+// capacity, so the allocation — the fluid engine's and the oracle's — sees
+// the residual capacity the adaptive flows compete for.
 func applyCross(sc Scenario, capacity map[string]float64) error {
 	for i, ct := range sc.Cross {
 		c, ok := capacity[ct.Link]
@@ -393,152 +390,4 @@ func applyCross(sc Scenario, capacity map[string]float64) error {
 		capacity[ct.Link] = c
 	}
 	return nil
-}
-
-// flowExpectedRates solves the weighted max-min oracle directly on the
-// fluid model (whose capacities already account for cross traffic), for
-// the given active set (nil = all flows). Large models use the fluid
-// engine's slice-based allocator — same algorithm, no string-keyed maps —
-// because at 10k+ flows the map-based reference solver dominates the whole
-// run; small models keep the maxmin package so the figure-scale expected
-// sets stay bit-for-bit what they always were.
-func flowExpectedRates(sc Scenario, fm *flowModel, active map[int]bool) (map[int]float64, error) {
-	if len(fm.model.Flows) >= flowsim.IncrementalMinFlows {
-		return flowExpectedRatesLarge(sc, fm, active), nil
-	}
-	return flowExpectedRatesMaxmin(sc, fm, active)
-}
-
-// flowExpectedRatesMaxmin is the map-based reference oracle (the maxmin
-// package), kept verbatim for small models and as the differential
-// reference for flowExpectedRatesLarge.
-func flowExpectedRatesMaxmin(sc Scenario, fm *flowModel, active map[int]bool) (map[int]float64, error) {
-	p := maxmin.Problem{
-		Capacity: make(map[string]float64, len(fm.model.Links)),
-		Flows:    make(map[string]maxmin.Flow, len(fm.model.Flows)),
-	}
-	for _, l := range fm.model.Links {
-		p.Capacity[l.Name] = l.Capacity
-	}
-	mins := make(map[string]float64)
-	out := make(map[int]float64, len(fm.model.Flows))
-	for _, f := range fm.model.Flows {
-		if active != nil && !active[f.Index] {
-			continue
-		}
-		if f.FixedDemand > 0 && sc.Scheme == SchemeCorelite {
-			// Unresponsive under Corelite: the FIFO core cannot police the
-			// blast, so it takes its offered rate off the top of every
-			// link it crosses. (Under CSFQ it is policed to its weighted
-			// share and stays an ordinary member of the problem.)
-			for _, li := range f.Links {
-				name := fm.model.Links[li].Name
-				c := p.Capacity[name] - f.FixedDemand
-				if c < 0 {
-					c = 0
-				}
-				p.Capacity[name] = c
-			}
-			out[f.Index] = f.FixedDemand
-			continue
-		}
-		links := make([]string, len(f.Links))
-		for j, li := range f.Links {
-			links[j] = fm.model.Links[li].Name
-		}
-		key := strconv.Itoa(f.Index)
-		p.Flows[key] = maxmin.Flow{Weight: f.Weight, Links: links}
-		if f.MinRate > 0 {
-			mins[key] = f.MinRate
-		}
-	}
-	alloc, err := maxmin.SolveWithMinimums(p, mins)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range fm.model.Flows {
-		if active != nil && !active[f.Index] {
-			continue
-		}
-		if _, done := out[f.Index]; done {
-			continue
-		}
-		out[f.Index] = alloc[strconv.Itoa(f.Index)]
-	}
-	return out, nil
-}
-
-// flowExpectedRatesLarge is flowExpectedRates on the allocator: Corelite
-// unresponsive blasts come off the top of their links' capacities (on a
-// copy of the link table) and everyone else enters the water-filling with
-// unbounded demand. Agreement with the maxmin reference is pinned at 1e-6
-// by TestFlowExpectedRatesLargeMatchesMaxmin.
-func flowExpectedRatesLarge(sc Scenario, fm *flowModel, active map[int]bool) map[int]float64 {
-	m := fm.model
-	links := make([]flowsim.Link, len(m.Links))
-	copy(links, m.Links)
-	act := make([]bool, len(m.Flows))
-	dem := make([]float64, len(m.Flows))
-	out := make(map[int]float64, len(m.Flows))
-	for i, f := range m.Flows {
-		if active != nil && !active[f.Index] {
-			continue
-		}
-		if f.FixedDemand > 0 && sc.Scheme == SchemeCorelite {
-			for _, li := range f.Links {
-				c := links[li].Capacity - f.FixedDemand
-				if c < 0 {
-					c = 0
-				}
-				links[li].Capacity = c
-			}
-			out[f.Index] = f.FixedDemand
-			continue
-		}
-		act[i] = true
-		dem[i] = -1
-	}
-	rates := flowsim.SolveMaxMin(&flowsim.Model{Links: links, Flows: m.Flows}, act, dem)
-	for i, f := range m.Flows {
-		if act[i] {
-			out[f.Index] = rates[i]
-		}
-	}
-	return out
-}
-
-// checkFairnessFlows is the flow backend's differential oracle feed,
-// mirroring checkFairness: measured steady-window rates versus the
-// weighted max-min allocation on the fluid model.
-func checkFairnessFlows(sc Scenario, fm *flowModel, res *Result) {
-	cfg := sc.Check.Config()
-	from, to, active, ok := steadyWindow(sc, fm.placements)
-	if !ok || to-from < cfg.MinSteady {
-		return
-	}
-	expected, err := flowExpectedRates(sc, fm, active)
-	if err != nil {
-		return
-	}
-	mid := from + (to-from)/2
-	rates := make([]invariant.FlowRate, 0, len(res.Flows))
-	for i := range res.Flows {
-		f := &res.Flows[i]
-		if !active[f.Index] {
-			continue
-		}
-		if _, unresp := sc.Unresponsive[f.Index]; unresp {
-			continue
-		}
-		exp, found := expected[f.Index]
-		if !found {
-			continue
-		}
-		rates = append(rates, invariant.FlowRate{
-			Index:    f.Index,
-			Expected: exp,
-			Measured: f.ReceiveRate.MeanOver(mid, to),
-		})
-	}
-	sc.Check.CheckFairness(to, rates)
 }

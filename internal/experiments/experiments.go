@@ -5,13 +5,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/csfq"
+	"repro/internal/flowsim"
 	"repro/internal/host"
 	"repro/internal/invariant"
-	"repro/internal/maxmin"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/obs"
@@ -58,14 +59,6 @@ type Scenario struct {
 	// fluid engine. The flow backend rejects packet-only knobs (TCP
 	// transports, tracing) at validation time.
 	Backend Backend
-	// FullSolve forces the flow backend's monolithic water-filling solve
-	// after every event batch instead of the incremental dirty-set solver
-	// that large models select automatically. Small models (fewer than
-	// flowsim.IncrementalMinFlows flows — all paper figures) always use
-	// the full solve, so there this is a no-op; at scale it is the
-	// differential reference for the incremental path. The packet backend
-	// ignores it.
-	FullSolve bool
 	// Duration is the simulated time horizon.
 	Duration time.Duration
 	// Seed drives all randomness; identical seeds give identical traces.
@@ -541,6 +534,16 @@ func (packetEngine) Run(sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build topology: %w", err)
 	}
+	// The oracle runs before the first event, so contracts the links cannot
+	// carry are refused without simulating.
+	fm, err := cloudModel(sc, cloud)
+	if err != nil {
+		return nil, fmt.Errorf("build flow model: %w", err)
+	}
+	expected, err := expectedRates(sc, fm, nil)
+	if err != nil {
+		return nil, fmt.Errorf("expected rates: %w", err)
+	}
 	net := cloud.Net
 	if sc.Tracer != nil {
 		net.SetTracer(sc.Tracer)
@@ -776,10 +779,7 @@ func (packetEngine) Run(sc Scenario) (*Result, error) {
 
 	// Unresponsive cross traffic.
 	for i, ct := range sc.Cross {
-		link, ok := cloud.CoreLinks[ct.Link]
-		if !ok {
-			return nil, fmt.Errorf("cross stream %d: unknown link %q", i, ct.Link)
-		}
+		link := cloud.CoreLinks[ct.Link] // cloudModel refused unknown names
 		from := link.From()
 		oo := workload.NewOnOff(sched, rng.Stream(fmt.Sprintf("cross-%d", i)), workload.OnOffConfig{
 			Flow:    packet.FlowID{Edge: "cross", Local: i},
@@ -892,10 +892,6 @@ func (packetEngine) Run(sc Scenario) (*Result, error) {
 	sc.Progress.Update(sc.Duration, sched.Processed(), 0)
 	sc.Progress.MarkDone()
 
-	expected, err := expectedRates(sc, cloud, nil)
-	if err != nil {
-		return nil, fmt.Errorf("expected rates: %w", err)
-	}
 	res := &Result{
 		Name:            sc.Name,
 		Scheme:          sc.Scheme,
@@ -920,7 +916,7 @@ func (packetEngine) Run(sc Scenario) (*Result, error) {
 		res.Flows = append(res.Flows, fr)
 	}
 	if sc.Check.Enabled() {
-		checkFairness(sc, cloud, res)
+		checkFairness(sc, fm, res)
 		res.Violations = sc.Check.Violations()
 		res.InvariantChecks = sc.Check.Checks()
 	}
@@ -934,106 +930,74 @@ func ExpectedRatesAt(sc Scenario, t time.Duration) (map[int]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := sim.NewScheduler()
-	cloud, err := buildCloud(sc, sched)
+	fm, err := buildFlowModel(sc)
 	if err != nil {
 		return nil, err
 	}
-	active := make(map[int]bool, len(cloud.Placements))
-	any := false
-	for _, pl := range cloud.Placements {
-		if scheduleOf(sc, pl.Index).ActiveAt(t, sc.Duration) {
-			active[pl.Index] = true
-			any = true
-		}
-	}
-	if !any {
+	active := activeAt(sc, fm.placements, t)
+	if len(active) == 0 {
 		return map[int]float64{}, nil
 	}
-	return expectedRates(sc, cloud, active)
+	return expectedRates(sc, fm, active)
 }
 
-// expectedRates runs the weighted max-min oracle for the scenario,
-// accounting for minimum rate contracts, the mean load of unresponsive
-// cross traffic, and unresponsive flows (whose treatment is per scheme:
-// Corelite cannot police them, CSFQ can — see Scenario.Unresponsive).
-func expectedRates(sc Scenario, cloud *topology.Cloud, active map[int]bool) (map[int]float64, error) {
-	if len(sc.Cross) == 0 && len(sc.Unresponsive) == 0 {
-		return cloud.ExpectedRatesWithMinimums(active, sc.MinRates)
-	}
-	p := cloud.MaxMinProblem(active)
-	for _, ct := range sc.Cross {
-		if _, ok := p.Capacity[ct.Link]; !ok {
-			return nil, fmt.Errorf("experiments: cross stream names unknown link %q", ct.Link)
-		}
-		p.Capacity[ct.Link] -= ct.MeanRate()
-		if p.Capacity[ct.Link] < 0 {
-			p.Capacity[ct.Link] = 0
-		}
-	}
-	fixed := make(map[int]float64)
-	if len(sc.Unresponsive) > 0 && sc.Scheme == SchemeCorelite {
-		plByIdx := make(map[int]topology.Placement, len(cloud.Placements))
-		for _, pl := range cloud.Placements {
-			plByIdx[pl.Index] = pl
-		}
-		for idx, rate := range sc.Unresponsive {
-			if active != nil && !active[idx] {
-				continue
-			}
-			pl, ok := plByIdx[idx]
-			if !ok {
-				return nil, fmt.Errorf("experiments: unresponsive flow %d has no placement", idx)
-			}
-			// The FIFO core cannot police the blast: it takes its offered
-			// rate off the top of every link it crosses and leaves the
-			// residual to the responsive flows. (Under CSFQ the blast is
-			// labeled and policed, so it simply stays a weighted member of
-			// the problem.)
-			for _, name := range pl.CoreLinks {
-				if c, ok := p.Capacity[name]; ok {
-					c -= rate
-					if c < 0 {
-						c = 0
-					}
-					p.Capacity[name] = c
-				}
-			}
-			delete(p.Flows, fmt.Sprintf("%d", idx))
-			fixed[idx] = rate
-		}
-	}
-	mins := make(map[string]float64, len(sc.MinRates))
-	for idx, m := range sc.MinRates {
-		if active != nil && !active[idx] {
+// expectedRates is the weighted max-min oracle, for either engine: the
+// allocation of the active flows (nil = all) over the capacity graph, whose
+// capacities already account for the mean load of cross traffic. Contracted
+// flows hold their floors (Flow.MinRate) and share the excess; everyone
+// water-fills with unbounded demand. Unresponsive flows are treated per
+// scheme (see Scenario.Unresponsive): Corelite's FIFO core cannot police a
+// blast, so it takes its offered rate off the top of every link it crosses
+// and the responsive flows share the residual; CSFQ polices it by label, so
+// it stays an ordinary weighted member.
+//
+// Contracts are admitted here: active floors that over-subscribe a link are
+// an error naming the link. Every subset of an admitted set is admitted, so
+// a scenario whose full set passes never fails later on a phase.
+func expectedRates(sc Scenario, fm *flowModel, active map[int]bool) (map[int]float64, error) {
+	m := fm.model
+	links := make([]flowsim.Link, len(m.Links))
+	copy(links, m.Links)
+	act := make([]bool, len(m.Flows))
+	dem := make([]float64, len(m.Flows))
+	out := make(map[int]float64, len(m.Flows))
+	for i, f := range m.Flows {
+		if active != nil && !active[f.Index] {
 			continue
 		}
-		mins[fmt.Sprintf("%d", idx)] = m
+		if f.FixedDemand > 0 && sc.Scheme == SchemeCorelite {
+			for _, li := range f.Links {
+				links[li].Capacity = math.Max(0, links[li].Capacity-f.FixedDemand)
+			}
+			out[f.Index] = f.FixedDemand
+			continue
+		}
+		act[i] = true
+		dem[i] = -1
 	}
-	alloc, err := maxmin.SolveWithMinimums(p, mins)
-	if err != nil {
-		return nil, err
+	if len(sc.MinRates) > 0 {
+		free := make([]float64, len(links))
+		for li := range links {
+			free[li] = links[li].Capacity
+		}
+		for i, f := range m.Flows {
+			if !act[i] || f.MinRate <= 0 {
+				continue
+			}
+			for _, li := range f.Links {
+				if free[li] -= f.MinRate; free[li] < 0 {
+					return nil, fmt.Errorf("experiments: contracted minimums over-subscribe link %q", links[li].Name)
+				}
+			}
+		}
 	}
-	out := make(map[int]float64, len(alloc))
-	for idx := range activeOrAll(sc, active) {
-		out[idx] = alloc[fmt.Sprintf("%d", idx)]
-	}
-	for idx, rate := range fixed {
-		out[idx] = rate
+	rates := flowsim.SolveMaxMin(&flowsim.Model{Links: links, Flows: m.Flows}, act, dem)
+	for i, f := range m.Flows {
+		if act[i] {
+			out[f.Index] = rates[i]
+		}
 	}
 	return out, nil
-}
-
-// activeOrAll yields the set of flow indices the oracle covers.
-func activeOrAll(sc Scenario, active map[int]bool) map[int]bool {
-	if active != nil {
-		return active
-	}
-	all := make(map[int]bool, sc.NumFlows)
-	for i := 1; i <= sc.NumFlows; i++ {
-		all[i] = true
-	}
-	return all
 }
 
 // wireTCP connects a TCP-Reno-like sender and receiver around a Corelite

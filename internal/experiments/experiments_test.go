@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -153,6 +154,49 @@ func TestExpectedRatesAtPhases(t *testing.T) {
 	}
 	if len(p3) != 0 {
 		t.Errorf("phase3 has %d active flows, want 0", len(p3))
+	}
+}
+
+// TestExpectedRatesAtWhereverRunDoes: ExpectedRatesAt resolves a scenario's
+// capacity graph the way Run does, so it answers for generated chains and
+// pinned specs too — with Run's own full-set oracle while every flow is
+// active, and with the empty map once none is.
+func TestExpectedRatesAtWhereverRunDoes(t *testing.T) {
+	gen, err := ParseGenerate("fattree:k=4,flows=300", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []Scenario{
+		{Name: "chain", Chain: &ChainTopology{Cores: 40, Flows: 300}},
+		{Name: "fattree", Generate: gen},
+	} {
+		sc.Scheme = SchemeCorelite
+		sc.Backend = BackendFlow
+		sc.Duration = 10 * time.Second
+		sc.Seed = 5
+		sc.Schedules = make(map[int]workload.Schedule, 300)
+		for i := 1; i <= 300; i++ {
+			sc.Schedules[i] = workload.Window(0, 5*time.Second)
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", sc.Name, err)
+		}
+		got, err := ExpectedRatesAt(sc, 2*time.Second)
+		if err != nil {
+			t.Fatalf("%s: ExpectedRatesAt: %v", sc.Name, err)
+		}
+		if len(got) != 300 || !reflect.DeepEqual(got, res.ExpectedFullSet) {
+			t.Errorf("%s: ExpectedRatesAt with every flow active differs from Run's ExpectedFullSet (%d vs %d flows)",
+				sc.Name, len(got), len(res.ExpectedFullSet))
+		}
+		idle, err := ExpectedRatesAt(sc, 7*time.Second)
+		if err != nil {
+			t.Fatalf("%s: ExpectedRatesAt on an idle instant: %v", sc.Name, err)
+		}
+		if idle == nil || len(idle) != 0 {
+			t.Errorf("%s: idle instant returned %v, want the empty map", sc.Name, idle)
+		}
 	}
 }
 

@@ -1,10 +1,9 @@
-package experiments_test
+package experiments
 
 import (
 	"testing"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/invariant"
 )
 
@@ -13,7 +12,8 @@ import (
 // cross-traffic-free links, both schemes. Whatever the topology, the engine
 // must terminate without error, conserve fluid (delivered + lost ≈
 // integrated rate, checked by the engine's own invariant bridge), respect
-// capacity bounds, and be deterministic. The seed corpus under
+// capacity bounds, agree with the maxmin reference on its full-set oracle,
+// and be deterministic. The seed corpus under
 // testdata/fuzz/FuzzFlowSim pins the interesting shapes: a minimal 2-core
 // chain, a single flow, a capacity squeeze, and a CSFQ churn-scale chain.
 func FuzzFlowSim(f *testing.F) {
@@ -26,19 +26,19 @@ func FuzzFlowSim(f *testing.F) {
 		// Clamp the raw fuzz bytes into the scenario's valid envelope; the
 		// generator itself must reject nothing here, so every input exercises
 		// the engine rather than the validator.
-		nCores := 2 + int(cores)%32     // 2..33 cores (1..32 links)
-		nFlows := 1 + int(flows)%64     // 1..64 flows
-		maxSpan := 1 + int(span)%8      // 1..8 links per flow
+		nCores := 2 + int(cores)%32 // 2..33 cores (1..32 links)
+		nFlows := 1 + int(flows)%64 // 1..64 flows
+		maxSpan := 1 + int(span)%8  // 1..8 links per flow
 		capPPS := 20 + float64(int(capacity)%5000)
 		dur := time.Duration(200+int(durMs)%4000) * time.Millisecond
 
-		sc := experiments.Scenario{
+		sc := Scenario{
 			Name:     "fuzz-chain",
 			Duration: dur,
 			Seed:     seed,
-			Scheme:   experiments.SchemeCorelite,
-			Backend:  experiments.BackendFlow,
-			Chain: &experiments.ChainTopology{
+			Scheme:   SchemeCorelite,
+			Backend:  BackendFlow,
+			Chain: &ChainTopology{
 				Cores:       nCores,
 				Flows:       nFlows,
 				CapacityPPS: capPPS,
@@ -50,10 +50,10 @@ func FuzzFlowSim(f *testing.F) {
 			Check: invariant.New(invariant.Config{FairnessTol: 1e9}),
 		}
 		if csfq {
-			sc.Scheme = experiments.SchemeCSFQ
+			sc.Scheme = SchemeCSFQ
 		}
 
-		res, err := experiments.Run(sc)
+		res, err := Run(sc)
 		if err != nil {
 			t.Fatalf("flow backend failed on cores=%d flows=%d span=%d cap=%.0f dur=%v: %v",
 				nCores, nFlows, maxSpan, capPPS, dur, err)
@@ -75,8 +75,24 @@ func FuzzFlowSim(f *testing.F) {
 			}
 		}
 
+		// The oracle on the allocator against its reference, at the tolerance
+		// flowsim's own differential uses for random inputs.
+		norm, err := sc.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm, err := buildFlowModel(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceRates(norm, fm, nil)
+		if err != nil {
+			t.Fatalf("reference oracle: %v", err)
+		}
+		requireRatesMatch(t, "full set", res.ExpectedFullSet, want, 1e-6)
+
 		// The engine must be a pure function of the scenario.
-		res2, err := experiments.Run(sc)
+		res2, err := Run(sc)
 		if err != nil {
 			t.Fatalf("rerun failed: %v", err)
 		}

@@ -1,13 +1,14 @@
 package flowsim
 
 // allocator computes the demand-capped weighted max-min (water-filling)
-// allocation over a Model. Semantically it matches maxmin.Solve — raise a
+// allocation over a Model — the repository's one production water-filler.
+// Semantically it matches the internal/maxmin reference solver — raise a
 // common normalized water level, freezing a flow when its demand is reached
 // or a saturated link pins every flow crossing it — but it is slice-based
 // and event-driven so one solve costs O((F·s + L)·log(F+L)) instead of the
-// oracle's O(L·F) per filling round, which is what lets the engine re-solve
-// after every control epoch with 10k flows. The agreement between the two
-// implementations is pinned by differential tests (alloc_test.go).
+// reference's O(L·F) per filling round, which is what lets the engine
+// re-solve after every control epoch with 10k flows. The agreement between
+// the two implementations is pinned by differential tests (alloc_test.go).
 //
 // On top of the monolithic solve, the allocator optionally maintains the
 // previous solution between calls (enableIncremental) so that
@@ -15,10 +16,11 @@ package flowsim
 // graph a change set actually touches — the dirty-set machinery behind the
 // engine's 100k-flow scaling.
 //
-// Minimum rate contracts follow maxmin.SolveWithMinimums: the contracted
-// floors are pre-subtracted from link capacities, the excess demand is
-// water-filled, and the floor is added back — so a contracted flow always
-// achieves at least min(demand, contract).
+// Minimum rate contracts follow the reference's contract variant: the
+// contracted floors are pre-subtracted from link capacities, the excess
+// demand is water-filled, and the floor is added back — so a contracted flow
+// always achieves at least min(demand, contract). Floors that over-subscribe
+// a link are clamped, not refused: admission is the caller's check.
 type allocator struct {
 	m *Model
 
@@ -191,10 +193,10 @@ func (a *allocator) flowsOn(li int) []int32 {
 
 // SolveMaxMin computes the demand-capped weighted max-min allocation for m
 // in one shot: active[i]/demand[i] follow the solve conventions below and
-// the result is indexed like m.Flows. It is the slice-based counterpart of
-// maxmin.SolveWithMinimums for callers (oracles, expected-rate checks) that
-// already hold a fluid model — at 100k flows it avoids the string-keyed
-// map solver entirely.
+// the result is indexed like m.Flows. It is the oracle: the experiments
+// layer computes every expected rate — either backend, any size — by
+// calling it with unbounded demands, and internal/maxmin is the reference
+// it is tested against.
 func SolveMaxMin(m *Model, active []bool, demand []float64) []float64 {
 	a := newAllocator(m)
 	out := make([]float64, len(m.Flows))
@@ -221,7 +223,7 @@ func (a *allocator) solve(active []bool, demand []float64, out []float64) {
 	}
 	a.heap = a.heap[:0]
 
-	// Pre-allocate contracted floors (maxmin.SolveWithMinimums semantics):
+	// Pre-allocate contracted floors (the reference solver's semantics):
 	// capacity minus the active floors is what gets water-filled, and each
 	// contracted flow's effective demand is its excess above the floor.
 	for fi := range m.Flows {

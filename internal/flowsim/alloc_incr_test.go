@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// incrHarness drives an incremental allocator and its full-solve twin over
+// incrHarness drives an incremental allocator and its full solve twin over
 // the same mutating inputs, checking agreement after every step.
 type incrHarness struct {
 	t      *testing.T

@@ -5,9 +5,11 @@
 // weights, and no flow's normalized rate b(i)/w(i) can be increased without
 // decreasing that of a flow with an already-smaller normalized rate.
 //
-// The experiments use this package as the oracle for "expected rates": the
-// paper computes them by hand for its topology (§4.1); we compute them for
-// arbitrary topologies and flow sets.
+// This package is the reference for tests and fuzzing, not a production
+// dependency: the "expected rates" the paper computes by hand for its
+// topology (§4.1) come, for arbitrary topologies and flow sets, from the
+// fluid allocator (flowsim.SolveMaxMin), and the differential tests and
+// FuzzMaxMin hold that allocator to the plain progressive filling here.
 package maxmin
 
 import (

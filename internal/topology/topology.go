@@ -250,38 +250,6 @@ func (c *Cloud) MaxMinProblem(active map[int]bool) maxmin.Problem {
 	return maxmin.Problem{Capacity: capacity, Flows: flows}
 }
 
-// ExpectedRates solves the weighted max-min oracle for the given active set
-// (nil = all flows) and returns expected rate by flow index.
-func (c *Cloud) ExpectedRates(active map[int]bool) (map[int]float64, error) {
-	return c.ExpectedRatesWithMinimums(active, nil)
-}
-
-// ExpectedRatesWithMinimums solves the oracle when some flows hold minimum
-// rate contracts (minimums keyed by flow index): contracted rates are
-// reserved first and the excess is shared by weighted max-min fairness.
-func (c *Cloud) ExpectedRatesWithMinimums(active map[int]bool, minimums map[int]float64) (map[int]float64, error) {
-	p := c.MaxMinProblem(active)
-	mins := make(map[string]float64, len(minimums))
-	for idx, m := range minimums {
-		if active != nil && !active[idx] {
-			continue
-		}
-		mins[fmt.Sprintf("%d", idx)] = m
-	}
-	alloc, err := maxmin.SolveWithMinimums(p, mins)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]float64, len(alloc))
-	for _, pl := range c.Placements {
-		if active != nil && !active[pl.Index] {
-			continue
-		}
-		out[pl.Index] = alloc[fmt.Sprintf("%d", pl.Index)]
-	}
-	return out, nil
-}
-
 // WeightsFig3 returns the §4.1 weight profile: flows 5 and 15 weight 3;
 // flows 1, 11, 16 weight 1; everything else weight 2.
 func WeightsFig3() map[int]float64 {

@@ -2,11 +2,32 @@ package topology
 
 import (
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/maxmin"
 	"repro/internal/sim"
 )
+
+// expectedRates solves the cloud's max-min problem for the active set (nil =
+// all flows) on the reference solver, keyed by flow index.
+func expectedRates(t *testing.T, c *Cloud, active map[int]bool) map[int]float64 {
+	t.Helper()
+	alloc, err := maxmin.SolveWithMinimums(c.MaxMinProblem(active), nil)
+	if err != nil {
+		t.Fatalf("maxmin: %v", err)
+	}
+	rates := make(map[int]float64, len(alloc))
+	for name, r := range alloc {
+		idx, err := strconv.Atoi(name)
+		if err != nil {
+			t.Fatalf("flow key %q: %v", name, err)
+		}
+		rates[idx] = r
+	}
+	return rates
+}
 
 func TestPaperTopologyStructure(t *testing.T) {
 	s := sim.NewScheduler()
@@ -69,10 +90,7 @@ func TestPaperExpectedRatesFullSet(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Paper: %v", err)
 	}
-	rates, err := c.ExpectedRates(nil)
-	if err != nil {
-		t.Fatalf("ExpectedRates: %v", err)
-	}
+	rates := expectedRates(t, c, nil)
 	// §4.1: with all flows, 25 pkt/s per unit weight.
 	checks := map[int]float64{1: 25, 5: 75, 2: 50, 9: 50, 15: 75, 16: 25, 20: 50}
 	for idx, want := range checks {
@@ -95,10 +113,7 @@ func TestPaperExpectedRatesSubset(t *testing.T) {
 	for _, i := range []int{1, 9, 10, 11, 16} {
 		active[i] = false
 	}
-	rates, err := c.ExpectedRates(active)
-	if err != nil {
-		t.Fatalf("ExpectedRates: %v", err)
-	}
+	rates := expectedRates(t, c, active)
 	// §4.1: without flows 1,9,10,11,16 the share is 33.33 per unit weight.
 	if got := rates[5]; math.Abs(got-99.999999) > 0.01 {
 		t.Errorf("flow 5 expected = %v, want ~100", got)
@@ -137,10 +152,7 @@ func TestFig5ExpectedRates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Paper: %v", err)
 	}
-	rates, err := c.ExpectedRates(nil)
-	if err != nil {
-		t.Fatalf("ExpectedRates: %v", err)
-	}
+	rates := expectedRates(t, c, nil)
 	perUnit := 500.0 / 30
 	for i := 1; i <= 10; i++ {
 		want := perUnit * float64((i+1)/2)
@@ -174,10 +186,7 @@ func TestDumbbell(t *testing.T) {
 	if len(c.Placements) != 3 {
 		t.Fatalf("placements = %d, want 3", len(c.Placements))
 	}
-	rates, err := c.ExpectedRates(nil)
-	if err != nil {
-		t.Fatalf("ExpectedRates: %v", err)
-	}
+	rates := expectedRates(t, c, nil)
 	// Σw = 6 over 500 pkt/s.
 	for i, w := range map[int]float64{1: 1, 2: 2, 3: 3} {
 		want := 500.0 / 6 * w

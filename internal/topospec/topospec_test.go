@@ -1,12 +1,34 @@
 package topospec
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/maxmin"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
+
+// expectedRates solves the cloud's max-min problem on the reference solver,
+// keyed by flow index.
+func expectedRates(t *testing.T, c *topology.Cloud) map[int]float64 {
+	t.Helper()
+	alloc, err := maxmin.SolveWithMinimums(c.MaxMinProblem(nil), nil)
+	if err != nil {
+		t.Fatalf("maxmin: %v", err)
+	}
+	rates := make(map[int]float64, len(alloc))
+	for name, r := range alloc {
+		idx, err := strconv.Atoi(name)
+		if err != nil {
+			t.Fatalf("flow key %q: %v", name, err)
+		}
+		rates[idx] = r
+	}
+	return rates
+}
 
 const ySpec = `
 # Y-shaped cloud: two branches merging into a trunk
@@ -168,10 +190,7 @@ func TestBuildYSpec(t *testing.T) {
 		t.Errorf("flow 2 core links = %v, want [B->C C->D]", p2)
 	}
 	// The oracle on the trunk (500 pkt/s shared 1:3).
-	rates, err := cloud.ExpectedRates(nil)
-	if err != nil {
-		t.Fatalf("ExpectedRates: %v", err)
-	}
+	rates := expectedRates(t, cloud)
 	if rates[1] < 124 || rates[1] > 126 {
 		t.Errorf("expected[1] = %v, want 125", rates[1])
 	}
@@ -211,10 +230,7 @@ flow 1 e1 e2
 	if len(pl.CoreLinks) != 1 || pl.CoreLinks[0] != "R->e2" {
 		t.Errorf("core links = %v, want the 2Mbps bottleneck R->e2", pl.CoreLinks)
 	}
-	rates, err := cloud.ExpectedRates(nil)
-	if err != nil {
-		t.Fatalf("ExpectedRates: %v", err)
-	}
+	rates := expectedRates(t, cloud)
 	if rates[1] != 250 {
 		t.Errorf("expected = %v, want 250 (2Mbps / 1KB)", rates[1])
 	}
