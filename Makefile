@@ -4,6 +4,7 @@
 #   make race    -> race-detector pass over the concurrent packages
 #   make check   -> everything (the documented verify flow), gofmt included
 #   make profile -> CPU-profile a short evaluation run and print hot spots
+#   make loc     -> non-test, non-blank Go lines per package
 
 GO ?= go
 
@@ -20,7 +21,7 @@ COVERAGE_BASELINE ?= 85
 BENCH ?= .
 BENCHTIME ?= 1x
 
-.PHONY: all build test race vet fmt bench bench-json check profile fuzz cover
+.PHONY: all build test race vet fmt bench bench-json check profile fuzz cover loc
 
 all: build vet test
 
@@ -91,5 +92,14 @@ cover:
 	awk -v t="$$total" -v base="$(COVERAGE_BASELINE)" 'BEGIN { \
 		if (t+0 < base+0) { printf "coverage %.1f%% is below the %s%% baseline\n", t, base; exit 1 } \
 		else { printf "coverage %.1f%% meets the %s%% baseline\n", t, base } }'
+
+# loc prints the non-test, non-blank Go line count of every package
+# directory — the number CHANGES.md entries quote before → after — and the
+# total.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cv '^[[:space:]]*$$'); \
+		printf '%6d %s\n' $$n .$${d#$(CURDIR)}; t=$$((t+n)); \
+	done; printf '%6d total\n' $$t
 
 check: build vet fmt test race

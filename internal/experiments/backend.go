@@ -48,28 +48,6 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// Engine executes a normalized, validated scenario to its horizon. Both
-// engines emit a *Result with the same shape: per-flow AllowedRate /
-// ReceiveRate / Cumulative series sampled on the scenario's SampleWindow
-// grid, run totals, the full-set oracle, and — when a checker is attached —
-// invariant findings. Consumers (CSV writers, the run pool, the figures)
-// never need to know which engine produced a Result.
-type Engine interface {
-	Run(sc Scenario) (*Result, error)
-}
-
-// engineFor resolves a backend to its engine.
-func engineFor(b Backend) (Engine, error) {
-	switch b {
-	case BackendPacket:
-		return packetEngine{}, nil
-	case BackendFlow:
-		return flowEngine{}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown backend %d", int(b))
-	}
-}
-
 // ChainTopology generates a synthetic linear chain of core nodes for the
 // flow backend: Cores nodes joined by Cores−1 equal-capacity links, with
 // each flow crossing a contiguous, seed-deterministic span of them. It is
@@ -91,7 +69,12 @@ type ChainTopology struct {
 
 // Run executes the scenario to completion and returns its measurements.
 // The scenario is normalized and validated here, backend-neutrally; the
-// selected engine does the rest.
+// selected engine does the rest. Both engines emit a *Result with the same
+// shape: per-flow AllowedRate / ReceiveRate / Cumulative series sampled on
+// the scenario's SampleWindow grid, run totals, the full-set oracle, and —
+// when a checker is attached — invariant findings. Consumers (CSV writers,
+// the run pool, the figures) never need to know which engine produced a
+// Result.
 func Run(sc Scenario) (*Result, error) {
 	sc, err := sc.normalize()
 	if err != nil {
@@ -103,9 +86,10 @@ func Run(sc Scenario) (*Result, error) {
 	if sc.SampleWindow <= 0 {
 		sc.SampleWindow = time.Second
 	}
-	eng, err := engineFor(sc.Backend)
-	if err != nil {
-		return nil, err
+	switch sc.Backend {
+	case BackendFlow:
+		return runFlow(sc)
+	default: // Validate admitted only the two backends
+		return runPacket(sc)
 	}
-	return eng.Run(sc)
 }

@@ -15,14 +15,6 @@ import (
 	"repro/internal/workload"
 )
 
-// flowEngine executes scenarios on the fluid engine (internal/flowsim): no
-// packets, no queues — per-flow rates advance between events as the
-// demand-capped weighted water-filling allocation, with the schemes' LIMD
-// loops driving the demands. Over steady windows its rates agree with the
-// packet engine within the figure tolerances (pinned by the differential
-// tests in backend_diff_test.go).
-type flowEngine struct{}
-
 // flowModel is the one description of "who shares which link at what
 // capacity" behind the engine seam: the fluid engine simulates it, and both
 // engines' oracle (expectedRates) and fairness check read it. It carries the
@@ -34,9 +26,14 @@ type flowModel struct {
 	placements []topology.Placement
 }
 
-// Run implements Engine. sc arrives normalized and validated, with
+// runFlow executes sc on the fluid engine (internal/flowsim): no packets, no
+// queues — per-flow rates advance between events as the demand-capped
+// weighted water-filling allocation, with the schemes' LIMD loops driving
+// the demands. Over steady windows its rates agree with the packet engine
+// within the figure tolerances (pinned by the differential tests in
+// backend_diff_test.go). sc arrives normalized and validated, with
 // SampleWindow defaulted.
-func (flowEngine) Run(sc Scenario) (*Result, error) {
+func runFlow(sc Scenario) (*Result, error) {
 	fm, err := buildFlowModel(sc)
 	if err != nil {
 		return nil, fmt.Errorf("build flow model: %w", err)

@@ -430,6 +430,12 @@ func (sc Scenario) normalize() (Scenario, error) {
 	return sc, nil
 }
 
+// maxSeriesCells bounds the measurement series a run may allocate — three
+// samples per flow per sample window on either backend — an order of
+// magnitude above a million flows sampled 18 times (the 90 s / 5 s scale
+// smoke).
+const maxSeriesCells = 500_000_000
+
 // Validate checks scenario consistency.
 func (sc Scenario) Validate() error {
 	if sc.Scheme != SchemeCorelite && sc.Scheme != SchemeCSFQ {
@@ -437,6 +443,15 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.Duration <= 0 {
 		return fmt.Errorf("experiments: non-positive duration %v", sc.Duration)
+	}
+	window := sc.SampleWindow
+	if window <= 0 {
+		window = time.Second
+	}
+	windows := int64(sc.Duration / window)
+	if cells := 3 * float64(sc.NumFlows) * float64(windows); cells > maxSeriesCells {
+		return fmt.Errorf("experiments: %d flows over %d sample windows (duration %v / sample %v) need %.0f series cells, over the limit of %d",
+			sc.NumFlows, windows, sc.Duration, window, cells, maxSeriesCells)
 	}
 	if sc.NumFlows <= 0 && sc.Spec == nil && sc.Generate == nil && sc.Chain == nil {
 		return fmt.Errorf("experiments: non-positive NumFlows %d", sc.NumFlows)
@@ -519,15 +534,11 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// packetEngine executes scenarios on the packet-level discrete-event
-// simulator: real netem links and queues, per-packet scheme machinery
-// (markers, labels, drops), shaped sources or TCP hosts. It is the
-// reference engine; Run (backend.go) dispatches here for BackendPacket.
-type packetEngine struct{}
-
-// Run implements Engine. sc arrives normalized and validated, with
-// SampleWindow defaulted.
-func (packetEngine) Run(sc Scenario) (*Result, error) {
+// runPacket executes sc on the packet-level discrete-event simulator: real
+// netem links and queues, per-packet scheme machinery (markers, labels,
+// drops), shaped sources or TCP hosts. It is the reference engine. sc
+// arrives normalized and validated, with SampleWindow defaulted.
+func runPacket(sc Scenario) (*Result, error) {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(sc.Seed)
 	cloud, err := buildCloud(sc, sched)

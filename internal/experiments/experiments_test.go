@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -305,5 +306,35 @@ func TestParseGenerate(t *testing.T) {
 	}
 	if _, err := ParseGenerate("mesh:nodes=6", "tsunami:x=1"); err == nil {
 		t.Error("bad traffic spec accepted")
+	}
+}
+
+// TestHugeInputsRefusedUpFront pins the arithmetic pre-flight: a generated
+// topology or a sample grid whose size alone would exhaust memory is refused
+// on both backends with an error naming the quantity and its limit. (That
+// nothing was allocated first is what lets this test finish at all.)
+func TestHugeInputsRefusedUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		topo   string
+		sample time.Duration
+		want   string
+	}{
+		{"fattree:k=2000,flows=4", 0, "8000000016 links, over the limit of"},
+		{"fattree:k=8,flows=8", time.Nanosecond, "48000000000 series cells, over the limit of"},
+		{"fattree:k=8,flows=2000000000", 0, "2000000000 flows, over the limit of"},
+	} {
+		gen, err := ParseGenerate(tc.topo, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []Backend{BackendPacket, BackendFlow} {
+			_, err := Run(Scenario{
+				Scheme: SchemeCorelite, Duration: 2 * time.Second, Generate: gen,
+				SampleWindow: tc.sample, Backend: backend,
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s sample=%v on %v: error %v, want one containing %q", tc.topo, tc.sample, backend, err, tc.want)
+			}
+		}
 	}
 }

@@ -10,11 +10,12 @@ package flowsim
 // re-solve after every control epoch with 10k flows. The agreement between
 // the two implementations is pinned by differential tests (alloc_test.go).
 //
-// On top of the monolithic solve, the allocator optionally maintains the
-// previous solution between calls (enableIncremental) so that
-// solveIncremental (alloc_incr.go) can re-solve only the region of the
-// graph a change set actually touches — the dirty-set machinery behind the
-// engine's 100k-flow scaling.
+// There is one water-fill kernel, fill, and it works on a region: a set of
+// links and the flows that move on them. The monolithic solve is the region
+// that contains every link and every flow; the incremental solver
+// (alloc_incr.go, enableIncremental) keeps the previous solution between
+// calls and re-fills only the region a change set actually touches — the
+// dirty-set machinery behind the engine's 100k-flow scaling.
 //
 // Minimum rate contracts follow the reference's contract variant: the
 // contracted floors are pre-subtracted from link capacities, the excess
@@ -30,12 +31,32 @@ type allocator struct {
 	lfStart []int32
 	lfFlows []int32
 
-	// Per-flow scratch, reused across solves.
+	// allLinks and allFlows list every index in ascending order: the region
+	// the monolithic solve hands to fill.
+	allLinks []int32
+	allFlows []int32
+
+	// Per-flow scratch, reused across solves. frozen is true for every flow
+	// between fills (fill unfreezes only flows it then freezes again), so a
+	// saturating link's sweep of its CSR row skips flows outside the region.
 	frozen []bool
 	res    []float64 // caller's out slice for the current solve
 	dem    []float64 // effective (excess) demand this solve; < 0 = unbounded
 
-	// Per-link scratch.
+	// Per-flow solution facts recorded at freeze time (and kept current by
+	// the incremental solver's folds).
+	capped      []bool    // rate reached the demand cap
+	floor       []float64 // contract floor actually granted
+	freezeLevel []float64 // water level at the freeze
+
+	// Per-link solution facts.
+	linkFroze []bool    // the link's saturation event froze ≥1 flow
+	linkLevel []float64 // freezing water level (valid when linkFroze)
+
+	// Per-link scratch. linkDone is true for every link between fills and
+	// fill reopens only its region's links (each is done again once the heap
+	// drains), so "not done" is also what "in the region" means to a flow
+	// walking its path: links outside the region constrain nothing.
 	activeW  []float64 // summed weight of unfrozen flows
 	consumed []float64 // rate consumed by frozen flows
 	cap      []float64 // effective capacity this solve
@@ -45,8 +66,7 @@ type allocator struct {
 
 	// incr, when non-nil, carries the previous solution between solves so
 	// solveIncremental can skip, fold, or regionally re-solve changes
-	// (alloc_incr.go). The full solve records into it too, so the two entry
-	// points can interleave freely.
+	// (alloc_incr.go).
 	incr *incrState
 }
 
@@ -54,7 +74,7 @@ type allocator struct {
 // (isFlow) or a link saturating. Link entries are lazy — a link is never
 // re-enqueued when freezes raise its saturation level; instead a popped
 // link entry whose stored level is stale is re-pushed at the current level
-// (see solve). That keeps exactly one live entry per link, so the heap
+// (see fill). That keeps exactly one live entry per link, so the heap
 // holds at most F+L entries instead of growing with every freeze.
 type allocEntry struct {
 	level  float64
@@ -154,19 +174,33 @@ func (h allocHeap) heapify() {
 
 // newAllocator builds the static link→flow CSR adjacency for m.
 func newAllocator(m *Model) *allocator {
+	nf, nl := len(m.Flows), len(m.Links)
 	a := &allocator{
-		m:        m,
-		lfStart:  make([]int32, len(m.Links)+1),
-		frozen:   make([]bool, len(m.Flows)),
-		dem:      make([]float64, len(m.Flows)),
-		activeW:  make([]float64, len(m.Links)),
-		consumed: make([]float64, len(m.Links)),
-		cap:      make([]float64, len(m.Links)),
-		linkDone: make([]bool, len(m.Links)),
-		heap:     make(allocHeap, 0, len(m.Flows)+len(m.Links)),
+		m:           m,
+		lfStart:     make([]int32, nl+1),
+		allLinks:    make([]int32, nl),
+		allFlows:    make([]int32, nf),
+		frozen:      make([]bool, nf),
+		dem:         make([]float64, nf),
+		capped:      make([]bool, nf),
+		floor:       make([]float64, nf),
+		freezeLevel: make([]float64, nf),
+		linkFroze:   make([]bool, nl),
+		linkLevel:   make([]float64, nl),
+		activeW:     make([]float64, nl),
+		consumed:    make([]float64, nl),
+		cap:         make([]float64, nl),
+		linkDone:    make([]bool, nl),
+		heap:        make(allocHeap, 0, nf+nl),
+	}
+	for li := range a.allLinks {
+		a.allLinks[li] = int32(li)
+		a.linkDone[li] = true
 	}
 	total := 0
 	for fi := range m.Flows {
+		a.allFlows[fi] = int32(fi)
+		a.frozen[fi] = true
 		for _, li := range m.Flows[fi].Links {
 			a.lfStart[li+1]++
 		}
@@ -207,35 +241,42 @@ func SolveMaxMin(m *Model, active []bool, demand []float64) []float64 {
 // solve fills out[i] with the achieved rate of flow i given each flow's
 // activity and demand. demand[i] < 0 means unbounded; demand[i] == 0 pins
 // the flow at zero. Inactive flows get rate 0 and consume nothing. out must
-// have len(m.Flows).
+// have len(m.Flows). It is the region of everything: links and flows go to
+// fill in ascending index order, which fixes every floating-point sum.
 func (a *allocator) solve(active []bool, demand []float64, out []float64) {
+	a.fill(a.allLinks, a.allFlows, active, demand, out)
+}
+
+// fill runs the water-filling event solver on the region made of links and
+// the flows that move on them. Region links get their full capacity — the
+// caller lists every active flow crossing them — and a listed flow's links
+// outside the region impose no constraint here (solveIncremental clamps its
+// demand to any binding outside level, and verifies the unsaturated ones
+// after the fact). Rates land in out (full-length, the listed flows' entries
+// written), and the freeze facts of the listed flows and links are recorded.
+func (a *allocator) fill(links, flows []int32, active []bool, demand []float64, out []float64) {
 	m := a.m
-	s := a.incr
 	a.res = out
-	for li := range m.Links {
+	for _, li := range links {
 		a.activeW[li] = 0
 		a.consumed[li] = 0
 		a.cap[li] = m.Links[li].Capacity
 		a.linkDone[li] = false
-		if s != nil {
-			s.linkFroze[li] = false
-		}
+		a.linkFroze[li] = false
 	}
 	a.heap = a.heap[:0]
 
 	// Pre-allocate contracted floors (the reference solver's semantics):
 	// capacity minus the active floors is what gets water-filled, and each
 	// contracted flow's effective demand is its excess above the floor.
-	for fi := range m.Flows {
+	for _, fi := range flows {
 		f := &m.Flows[fi]
 		out[fi] = 0
 		if !active[fi] || f.Weight <= 0 {
 			a.frozen[fi] = true
-			if s != nil {
-				s.capped[fi] = false
-				s.freezeLevel[fi] = 0
-				s.floor[fi] = 0
-			}
+			a.capped[fi] = false
+			a.freezeLevel[fi] = 0
+			a.floor[fi] = 0
 			continue
 		}
 		floor := f.MinRate
@@ -248,45 +289,46 @@ func (a *allocator) solve(active []bool, demand []float64, out []float64) {
 		if floor > 0 {
 			out[fi] = floor
 			for _, li := range f.Links {
+				if a.linkDone[li] {
+					continue
+				}
 				a.cap[li] -= floor
 				if a.cap[li] < 0 {
 					a.cap[li] = 0
 				}
 			}
 		}
-		if s != nil {
-			s.floor[fi] = floor
-		}
+		a.floor[fi] = floor
 		if d >= 0 {
 			d -= floor
 			if d <= 0 {
 				a.frozen[fi] = true
-				if s != nil {
-					s.capped[fi] = true
-					s.freezeLevel[fi] = 0
-				}
+				a.capped[fi] = true
+				a.freezeLevel[fi] = 0
 				continue
 			}
 		}
 		a.dem[fi] = d
 		a.frozen[fi] = false
 		for _, li := range f.Links {
-			a.activeW[li] += f.Weight
+			if !a.linkDone[li] {
+				a.activeW[li] += f.Weight
+			}
 		}
 	}
 
 	h := a.heap
-	for fi := range m.Flows {
+	for _, fi := range flows {
 		if a.frozen[fi] {
 			continue
 		}
 		if d := a.dem[fi]; d >= 0 {
-			h = append(h, allocEntry{level: d / m.Flows[fi].Weight, idx: int32(fi), isFlow: true})
+			h = append(h, allocEntry{level: d / m.Flows[fi].Weight, idx: fi, isFlow: true})
 		}
 	}
-	for li := range m.Links {
+	for _, li := range links {
 		if a.activeW[li] > 0 {
-			h = append(h, allocEntry{level: a.linkLevel(li), idx: int32(li)})
+			h = append(h, allocEntry{level: a.satLevel(int(li)), idx: li})
 		} else {
 			a.linkDone[li] = true
 		}
@@ -308,7 +350,7 @@ func (a *allocator) solve(active []bool, demand []float64, out []float64) {
 		if a.linkDone[li] {
 			continue
 		}
-		level := a.linkLevel(li)
+		level := a.satLevel(li)
 		if level != e.level {
 			// Stale: freezes since this entry was pushed raised the link's
 			// saturation level. Re-enqueue at the current level — the lazy
@@ -330,24 +372,24 @@ func (a *allocator) solve(active []bool, demand []float64, out []float64) {
 			a.freeze(fi, r, level)
 			froze = true
 		}
-		if froze && s != nil {
-			s.linkFroze[li] = true
-			s.linkLevel[li] = level
+		if froze {
+			a.linkFroze[li] = true
+			a.linkLevel[li] = level
 		}
 	}
 
 	// Every flow crosses at least one link, so the loop above freezes all
 	// of them; the fallback keeps fuzzed degenerate inputs total.
-	for fi := range m.Flows {
+	for _, fi := range flows {
 		if !a.frozen[fi] {
-			a.freeze(fi, 0, 0)
+			a.freeze(int(fi), 0, 0)
 		}
 	}
 }
 
-// linkLevel is the water level at which link li saturates given its current
+// satLevel is the water level at which link li saturates given its current
 // frozen consumption.
-func (a *allocator) linkLevel(li int) float64 {
+func (a *allocator) satLevel(li int) float64 {
 	w := a.activeW[li]
 	if w <= 0 {
 		return 0
@@ -360,17 +402,15 @@ func (a *allocator) linkLevel(li int) float64 {
 }
 
 // freeze pins flow fi at excess rate r (on top of any pre-allocated
-// contract floor) and updates its links. lvl is the water level at the
-// freeze, recorded for the incremental solver's certificate checks. Link
+// contract floor) and updates its region links. lvl is the water level at
+// the freeze, recorded for the incremental solver's certificate checks. Link
 // events are not re-enqueued here — the pop loop detects the raised level
 // on a link entry's next pop and re-pushes it then (lazy link events).
 func (a *allocator) freeze(fi int, r, lvl float64) {
 	a.frozen[fi] = true
 	a.res[fi] += r
-	if s := a.incr; s != nil {
-		s.capped[fi] = a.dem[fi] >= 0 && r >= a.dem[fi]
-		s.freezeLevel[fi] = lvl
-	}
+	a.capped[fi] = a.dem[fi] >= 0 && r >= a.dem[fi]
+	a.freezeLevel[fi] = lvl
 	f := &a.m.Flows[fi]
 	for _, li := range f.Links {
 		if a.linkDone[li] {

@@ -3,7 +3,7 @@ package flowsim
 import "math"
 
 // This file is the incremental (dirty-set) water-filling solver. The
-// monolithic solve in alloc.go recomputes every flow's rate from scratch;
+// monolithic solve (alloc.go) fills the region of everything from scratch;
 // at 100k flows that is millions of heap operations per control epoch even
 // when a single mouse arrived. The incremental solver exploits the same
 // sparsity the core-stateless architecture does — a change is local to the
@@ -21,8 +21,8 @@ import "math"
 //     phases of the LIMD oscillation every flow's +α probe is a fold.
 //
 //  3. Regional re-solve: everything else seeds a dirty-link region — the
-//     changed flows' paths — and the event solver reruns on that region
-//     only. All active flows crossing a dirty link are movable (so dirty
+//     changed flows' paths — and the kernel (allocator.fill) reruns on that
+//     region only. All active flows crossing a dirty link are movable (so dirty
 //     links keep their full capacity); a movable flow that also crosses a
 //     binding link outside the region is clamped to that link's water
 //     level. After the solve the region's boundary is verified: a binding
@@ -45,15 +45,8 @@ type incrState struct {
 	dm  []float64
 	wt  []float64 // detects weight churn between solves
 
-	// Per-flow solution facts recorded at freeze time.
-	capped      []bool    // rate reached the demand cap
-	floor       []float64 // contract floor actually granted
-	freezeLevel []float64 // water level at the freeze
-
-	// Per-link solution facts.
-	linkUsed  []float64 // summed achieved rate (floors included)
-	linkFroze []bool    // the link's saturation event froze ≥1 flow
-	linkLevel []float64 // freezing water level (valid when linkFroze)
+	// linkUsed is each link's summed achieved rate (floors included).
+	linkUsed []float64
 
 	// Region scratch, epoch-stamped so steady-state solves allocate nothing.
 	stamp      int32
@@ -103,22 +96,17 @@ func (a *allocator) enableIncremental() {
 	}
 	nf, nl := len(a.m.Flows), len(a.m.Links)
 	a.incr = &incrState{
-		act:         make([]bool, nf),
-		dm:          make([]float64, nf),
-		wt:          make([]float64, nf),
-		capped:      make([]bool, nf),
-		floor:       make([]float64, nf),
-		freezeLevel: make([]float64, nf),
-		linkUsed:    make([]float64, nl),
-		linkFroze:   make([]bool, nl),
-		linkLevel:   make([]float64, nl),
-		flowMark:    make([]int32, nf),
-		linkMark:    make([]int32, nl),
-		bMark:       make([]int32, nl),
-		bDelta:      make([]float64, nl),
-		effDem:      make([]float64, nf),
-		newRate:     make([]float64, nf),
-		clamped:     make([]bool, nf),
+		act:      make([]bool, nf),
+		dm:       make([]float64, nf),
+		wt:       make([]float64, nf),
+		linkUsed: make([]float64, nl),
+		flowMark: make([]int32, nf),
+		linkMark: make([]int32, nl),
+		bMark:    make([]int32, nl),
+		bDelta:   make([]float64, nl),
+		effDem:   make([]float64, nf),
+		newRate:  make([]float64, nf),
+		clamped:  make([]bool, nf),
 	}
 }
 
@@ -192,7 +180,7 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 		// Departure. If no path link is binding, removing the flow frees
 		// slack nobody was waiting for: drop its rate and move on.
 		for _, li := range f.Links {
-			if s.linkFroze[li] {
+			if a.linkFroze[li] {
 				return classDirty
 			}
 		}
@@ -203,9 +191,9 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 		out[fi] = 0
 		s.act[fi] = false
 		s.dm[fi] = newD
-		s.capped[fi] = false
-		s.freezeLevel[fi] = 0
-		s.floor[fi] = 0
+		a.capped[fi] = false
+		a.freezeLevel[fi] = 0
+		a.floor[fi] = 0
 		return classFold
 	}
 
@@ -225,7 +213,7 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 			rate = newFloor + ex
 		}
 		for _, li := range f.Links {
-			if s.linkFroze[li] || !s.foldHeadroom(m.Links[li].Capacity, li, rate) {
+			if a.linkFroze[li] || !s.foldHeadroom(m.Links[li].Capacity, li, rate) {
 				return classDirty
 			}
 		}
@@ -235,24 +223,24 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 		out[fi] = rate
 		s.act[fi] = true
 		s.dm[fi] = newD
-		s.capped[fi] = true
-		s.floor[fi] = newFloor
+		a.capped[fi] = true
+		a.floor[fi] = newFloor
 		if ex > 0 {
-			s.freezeLevel[fi] = ex / f.Weight
+			a.freezeLevel[fi] = ex / f.Weight
 		} else {
-			s.freezeLevel[fi] = 0
+			a.freezeLevel[fi] = 0
 		}
 		return classFold
 	}
 
 	// Active flow, demand moved.
-	if !s.capped[fi] {
+	if !a.capped[fi] {
 		// Link-bottlenecked: the demand event never fired. While the new
 		// demand's level stays strictly above the freezing level — and the
 		// granted floor is unchanged — the event still cannot fire and the
 		// whole solution is untouched.
-		if newFloor == s.floor[fi] &&
-			(newD < 0 || (newD-newFloor)/f.Weight > s.freezeLevel[fi]) {
+		if newFloor == a.floor[fi] &&
+			(newD < 0 || (newD-newFloor)/f.Weight > a.freezeLevel[fi]) {
 			s.dm[fi] = newD
 			return classNoop
 		}
@@ -271,7 +259,7 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 	}
 	delta := rate - out[fi]
 	for _, li := range f.Links {
-		if s.linkFroze[li] {
+		if a.linkFroze[li] {
 			return classDirty
 		}
 		if delta > 0 && !s.foldHeadroom(m.Links[li].Capacity, li, delta) {
@@ -283,11 +271,11 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 	}
 	out[fi] = rate
 	s.dm[fi] = newD
-	s.floor[fi] = newFloor
+	a.floor[fi] = newFloor
 	if ex > 0 {
-		s.freezeLevel[fi] = ex / f.Weight
+		a.freezeLevel[fi] = ex / f.Weight
 	} else {
-		s.freezeLevel[fi] = 0
+		a.freezeLevel[fi] = 0
 	}
 	return classFold
 }
@@ -377,10 +365,10 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 			if active[fi] {
 				f := &m.Flows[fi]
 				for _, li := range f.Links {
-					if s.linkMark[li] == stamp || !s.linkFroze[li] {
+					if s.linkMark[li] == stamp || !a.linkFroze[li] {
 						continue
 					}
-					allow := s.floor[fi] + s.linkLevel[li]*f.Weight
+					allow := a.floor[fi] + a.linkLevel[li]*f.Weight
 					if d < 0 || allow < d {
 						d = allow
 						cl = true
@@ -391,7 +379,7 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 			s.clamped[fi] = cl
 		}
 
-		a.solveRegion(stamp, dirtyLinks, movable, active, s.effDem, s.newRate)
+		a.fill(dirtyLinks, movable, active, s.effDem, s.newRate)
 
 		// Verify the boundary: accumulate the usage delta each movable flow
 		// pushes onto links outside the region.
@@ -426,7 +414,7 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 			d := s.bDelta[li]
 			c := m.Links[li].Capacity
 			grow := false
-			if s.linkFroze[li] {
+			if a.linkFroze[li] {
 				// Any usage shift moves a binding link's level; it must
 				// join the region and re-level.
 				grow = d != 0
@@ -480,167 +468,4 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 	s.movable = movable
 	s.touchedList = tl
 	return touched, false
-}
-
-// solveRegion reruns the water-filling event solver restricted to the
-// region links (linkMark == stamp) and the movable flows. Region links get
-// their full capacity — every active flow crossing them is movable — and a
-// movable flow's links outside the region impose no constraint here (the
-// caller clamped its demand to any binding outside level, and verifies the
-// unsaturated ones after the fact). Rates land in out (full-length,
-// movable entries written). Per-flow freeze facts are recorded into the
-// incremental state exactly like the monolithic solve records them.
-func (a *allocator) solveRegion(stamp int32, links, flows []int32, active []bool, demand []float64, out []float64) {
-	s := a.incr
-	m := a.m
-	a.res = out
-	for _, li32 := range links {
-		li := int(li32)
-		a.activeW[li] = 0
-		a.consumed[li] = 0
-		a.cap[li] = m.Links[li].Capacity
-		a.linkDone[li] = false
-		s.linkFroze[li] = false
-		// Inactive flows on region links must read frozen when the link's
-		// saturation event sweeps its CSR row.
-		for _, fi32 := range a.flowsOn(li) {
-			a.frozen[fi32] = true
-		}
-	}
-	a.heap = a.heap[:0]
-
-	for _, fi32 := range flows {
-		fi := int(fi32)
-		f := &m.Flows[fi]
-		out[fi] = 0
-		if !active[fi] || f.Weight <= 0 {
-			a.frozen[fi] = true
-			s.capped[fi] = false
-			s.freezeLevel[fi] = 0
-			s.floor[fi] = 0
-			continue
-		}
-		floor := f.MinRate
-		d := demand[fi]
-		if floor > 0 && d >= 0 && d < floor {
-			floor = d
-		}
-		if floor > 0 {
-			out[fi] = floor
-			for _, li := range f.Links {
-				if s.linkMark[li] != stamp {
-					continue
-				}
-				a.cap[li] -= floor
-				if a.cap[li] < 0 {
-					a.cap[li] = 0
-				}
-			}
-		}
-		s.floor[fi] = floor
-		if d >= 0 {
-			d -= floor
-			if d <= 0 {
-				a.frozen[fi] = true
-				s.capped[fi] = true
-				s.freezeLevel[fi] = 0
-				continue
-			}
-		}
-		a.dem[fi] = d
-		a.frozen[fi] = false
-		for _, li := range f.Links {
-			if s.linkMark[li] != stamp {
-				continue
-			}
-			a.activeW[li] += f.Weight
-		}
-	}
-
-	h := a.heap
-	for _, fi32 := range flows {
-		if a.frozen[fi32] {
-			continue
-		}
-		if d := a.dem[fi32]; d >= 0 {
-			h = append(h, allocEntry{level: d / m.Flows[fi32].Weight, idx: fi32, isFlow: true})
-		}
-	}
-	for _, li32 := range links {
-		li := int(li32)
-		if a.activeW[li] > 0 {
-			h = append(h, allocEntry{level: a.linkLevel(li), idx: li32})
-		} else {
-			a.linkDone[li] = true
-		}
-	}
-	h.heapify()
-	a.heap = h
-
-	for len(a.heap) > 0 {
-		e := a.heap.pop()
-		if e.isFlow {
-			fi := int(e.idx)
-			if a.frozen[fi] {
-				continue
-			}
-			a.freezeRegion(stamp, fi, a.dem[fi], e.level)
-			continue
-		}
-		li := int(e.idx)
-		if a.linkDone[li] {
-			continue
-		}
-		level := a.linkLevel(li)
-		if level != e.level {
-			// Stale lazy link entry — re-enqueue at the raised level.
-			a.heap.push(allocEntry{level: level, idx: e.idx})
-			continue
-		}
-		a.linkDone[li] = true
-		froze := false
-		for _, fi32 := range a.flowsOn(li) {
-			fi := int(fi32)
-			if a.frozen[fi] {
-				continue
-			}
-			r := level * m.Flows[fi].Weight
-			if d := a.dem[fi]; d >= 0 && r > d {
-				r = d
-			}
-			a.freezeRegion(stamp, fi, r, level)
-			froze = true
-		}
-		if froze {
-			s.linkFroze[li] = true
-			s.linkLevel[li] = level
-		}
-	}
-
-	for _, fi32 := range flows {
-		if !a.frozen[fi32] {
-			a.freezeRegion(stamp, int(fi32), 0, 0)
-		}
-	}
-}
-
-// freezeRegion is freeze restricted to the current region's links.
-func (a *allocator) freezeRegion(stamp int32, fi int, r, lvl float64) {
-	s := a.incr
-	a.frozen[fi] = true
-	a.res[fi] += r
-	s.capped[fi] = a.dem[fi] >= 0 && r >= a.dem[fi]
-	s.freezeLevel[fi] = lvl
-	f := &a.m.Flows[fi]
-	for _, li := range f.Links {
-		if s.linkMark[li] != stamp || a.linkDone[li] {
-			continue
-		}
-		a.consumed[li] += r
-		a.activeW[li] -= f.Weight
-		if a.activeW[li] <= 1e-12 {
-			a.activeW[li] = 0
-			a.linkDone[li] = true
-		}
-	}
 }

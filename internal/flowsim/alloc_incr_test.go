@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // incrHarness drives an incremental allocator and its full solve twin over
@@ -46,6 +47,18 @@ func (h *incrHarness) step(changed []int32) {
 		if math.Abs(h.incOut[i]-want) > tol*math.Max(1, math.Abs(want)) {
 			h.t.Fatalf("flow %d: incremental %.12g, full %.12g (active=%v demand=%g weight=%g)",
 				i, h.incOut[i], want, h.active[i], h.demand[i], h.m.Flows[i].Weight)
+		}
+	}
+	// The kernel's standing invariant: between fills — full or regional —
+	// every flow reads frozen and every link reads done.
+	for i, frozen := range h.inc.frozen {
+		if !frozen {
+			h.t.Fatalf("flow %d left unfrozen after the solve", i)
+		}
+	}
+	for li, done := range h.inc.linkDone {
+		if !done {
+			h.t.Fatalf("link %d left open after the solve", li)
 		}
 	}
 	for li, l := range h.m.Links {
@@ -210,10 +223,73 @@ func TestIncrementalFoldsAreBitwise(t *testing.T) {
 	}
 }
 
+// TestFullSolveIsRegionOfEverything pins that there is one full solve
+// however it is reached: on random chain models with contract floors and
+// mixed demands, a fresh SolveMaxMin, the engine's monolithic solve and the
+// incremental allocator's full fallback — the first call, then the
+// over-half-the-flows fallback after every weight churned — produce the same
+// rates bit for bit and record the same freeze facts.
+func TestFullSolveIsRegionOfEverything(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for iter := 0; iter < 40; iter++ {
+		m := randomChainModel(t, rng)
+		n := len(m.Flows)
+		e, err := newEngine(Config{Model: m, Horizon: time.Second, Control: ControlLoss, Solver: SolverFull})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc := newAllocator(m)
+		inc.enableIncremental()
+		incOut := make([]float64, n)
+		changed := make([]int32, n)
+		for i := range changed {
+			changed[i] = int32(i)
+		}
+		for round := 0; round < 2; round++ {
+			for i := 0; i < n; i++ {
+				e.active[i] = rng.Float64() < 0.8
+				e.demand[i] = randomDemand(rng)
+				m.Flows[i].Weight = 0.5 + 5*rng.Float64() // churn: every flow is dirty
+				e.markChanged(i)
+			}
+			fresh := newAllocator(m)
+			freshOut := make([]float64, n)
+			fresh.solve(e.active, e.demand, freshOut)
+			oracle := SolveMaxMin(m, e.active, e.demand)
+			e.solve()
+			if _, full := inc.solveIncremental(e.active, e.demand, incOut, changed); !full {
+				t.Fatalf("model %d round %d: incremental call did not fall back to the full solve", iter, round)
+			}
+			for _, got := range []struct {
+				name string
+				a    *allocator
+				out  []float64
+			}{{"SolveMaxMin", fresh, oracle}, {"engine", e.alloc, e.cur}, {"incremental fallback", inc, incOut}} {
+				for i := 0; i < n; i++ {
+					if got.out[i] != freshOut[i] {
+						t.Fatalf("model %d round %d flow %d: %s rate %v, fresh solve %v", iter, round, i, got.name, got.out[i], freshOut[i])
+					}
+					if got.a.capped[i] != fresh.capped[i] || got.a.freezeLevel[i] != fresh.freezeLevel[i] || got.a.floor[i] != fresh.floor[i] {
+						t.Fatalf("model %d round %d flow %d: %s froze (capped %v, level %v, floor %v), fresh solve (%v, %v, %v)", iter, round, i, got.name,
+							got.a.capped[i], got.a.freezeLevel[i], got.a.floor[i], fresh.capped[i], fresh.freezeLevel[i], fresh.floor[i])
+					}
+				}
+				for li := range m.Links {
+					if got.a.linkFroze[li] != fresh.linkFroze[li] || (fresh.linkFroze[li] && got.a.linkLevel[li] != fresh.linkLevel[li]) {
+						t.Fatalf("model %d round %d link %d: %s froze=%v at %v, fresh solve froze=%v at %v", iter, round, li, got.name,
+							got.a.linkFroze[li], got.a.linkLevel[li], fresh.linkFroze[li], fresh.linkLevel[li])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestIncrementalSolveSteadyStateAllocs pins the zero-allocation contract
 // of the incremental path: once the scratch has grown to the working-set
 // size, steady-state solves — folds and small regional re-solves alike —
-// must not allocate, mirroring the packet engine's fused-link pin.
+// must not allocate, mirroring the packet engine's link-pipeline pin
+// (netem.TestLinkSteadyStateAllocs).
 func TestIncrementalSolveSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	nLinks, nFlows := 40, 400

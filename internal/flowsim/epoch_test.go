@@ -36,9 +36,9 @@ func denseFeedback(e *engine) (sumDemand, sumMark, linkFn, ind []float64) {
 			}
 		}
 		for li := range linkFn {
-			excess := sumDemand[li] - (e.m.Links[li].Capacity - e.cfg.Threshold)
+			excess := sumDemand[li] - e.m.Links[li].Capacity
 			if excess > 0 && sumMark[li] > 0 {
-				linkFn[li] = e.cfg.FeedbackGain * excess / beta
+				linkFn[li] = excess / beta
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package flowsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/adapt"
@@ -119,17 +121,6 @@ type Config struct {
 	// Adapt parameterizes the per-flow controllers (zero → paper
 	// defaults); MinRate is overridden per flow from the model.
 	Adapt adapt.Config
-	// FeedbackGain scales the Corelite feedback volume: a congested link
-	// requests gain·excess/β indications per epoch, enough to shed
-	// `gain` of its offered excess in one period (0 → 1). This is the
-	// fluid stand-in for the packet core's congestion estimator, which
-	// sizes F_n to drain the queue the excess built (§3.1: "the
-	// congestion estimation module can be replaced with no impact on the
-	// rest of the Corelite mechanisms").
-	FeedbackGain float64
-	// Threshold is the congestion detection margin in pkt/s: a link is
-	// congested when the summed demand exceeds capacity − Threshold.
-	Threshold float64
 	// Solver selects the allocation strategy (see SolverMode); the zero
 	// value is SolverAuto.
 	Solver SolverMode
@@ -194,7 +185,7 @@ const (
 	prioFlush
 )
 
-// event is one entry in the engine's time/priority queue.
+// event is one entry in the engine's time/priority-ordered event list.
 type event struct {
 	at   time.Duration
 	prio int8
@@ -202,76 +193,15 @@ type event struct {
 	flow int32 // arrival/departure target
 }
 
-// eventLess orders events by (at, prio, seq).
-func eventLess(a, b event) bool {
+// eventCmp orders events by (at, prio, seq).
+func eventCmp(a, b event) int {
 	if a.at != b.at {
-		return a.at < b.at
+		return cmp.Compare(a.at, b.at)
 	}
 	if a.prio != b.prio {
-		return a.prio < b.prio
+		return cmp.Compare(a.prio, b.prio)
 	}
-	return a.seq < b.seq
-}
-
-// eventHeapArity is the heap fan-out. As in the packet scheduler's queue, a
-// 4-ary layout halves the tree depth of the binary heap and keeps each
-// node's children in adjacent (usually same-cache-line) slots.
-const eventHeapArity = 4
-
-// eventHeap is a 4-ary min-heap over (at, prio, seq). Both operations use
-// the hole technique: the moving entry is held aside and written once at its
-// final slot instead of swapped down level by level.
-type eventHeap []event
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	es := *h
-	i := len(es) - 1
-	for i > 0 {
-		parent := (i - 1) / eventHeapArity
-		if !eventLess(e, es[parent]) {
-			break
-		}
-		es[i] = es[parent]
-		i = parent
-	}
-	es[i] = e
-}
-
-func (h *eventHeap) pop() event {
-	es := *h
-	top := es[0]
-	n := len(es) - 1
-	e := es[n]
-	es[n] = event{}
-	*h = es[:n]
-	es = es[:n]
-	i := 0
-	for {
-		first := eventHeapArity*i + 1
-		if first >= n {
-			break
-		}
-		end := first + eventHeapArity
-		if end > n {
-			end = n
-		}
-		small := first
-		for c := first + 1; c < end; c++ {
-			if eventLess(es[c], es[small]) {
-				small = c
-			}
-		}
-		if !eventLess(es[small], e) {
-			break
-		}
-		es[i] = es[small]
-		i = small
-	}
-	if n > 0 {
-		es[i] = e
-	}
-	return top
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // engine is one run's mutable state.
@@ -314,7 +244,7 @@ type engine struct {
 	sumDemand []float64 // per-link demand sums
 	sumMark   []float64 // per-link marker-rate sums
 	linkFn    []float64 // per-link feedback volume of the last epoch
-	headroom  []float64 // per-link capacity − Threshold, fixed for the run
+	linkCap   []float64 // per-link capacity, flat for the epoch's link pass
 	touched   []int32
 	linkSeen  []bool
 	checkSum  []float64 // per-link conservation scratch (checkers only)
@@ -328,10 +258,11 @@ type engine struct {
 	changed     []int32
 	changedMark []bool
 
-	lastT  time.Duration
-	out    *Output
-	events eventHeap
-	seq    int32
+	lastT time.Duration
+	out   *Output
+	// events is the whole run's event list: schedule() builds and sorts it,
+	// step consumes it front to back, and nothing is inserted in between.
+	events []event
 	// Work the current timestamp batch has asked for once it is solved.
 	flushPending, samplePending bool
 
@@ -401,9 +332,6 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Adapt == (adapt.Config{}) {
 		cfg.Adapt = adapt.DefaultConfig()
 	}
-	if cfg.FeedbackGain <= 0 {
-		cfg.FeedbackGain = 1
-	}
 	if cfg.Schedules != nil && len(cfg.Schedules) != len(cfg.Model.Flows) {
 		return nil, fmt.Errorf("flowsim: %d schedules for %d flows",
 			len(cfg.Schedules), len(cfg.Model.Flows))
@@ -457,9 +385,9 @@ func newEngine(cfg Config) (*engine, error) {
 		e.sumDemand = make([]float64, nLinks)
 		e.sumMark = make([]float64, nLinks)
 		e.linkFn = make([]float64, nLinks)
-		e.headroom = make([]float64, nLinks)
-		for li := range e.headroom {
-			e.headroom[li] = cfg.Model.Links[li].Capacity - cfg.Threshold
+		e.linkCap = make([]float64, nLinks)
+		for li := range e.linkCap {
+			e.linkCap[li] = cfg.Model.Links[li].Capacity
 		}
 		e.touched = make([]int32, 0, nLinks)
 		e.linkSeen = make([]bool, nLinks)
@@ -502,10 +430,17 @@ func newEngine(cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// schedule seeds the event queue: per-flow activity windows, control epochs,
-// and measurement flushes.
+// schedule builds the event list — per-flow activity windows, control
+// epochs and measurement flushes — and sorts it once by (at, prio, seq),
+// seq being the order of creation.
 func (e *engine) schedule() {
 	horizon := e.cfg.Horizon
+	e.events = make([]event, 0,
+		2*len(e.m.Flows)+int(horizon/e.cfg.Epoch)+int(horizon/e.cfg.SampleWindow))
+	push := func(ev event) {
+		ev.seq = int32(len(e.events))
+		e.events = append(e.events, ev)
+	}
 	for i := range e.m.Flows {
 		var sched workload.Schedule
 		if e.cfg.Schedules != nil {
@@ -522,24 +457,19 @@ func (e *engine) schedule() {
 			if iv.Start >= stop {
 				continue
 			}
-			e.push(event{at: iv.Start, prio: prioArrival, flow: int32(i)})
+			push(event{at: iv.Start, prio: prioArrival, flow: int32(i)})
 			if stop < horizon {
-				e.push(event{at: stop, prio: prioDeparture, flow: int32(i)})
+				push(event{at: stop, prio: prioDeparture, flow: int32(i)})
 			}
 		}
 	}
 	for t := e.cfg.Epoch; t <= horizon; t += e.cfg.Epoch {
-		e.push(event{at: t, prio: prioEpoch})
+		push(event{at: t, prio: prioEpoch})
 	}
 	for t := e.cfg.SampleWindow; t <= horizon; t += e.cfg.SampleWindow {
-		e.push(event{at: t, prio: prioFlush})
+		push(event{at: t, prio: prioFlush})
 	}
-}
-
-func (e *engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	e.events.push(ev)
+	slices.SortFunc(e.events, eventCmp)
 }
 
 // markChanged adds flow i to the batch the next solve consumes.
@@ -550,7 +480,7 @@ func (e *engine) markChanged(i int) {
 	}
 }
 
-// run drains the event queue. Events at the same timestamp are processed in
+// run consumes the event list. Events at the same timestamp are processed in
 // priority order and the allocation is re-solved once per timestamp batch
 // whose events changed membership or demands (a batch that changed nothing
 // — a slow-start epoch between doublings, say — skips the solve: the
@@ -569,7 +499,8 @@ func (e *engine) run() {
 // closes the batch: solve, then the gauge sample and the measurement flush
 // the batch's events asked for.
 func (e *engine) step() {
-	ev := e.events.pop()
+	ev := e.events[0]
+	e.events = e.events[1:]
 	e.advance(ev.at)
 	e.out.Events++
 	switch ev.prio {
@@ -758,12 +689,14 @@ func (e *engine) markerRate(i int) float64 {
 // controller.
 //
 // ControlMarker: each link offered more demand than capacity requests
-// gain·excess/β marker feedbacks — the volume that sheds its excess in one
-// period — and splits them across its flows proportionally to their marker
-// rates (b−min)/w, exactly how the packet core's weighted-fair selector
-// distributes bounces. A flow's indication count is the maximum over its
-// path links (m(f), §2.2). ControlLoss: a flow's indications are its
-// dropped packets, (demand − achieved)·epoch.
+// excess/β marker feedbacks — the volume that sheds its excess in one
+// period, the fluid stand-in for the packet core's congestion estimator,
+// which sizes F_n to drain the queue the excess built (§3.1) — and splits
+// them across its flows proportionally to their marker rates (b−min)/w,
+// exactly how the packet core's weighted-fair selector distributes bounces.
+// A flow's indication count is the maximum over its path links (m(f), §2.2).
+// ControlLoss: a flow's indications are its dropped packets,
+// (demand − achieved)·epoch.
 //
 // Indications are then quantized through a per-flow accumulator: the
 // controller is stepped with zero until a whole indication has built up,
@@ -805,14 +738,14 @@ func (e *engine) epoch(now time.Duration) {
 				}
 			}
 		}
-		// Per-link feedback volume F_n = gain·excess/β, computed once per
+		// Per-link feedback volume F_n = excess/β, computed once per
 		// link (the fn/<link> gauges read it between epochs). A link under
 		// no live flow has no marker mass to split, so its F_n stays the 0
 		// it was reset to.
 		for _, li := range e.touched {
-			excess := e.sumDemand[li] - e.headroom[li]
+			excess := e.sumDemand[li] - e.linkCap[li]
 			if excess > 0 && e.sumMark[li] > 0 {
-				e.linkFn[li] = e.cfg.FeedbackGain * excess / beta
+				e.linkFn[li] = excess / beta
 			}
 		}
 	}

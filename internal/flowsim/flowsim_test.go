@@ -3,6 +3,7 @@ package flowsim
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -95,6 +96,87 @@ func TestEventOrderingTie(t *testing.T) {
 	// The freed link is eventually re-used: flow 2 climbs toward 100.
 	if got := f2.Allowed[19].Value; got < 30 {
 		t.Errorf("flow 2 allowed rate %v at 20s; want recovery toward capacity", got)
+	}
+
+	// Three flows meeting at one timestamp that is also an epoch and a flush
+	// boundary: flow 1 departs, flow 2 arrives, flow 3 departs and re-arrives.
+	// The event list must hold that instant as departures, arrivals, epoch,
+	// flush — and, within a priority, in order of creation.
+	tie := 10 * time.Second
+	e, err := newEngine(Config{
+		Model:   singleLink(t, 100, 1, 1, 1),
+		Horizon: 20 * time.Second,
+		Control: ControlMarker,
+		Schedules: []workload.Schedule{
+			{{Start: 0, Stop: tie}},
+			{{Start: tie}},
+			{{Start: 0, Stop: tie}, {Start: tie}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.schedule()
+	type key struct {
+		prio int8
+		flow int32
+	}
+	var got []key
+	for _, ev := range e.events {
+		if ev.at == tie {
+			got = append(got, key{ev.prio, ev.flow})
+		}
+	}
+	want := []key{
+		{prioDeparture, 0}, {prioDeparture, 2},
+		{prioArrival, 1}, {prioArrival, 2},
+		{prioEpoch, 0}, {prioFlush, 0},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("events at %v ordered (prio, flow) %v, want %v", tie, got, want)
+	}
+}
+
+// TestScheduleSortsOnce pins the event list's life cycle: schedule() leaves
+// e.events at its final length and sorted under eventCmp, and run() only
+// ever consumes it from the front — the slice shrinks by one event per step
+// and stays a suffix of the list schedule() built.
+func TestScheduleSortsOnce(t *testing.T) {
+	horizon := 30 * time.Second
+	e, err := newEngine(Config{
+		Model:   singleLink(t, 500, 1, 2, 3, 4),
+		Horizon: horizon,
+		Control: ControlLoss,
+		Schedules: []workload.Schedule{
+			workload.Always(),
+			{{Start: 3 * time.Second, Stop: 20 * time.Second}, {Start: 25 * time.Second}},
+			nil,
+			{{Start: 7 * time.Second}, {Start: 40 * time.Second}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.schedule()
+	all := e.events
+	// 5 arrivals and 1 departure inside the horizon, 300 epochs, 30 flushes.
+	if want := 6 + 300 + 30; len(all) != want {
+		t.Fatalf("schedule() built %d events, want %d", len(all), want)
+	}
+	if !slices.IsSortedFunc(all, eventCmp) {
+		t.Fatal("schedule() left e.events unsorted under eventCmp")
+	}
+	for k := 1; len(e.events) > 0; k++ {
+		e.step()
+		if len(e.events) != len(all)-k {
+			t.Fatalf("after %d steps %d events remain of %d: run must only consume", k, len(e.events), len(all))
+		}
+		if len(e.events) > 0 && &e.events[0] != &all[k] {
+			t.Fatalf("after %d steps e.events is no longer a suffix of the scheduled list", k)
+		}
+	}
+	if e.out.Events != uint64(len(all)) {
+		t.Errorf("processed %d events, scheduled %d", e.out.Events, len(all))
 	}
 }
 

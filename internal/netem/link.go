@@ -57,16 +57,9 @@ type Link struct {
 	// inService is the packet currently occupying the transmitter; the
 	// service-completion timer reads it instead of closing over the packet.
 	inService *packet.Packet
-	// id is the link's index in Network.links: the arg every link-pipeline
-	// handler (fused tx/arrival, unfused tx) is scheduled with.
+	// id is the link's index in Network.links: the arg the service-completion
+	// handler is scheduled with.
 	id uint32
-	// ring is the propagation FIFO of the fused pipeline: packets that left
-	// the transmitter and have not yet arrived, in order. A power-of-two
-	// circular buffer; ringHead/ringLen delimit the occupied span. At most
-	// one arrival event is scheduled per link — for the head entry.
-	ring     []ringEntry
-	ringHead int
-	ringLen  int
 	// svcDefault caches serviceTime for the paper's fixed
 	// packet.DefaultSizeBytes packet — the size every evaluation packet has —
 	// so the hot path skips the float division.
@@ -162,15 +155,15 @@ func (l *Link) send(p *packet.Packet) {
 	}
 }
 
-// dequeueForService pulls the head-of-line packet into the transmitter and
-// returns its service time; ok is false when the queue is empty and the link
-// goes idle. The caller schedules the completion (a fresh post from send, an
-// in-place re-arm from the fused tx handler).
-func (l *Link) dequeueForService() (time.Duration, bool) {
+// startService pulls the head-of-line packet into the transmitter and
+// schedules its service completion, or marks the link idle when the queue is
+// empty. It neither allocates nor writes a pointer into the scheduler: the
+// completion is a registered handler posted with the link's own index.
+func (l *Link) startService() {
 	p := l.queue.Dequeue()
 	if p == nil {
 		l.busy = false
-		return 0, false
+		return
 	}
 	l.busy = true
 	l.inService = p
@@ -180,28 +173,12 @@ func (l *Link) dequeueForService() (time.Duration, bool) {
 	}
 	l.net.trace(TraceEvent{At: now, Kind: EventDequeue, Where: l.name, Packet: p})
 	l.monitor.Observe(now, l.queue.Len())
-	return l.serviceTime(p), true
+	l.net.sched.PostHandler(l.serviceTime(p), l.net.txHid, l.id)
 }
 
-// startService begins transmitting the head-of-line packet from an idle
-// transmitter. Neither pipeline allocates or writes a pointer into the
-// scheduler: both schedule a registered handler with the link's own index.
-func (l *Link) startService() {
-	d, ok := l.dequeueForService()
-	if !ok {
-		return
-	}
-	if l.net.fused {
-		l.net.sched.PostHandler(d, l.net.chainTxHid, l.id)
-		return
-	}
-	l.net.sched.PostHandler(d, l.net.txHid, l.id)
-}
-
-// fireTx completes a link's in-service transmission on the unfused
-// reference pipeline: the packet starts propagating toward the far node
-// (carried by a pooled propTimer record) and the transmitter is immediately
-// free for the next packet.
+// fireTx completes a link's in-service transmission: the packet starts
+// propagating toward the far node (carried by a pooled propTimer record) and
+// the transmitter is immediately free for the next packet.
 func (n *Network) fireTx(arg uint32) {
 	l := n.links[arg]
 	n.sched.MarkHandler(sim.KindLinkTx)
@@ -217,90 +194,10 @@ func (n *Network) fireTx(arg uint32) {
 	l.startService()
 }
 
-// ringEntry is one packet in flight on a link's propagation ring: the packet,
-// its arrival time, and the sequence number reserved for its arrival event
-// when it left the transmitter.
-type ringEntry struct {
-	p   *packet.Packet
-	at  time.Duration
-	seq uint64
-}
-
-// ringPush appends e to the link's propagation ring, growing the circular
-// buffer (always a power of two) when full.
-func (l *Link) ringPush(e ringEntry) {
-	if l.ringLen == len(l.ring) {
-		grown := make([]ringEntry, max(2*len(l.ring), 8))
-		for i := 0; i < l.ringLen; i++ {
-			grown[i] = l.ring[(l.ringHead+i)&(len(l.ring)-1)]
-		}
-		l.ring = grown
-		l.ringHead = 0
-	}
-	l.ring[(l.ringHead+l.ringLen)&(len(l.ring)-1)] = e
-	l.ringLen++
-}
-
-// ringPop removes and returns the head entry, clearing the packet pointer so
-// the ring never delays recycling.
-func (l *Link) ringPop() ringEntry {
-	e := l.ring[l.ringHead]
-	l.ring[l.ringHead].p = nil
-	l.ringHead = (l.ringHead + 1) & (len(l.ring) - 1)
-	l.ringLen--
-	return e
-}
-
-// fireChainTx completes a transmission on the fused pipeline. Propagation is
-// FIFO with a per-link constant delay, so instead of scheduling one event
-// per propagating packet the link keeps a ring of (packet, arrival time,
-// reserved seq) and runs at most one arrival event: the completed packet
-// joins the ring (creating the arrival event only when the ring was empty),
-// and the tx event re-arms itself in place for the next service completion.
-// Sequence numbers are still consumed one per packet at exactly the points
-// the two-event reference pipeline consumes them — ReserveSeq here matches
-// fireTx's propagation post, the re-arm matches startService's post — so the
-// executed event stream is byte-identical; only the queue is smaller (two
-// resident entries per busy link, however many packets are in flight).
-func (n *Network) fireChainTx(arg uint32) {
-	l := n.links[arg]
-	n.sched.MarkHandler(sim.KindLinkTx)
-	p := l.inService
-	l.inService = nil
-	l.stats.Transmitted++
-	l.stats.TxBytes += int64(p.SizeBytes)
-	at := n.sched.Now() + l.delay
-	seq := n.sched.ReserveSeq()
-	wasEmpty := l.ringLen == 0
-	l.ringPush(ringEntry{p: p, at: at, seq: seq})
-	if wasEmpty {
-		n.sched.PostReservedHandlerAt(at, seq, n.chainArrHid, arg)
-	}
-	if d, ok := l.dequeueForService(); ok {
-		n.sched.RescheduleAfter(d)
-	}
-}
-
-// fireChainArr delivers the head of the link's propagation ring and re-arms
-// itself for the next in-flight packet, under the arrival time and sequence
-// number reserved at that packet's transmission.
-func (n *Network) fireChainArr(arg uint32) {
-	l := n.links[arg]
-	n.sched.MarkHandler(sim.KindLinkProp)
-	e := l.ringPop()
-	if l.ringLen > 0 {
-		next := &l.ring[l.ringHead]
-		n.sched.RescheduleReservedAt(next.at, next.seq)
-	}
-	l.stats.Arrived++
-	l.stats.ArrivedBytes += int64(e.p.SizeBytes)
-	l.to.deliver(e.p)
-}
-
-// propTimer carries one propagating packet from transmitter to far node on
-// the unfused reference pipeline. Records are pooled on the Network and
-// addressed by index, so per-packet propagation scheduling allocates
-// nothing and writes no pointers into the scheduler.
+// propTimer carries one propagating packet from transmitter to far node.
+// Records are pooled on the Network and addressed by index, so per-packet
+// propagation scheduling allocates nothing and writes no pointers into the
+// scheduler.
 type propTimer struct {
 	link *Link
 	p    *packet.Packet

@@ -96,24 +96,14 @@ type Network struct {
 	// sources draw from it and the network releases at the sink and on
 	// every drop. See packet.Pool for the ownership rules.
 	pool *packet.Pool
-	// Unfused-pipeline propagation-timer pool: records live in an
-	// index-addressed slice so the scheduler entry for an in-flight packet
-	// is just (handler id, record index) — nothing the garbage collector
-	// has to chase.
+	// Propagation-timer pool: records live in an index-addressed slice so
+	// the scheduler entry for an in-flight packet is just (handler id,
+	// record index) — nothing the garbage collector has to chase.
 	propTimers []propTimer
 	propFree   []uint32
 	propHid    sim.HandlerID
-	// txHid fires (unfused) service completions with the link index as arg;
-	// chainTxHid / chainArrHid are the fused pipeline's transmission and
-	// ring-arrival handlers, likewise link-indexed.
-	txHid       sim.HandlerID
-	chainTxHid  sim.HandlerID
-	chainArrHid sim.HandlerID
-	// fused selects the chained link pipeline (the default): per link, one
-	// self-re-arming tx event plus one arrival event for the whole
-	// propagation ring. The two-event-per-packet pipeline remains as the
-	// reference; both emit the identical event stream (see SetLinkFusion).
-	fused bool
+	// txHid fires service completions with the link index as arg.
+	txHid sim.HandlerID
 
 	obs *obs.Registry
 	// dropCtr is indexed by DropReason; nil entries make counting a no-op,
@@ -128,28 +118,11 @@ func New(sched *sim.Scheduler) *Network {
 		nodes:     make(map[string]*Node),
 		pathDelay: make(map[[2]string]time.Duration),
 		pool:      packet.NewPool(),
-		fused:     true,
 	}
-	n.chainTxHid = sched.RegisterHandler(n.fireChainTx)
-	n.chainArrHid = sched.RegisterHandler(n.fireChainArr)
 	n.propHid = sched.RegisterHandler(n.fireProp)
 	n.txHid = sched.RegisterHandler(n.fireTx)
 	return n
 }
-
-// SetLinkFusion selects between the fused link pipeline (per link, one
-// self-re-arming transmission event plus a single arrival event standing for
-// the whole propagation ring — the default) and the reference two-event
-// pipeline (separate service-completion and propagation events per packet).
-// Both consume scheduler sequence numbers at identical points, so the
-// simulated event order — and therefore every figure CSV — is byte-identical
-// either way; the reference path exists for differential testing and
-// ablation. Call it before traffic starts: packets already in service
-// complete on the pipeline that launched them.
-func (n *Network) SetLinkFusion(on bool) { n.fused = on }
-
-// LinkFusion reports whether the fused link pipeline is active.
-func (n *Network) LinkFusion() bool { return n.fused }
 
 // Scheduler exposes the simulation scheduler driving this network.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }

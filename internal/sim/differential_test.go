@@ -378,13 +378,13 @@ func TestSchedulerDifferentialPost(t *testing.T) {
 
 // TestSchedulerDifferentialMixed drives both scheduling tiers at once —
 // cancellable handles, handles that re-arm themselves, registered handlers
-// with in-place re-arms, and the reserved-sequence arrival chain the fused
-// link pipeline uses — through deterministic pseudo-random interleavings, in
-// lockstep against the reference list, on both wheel geometries. The
-// reference models a reservation as an eager insert at reservation time, so
-// any drift in sequence accounting surfaces as a firing-order mismatch. The
-// event-loop profiler rides along at stride 1 and its exact per-kind counts
-// must match the reference's manual tally.
+// with in-place re-arms, and a second registered handler posted at a constant
+// delay the way the link pipeline posts propagation arrivals — through
+// deterministic pseudo-random interleavings, in lockstep against the
+// reference list, on both wheel geometries, so any drift in sequence
+// accounting surfaces as a firing-order mismatch. The event-loop profiler
+// rides along at stride 1 and its exact per-kind counts must match the
+// reference's manual tally.
 func TestSchedulerDifferentialMixed(t *testing.T) {
 	for _, g := range diffGeometries {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -399,7 +399,7 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 	const (
 		ops        = 800
 		rearmDelay = 3 * time.Millisecond
-		chainDelay = 2 * time.Millisecond
+		propDelay  = 2 * time.Millisecond
 	)
 	prof := NewLoopProfiler(1)
 	s.SetProfiler(prof)
@@ -433,22 +433,11 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 		}
 	}
 
-	// Reserved-sequence chain: the fused pipeline's arrival FIFO, constant
-	// delay so arrival times are monotone per the API contract.
-	type chainEnt struct {
-		at  time.Duration
-		seq uint64
-		tag uint32
-	}
-	var fifo []chainEnt
-	chainHid := s.RegisterHandler(func(uint32) {
+	// Second registered handler: constant-delay posts, so arrival times are
+	// monotone and ties against the other tiers are frequent.
+	propHid := s.RegisterHandler(func(arg uint32) {
 		s.MarkHandler(KindLinkProp)
-		head := fifo[0]
-		fifo = fifo[1:]
-		got = append(got, rec{s.Now(), head.tag})
-		if len(fifo) > 0 {
-			s.RescheduleReservedAt(fifo[0].at, fifo[0].seq)
-		}
+		got = append(got, rec{s.Now(), arg})
 	})
 
 	var (
@@ -513,15 +502,11 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 			tag++
 			s.PostHandler(d, hid, tg)
 			r.post(r.clock+d, tg)
-		case op < 11: // reserved-sequence chain hop
-			at := s.Now() + chainDelay
-			seq := s.ReserveSeq()
-			if len(fifo) == 0 {
-				s.PostReservedHandlerAt(at, seq, chainHid, 0)
-			}
+		case op < 11: // constant-delay post on the second handler
+			at := s.Now() + propDelay
 			tg := tag
 			tag++
-			fifo = append(fifo, chainEnt{at: at, seq: seq, tag: tg})
+			s.PostHandler(propDelay, propHid, tg)
 			r.at(at, func() {
 				refCounts[KindLinkProp]++
 				want = append(want, rec{at, tg})

@@ -34,10 +34,7 @@
 // the event fires again later under a sequence number drawn at the call, and
 // a handle stays the same live handle — still cancellable — which is how
 // the periodic tickers (router and edge epochs, samplers) run on one Event
-// for a whole simulation. The fused link pipeline in internal/netem runs one
-// transmit+propagate timer per packet the same way, and batches each link's
-// propagation arrivals behind one queued event with the reserved-sequence
-// chain (ReserveSeq, PostReservedHandlerAt, RescheduleReservedAt).
+// for a whole simulation.
 //
 // # The queue
 //
@@ -224,37 +221,6 @@ func (s *Scheduler) PostHandler(d time.Duration, id HandlerID, arg uint32) {
 	s.PostHandlerAt(s.now+d, id, arg)
 }
 
-// ReserveSeq draws the next sequence number for an event the caller will
-// enqueue later, at the moment its firing time reaches the front of some
-// model-side FIFO (the per-link propagation ring in internal/netem batches
-// arrivals this way: one queued event stands for the whole ring, and each
-// successor is enqueued with the sequence number reserved when it entered).
-// The reservation counts toward Len immediately — the event logically exists
-// from here — and must be spent exactly once, via PostReservedHandlerAt or
-// RescheduleReservedAt, with the same timestamp ordering it would have had
-// as an immediate post. Tie ordering against other events is then identical
-// to scheduling eagerly at reservation time.
-func (s *Scheduler) ReserveSeq() uint64 {
-	v := s.seq
-	s.seq++
-	s.live++
-	return v
-}
-
-// PostReservedHandlerAt schedules registered handler id at absolute time t
-// under a sequence number previously drawn by ReserveSeq. No bookkeeping is
-// done here — the reservation already counted the event — so t and seq must
-// be exactly what an eager post at reservation time would have used.
-func (s *Scheduler) PostReservedHandlerAt(t Time, seq uint64, id HandlerID, arg uint32) {
-	if t < s.now || id < hidFirst || int(id) >= len(s.handlers) {
-		s.badSchedule(t, id)
-	}
-	if seq >= s.seq {
-		panic(fmt.Errorf("sim: reserved seq %d was never drawn", seq))
-	}
-	s.q.push(entry{at: t, seq: seq, hid: id, arg: arg})
-}
-
 // MustAt schedules fn to run at absolute virtual time t and returns the
 // handle that cancels it. Scheduling in the past or with a nil callback is
 // a bug in the model, so it panics rather than silently reordering time.
@@ -305,36 +271,17 @@ func (s *Scheduler) RescheduleAfter(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Errorf("sim: RescheduleAfter with negative delay %v", d))
 	}
-	s.rearm(s.now+d, s.seq)
-	s.seq++
-	s.live++
-}
-
-// RescheduleReservedAt re-arms the currently executing event at absolute
-// time t under a sequence number previously drawn by ReserveSeq — the
-// chained-FIFO counterpart of RescheduleAfter: the reservation supplies the
-// key instead of a fresh draw. The same panics as RescheduleAfter apply.
-func (s *Scheduler) RescheduleReservedAt(t Time, seq uint64) {
-	if t < s.now {
-		s.badSchedule(t, hidHandle)
-	}
-	if seq >= s.seq {
-		panic(fmt.Errorf("sim: reserved seq %d was never drawn", seq))
-	}
-	s.rearm(t, seq)
-}
-
-// rearm records the key exec re-queues the executing event under.
-func (s *Scheduler) rearm(t Time, seq uint64) {
 	if !s.inStep {
 		panic(errors.New("sim: reschedule outside an event callback"))
 	}
 	if s.rearmSet {
 		panic(errors.New("sim: reschedule called twice in one callback"))
 	}
-	s.rearmAt = t
-	s.rearmSeq = seq
+	s.rearmAt = s.now + d
+	s.rearmSeq = s.seq
 	s.rearmSet = true
+	s.seq++
+	s.live++
 }
 
 // Halt stops Run before the horizon. It is intended to be called from within

@@ -86,14 +86,12 @@ func TestScheduleNilCallbackRejected(t *testing.T) {
 }
 
 // TestRescheduleMisuseRejected pins the re-arm panics: outside a callback,
-// twice in one callback, into the past, and under an undrawn sequence.
+// twice in one callback, and into the past.
 func TestRescheduleMisuseRejected(t *testing.T) {
 	s := NewScheduler()
 	mustPanic(t, "RescheduleAfter outside a callback", func() { s.RescheduleAfter(time.Second) })
 	s.MustAt(time.Second, func() {
 		mustPanic(t, "negative RescheduleAfter", func() { s.RescheduleAfter(-1) })
-		mustPanic(t, "RescheduleReservedAt in the past", func() { s.RescheduleReservedAt(0, 0) })
-		mustPanic(t, "RescheduleReservedAt with an undrawn seq", func() { s.RescheduleReservedAt(s.Now(), 99) })
 		s.RescheduleAfter(time.Second)
 		mustPanic(t, "second RescheduleAfter", func() { s.RescheduleAfter(time.Second) })
 	})

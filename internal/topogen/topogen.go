@@ -207,6 +207,34 @@ func (c Config) Generate(seed int64) (*topospec.Spec, error) {
 	}
 }
 
+// Size limits on a generated spec. They are checked arithmetically, before
+// anything is allocated, so an absurd -topo fails with a message instead of
+// exhausting memory. Each sits an order of magnitude above the largest
+// scenario the repository targets (a million flows, a k=32 fat-tree):
+// maxNodes is two hosts per flow at maxFlows plus five million switches,
+// maxLinks four host links per flow at maxFlows plus the 33 million fabric
+// links of a k=320 fat-tree.
+const (
+	maxFlows = 10_000_000
+	maxNodes = 25_000_000
+	maxLinks = 75_000_000
+)
+
+// checkSize refuses a spec whose node, link or flow count would exceed its
+// limit. Counts are float64 so products of hostile parameters cannot
+// overflow.
+func (c Config) checkSize(nodes, links, flows float64) error {
+	for _, q := range []struct {
+		what     string
+		n, limit float64
+	}{{"flows", flows, maxFlows}, {"nodes", nodes, maxNodes}, {"links", links, maxLinks}} {
+		if q.n > q.limit {
+			return fmt.Errorf("topogen: %v would generate %.0f %s, over the limit of %.0f", c.Kind, q.n, q.what, q.limit)
+		}
+	}
+	return nil
+}
+
 func (c Config) fabricDefaults() Config {
 	if c.FabricRateBps == 0 {
 		c.FabricRateBps = topology.LinkRateBps
@@ -269,6 +297,10 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 	// (k/2)² core + k·k/2 aggregation + k·k/2 edge switches joined by
 	// k·(k/2)·k duplex fabric links; a host pair and two duplex host links
 	// per flow.
+	fk, ff := float64(k), float64(c.Flows)
+	if err := c.checkSize(fk*fk/4+fk*fk+2*ff, fk*fk*fk+4*ff, ff); err != nil {
+		return nil, err
+	}
 	spec := &topospec.Spec{
 		Nodes: make([]topospec.NodeSpec, 0, half*half+k*k+2*c.Flows),
 		Links: make([]topospec.LinkSpec, 0, 2*k*half*k+4*c.Flows),
@@ -379,6 +411,13 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 	if c.TrunkRateBps == 0 {
 		c.TrunkRateBps = 2 * c.FabricRateBps
 	}
+	// Per cloud a chain of cores, a gateway and two duplex trunks between
+	// neighbours; a host pair and two duplex host links per flow.
+	fn, fc := float64(c.Clouds), float64(c.CoresPerCloud)
+	ff := float64(c.Through) + fn*float64(c.Local)
+	if err := c.checkSize(fn*fc+fn-1+2*ff, 2*fn*(fc-1)+4*(fn-1)+4*ff, ff); err != nil {
+		return nil, err
+	}
 	spec := &topospec.Spec{}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	trunk := topospec.LinkSpec{RateBps: c.TrunkRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
@@ -476,6 +515,12 @@ func (c Config) mesh(seed int64) (*topospec.Spec, error) {
 	}
 	if c.MaxWeight == 0 {
 		c.MaxWeight = 4
+	}
+	// The ring plus at most Degree chords per node, duplex; a host pair and
+	// two duplex host links per flow.
+	fn, ff := float64(c.Nodes), float64(c.Flows)
+	if err := c.checkSize(fn+2*ff, 2*fn*(1+float64(c.Degree))+4*ff, ff); err != nil {
+		return nil, err
 	}
 	spec := &topospec.Spec{}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
