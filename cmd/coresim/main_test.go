@@ -236,3 +236,24 @@ func TestRunObsReplicas(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeInputsRefusedUpFront drives the size pre-flight through the flags:
+// a chain, a generated topology or a sample grid too large to allocate fails
+// with one error line before the run starts.
+func TestHugeInputsRefusedUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-chain-cores", "300000000", "-chain-flows", "1", "-duration", "1s"}, "299999999 links, over the limit of"},
+		{[]string{"-chain-cores", "10", "-chain-flows", "20000000", "-duration", "1s"}, "20000000 flows, over the limit of"},
+		{[]string{"-topo", "fattree:k=2000,flows=4", "-duration", "2s"}, "8000000016 links, over the limit of"},
+		{[]string{"-topo", "fattree:k=8,flows=8", "-duration", "2s", "-sample", "1ns"}, "series cells, over the limit of"},
+	} {
+		var sb strings.Builder
+		err := run(append([]string{"-backend", "flow", "-summary=false"}, tc.args...), &sb)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%v: error %v, want one line containing %q", tc.args, err, tc.want)
+		}
+	}
+}

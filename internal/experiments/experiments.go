@@ -436,6 +436,13 @@ func (sc Scenario) normalize() (Scenario, error) {
 // smoke).
 const maxSeriesCells = 500_000_000
 
+// A chain is held to the link and flow limits topogen applies to generated
+// topologies, checked before its link names are built.
+const (
+	maxChainLinks = 75_000_000
+	maxChainFlows = 10_000_000
+)
+
 // Validate checks scenario consistency.
 func (sc Scenario) Validate() error {
 	if sc.Scheme != SchemeCorelite && sc.Scheme != SchemeCSFQ {
@@ -529,6 +536,12 @@ func (sc Scenario) Validate() error {
 		}
 		if sc.Chain.Flows < 1 {
 			return fmt.Errorf("experiments: chain needs at least 1 flow, got %d", sc.Chain.Flows)
+		}
+		if links := sc.Chain.Cores - 1; links > maxChainLinks {
+			return fmt.Errorf("experiments: a chain of %d cores would generate %d links, over the limit of %d", sc.Chain.Cores, links, maxChainLinks)
+		}
+		if sc.Chain.Flows > maxChainFlows {
+			return fmt.Errorf("experiments: a chain would generate %d flows, over the limit of %d", sc.Chain.Flows, maxChainFlows)
 		}
 	}
 	return nil

@@ -310,18 +310,19 @@ func TestParseGenerate(t *testing.T) {
 }
 
 // TestHugeInputsRefusedUpFront pins the arithmetic pre-flight: a generated
-// topology or a sample grid whose size alone would exhaust memory is refused
-// on both backends with an error naming the quantity and its limit. (That
-// nothing was allocated first is what lets this test finish at all.)
+// topology, a chain or a sample grid whose size alone would exhaust memory is
+// refused on both backends with an error naming the quantity and its limit.
+// (That nothing was allocated first is what lets this test finish at all.) A
+// chain is held to the same link and flow limits as a generated topology.
 func TestHugeInputsRefusedUpFront(t *testing.T) {
 	for _, tc := range []struct {
 		topo   string
 		sample time.Duration
 		want   string
 	}{
-		{"fattree:k=2000,flows=4", 0, "8000000016 links, over the limit of"},
+		{"fattree:k=2000,flows=4", 0, "8000000016 links, over the limit of 75000000"},
 		{"fattree:k=8,flows=8", time.Nanosecond, "48000000000 series cells, over the limit of"},
-		{"fattree:k=8,flows=2000000000", 0, "2000000000 flows, over the limit of"},
+		{"fattree:k=8,flows=2000000000", 0, "2000000000 flows, over the limit of 10000000"},
 	} {
 		gen, err := ParseGenerate(tc.topo, "")
 		if err != nil {
@@ -335,6 +336,21 @@ func TestHugeInputsRefusedUpFront(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s sample=%v on %v: error %v, want one containing %q", tc.topo, tc.sample, backend, err, tc.want)
 			}
+		}
+	}
+	for _, tc := range []struct {
+		chain ChainTopology
+		want  string
+	}{
+		{ChainTopology{Cores: 300_000_000, Flows: 1}, "299999999 links, over the limit of 75000000"},
+		{ChainTopology{Cores: 10, Flows: 20_000_000}, "20000000 flows, over the limit of 10000000"},
+	} {
+		chain := tc.chain
+		_, err := Run(Scenario{
+			Scheme: SchemeCorelite, Duration: time.Second, Chain: &chain, Backend: BackendFlow,
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("chain %+v: error %v, want one containing %q", tc.chain, err, tc.want)
 		}
 	}
 }

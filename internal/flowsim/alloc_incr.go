@@ -1,6 +1,9 @@
 package flowsim
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file is the incremental (dirty-set) water-filling solver. The
 // monolithic solve (alloc.go) fills the region of everything from scratch;
@@ -31,6 +34,13 @@ import "math"
 //     monotonically, so the loop terminates). When the region stops
 //     spreading, the partial solution pastes into the previous one.
 //
+// A region that would hold more than half the flows is not worth solving
+// regionally: the call falls back to the full solve. The movable set only
+// grows with the dirty set, so that fallback is certain the moment the
+// flows seen so far cross half the model — the region is seeded and
+// scanned while the changes are still being classified, and the rest of
+// the change set is left to the full solve.
+//
 // Tiers 1 and 2 reproduce the monolithic solution exactly (the skipped
 // events produce no arithmetic in the full solve either); tier 3 agrees to
 // float tolerance, pinned ≤1e-9 by the differential suite in
@@ -49,8 +59,10 @@ type incrState struct {
 	linkUsed []float64
 
 	// Region scratch, epoch-stamped so steady-state solves allocate nothing.
+	// One flow mark holds two facts: 2·stamp → the region scan reached the
+	// flow, 2·stamp+1 → classify found it dirty; either way it is movable.
 	stamp      int32
-	flowMark   []int32 // == stamp → flow is movable this call
+	flowMark   []int32
 	linkMark   []int32 // == stamp → link is in the dirty region
 	bStamp     int32
 	bMark      []int32   // == bStamp → boundary link touched this round
@@ -69,6 +81,28 @@ type incrState struct {
 	// before their rates change; it is only meaningful when the call
 	// returned full == false (a full solve rewrites every flow).
 	touchedList []int32
+
+	// tally counts how the last call resolved its change set; the engine
+	// publishes it once per call (obs.go).
+	tally [numTiers]int
+}
+
+// Solver-tier outcomes tallied per solveIncremental call. The first call's
+// tracked full solve counts in none of them.
+const (
+	tierSkip      = iota // certificate skips
+	tierFold             // slack folds
+	tierRegional         // regional solves committed
+	tierRound            // region expansion rounds
+	tierEarlyFull        // full fallbacks decided while classifying
+	tierLateFull         // full fallbacks after a region growth round
+	numTiers
+)
+
+// tierNames are the counter names of the tiers under fluid/solve/tier/.
+var tierNames = [numTiers]string{
+	"certificate-skips", "folds", "regional-solves", "expansion-rounds",
+	"fallback-early", "fallback-late",
 }
 
 const (
@@ -120,24 +154,28 @@ func (a *allocator) solveTracked(active []bool, demand []float64, out []float64)
 	for fi := range a.m.Flows {
 		s.wt[fi] = a.m.Flows[fi].Weight
 	}
-	for li := range s.linkUsed {
-		s.linkUsed[li] = 0
-	}
-	for fi, on := range active {
-		if !on {
-			continue
-		}
-		r := out[fi]
-		for _, li := range a.m.Flows[fi].Links {
-			s.linkUsed[li] += r
-		}
-	}
+	a.sumLinkUsed(a.allLinks, active, out)
 	s.valid = true
+}
+
+// sumLinkUsed recomputes the usage of the given links from the achieved
+// rates, adding each link's active flows in ascending index order.
+func (a *allocator) sumLinkUsed(links []int32, active []bool, out []float64) {
+	for _, li := range links {
+		u := 0.0
+		for _, fi := range a.flowsOn(int(li)) {
+			if active[fi] {
+				u += out[fi]
+			}
+		}
+		a.incr.linkUsed[li] = u
+	}
 }
 
 // classification outcomes for one changed flow.
 const (
-	classNoop  = iota // nothing to do (or certificate skip)
+	classNoop  = iota // nothing to do
+	classSkip         // certificate skip: the demand event still cannot fire
 	classFold         // absorbed in place, out/linkUsed updated
 	classDirty        // needs a regional re-solve
 )
@@ -242,7 +280,7 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 		if newFloor == a.floor[fi] &&
 			(newD < 0 || (newD-newFloor)/f.Weight > a.freezeLevel[fi]) {
 			s.dm[fi] = newD
-			return classNoop
+			return classSkip
 		}
 		return classDirty
 	}
@@ -291,70 +329,86 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 func (a *allocator) solveIncremental(active []bool, demand []float64, out []float64, changed []int32) (touched int, full bool) {
 	s := a.incr
 	if !s.valid {
+		s.tally = [numTiers]int{}
 		a.solveTracked(active, demand, out)
 		return len(a.m.Flows), true
 	}
 	m := a.m
+	nf := len(m.Flows)
 	s.stamp++
 	stamp := s.stamp
+	seen, dirty := 2*stamp, 2*stamp+1 // flow marks, see incrState
 	dirtyFlows := s.dirtyFlows[:0]
 	dirtyLinks := s.dirtyLinks[:0]
+	scan := s.movable[:0] // active flows reached by the region scan
 	tl := s.touchedList[:0]
+	var tally [numTiers]int
 
+	// Classify the changes in order. A dirty flow seeds its path links into
+	// the region at once and the scan marks every active flow on them, so
+	// nMovable is |dirty flows ∪ active flows on their links| so far. It
+	// only grows, so once it passes half the model the fallback is certain.
+	nMovable := 0
 	for _, fi32 := range changed {
 		fi := int(fi32)
 		switch a.classify(fi, active[fi], demand[fi], out) {
+		case classSkip:
+			tally[tierSkip]++
 		case classFold:
+			tally[tierFold]++
 			touched++
 			tl = append(tl, fi32)
 		case classDirty:
-			if s.flowMark[fi] != stamp {
-				s.flowMark[fi] = stamp
-				dirtyFlows = append(dirtyFlows, fi32)
+			mark := s.flowMark[fi]
+			if mark == dirty {
+				continue
+			}
+			if mark != seen {
+				nMovable++
+			}
+			s.flowMark[fi] = dirty
+			dirtyFlows = append(dirtyFlows, fi32)
+			for _, li := range m.Flows[fi].Links {
+				if s.linkMark[li] == stamp {
+					continue
+				}
+				s.linkMark[li] = stamp
+				dirtyLinks = append(dirtyLinks, int32(li))
+				for _, fj := range a.flowsOn(li) {
+					if active[fj] && s.flowMark[fj]&^1 != seen {
+						s.flowMark[fj] = seen
+						scan = append(scan, fj)
+						nMovable++
+					}
+				}
+			}
+			if 2*nMovable > nf {
+				// The full solve rewrites every rate, mirror entry and
+				// freeze fact the classifications so far have touched.
+				tally[tierEarlyFull]++
+				s.keep(tally, dirtyFlows, dirtyLinks, scan, tl)
+				a.solveTracked(active, demand, out)
+				return nf, true
 			}
 		}
 	}
 	if len(dirtyFlows) == 0 {
-		s.dirtyFlows = dirtyFlows
-		s.dirtyLinks = dirtyLinks
-		s.touchedList = tl
+		s.keep(tally, dirtyFlows, dirtyLinks, scan, tl)
 		return touched, false
 	}
 
-	// Seed the region with every link on every dirty flow's path, then grow
-	// it to a self-consistent fixpoint.
-	for _, fi32 := range dirtyFlows {
-		for _, li := range m.Flows[fi32].Links {
-			if s.linkMark[li] != stamp {
-				s.linkMark[li] = stamp
-				dirtyLinks = append(dirtyLinks, int32(li))
-			}
+	// The movable flows: the dirty ones in classification order, then those
+	// the scan reached in first-seen order — a flow the scan reached before
+	// it was classified dirty keeps only its dirty position.
+	kept := scan[:0]
+	for _, fi32 := range scan {
+		if s.flowMark[fi32] == seen {
+			kept = append(kept, fi32)
 		}
 	}
-	movable := s.movable[:0]
-	movable = append(movable, dirtyFlows...)
-	scanned := 0
-	for round := 0; ; round++ {
-		// Every active flow crossing a region link is movable. dirtyLinks
-		// only grows, so each round scans just the newly added links.
-		for ; scanned < len(dirtyLinks); scanned++ {
-			li := int(dirtyLinks[scanned])
-			for _, fi32 := range a.flowsOn(li) {
-				if active[fi32] && s.flowMark[fi32] != stamp {
-					s.flowMark[fi32] = stamp
-					movable = append(movable, fi32)
-				}
-			}
-		}
-		if 2*len(movable) > len(m.Flows) || round >= incrMaxRounds {
-			s.dirtyFlows = dirtyFlows
-			s.dirtyLinks = dirtyLinks
-			s.movable = movable
-			s.touchedList = tl
-			a.solveTracked(active, demand, out)
-			return len(m.Flows), true
-		}
-
+	movable := slices.Insert(kept, 0, dirtyFlows...)
+	scanned := len(dirtyLinks)
+	for {
 		// Clamp movable flows crossing a binding link outside the region to
 		// that link's water level: inside the region they may take at most
 		// what the frozen outside level already grants them.
@@ -431,6 +485,25 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 		if !expand {
 			break
 		}
+
+		// Every active flow crossing a region link is movable. dirtyLinks
+		// only grows, so each round scans just the newly added links.
+		tally[tierRound]++
+		for ; scanned < len(dirtyLinks); scanned++ {
+			li := int(dirtyLinks[scanned])
+			for _, fi32 := range a.flowsOn(li) {
+				if active[fi32] && s.flowMark[fi32]&^1 != seen {
+					s.flowMark[fi32] = seen
+					movable = append(movable, fi32)
+				}
+			}
+		}
+		if 2*len(movable) > nf || tally[tierRound] >= incrMaxRounds {
+			tally[tierLateFull]++
+			s.keep(tally, dirtyFlows, dirtyLinks, movable, tl)
+			a.solveTracked(active, demand, out)
+			return nf, true
+		}
 	}
 
 	// Commit: paste the regional solution into the previous one.
@@ -453,19 +526,18 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 		s.dm[fi] = demand[fi]
 		s.wt[fi] = m.Flows[fi].Weight
 	}
-	for _, li32 := range dirtyLinks {
-		li := int(li32)
-		u := 0.0
-		for _, fi32 := range a.flowsOn(li) {
-			if active[fi32] {
-				u += out[fi32]
-			}
-		}
-		s.linkUsed[li] = u
-	}
+	a.sumLinkUsed(dirtyLinks, active, out)
+	tally[tierRegional]++
+	s.keep(tally, dirtyFlows, dirtyLinks, movable, tl)
+	return touched, false
+}
+
+// keep stores one call's tier tally and hands its scratch slices back for
+// the next call to reuse.
+func (s *incrState) keep(tally [numTiers]int, dirtyFlows, dirtyLinks, movable, tl []int32) {
+	s.tally = tally
 	s.dirtyFlows = dirtyFlows
 	s.dirtyLinks = dirtyLinks
 	s.movable = movable
 	s.touchedList = tl
-	return touched, false
 }

@@ -133,8 +133,9 @@ type Config struct {
 	// (called once per check batch).
 	OnChecks func(n int64)
 	// Obs, when non-nil, records fluid-engine telemetry: per-flow rate and
-	// phase gauges, per-link alpha/fn gauges, epoch and feedback counters,
-	// and the wall-clock water-filling solve-time histogram (see obs.go).
+	// phase gauges, per-link alpha/fn gauges, epoch, feedback and
+	// solver-tier counters, and the wall-clock water-filling solve-time
+	// histogram (see obs.go).
 	// The registry must be fresh (one registry per run). Attaching it never
 	// changes the Output — instruments are sampled at existing epoch
 	// boundaries and schedule no events of their own.
@@ -214,7 +215,7 @@ type engine struct {
 	fixed   []bool    // unresponsive flows (Flow.FixedDemand > 0)
 	demand  []float64 // controller allowed rates
 	cur     []float64 // achieved water-filling rates
-	ctrl    []*adapt.Controller
+	ctrl    []adapt.Controller
 	cum     []float64 // delivered volume integral
 	lost    []float64 // dropped volume integral (ControlLoss)
 	cumPrev []float64 // cum at the previous flush
@@ -278,6 +279,7 @@ type engine struct {
 	ctrCong       *obs.Counter
 	ctrFeedback   *obs.Counter
 	ctrTouched    *obs.Counter
+	ctrTier       [numTiers]*obs.Counter
 	obsEvery      int // gauge sampling cadence in epochs; 0 = off
 	epochN        int
 }
@@ -374,7 +376,7 @@ func newEngine(cfg Config) (*engine, error) {
 		fixed:    make([]bool, n),
 		demand:   make([]float64, n),
 		cur:      make([]float64, n),
-		ctrl:     make([]*adapt.Controller, n),
+		ctrl:     make([]adapt.Controller, n),
 		cum:      make([]float64, n),
 		lost:     make([]float64, n),
 		cumPrev:  make([]float64, n),
@@ -409,7 +411,7 @@ func newEngine(cfg Config) (*engine, error) {
 	for i := range e.ctrl {
 		ac := cfg.Adapt
 		ac.MinRate = cfg.Model.Flows[i].MinRate
-		e.ctrl[i] = adapt.NewController(ac)
+		e.ctrl[i] = *adapt.NewController(ac)
 		e.fixed[i] = cfg.Model.Flows[i].FixedDemand > 0
 	}
 	// The 3·F measurement series are carved out of one slab (300k separate
@@ -583,6 +585,11 @@ func (e *engine) solve() {
 	if e.incremental {
 		touched, full := e.alloc.solveIncremental(e.active, e.demand, e.rates, e.changed)
 		e.ctrTouched.Add(int64(touched))
+		for k, n := range e.alloc.incr.tally {
+			if n != 0 {
+				e.ctrTier[k].Add(int64(n))
+			}
+		}
 		// Settle each rewritten flow's integrals at its old rate, then adopt
 		// the new one; everything else keeps integrating lazily.
 		if full {

@@ -8,10 +8,12 @@ import (
 
 // attachObs registers the fluid engine's instruments on cfg.Obs: per-flow
 // allowed-rate and phase gauges, per-link fair-share (alpha) and
-// feedback-volume (fn) gauges, epoch/feedback counters, and the wall-clock
-// water-filling solve-time histogram — the fluid analogues of the packet
-// network's instruments, under the same canonical name prefixes so Summary
-// and the exporters aggregate both backends identically.
+// feedback-volume (fn) gauges, epoch/feedback counters, the incremental
+// solver's tier counters (fluid/solve/tier/*, added once per solve), and
+// the wall-clock water-filling solve-time histogram — the fluid analogues
+// of the packet network's instruments, under the same canonical name
+// prefixes so Summary and the exporters aggregate both backends
+// identically.
 //
 // Everything is wall-clock-side of the zero-perturbation contract: gauges
 // are function-backed (read only when sampled), sampling happens at existing
@@ -27,6 +29,9 @@ func (e *engine) attachObs() {
 	e.solveHistFull = reg.Histogram(obs.HistSolveFull, "s")
 	if e.incremental {
 		e.solveHistIncr = reg.Histogram(obs.HistSolveIncremental, "s")
+		for k, name := range tierNames {
+			e.ctrTier[k] = reg.Counter("fluid/solve/tier/" + name)
+		}
 	}
 	e.ctrTouched = reg.Counter(obs.CtrSolveTouched)
 	e.ctrEpochs = reg.Counter("fluid/epochs")

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -107,6 +108,32 @@ func TestSolverAutoIsFullAtSmallScale(t *testing.T) {
 		}
 		if !reflect.DeepEqual(auto, full) {
 			t.Fatalf("%v: SolverAuto output differs from SolverFull on a small model", ctl)
+		}
+	}
+}
+
+// TestSolverTierCounters checks the fluid/solve/tier/* counters against the
+// solve histograms they refine: every full solve after the first is an early
+// or a late fallback, every committed region is one incremental solve, and
+// the churny chain exercises skips, folds and regional solves.
+func TestSolverTierCounters(t *testing.T) {
+	cfg := churnChainConfig(t, SolverIncremental, ControlMarker)
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	tier := func(name string) int64 { return reg.Counter("fluid/solve/tier/" + name).Value() }
+	fulls := reg.Histogram(obs.HistSolveFull, "s").Count()
+	if got := 1 + tier("fallback-early") + tier("fallback-late"); got != int64(fulls) {
+		t.Errorf("1 + early + late fallbacks = %d, full solves %d", got, fulls)
+	}
+	if regional, incr := tier("regional-solves"), reg.Histogram(obs.HistSolveIncremental, "s").Count(); regional == 0 || regional > int64(incr) {
+		t.Errorf("regional solves %d, want 1..%d incremental solves", regional, incr)
+	}
+	for _, name := range []string{"certificate-skips", "folds"} {
+		if tier(name) == 0 {
+			t.Errorf("no %s counted", name)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 // midScaleDigests are the SHA-256 of the three CSVs of midScaleScenario,
@@ -108,5 +109,48 @@ func TestAtScaleFlowCSVPinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// chainDigests are the SHA-256 of the three CSVs of chainScenario, recorded
+// on the commit before the incremental solver decided its full fallback
+// while still classifying the change set. Every epoch moves the demand of
+// most of the 2 000 always-on flows, so most solves take that early
+// fallback, while the slow-start batches commit regional solves.
+var chainDigests = map[SeriesKind]string{
+	SeriesAllowed:    "7cefe931089d9c7c6fc49d87de06f2b10fce47719b2237adca133035175a0d4c",
+	SeriesReceived:   "d2a3a0023e73eb4d860348a4dd35a33f433d66f5dce1e97a9f3e493aba93c93b",
+	SeriesCumulative: "0c318e1c9b3da96bf5b5a2524228b0e0c51e3122b12bdbbf0eb9dfb612b59277",
+}
+
+// TestChainCSVPinned holds a chain run on the incremental solver to the
+// bytes it produced when every change was classified before the fallback
+// was decided, and requires the early fallback to have fired.
+func TestChainCSVPinned(t *testing.T) {
+	t.Parallel()
+	reg := obs.NewRegistry()
+	res, err := experiments.Run(experiments.Scenario{
+		Name:     "chain",
+		Scheme:   experiments.SchemeCorelite,
+		Backend:  experiments.BackendFlow,
+		Duration: 20 * time.Second,
+		Seed:     1,
+		Chain:    &experiments.ChainTopology{Cores: 200, Flows: 2000},
+		Obs:      reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range allKinds {
+		h := sha256.New()
+		if err := WriteCSV(h, res, kind); err != nil {
+			t.Fatalf("WriteCSV(%v): %v", kind, err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != chainDigests[kind] {
+			t.Errorf("%v CSV digest = %s, want %s", kind, got, chainDigests[kind])
+		}
+	}
+	if n := reg.Counter("fluid/solve/tier/fallback-early").Value(); n == 0 {
+		t.Error("no early fallback fired: the scenario no longer exercises it")
 	}
 }
