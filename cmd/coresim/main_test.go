@@ -18,7 +18,7 @@ func TestParseWeights(t *testing.T) {
 	if got[1] != 1 || got[2] != 2.5 || got[5] != 3 {
 		t.Errorf("parseWeights = %v", got)
 	}
-	for _, bad := range []string{"1", "x:1", "1:y", "1:2:3"} {
+	for _, bad := range []string{"1", "x:1", "1:y", "1:2:3", "1:-3", "2:0", "1:NaN"} {
 		if _, err := parseWeights(bad); err == nil {
 			t.Errorf("parseWeights(%q) succeeded", bad)
 		}
@@ -137,6 +137,19 @@ func TestRunCSFQAndErrors(t *testing.T) {
 	}
 	if err := run([]string{"-topo", "/does/not/exist"}, &sb); err == nil {
 		t.Error("missing topo file accepted")
+	}
+	// -weights is refused at parse time when it would be dropped or
+	// rejected only after the model is built.
+	for _, args := range [][]string{
+		{"-flows", "2", "-dumbbell", "-weights", "99:3"},
+		{"-flows", "2", "-dumbbell", "-weights", "0:3"},
+		{"-chain-cores", "10", "-chain-flows", "3", "-backend", "flow", "-weights", "4:2"},
+		{"-topo", "fattree:k=4,flows=4", "-weights", "1:5"},
+		{"-weights", "1:-3"},
+	} {
+		if err := run(append(args, "-duration", "1s"), &sb); err == nil || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("%v: error %v, want a -weights refusal", args, err)
+		}
 	}
 }
 

@@ -10,39 +10,24 @@
 //	figures -fig 5 -fig 6                 # just the startup comparison
 //	figures -fig 5 -obs out/obs           # + control-plane telemetry bundle
 //
-// With -obs DIR every figure run captures control-plane telemetry (each job
-// gets its own registry, so parallel runs never share) and writes a
-// figN.-prefixed bundle — events as JSONL/CSV, the sampled gauge series, and
-// a Chrome trace_event timeline — into DIR. The figure CSVs are
-// byte-identical with telemetry on or off. The bundle also carries the
-// engine self-profile: per-handler-kind event/wall-time attribution
-// (perf.csv) and latency histograms (hist.jsonl/hist.csv).
-// -cpuprofile/-memprofile write host pprof profiles.
-//
-// With -progress the pool prints one aggregated live-progress line to
-// stderr every 2 seconds (jobs done/running, simulated seconds and rate,
-// Mevents/s or flow·s/s, active flows, ETA) — for watching long batches on
-// either backend.
-//
-// With -check every figure run carries the runtime invariant checker
-// (conservation, queue bounds, marker accounting, fairness residual vs the
-// max-min oracle, with a per-figure tolerance); any violation fails the
-// command. The CSVs are byte-identical with the checker on or off.
+// The flags every command shares (-seed -backend -parallel -obs -progress
+// -check -cpuprofile -memprofile) are documented in internal/cli. Here -obs
+// writes one figN.-prefixed bundle per figure, and -check applies each
+// figure's own fairness tolerance. The CSVs are byte-identical with
+// telemetry or the checker on or off.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
-	"time"
 
 	corelite "repro"
+	"repro/internal/cli"
 	"repro/internal/trace"
 )
 
@@ -135,23 +120,13 @@ func (f *figList) Set(s string) error {
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	var f cli.Flags
+	f.RegisterPool(fs, 0)
 	var figs figList
 	outdir := fs.String("outdir", "figures-out", "directory for CSV output")
-	backend := fs.String("backend", "packet", "execution engine: packet (reference) or flow (fluid, orders of magnitude faster)")
-	seed := fs.Int64("seed", 1, "random seed")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent figure runs (1 = serial)")
 	fs.Var(&figs, "fig", "figure number to regenerate: 3-10 paper, 11-14 generated at-scale (repeatable; default all)")
 	gnuplot := fs.Bool("gnuplot", false, "also write a gnuplot script per figure")
-	obsDir := fs.String("obs", "", "directory for per-figure control-plane telemetry (figN.events.jsonl, figN.series.csv, figN.trace.json, ...)")
-	progress := fs.Bool("progress", false, "print aggregated live progress (events/s, sim-time rate, active flows, ETA) to stderr every 2s")
-	check := fs.Bool("check", false, "attach the runtime invariant checker to every figure run (per-figure fairness tolerance); violations fail the command")
-	cpuProf := fs.String("cpuprofile", "", "write a host CPU profile of the batch to this file")
-	memProf := fs.String("memprofile", "", "write a post-run heap profile to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	be, err := corelite.ParseBackend(*backend)
-	if err != nil {
+	if err := f.Parse(fs, args); err != nil {
 		return err
 	}
 	want := make(map[int]bool, len(figs))
@@ -171,8 +146,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		delete(want, fig.num)
 		selected = append(selected, fig)
-		sc := fig.scenario(*seed)
-		if *check {
+		sc := fig.scenario(f.Seed)
+		if f.Check {
 			sc.Check = corelite.NewInvariantChecker(corelite.InvariantConfig{
 				FairnessTol: corelite.FigureFairnessTol(sc.Name),
 			})
@@ -191,42 +166,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown figure numbers %v (figures 3-10 are the paper's, 11-14 the generated at-scale set)", unknown)
 	}
 
-	// Progress lines land on stderr in completion order; the per-figure
+	// Per-job lines land on stderr in completion order; the per-figure
 	// CSVs and summaries below are emitted in figure order, so files and
 	// stdout are byte-identical for any worker count.
-	poolCfg := corelite.PoolConfig{
-		Workers: *parallel,
-		Backend: be,
-		Observe: *obsDir != "",
-		OnDone: func(r corelite.JobResult) {
-			if r.Err != nil {
-				fmt.Fprintf(stderr, "%-6s failed after %v: %v\n", r.Job.Name, r.Stats.Wall.Round(time.Millisecond), r.Err)
-				return
-			}
-			fmt.Fprintf(stderr, "%-6s done in %v (%d events, %.2f Mevents/s)\n",
-				r.Job.Name, r.Stats.Wall.Round(time.Millisecond), r.Stats.Events, r.Stats.EventsPerSec/1e6)
-		},
-	}
-	if *progress {
-		poolCfg.ProgressEvery = 2 * time.Second
-		poolCfg.OnProgress = func(u corelite.ProgressUpdate) { fmt.Fprintln(stderr, u) }
-	}
-	pool := corelite.NewPool(poolCfg)
-	stopCPU, err := corelite.StartCPUProfile(*cpuProf)
+	results, err := f.Run(stdout, stderr, jobs)
 	if err != nil {
 		return err
 	}
-	results, err := pool.Execute(context.Background(), jobs)
-	if stopErr := stopCPU(); stopErr != nil && err == nil {
-		err = stopErr
-	}
-	if err != nil {
-		return err
-	}
-	if err := corelite.WriteHeapProfile(*memProf); err != nil {
-		return err
-	}
-
 	for i, r := range results {
 		fig := selected[i]
 		if r.Err != nil {
@@ -234,16 +180,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		res := r.Output
 		path := filepath.Join(*outdir, fig.slug+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := corelite.WriteCSV(f, res, fig.kind); err != nil {
-			f.Close()
+		if err := cli.WriteCSV(path, res, fig.kind); err != nil {
 			return fmt.Errorf("figure %d: %w", fig.num, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
 		}
 		if *gnuplot {
 			gpPath := filepath.Join(*outdir, fig.slug+".gp")
@@ -254,23 +192,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "figure %2d: %s\n", fig.num, fig.legend)
 		fmt.Fprintf(stdout, "           %s (%d events, %d losses)\n",
 			path, res.Events, res.TotalLosses)
-		if *check {
-			if len(res.Violations) > 0 {
-				for _, v := range res.Violations {
-					fmt.Fprintf(stdout, "           VIOLATION %s\n", v)
-				}
-				return fmt.Errorf("figure %d: %d invariant violation(s)", fig.num, len(res.Violations))
-			}
-			fmt.Fprintf(stdout, "           check: %d invariant checks passed\n", res.InvariantChecks)
-		}
-		if *obsDir != "" {
-			if _, err := r.Obs.WriteDir(*obsDir, fig.slug+"."); err != nil {
-				return err
-			}
-			if tel := r.Stats.Telemetry; tel != nil {
-				fmt.Fprintf(stdout, "           telemetry: %d control events, %d samples, %d congestion epochs, %d feedback, peak queue %.0f\n",
-					tel.Events, tel.Samples, tel.CongestionEpochs, tel.FeedbackSent, tel.PeakQueue)
-			}
+		if err := f.Report(stdout, r, "           ", "", fig.slug+"."); err != nil {
+			return fmt.Errorf("figure %d: %w", fig.num, err)
 		}
 		if err := corelite.WriteSummary(stdout, res); err != nil {
 			return err

@@ -4,19 +4,23 @@
 // rates "asymptotically oscillate around the intersection of the fairness
 // and efficiency lines"). The iteration itself is flowsim.RunLIMD, the
 // repository's single implementation of the §2.2 recurrence (also the
-// control loop of the flow backend); internal/analysis supplies the error
-// metrics and convergence detection on top.
+// control loop of the flow backend); this command adds the error metrics
+// and convergence detection on top.
 //
 //	fluid -capacity 500 -weights 1,1,2,2,3,3,4,4,5,5 -epochs 20000
 //	fluid -epochs 200000 -progress -obs out/obs
 //	fluid -topo fattree:k=4,flows=16 -traffic heavytail  # generated weight profile
 //
-// With -obs DIR the tool writes a telemetry bundle of the trajectory into
-// DIR (limd.-prefixed): per-flow rate/<i> gauge series sampled at every
-// recorded state (epochs mapped to simulated time at 100 ms per epoch),
-// exported as series.csv, counters.csv, hist/perf stubs and a Chrome
-// trace. With -progress a wall-clock ticker prints live iteration progress
-// to stderr every 2 seconds. Neither flag changes the printed trajectory.
+// -topo, -traffic and -seed are the flags every command shares
+// (internal/cli); -check, -obs and -progress are this command's own. With
+// -check the final rates are compared with the closed-form weighted max-min
+// oracle. With -obs DIR the tool writes a telemetry bundle of the
+// trajectory into DIR (limd.-prefixed): per-flow rate/<i> gauge series
+// sampled at every recorded state (epochs mapped to simulated time at
+// 100 ms per epoch), exported as series.csv, counters.csv, hist/perf stubs
+// and a Chrome trace. With -progress a wall-clock ticker prints live
+// iteration progress to stderr every 2 seconds. Neither flag changes the
+// printed trajectory.
 package main
 
 import (
@@ -28,11 +32,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
+	"repro/internal/cli"
+	"repro/internal/experiments"
 	"repro/internal/flowsim"
 	"repro/internal/obs"
-	"repro/internal/topogen"
-	"repro/internal/trafficgen"
+	"repro/internal/topospec"
 )
 
 func main() {
@@ -44,11 +48,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("fluid", flag.ContinueOnError)
+	var f cli.Flags
+	f.RegisterSeed(fs)
+	f.RegisterTopology(fs)
 	capacity := fs.Float64("capacity", 500, "bottleneck capacity (pkt/s)")
-	weightsArg := fs.String("weights", "1,1,2,2,3,3,4,4,5,5", "comma-separated flow weights")
-	topoArg := fs.String("topo", "", "derive the weight vector from a generated topology (fattree:k=8,flows=48 / nclouds:n=3 / mesh:nodes=8), overriding -weights")
-	trafficArg := fs.String("traffic", "", "generated workload laying weights over -topo's flow slots (uniform / heavytail:... / churn:...)")
-	seed := fs.Int64("seed", 1, "seed for -topo/-traffic generation")
+	weightsArg := fs.String("weights", "1,1,2,2,3,3,4,4,5,5", "comma-separated flow weights (-topo replaces them with its flows' weights)")
 	initialArg := fs.String("initial", "", "comma-separated initial rates (default: all 32, the slow-start exit)")
 	epochs := fs.Int("epochs", 20000, "epochs to iterate")
 	sample := fs.Int("sample", 1000, "print every N-th state")
@@ -64,14 +68,13 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("weights: %w", err)
 	}
-	if *topoArg != "" {
-		weights, err = generatedWeights(*topoArg, *trafficArg, *seed)
-		if err != nil {
+	if gen, spec, err := f.Topology(); err != nil {
+		return err
+	} else if gen != nil || spec != nil {
+		if weights, err = topologyWeights(gen, spec, f.Seed); err != nil {
 			return err
 		}
-		fmt.Printf("generated %d flow weights from %s\n", len(weights), *topoArg)
-	} else if *trafficArg != "" {
-		return fmt.Errorf("-traffic needs a generated -topo (fattree/nclouds/mesh)")
+		fmt.Printf("generated %d flow weights from %s\n", len(weights), f.Topo)
 	}
 	var initial []float64
 	if *initialArg == "" {
@@ -129,52 +132,43 @@ func run(args []string) error {
 			return err
 		}
 	}
-	traj := make(analysis.Trajectory, len(states))
-	for i, st := range states {
-		traj[i] = analysis.FluidState(st)
-	}
-
 	fmt.Printf("%-8s %-10s %-10s  rates\n", "epoch", "fair-err", "eff-err")
-	for _, st := range traj {
+	for _, st := range states {
 		fmt.Printf("%-8d %-10.4f %-10.4f  %s\n",
 			st.Epoch,
-			analysis.FairnessError(st.Rates, weights),
-			analysis.EfficiencyError(st.Rates, *capacity),
+			fairnessError(st.Rates, weights),
+			efficiencyError(st.Rates, *capacity),
 			formatRates(st.Rates))
 	}
-	if epoch, ok := analysis.ConvergenceEpoch(traj, weights, *capacity, *tol); ok {
+	if epoch, ok := convergenceEpoch(states, weights, *capacity, *tol); ok {
 		fmt.Printf("\nconverged to within %.0f%% of the fairness/efficiency intersection by epoch %d\n", *tol*100, epoch)
 	} else {
 		fmt.Printf("\ndid not converge to within %.0f%% over %d epochs\n", *tol*100, *epochs)
 	}
 	if *check {
-		return checkOracle(traj.Final(), weights, *capacity, *tol)
+		return checkOracle(states[len(states)-1].Rates, weights, *capacity, *tol)
 	}
 	return nil
 }
 
-// generatedWeights expands a topogen (and optional trafficgen) spec and
-// returns the per-flow weight vector in flow-index order — the LIMD
-// recurrence models one shared bottleneck, so only the weight profile of
-// the generated scenario carries over, not its link structure.
-func generatedWeights(topoSpec, trafficSpec string, seed int64) ([]float64, error) {
-	cfg, err := topogen.Parse(topoSpec)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := cfg.Generate(seed)
-	if err != nil {
-		return nil, err
-	}
-	weights := make([]float64, len(spec.Flows))
-	for i, f := range spec.Flows {
-		weights[i] = f.Weight
-	}
-	if trafficSpec != "" {
-		tc, err := trafficgen.Parse(trafficSpec)
-		if err != nil {
+// topologyWeights returns the per-flow weight vector, in flow order, of the
+// -topo scenario: a spec file's flows, or a generated topology's with any
+// -traffic workload's weights laid over its flow slots. The LIMD recurrence
+// models one shared bottleneck, so only the weight profile carries over,
+// not the link structure.
+func topologyWeights(gen *experiments.Generate, spec *topospec.Spec, seed int64) ([]float64, error) {
+	if gen != nil {
+		var err error
+		if spec, err = gen.Topo.Generate(seed); err != nil {
 			return nil, err
 		}
+	}
+	weights := make([]float64, len(spec.Flows))
+	for i, fl := range spec.Flows {
+		weights[i] = fl.Weight
+	}
+	if gen != nil && gen.Traffic != nil {
+		tc := *gen.Traffic
 		if tc.Horizon == 0 {
 			tc.Horizon = time.Minute
 		}
@@ -182,16 +176,72 @@ func generatedWeights(topoSpec, trafficSpec string, seed int64) ([]float64, erro
 		if err != nil {
 			return nil, err
 		}
-		for i, f := range spec.Flows {
-			if w, ok := wl.Weights[f.Index]; ok {
+		for i, fl := range spec.Flows {
+			if w, ok := wl.Weights[fl.Index]; ok {
 				weights[i] = w
 			}
 		}
 	}
 	if len(weights) == 0 {
-		return nil, fmt.Errorf("generated topology %q has no flows", topoSpec)
+		return nil, fmt.Errorf("topology has no flows")
 	}
 	return weights, nil
+}
+
+// fairnessError reports the relative L∞ distance of the rates' normalized
+// vector from perfect weighted fairness: max_i |n_i − n̄| / n̄ where
+// n_i = b_i/w_i.
+func fairnessError(rates, weights []float64) float64 {
+	if len(rates) == 0 || len(rates) != len(weights) {
+		return math.Inf(1)
+	}
+	mean := 0.0
+	norm := make([]float64, len(rates))
+	for i := range rates {
+		norm[i] = rates[i] / weights[i]
+		mean += norm[i]
+	}
+	mean /= float64(len(norm))
+	if mean <= 0 {
+		return math.Inf(1)
+	}
+	worst := 0.0
+	for _, n := range norm {
+		if d := math.Abs(n-mean) / mean; d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// efficiencyError reports |Σ rates − C| / C.
+func efficiencyError(rates []float64, capacity float64) float64 {
+	if capacity <= 0 {
+		return math.Inf(1)
+	}
+	total := 0.0
+	for _, r := range rates {
+		total += r
+	}
+	return math.Abs(total-capacity) / capacity
+}
+
+// convergenceEpoch reports the first recorded epoch from which both the
+// fairness and efficiency errors stay within tol until the end of the
+// trajectory, and false if the trajectory never settles.
+func convergenceEpoch(states []flowsim.LIMDState, weights []float64, capacity, tol float64) (int, bool) {
+	last := -1
+	for i := len(states) - 1; i >= 0; i-- {
+		if fairnessError(states[i].Rates, weights) <= tol && efficiencyError(states[i].Rates, capacity) <= tol {
+			last = i
+			continue
+		}
+		break
+	}
+	if last < 0 {
+		return 0, false
+	}
+	return states[last].Epoch, true
 }
 
 // writeObsBundle exports the recorded trajectory as a standard telemetry

@@ -11,23 +11,20 @@
 //	sweep -param qthresh -obs out/obs    # + per-point telemetry bundles
 //	sweep -param epoch -topo fattree:k=4,flows=16 -traffic churn  # generated fabric
 //
-// With -obs DIR every sweep point captures control-plane telemetry and
-// writes a label-prefixed bundle (events JSONL/CSV, sampled gauge series,
-// Chrome trace JSON) into DIR. -cpuprofile/-memprofile write host pprof
-// profiles.
+// The flags every command shares are documented in internal/cli; -obs writes
+// one label-prefixed bundle per point. The flow backend sweeps only the
+// epoch: it does not model the queue threshold, the link delay or K1.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/invariant"
 	"repro/internal/obs"
 	"repro/internal/run"
 )
@@ -41,25 +38,13 @@ func main() {
 
 func mainRun(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	var f cli.Flags
+	// -check-tol is wide by default: sweep points intentionally include
+	// badly tuned settings.
+	f.RegisterPool(fs, 0.25)
+	f.RegisterTopology(fs)
 	param := fs.String("param", "epoch", "parameter to sweep: epoch, qthresh, latency, k1")
-	topo := fs.String("topo", "", "sweep on a generated topology (fattree:k=8,flows=48 / nclouds:n=3 / mesh:nodes=8) instead of the Figure 5 scenario")
-	traffic := fs.String("traffic", "", "generated workload over -topo's flow slots (uniform / heavytail:... / churn:...)")
-	backend := fs.String("backend", "packet", "execution engine: packet (reference) or flow (fluid; note qthresh/latency/k1 are packet-level knobs the fluid model abstracts away)")
-	seed := fs.Int64("seed", 1, "random seed")
-	duration := fs.Duration("duration", 80*time.Second, "simulated duration per point")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep points (1 = serial)")
-	obsDir := fs.String("obs", "", "directory for per-point control-plane telemetry bundles")
-	progress := fs.Bool("progress", false, "print aggregated live progress (sim-time rate, throughput, ETA) to stderr every 2s")
-	check := fs.Bool("check", false, "attach the runtime invariant checker to every sweep point; violations fail the command")
-	checkTol := fs.Float64("check-tol", 0.25, "fairness-residual tolerance for -check (wide by default: sweep points intentionally include badly tuned settings)")
-	cpuProf := fs.String("cpuprofile", "", "write a host CPU profile of the sweep to this file")
-	memProf := fs.String("memprofile", "", "write a post-run heap profile to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	be, err := experiments.ParseBackend(*backend)
-	if err != nil {
+	if err := f.Parse(fs, args); err != nil {
 		return err
 	}
 
@@ -76,66 +61,35 @@ func mainRun(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown parameter %q (want epoch, qthresh, latency, or k1)", *param)
 	}
+	if *param != "epoch" && f.Backend == experiments.BackendFlow {
+		return fmt.Errorf("-param %s is a packet-level knob the flow backend does not model (every point would read the same); use -backend packet", *param)
+	}
 
-	base := experiments.Fig5Scenario(*seed)
-	base.Duration = *duration
+	base := experiments.Fig5Scenario(f.Seed)
+	base.Duration = f.Duration
 	baseLabel := "Figure 5 scenario"
-	if *topo != "" {
-		gen, err := experiments.ParseGenerate(*topo, *traffic)
-		if err != nil {
-			return err
-		}
+	gen, spec, err := f.Topology()
+	if err != nil {
+		return err
+	}
+	if gen != nil || spec != nil {
 		base = experiments.Scenario{
 			Name:     "sweep-generated",
 			Scheme:   experiments.SchemeCorelite,
-			Duration: *duration,
-			Seed:     *seed,
+			Duration: f.Duration,
+			Seed:     f.Seed,
 			Generate: gen,
+			Spec:     spec,
 		}
-		baseLabel = *topo
-	} else if *traffic != "" {
-		return fmt.Errorf("-traffic needs a generated -topo (fattree/nclouds/mesh)")
+		baseLabel = f.Topo
 	}
 	scs := experiments.SweepScenarios(base, points)
-	if *check {
-		for i := range scs {
-			scs[i].Check = invariant.New(invariant.Config{FairnessTol: *checkTol})
-		}
-	}
-
-	poolCfg := run.Config{
-		Workers: *parallel,
-		Backend: be,
-		Observe: *obsDir != "",
-		OnDone: func(r run.Result) {
-			if r.Err != nil {
-				return // reported in point order below
-			}
-			fmt.Fprintf(stderr, "%-28s done in %v (%d events)\n",
-				r.Job.Name, r.Stats.Wall.Round(time.Millisecond), r.Stats.Events)
-		},
-	}
-	if *progress {
-		poolCfg.ProgressEvery = 2 * time.Second
-		poolCfg.OnProgress = func(u run.ProgressUpdate) { fmt.Fprintln(stderr, u) }
-	}
-	pool := run.New(poolCfg)
-	stopCPU, err := obs.StartCPUProfile(*cpuProf)
+	results, err := f.Run(stdout, stderr, run.FromScenarios(scs...))
 	if err != nil {
 		return err
 	}
-	results, err := pool.Execute(context.Background(), run.FromScenarios(scs...))
-	if stopErr := stopCPU(); stopErr != nil && err == nil {
-		err = stopErr
-	}
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteHeapProfile(*memProf); err != nil {
-		return err
-	}
 
-	fmt.Fprintf(stdout, "sensitivity sweep over %s (%s, %v, seed %d)\n\n", *param, baseLabel, *duration, *seed)
+	fmt.Fprintf(stdout, "sensitivity sweep over %s (%s, %v, seed %d)\n\n", *param, baseLabel, f.Duration, f.Seed)
 	fmt.Fprintf(stdout, "%-16s %-10s %-12s %-8s %-12s %-10s\n",
 		"point", "losses", "loss-ratio", "jain", "worst-conv", "converged")
 	for i, res := range results {
@@ -145,22 +99,12 @@ func mainRun(args []string, stdout, stderr io.Writer) error {
 		r := experiments.Summarize(points[i].Label, scs[i], res.Output)
 		fmt.Fprintf(stdout, "%-16s %-10d %-12.4f %-8.4f %-12v %-10v\n",
 			r.Label, r.Losses, r.LossRatio, r.Jain, r.WorstConv.Round(time.Second), r.AllConverged)
-		if *check {
-			if n := len(res.Output.Violations); n > 0 {
-				for _, v := range res.Output.Violations {
-					fmt.Fprintf(stdout, "  VIOLATION %s\n", v)
-				}
-				return fmt.Errorf("sweep point %q: %d invariant violation(s)", points[i].Label, n)
-			}
-		}
-		if *obsDir != "" {
-			if _, err := res.Obs.WriteDir(*obsDir, obs.FilePrefix(res.Job.Name)); err != nil {
-				return err
-			}
+		if err := f.Report(stdout, res, "  ", "", obs.FilePrefix(res.Job.Name)); err != nil {
+			return fmt.Errorf("sweep point %q: %w", points[i].Label, err)
 		}
 	}
-	if *obsDir != "" {
-		fmt.Fprintf(stdout, "\ntelemetry bundles in %s (one per point: events.jsonl, events.csv, series.csv, counters.csv, hist.jsonl, hist.csv, perf.csv, trace.json)\n", *obsDir)
+	if f.Obs != "" {
+		fmt.Fprintf(stdout, "\ntelemetry bundles in %s (one per point: events.jsonl, events.csv, series.csv, counters.csv, hist.jsonl, hist.csv, perf.csv, trace.json)\n", f.Obs)
 	}
 	return nil
 }

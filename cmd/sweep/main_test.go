@@ -69,3 +69,23 @@ func TestSweepObsBundles(t *testing.T) {
 		t.Errorf("missing bundle pointer line:\n%s", stdout.String())
 	}
 }
+
+// TestSweepFlowBackendRefusesPacketKnobs checks that the flow backend, which
+// does not model the queue threshold, the link delay or K1, refuses to
+// sweep them instead of printing a table of identical rows; the control
+// epoch it does model still sweeps.
+func TestSweepFlowBackendRefusesPacketKnobs(t *testing.T) {
+	for _, param := range []string{"qthresh", "latency", "k1"} {
+		err := mainRun([]string{"-backend", "flow", "-param", param, "-duration", "2s"}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-param "+param) || !strings.Contains(err.Error(), "-backend packet") {
+			t.Errorf("-param %s on the flow backend: error %v, want a refusal naming it and -backend packet", param, err)
+		}
+	}
+	var stdout bytes.Buffer
+	if err := mainRun([]string{"-backend", "flow", "-param", "epoch", "-duration", "5s"}, &stdout, io.Discard); err != nil {
+		t.Fatalf("-param epoch on the flow backend: %v", err)
+	}
+	if !strings.Contains(stdout.String(), "sensitivity sweep over epoch") {
+		t.Errorf("epoch table missing:\n%s", stdout.String())
+	}
+}

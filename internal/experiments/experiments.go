@@ -226,13 +226,13 @@ type Generate struct {
 // spec ("fattree:k=8,flows=48") plus an optional trafficgen spec
 // ("heavytail:unresp=0.1,urate=350"). An empty topo spec with an empty
 // traffic spec yields nil (no generation); a traffic spec without a
-// generated topology is an error, since the workload models lay cohorts
-// over generated flow slots.
+// generator topo spec (an empty topo or a spec file) is an error, since the
+// workload models lay cohorts over generated flow slots.
 func ParseGenerate(topo, traffic string) (*Generate, error) {
+	if traffic != "" && !topogen.IsSpec(topo) {
+		return nil, fmt.Errorf("-traffic %q needs a generator -topo (fattree/nclouds/mesh)", traffic)
+	}
 	if topo == "" {
-		if traffic != "" {
-			return nil, fmt.Errorf("traffic generator %q needs a generated topology (fattree/nclouds/mesh)", traffic)
-		}
 		return nil, nil
 	}
 	tc, err := topogen.Parse(topo)

@@ -287,6 +287,9 @@ func TestParseGenerate(t *testing.T) {
 	if _, err := ParseGenerate("", "heavytail"); err == nil {
 		t.Error("traffic without a generated topology accepted")
 	}
+	if _, err := ParseGenerate("net.topo", "heavytail"); err == nil || !strings.Contains(err.Error(), "needs a generator -topo") {
+		t.Errorf("traffic over a spec file: %v, want the generator -topo refusal", err)
+	}
 	g, err := ParseGenerate("fattree:k=4,flows=8", "")
 	if err != nil {
 		t.Fatalf("topo-only: %v", err)

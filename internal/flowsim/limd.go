@@ -9,12 +9,14 @@ import (
 )
 
 // This file is the single-bottleneck LIMD recurrence of paper §2.2 — the
-// fluid iteration internal/analysis and cmd/fluid both drive. It lives here
-// so the repository has exactly one implementation of the control-loop
+// fluid iteration cmd/fluid drives and measures (fairness and efficiency
+// error, convergence epoch, the w_i/Σw · C oracle). It lives here so the
+// repository has exactly one implementation of the control-loop
 // arithmetic: the event-driven engine (flowsim.Run) models the same loop
 // through internal/adapt controllers over an arbitrary link graph, while
 // RunLIMD is the closed, deterministic form on one bottleneck used for
-// convergence analysis.
+// convergence analysis. limd_test.go pins its convergence, contract floors
+// and validation.
 
 // LIMDConfig parameterizes the single-bottleneck fluid iteration. Zero
 // Alpha/Beta/FeedbackK default to the paper's 1/1/0.05.
