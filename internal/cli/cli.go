@@ -171,8 +171,8 @@ func (f *Flags) Report(w io.Writer, r run.Result, indent, tag, obsPrefix string)
 		for _, v := range res.Violations {
 			fmt.Fprintf(w, "%scheck%s: VIOLATION %s\n", indent, tag, v)
 		}
-		if n := len(res.Violations); n > 0 {
-			return fmt.Errorf("%d invariant violation(s)", n)
+		if n := res.TotalViolations; n > 0 {
+			return fmt.Errorf("%d invariant violation(s), %d shown", n, len(res.Violations))
 		}
 		fmt.Fprintf(w, "%scheck%s: %d invariant checks passed\n", indent, tag, res.InvariantChecks)
 	}

@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -122,14 +123,41 @@ func TestRunAndReport(t *testing.T) {
 
 func TestReportViolations(t *testing.T) {
 	f := parse(t, 0.05, "-check")
-	r := run.Result{Output: &experiments.Result{Violations: []invariant.Violation{{Site: "link X", Detail: "over capacity"}}}}
+	r := run.Result{Output: &experiments.Result{Violations: []invariant.Violation{{Site: "link X", Detail: "over capacity"}}, TotalViolations: 1}}
 	var out bytes.Buffer
 	err := f.Report(&out, r, "", " x", "")
-	if err == nil || err.Error() != "1 invariant violation(s)" {
+	if err == nil || err.Error() != "1 invariant violation(s), 1 shown" {
 		t.Errorf("error %v", err)
 	}
 	if !strings.HasPrefix(out.String(), "check x: VIOLATION ") || !strings.Contains(out.String(), "link X") {
 		t.Errorf("violation line %q", out.String())
+	}
+}
+
+// TestReportViolationsPastCap runs a job whose checker keeps one violation
+// but finds more: the job's stats and the report count all of them, and the
+// report says how many it shows.
+func TestReportViolationsPastCap(t *testing.T) {
+	f := parse(t, 0.05, "-check")
+	sc := experiments.Scenario{Name: "cap", Scheme: experiments.SchemeCorelite, Dumbbell: true, NumFlows: 3, Duration: 4 * time.Second, Seed: 1}
+	// A fairness tolerance nothing meets makes every flow a violation.
+	sc.Check = invariant.New(invariant.Config{FairnessTol: 1e-12, MinSteady: time.Second, MaxViolations: 1})
+	results, err := f.Run(io.Discard, io.Discard, run.FromScenarios(sc))
+	if err != nil || results[0].Err != nil {
+		t.Fatalf("Run: %v %v", err, results[0].Err)
+	}
+	r := results[0]
+	total := r.Output.TotalViolations
+	if len(r.Output.Violations) != 1 || total <= 1 || r.Stats.Violations != int(total) {
+		t.Fatalf("kept %d, total %d, stats %d: want 1 kept of more", len(r.Output.Violations), total, r.Stats.Violations)
+	}
+	var out bytes.Buffer
+	err = f.Report(&out, r, "", "", "")
+	if want := fmt.Sprintf("%d invariant violation(s), 1 shown", total); err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+	if n := strings.Count(out.String(), "VIOLATION"); n != 1 {
+		t.Errorf("%d violation lines, want 1:\n%s", n, out.String())
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/ingress"
 	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -59,16 +59,14 @@ func DefaultEdgeConfig() EdgeConfig {
 	}
 }
 
-// Edge is a Corelite ingress edge router. It keeps the per-flow state the
-// architecture pushes out of the core: allowed rate, weight, marker spacing,
-// and per-core feedback counts.
+// Edge is a Corelite ingress edge router: the shared ingress edge (flow
+// table, rate controllers, pacers, epoch ticker) plus Corelite's mechanism
+// — a marker stamped on every N_w-th out-of-profile packet, and a decrease
+// driven by the maximum feedback count over core routers.
 type Edge struct {
-	net  *netem.Network
-	node *netem.Node
-	cfg  EdgeConfig
-
-	flows  []*edgeFlow
-	ticker *sim.Event
+	*ingress.Edge[markState]
+	net *netem.Network
+	cfg EdgeConfig
 
 	// markersInjected counts markers stamped onto outgoing packets; the
 	// invariant checker reconciles the sum over edges against the
@@ -79,29 +77,12 @@ type Edge struct {
 	ctrMarkers *obs.Counter
 }
 
-// ratePipe is the per-flow packet path the edge controls: a backlogged
-// Source for self-generating flows or a Shaper for host-offered traffic.
-type ratePipe interface {
-	Start(rate float64)
-	Stop()
-	SetRate(rate float64)
-	Active() bool
-}
+// edgeFlow is one flow on a Corelite edge.
+type edgeFlow = ingress.Flow[markState]
 
-var (
-	_ ratePipe = (*workload.Source)(nil)
-	_ ratePipe = (*workload.Shaper)(nil)
-)
-
-type edgeFlow struct {
-	id      packet.FlowID
-	weight  float64
+// markState is Corelite's per-flow edge state.
+type markState struct {
 	minRate float64
-	pipe    ratePipe
-	sent    func() int64
-	shaper  *workload.Shaper // non-nil for shaped (host-fed) flows
-	ctrl    *adapt.Controller
-
 	// sinceMarker accumulates out-of-profile packet credit since the
 	// last marker (whole packets for best-effort flows; the excess
 	// fraction (b_g − min)/b_g per packet for flows with a minimum rate
@@ -129,44 +110,21 @@ func NewEdge(net *netem.Network, node *netem.Node, cfg EdgeConfig) *Edge {
 	if cfg.Adapt == (adapt.Config{}) {
 		cfg.Adapt = adapt.DefaultConfig()
 	}
-	e := &Edge{net: net, node: node, cfg: cfg}
+	e := &Edge{net: net, cfg: cfg}
+	e.Edge = ingress.New(net, node, ingress.Config[markState]{
+		Scheme:      "core",
+		Epoch:       cfg.Epoch,
+		PhaseOffset: cfg.PhaseOffset,
+		Reset: func(f *edgeFlow) {
+			f.State.sinceMarker = 0
+			clear(f.State.feedback)
+			f.State.applied = 0
+		},
+		EndEpoch: e.endEpoch,
+	})
 	e.ctrMarkers = net.Obs().Counter("edge/" + node.Name() + "/markers-injected")
 	return e
 }
-
-// registerFlowObs publishes a new flow's allowed rate and adaptation phase
-// as gauges and wires its controller's phase transitions into the control
-// event stream. No-op when the network has no registry attached.
-func (e *Edge) registerFlowObs(f *edgeFlow) {
-	reg := e.net.Obs()
-	if !reg.Enabled() {
-		return
-	}
-	id := f.id.String()
-	reg.GaugeFunc(obs.PrefixRate+id, f.ctrl.Rate)
-	reg.GaugeFunc(obs.PrefixPhase+id, func() float64 { return float64(f.ctrl.Phase()) })
-	node := e.node.Name()
-	f.ctrl.Hook = func(oldPhase, newPhase adapt.Phase, oldRate, newRate float64) {
-		reg.Emit(obs.ControlEvent{
-			At: e.net.Now(), Kind: obs.KindPhaseChange,
-			Node: node, Flow: id,
-			Old: oldRate, New: newRate,
-			Detail: phaseName(oldPhase) + "->" + phaseName(newPhase),
-		})
-	}
-}
-
-// phaseName renders an adapt.Phase for event details, naming the
-// not-started zero phase "stopped".
-func phaseName(p adapt.Phase) string {
-	if p == 0 {
-		return "stopped"
-	}
-	return p.String()
-}
-
-// Node reports the ingress node this edge controls.
-func (e *Edge) Node() *netem.Node { return e.node }
 
 // AddFlow registers a best-effort flow toward dst with the given rate
 // weight and returns its local id. The flow is created inactive; call
@@ -182,35 +140,7 @@ func (e *Edge) AddFlow(dst string, weight float64) (int, error) {
 // (Σ minimums ≤ capacity on every link) is the operator's responsibility —
 // the experiments harness refuses an over-subscribed scenario before it runs.
 func (e *Edge) AddFlowContract(dst string, weight, minRate float64) (int, error) {
-	if weight <= 0 {
-		return 0, fmt.Errorf("core: flow weight %v must be positive", weight)
-	}
-	if minRate < 0 {
-		return 0, fmt.Errorf("core: flow minimum rate %v must be non-negative", minRate)
-	}
-	local := len(e.flows)
-	id := packet.FlowID{Edge: e.node.Name(), Local: local}
-	acfg := e.cfg.Adapt
-	acfg.MinRate = minRate
-	f := &edgeFlow{
-		id:       id,
-		weight:   weight,
-		minRate:  minRate,
-		ctrl:     adapt.NewController(acfg),
-		feedback: make(map[string]int),
-	}
-	src := workload.NewSource(e.net.Scheduler(), workload.SourceConfig{
-		Flow:   id,
-		Dst:    dst,
-		Inject: e.node.Inject,
-		Pool:   e.net.PacketPool(),
-	})
-	src.Decorate = func(p *packet.Packet) { e.decorate(f, p) }
-	f.pipe = src
-	f.sent = src.Sent
-	e.flows = append(e.flows, f)
-	e.registerFlowObs(f)
-	return local, nil
+	return e.add(weight, minRate, workload.PacerConfig{Dst: dst})
 }
 
 // AddShapedFlow registers a flow whose packets arrive from end hosts (via
@@ -219,77 +149,58 @@ func (e *Edge) AddFlowContract(dst string, weight, minRate float64) (int, error)
 // overflow — the paper's "ill behaved flows" are policed here at the edge
 // (§6). queueCap bounds the shaping queue in packets (<= 0 for a default).
 func (e *Edge) AddShapedFlow(weight, minRate float64, queueCap int) (int, error) {
-	if weight <= 0 {
-		return 0, fmt.Errorf("core: flow weight %v must be positive", weight)
-	}
-	if minRate < 0 {
-		return 0, fmt.Errorf("core: flow minimum rate %v must be non-negative", minRate)
-	}
-	local := len(e.flows)
-	id := packet.FlowID{Edge: e.node.Name(), Local: local}
+	return e.add(weight, minRate, workload.PacerConfig{Shaped: true, Capacity: queueCap})
+}
+
+func (e *Edge) add(weight, minRate float64, pc workload.PacerConfig) (int, error) {
 	acfg := e.cfg.Adapt
 	acfg.MinRate = minRate
-	f := &edgeFlow{
-		id:       id,
-		weight:   weight,
-		minRate:  minRate,
-		ctrl:     adapt.NewController(acfg),
-		feedback: make(map[string]int),
+	f, err := e.Edge.Add(weight, acfg, pc, e.decorate)
+	if err != nil {
+		return 0, err
 	}
-	sh := workload.NewShaper(e.net.Scheduler(), workload.ShaperConfig{
-		Capacity: queueCap,
-		Inject:   e.node.Inject,
-	})
-	sh.Decorate = func(p *packet.Packet) { e.decorate(f, p) }
-	// Packets policed at the edge never enter the cloud, so the shaper's
-	// drop hook is their release point.
-	sh.OnDrop = e.net.PacketPool().Put
-	f.pipe = sh
-	f.sent = sh.Released
-	f.shaper = sh
-	e.flows = append(e.flows, f)
-	e.registerFlowObs(f)
-	return local, nil
+	f.State = markState{minRate: minRate, feedback: make(map[string]int)}
+	return f.ID.Local, nil
+}
+
+// shaped looks up a flow that takes host packets.
+func (e *Edge) shaped(local int) (*edgeFlow, error) {
+	f, err := e.Flow(local)
+	if err == nil && !f.Pacer.Shaped() {
+		err = fmt.Errorf("core: flow %d on edge %s is not a shaped flow", local, e.Node().Name())
+	}
+	return f, err
 }
 
 // Offer hands a host packet to a shaped flow: the edge stamps the flow
 // identity and queues the packet for shaped release. It reports false when
 // the packet was dropped (inactive flow or full shaping queue).
 func (e *Edge) Offer(local int, p *packet.Packet) (bool, error) {
-	f, err := e.flow(local)
+	f, err := e.shaped(local)
 	if err != nil {
 		return false, err
 	}
-	if f.shaper == nil {
-		return false, fmt.Errorf("core: flow %d on edge %s is not a shaped flow", local, e.node.Name())
-	}
-	p.Flow = f.id
-	return f.shaper.Offer(p), nil
+	p.Flow = f.ID
+	return f.Pacer.Offer(p), nil
 }
 
 // ShaperQueueLen reports a shaped flow's current backlog.
 func (e *Edge) ShaperQueueLen(local int) (int, error) {
-	f, err := e.flow(local)
+	f, err := e.shaped(local)
 	if err != nil {
 		return 0, err
 	}
-	if f.shaper == nil {
-		return 0, fmt.Errorf("core: flow %d on edge %s is not a shaped flow", local, e.node.Name())
-	}
-	return f.shaper.QueueLen(), nil
+	return f.Pacer.QueueLen(), nil
 }
 
 // ShaperDropped reports packets policed (dropped) at a shaped flow's edge
 // queue.
 func (e *Edge) ShaperDropped(local int) (int64, error) {
-	f, err := e.flow(local)
+	f, err := e.shaped(local)
 	if err != nil {
 		return 0, err
 	}
-	if f.shaper == nil {
-		return 0, fmt.Errorf("core: flow %d on edge %s is not a shaped flow", local, e.node.Name())
-	}
-	return f.shaper.Dropped(), nil
+	return f.Pacer.Dropped(), nil
 }
 
 // decorate stamps the N_w-th out-of-profile data packet with a piggybacked
@@ -299,25 +210,26 @@ func (e *Edge) ShaperDropped(local int) (int64, error) {
 // credit, so the marker rate is (b_g − min)/(K1·w) and in-profile traffic
 // draws no feedback.
 func (e *Edge) decorate(f *edgeFlow, p *packet.Packet) {
-	rate := f.ctrl.Rate()
+	st := &f.State
+	rate := f.Ctrl.Rate()
 	excess := 1.0
-	if f.minRate > 0 {
-		if rate <= f.minRate {
+	if st.minRate > 0 {
+		if rate <= st.minRate {
 			return // fully in profile: no markers, no feedback
 		}
-		excess = (rate - f.minRate) / rate
+		excess = (rate - st.minRate) / rate
 	}
-	nw := e.cfg.K1 * f.weight
+	nw := e.cfg.K1 * f.Weight
 	credit := excess
 	if e.cfg.MarkBytes {
 		// Count out-of-profile bytes in units of MarkBytesUnit so a
 		// half-size packet earns half a packet's worth of credit.
 		credit = excess * float64(p.SizeBytes) / float64(e.cfg.MarkBytesUnit)
 	}
-	f.sinceMarker += credit
-	if f.sinceMarker >= nw {
-		f.sinceMarker -= nw
-		p.Marker = e.net.PacketPool().GetMarker(f.id, (rate-f.minRate)/f.weight)
+	st.sinceMarker += credit
+	if st.sinceMarker >= nw {
+		st.sinceMarker -= nw
+		p.Marker = e.net.PacketPool().GetMarker(f.ID, (rate-st.minRate)/f.Weight)
 		e.markersInjected++
 		e.ctrMarkers.Inc()
 	}
@@ -327,87 +239,22 @@ func (e *Edge) decorate(f *edgeFlow, p *packet.Packet) {
 // outgoing packets.
 func (e *Edge) MarkersInjected() int64 { return e.markersInjected }
 
-// flow validates a local id.
-func (e *Edge) flow(local int) (*edgeFlow, error) {
-	if local < 0 || local >= len(e.flows) {
-		return nil, fmt.Errorf("core: unknown flow %d on edge %s", local, e.node.Name())
-	}
-	return e.flows[local], nil
-}
-
-// StartFlow activates a flow: slow-start from the initial rate.
-func (e *Edge) StartFlow(local int) error {
-	f, err := e.flow(local)
-	if err != nil {
-		return err
-	}
-	now := e.net.Now()
-	f.ctrl.Start(now)
-	f.sinceMarker = 0
-	clear(f.feedback)
-	f.applied = 0
-	f.pipe.Start(f.ctrl.Rate())
-	return nil
-}
-
-// StopFlow deactivates a flow.
-func (e *Edge) StopFlow(local int) error {
-	f, err := e.flow(local)
-	if err != nil {
-		return err
-	}
-	f.pipe.Stop()
-	f.ctrl.Stop()
-	clear(f.feedback)
-	f.applied = 0
-	return nil
-}
-
-// FlowID reports the network-wide id of a local flow.
-func (e *Edge) FlowID(local int) (packet.FlowID, error) {
-	f, err := e.flow(local)
-	if err != nil {
-		return packet.FlowID{}, err
-	}
-	return f.id, nil
-}
-
-// AllowedRate reports the flow's current allowed transmission rate b_g(f)
-// in packets per second (the quantity the paper's "alloted rate" figures
-// plot).
-func (e *Edge) AllowedRate(local int) (float64, error) {
-	f, err := e.flow(local)
-	if err != nil {
-		return 0, err
-	}
-	return f.ctrl.Rate(), nil
-}
-
 // MinRate reports the flow's contracted minimum rate (0 = best effort).
 func (e *Edge) MinRate(local int) (float64, error) {
-	f, err := e.flow(local)
+	f, err := e.Flow(local)
 	if err != nil {
 		return 0, err
 	}
-	return f.minRate, nil
-}
-
-// Weight reports the flow's rate weight.
-func (e *Edge) Weight(local int) (float64, error) {
-	f, err := e.flow(local)
-	if err != nil {
-		return 0, err
-	}
-	return f.weight, nil
+	return f.State.minRate, nil
 }
 
 // Sent reports packets emitted so far for the flow.
 func (e *Edge) Sent(local int) (int64, error) {
-	f, err := e.flow(local)
+	f, err := e.Flow(local)
 	if err != nil {
 		return 0, err
 	}
-	return f.sent(), nil
+	return f.Pacer.Sent(), nil
 }
 
 // HandleFeedback records one marker feedback for the flow from the named
@@ -416,25 +263,22 @@ func (e *Edge) Sent(local int) (int64, error) {
 // the paper's max-over-cores semantics: the total decrease within an epoch
 // is β · max_c count_c.
 func (e *Edge) HandleFeedback(local int, coreID string) {
-	f, err := e.flow(local)
-	if err != nil {
-		return // stale feedback for a flow that no longer exists
+	f, err := e.Flow(local)
+	if err != nil || !f.Pacer.Active() {
+		return // stale feedback for a flow that no longer exists or runs
 	}
-	if !f.pipe.Active() {
-		return
-	}
-	f.feedback[coreID]++
+	st := &f.State
+	st.feedback[coreID]++
 	if e.cfg.DeferDecrease {
 		return
 	}
-	m := maxFeedback(f.feedback)
-	if m <= f.applied {
+	m := maxFeedback(st.feedback)
+	if m <= st.applied {
 		return
 	}
-	delta := m - f.applied
-	f.applied = m
-	rate := f.ctrl.ApplyIndications(e.net.Now(), float64(delta))
-	f.pipe.SetRate(rate)
+	delta := m - st.applied
+	st.applied = m
+	f.Pacer.SetRate(f.Ctrl.ApplyIndications(e.net.Now(), float64(delta)))
 }
 
 // maxFeedback reports the largest per-core feedback count.
@@ -448,48 +292,19 @@ func maxFeedback(counts map[string]int) int {
 	return m
 }
 
-// Start begins the edge's periodic epoch processing. The first tick fires
-// after the edge's phase offset (see EdgeConfig.PhaseOffset) so that edges
-// across the cloud do not adapt in lock-step.
-func (e *Edge) Start() {
-	if e.ticker != nil {
-		return
-	}
-	phase := workload.EpochPhase(e.cfg.PhaseOffset, e.cfg.Epoch, e.node.Name())
-	sched := e.net.Scheduler()
-	e.ticker = sched.MustAfter(phase, func() {
-		e.onEpoch()
-		sched.RescheduleAfter(e.cfg.Epoch)
-	})
-}
-
-// Stop cancels epoch processing (flows keep their current rates).
-func (e *Edge) Stop() {
-	if e.ticker != nil {
-		e.ticker.Cancel()
-		e.ticker = nil
-	}
-}
-
-// onEpoch applies the paper's §2.2 adaptation: for each active flow, react
+// endEpoch applies the paper's §2.2 adaptation to one active flow: react
 // to the maximum of the marker feedback counts received from any single
 // core router this epoch (already applied incrementally unless
 // DeferDecrease is set), or grow by α on a quiet epoch.
-func (e *Edge) onEpoch() {
-	e.net.Scheduler().MarkHandler(sim.KindControl)
-	now := e.net.Now()
-	for _, f := range e.flows {
-		if !f.pipe.Active() {
-			continue
-		}
-		var rate float64
-		if e.cfg.DeferDecrease {
-			rate = f.ctrl.OnEpoch(now, float64(maxFeedback(f.feedback)))
-		} else {
-			rate = f.ctrl.TickEpoch(now, f.applied > 0)
-		}
-		clear(f.feedback)
-		f.applied = 0
-		f.pipe.SetRate(rate)
+func (e *Edge) endEpoch(f *edgeFlow, now time.Duration) float64 {
+	st := &f.State
+	var rate float64
+	if e.cfg.DeferDecrease {
+		rate = f.Ctrl.OnEpoch(now, float64(maxFeedback(st.feedback)))
+	} else {
+		rate = f.Ctrl.TickEpoch(now, st.applied > 0)
 	}
+	clear(st.feedback)
+	st.applied = 0
+	return rate
 }

@@ -3,11 +3,11 @@ package core
 import (
 	"time"
 
+	"repro/internal/ingress"
 	"repro/internal/netem"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // SelectorKind chooses the marker feedback mechanism at the core router.
@@ -162,7 +162,7 @@ type Router struct {
 	feedback FeedbackFunc
 
 	links  []*linkState
-	ticker *sim.Event
+	ticker ingress.Ticker
 	stats  RouterStats
 
 	// Observability (all inert when the network has no registry attached).
@@ -215,16 +215,7 @@ func NewRouter(net *netem.Network, node *netem.Node, cfg RouterConfig, rng *sim.
 	r.ctrMarkersSeen = reg.Counter("core/" + node.Name() + "/markers-seen")
 	r.ctrFeedback = reg.Counter("core/" + node.Name() + obs.SuffixFeedbackSent)
 	r.ctrEpochs = reg.Counter("core/" + node.Name() + obs.SuffixCongestionEpochs)
-	links := node.Links()
-	// Deterministic order regardless of map iteration.
-	for i := 0; i < len(links); i++ {
-		for j := i + 1; j < len(links); j++ {
-			if links[j].Name() < links[i].Name() {
-				links[i], links[j] = links[j], links[i]
-			}
-		}
-	}
-	for _, l := range links {
+	for _, l := range node.Links() {
 		ls := &linkState{
 			link:     l,
 			mu:       l.PacketsPerSecond(cfg.PacketSizeBytes) * cfg.Epoch.Seconds(),
@@ -377,29 +368,15 @@ func (r *Router) OnForward(p *packet.Packet, out *netem.Link) bool {
 // links. The first epoch ends after the router's phase offset so that core
 // routers detect congestion at staggered instants.
 func (r *Router) Start() {
-	if r.ticker != nil {
-		return
-	}
-	phase := workload.EpochPhase(r.cfg.PhaseOffset, r.cfg.Epoch, r.node.Name())
-	sched := r.net.Scheduler()
-	r.ticker = sched.MustAfter(phase, func() {
-		r.onEpoch()
-		sched.RescheduleAfter(r.cfg.Epoch)
-	})
+	r.ticker.Start(r.net.Scheduler(), r.node.Name(), r.cfg.PhaseOffset, r.cfg.Epoch, r.onEpoch)
 }
 
 // Stop cancels epoch processing.
-func (r *Router) Stop() {
-	if r.ticker != nil {
-		r.ticker.Cancel()
-		r.ticker = nil
-	}
-}
+func (r *Router) Stop() { r.ticker.Stop() }
 
 // onEpoch performs incipient congestion detection (§3.1) per link and hands
 // the computed F_n to the link's selector.
 func (r *Router) onEpoch() {
-	r.net.Scheduler().MarkHandler(sim.KindControl)
 	now := r.net.Now()
 	for _, ls := range r.links {
 		qavg := ls.link.Monitor().EndEpoch(now)

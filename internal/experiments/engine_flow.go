@@ -126,6 +126,7 @@ func runFlow(sc Scenario) (*Result, error) {
 	if sc.Check.Enabled() {
 		checkFairness(sc, fm, res)
 		res.Violations = sc.Check.Violations()
+		res.TotalViolations = int64(len(res.Violations)) + sc.Check.Overflow()
 		res.InvariantChecks = sc.Check.Checks()
 	}
 	return res, nil

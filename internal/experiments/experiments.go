@@ -292,6 +292,9 @@ type Result struct {
 	// Violations holds the invariant checker's findings, nil when no
 	// checker was attached (Scenario.Check) or when every check passed.
 	Violations []invariant.Violation
+	// TotalViolations counts every finding, including those past the
+	// checker's retention cap that Violations does not hold.
+	TotalViolations int64
 	// InvariantChecks counts the individual invariant comparisons that ran
 	// (0 when no checker was attached).
 	InvariantChecks int64
@@ -341,11 +344,6 @@ type edgeAgent interface {
 	Start()
 	Stop()
 }
-
-var (
-	_ edgeAgent = (*core.Edge)(nil)
-	_ edgeAgent = (*csfq.Edge)(nil)
-)
 
 // buildCloud constructs the scenario's topology.
 func buildCloud(sc Scenario, sched *sim.Scheduler) (*topology.Cloud, error) {
@@ -611,12 +609,11 @@ func runPacket(sc Scenario) (*Result, error) {
 		id        packet.FlowID
 		allowed   metrics.Series
 		tcp       *host.Sender
-		src       *workload.Source // raw unresponsive blaster (agent == nil)
+		src       *workload.Pacer // raw unresponsive blaster (agent == nil)
 		blast     float64
 		relays    []relaySeg
 	}
 	refs := make([]*flowRef, 0, len(cloud.Placements))
-	edgesByName := make(map[string]edgeAgent, len(cloud.Placements))
 	coreliteEdges := make(map[string]*core.Edge)
 	csfqEdges := make(map[string]*csfq.Edge)
 
@@ -664,7 +661,7 @@ func runPacket(sc Scenario) (*Result, error) {
 			// carries the label a CSFQ edge would converge to for a CBR
 			// source (rate/weight), so the cores police it; under Corelite
 			// it is unmarked and the FIFO cores cannot.
-			src := workload.NewSource(sched, workload.SourceConfig{
+			src := workload.NewPacer(sched, workload.PacerConfig{
 				Flow:   packet.FlowID{Edge: pl.Ingress, Local: pl.Index},
 				Dst:    pl.Egress,
 				Inject: node.Inject,
@@ -716,7 +713,6 @@ func runPacket(sc Scenario) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		edgesByName[pl.Ingress] = agent
 		ref := &flowRef{placement: pl, agent: agent, local: local, id: id, tcp: tcpSender}
 		if len(pl.Relays) > 0 && sc.Scheme == SchemeCorelite {
 			prevID := id
@@ -942,6 +938,7 @@ func runPacket(sc Scenario) (*Result, error) {
 	if sc.Check.Enabled() {
 		checkFairness(sc, fm, res)
 		res.Violations = sc.Check.Violations()
+		res.TotalViolations = int64(len(res.Violations)) + sc.Check.Overflow()
 		res.InvariantChecks = sc.Check.Checks()
 	}
 	return res, nil

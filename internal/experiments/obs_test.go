@@ -105,6 +105,32 @@ func TestObsCSFQTelemetry(t *testing.T) {
 	}
 }
 
+// TestObsCSFQSeriesDeterministic runs one CSFQ scenario twice and demands
+// byte-identical series.csv: the alpha/<link> columns follow the order the
+// core routers adopt their ports in, which must not depend on map
+// iteration.
+func TestObsCSFQSeriesDeterministic(t *testing.T) {
+	series := func() string {
+		sc := shortObsScenario(SchemeCSFQ)
+		sc.Duration = 2 * time.Second
+		reg := obs.NewRegistry()
+		sc.Obs = reg
+		if _, err := Run(sc); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		if err := reg.WriteSeriesCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	a, b := series(), series()
+	if a != b {
+		t.Errorf("two identical CSFQ runs wrote different series.csv; headers:\n%s\n%s",
+			strings.SplitN(a, "\n", 2)[0], strings.SplitN(b, "\n", 2)[0])
+	}
+}
+
 // TestObsSampleDisabled checks that a negative ObsSample keeps counters and
 // events but records no time series.
 func TestObsSampleDisabled(t *testing.T) {

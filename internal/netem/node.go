@@ -2,6 +2,8 @@ package netem
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/packet"
 )
@@ -50,15 +52,15 @@ func (n *Node) SetForwarder(f Forwarder) { n.forwarder = f }
 // LinkTo reports the link to the named adjacent node, or nil.
 func (n *Node) LinkTo(neighbor string) *Link { return n.links[neighbor] }
 
-// Links returns the outgoing links in deterministic (insertion-independent)
-// order is not guaranteed; callers that need determinism should iterate the
-// topology instead. It is primarily a convenience for attaching per-link
-// state.
+// Links returns the outgoing links in link-name order, so per-link state
+// attached by ranging over them (router ports, their gauges) comes out the
+// same on every run.
 func (n *Node) Links() []*Link {
 	out := make([]*Link, 0, len(n.links))
 	for _, l := range n.links {
 		out = append(out, l)
 	}
+	slices.SortFunc(out, func(a, b *Link) int { return strings.Compare(a.name, b.name) })
 	return out
 }
 

@@ -1,10 +1,6 @@
 package netem
 
-import (
-	"container/heap"
-
-	"repro/internal/packet"
-)
+import "repro/internal/packet"
 
 // WFQ is a Weighted Fair Queueing discipline — the state-intensive
 // Intserv-style scheduler the paper contrasts core-stateless designs
@@ -90,20 +86,17 @@ func (w *WFQ) Enqueue(p *packet.Packet) bool {
 		f.finish = w.vtime + 1/f.weight
 		f.seq = w.seq
 		w.seq++
-		heap.Push(&w.pq, f)
+		w.pq.push(f)
 	}
 	return true
 }
 
 // Dequeue implements Discipline.
 func (w *WFQ) Dequeue() *packet.Packet {
-	if w.pq.Len() == 0 {
+	if len(w.pq) == 0 {
 		return nil
 	}
-	f, ok := heap.Pop(&w.pq).(*wfqFlow)
-	if !ok {
-		panic("netem: WFQ heap contained a non-flow")
-	}
+	f := w.pq.remove(0)
 	p := f.queue[0]
 	f.queue[0] = nil
 	f.queue = f.queue[1:]
@@ -116,7 +109,7 @@ func (w *WFQ) Dequeue() *packet.Packet {
 		f.finish += 1 / f.weight
 		f.seq = w.seq
 		w.seq++
-		heap.Push(&w.pq, f)
+		w.pq.push(f)
 	} else {
 		delete(w.flows, f.id)
 	}
@@ -147,7 +140,7 @@ func (w *WFQ) evictTail(f *wfqFlow) {
 	}
 	if n == 1 {
 		// Head-of-line is the only packet: remove the flow entirely.
-		heap.Remove(&w.pq, f.index)
+		w.pq.remove(f.index)
 		delete(w.flows, f.id)
 		w.length--
 		return
@@ -157,41 +150,80 @@ func (w *WFQ) evictTail(f *wfqFlow) {
 	w.length--
 }
 
-// wfqHeap orders backlogged flows by (finish time, arrival sequence).
+// wfqHeap is a binary min-heap of backlogged flows ordered by (finish
+// time, arrival sequence), each flow tracking its slot in index. It keeps
+// container/heap's exact slot layout — longestFlow scans the slots in order,
+// so the layout decides its ties — without boxing a flow per operation.
 type wfqHeap []*wfqFlow
 
-var _ heap.Interface = (*wfqHeap)(nil)
-
-func (h wfqHeap) Len() int { return len(h) }
-
-func (h wfqHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
+func (h wfqHeap) less(a, b *wfqFlow) bool {
+	if a.finish != b.finish {
+		return a.finish < b.finish
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h wfqHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// set places f at slot i.
+func (h wfqHeap) set(i int, f *wfqFlow) {
+	h[i] = f
+	f.index = i
 }
 
-func (h *wfqHeap) Push(x any) {
-	f, ok := x.(*wfqFlow)
-	if !ok {
-		panic("netem: push of a non-flow")
-	}
-	f.index = len(*h)
+func (h *wfqHeap) push(f *wfqFlow) {
 	*h = append(*h, f)
+	h.up(len(*h) - 1)
 }
 
-func (h *wfqHeap) Pop() any {
+// remove takes the flow at slot i out of the heap.
+func (h *wfqHeap) remove(i int) *wfqFlow {
 	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	f := old[i]
+	if i != n {
+		old.set(i, old[n])
+		if !old[:n].down(i) {
+			old.up(i)
+		}
+	}
+	old[n] = nil
+	*h = old[:n]
 	f.index = -1
-	*h = old[:n-1]
 	return f
+}
+
+// up moves the flow at slot i toward the root to its place.
+func (h wfqHeap) up(i int) {
+	f := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(f, h[parent]) {
+			break
+		}
+		h.set(i, h[parent])
+		i = parent
+	}
+	h.set(i, f)
+}
+
+// down moves the flow at slot i toward the leaves to its place and reports
+// whether it moved.
+func (h wfqHeap) down(i0 int) bool {
+	f := h[i0]
+	i := i0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h.less(h[r], h[child]) {
+			child = r
+		}
+		if !h.less(h[child], f) {
+			break
+		}
+		h.set(i, h[child])
+		i = child
+	}
+	h.set(i, f)
+	return i > i0
 }

@@ -287,7 +287,7 @@ func (p *Pool) execute(index int, job Job, tracker *obs.Progress) (res Result) {
 				sum := res.Obs.Summary()
 				res.Stats.Telemetry = &sum
 			}
-			res.Stats.Violations = len(res.Output.Violations)
+			res.Stats.Violations = int(res.Output.TotalViolations)
 		}
 	}()
 	res.Output, res.Err = experiments.Run(sc)

@@ -7,33 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Pacer computes the gap to the next emission given the current shaping
-// rate. The default (nil) is constant-bit-rate pacing: exactly 1/rate.
-type Pacer func(rate float64) time.Duration
-
-// PoissonPacer returns exponentially distributed gaps with mean 1/rate —
-// a Poisson packet arrival process, used by the traffic-sensitivity
-// experiments (the paper's F_n derivation assumes Poisson arrivals; §3.1
-// reports the formula "works reasonably well even if the Poisson traffic
-// assumptions do not hold", which we probe both ways).
-func PoissonPacer(rng *sim.RNG) Pacer {
-	return func(rate float64) time.Duration {
-		return time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
-	}
-}
-
-// SetPacer installs a pacing discipline; nil restores CBR. It takes effect
-// from the next emission.
-func (s *Source) SetPacer(p Pacer) { s.pacer = p }
-
-// gap computes the next inter-emission gap.
-func (s *Source) gap() time.Duration {
-	if s.pacer != nil {
-		return s.pacer(s.rate)
-	}
-	return time.Duration(float64(time.Second) / s.rate)
-}
-
 // OnOff modulates a fixed-rate unresponsive packet stream with exponential
 // ON and OFF periods — bursty cross traffic that does not react to
 // congestion (the sensitivity scenarios use it to stress the marker

@@ -1,71 +1,12 @@
 package workload
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
-
-func TestPoissonPacerMeanRate(t *testing.T) {
-	s := sim.NewScheduler()
-	count := 0
-	src := NewSource(s, SourceConfig{
-		Flow:   packet.FlowID{Edge: "E", Local: 0},
-		Dst:    "D",
-		Inject: func(*packet.Packet) { count++ },
-	})
-	src.SetPacer(PoissonPacer(sim.NewRNG(11)))
-	src.Start(100)
-	if err := s.Run(100 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	src.Stop()
-	// Expect ~10000 emissions; Poisson std dev ~100.
-	if count < 9500 || count > 10500 {
-		t.Errorf("Poisson source emitted %d in 100s at 100/s, want ~10000", count)
-	}
-}
-
-func TestPoissonPacerIsBursty(t *testing.T) {
-	// Coefficient of variation of inter-arrival gaps should be ~1 for
-	// Poisson (vs 0 for CBR).
-	s := sim.NewScheduler()
-	var gaps []float64
-	var last time.Duration
-	first := true
-	src := NewSource(s, SourceConfig{
-		Flow: packet.FlowID{Edge: "E", Local: 0},
-		Dst:  "D",
-		Inject: func(*packet.Packet) {
-			if !first {
-				gaps = append(gaps, (s.Now() - last).Seconds())
-			}
-			first = false
-			last = s.Now()
-		},
-	})
-	src.SetPacer(PoissonPacer(sim.NewRNG(11)))
-	src.Start(100)
-	if err := s.Run(50 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	src.Stop()
-	mean, varSum := 0.0, 0.0
-	for _, g := range gaps {
-		mean += g
-	}
-	mean /= float64(len(gaps))
-	for _, g := range gaps {
-		varSum += (g - mean) * (g - mean)
-	}
-	cv := math.Sqrt(varSum/float64(len(gaps))) / mean
-	if cv < 0.85 || cv > 1.15 {
-		t.Errorf("Poisson gap CV = %.2f, want ~1", cv)
-	}
-}
 
 func TestOnOffDutyCycle(t *testing.T) {
 	s := sim.NewScheduler()

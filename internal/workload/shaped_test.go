@@ -8,17 +8,20 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestShaper(s *sim.Scheduler, capacity int) (*Shaper, *[]*packet.Packet, *[]time.Duration) {
+// newTestShaper returns a shaped pacer whose releases are recorded with
+// their times.
+func newTestShaper(s *sim.Scheduler, capacity int) (*Pacer, *[]*packet.Packet, *[]time.Duration) {
 	var got []*packet.Packet
 	var at []time.Duration
-	sh := NewShaper(s, ShaperConfig{
+	sh := NewPacer(s, PacerConfig{
+		Shaped:   true,
 		Capacity: capacity,
 		Inject:   func(p *packet.Packet) { got = append(got, p); at = append(at, s.Now()) },
 	})
 	return sh, &got, &at
 }
 
-func offerN(sh *Shaper, n int) int {
+func offerN(sh *Pacer, n int) int {
 	accepted := 0
 	for i := 0; i < n; i++ {
 		p := packet.New(packet.FlowID{Edge: "E", Local: 0}, "D", int64(i), 0)
@@ -47,8 +50,8 @@ func TestShaperReleasesAtRate(t *testing.T) {
 			t.Errorf("release %d at %v, want %v", i, ts, want)
 		}
 	}
-	if sh.Released() != 5 || sh.Dropped() != 0 {
-		t.Errorf("Released=%d Dropped=%d", sh.Released(), sh.Dropped())
+	if sh.Sent() != 5 || sh.Dropped() != 0 {
+		t.Errorf("Sent=%d Dropped=%d", sh.Sent(), sh.Dropped())
 	}
 	if sh.Rate() != 10 || !sh.Active() {
 		t.Errorf("Rate=%v Active=%v", sh.Rate(), sh.Active())
@@ -173,7 +176,7 @@ func TestShaperDecorateAtRelease(t *testing.T) {
 
 func TestShaperDefaultCapacity(t *testing.T) {
 	s := sim.NewScheduler()
-	sh := NewShaper(s, ShaperConfig{Inject: func(*packet.Packet) {}})
+	sh := NewPacer(s, PacerConfig{Shaped: true, Inject: func(*packet.Packet) {}})
 	sh.Start(0.0001) // effectively frozen
 	if got := offerN(sh, 100); got != 64 {
 		t.Errorf("default capacity admitted %d, want 64", got)

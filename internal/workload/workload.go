@@ -1,7 +1,8 @@
 // Package workload provides the traffic-generation building blocks shared by
-// both schemes: a rate-shaped packet source (the paper's flows "always have
-// packets to send", i.e. backlogged sources shaped to the allowed rate
-// b_g(f)) and activity schedules for the dynamic-flow scenarios.
+// both schemes: the per-flow token-bucket pacer (the paper's flows "always
+// have packets to send", i.e. backlogged sources shaped to the allowed rate
+// b_g(f); host traffic is queued and released at the same rate) and
+// activity schedules for the dynamic-flow scenarios.
 package workload
 
 import (
@@ -11,11 +12,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Source is a backlogged, rate-shaped packet emitter for one flow. The edge
-// router owns it: the rate tracks the flow's allowed transmission rate
-// b_g(f), and Decorate lets the owning scheme stamp outgoing packets
-// (Corelite marker piggybacking, CSFQ labels).
-type Source struct {
+// defaultQueueCap is a shaped pacer's host-queue bound when the config
+// leaves it unset.
+const defaultQueueCap = 64
+
+// Pacer is one flow's token-bucket packet pacer: it releases at most one
+// packet per 1/rate, and a rate change takes effect at once (the next
+// release moves to lastRelease + 1/rate, clamped to now). The edge router
+// owns it: the rate tracks the flow's allowed transmission rate b_g(f), and
+// Decorate lets the owning scheme stamp outgoing packets (Corelite marker
+// piggybacking, CSFQ labels).
+//
+// A pacer's packets come from one of two places. A minted pacer models a
+// backlogged flow and makes its own packets. A shaped pacer releases the
+// packets end hosts hand to Offer from a bounded FIFO and drops on overflow
+// — "drop[ping] packets from ill behaved flows at the edges of the network"
+// (paper §6).
+type Pacer struct {
 	sched  *sim.Scheduler
 	inject func(*packet.Packet)
 	pool   *packet.Pool
@@ -25,141 +38,204 @@ type Source struct {
 	sizeBytes int
 
 	// Decorate, when non-nil, is called on every packet immediately
-	// before injection.
+	// before injection, so stamps reflect the rate at release time.
 	Decorate func(*packet.Packet)
+	// OnDrop, when non-nil, observes host packets dropped by a shaped
+	// pacer.
+	OnDrop func(*packet.Packet)
 
-	rate     float64 // packets per second; 0 pauses emission
-	pacer    Pacer   // nil = CBR
+	shaped   bool
+	capacity int
+	queue    []*packet.Packet
+
+	rate     float64 // packets per second; 0 pauses release
 	active   bool
-	seq      int64
+	sent     int64
+	dropped  int64
 	lastEmit time.Duration
 	emitted  bool // whether lastEmit is meaningful
 
-	// hid is the source's registered emission handler; gen is the
-	// generation its pending emission was scheduled with. Emission events
-	// ride the scheduler's pointer-free registered tier — nothing is
-	// allocated per packet — so instead of cancelling a superseded
-	// emission eagerly, SetRate/Stop bump gen and the stale event fires as
+	// hid is the pacer's registered release handler; gen is the generation
+	// its pending release was posted with, and armed says one is pending.
+	// Releases ride the scheduler's pointer-free registered tier — nothing
+	// is allocated per packet — so instead of cancelling a superseded
+	// release eagerly, SetRate/Stop bump gen and the stale event fires as
 	// a no-op.
-	hid sim.HandlerID
-	gen uint32
+	hid   sim.HandlerID
+	gen   uint32
+	armed bool
 }
 
-// SourceConfig parameterizes a Source.
-type SourceConfig struct {
+// PacerConfig parameterizes a Pacer.
+type PacerConfig struct {
 	Flow packet.FlowID
-	// Dst is the egress node packets are addressed to.
+	// Dst is the egress node minted packets are addressed to.
 	Dst string
-	// SizeBytes is the packet size; 0 defaults to the paper's 1 KB.
+	// SizeBytes is the minted packet size; 0 defaults to the paper's 1 KB.
 	SizeBytes int
-	// Inject delivers an emitted packet into the network (typically the
+	// Inject delivers a released packet into the network (typically the
 	// ingress node's Inject method).
 	Inject func(*packet.Packet)
-	// Pool, when non-nil, recycles emitted packets (typically the network's
+	// Pool, when non-nil, recycles minted packets (typically the network's
 	// per-run pool); nil falls back to plain allocation.
 	Pool *packet.Pool
+	// Shaped makes the pacer release packets handed to Offer instead of
+	// minting its own.
+	Shaped bool
+	// Capacity bounds a shaped pacer's queue in packets (<= 0 defaults to
+	// 64).
+	Capacity int
 }
 
-// NewSource returns an inactive source; call Start to begin emission.
-func NewSource(sched *sim.Scheduler, cfg SourceConfig) *Source {
-	size := cfg.SizeBytes
-	if size <= 0 {
-		size = packet.DefaultSizeBytes
-	}
-	s := &Source{
+// NewPacer returns an inactive pacer; call Start.
+func NewPacer(sched *sim.Scheduler, cfg PacerConfig) *Pacer {
+	p := &Pacer{
 		sched:     sched,
 		inject:    cfg.Inject,
 		pool:      cfg.Pool,
 		flow:      cfg.Flow,
 		dst:       cfg.Dst,
-		sizeBytes: size,
+		sizeBytes: cfg.SizeBytes,
+		shaped:    cfg.Shaped,
 	}
-	s.hid = sched.RegisterHandler(s.emitIfCurrent)
-	return s
+	if p.sizeBytes <= 0 {
+		p.sizeBytes = packet.DefaultSizeBytes
+	}
+	if p.shaped {
+		p.capacity = cfg.Capacity
+		if p.capacity <= 0 {
+			p.capacity = defaultQueueCap
+		}
+		p.queue = make([]*packet.Packet, 0, p.capacity)
+	}
+	p.hid = sched.RegisterHandler(p.release)
+	return p
 }
 
-// Flow reports the source's flow id.
-func (s *Source) Flow() packet.FlowID { return s.flow }
+// Flow reports the pacer's flow id.
+func (p *Pacer) Flow() packet.FlowID { return p.flow }
 
-// Rate reports the current shaping rate in packets per second.
-func (s *Source) Rate() float64 { return s.rate }
+// Rate reports the current release rate in packets per second.
+func (p *Pacer) Rate() float64 { return p.rate }
 
-// Active reports whether the source is started.
-func (s *Source) Active() bool { return s.active }
+// Active reports whether the pacer is started.
+func (p *Pacer) Active() bool { return p.active }
 
-// Sent reports the number of packets emitted so far.
-func (s *Source) Sent() int64 { return s.seq }
+// Shaped reports whether the pacer releases host packets (see Offer).
+func (p *Pacer) Shaped() bool { return p.shaped }
 
-// Start activates the source at the given shaping rate. The first packet is
-// emitted immediately (the flow is backlogged).
-func (s *Source) Start(rate float64) {
-	s.active = true
-	s.emitted = false
-	s.rate = 0
-	s.SetRate(rate)
+// Sent reports the packets released into the network so far.
+func (p *Pacer) Sent() int64 { return p.sent }
+
+// QueueLen reports the host packets currently waiting.
+func (p *Pacer) QueueLen() int { return len(p.queue) }
+
+// Dropped reports the host packets dropped (queue overflow, offers while
+// stopped, or backlog discarded by Stop).
+func (p *Pacer) Dropped() int64 { return p.dropped }
+
+// Start activates the pacer at the given rate. A minted pacer releases its
+// first packet immediately (the flow is backlogged).
+func (p *Pacer) Start(rate float64) {
+	p.active = true
+	p.emitted = false
+	p.rate = 0
+	p.SetRate(rate)
 }
 
-// Stop deactivates the source and cancels any pending emission.
-func (s *Source) Stop() {
-	s.active = false
-	s.cancelPending()
+// Stop deactivates the pacer, supersedes any pending release and discards
+// the host backlog.
+func (p *Pacer) Stop() {
+	p.active = false
+	p.supersede()
+	for _, q := range p.queue {
+		p.drop(q)
+	}
+	p.queue = p.queue[:0]
 }
 
-// SetRate changes the shaping rate. The next emission time is recomputed as
-// lastEmit + 1/rate (clamped to now), modelling a token bucket whose refill
-// rate just changed; a zero or negative rate pauses emission until the next
-// positive SetRate.
-func (s *Source) SetRate(rate float64) {
+// Offer enqueues a host packet for paced release. It reports false (and
+// counts a drop) when the pacer is stopped, minted, or its queue is full.
+func (p *Pacer) Offer(q *packet.Packet) bool {
+	if !p.active || len(p.queue) >= p.capacity {
+		p.drop(q)
+		return false
+	}
+	p.queue = append(p.queue, q)
+	p.arm()
+	return true
+}
+
+// SetRate changes the release rate, token-bucket style: the next release is
+// rescheduled to lastRelease + 1/rate (clamped to now). A zero or negative
+// rate pauses release until the next positive SetRate.
+func (p *Pacer) SetRate(rate float64) {
 	if rate < 0 {
 		rate = 0
 	}
-	s.rate = rate
-	if !s.active {
+	p.rate = rate
+	if !p.active {
 		return
 	}
-	s.cancelPending()
-	if rate == 0 {
+	p.supersede()
+	p.arm()
+}
+
+// supersede turns the pending release, if any, into a stale no-op.
+func (p *Pacer) supersede() {
+	p.gen++
+	p.armed = false
+}
+
+// arm posts the next release when none is pending and there is a positive
+// rate and a packet to send.
+func (p *Pacer) arm() {
+	if p.armed || !p.active || p.rate <= 0 || (p.shaped && len(p.queue) == 0) {
 		return
 	}
-	next := s.sched.Now()
-	if s.emitted {
-		if t := s.lastEmit + s.gap(); t > next {
+	next := p.sched.Now()
+	if p.emitted {
+		if t := p.lastEmit + time.Duration(float64(time.Second)/p.rate); t > next {
 			next = t
 		}
 	}
-	s.sched.PostHandlerAt(next, s.hid, s.gen)
+	p.sched.PostHandlerAt(next, p.hid, p.gen)
+	p.armed = true
 }
 
-// cancelPending supersedes the scheduled emission, if any: the generation
-// bump makes it fire as a no-op.
-func (s *Source) cancelPending() { s.gen++ }
-
-// emitIfCurrent is the registered emission handler; gen is the generation
-// the emission was scheduled with.
-func (s *Source) emitIfCurrent(gen uint32) {
-	s.sched.MarkHandler(sim.KindSource)
-	if gen != s.gen {
-		// Superseded by a SetRate/Stop after scheduling: a stale no-op.
-		return
+func (p *Pacer) drop(q *packet.Packet) {
+	p.dropped++
+	if p.OnDrop != nil {
+		p.OnDrop(q)
 	}
-	s.emit()
 }
 
-func (s *Source) emit() {
-	if !s.active || s.rate <= 0 {
-		return
+// release is the registered release handler; gen is the generation the
+// release was posted with.
+func (p *Pacer) release(gen uint32) {
+	p.sched.MarkHandler(sim.KindSource)
+	if gen != p.gen {
+		return // superseded by a SetRate/Stop after posting
 	}
-	now := s.sched.Now()
-	p := s.pool.Get(s.flow, s.dst, s.seq, now)
-	p.SizeBytes = s.sizeBytes
-	s.seq++
-	s.lastEmit = now
-	s.emitted = true
-	if s.Decorate != nil {
-		s.Decorate(p)
+	p.armed = false
+	now := p.sched.Now()
+	var q *packet.Packet
+	if p.shaped {
+		q = p.queue[0]
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
+	} else {
+		q = p.pool.Get(p.flow, p.dst, p.sent, now)
+		q.SizeBytes = p.sizeBytes
 	}
-	s.inject(p)
-	s.sched.PostHandler(s.gap(), s.hid, s.gen)
+	p.sent++
+	p.lastEmit = now
+	p.emitted = true
+	if p.Decorate != nil {
+		p.Decorate(q)
+	}
+	p.inject(q)
+	p.arm()
 }
 
 // Interval is a half-open activity window [Start, Stop). A zero Stop means

@@ -8,10 +8,12 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestSource(s *sim.Scheduler) (*Source, *[]*packet.Packet, *[]time.Duration) {
+// newTestSource returns a minted pacer whose releases are recorded with
+// their times.
+func newTestSource(s *sim.Scheduler) (*Pacer, *[]*packet.Packet, *[]time.Duration) {
 	var got []*packet.Packet
 	var at []time.Duration
-	src := NewSource(s, SourceConfig{
+	src := NewPacer(s, PacerConfig{
 		Flow:   packet.FlowID{Edge: "E1", Local: 1},
 		Dst:    "sink",
 		Inject: func(p *packet.Packet) { got = append(got, p); at = append(at, s.Now()) },
