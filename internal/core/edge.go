@@ -64,7 +64,7 @@ func DefaultEdgeConfig() EdgeConfig {
 // — a marker stamped on every N_w-th out-of-profile packet, and a decrease
 // driven by the maximum feedback count over core routers.
 type Edge struct {
-	*ingress.Edge[markState]
+	ingress.Edge[markState]
 	net *netem.Network
 	cfg EdgeConfig
 
@@ -110,18 +110,20 @@ func NewEdge(net *netem.Network, node *netem.Node, cfg EdgeConfig) *Edge {
 	if cfg.Adapt == (adapt.Config{}) {
 		cfg.Adapt = adapt.DefaultConfig()
 	}
-	e := &Edge{net: net, cfg: cfg}
-	e.Edge = ingress.New(net, node, ingress.Config[markState]{
+	icfg := ingress.Config[markState]{
 		Scheme:      "core",
 		Epoch:       cfg.Epoch,
 		PhaseOffset: cfg.PhaseOffset,
 		Reset: func(f *edgeFlow) {
 			f.State.sinceMarker = 0
-			clear(f.State.feedback)
-			f.State.applied = 0
+			endFeedbackEpoch(f)
 		},
-		EndEpoch: e.endEpoch,
-	})
+		EndEpoch: immediateEpoch,
+	}
+	if cfg.DeferDecrease {
+		icfg.EndEpoch = deferredEpoch
+	}
+	e := &Edge{Edge: ingress.New(net, node, icfg), net: net, cfg: cfg}
 	e.ctrMarkers = net.Obs().Counter("edge/" + node.Name() + "/markers-injected")
 	return e
 }
@@ -155,11 +157,12 @@ func (e *Edge) AddShapedFlow(weight, minRate float64, queueCap int) (int, error)
 func (e *Edge) add(weight, minRate float64, pc workload.PacerConfig) (int, error) {
 	acfg := e.cfg.Adapt
 	acfg.MinRate = minRate
-	f, err := e.Edge.Add(weight, acfg, pc, e.decorate)
+	f, err := e.Edge.Add(weight, acfg, pc)
 	if err != nil {
 		return 0, err
 	}
 	f.State = markState{minRate: minRate, feedback: make(map[string]int)}
+	f.Pacer.Decorate = func(p *packet.Packet) { e.decorate(f, p) }
 	return f.ID.Local, nil
 }
 
@@ -292,19 +295,25 @@ func maxFeedback(counts map[string]int) int {
 	return m
 }
 
-// endEpoch applies the paper's §2.2 adaptation to one active flow: react
-// to the maximum of the marker feedback counts received from any single
-// core router this epoch (already applied incrementally unless
-// DeferDecrease is set), or grow by α on a quiet epoch.
-func (e *Edge) endEpoch(f *edgeFlow, now time.Duration) float64 {
-	st := &f.State
-	var rate float64
-	if e.cfg.DeferDecrease {
-		rate = f.Ctrl.OnEpoch(now, float64(maxFeedback(st.feedback)))
-	} else {
-		rate = f.Ctrl.TickEpoch(now, st.applied > 0)
-	}
-	clear(st.feedback)
-	st.applied = 0
+// immediateEpoch and deferredEpoch apply the paper's §2.2 adaptation to
+// one active flow at the end of an epoch: react to the maximum of the
+// marker feedback counts received from any single core router this epoch,
+// or grow by α on a quiet epoch. Without DeferDecrease that maximum was
+// already applied as feedback arrived.
+func immediateEpoch(f *edgeFlow, now time.Duration) float64 {
+	rate := f.Ctrl.TickEpoch(now, f.State.applied > 0)
+	endFeedbackEpoch(f)
 	return rate
+}
+
+func deferredEpoch(f *edgeFlow, now time.Duration) float64 {
+	rate := f.Ctrl.OnEpoch(now, float64(maxFeedback(f.State.feedback)))
+	endFeedbackEpoch(f)
+	return rate
+}
+
+// endFeedbackEpoch forgets the epoch's feedback counts.
+func endFeedbackEpoch(f *edgeFlow) {
+	clear(f.State.feedback)
+	f.State.applied = 0
 }

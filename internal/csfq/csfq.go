@@ -50,7 +50,7 @@ func DefaultEdgeConfig() EdgeConfig {
 // labelled with the flow's normalized rate estimate r/w, and a decrease
 // driven by the epoch's loss count.
 type Edge struct {
-	*ingress.Edge[labelState]
+	ingress.Edge[labelState]
 	net *netem.Network
 	cfg EdgeConfig
 }
@@ -77,8 +77,7 @@ func NewEdge(net *netem.Network, node *netem.Node, cfg EdgeConfig) *Edge {
 	if cfg.Adapt == (adapt.Config{}) {
 		cfg.Adapt = adapt.DefaultConfig()
 	}
-	e := &Edge{net: net, cfg: cfg}
-	e.Edge = ingress.New(net, node, ingress.Config[labelState]{
+	return &Edge{net: net, cfg: cfg, Edge: ingress.New(net, node, ingress.Config[labelState]{
 		Scheme:      "csfq",
 		Epoch:       cfg.Epoch,
 		PhaseOffset: cfg.PhaseOffset,
@@ -90,16 +89,16 @@ func NewEdge(net *netem.Network, node *netem.Node, cfg EdgeConfig) *Edge {
 			f.State.losses = 0
 			return f.Ctrl.OnEpoch(now, float64(losses))
 		},
-	})
-	return e
+	})}
 }
 
 // AddFlow registers a flow toward dst with the given rate weight.
 func (e *Edge) AddFlow(dst string, weight float64) (int, error) {
-	f, err := e.Add(weight, e.cfg.Adapt, workload.PacerConfig{Dst: dst}, e.label)
+	f, err := e.Add(weight, e.cfg.Adapt, workload.PacerConfig{Dst: dst})
 	if err != nil {
 		return 0, err
 	}
+	f.Pacer.Decorate = func(p *packet.Packet) { e.label(f, p) }
 	return f.ID.Local, nil
 }
 

@@ -84,9 +84,10 @@ type Edge[S any] struct {
 	ticker Ticker
 }
 
-// New attaches an edge to the ingress node.
-func New[S any](net *netem.Network, node *netem.Node, cfg Config[S]) *Edge[S] {
-	return &Edge[S]{net: net, node: node, cfg: cfg}
+// New returns an edge for the ingress node. A scheme embeds the value in
+// its own edge type.
+func New[S any](net *netem.Network, node *netem.Node, cfg Config[S]) Edge[S] {
+	return Edge[S]{net: net, node: node, cfg: cfg}
 }
 
 // Node reports the ingress node this edge controls.
@@ -94,9 +95,9 @@ func (e *Edge[S]) Node() *netem.Node { return e.node }
 
 // Add registers a flow with the given rate weight, controller settings
 // (acfg.MinRate is its contracted floor) and pacer, whose flow, injection
-// point and packet pool the edge fills in. stamp runs on every packet the
-// pacer releases. The flow is created inactive; call StartFlow.
-func (e *Edge[S]) Add(weight float64, acfg adapt.Config, pc workload.PacerConfig, stamp func(*Flow[S], *packet.Packet)) (*Flow[S], error) {
+// point and packet pool the edge fills in. The scheme sets the pacer's
+// Decorate to its stamp. The flow is created inactive; call StartFlow.
+func (e *Edge[S]) Add(weight float64, acfg adapt.Config, pc workload.PacerConfig) (*Flow[S], error) {
 	if weight <= 0 {
 		return nil, fmt.Errorf("%s: flow weight %v must be positive", e.cfg.Scheme, weight)
 	}
@@ -112,7 +113,6 @@ func (e *Edge[S]) Add(weight float64, acfg adapt.Config, pc workload.PacerConfig
 	pc.Inject = e.node.Inject
 	pc.Pool = e.net.PacketPool()
 	f.Pacer = workload.NewPacer(e.net.Scheduler(), pc)
-	f.Pacer.Decorate = func(p *packet.Packet) { stamp(f, p) }
 	// Host packets policed at the edge never enter the cloud, so the
 	// pacer's drop hook is their release point.
 	f.Pacer.OnDrop = e.net.PacketPool().Put

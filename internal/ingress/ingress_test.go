@@ -47,7 +47,7 @@ func fixture(t *testing.T, reg *obs.Registry) (*sim.Scheduler, *Edge[counting], 
 			return f.Ctrl.Rate() / 2
 		},
 	})
-	return s, e, &got
+	return s, &e, &got
 }
 
 type appFunc func(*packet.Packet)
@@ -62,10 +62,11 @@ func stamp(f *Flow[counting], p *packet.Packet) {
 func TestEdgeFlowLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, e, got := fixture(t, reg)
-	f, err := e.Add(2, adapt.DefaultConfig(), workload.PacerConfig{Dst: "D"}, stamp)
+	f, err := e.Add(2, adapt.DefaultConfig(), workload.PacerConfig{Dst: "D"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Pacer.Decorate = func(p *packet.Packet) { stamp(f, p) }
 	if f.ID != (packet.FlowID{Edge: "E", Local: 0}) || e.Node().Name() != "E" {
 		t.Fatalf("flow id %v on node %s", f.ID, e.Node().Name())
 	}
@@ -138,12 +139,12 @@ func TestEdgeFlowLifecycle(t *testing.T) {
 
 func TestEdgeErrors(t *testing.T) {
 	_, e, _ := fixture(t, nil)
-	if _, err := e.Add(0, adapt.DefaultConfig(), workload.PacerConfig{}, stamp); err == nil || !strings.HasPrefix(err.Error(), "toy: flow weight") {
+	if _, err := e.Add(0, adapt.DefaultConfig(), workload.PacerConfig{}); err == nil || !strings.HasPrefix(err.Error(), "toy: flow weight") {
 		t.Errorf("zero weight: %v", err)
 	}
 	acfg := adapt.DefaultConfig()
 	acfg.MinRate = -1
-	if _, err := e.Add(1, acfg, workload.PacerConfig{}, stamp); err == nil || !strings.Contains(err.Error(), "minimum rate") {
+	if _, err := e.Add(1, acfg, workload.PacerConfig{}); err == nil || !strings.Contains(err.Error(), "minimum rate") {
 		t.Errorf("negative floor: %v", err)
 	}
 	want := "toy: unknown flow 3 on edge E"
