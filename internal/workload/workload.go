@@ -139,7 +139,6 @@ func (p *Pacer) Dropped() int64 { return p.dropped }
 func (p *Pacer) Start(rate float64) {
 	p.active = true
 	p.emitted = false
-	p.rate = 0
 	p.SetRate(rate)
 }
 
