@@ -156,7 +156,7 @@ func (c *Controller) ApplyIndications(now time.Duration, n float64) float64 {
 		c.rate /= 2
 		c.phase = PhaseLinear
 	case PhaseLinear:
-		c.rate -= c.cfg.Beta * n
+		c.rate -= float64(c.cfg.Beta * n)
 	default:
 		return c.rate
 	}
@@ -213,7 +213,7 @@ func (c *Controller) OnEpoch(now time.Duration, indications float64) float64 {
 		}
 	case PhaseLinear:
 		if indications > 0 {
-			c.rate -= c.cfg.Beta * indications
+			c.rate -= float64(c.cfg.Beta * indications)
 		} else {
 			c.rate += c.cfg.Alpha
 		}

@@ -101,8 +101,8 @@ func (d *mm1CubicDetector) endEpoch(_ time.Duration, qavg float64) float64 {
 	if qavg <= d.qthresh {
 		return 0
 	}
-	term1 := d.mu * (qavg/(1+qavg) - d.qthresh/(1+d.qthresh))
-	term2 := d.k * math.Pow(qavg-d.qthresh, 3)
+	term1 := float64(d.mu * (qavg/(1+qavg) - d.qthresh/(1+d.qthresh)))
+	term2 := float64(d.k * math.Pow(qavg-d.qthresh, 3))
 	fn := (term1 + term2) / d.beta
 	if fn < 0 {
 		return 0
@@ -144,7 +144,7 @@ type ewmaDetector struct {
 var _ detector = (*ewmaDetector)(nil)
 
 func (d *ewmaDetector) endEpoch(_ time.Duration, qavg float64) float64 {
-	d.avg = (1-d.weight)*d.avg + d.weight*qavg
+	d.avg = float64((1-d.weight)*d.avg) + float64(d.weight*qavg)
 	switch {
 	case d.avg <= d.minThresh:
 		return 0

@@ -222,7 +222,7 @@ func (e *Edge) decorate(f *edgeFlow, p *packet.Packet) {
 		}
 		excess = (rate - st.minRate) / rate
 	}
-	nw := e.cfg.K1 * f.Weight
+	nw := float64(e.cfg.K1 * f.Weight)
 	credit := excess
 	if e.cfg.MarkBytes {
 		// Count out-of-profile bytes in units of MarkBytesUnit so a

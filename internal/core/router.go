@@ -410,7 +410,7 @@ func (r *Router) onEpoch() {
 			gamma = 0
 			ls.outstanding = 0 // damping disabled
 		} else {
-			ls.outstanding = gamma*ls.outstanding + float64(ls.sentThisEpoch)
+			ls.outstanding = float64(gamma*ls.outstanding) + float64(ls.sentThisEpoch)
 			if fn > 0 {
 				fn -= ls.outstanding
 				if fn < 0 {

@@ -127,7 +127,7 @@ func (s *statelessSelector) observe(m packet.Marker) {
 		s.rav = m.Rate
 		s.ravInit = true
 	} else {
-		s.rav += s.rAvgGain * (m.Rate - s.rav)
+		s.rav += float64(s.rAvgGain * (m.Rate - s.rav))
 	}
 	if s.pw <= 0 {
 		return
@@ -157,7 +157,7 @@ func (s *statelessSelector) endEpoch(fn float64) {
 		s.wav = float64(count)
 		s.wavInit = true
 	} else {
-		s.wav += s.wAvgGain * (float64(count) - s.wav)
+		s.wav += float64(s.wAvgGain * (float64(count) - s.wav))
 	}
 	s.deficit = 0
 	if fn <= 0 || s.wav <= 0 {

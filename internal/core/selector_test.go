@@ -234,7 +234,7 @@ func TestStatelessSelectorVolumeProperty(t *testing.T) {
 		// Warm-up epoch with a mixed stream.
 		feed := func() (above int) {
 			for i := 0; i < 60; i++ {
-				rate := 10 + 90*rng.Float64()
+				rate := 10 + float64(90*rng.Float64())
 				before := sel.rav
 				sel.observe(packet.Marker{Flow: packet.FlowID{Edge: "e", Local: i}, Rate: rate})
 				if rate >= before || !sel.ravInit {

@@ -267,5 +267,5 @@ func ewmaRate(est float64, last, now time.Duration, k time.Duration, has bool) f
 		gap = 1e-9
 	}
 	w := math.Exp(-gap / k.Seconds())
-	return (1-w)*(1/gap) + w*est
+	return float64((1-w)*(1/gap)) + float64(w*est)
 }

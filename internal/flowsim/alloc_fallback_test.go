@@ -93,7 +93,7 @@ func (a *allocator) solveIncrementalParent(active []bool, demand []float64, out 
 					if s.linkMark[li] == stamp || !a.linkFroze[li] {
 						continue
 					}
-					allow := a.floor[fi] + a.linkLevel[li]*f.Weight
+					allow := a.floor[fi] + float64(a.linkLevel[li]*f.Weight)
 					if d < 0 || allow < d {
 						d = allow
 						cl = true
@@ -144,7 +144,7 @@ func (a *allocator) solveIncrementalParent(active []bool, demand []float64, out 
 				// join the region and re-level.
 				grow = d != 0
 			} else {
-				grow = s.linkUsed[li]+d > c-allocSatMargin*max1(c)
+				grow = s.linkUsed[li]+d > c-float64(allocSatMargin*max1(c))
 			}
 			if grow {
 				s.linkMark[li] = stamp
@@ -264,7 +264,7 @@ func fallbackChainModel(t *testing.T, rng *rand.Rand, nLinks, nFlows, maxSpan in
 	t.Helper()
 	m := NewModel()
 	for i := 0; i < nLinks; i++ {
-		if _, err := m.AddLink("L"+strconv.Itoa(i), 100+900*rng.Float64()); err != nil {
+		if _, err := m.AddLink("L"+strconv.Itoa(i), 100+float64(900*rng.Float64())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func fallbackChainModel(t *testing.T, rng *rand.Rand, nLinks, nFlows, maxSpan in
 		for l := a; l < b; l++ {
 			links = append(links, l)
 		}
-		f := Flow{Index: i + 1, Weight: 0.5 + 5*rng.Float64(), Links: links}
+		f := Flow{Index: i + 1, Weight: 0.5 + float64(5*rng.Float64()), Links: links}
 		if rng.Float64() < 0.1 {
 			f.MinRate = 10 * rng.Float64()
 		}
@@ -318,7 +318,7 @@ func TestEarlyFallbackMatchesParent(t *testing.T) {
 				what = "every-flow batch"
 				for i := 0; i < n; i++ {
 					if p.active[i] && p.demand[i] >= 0 {
-						p.demand[i] *= 0.5 + rng.Float64()
+						p.demand[i] *= 0.5 + float64(rng.Float64())
 					}
 					changed = append(changed, int32(i))
 				}
@@ -339,7 +339,7 @@ func TestEarlyFallbackMatchesParent(t *testing.T) {
 						p.active[i] = true
 						p.demand[i] = randomDemand(rng)
 					case 2, 3:
-						m.Flows[i].Weight = 0.5 + 5*rng.Float64()
+						m.Flows[i].Weight = 0.5 + float64(5*rng.Float64())
 					case 4:
 						if p.active[i] && p.demand[i] >= 0 {
 							p.demand[i]++

@@ -190,7 +190,7 @@ func max1(x float64) float64 {
 // foldHeadroom reports whether link li can absorb delta more rate and stay
 // clear of saturation by the fold margin.
 func (s *incrState) foldHeadroom(capacity float64, li int, delta float64) bool {
-	return s.linkUsed[li]+delta <= capacity-allocSatMargin*max1(capacity)
+	return s.linkUsed[li]+delta <= capacity-float64(allocSatMargin*max1(capacity))
 }
 
 // classify resolves one changed flow against the previous solution:
@@ -422,7 +422,7 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 					if s.linkMark[li] == stamp || !a.linkFroze[li] {
 						continue
 					}
-					allow := a.floor[fi] + a.linkLevel[li]*f.Weight
+					allow := a.floor[fi] + float64(a.linkLevel[li]*f.Weight)
 					if d < 0 || allow < d {
 						d = allow
 						cl = true
@@ -473,7 +473,7 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 				// join the region and re-level.
 				grow = d != 0
 			} else {
-				grow = s.linkUsed[li]+d > c-allocSatMargin*max1(c)
+				grow = s.linkUsed[li]+d > c-float64(allocSatMargin*max1(c))
 			}
 			if grow {
 				s.linkMark[li] = stamp

@@ -72,7 +72,7 @@ func (h *incrHarness) step(changed []int32) {
 		// Min-rate floors are honored unconditionally (SolveWithMinimums
 		// semantics), so an infeasible floor set legitimately exceeds capacity.
 		limit := math.Max(l.Capacity, floors)
-		if sum > limit*(1+1e-9)+1e-9 {
+		if sum > float64(limit*(1+1e-9))+1e-9 {
 			h.t.Fatalf("link %s oversubscribed by incremental solve: %.12g > %.12g", l.Name, sum, limit)
 		}
 	}
@@ -85,7 +85,7 @@ func randomChainModel(t *testing.T, rng *rand.Rand) *Model {
 	nLinks := 2 + rng.Intn(10)
 	m := NewModel()
 	for i := 0; i < nLinks; i++ {
-		if _, err := m.AddLink("L"+string(rune('A'+i)), 100+900*rng.Float64()); err != nil {
+		if _, err := m.AddLink("L"+string(rune('A'+i)), 100+float64(900*rng.Float64())); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func randomChainModel(t *testing.T, rng *rand.Rand) *Model {
 		for l := a; l < b; l++ {
 			links = append(links, l)
 		}
-		f := Flow{Index: i + 1, Weight: 0.5 + 5*rng.Float64(), Links: links}
+		f := Flow{Index: i + 1, Weight: 0.5 + float64(5*rng.Float64()), Links: links}
 		if rng.Float64() < 0.2 {
 			f.MinRate = 30 * rng.Float64()
 		}
@@ -143,7 +143,7 @@ func TestIncrementalMatchesFullRandomSequences(t *testing.T) {
 					h.active[i] = true
 					h.demand[i] = randomDemand(rng)
 				case 2: // weight churn
-					m.Flows[i].Weight = 0.5 + 5*rng.Float64()
+					m.Flows[i].Weight = 0.5 + float64(5*rng.Float64())
 				case 3: // small additive probe (the LIMD +α shape)
 					if h.active[i] && h.demand[i] >= 0 {
 						h.demand[i] += 1
@@ -189,7 +189,7 @@ func TestIncrementalFoldsAreBitwise(t *testing.T) {
 	changed := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		h.active[i] = true
-		h.demand[i] = 1 + 10*rng.Float64()
+		h.demand[i] = 1 + float64(10*rng.Float64())
 		changed = append(changed, int32(i))
 	}
 	h.step(changed) // first call: tracked full solve
@@ -198,7 +198,7 @@ func TestIncrementalFoldsAreBitwise(t *testing.T) {
 		changed = changed[:0]
 		for i := 0; i < n; i++ {
 			if rng.Float64() < 0.5 && h.active[i] {
-				h.demand[i] += rng.Float64() // stays far below capacity: folds
+				h.demand[i] += float64(rng.Float64()) // stays far below capacity: folds
 				changed = append(changed, int32(i))
 			}
 		}
@@ -206,7 +206,7 @@ func TestIncrementalFoldsAreBitwise(t *testing.T) {
 			i := rng.Intn(n)
 			h.active[i] = !h.active[i]
 			if h.active[i] {
-				h.demand[i] = 1 + 10*rng.Float64()
+				h.demand[i] = 1 + float64(10*rng.Float64())
 			} else {
 				h.demand[i] = 0
 			}
@@ -249,7 +249,7 @@ func TestFullSolveIsRegionOfEverything(t *testing.T) {
 			for i := 0; i < n; i++ {
 				e.active[i] = rng.Float64() < 0.8
 				e.demand[i] = randomDemand(rng)
-				m.Flows[i].Weight = 0.5 + 5*rng.Float64() // churn: every flow is dirty
+				m.Flows[i].Weight = 0.5 + float64(5*rng.Float64()) // churn: every flow is dirty
 				e.markChanged(i)
 			}
 			fresh := newAllocator(m)
@@ -318,7 +318,7 @@ func TestIncrementalSolveSteadyStateAllocs(t *testing.T) {
 	changed := make([]int32, 0, nFlows)
 	for i := range active {
 		active[i] = true
-		demand[i] = 400 + 30*rng.Float64() // saturates most links
+		demand[i] = 400 + float64(30*rng.Float64()) // saturates most links
 		changed = append(changed, int32(i))
 	}
 	a.solveIncremental(active, demand, out, changed) // tracked full solve
@@ -374,7 +374,7 @@ func FuzzIncrementalAlloc(f *testing.F) {
 		}
 		m := NewModel()
 		for i := 0; i < nLinks; i++ {
-			if _, err := m.AddLink("L"+string(rune('A'+i)), 10+float64(next())*4); err != nil {
+			if _, err := m.AddLink("L"+string(rune('A'+i)), 10+float64(float64(next())*4)); err != nil {
 				t.Skip()
 			}
 		}
@@ -385,7 +385,7 @@ func FuzzIncrementalAlloc(f *testing.F) {
 			for l := a; l < b; l++ {
 				links = append(links, l)
 			}
-			fl := Flow{Index: i + 1, Weight: 0.5 + float64(next()%16)/4, Links: links}
+			fl := Flow{Index: i + 1, Weight: 0.5 + float64(float64(next()%16)/4), Links: links}
 			if next()%4 == 0 {
 				fl.MinRate = float64(next() % 40)
 			}
@@ -414,10 +414,10 @@ func FuzzIncrementalAlloc(f *testing.F) {
 						h.demand[i] = -1
 					}
 				case 3:
-					m.Flows[i].Weight = 0.25 + v/32
+					m.Flows[i].Weight = 0.25 + float64(v/32)
 				default:
 					if h.active[i] && h.demand[i] >= 0 {
-						h.demand[i] += v / 8
+						h.demand[i] += float64(v / 8)
 					}
 				}
 				changed = append(changed, int32(i))

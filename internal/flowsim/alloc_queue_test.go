@@ -331,7 +331,7 @@ func chain10kAllocator(tb testing.TB) (*allocator, []bool, []float64) {
 			tb.Fatal(err)
 		}
 		active[i] = true
-		demand[i] = w * 8 * (0.5 + rng.Float64())
+		demand[i] = w * 8 * (0.5 + float64(rng.Float64()))
 	}
 	return newAllocator(m), active, demand
 }

@@ -73,7 +73,7 @@ func checkAgainstOracle(t *testing.T, m *Model, active []bool, demand []float64)
 				}
 			}
 		}
-		if sum > l.Capacity*(1+1e-9)+1e-9 {
+		if sum > float64(l.Capacity*(1+1e-9))+1e-9 {
 			t.Errorf("link %s oversubscribed: %.9g > %.9g", l.Name, sum, l.Capacity)
 		}
 	}
@@ -130,7 +130,7 @@ func TestAllocatorMatchesOracleRandom(t *testing.T) {
 		nLinks := 1 + rng.Intn(8)
 		caps := make([]float64, nLinks)
 		for i := range caps {
-			caps[i] = 50 + 500*rng.Float64()
+			caps[i] = 50 + float64(500*rng.Float64())
 		}
 		nFlows := 1 + rng.Intn(12)
 		spans := make([][2]int, nFlows)
@@ -139,7 +139,7 @@ func TestAllocatorMatchesOracleRandom(t *testing.T) {
 			a := rng.Intn(nLinks)
 			b := a + 1 + rng.Intn(nLinks-a)
 			spans[i] = [2]int{a, b}
-			weights[i] = 0.5 + 5*rng.Float64()
+			weights[i] = 0.5 + float64(5*rng.Float64())
 		}
 		m := chainModelForTest(t, caps, spans, weights)
 		active := make([]bool, nFlows)

@@ -636,7 +636,7 @@ func (e *engine) advance(t time.Duration) {
 	}
 	e.lastT = t
 	e.lastSec = t.Seconds()
-	e.flowSec += float64(e.nActive) * dt
+	e.flowSec += float64(float64(e.nActive) * dt)
 	if e.incremental {
 		return
 	}
@@ -645,12 +645,12 @@ func (e *engine) advance(t time.Duration) {
 		if !on {
 			continue
 		}
-		e.cum[i] += e.cur[i] * dt
+		e.cum[i] += float64(e.cur[i] * dt)
 		// Unresponsive flows keep blasting at their fixed demand under
 		// either scheme, so whatever the allocation does not carry is lost.
 		if loss || e.fixed[i] {
 			if excess := e.demand[i] - e.cur[i]; excess > 0 {
-				e.lost[i] += excess * dt
+				e.lost[i] += float64(excess * dt)
 			}
 		}
 	}
@@ -663,10 +663,10 @@ func (e *engine) advance(t time.Duration) {
 // what makes the deferred integral exact.
 func (e *engine) integrate(i int) {
 	if dt := e.lastSec - e.advT[i]; dt > 0 {
-		e.cum[i] += e.cur[i] * dt
+		e.cum[i] += float64(e.cur[i] * dt)
 		if e.cfg.Control == ControlLoss || e.fixed[i] {
 			if excess := e.demand[i] - e.cur[i]; excess > 0 {
-				e.lost[i] += excess * dt
+				e.lost[i] += float64(excess * dt)
 			}
 		}
 	}
@@ -863,7 +863,7 @@ func (e *engine) check(t time.Duration) {
 		checks++
 		sum := e.checkSum[li]
 		capacity := e.m.Links[li].Capacity
-		if sum > capacity*(1+relEps)+relEps {
+		if sum > float64(capacity*(1+relEps))+relEps {
 			report(Violation{At: t, Kind: KindConservation, Site: e.m.Links[li].Name,
 				Expected: capacity, Actual: sum,
 				Detail: "achieved rates sum above link capacity"})
@@ -879,7 +879,7 @@ func (e *engine) check(t time.Duration) {
 				Expected: 0, Actual: e.cur[i], Detail: "negative achieved rate"})
 		}
 		bound := math.Max(e.demand[i], e.m.Flows[i].MinRate)
-		if e.cur[i] > bound*(1+relEps)+relEps {
+		if e.cur[i] > float64(bound*(1+relEps))+relEps {
 			report(Violation{At: t, Kind: KindBounds, Site: fmt.Sprintf("flow %d", e.m.Flows[i].Index),
 				Expected: bound, Actual: e.cur[i],
 				Detail: "achieved rate above allowed rate"})

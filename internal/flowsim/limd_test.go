@@ -63,7 +63,7 @@ func TestFluidConvergesWeighted(t *testing.T) {
 	}
 	// Normalized rates approach 500/30 = 16.67.
 	for i, r := range states[len(states)-1].Rates {
-		want := 500.0 / 30 * weights[i]
+		want := float64(500.0 / 30 * weights[i])
 		if math.Abs(r-want)/want > 0.15 {
 			t.Errorf("flow %d fluid rate = %v, want ~%v", i, r, want)
 		}

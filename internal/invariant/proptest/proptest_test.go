@@ -117,19 +117,19 @@ func randomProblem(rng *rand.Rand) maxmin.Problem {
 	links := make([]string, nLinks)
 	for i := range links {
 		links[i] = fmt.Sprintf("L%d", i)
-		p.Capacity[links[i]] = 100 + rng.Float64()*900
+		p.Capacity[links[i]] = 100 + float64(rng.Float64()*900)
 	}
 	nFlows := 1 + rng.Intn(8)
 	for f := 0; f < nFlows; f++ {
 		// A contiguous run of links models a path through the chain.
 		first := rng.Intn(nLinks)
 		last := first + rng.Intn(nLinks-first)
-		fl := maxmin.Flow{Weight: 0.5 + rng.Float64()*4}
+		fl := maxmin.Flow{Weight: 0.5 + float64(rng.Float64()*4)}
 		for l := first; l <= last; l++ {
 			fl.Links = append(fl.Links, links[l])
 		}
 		if rng.Intn(2) == 0 {
-			fl.Demand = 50 + rng.Float64()*500
+			fl.Demand = 50 + float64(rng.Float64()*500)
 		}
 		p.Flows[fmt.Sprintf("f%d", f)] = fl
 	}

@@ -28,12 +28,12 @@ func FuzzMaxMin(f *testing.F) {
 		links := make([]string, nLinks)
 		for i := range links {
 			links[i] = fmt.Sprintf("L%d", i)
-			p.Capacity[links[i]] = 10 + rng.Float64()*990
+			p.Capacity[links[i]] = 10 + float64(rng.Float64()*990)
 		}
 		for i := 0; i < nFlows; i++ {
 			first := rng.Intn(nLinks)
 			last := first + rng.Intn(nLinks-first)
-			fl := Flow{Weight: 0.1 + rng.Float64()*8}
+			fl := Flow{Weight: 0.1 + float64(rng.Float64()*8)}
 			for l := first; l <= last; l++ {
 				fl.Links = append(fl.Links, links[l])
 			}

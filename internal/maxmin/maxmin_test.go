@@ -112,7 +112,7 @@ func TestPaperTopologyAllFlows(t *testing.T) {
 	}
 	wantPerUnit := 25.0
 	for name, f := range p.Flows {
-		want := wantPerUnit * f.Weight
+		want := float64(wantPerUnit * f.Weight)
 		if !almost(got[name], want) {
 			t.Errorf("flow %s rate = %v, want %v", name, got[name], want)
 		}
@@ -167,7 +167,7 @@ func TestPaperTopologySubset(t *testing.T) {
 		t.Fatalf("Solve: %v", err)
 	}
 	for name, f := range p.Flows {
-		want := 500.0 / 15 * f.Weight
+		want := float64(500.0 / 15 * f.Weight)
 		if !almost(got[name], want) {
 			t.Errorf("flow %s rate = %v, want %v", name, got[name], want)
 		}

@@ -204,7 +204,7 @@ func JainIndex(values []float64) float64 {
 	var sum, sumSq float64
 	for _, v := range values {
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	if sumSq == 0 {
 		return 0

@@ -176,7 +176,7 @@ func (r *RED) Enqueue(p *packet.Packet) bool {
 	case r.avg >= r.cfg.MinThresh:
 		r.count++
 		pb := r.cfg.MaxP * (r.avg - r.cfg.MinThresh) / (r.cfg.MaxThresh - r.cfg.MinThresh)
-		pa := pb / math.Max(1e-9, 1-float64(r.count)*pb)
+		pa := pb / math.Max(1e-9, 1-float64(float64(r.count)*pb))
 		if pa < 0 || pa > 1 {
 			pa = 1
 		}
@@ -219,5 +219,5 @@ func (r *RED) updateAvg() {
 		}
 		r.idle = false
 	}
-	r.avg = (1-r.cfg.Weight)*r.avg + r.cfg.Weight*float64(r.ring.n)
+	r.avg = float64((1-r.cfg.Weight)*r.avg) + float64(r.cfg.Weight*float64(r.ring.n))
 }

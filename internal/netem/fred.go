@@ -142,7 +142,7 @@ func (f *FRED) Enqueue(p *packet.Packet) bool {
 		f.count++
 		if st.qlen >= f.cfg.MinQ && float64(st.qlen) >= avgcq {
 			pb := f.cfg.MaxP * (f.avg - f.cfg.MinThresh) / (f.cfg.MaxThresh - f.cfg.MinThresh)
-			pa := pb / math.Max(1e-9, 1-float64(f.count)*pb)
+			pa := pb / math.Max(1e-9, 1-float64(float64(f.count)*pb))
 			if pa < 0 || pa > 1 {
 				pa = 1
 			}
@@ -206,5 +206,5 @@ func (f *FRED) updateAvg() {
 		}
 		f.idle = false
 	}
-	f.avg = (1-f.cfg.Weight)*f.avg + f.cfg.Weight*float64(len(f.queue))
+	f.avg = float64((1-f.cfg.Weight)*f.avg) + float64(f.cfg.Weight*float64(len(f.queue)))
 }

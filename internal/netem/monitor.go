@@ -21,7 +21,7 @@ func NewQueueMonitor(now time.Duration) *QueueMonitor {
 // Observe records that the queue length changed to length at time now.
 // Calls must be monotone in now.
 func (m *QueueMonitor) Observe(now time.Duration, length int) {
-	m.integral += float64(m.length) * (now - m.lastChange).Seconds()
+	m.integral += float64(float64(m.length) * (now - m.lastChange).Seconds())
 	m.lastChange = now
 	m.length = length
 	if length > m.peak {
@@ -42,7 +42,7 @@ func (m *QueueMonitor) Average(now time.Duration) float64 {
 	if elapsed <= 0 {
 		return float64(m.length)
 	}
-	integral := m.integral + float64(m.length)*(now-m.lastChange).Seconds()
+	integral := m.integral + float64(float64(m.length)*(now-m.lastChange).Seconds())
 	return integral / elapsed
 }
 

@@ -44,7 +44,7 @@ func histBounds(i int) (lo, hi float64) {
 	e := histExpMin + i/histSub
 	j := i % histSub
 	base := math.Ldexp(1, e-1) // 2^(e-1)
-	return base * (1 + float64(j)/histSub), base * (1 + float64(j+1)/histSub)
+	return base * (1 + float64(float64(j)/histSub)), base * (1 + float64(float64(j+1)/histSub))
 }
 
 // Histogram is a named log-bucketed distribution of float64 observations

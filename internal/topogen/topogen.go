@@ -298,7 +298,7 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 	// k·(k/2)·k duplex fabric links; a host pair and two duplex host links
 	// per flow.
 	fk, ff := float64(k), float64(c.Flows)
-	if err := c.checkSize(fk*fk/4+fk*fk+2*ff, fk*fk*fk+4*ff, ff); err != nil {
+	if err := c.checkSize(float64(fk*fk/4)+float64(fk*fk)+float64(2*ff), float64(fk*fk*fk)+float64(4*ff), ff); err != nil {
 		return nil, err
 	}
 	spec := &topospec.Spec{
@@ -414,8 +414,8 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 	// Per cloud a chain of cores, a gateway and two duplex trunks between
 	// neighbours; a host pair and two duplex host links per flow.
 	fn, fc := float64(c.Clouds), float64(c.CoresPerCloud)
-	ff := float64(c.Through) + fn*float64(c.Local)
-	if err := c.checkSize(fn*fc+fn-1+2*ff, 2*fn*(fc-1)+4*(fn-1)+4*ff, ff); err != nil {
+	ff := float64(c.Through) + float64(fn*float64(c.Local))
+	if err := c.checkSize(float64(fn*fc)+fn-1+float64(2*ff), float64(2*fn*(fc-1))+float64(4*(fn-1))+float64(4*ff), ff); err != nil {
 		return nil, err
 	}
 	spec := &topospec.Spec{}
@@ -519,7 +519,7 @@ func (c Config) mesh(seed int64) (*topospec.Spec, error) {
 	// The ring plus at most Degree chords per node, duplex; a host pair and
 	// two duplex host links per flow.
 	fn, ff := float64(c.Nodes), float64(c.Flows)
-	if err := c.checkSize(fn+2*ff, 2*fn*(1+float64(c.Degree))+4*ff, ff); err != nil {
+	if err := c.checkSize(fn+float64(2*ff), float64(2*fn*(1+float64(c.Degree)))+float64(4*ff), ff); err != nil {
 		return nil, err
 	}
 	spec := &topospec.Spec{}

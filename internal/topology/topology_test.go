@@ -155,7 +155,7 @@ func TestFig5ExpectedRates(t *testing.T) {
 	rates := expectedRates(t, c, nil)
 	perUnit := 500.0 / 30
 	for i := 1; i <= 10; i++ {
-		want := perUnit * float64((i+1)/2)
+		want := float64(perUnit * float64((i+1)/2))
 		if math.Abs(rates[i]-want) > 1e-6 {
 			t.Errorf("flow %d expected = %v, want %v", i, rates[i], want)
 		}
@@ -189,7 +189,7 @@ func TestDumbbell(t *testing.T) {
 	rates := expectedRates(t, c, nil)
 	// Σw = 6 over 500 pkt/s.
 	for i, w := range map[int]float64{1: 1, 2: 2, 3: 3} {
-		want := 500.0 / 6 * w
+		want := float64(500.0 / 6 * w)
 		if math.Abs(rates[i]-want) > 1e-6 {
 			t.Errorf("flow %d expected = %v, want %v", i, rates[i], want)
 		}

@@ -243,7 +243,7 @@ func boundedPareto(u, alpha, lo, hi float64) float64 {
 	}
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	x := math.Pow(-(float64(u*ha)-float64(u*la)-ha)/(ha*la), -1/alpha)
 	if x < lo {
 		x = lo
 	}
@@ -332,7 +332,7 @@ func (c Config) heavyTail(seed int64, flows int, wl Workload, churnStop time.Dur
 			wl.Schedules[f] = workload.Window(start, 0)
 		default:
 			wl.Weights[f] = c.MiceWeight
-			at += rng.ExpFloat64() * meanGap
+			at += float64(rng.ExpFloat64() * meanGap)
 			start := time.Duration(at * float64(time.Second))
 			if start > churnStop-c.MiceLifeMin {
 				start = churnStop - c.MiceLifeMin
