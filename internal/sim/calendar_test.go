@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // runAt schedules one event per timestamp on each wheel geometry, drains the
@@ -11,7 +12,7 @@ import (
 func runAt(t *testing.T, times []Time) {
 	t.Helper()
 	for _, g := range diffGeometries {
-		s := newScheduler(g.width, g.buckets)
+		s := g.build()
 		var fired []Time
 		for _, at := range times {
 			s.MustAt(at, func() { fired = append(fired, s.Now()) })
@@ -73,6 +74,114 @@ func TestNewSchedulerIdleIsCheap(t *testing.T) {
 	s.MustAt(time.Hour, func() {})
 	if s.q.buckets != nil {
 		t.Fatal("wheel built before the first event was due")
+	}
+}
+
+// idleSink makes NewScheduler's result escape, so the allocation check
+// below measures what a caller that keeps the scheduler pays.
+var idleSink *Scheduler
+
+// TestNewSchedulerAllocatesAsBefore pins that a scheduler the caller keeps
+// but never runs costs one allocation no larger than before the calendar
+// sized itself: the flow backend builds one per model, and a batch of figure
+// seeds builds hundreds.
+func TestNewSchedulerAllocatesAsBefore(t *testing.T) {
+	const parentBytes = 280 // unsafe.Sizeof(Scheduler{}) with the fixed 1 ms × 256 wheel
+	if allocs := testing.AllocsPerRun(100, func() { idleSink = NewScheduler() }); allocs != 1 {
+		t.Fatalf("NewScheduler allocates %.0f objects, want 1", allocs)
+	}
+	if size := unsafe.Sizeof(Scheduler{}); size > parentBytes {
+		t.Fatalf("Scheduler is %d bytes, want at most %d", size, parentBytes)
+	}
+}
+
+// TestCalendarHorizonBoundary places events on, just before and just after
+// the edges of the first window of each geometry — the pinned wheels' and
+// the adaptive wheel's initial one — and across the next window's start.
+func TestCalendarHorizonBoundary(t *testing.T) {
+	var times []Time
+	for _, edge := range []Time{4 << 15, initialBuckets << initialShift} {
+		for _, k := range []Time{1, 2, 3} {
+			times = append(times, k*edge-1, k*edge, k*edge+1)
+		}
+	}
+	sortTimes(times)
+	runAt(t, append([]Time{0}, times...))
+}
+
+func sortTimes(ts []Time) {
+	for i := 1; i < len(ts); i++ {
+		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
+			ts[j], ts[j-1] = ts[j-1], ts[j]
+		}
+	}
+}
+
+// fanoutScheduler returns a scheduler carrying pending self-reposting
+// registered handlers with exponential gaps of the given mean: a steady
+// state of pending residents and pending/meanGap events per unit time.
+func fanoutScheduler(pending int, meanGap time.Duration) *Scheduler {
+	s := NewScheduler()
+	rng := NewRNG(1)
+	gaps := make([]time.Duration, 4099)
+	for i := range gaps {
+		gaps[i] = time.Duration(rng.ExpFloat64() * float64(meanGap))
+	}
+	next := 0
+	var hid HandlerID
+	hid = s.RegisterHandler(func(arg uint32) {
+		next = (next + 1) % len(gaps)
+		s.PostHandler(gaps[next], hid, arg)
+	})
+	for i := 0; i < pending; i++ {
+		next = (next + 1) % len(gaps)
+		s.PostHandler(gaps[next], hid, uint32(i))
+	}
+	return s
+}
+
+// TestCalendarGeometryFollowsDensity pins that the bucket an event fires
+// from holds a few entries whatever the density: 64, 4096 and 65 536
+// residents at 1 ms mean gaps, the paper chain's ≈220 residents at ≈8 000
+// events per simulated second, and two events per nanosecond, where the
+// mean separation is below the 1 ns bucket-width floor. The load is read off
+// the wheel after every step (the length of the bucket the wheel stands
+// in), so a bucket counts once per entry it fires: the mean per event, which
+// bounds the mean per bucket.
+func TestCalendarGeometryFollowsDensity(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pending int
+		meanGap time.Duration
+		maxLoad float64
+	}{
+		{"p64", 64, time.Millisecond, 8},
+		{"p4096", 4096, time.Millisecond, 8},
+		{"p65536", 65536, time.Millisecond, 8},
+		{"paper-chain", 220, 27 * time.Millisecond, 8},
+		{"sub-ns", 4096, 2048, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := fanoutScheduler(tc.pending, tc.meanGap)
+			steps := max(16*tc.pending, 100_000)
+			for i := 0; i < steps; i++ { // past the first window and its re-size
+				s.Step()
+			}
+			load := 0
+			for i := 0; i < steps; i++ {
+				s.Step()
+				load += len(s.q.buckets[s.q.cur])
+			}
+			mean := float64(load) / float64(steps)
+			t.Logf("%.2f entries per firing bucket, %d buckets of 2^%d ns", mean, len(s.q.buckets), s.q.shift)
+			if mean > tc.maxLoad {
+				t.Fatalf("events fire from buckets of %.1f entries on average, want at most %g (%d buckets of 2^%d ns)",
+					mean, tc.maxLoad, len(s.q.buckets), s.q.shift)
+			}
+			if s.Len() != tc.pending {
+				t.Fatalf("Len() = %d, want %d", s.Len(), tc.pending)
+			}
+		})
 	}
 }
 

@@ -278,7 +278,74 @@ func opPrograms() [][]byte {
 		x = x*1664525 + 1013904223
 		long = append(long, byte(x>>24), byte(x>>16))
 	}
-	return append(programs, long)
+	return append(programs, long, swingProgram(), densityJumpProgram(), resizeProgram())
+}
+
+// programRand is the fixed recurrence the generated programs draw from.
+type programRand uint32
+
+func (x *programRand) next() byte {
+	*x = *x*1664525 + 1013904223
+	return byte(*x >> 24)
+}
+
+// swingProgram takes the queue from one resident event to about 10⁴ and
+// back to one, so the wheel re-sizes on the way up and on the way down.
+func swingProgram() []byte {
+	x := programRand(1)
+	p := []byte{opSchedule, 3, opStep, 0, opSchedule, 9, opStep, 0}
+	for i := 0; i < 10_000; i++ {
+		p = append(p, opPost, x.next())
+		if i%64 == 0 {
+			p = append(p, opStep, 0)
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		p = append(p, opStep, 0)
+	}
+	return append(p, opSchedule, 7, opStep, 0)
+}
+
+// densityJumpProgram holds about 500 residents in a steady state of one
+// step and one post per cycle, then shrinks the post delays from a mean of
+// about 128 units to about one: the event density rises about 100× in the
+// middle of a window sized for the sparse half.
+func densityJumpProgram() []byte {
+	x := programRand(2)
+	var p []byte
+	for i := 0; i < 500; i++ {
+		p = append(p, opPost, x.next())
+	}
+	for i := 0; i < 5000; i++ {
+		p = append(p, opStep, 0, opPost, x.next())
+	}
+	for i := 0; i < 5000; i++ {
+		p = append(p, opStep, 0, opPost, x.next()%3)
+	}
+	return p
+}
+
+// resizeProgram crowds one instant with more entries than a bucket may hold
+// before the wheel re-sizes, while tickers re-arm across it, handles are
+// cancelled around it and steps stop part-way through the crowded bucket.
+func resizeProgram() []byte {
+	x := programRand(3)
+	var p []byte
+	for c := 0; c < 24; c++ {
+		p = append(p, opTicker, x.next()%8, opSchedule, x.next()%16)
+		for i := 0; i < 100; i++ {
+			p = append(p, opTie, 0)
+			if i%9 == 0 {
+				p = append(p, opCancel, x.next())
+			}
+		}
+		p = append(p, opTicker, 1, opSchedule, 200+x.next()%56)
+		for i := int(x.next() % 64); i > 0; i-- {
+			p = append(p, opStep, 0)
+		}
+		p = append(p, opCancelRearm, x.next(), opRun, x.next()%4)
+	}
+	return p
 }
 
 // diffScales stretch the op programs' byte-valued delays (≤255 units) onto
@@ -288,17 +355,19 @@ func opPrograms() [][]byte {
 // programs actually cross those boundaries.
 var diffScales = []time.Duration{1, 1100 * time.Microsecond, 97 * time.Millisecond}
 
-// diffGeometries name the two stores an event can wait in and a wheel that
-// makes each one carry the load: the production geometry keeps nearly every
-// event in the calendar's buckets, the tiny wheel sends nearly every event
-// through the overflow heap and a fast-forward.
+// diffGeometries name the stores an event can wait in and a wheel that
+// makes each one carry the load: the production scheduler sizes its wheel
+// to the program and re-sizes it as the program runs, the pinned coarse
+// wheel keeps dense buckets that are binary-inserted into while they drain,
+// and the pinned tiny wheel sends nearly every event through the overflow
+// heap and a fast-forward.
 var diffGeometries = []struct {
-	name    string
-	width   Time
-	buckets int
+	name  string
+	build func() *Scheduler
 }{
-	{"calendar", calendarWidth, calendarBuckets},
-	{"heap", Time(50 * time.Microsecond), 4},
+	{"adaptive", NewScheduler},
+	{"coarse", func() *Scheduler { return newScheduler(initialShift, initialBuckets) }},
+	{"heap", func() *Scheduler { return newScheduler(15, 4) }},
 }
 
 // requireSameFirings fails unless got is exactly the reference's sequence
@@ -326,7 +395,7 @@ func diffProgram(t *testing.T, program []byte, scale time.Duration) {
 	ref := &refScheduler{}
 	want := interpret(ref, program, scale)
 	for _, g := range diffGeometries {
-		s := newScheduler(g.width, g.buckets)
+		s := g.build()
 		got := interpret(newSimEngine(s), program, scale)
 		requireSameFirings(t, got, want)
 		if s.Processed() != ref.stepped {
@@ -367,7 +436,7 @@ func TestSchedulerDifferentialPost(t *testing.T) {
 						}
 					}
 					t.Run(fmt.Sprintf("scale%v/program%d", scale, pi), func(t *testing.T) {
-						got := interpret(newSimEngine(newScheduler(g.width, g.buckets)), posts, scale)
+						got := interpret(newSimEngine(g.build()), posts, scale)
 						requireSameFirings(t, got, interpret(&refScheduler{}, posts, scale))
 					})
 				}
@@ -389,7 +458,7 @@ func TestSchedulerDifferentialMixed(t *testing.T) {
 	for _, g := range diffGeometries {
 		for seed := uint64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", g.name, seed), func(t *testing.T) {
-				runMixedDifferential(t, newScheduler(g.width, g.buckets), seed)
+				runMixedDifferential(t, g.build(), seed)
 			})
 		}
 	}
@@ -615,13 +684,36 @@ func soakProgram(e engine, cycles int, seed uint64) []firing {
 		e.handle(e.now()+time.Duration(next(uint64(gap/2))), func() { seen = append(seen, firing{e.now(), late}) })
 		e.run(e.now() + gap)
 		seen = append(seen, firing{e.now(), -1 - e.pending()})
+		if c%500 == 0 {
+			tag = swing(e, tag, next)
+			seen = append(seen, firing{e.now(), -1 - e.pending()})
+		}
 	}
 	e.runAll()
 	return seen
 }
 
+// swing grows the queue to 10⁴ posts over about 2 ms of delays, runs half
+// of them, posts 5 000 more 100× denser, and drains to the horizon, so the
+// wheel re-sizes with residency rising, with density jumping, and with
+// residency falling back to the few events the soak keeps.
+func swing(e engine, tag int, next func(uint64) uint64) int {
+	for i := 0; i < 10_000; i++ {
+		e.post(e.now()+time.Duration(next(2_000_000)), uint32(tag))
+		tag++
+	}
+	e.run(e.now() + time.Millisecond)
+	for i := 0; i < 5000; i++ {
+		e.post(e.now()+time.Duration(next(20_000)), uint32(tag))
+		tag++
+	}
+	e.run(e.now() + 10*time.Millisecond)
+	return tag
+}
+
 // TestSchedulerSoak runs the scheduler for 10⁵ simulated seconds (10³ under
-// -short) of alternating bursts, multi-rotation idle gaps and cancels,
+// -short) of alternating bursts, multi-rotation idle gaps and cancels, with
+// a residency swing to 10⁴ and a 100× density jump every 500 cycles,
 // against the sorted-list reference: virtual time must never regress and the
 // firing sequence must be identical.
 func TestSchedulerSoak(t *testing.T) {

@@ -3,7 +3,8 @@ package sim
 import "testing"
 
 // fuzzSeeds are FuzzScheduler's in-code seeds (the differential suite replays
-// them too): the original four-op programs plus one per later op.
+// them too): the original four-op programs plus one per later op. FuzzScheduler
+// also seeds from the generated re-size programs (see opPrograms).
 var fuzzSeeds = [][]byte{
 	{0, 10, 0, 10, 1, 0, 3, 0, 0, 5, 2, 1, 3, 0},
 	{0, 0, 0, 0, 0, 0},
@@ -38,6 +39,9 @@ var fuzzSeeds = [][]byte{
 // queue at the end.
 func FuzzScheduler(f *testing.F) {
 	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
+	for _, seed := range [][]byte{swingProgram(), densityJumpProgram(), resizeProgram()} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, program []byte) {

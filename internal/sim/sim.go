@@ -38,11 +38,14 @@
 //
 // # The queue
 //
-// Pending events live in one calendar queue (calendar.go) with a fixed
-// geometry. Cancel is lazy: it flags the handle, Len stops counting it at
-// once, and the stale entry is discarded when it reaches the front. The
-// (time, sequence) total order is pinned against a sorted-list reference by
-// the differential suite in differential_test.go.
+// Pending events live in one calendar queue (calendar.go) that sizes itself:
+// each time its window restarts, the bucket width follows the observed mean
+// separation of events and the bucket count follows the resident count, so
+// a bucket holds a few entries at any density. Cancel is lazy: it flags the
+// handle, Len stops counting it at once, and the stale entry is discarded
+// when it reaches the front. The (time, sequence) total order is pinned
+// against a sorted-list reference by the differential suite in
+// differential_test.go, on the self-sizing wheel and on pinned ones.
 package sim
 
 import (
@@ -154,13 +157,14 @@ type Scheduler struct {
 
 // NewScheduler returns an empty scheduler with the clock at zero.
 func NewScheduler() *Scheduler {
-	return newScheduler(calendarWidth, calendarBuckets)
+	return &Scheduler{q: calendarQueue{shift: initialShift, nbuckets: initialBuckets}}
 }
 
-// newScheduler builds a scheduler on a calendar of the given geometry; tests
-// use small wheels to reach the rotation and fast-forward paths quickly.
-func newScheduler(width Time, buckets int) *Scheduler {
-	return &Scheduler{q: calendarQueue{width: width, nbuckets: buckets}}
+// newScheduler builds a scheduler on a calendar pinned to buckets buckets of
+// 1<<shift ns that never re-sizes; tests use small wheels to reach the
+// rotation and fast-forward paths quickly.
+func newScheduler(shift uint8, buckets int32) *Scheduler {
+	return &Scheduler{q: calendarQueue{shift: shift, nbuckets: buckets, pinned: true}}
 }
 
 // Now reports the current virtual time.
