@@ -220,13 +220,14 @@ func (q *calendarQueue) geometry(span Time, n int, spans float64) {
 }
 
 // layout sizes the ring to nb buckets, parking the arrays of any bucket it
-// drops. The ring's backing array is kept, so it follows the peak geometry.
+// drops. The ring's backing array is kept and grows by powers of two, so it
+// follows the peak geometry without a reallocation per window.
 func (q *calendarQueue) layout(nb int) {
 	if nb > cap(q.buckets) {
 		for b := range q.buckets {
 			q.retire(b)
 		}
-		q.buckets = make([][]entry, nb)
+		q.buckets = make([][]entry, nb, 1<<bits.Len(uint(nb-1)))
 		return
 	}
 	for b := nb; b < len(q.buckets); b++ {

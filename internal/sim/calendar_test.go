@@ -82,11 +82,11 @@ func TestNewSchedulerIdleIsCheap(t *testing.T) {
 var idleSink *Scheduler
 
 // TestNewSchedulerAllocatesAsBefore pins that a scheduler the caller keeps
-// but never runs costs one allocation no larger than before the calendar
-// sized itself: the flow backend builds one per model, and a batch of figure
-// seeds builds hundreds.
+// but never runs costs one allocation of at most 280 bytes, the size of the
+// Scheduler when its wheel had a fixed geometry: the flow backend builds one
+// per model, and a batch of figure seeds builds hundreds.
 func TestNewSchedulerAllocatesAsBefore(t *testing.T) {
-	const parentBytes = 280 // unsafe.Sizeof(Scheduler{}) with the fixed 1 ms × 256 wheel
+	const parentBytes = 280
 	if allocs := testing.AllocsPerRun(100, func() { idleSink = NewScheduler() }); allocs != 1 {
 		t.Fatalf("NewScheduler allocates %.0f objects, want 1", allocs)
 	}

@@ -358,7 +358,7 @@ var diffScales = []time.Duration{1, 1100 * time.Microsecond, 97 * time.Milliseco
 // diffGeometries name the stores an event can wait in and a wheel that
 // makes each one carry the load: the production scheduler sizes its wheel
 // to the program and re-sizes it as the program runs, the pinned coarse
-// wheel keeps dense buckets that are binary-inserted into while they drain,
+// wheel keeps dense buckets that are inserted into while they drain,
 // and the pinned tiny wheel sends nearly every event through the overflow
 // heap and a fast-forward.
 var diffGeometries = []struct {
