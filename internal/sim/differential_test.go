@@ -356,7 +356,7 @@ func resizeProgram() []byte {
 var diffScales = []time.Duration{1, 1100 * time.Microsecond, 97 * time.Millisecond}
 
 // diffGeometries name the stores an event can wait in and a wheel that
-// makes each one carry the load: the production scheduler sizes its wheel
+// makes each one carry the load: the production calendar sizes its wheel
 // to the program and re-sizes it as the program runs, the pinned coarse
 // wheel keeps dense buckets that are inserted into while they drain,
 // and the pinned tiny wheel sends nearly every event through the overflow
@@ -365,7 +365,7 @@ var diffGeometries = []struct {
 	name  string
 	build func() *Scheduler
 }{
-	{"adaptive", NewScheduler},
+	{"calendar", NewScheduler},
 	{"coarse", func() *Scheduler { return newScheduler(initialShift, initialBuckets) }},
 	{"heap", func() *Scheduler { return newScheduler(15, 4) }},
 }
