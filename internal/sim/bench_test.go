@@ -38,22 +38,7 @@ func BenchmarkSchedulerChain(b *testing.B) {
 func BenchmarkSchedulerFanout(b *testing.B) {
 	for _, pending := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
-			s := NewScheduler()
-			rng := NewRNG(1)
-			gaps := make([]time.Duration, 4096)
-			for i := range gaps {
-				gaps[i] = time.Duration(rng.ExpFloat64() * float64(time.Millisecond))
-			}
-			next := 0
-			var hid HandlerID
-			hid = s.RegisterHandler(func(arg uint32) {
-				next = (next + 1) % len(gaps)
-				s.PostHandler(gaps[next], hid, arg)
-			})
-			for i := 0; i < pending; i++ {
-				next = (next + 1) % len(gaps)
-				s.PostHandler(gaps[next], hid, uint32(i))
-			}
+			s := fanoutScheduler(pending, time.Millisecond)
 			for i := 0; i < benchBatch/2; i++ { // reach the steady-state queue shape
 				s.Step()
 			}

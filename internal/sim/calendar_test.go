@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -105,16 +106,8 @@ func TestCalendarHorizonBoundary(t *testing.T) {
 			times = append(times, k*edge-1, k*edge, k*edge+1)
 		}
 	}
-	sortTimes(times)
+	slices.Sort(times)
 	runAt(t, append([]Time{0}, times...))
-}
-
-func sortTimes(ts []Time) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // fanoutScheduler returns a scheduler carrying pending self-reposting
@@ -123,7 +116,7 @@ func sortTimes(ts []Time) {
 func fanoutScheduler(pending int, meanGap time.Duration) *Scheduler {
 	s := NewScheduler()
 	rng := NewRNG(1)
-	gaps := make([]time.Duration, 4099)
+	gaps := make([]time.Duration, 4096)
 	for i := range gaps {
 		gaps[i] = time.Duration(rng.ExpFloat64() * float64(meanGap))
 	}

@@ -278,7 +278,13 @@ func opPrograms() [][]byte {
 		x = x*1664525 + 1013904223
 		long = append(long, byte(x>>24), byte(x>>16))
 	}
-	return append(programs, long, swingProgram(), densityJumpProgram(), resizeProgram())
+	return append(append(programs, long), resizePrograms()...)
+}
+
+// resizePrograms are the generated programs that drive the wheel through
+// its re-sizes; FuzzScheduler seeds from them too.
+func resizePrograms() [][]byte {
+	return [][]byte{swingProgram(), densityJumpProgram(), resizeProgram()}
 }
 
 // programRand is the fixed recurrence the generated programs draw from.

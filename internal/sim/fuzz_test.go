@@ -4,7 +4,7 @@ import "testing"
 
 // fuzzSeeds are FuzzScheduler's in-code seeds (the differential suite replays
 // them too): the original four-op programs plus one per later op. FuzzScheduler
-// also seeds from the generated re-size programs (see opPrograms).
+// also seeds from the generated resizePrograms.
 var fuzzSeeds = [][]byte{
 	{0, 10, 0, 10, 1, 0, 3, 0, 0, 5, 2, 1, 3, 0},
 	{0, 0, 0, 0, 0, 0},
@@ -41,7 +41,7 @@ func FuzzScheduler(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
-	for _, seed := range [][]byte{swingProgram(), densityJumpProgram(), resizeProgram()} {
+	for _, seed := range resizePrograms() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, program []byte) {
