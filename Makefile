@@ -5,6 +5,9 @@
 #   make check   -> everything (the documented verify flow), gofmt included
 #   make profile -> CPU-profile a short evaluation run and print hot spots
 #   make loc     -> non-test, non-blank Go lines per package
+#   make bench   -> the figure, batch and observability benchmarks (go test -bench)
+#   make perf-gate -> the benchmark driver (./benchmark) on HEAD vs HEAD^1,
+#                     failing on a regression that repeats in three pairs
 
 GO ?= go
 
@@ -16,12 +19,7 @@ FUZZ_TIME ?= 30s
 # for refactors but fails the build if tests rot wholesale.
 COVERAGE_BASELINE ?= 85
 
-# Benchmark selection for `make bench-json`; override for a quick subset,
-# e.g. make bench-json BENCH=BatchFiguresSerial BENCHTIME=1x
-BENCH ?= .
-BENCHTIME ?= 1x
-
-.PHONY: all build test race vet fmt bench bench-json check profile fuzz cover loc
+.PHONY: all build test race vet fmt bench perf-gate check profile fuzz cover loc
 
 all: build vet test
 
@@ -44,23 +42,26 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-bench:
-	$(GO) test -bench=. -benchmem
-
-# bench-json runs the benchmark suite and snapshots the results as
-# BENCH_<date>.json (ns/op, allocs/op, and each benchmark's custom metrics
-# such as Mevents/s). Commit a snapshot when a change is performance-relevant
-# so regressions show up as diffs.
+# bench runs the root package's figure, batch, ablation, sensitivity,
+# extension and observability benchmarks. End-to-end engine performance is
+# the benchmark driver's job (go run ./benchmark; see perf-gate).
 #
 # For statistically sound before/after comparisons use benchstat
-# (golang.org/x/perf/cmd/benchstat) on raw repeated runs instead:
+# (golang.org/x/perf/cmd/benchstat) on raw repeated runs:
 #
 #   go test -run '^$$' -bench BatchFiguresSerial -benchmem -count 10 > old.txt
 #   <apply change>
 #   go test -run '^$$' -bench BatchFiguresSerial -benchmem -count 10 > new.txt
 #   benchstat old.txt new.txt
-bench-json:
-	$(GO) run ./cmd/benchjson -bench '$(BENCH)' -benchtime $(BENCHTIME)
+bench:
+	$(GO) test -bench=. -benchmem
+
+# perf-gate builds the benchmark driver at HEAD and at HEAD^1, runs each three
+# times interleaved, and fails if a head run has a failed op or the same
+# workload/metric regresses past its BENCHMARK.json bound in all three
+# base-vs-head comparisons. See scripts/perf-gate.sh.
+perf-gate:
+	./scripts/perf-gate.sh
 
 # profile runs a short paper-topology simulation under the CPU profiler and
 # prints the top-10 hot functions. The pprof file and the telemetry bundle

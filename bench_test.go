@@ -454,10 +454,11 @@ func BenchmarkExtensionMinRateContracts(b *testing.B) {
 
 // benchObs runs a shortened Figure 5 startup with or without a telemetry
 // registry attached. The pair quantifies the cost of the instrumentation
-// layer: Off is the baseline, Attached keeps every counter and control
-// event live but disables time-series sampling (negative ObsSample), so the
-// delta is exactly the per-packet/per-epoch instrument overhead the hot
-// path pays when observability is wired in.
+// layer: Off is the baseline, Attached keeps every counter, control event,
+// the event-loop profiler and the latency histograms live but disables
+// time-series sampling (negative ObsSample), so the delta is exactly the
+// per-packet/per-epoch instrument overhead the hot path pays when
+// observability is wired in. The contract is under 5% of Mevents/s.
 func benchObs(b *testing.B, attach bool) {
 	b.Helper()
 	sc := corelite.Fig5Scenario(1)
@@ -486,124 +487,3 @@ func BenchmarkObsDisabled(b *testing.B) { benchObs(b, false) }
 // BenchmarkObsAttached runs with counters and control events recording
 // (sampling off), for comparison against BenchmarkObsDisabled.
 func BenchmarkObsAttached(b *testing.B) { benchObs(b, true) }
-
-// benchPerfObs is the overhead pair for the performance-observability
-// layer: the event-loop profiler (exact per-kind counts, strided wall-time
-// sampling) and the log-bucketed latency histograms (queue wait, feedback
-// RTT) that attach automatically whenever a registry is wired in. Disabled
-// is a plain run where every instrument is a nil receiver; Attached runs
-// the same scenario with the registry present and time-series sampling off,
-// so the delta is exactly what the hot path pays for profiling plus
-// histogram observation. The contract is <5% Mevents/s cost — the gated
-// metric CI compares against the committed snapshot.
-func benchPerfObs(b *testing.B, attach bool) {
-	b.Helper()
-	sc := corelite.Fig5Scenario(1)
-	sc.Duration = 20 * time.Second
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		run := sc
-		run.Seed = int64(i + 1)
-		if attach {
-			run.Obs = corelite.NewObsRegistry()
-			run.ObsSample = -1
-		}
-		res, err := corelite.Run(run)
-		if err != nil {
-			b.Fatalf("run: %v", err)
-		}
-		events += res.Events
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-}
-
-// BenchmarkPerfObsDisabled is the nil-instrument baseline for the
-// profiler/histogram layer.
-func BenchmarkPerfObsDisabled(b *testing.B) { benchPerfObs(b, false) }
-
-// BenchmarkPerfObsAttached runs with the event-loop profiler and latency
-// histograms live; compare against BenchmarkPerfObsDisabled to verify the
-// <5% overhead contract.
-func BenchmarkPerfObsAttached(b *testing.B) { benchPerfObs(b, true) }
-
-// benchFlowScenario runs b.N seed replicas of a scenario on the flow
-// (fluid) backend and reports the engine's scale metric: simulated
-// flow-seconds per wall second (a 10k-flow, 10-second scenario finishing
-// in one wall second scores 100k flowsec/s). Event throughput is not
-// comparable across backends — one fluid event re-solves the whole rate
-// allocation — so the flow benchmarks report flowsec/s instead of
-// Mevents/s and the two engines never gate each other's regressions.
-func benchFlowScenario(b *testing.B, sc corelite.Scenario) {
-	b.Helper()
-	sc.Backend = corelite.BackendFlow
-	var flowSec float64
-	for i := 0; i < b.N; i++ {
-		run := sc
-		run.Seed = int64(i + 1)
-		res, err := corelite.Run(run)
-		if err != nil {
-			b.Fatalf("run %s: %v", sc.Name, err)
-		}
-		flowSec += float64(len(res.Flows)) * res.Duration.Seconds()
-	}
-	b.ReportMetric(flowSec/b.Elapsed().Seconds(), "flowsec/s")
-}
-
-// BenchmarkFlowFig5Startup is the paper's simultaneous-start scenario on
-// the fluid backend — the direct counterpart of BenchmarkFig5CoreliteStartup
-// for backend-to-backend cost comparison on identical specs.
-func BenchmarkFlowFig5Startup(b *testing.B) {
-	benchFlowScenario(b, corelite.Fig5Scenario(1))
-}
-
-// BenchmarkFlowFig9Churn exercises the fluid engine's event machinery
-// (arrivals, departures, restarts) on the §4.3 churn scenario.
-func BenchmarkFlowFig9Churn(b *testing.B) {
-	benchFlowScenario(b, corelite.Fig9Scenario(1))
-}
-
-// BenchmarkFlowChain10k is the scale target from the ROADMAP north star: a
-// generated 1000-core chain crossed by 10000 flows, 10 simulated seconds.
-// The packet engine would need ~billions of events for this; the fluid
-// engine advances rates between control epochs and finishes in seconds.
-func BenchmarkFlowChain10k(b *testing.B) {
-	sc := corelite.Scenario{
-		Name:     "flow-chain-10k",
-		Duration: 10 * time.Second,
-		Seed:     1,
-		Scheme:   corelite.SchemeCorelite,
-		Backend:  corelite.BackendFlow,
-		Chain: &corelite.ChainTopology{
-			Cores: 1000,
-			Flows: 10000,
-		},
-	}
-	benchFlowScenario(b, sc)
-}
-
-// BenchmarkFlowFatTree100k is the next order of magnitude: a k=8 fat-tree
-// carrying 100000 heavy-tailed flows (elephants, churning mice, a few
-// unresponsive blasts) for 90 simulated seconds. It exists to exercise the
-// incremental dirty-set solver — a monolithic re-solve per event is
-// hopeless at this scale — together with the direct spec→fluid build that
-// skips constructing the 200k-node packet network. The fabric is
-// dimensioned for the flow count (400 Mbps ≈ 50k pkt/s per fabric link, so
-// ~1500 sharers get real rates instead of a floor-oversubscribed zero
-// allocation); the coarse 5s sample window bounds series memory, not
-// solver work.
-func BenchmarkFlowFatTree100k(b *testing.B) {
-	gen, err := corelite.ParseGenerate("fattree:k=8,flows=100000,fabric=400Mbps", "heavytail:elephants=0.05,eweight=4,unresp=0.01,urate=350")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := corelite.Scenario{
-		Name:         "flow-fattree-100k",
-		Duration:     90 * time.Second,
-		Seed:         1,
-		Scheme:       corelite.SchemeCorelite,
-		Backend:      corelite.BackendFlow,
-		Generate:     gen,
-		SampleWindow: 5 * time.Second,
-	}
-	benchFlowScenario(b, sc)
-}

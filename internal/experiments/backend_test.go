@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/topospec"
+	"repro/internal/workload"
 )
 
 func TestParseBackend(t *testing.T) {
@@ -154,6 +156,77 @@ func TestValidateChainBeforeNormalize(t *testing.T) {
 	sc.Chain = nil
 	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "non-positive NumFlows") {
 		t.Errorf("no topology source and no NumFlows: err = %v", err)
+	}
+}
+
+// TestValidateRefusesKeysThatNameNoFlow: every per-flow map is held to the
+// scenario's flows as Run sees them — 1..NumFlows, the chain's derived flow
+// count, or a spec's own indices — so a key that names no flow is an error
+// rather than a setting that silently does nothing.
+func TestValidateRefusesKeysThatNameNoFlow(t *testing.T) {
+	dumbbell := func() Scenario {
+		return Scenario{Scheme: SchemeCorelite, Duration: time.Second, NumFlows: 2, Dumbbell: true}
+	}
+	chain := func() Scenario {
+		return Scenario{Scheme: SchemeCorelite, Duration: time.Second, Backend: BackendFlow, Chain: &ChainTopology{Cores: 5, Flows: 10}}
+	}
+	spec, err := topospec.Parse(strings.NewReader(`
+node A core
+node B core
+duplex A B 4Mbps 10ms
+node in edge
+node out edge
+duplex in A 40Mbps 1ms
+duplex B out 40Mbps 1ms
+flow 2 in out
+flow 5 in out
+`))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	withSpec := func() Scenario { return Scenario{Scheme: SchemeCorelite, Duration: time.Second, Spec: spec} }
+
+	cases := []struct {
+		name string
+		sc   Scenario
+		edit func(*Scenario)
+		want string // "" when the scenario must validate
+	}{
+		{"weight past NumFlows", dumbbell(), func(sc *Scenario) { sc.Weights = map[int]float64{3: 4} }, "weight for flow 3"},
+		{"schedule past NumFlows", dumbbell(), func(sc *Scenario) { sc.Schedules = map[int]workload.Schedule{3: workload.Always()} }, "schedule for flow 3"},
+		{"minimum rate past NumFlows", dumbbell(), func(sc *Scenario) { sc.MinRates = map[int]float64{3: 100} }, "minimum rate for flow 3"},
+		{"transport past NumFlows", dumbbell(), func(sc *Scenario) { sc.Transports = map[int]Transport{3: TransportTCP} }, "transport for flow 3"},
+		{"unresponsive past NumFlows", dumbbell(), func(sc *Scenario) { sc.Unresponsive = map[int]float64{3: 500} }, "unresponsive for flow 3"},
+		{"flow 0", dumbbell(), func(sc *Scenario) { sc.Weights = map[int]float64{0: 2, 1: 1} }, "weight for flow 0"},
+		{"lowest stray index reported", dumbbell(), func(sc *Scenario) { sc.Weights = map[int]float64{9: 1, 4: 1, 7: 1} }, "weight for flow 4"},
+		{"every flow named", dumbbell(), func(sc *Scenario) {
+			sc.Weights = map[int]float64{1: 1, 2: 3}
+			sc.Schedules = map[int]workload.Schedule{2: workload.Always()}
+			sc.MinRates = map[int]float64{1: 100}
+			sc.Transports = map[int]Transport{1: TransportTCP}
+			sc.Unresponsive = map[int]float64{2: 500}
+		}, ""},
+		{"chain: past its derived flow count", chain(), func(sc *Scenario) { sc.MinRates = map[int]float64{11: 50} }, "minimum rate for flow 11"},
+		{"chain: last flow", chain(), func(sc *Scenario) { sc.MinRates = map[int]float64{10: 50} }, ""},
+		{"spec: index between its flows", withSpec(), func(sc *Scenario) { sc.Schedules = map[int]workload.Schedule{3: workload.Always()} }, "schedule for flow 3"},
+		{"spec: its own sparse indices", withSpec(), func(sc *Scenario) { sc.Unresponsive = map[int]float64{5: 500} }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := tc.sc
+			tc.edit(&sc)
+			// What Run does before choosing an engine.
+			norm, err := sc.normalize()
+			if err == nil {
+				err = norm.Validate()
+			}
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -489,9 +490,9 @@ func (sc Scenario) Validate() error {
 		if sc.Transports[idx] == TransportTCP {
 			return fmt.Errorf("experiments: unresponsive flow %d cannot use the TCP transport", idx)
 		}
-		if sc.NumFlows > 0 && (idx < 1 || idx > sc.NumFlows) {
-			return fmt.Errorf("experiments: unresponsive flow index %d out of range [1, %d]", idx, sc.NumFlows)
-		}
+	}
+	if err := sc.validateFlowKeys(); err != nil {
+		return err
 	}
 	if sc.Spec != nil {
 		for _, f := range sc.Spec.Flows {
@@ -543,6 +544,37 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateFlowKeys refuses a per-flow setting for a flow the scenario does
+// not have: a spec's own (possibly sparse) indices, else 1..NumFlows, which
+// normalize derives for chains. Generate scenarios have no flows before it.
+func (sc Scenario) validateFlowKeys() error {
+	has := func(idx int) bool { return idx >= 1 && idx <= sc.NumFlows }
+	if sc.Spec != nil {
+		flows := sc.Spec.Weights() // one entry per flow index
+		has = func(idx int) bool { _, ok := flows[idx]; return ok }
+	} else if sc.NumFlows <= 0 {
+		return nil
+	}
+	return cmp.Or(strayFlow("weight", sc.Weights, has), strayFlow("schedule", sc.Schedules, has),
+		strayFlow("minimum rate", sc.MinRates, has), strayFlow("transport", sc.Transports, has),
+		strayFlow("unresponsive", sc.Unresponsive, has))
+}
+
+// strayFlow names the lowest key of m that is not a flow, so the message
+// does not depend on map order.
+func strayFlow[V any](what string, m map[int]V, has func(int) bool) error {
+	bad, found := 0, false
+	for idx := range m {
+		if !has(idx) && (!found || idx < bad) {
+			bad, found = idx, true
+		}
+	}
+	if !found {
+		return nil
+	}
+	return fmt.Errorf("experiments: %s for flow %d, which the scenario does not have", what, bad)
 }
 
 // runPacket executes sc on the packet-level discrete-event simulator: real

@@ -84,12 +84,6 @@ func (m *Model) AddLink(name string, capacity float64) (int, error) {
 	return len(m.Links) - 1, nil
 }
 
-// LinkIndex resolves a link name.
-func (m *Model) LinkIndex(name string) (int, bool) {
-	i, ok := m.linkIndex[name]
-	return i, ok
-}
-
 // AddFlow appends a flow after validating it against the current link set.
 func (m *Model) AddFlow(f Flow) error {
 	if f.Weight <= 0 {

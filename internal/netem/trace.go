@@ -88,21 +88,6 @@ func (t *WriterTracer) Trace(e TraceEvent) {
 	}
 }
 
-// CountingTracer tallies events by kind (useful in tests).
-type CountingTracer struct {
-	Counts map[EventKind]int
-}
-
-var _ Tracer = (*CountingTracer)(nil)
-
-// NewCountingTracer returns an empty counter.
-func NewCountingTracer() *CountingTracer {
-	return &CountingTracer{Counts: make(map[EventKind]int)}
-}
-
-// Trace implements Tracer.
-func (t *CountingTracer) Trace(e TraceEvent) { t.Counts[e.Kind]++ }
-
 // SetTracer installs (or removes, with nil) the network's packet tracer.
 func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 

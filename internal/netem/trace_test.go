@@ -9,6 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
+// CountingTracer tallies events by kind.
+type CountingTracer struct {
+	Counts map[EventKind]int
+}
+
+// NewCountingTracer returns an empty counter.
+func NewCountingTracer() *CountingTracer {
+	return &CountingTracer{Counts: make(map[EventKind]int)}
+}
+
+// Trace implements Tracer.
+func (t *CountingTracer) Trace(e TraceEvent) { t.Counts[e.Kind]++ }
+
 func TestTracerCountsLifecycle(t *testing.T) {
 	s := sim.NewScheduler()
 	n := New(s)

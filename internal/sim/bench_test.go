@@ -7,12 +7,12 @@ import (
 )
 
 // benchBatch is how many events one benchmark op runs. An op is a batch, not
-// a single event, so the numbers mean something at the -benchtime 1x/3x the
-// snapshot tool (cmd/benchjson) and the CI perf gate use.
+// a single event, so the numbers mean something at the -benchtime 1x the CI
+// smoke runs.
 const benchBatch = 1 << 17
 
 // stepBatches runs b.N batches of events on a warm scheduler and reports
-// throughput in the unit the perf gate compares.
+// throughput in Mevents/s.
 func stepBatches(b *testing.B, s *Scheduler) {
 	b.ReportAllocs()
 	b.ResetTimer()

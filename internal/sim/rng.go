@@ -37,9 +37,6 @@ func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 // ExpFloat64 returns an exponentially distributed value with mean 1.
 func (r *RNG) ExpFloat64() float64 { return r.src.ExpFloat64() }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
 // Bernoulli reports true with probability p (clamped to [0, 1]).
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
