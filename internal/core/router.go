@@ -161,7 +161,10 @@ type Router struct {
 	rng      *sim.RNG
 	feedback FeedbackFunc
 
-	links  []*linkState
+	links []*linkState
+	// byPort indexes the same states by the link's port on the node, so a
+	// marker finds its link's selector in O(1) whatever the node's degree.
+	byPort []*linkState
 	ticker ingress.Ticker
 	stats  RouterStats
 
@@ -215,7 +218,9 @@ func NewRouter(net *netem.Network, node *netem.Node, cfg RouterConfig, rng *sim.
 	r.ctrMarkersSeen = reg.Counter("core/" + node.Name() + "/markers-seen")
 	r.ctrFeedback = reg.Counter("core/" + node.Name() + obs.SuffixFeedbackSent)
 	r.ctrEpochs = reg.Counter("core/" + node.Name() + obs.SuffixCongestionEpochs)
-	for _, l := range node.Links() {
+	links := node.Links()
+	r.byPort = make([]*linkState, len(links))
+	for _, l := range links {
 		ls := &linkState{
 			link:     l,
 			mu:       l.PacketsPerSecond(cfg.PacketSizeBytes) * cfg.Epoch.Seconds(),
@@ -243,6 +248,7 @@ func NewRouter(net *netem.Network, node *netem.Node, cfg RouterConfig, rng *sim.
 			ls.selector = ss
 		}
 		r.links = append(r.links, ls)
+		r.byPort[l.Port()] = ls
 	}
 	node.SetForwarder(r)
 	return r
@@ -351,15 +357,12 @@ func (r *Router) CacheStats() (CacheStats, bool) {
 // behaviour is deliberately simple: copy the piggybacked marker into the
 // link's selector (no per-flow processing) and always forward.
 func (r *Router) OnForward(p *packet.Packet, out *netem.Link) bool {
-	if p.Marker != nil {
-		for _, ls := range r.links {
-			if ls.link == out {
-				r.stats.MarkersSeen++
-				r.ctrMarkersSeen.Inc()
-				ls.selector.observe(*p.Marker)
-				break
-			}
-		}
+	// A link added after construction has no state and sees no markers.
+	if port := out.Port(); p.Marker != nil && port < len(r.byPort) {
+		ls := r.byPort[port]
+		r.stats.MarkersSeen++
+		r.ctrMarkersSeen.Inc()
+		ls.selector.observe(*p.Marker)
 	}
 	return true
 }

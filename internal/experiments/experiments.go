@@ -369,6 +369,15 @@ func (sc Scenario) normalize() (Scenario, error) {
 		if sc.Spec != nil || sc.Chain != nil || sc.Dumbbell {
 			return sc, fmt.Errorf("experiments: Generate conflicts with Spec/Chain/Dumbbell")
 		}
+		if sc.Backend == BackendPacket {
+			nodes, links, flows, err := sc.Generate.Topo.Size()
+			if err != nil {
+				return sc, err
+			}
+			if err := checkPacketSize(nodes, links, flows); err != nil {
+				return sc, err
+			}
+		}
 		spec, err := sc.Generate.Topo.Generate(sc.Seed)
 		if err != nil {
 			return sc, err
@@ -442,6 +451,31 @@ const (
 	maxChainFlows = 10_000_000
 )
 
+// Build cost of a packet-backend cloud per node, link and flow, in bytes:
+// what building a fat-tree cloud allocates (about 280, 550 and 1 700 with
+// Go 1.24, from TestPacketBuildMemoryLinearInFlows), with half as much again
+// for toolchains whose maps take more room. A packet scenario whose build
+// alone would pass maxPacketBuildBytes is refused before anything is
+// generated; the limit sits an order of magnitude above the largest packet
+// scenario the repository targets (16 384 flows, about 110 MB).
+const (
+	packetBytesPerNode  = 400
+	packetBytesPerLink  = 800
+	packetBytesPerFlow  = 2500
+	maxPacketBuildBytes = 1e9
+)
+
+// checkPacketSize refuses a packet-backend cloud of the given size whose
+// build would pass maxPacketBuildBytes.
+func checkPacketSize(nodes, links, flows float64) error {
+	need := float64(nodes*packetBytesPerNode) + float64(links*packetBytesPerLink) + float64(flows*packetBytesPerFlow)
+	if need > maxPacketBuildBytes {
+		return fmt.Errorf("experiments: the packet backend would need about %.1f GB to build %.0f nodes, %.0f links and %.0f flows, over the limit of %.0f GB (the flow backend scales further)",
+			need/1e9, nodes, links, flows, maxPacketBuildBytes/1e9)
+	}
+	return nil
+}
+
 // Validate checks scenario consistency.
 func (sc Scenario) Validate() error {
 	if sc.Scheme != SchemeCorelite && sc.Scheme != SchemeCSFQ {
@@ -512,6 +546,11 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.Backend != BackendPacket && sc.Backend != BackendFlow {
 		return fmt.Errorf("experiments: unknown backend %d", int(sc.Backend))
+	}
+	if sc.Backend == BackendPacket && sc.Spec != nil {
+		if err := checkPacketSize(float64(len(sc.Spec.Nodes)), float64(len(sc.Spec.Links)), float64(len(sc.Spec.Flows))); err != nil {
+			return err
+		}
 	}
 	if sc.Backend == BackendFlow {
 		for idx, tr := range sc.Transports {
@@ -785,6 +824,16 @@ func runPacket(sc Scenario) (*Result, error) {
 
 	coreNodes := cloud.CoreNodes
 
+	// A control message with no path back to its edge stops the run: the
+	// flow's control loop would silently go open.
+	var ctrlErr error
+	sendControl := func(from, to string, fn func()) {
+		if err := net.SendControl(from, to, fn); err != nil && ctrlErr == nil {
+			ctrlErr = err
+			sched.Halt()
+		}
+	}
+
 	// Core routers.
 	switch sc.Scheme {
 	case SchemeCorelite:
@@ -797,7 +846,7 @@ func runPacket(sc Scenario) (*Result, error) {
 				local := m.Flow.Local
 				// Control-plane delivery with the reverse-path latency.
 				sent := net.Now()
-				_ = net.SendControl(routerNode, m.Flow.Edge, func() {
+				sendControl(routerNode, m.Flow.Edge, func() {
 					if rttHist != nil {
 						rttHist.Observe((net.Now() - sent).Seconds())
 					}
@@ -825,7 +874,7 @@ func runPacket(sc Scenario) (*Result, error) {
 				return
 			}
 			local := d.Packet.Flow.Local
-			_ = net.SendControl(d.Node, d.Packet.Flow.Edge, func() { e.HandleLoss(local) })
+			sendControl(d.Node, d.Packet.Flow.Edge, func() { e.HandleLoss(local) })
 		})
 	}
 
@@ -922,7 +971,11 @@ func runPacket(sc Scenario) (*Result, error) {
 	})
 	sc.Check.Start(sched, sc.Duration)
 
-	if err := sched.Run(sc.Duration); err != nil {
+	err = sched.Run(sc.Duration)
+	if ctrlErr != nil {
+		err = fmt.Errorf("control plane: %w", ctrlErr)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("run scenario %q: %w", sc.Name, err)
 	}
 	// Final structural sweep at the horizon (the periodic sweeps stop at

@@ -1,0 +1,79 @@
+package experiments
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+	"repro/internal/topogen"
+)
+
+// buildBytes reports the bytes building the generated spec allocates, and
+// the spec's node, link and flow counts.
+func buildBytes(t *testing.T, topo string) (bytes, nodes, links, flows float64) {
+	t.Helper()
+	cfg, err := topogen.Parse(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := cfg.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cloud, err := spec.Build(sim.NewScheduler())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(cloud)
+	return float64(after.TotalAlloc - before.TotalAlloc), float64(len(spec.Nodes)), float64(len(spec.Links)), float64(len(spec.Flows))
+}
+
+// TestPacketBuildMemoryLinearInFlows builds, without running, fat-tree
+// packet clouds at 256 and 1 024 flows: the bytes allocated per flow must
+// not grow with the network, as an all-pairs routing table's would (at
+// 1 024 flows one pointer per node pair is 34 MB). The size pre-flight's
+// per-item costs must cover what each build allocates, without
+// overestimating it more than threefold.
+func TestPacketBuildMemoryLinearInFlows(t *testing.T) {
+	var perFlow []float64
+	for _, topo := range []string{"fattree:k=4,flows=256", "fattree:k=4,flows=1024"} {
+		bytes, nodes, links, flows := buildBytes(t, topo)
+		perFlow = append(perFlow, bytes/flows)
+		estimate := float64(nodes*packetBytesPerNode) + float64(links*packetBytesPerLink) + float64(flows*packetBytesPerFlow)
+		t.Logf("%s: %.0f nodes, %.0f links: build allocates %.0f B (%.0f B per flow); pre-flight estimate %.0f B",
+			topo, nodes, links, bytes, bytes/flows, estimate)
+		if estimate < bytes || estimate > 3*bytes {
+			t.Errorf("%s: pre-flight estimate %.0f B, build allocates %.0f B", topo, estimate, bytes)
+		}
+	}
+	if perFlow[1] > 1.25*perFlow[0] {
+		t.Errorf("build allocates %.0f B per flow at 1 024 flows, %.0f B at 256: more than 1.25x", perFlow[1], perFlow[0])
+	}
+}
+
+// TestPacketSizePreflight refuses a packet build past the limit in one
+// line, before generating anything, and admits the largest packet scenario
+// the repository runs.
+func TestPacketSizePreflight(t *testing.T) {
+	huge, err := ParseGenerate("fattree:k=8,flows=5000000", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = Run(Scenario{Name: "huge", Duration: 2 * time.Second, Generate: huge})
+	if err == nil || !strings.Contains(err.Error(), "packet backend would need about 32.5 GB") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("Run = %v, want the one-line packet size refusal", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("refusal took %v, want it before any allocation", elapsed)
+	}
+	if err := checkPacketSize(32788, 65600, 16384); err != nil {
+		t.Errorf("the 16 384-flow fat-tree is refused: %v", err)
+	}
+}

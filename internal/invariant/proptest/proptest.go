@@ -39,7 +39,8 @@ type SpecParams struct {
 // RandomSpecText renders a random linear-chain cloud in the topospec
 // language: E_i edge nodes feeding a chain of core routers, every flow
 // entering at a random edge and leaving at the chain's far side, with
-// random weights. The text form keeps the parser on the tested path and
+// random weights. Links are duplex, so every core's feedback has a path
+// back to the flow's ingress. The text form keeps the parser on the tested path and
 // doubles as a fuzz-corpus generator.
 func RandomSpecText(rng *rand.Rand, p SpecParams) string {
 	if p.MaxCores <= 0 {
@@ -64,15 +65,15 @@ func RandomSpecText(rng *rand.Rand, p SpecParams) string {
 	// bottleneck; core capacities vary to move the bottleneck around.
 	for i := 1; i <= flows; i++ {
 		entry := 1 + rng.Intn(cores)
-		fmt.Fprintf(&b, "link I%d C%d 8Mbps 1ms queue=64\n", i, entry)
+		fmt.Fprintf(&b, "duplex I%d C%d 8Mbps 1ms queue=64\n", i, entry)
 		w := 1 + rng.Intn(4)
 		fmt.Fprintf(&b, "flow %d I%d SINK weight=%d\n", i, i, w)
 	}
 	for c := 1; c < cores; c++ {
 		rate := 2 + rng.Intn(4) // 2..5 Mbps
-		fmt.Fprintf(&b, "link C%d C%d %dMbps 2ms queue=64\n", c, c+1, rate)
+		fmt.Fprintf(&b, "duplex C%d C%d %dMbps 2ms queue=64\n", c, c+1, rate)
 	}
-	fmt.Fprintf(&b, "link C%d SINK %dMbps 1ms queue=64\n", cores, 2+rng.Intn(4))
+	fmt.Fprintf(&b, "duplex C%d SINK %dMbps 1ms queue=64\n", cores, 2+rng.Intn(4))
 	return b.String()
 }
 

@@ -25,25 +25,27 @@ type Discipline interface {
 	Len() int
 }
 
-// pktRing is a fixed-capacity FIFO over a power-of-two circular buffer: the
-// building block of the bounded disciplines. A sliding []*packet.Packet
+// pktRing is a FIFO over a power-of-two circular buffer: the building block
+// of the bounded disciplines. It starts empty and doubles when full, so an
+// idle or lightly loaded link holds no buffer sized for the worst case; the
+// discipline above it enforces the capacity. A sliding []*packet.Packet
 // window would reallocate its backing array every capacity-th packet under
-// steady backlog; the ring never allocates after construction.
+// steady backlog; the ring stops allocating once it has grown to the peak
+// backlog.
 type pktRing struct {
 	buf  []*packet.Packet
 	head int
 	n    int
 }
 
-func newPktRing(capacity int) pktRing {
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
-	return pktRing{buf: make([]*packet.Packet, size)}
-}
-
 func (r *pktRing) push(p *packet.Packet) {
+	if r.n == len(r.buf) {
+		buf := make([]*packet.Packet, max(4, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
+	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 }
@@ -75,7 +77,7 @@ func NewDropTail(capacity int) *DropTail {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &DropTail{capacity: capacity, ring: newPktRing(capacity)}
+	return &DropTail{capacity: capacity}
 }
 
 // Capacity reports the maximum number of waiting packets.
@@ -159,7 +161,7 @@ func NewRED(cfg REDConfig, now func() time.Duration, rng *sim.RNG) *RED {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1
 	}
-	return &RED{cfg: cfg, now: now, rng: rng, idle: true, ring: newPktRing(cfg.Capacity)}
+	return &RED{cfg: cfg, now: now, rng: rng, idle: true}
 }
 
 // Avg reports the current EWMA average queue length estimate.

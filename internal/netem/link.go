@@ -60,6 +60,11 @@ type Link struct {
 	// id is the link's index in Network.links: the arg the service-completion
 	// handler is scheduled with.
 	id uint32
+	// port is the link's index among its sending node's links.
+	port int
+	// forwarder is the sending node's, kept here so that forwarding a
+	// packet in transit touches the link and not the node.
+	forwarder Forwarder
 	// svcDefault caches serviceTime for the paper's fixed
 	// packet.DefaultSizeBytes packet — the size every evaluation packet has —
 	// so the hot path skips the float division.
@@ -75,6 +80,10 @@ type Link struct {
 
 // Name reports the link's identifier ("from->to").
 func (l *Link) Name() string { return l.name }
+
+// Port reports the link's index among its sending node's links, in
+// creation order: a dense key for per-link state a node's forwarder keeps.
+func (l *Link) Port() int { return l.port }
 
 // From reports the sending node.
 func (l *Link) From() *Node { return l.from }
@@ -177,7 +186,7 @@ func (l *Link) startService() {
 }
 
 // fireTx completes a link's in-service transmission: the packet starts
-// propagating toward the far node (carried by a pooled propTimer record) and
+// propagating toward the far node (in a pooled propagation-timer slot) and
 // the transmitter is immediately free for the next packet.
 func (n *Network) fireTx(arg uint32) {
 	l := n.links[arg]
@@ -187,32 +196,20 @@ func (n *Network) fireTx(arg uint32) {
 	l.stats.Transmitted++
 	l.stats.TxBytes += int64(p.SizeBytes)
 	ti := n.getPropTimer()
-	t := &n.propTimers[ti]
-	t.link = l
-	t.p = p
+	n.propTimers[ti] = p
 	n.sched.PostHandler(l.delay, n.propHid, ti)
 	l.startService()
 }
 
-// propTimer carries one propagating packet from transmitter to far node.
-// Records are pooled on the Network and addressed by index, so per-packet
-// propagation scheduling allocates nothing and writes no pointers into the
-// scheduler.
-type propTimer struct {
-	link *Link
-	p    *packet.Packet
-}
-
-// fireProp hands a propagated packet to the far node and recycles the
-// record.
+// fireProp hands a propagated packet to the far node of the link its route
+// put it on, and recycles the timer slot.
 func (n *Network) fireProp(arg uint32) {
-	t := &n.propTimers[arg]
-	l := t.link
+	p := n.propTimers[arg]
 	n.sched.MarkHandler(sim.KindLinkProp)
-	p := t.p
-	t.link, t.p = nil, nil
+	n.propTimers[arg] = nil
 	n.putPropTimer(arg)
+	l := n.hops[p.Route+p.Hop-1]
 	l.stats.Arrived++
 	l.stats.ArrivedBytes += int64(p.SizeBytes)
-	l.to.deliver(p)
+	n.forward(l.to, p)
 }

@@ -299,12 +299,12 @@ func TestRoutingShortestDelay(t *testing.T) {
 	if err := n.ComputeRoutes(); err != nil {
 		t.Fatalf("ComputeRoutes: %v", err)
 	}
-	next, err := n.Node("A").route("D")
+	path, err := n.Path("A", "D")
 	if err != nil {
-		t.Fatalf("route: %v", err)
+		t.Fatalf("Path: %v", err)
 	}
-	if next != "B" {
-		t.Errorf("A's next hop to D = %s, want B", next)
+	if len(path) != 3 || path[1] != "B" {
+		t.Errorf("A's path to D = %v, want via B", path)
 	}
 	d, err := n.PathDelay("A", "D")
 	if err != nil {

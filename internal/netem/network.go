@@ -2,7 +2,7 @@ package netem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -76,19 +76,20 @@ type NetStats struct {
 	DroppedMarkers   int64
 }
 
-// Network is a simulated network cloud: nodes, links, static shortest-path
-// routes, and a latency-faithful control plane for feedback messages.
+// Network is a simulated network cloud: nodes, links, per-flow link-path
+// routes (see routing), and a latency-faithful control plane for feedback
+// messages.
 type Network struct {
-	sched  *sim.Scheduler
-	nodes  map[string]*Node
-	order  []string // node names in creation order, for determinism
-	links  []*Link
+	sched *sim.Scheduler
+	nodes map[string]*Node
+	byID  []*Node // nodes by dense id, which is creation order
+	links []*Link
+	// linkAt maps (from, to) node ids to the link between them.
+	linkAt map[uint64]*Link
 	onDrop []func(Drop)
 	stats  NetStats
 
-	// pathDelay caches propagation latency between node pairs, filled by
-	// ComputeRoutes.
-	pathDelay map[[2]string]time.Duration
+	routing
 
 	tracer Tracer
 
@@ -96,10 +97,11 @@ type Network struct {
 	// sources draw from it and the network releases at the sink and on
 	// every drop. See packet.Pool for the ownership rules.
 	pool *packet.Pool
-	// Propagation-timer pool: records live in an index-addressed slice so
-	// the scheduler entry for an in-flight packet is just (handler id,
-	// record index) — nothing the garbage collector has to chase.
-	propTimers []propTimer
+	// Propagation-timer pool: each propagating packet sits in an
+	// index-addressed slot, so its scheduler entry is just (handler id,
+	// slot) — nothing the garbage collector has to chase. The packet's
+	// route names the link it is on.
+	propTimers []*packet.Packet
 	propFree   []uint32
 	propHid    sim.HandlerID
 	// txHid fires service completions with the link index as arg.
@@ -114,10 +116,11 @@ type Network struct {
 // New returns an empty network driven by sched.
 func New(sched *sim.Scheduler) *Network {
 	n := &Network{
-		sched:     sched,
-		nodes:     make(map[string]*Node),
-		pathDelay: make(map[[2]string]time.Duration),
-		pool:      packet.NewPool(),
+		sched:   sched,
+		nodes:   make(map[string]*Node),
+		linkAt:  make(map[uint64]*Link),
+		routing: routing{hops: []*Link{nil}},
+		pool:    packet.NewPool(),
 	}
 	n.propHid = sched.RegisterHandler(n.fireProp)
 	n.txHid = sched.RegisterHandler(n.fireTx)
@@ -140,7 +143,7 @@ func (n *Network) getPropTimer() uint32 {
 		n.propFree = n.propFree[:k-1]
 		return i
 	}
-	n.propTimers = append(n.propTimers, propTimer{})
+	n.propTimers = append(n.propTimers, nil)
 	return uint32(len(n.propTimers) - 1)
 }
 
@@ -155,34 +158,18 @@ func (n *Network) AddNode(name string) (*Node, error) {
 	if _, exists := n.nodes[name]; exists {
 		return nil, fmt.Errorf("netem: duplicate node %q", name)
 	}
-	node := &Node{
-		name:    name,
-		net:     n,
-		links:   make(map[string]*Link),
-		nextHop: make(map[string]string),
-	}
+	node := &Node{name: name, id: uint32(len(n.byID)), net: n}
 	n.nodes[name] = node
-	n.order = append(n.order, name)
-	node.id = uint32(len(n.order)) // 1-based: 0 marks an unresolved DstID
+	n.byID = append(n.byID, node)
+	n.forget()
 	return node, nil
 }
 
 // Node returns the named node, or nil.
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
-// Nodes returns node names in creation order.
-func (n *Network) Nodes() []string {
-	out := make([]string, len(n.order))
-	copy(out, n.order)
-	return out
-}
-
 // Links returns all links in creation order.
-func (n *Network) Links() []*Link {
-	out := make([]*Link, len(n.links))
-	copy(out, n.links)
-	return out
-}
+func (n *Network) Links() []*Link { return slices.Clone(n.links) }
 
 // LinkConfig describes one unidirectional link.
 type LinkConfig struct {
@@ -208,7 +195,7 @@ func (n *Network) AddLink(from, to string, cfg LinkConfig) (*Link, error) {
 	if !ok {
 		return nil, fmt.Errorf("netem: unknown node %q", to)
 	}
-	if _, dup := src.links[to]; dup {
+	if _, dup := n.linkAt[pairKey(src, dst)]; dup {
 		return nil, fmt.Errorf("netem: duplicate link %s->%s", from, to)
 	}
 	if cfg.RateBps <= 0 {
@@ -231,10 +218,12 @@ func (n *Network) AddLink(from, to string, cfg LinkConfig) (*Link, error) {
 		monitor: NewQueueMonitor(n.sched.Now()),
 		net:     n,
 	}
-	l.id = uint32(len(n.links))
+	l.id, l.port, l.forwarder = uint32(len(n.links)), len(src.out), src.forwarder
 	l.svcDefault = l.serviceTimeFor(packet.DefaultSizeBytes)
-	src.links[to] = l
+	n.linkAt[pairKey(src, dst)] = l
+	src.out = append(src.out, l)
 	n.links = append(n.links, l)
+	n.forget()
 	if n.obs != nil {
 		l.registerObs(n.obs)
 	}
@@ -302,240 +291,4 @@ func (n *Network) notifyDrop(d Drop) {
 	// Drop listeners run synchronously and must not retain the packet, so
 	// the drop point is where ownership returns to the pool.
 	n.pool.Put(d.Packet)
-}
-
-// ComputeRoutes fills every node's next-hop table with shortest paths
-// (weighted by propagation delay, ties broken by hop count then by node
-// name for determinism) and caches pairwise path latencies for the control
-// plane. It must be called after topology construction and before traffic
-// starts; call it again if links are added later.
-func (n *Network) ComputeRoutes() error {
-	n.pathDelay = make(map[[2]string]time.Duration, len(n.order)*len(n.order))
-	for _, src := range n.order {
-		dist, firstHop, err := n.dijkstra(src)
-		if err != nil {
-			return err
-		}
-		node := n.nodes[src]
-		node.nextHop = firstHop
-		node.outByID = make([]*Link, len(n.order)+1)
-		for dst, hop := range firstHop {
-			if l := node.links[hop]; l != nil {
-				node.outByID[n.nodes[dst].id] = l
-			}
-		}
-		for dst, d := range dist {
-			n.pathDelay[[2]string{src, dst}] = d
-		}
-	}
-	return nil
-}
-
-// dijkstra computes, from src, the propagation-latency distance and the
-// first hop toward every reachable node.
-func (n *Network) dijkstra(src string) (map[string]time.Duration, map[string]string, error) {
-	type entry struct {
-		dist time.Duration
-		hops int
-	}
-	dist := map[string]entry{src: {}}
-	firstHop := make(map[string]string)
-	visited := make(map[string]bool)
-	for {
-		// Select the unvisited node with the smallest (dist, hops, name).
-		var cur string
-		found := false
-		for name, e := range dist {
-			if visited[name] {
-				continue
-			}
-			if !found {
-				cur, found = name, true
-				continue
-			}
-			c := dist[cur]
-			if e.dist < c.dist || (e.dist == c.dist && e.hops < c.hops) ||
-				(e.dist == c.dist && e.hops == c.hops && name < cur) {
-				cur = name
-			}
-		}
-		if !found {
-			break
-		}
-		visited[cur] = true
-		node := n.nodes[cur]
-		neighbors := make([]string, 0, len(node.links))
-		for next := range node.links {
-			neighbors = append(neighbors, next)
-		}
-		sort.Strings(neighbors)
-		for _, next := range neighbors {
-			l := node.links[next]
-			cand := entry{dist[cur].dist + l.delay, dist[cur].hops + 1}
-			old, seen := dist[next]
-			if !seen || cand.dist < old.dist || (cand.dist == old.dist && cand.hops < old.hops) {
-				dist[next] = cand
-				if cur == src {
-					firstHop[next] = next
-				} else {
-					firstHop[next] = firstHop[cur]
-				}
-			}
-		}
-	}
-	out := make(map[string]time.Duration, len(dist))
-	for name, e := range dist {
-		out[name] = e.dist
-	}
-	return out, firstHop, nil
-}
-
-// InstallNeighborRoutes fills every node's forwarding state and the
-// control-plane latency cache for its direct neighbors only: packets
-// addressed to an adjacent node take the connecting link. It is the cheap
-// alternative to ComputeRoutes for topologies whose every multi-hop path is
-// pinned explicitly with InstallRoute (generated fat-trees route thousands
-// of flows without an all-pairs shortest-path pass). Call it after topology
-// construction; InstallRoute calls layer multi-hop state on top.
-func (n *Network) InstallNeighborRoutes() {
-	for _, l := range n.links {
-		l.from.nextHop[l.to.name] = l.to.name
-		if len(l.from.outByID) < len(n.order)+1 {
-			grown := make([]*Link, len(n.order)+1)
-			copy(grown, l.from.outByID)
-			l.from.outByID = grown
-		}
-		l.from.outByID[l.to.id] = l
-		n.pathDelay[[2]string{l.from.name, l.to.name}] = l.delay
-	}
-}
-
-// InstallRoute pins the forwarding state for the destination path[len-1]
-// along the explicit node sequence path: every earlier node on the path
-// forwards packets for that destination to its successor, regardless of
-// what ComputeRoutes would have chosen. This is how generated topologies
-// realize deterministic ECMP-style path selection — the generator picks a
-// core switch per flow and installs the full waypoint chain toward the
-// flow's (unique) egress host.
-//
-// The control-plane latency cache learns every ordered pair along the
-// sequence: forward pairs always, reverse pairs whenever the reverse links
-// exist (duplex wiring), so feedback from any on-path router back to the
-// flow's ingress edge travels with faithful timing even when ComputeRoutes
-// never ran. Consecutive nodes must be directly linked in the forward
-// direction. Installing a second route toward the same destination
-// overwrites the first, so callers keep one pinned flow per egress node.
-func (n *Network) InstallRoute(path []string) error {
-	if len(path) < 2 {
-		return fmt.Errorf("netem: route needs at least two nodes, got %d", len(path))
-	}
-	hops := make([]*Link, len(path)-1)
-	seen := make(map[string]bool, len(path))
-	for i, name := range path {
-		node := n.nodes[name]
-		if node == nil {
-			return fmt.Errorf("netem: route references unknown node %q", name)
-		}
-		if seen[name] {
-			return fmt.Errorf("netem: route visits node %q twice", name)
-		}
-		seen[name] = true
-		if i+1 < len(path) {
-			l := node.links[path[i+1]]
-			if l == nil {
-				return fmt.Errorf("netem: route hop %s->%s has no link", name, path[i+1])
-			}
-			hops[i] = l
-		}
-	}
-	dst := n.nodes[path[len(path)-1]]
-	for i := 0; i+1 < len(path); i++ {
-		node := n.nodes[path[i]]
-		node.nextHop[dst.name] = path[i+1]
-		if len(node.outByID) < len(n.order)+1 {
-			grown := make([]*Link, len(n.order)+1)
-			copy(grown, node.outByID)
-			node.outByID = grown
-		}
-		node.outByID[dst.id] = hops[i]
-	}
-	// Latency cache: forward pairs from the pinned links, reverse pairs from
-	// the reverse links where present.
-	for i := 0; i < len(path); i++ {
-		fwd := time.Duration(0)
-		for j := i + 1; j < len(path); j++ {
-			fwd += hops[j-1].delay
-			n.pathDelay[[2]string{path[i], path[j]}] = fwd
-		}
-		rev := time.Duration(0)
-		for j := i - 1; j >= 0; j-- {
-			back := n.nodes[path[j+1]].links[path[j]]
-			if back == nil {
-				break
-			}
-			rev += back.delay
-			n.pathDelay[[2]string{path[i], path[j]}] = rev
-		}
-	}
-	return nil
-}
-
-// Path reports the routed node sequence from -> ... -> to (inclusive). It
-// requires ComputeRoutes to have run.
-func (n *Network) Path(from, to string) ([]string, error) {
-	if n.nodes[from] == nil {
-		return nil, fmt.Errorf("netem: unknown node %q", from)
-	}
-	if n.nodes[to] == nil {
-		return nil, fmt.Errorf("netem: unknown node %q", to)
-	}
-	path := []string{from}
-	cur := from
-	for cur != to {
-		next, ok := n.nodes[cur].nextHop[to]
-		if !ok {
-			return nil, fmt.Errorf("netem: no path %s -> %s (did you call ComputeRoutes?)", from, to)
-		}
-		path = append(path, next)
-		cur = next
-		if len(path) > len(n.nodes)+1 {
-			return nil, fmt.Errorf("netem: routing loop on path %s -> %s", from, to)
-		}
-	}
-	return path, nil
-}
-
-// PathDelay reports the one-way propagation latency between two nodes along
-// the routed path. It is used by the control plane to deliver feedback and
-// loss notifications with faithful timing.
-func (n *Network) PathDelay(from, to string) (time.Duration, error) {
-	d, ok := n.pathDelay[[2]string{from, to}]
-	if !ok {
-		return 0, fmt.Errorf("netem: no path %s -> %s (did you call ComputeRoutes?)", from, to)
-	}
-	return d, nil
-}
-
-// SendControl delivers fn at the destination after the routed one-way
-// propagation latency from -> to. Control messages (Corelite marker
-// feedback, CSFQ loss notifications) are tiny compared to 1KB data packets,
-// so they are modelled as consuming no data-plane bandwidth while
-// preserving exactly the path delay — see DESIGN.md §2.
-func (n *Network) SendControl(from, to string, fn func()) error {
-	d, err := n.PathDelay(from, to)
-	if err != nil {
-		return err
-	}
-	if n.sched.Profiler() != nil {
-		// Attribute the delivery to the control-plane handler kind. The
-		// wrapper allocates, so it exists only when the event-loop profiler
-		// is attached; detached runs schedule fn directly.
-		inner := fn
-		fn = func() {
-			n.sched.MarkHandler(sim.KindControl)
-			inner()
-		}
-	}
-	n.sched.MustAfter(d, fn)
-	return nil
 }

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -28,16 +27,19 @@ type Forwarder interface {
 // Node is a router or host in the simulated cloud.
 type Node struct {
 	name string
-	// id is the node's dense 1-based index (creation order); packets cache
-	// it in DstID so per-hop routing is a slice load instead of a string-map
-	// lookup. Zero is reserved for "unresolved".
+	// id is the node's dense index (creation order), the key of its routing
+	// state.
 	id        uint32
 	net       *Network
-	links     map[string]*Link // next-hop node name -> link
-	nextHop   map[string]string
-	outByID   []*Link // destination node id -> output link, from ComputeRoutes
+	out       []*Link // outgoing links in creation order
 	app       App
 	forwarder Forwarder
+	// lastDst and lastRef remember the node's last injection, made in
+	// routing generation lastGen: a source sends its packets toward one
+	// destination, so most injections skip resolving the name.
+	lastDst string
+	lastRef routeRef
+	lastGen uint32
 }
 
 // Name reports the node's unique name.
@@ -47,87 +49,81 @@ func (n *Node) Name() string { return n.name }
 func (n *Node) SetApp(a App) { n.app = a }
 
 // SetForwarder installs the forwarding interceptor (core-router logic).
-func (n *Node) SetForwarder(f Forwarder) { n.forwarder = f }
+func (n *Node) SetForwarder(f Forwarder) {
+	n.forwarder = f
+	for _, l := range n.out {
+		l.forwarder = f
+	}
+}
 
 // LinkTo reports the link to the named adjacent node, or nil.
-func (n *Node) LinkTo(neighbor string) *Link { return n.links[neighbor] }
+func (n *Node) LinkTo(neighbor string) *Link {
+	if nb := n.net.nodes[neighbor]; nb != nil {
+		return n.net.linkAt[pairKey(n, nb)]
+	}
+	return nil
+}
 
 // Links returns the outgoing links in link-name order, so per-link state
 // attached by ranging over them (router ports, their gauges) comes out the
 // same on every run.
 func (n *Node) Links() []*Link {
-	out := make([]*Link, 0, len(n.links))
-	for _, l := range n.links {
-		out = append(out, l)
-	}
+	out := slices.Clone(n.out)
 	slices.SortFunc(out, func(a, b *Link) int { return strings.Compare(a.name, b.name) })
 	return out
 }
 
 // Inject hands a packet to the node as if it had been generated locally
-// (used by edge routers to launch shaped traffic into the cloud).
+// (used by edge routers to launch shaped traffic into the cloud). This is
+// where the packet's destination name is resolved, once, to its route; a
+// packet with no route to its destination is dropped here.
 func (n *Node) Inject(p *packet.Packet) {
-	// A packet may arrive from another cloud (multi-network concatenation)
-	// carrying that network's routing handle; resolution is per-network, so
-	// it restarts here.
-	p.DstID = 0
-	n.net.stats.Injected++
-	n.net.stats.InjectedBytes += int64(p.SizeBytes)
+	net := n.net
+	net.stats.Injected++
+	net.stats.InjectedBytes += int64(p.SizeBytes)
 	if p.Marker != nil {
-		n.net.stats.InjectedMarkers++
+		net.stats.InjectedMarkers++
 	}
-	n.deliver(p)
+	if p.Dst != n.lastDst || n.lastGen != net.gen {
+		n.lastRef = routeRef{route: noRoute}
+		if dst := net.nodes[p.Dst]; dst != nil {
+			n.lastRef = net.route(n, dst)
+		}
+		n.lastDst, n.lastGen = p.Dst, net.gen
+	}
+	if n.lastRef.route == noRoute {
+		net.notifyDrop(Drop{Packet: p, Node: n.name, Reason: DropNoRoute, At: net.sched.Now()})
+		return
+	}
+	p.Route, p.Hop = n.lastRef.route, n.lastRef.hop
+	net.forward(n, p)
 }
 
-// deliver processes a packet arriving at (or originating from) the node.
-func (n *Node) deliver(p *packet.Packet) {
-	if p.DstID == 0 {
-		// First hop: resolve the destination name to its dense node id
-		// once; every later hop (and the sink test below) is integer work.
-		if dn, ok := n.net.nodes[p.Dst]; ok {
-			p.DstID = dn.id
-		}
-	}
-	if p.DstID == n.id {
-		n.net.stats.Delivered++
-		n.net.stats.DeliveredBytes += int64(p.SizeBytes)
+// forward moves a packet that has arrived at (or originates from) node at
+// along its route: onto the route's next link, or to at's App when the
+// route has no link left.
+func (n *Network) forward(at *Node, p *packet.Packet) {
+	out := n.hops[p.Route+p.Hop]
+	if out == nil {
+		n.stats.Delivered++
+		n.stats.DeliveredBytes += int64(p.SizeBytes)
 		if p.Marker != nil {
-			n.net.stats.DeliveredMarkers++
+			n.stats.DeliveredMarkers++
 		}
-		n.net.trace(TraceEvent{At: n.net.sched.Now(), Kind: EventReceive, Where: n.name, Packet: p})
-		if n.app != nil {
-			n.app.Receive(p)
+		n.trace(TraceEvent{At: n.sched.Now(), Kind: EventReceive, Where: at.name, Packet: p})
+		if at.app != nil {
+			at.app.Receive(p)
 		}
 		// The sink is the end of the packet's life: apps read it
 		// synchronously and must not retain it (see packet.Packet), so
 		// ownership returns to the pool here.
-		n.net.pool.Put(p)
+		n.pool.Put(p)
 		return
 	}
-	// ComputeRoutes resolved every (src, dst) pair into outByID, covering
-	// "unknown destination", "no next hop", and "next hop without a link"
-	// alike as nil entries (index 0 is the reserved unresolved id), so
-	// forwarding is one bounds check and one slice load.
-	var out *Link
-	if int(p.DstID) < len(n.outByID) {
-		out = n.outByID[p.DstID]
-	}
-	if out == nil {
-		n.net.notifyDrop(Drop{Packet: p, Node: n.name, Reason: DropNoRoute, At: n.net.sched.Now()})
+	if out.forwarder != nil && !out.forwarder.OnForward(p, out) {
+		n.notifyDrop(Drop{Packet: p, Node: at.name, Link: out, Reason: DropPolicy, At: n.sched.Now()})
 		return
 	}
-	if n.forwarder != nil && !n.forwarder.OnForward(p, out) {
-		n.net.notifyDrop(Drop{Packet: p, Node: n.name, Link: out, Reason: DropPolicy, At: n.net.sched.Now()})
-		return
-	}
+	p.Hop++
 	out.send(p)
-}
-
-// route returns the next-hop name for dst, for tests.
-func (n *Node) route(dst string) (string, error) {
-	next, ok := n.nextHop[dst]
-	if !ok {
-		return "", fmt.Errorf("netem: %s has no route to %s", n.name, dst)
-	}
-	return next, nil
 }

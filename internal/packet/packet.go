@@ -72,11 +72,15 @@ type Packet struct {
 	Flow FlowID
 	// Dst is the name of the egress node the packet is routed to.
 	Dst string
-	// DstID is the network's routing handle for Dst: a dense 1-based node
-	// index resolved from Dst at the packet's first hop and used for O(1)
-	// route lookups on every subsequent hop. Zero means "not yet resolved";
-	// model and application code never sets or reads it.
-	DstID uint32
+	// Route and Hop are the network's forwarding state for the packet: the
+	// handle of the link path Dst resolves to from the node that injected
+	// it, resolved once at injection, and the index on that path of the
+	// next link to take. A node forwards on the route's link Hop; the
+	// packet has reached Dst when Hop runs off the end. Both are rewritten
+	// at every injection (a packet re-injected into another cloud resolves
+	// again there); model and application code never sets or reads them.
+	Route uint32
+	Hop   uint32
 	// SizeBytes is the packet length. The paper's evaluation uses a fixed
 	// 1000-byte packet everywhere.
 	SizeBytes int

@@ -3,6 +3,7 @@ package packet
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestFlowIDString(t *testing.T) {
@@ -59,5 +60,15 @@ func TestNewDefaults(t *testing.T) {
 	}
 	if p.Label != 0 {
 		t.Error("new packet carries a CSFQ label")
+	}
+}
+
+// TestPacketSize pins the packet struct's footprint on 64-bit platforms:
+// the route handle and hop index took the place of the single destination
+// id, in the same eight bytes, so every in-flight packet costs what it did.
+func TestPacketSize(t *testing.T) {
+	const want = 120
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Packet{}) != want {
+		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want %d", unsafe.Sizeof(Packet{}), want)
 	}
 }

@@ -91,7 +91,7 @@ func (pl *Pool) Get(f FlowID, dst string, seq int64, sentAt time.Duration) *Pack
 	p.Kind = KindData
 	p.Flow = f
 	p.Dst = dst
-	p.DstID = 0
+	p.Route, p.Hop = 0, 0
 	p.SizeBytes = DefaultSizeBytes
 	p.Seq = seq
 	p.SentAt = sentAt

@@ -195,15 +195,111 @@ func Parse(s string) (Config, error) {
 // topospec.Validate; errors report impossible parameter combinations
 // (odd k, out-of-range ECMP pins, ...).
 func (c Config) Generate(seed int64) (*topospec.Spec, error) {
+	c, err := c.normalized()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.checkSize(c.counts()); err != nil {
+		return nil, err
+	}
 	switch c.Kind {
 	case KindFatTree:
 		return c.fatTree(seed)
 	case KindNClouds:
 		return c.nClouds(seed)
-	case KindMesh:
-		return c.mesh(seed)
 	default:
-		return nil, fmt.Errorf("topogen: config has no kind set")
+		return c.mesh(seed)
+	}
+}
+
+// Size reports how many nodes, links and flows Generate would produce for
+// c, without generating anything. It fails where Generate would on c's
+// parameters or size limits. Counts are float64 so that products of
+// hostile parameters cannot overflow.
+func (c Config) Size() (nodes, links, flows float64, err error) {
+	if c, err = c.normalized(); err != nil {
+		return 0, 0, 0, err
+	}
+	nodes, links, flows = c.counts()
+	return nodes, links, flows, c.checkSize(nodes, links, flows)
+}
+
+// normalized applies the kind's defaults and checks its parameters.
+func (c Config) normalized() (Config, error) {
+	c = c.fabricDefaults()
+	switch c.Kind {
+	case KindFatTree:
+		if c.K < 2 || c.K%2 != 0 {
+			return c, fmt.Errorf("topogen: fat-tree arity k=%d must be even and >= 2", c.K)
+		}
+		if c.Flows == 0 {
+			c.Flows = 2 * c.K
+		}
+		if c.Flows < 1 {
+			return c, fmt.Errorf("topogen: fat-tree needs at least one flow, got %d", c.Flows)
+		}
+	case KindNClouds:
+		if c.Clouds == 0 {
+			c.Clouds = 3
+		}
+		if c.Clouds < 2 {
+			return c, fmt.Errorf("topogen: nclouds needs n >= 2, got %d", c.Clouds)
+		}
+		if c.CoresPerCloud == 0 {
+			c.CoresPerCloud = 3
+		}
+		if c.CoresPerCloud < 1 {
+			return c, fmt.Errorf("topogen: nclouds needs at least one core per cloud")
+		}
+		if c.Through == 0 {
+			c.Through = 2
+		}
+		if c.Local == 0 {
+			c.Local = 2
+		}
+		if c.TrunkRateBps == 0 {
+			c.TrunkRateBps = 2 * c.FabricRateBps
+		}
+	case KindMesh:
+		if c.Nodes == 0 {
+			c.Nodes = 8
+		}
+		if c.Nodes < 3 {
+			return c, fmt.Errorf("topogen: mesh needs >= 3 nodes, got %d", c.Nodes)
+		}
+		if c.Flows == 0 {
+			c.Flows = c.Nodes
+		}
+		if c.MaxWeight == 0 {
+			c.MaxWeight = 4
+		}
+	default:
+		return c, fmt.Errorf("topogen: config has no kind set")
+	}
+	return c, nil
+}
+
+// counts reports the nodes, links and flows a normalized c generates.
+func (c Config) counts() (nodes, links, flows float64) {
+	switch c.Kind {
+	case KindFatTree:
+		// (k/2)² core + k·k/2 aggregation + k·k/2 edge switches joined by
+		// k·(k/2)·k duplex fabric links; a host pair and two duplex host
+		// links per flow.
+		k, f := float64(c.K), float64(c.Flows)
+		return float64(k*k/4) + float64(k*k) + float64(2*f), float64(k*k*k) + float64(4*f), f
+	case KindNClouds:
+		// Per cloud a chain of cores, a gateway and two duplex trunks
+		// between neighbours; a host pair and two duplex host links per
+		// flow.
+		n, cores := float64(c.Clouds), float64(c.CoresPerCloud)
+		f := float64(c.Through) + float64(n*float64(c.Local))
+		return float64(n*cores) + n - 1 + float64(2*f), float64(2*n*(cores-1)) + float64(4*(n-1)) + float64(4*f), f
+	default:
+		// The ring plus at most Degree chords per node, duplex; a host
+		// pair and two duplex host links per flow.
+		n, f := float64(c.Nodes), float64(c.Flows)
+		return n + float64(2*f), float64(2*n*(1+float64(c.Degree))) + float64(4*f), f
 	}
 }
 
@@ -282,25 +378,8 @@ func ecmpPick(seed int64, flow, n int) int {
 // switch c attaches to aggregation switch c/(k/2) in every pod, so
 // choosing c fully determines an inter-pod path.
 func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
-	c = c.fabricDefaults()
-	if c.K < 2 || c.K%2 != 0 {
-		return nil, fmt.Errorf("topogen: fat-tree arity k=%d must be even and >= 2", c.K)
-	}
-	if c.Flows == 0 {
-		c.Flows = 2 * c.K
-	}
-	if c.Flows < 1 {
-		return nil, fmt.Errorf("topogen: fat-tree needs at least one flow, got %d", c.Flows)
-	}
 	k := c.K
 	half := k / 2
-	// (k/2)² core + k·k/2 aggregation + k·k/2 edge switches joined by
-	// k·(k/2)·k duplex fabric links; a host pair and two duplex host links
-	// per flow.
-	fk, ff := float64(k), float64(c.Flows)
-	if err := c.checkSize(float64(fk*fk/4)+float64(fk*fk)+float64(2*ff), float64(fk*fk*fk)+float64(4*ff), ff); err != nil {
-		return nil, err
-	}
 	spec := &topospec.Spec{
 		Nodes: make([]topospec.NodeSpec, 0, half*half+k*k+2*c.Flows),
 		Links: make([]topospec.LinkSpec, 0, 2*k*half*k+4*c.Flows),
@@ -389,35 +468,6 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 // through flows' end-to-end share is the minimum of their per-cloud
 // shares — the generalized two-cloud concatenation experiment.
 func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
-	c = c.fabricDefaults()
-	if c.Clouds == 0 {
-		c.Clouds = 3
-	}
-	if c.Clouds < 2 {
-		return nil, fmt.Errorf("topogen: nclouds needs n >= 2, got %d", c.Clouds)
-	}
-	if c.CoresPerCloud == 0 {
-		c.CoresPerCloud = 3
-	}
-	if c.CoresPerCloud < 1 {
-		return nil, fmt.Errorf("topogen: nclouds needs at least one core per cloud")
-	}
-	if c.Through == 0 {
-		c.Through = 2
-	}
-	if c.Local == 0 {
-		c.Local = 2
-	}
-	if c.TrunkRateBps == 0 {
-		c.TrunkRateBps = 2 * c.FabricRateBps
-	}
-	// Per cloud a chain of cores, a gateway and two duplex trunks between
-	// neighbours; a host pair and two duplex host links per flow.
-	fn, fc := float64(c.Clouds), float64(c.CoresPerCloud)
-	ff := float64(c.Through) + float64(fn*float64(c.Local))
-	if err := c.checkSize(float64(fn*fc)+fn-1+float64(2*ff), float64(2*fn*(fc-1))+float64(4*(fn-1))+float64(4*ff), ff); err != nil {
-		return nil, err
-	}
 	spec := &topospec.Spec{}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	trunk := topospec.LinkSpec{RateBps: c.TrunkRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
@@ -503,25 +553,6 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 // weight in 1..MaxWeight. Paths are left to shortest-path routing — the
 // mesh exercises the un-pinned build path.
 func (c Config) mesh(seed int64) (*topospec.Spec, error) {
-	c = c.fabricDefaults()
-	if c.Nodes == 0 {
-		c.Nodes = 8
-	}
-	if c.Nodes < 3 {
-		return nil, fmt.Errorf("topogen: mesh needs >= 3 nodes, got %d", c.Nodes)
-	}
-	if c.Flows == 0 {
-		c.Flows = c.Nodes
-	}
-	if c.MaxWeight == 0 {
-		c.MaxWeight = 4
-	}
-	// The ring plus at most Degree chords per node, duplex; a host pair and
-	// two duplex host links per flow.
-	fn, ff := float64(c.Nodes), float64(c.Flows)
-	if err := c.checkSize(fn+float64(2*ff), float64(2*fn*(1+float64(c.Degree)))+float64(4*ff), ff); err != nil {
-		return nil, err
-	}
 	spec := &topospec.Spec{}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	host := topospec.LinkSpec{RateBps: c.HostRateBps, Delay: c.HostDelay, QueueCap: c.QueueCap}

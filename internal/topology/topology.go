@@ -78,7 +78,7 @@ func (p Placement) RTT() time.Duration {
 
 // Cloud is a built topology plus its flow placements.
 type Cloud struct {
-	// Net is the simulated network with routes computed.
+	// Net is the simulated network; its routes resolve on first use.
 	Net *netem.Network
 	// Placements holds the flow slots in index order.
 	Placements []Placement
@@ -223,9 +223,6 @@ func Paper(sched *sim.Scheduler, opts Options) (*Cloud, error) {
 		})
 	}
 
-	if err := net.ComputeRoutes(); err != nil {
-		return nil, err
-	}
 	return &Cloud{Net: net, Placements: placements, CoreLinks: coreLinks, CoreNodes: CoreNames()}, nil
 }
 
@@ -335,9 +332,6 @@ func Dumbbell(sched *sim.Scheduler, numFlows int, weights map[int]float64, opts 
 			CoreLinks: []string{"A->B"},
 			Hops:      3,
 		})
-	}
-	if err := net.ComputeRoutes(); err != nil {
-		return nil, err
 	}
 	return &Cloud{
 		Net:        net,

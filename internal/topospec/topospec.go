@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -477,31 +478,9 @@ func (s *Spec) Build(sched *sim.Scheduler) (*topology.Cloud, error) {
 			coreLinks[link.Name()] = link
 		}
 	}
-	// When every flow pins its complete path, the all-pairs shortest-path
-	// pass is pure overhead: neighbor routes plus the per-flow overrides
-	// cover all data- and control-plane traffic. Generated fat-trees with
-	// hundreds of nodes rely on this.
-	allPinned := len(s.Flows) > 0
-	for _, f := range s.Flows {
-		if len(f.Via) == 0 {
-			allPinned = false
-			break
-		}
-	}
-	if allPinned {
-		net.InstallNeighborRoutes()
-	} else if err := net.ComputeRoutes(); err != nil {
-		return nil, err
-	}
-
 	flows := make([]FlowSpec, len(s.Flows))
 	copy(flows, s.Flows)
 	sort.Slice(flows, func(i, j int) bool { return flows[i].Index < flows[j].Index })
-
-	byName := make(map[string]*netem.Link)
-	for _, l := range net.Links() {
-		byName[l.Name()] = l
-	}
 
 	placements := make([]topology.Placement, 0, len(flows))
 	for _, f := range flows {
@@ -512,27 +491,6 @@ func (s *Spec) Build(sched *sim.Scheduler) (*topology.Cloud, error) {
 			if err := net.InstallRoute(path); err != nil {
 				return nil, fmt.Errorf("topospec: flow %d: %w", f.Index, err)
 			}
-			if len(f.Relays) > 0 {
-				// Re-marked flows address one control segment at a time,
-				// so intermediate gateways are packet destinations in
-				// their own right: install each segment's route toward
-				// its gateway (the full-path install above already covers
-				// the final segment).
-				pos := make(map[string]int, len(path))
-				for i, n := range path {
-					pos[n] = i
-				}
-				rels := append([]string(nil), f.Relays...)
-				sort.Slice(rels, func(i, j int) bool { return pos[rels[i]] < pos[rels[j]] })
-				start := 0
-				for _, rel := range rels {
-					end := pos[rel]
-					if err := net.InstallRoute(path[start : end+1]); err != nil {
-						return nil, fmt.Errorf("topospec: flow %d relay %s: %w", f.Index, rel, err)
-					}
-					start = end
-				}
-			}
 			// A pinned path is a deliberate ECMP choice: every link on it
 			// is a capacity constraint the oracle must know about (the
 			// per-flow host access links are private, so including them
@@ -541,7 +499,7 @@ func (s *Spec) Build(sched *sim.Scheduler) (*topology.Cloud, error) {
 				name := path[i] + "->" + path[i+1]
 				crossed = append(crossed, name)
 				if _, tracked := coreLinks[name]; !tracked {
-					coreLinks[name] = byName[name]
+					coreLinks[name] = net.Node(path[i]).LinkTo(path[i+1])
 				}
 			}
 		} else {
@@ -559,11 +517,15 @@ func (s *Spec) Build(sched *sim.Scheduler) (*topology.Cloud, error) {
 			if len(crossed) == 0 {
 				// The oracle needs at least one constraint per flow; use the
 				// flow's tightest link along the path.
-				crossed = []string{tightestLink(net, path)}
+				tight := tightestLink(net, path)
+				crossed = []string{tight.Name()}
 				if _, tracked := coreLinks[crossed[0]]; !tracked {
-					coreLinks[crossed[0]] = byName[crossed[0]]
+					coreLinks[crossed[0]] = tight
 				}
 			}
+		}
+		if err := controlSegments(net, f, path); err != nil {
+			return nil, err
 		}
 		placements = append(placements, topology.Placement{
 			Index:     f.Index,
@@ -626,19 +588,39 @@ func (s *Spec) Format() string {
 	return b.String()
 }
 
-// tightestLink returns the name of the lowest-rate link on the path.
-func tightestLink(net *netem.Network, path []string) string {
-	best := ""
-	bestRate := 0.0
+// tightestLink returns the lowest-rate link along path.
+func tightestLink(net *netem.Network, path []string) *netem.Link {
+	var best *netem.Link
 	for i := 0; i+1 < len(path); i++ {
-		l := net.Node(path[i]).LinkTo(path[i+1])
-		if l == nil {
-			continue
-		}
-		if best == "" || l.RateBps() < bestRate {
-			best = l.Name()
-			bestRate = l.RateBps()
+		if l := net.Node(path[i]).LinkTo(path[i+1]); best == nil || l.RateBps() < best.RateBps() {
+			best = l
 		}
 	}
 	return best
+}
+
+// controlSegments pins each re-marking segment of a relayed flow and checks
+// that every node of every segment reaches the segment's first node, the
+// edge its marker feedback and loss notifications go to; a flow without
+// relays is one segment. Re-marked flows address one segment at a time, so
+// intermediate gateways are packet destinations in their own right.
+func controlSegments(net *netem.Network, f FlowSpec, path []string) error {
+	start := 0
+	for i := 1; i < len(path); i++ {
+		if i+1 < len(path) && !slices.Contains(f.Relays, path[i]) {
+			continue
+		}
+		if len(f.Relays) > 0 {
+			if err := net.InstallRoute(path[start : i+1]); err != nil {
+				return fmt.Errorf("topospec: flow %d relay %s: %w", f.Index, path[i], err)
+			}
+		}
+		for _, node := range path[start+1 : i+1] {
+			if _, err := net.PathDelay(node, path[start]); err != nil {
+				return fmt.Errorf("topospec: flow %d: node %s has no path back to %s for control messages", f.Index, node, path[start])
+			}
+		}
+		start = i
+	}
+	return nil
 }

@@ -235,3 +235,44 @@ flow 1 e1 e2
 		t.Errorf("expected = %v, want 250 (2Mbps / 1KB)", rates[1])
 	}
 }
+
+// TestBuildPinsRelaySegments builds a re-marked flow whose first control
+// segment detours through b although the gateway g is one hop from a:
+// packets addressed to the gateway follow the pinned segment, and the
+// control plane times each segment back to its own edge.
+func TestBuildPinsRelaySegments(t *testing.T) {
+	in := `
+node in edge
+node a core
+node b core
+node g edge
+node c core
+node out edge
+duplex in a 10Mbps 1ms
+duplex a g 10Mbps 1ms
+duplex a b 10Mbps 2ms
+duplex b g 10Mbps 2ms
+duplex g c 10Mbps 3ms
+duplex c out 10Mbps 1ms
+flow 1 in out via=in:a:b:g:c:out relay=g
+`
+	spec, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := spec.Build(sim.NewScheduler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path, err := cloud.Net.Path("in", "g"); err != nil || strings.Join(path, " ") != "in a b g" {
+		t.Errorf("Path(in, g) = %v (%v), want the pinned segment in a b g", path, err)
+	}
+	for _, c := range []struct {
+		from, to string
+		want     time.Duration
+	}{{"b", "in", 3 * time.Millisecond}, {"g", "in", 5 * time.Millisecond}, {"c", "g", 3 * time.Millisecond}, {"out", "g", 4 * time.Millisecond}} {
+		if got, err := cloud.Net.PathDelay(c.from, c.to); err != nil || got != c.want {
+			t.Errorf("PathDelay(%s, %s) = %v (%v), want %v", c.from, c.to, got, err, c.want)
+		}
+	}
+}
