@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/adapt"
@@ -215,80 +216,88 @@ func specFullyPinned(s *topospec.Spec) bool {
 // packet network's PacketsPerSecond(1000)) and the same placements — as
 // cloudModel over Spec.Build.
 //
-// Validate-once rule: a spec that normalize expanded from sc.Generate left
-// topogen validated and has only had its weights rewritten since (AddFlow
-// checks those), so it is not validated again; a caller-supplied Scenario.Spec
-// gets its one full validation here.
+// It is the spec's one validation on the fluid path, generated or not:
+// Resolve checks the spec and hands back each flow's via path as link
+// indices, so the build works on ids and keeps no name-keyed map unless
+// cross traffic needs links by name.
 func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 	s := sc.Spec
-	if sc.Generate == nil {
-		if err := s.Validate(); err != nil {
-			return nil, err
+	r, err := s.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	order := make([]int32, len(s.Flows))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(s.Flows[a].Index, s.Flows[b].Index) })
+	// Every link on a pinned path is promoted into the constraint set, the
+	// same rule Build applies to via-pinned flows. toModel maps a spec link
+	// to its model link (-1: not promoted), numbered in first-crossed order
+	// over the flows in index order, which is cloudModel's AddLink order.
+	toModel := make([]int32, len(s.Links))
+	for i := range toModel {
+		toModel[i] = -1
+	}
+	n := int32(0)
+	for _, fi := range order {
+		for _, li := range r.Path(int(fi)) {
+			if toModel[li] < 0 {
+				toModel[li] = n
+				n++
+			}
 		}
 	}
-	roles := make(map[string]topospec.NodeRole, len(s.Nodes))
-	for _, n := range s.Nodes {
-		roles[n.Name] = n.Role
+	links := make([]flowsim.Link, n)
+	for li, mi := range toModel {
+		if mi >= 0 {
+			l := &s.Links[li]
+			links[mi] = flowsim.Link{Name: l.From + "->" + l.To, Capacity: l.RateBps / (8 * 1000.0)}
+		}
 	}
-	// byName holds each link's "from->to" name next to its rate, so a hop
-	// resolves to the one name string built here: the lookup key below is a
-	// temporary that never reaches the heap, and the rate lookup, promotion,
-	// AddLink and Placement.CoreLinks all share the link's own string.
-	type specLink struct {
-		name string
-		pps  float64
-	}
-	byName := make(map[string]specLink, len(s.Links))
-	caps := make(map[string]float64, len(s.Links))
-	for _, l := range s.Links {
-		name := l.From + "->" + l.To
-		pps := l.RateBps / (8 * 1000.0)
-		byName[name] = specLink{name, pps}
+	if len(sc.Cross) > 0 {
 		// Core-core links are capacity constraints even when no flow
 		// crosses them (cross traffic may target them), mirroring
 		// Cloud.CoreLinks before per-flow promotion.
-		if roles[l.From] == topospec.RoleCore && roles[l.To] == topospec.RoleCore {
-			caps[name] = pps
+		caps := make(map[string]float64, len(links))
+		for _, l := range links {
+			caps[l.Name] = l.Capacity
 		}
-	}
-	flows := make([]topospec.FlowSpec, len(s.Flows))
-	copy(flows, s.Flows)
-	sort.Slice(flows, func(i, j int) bool { return flows[i].Index < flows[j].Index })
-	// Every link on a pinned path is promoted into the constraint set, the
-	// same rule Build applies to via-pinned flows.
-	crossed := make([][]string, len(flows))
-	for fi, f := range flows {
-		names := make([]string, len(f.Via)-1)
-		for i := range names {
-			l, ok := byName[f.Via[i]+"->"+f.Via[i+1]]
-			if !ok {
-				return nil, fmt.Errorf("flow %d: pinned hop %q is not a link", f.Index, f.Via[i]+"->"+f.Via[i+1])
+		for li, l := range s.Links {
+			if toModel[li] < 0 && r.Roles[li] == [2]topospec.NodeRole{topospec.RoleCore, topospec.RoleCore} {
+				caps[l.From+"->"+l.To] = l.RateBps / (8 * 1000.0)
 			}
-			caps[l.name] = l.pps
-			names[i] = l.name
 		}
-		crossed[fi] = names
-	}
-	if err := applyCross(sc, caps); err != nil {
-		return nil, err
-	}
-	m := flowsim.NewModel()
-	placements := make([]topology.Placement, 0, len(flows))
-	for fi, f := range flows {
-		links := make([]int, 0, len(crossed[fi]))
-		for _, name := range crossed[fi] {
-			li, err := m.AddLink(name, caps[name])
-			if err != nil {
-				return nil, err
-			}
-			links = append(links, li)
+		if err := applyCross(sc, caps); err != nil {
+			return nil, err
 		}
+		for i := range links {
+			links[i].Capacity = caps[links[i].Name]
+		}
+	}
+	// Each flow's model links and placement names are carved, in index
+	// order, from one backing array each.
+	flowLinks := make([]int, len(r.Hops))
+	names := make([]string, len(r.Hops))
+	m := &flowsim.Model{Links: links, Flows: make([]flowsim.Flow, 0, len(order))}
+	placements := make([]topology.Placement, 0, len(order))
+	off := 0
+	for _, fi := range order {
+		f := &s.Flows[fi]
+		path := r.Path(int(fi))
+		end := off + len(path)
+		fl, crossed := flowLinks[off:end:end], names[off:end:end]
+		for i, li := range path {
+			fl[i] = int(toModel[li])
+			crossed[i] = links[fl[i]].Name
+		}
+		off = end
 		if err := m.AddFlow(flowsim.Flow{
 			Index:       f.Index,
 			Weight:      f.Weight,
 			MinRate:     sc.MinRates[f.Index],
 			FixedDemand: sc.Unresponsive[f.Index],
-			Links:       links,
+			Links:       fl,
 		}); err != nil {
 			return nil, err
 		}
@@ -297,8 +306,8 @@ func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 			Weight:    f.Weight,
 			Ingress:   f.Ingress,
 			Egress:    f.Egress,
-			CoreLinks: crossed[fi],
-			Hops:      len(crossed[fi]),
+			CoreLinks: crossed,
+			Hops:      len(path),
 			Relays:    f.Relays,
 		})
 	}

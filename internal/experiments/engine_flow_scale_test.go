@@ -87,6 +87,13 @@ func TestDirectSpecBuildMatchesGeneric(t *testing.T) {
 	base := Scenario{Scheme: SchemeCorelite, Backend: BackendFlow, Duration: 60 * time.Second, Seed: 3}
 	cases := []builderCase{{name: "topospec file", sc: base, pinned: true}}
 	cases[0].sc.Spec = parseSpec(t, pinnedY)
+	// Cross traffic on a crossed core link, on a core link no flow crosses
+	// and on a promoted access link: the one case the builders resolve
+	// link names for.
+	cross := builderCase{name: "topospec file with cross traffic", sc: base, pinned: true}
+	cross.sc.Spec = parseSpec(t, pinnedY)
+	cross.sc.Cross = []CrossTraffic{{Link: "C->D", Rate: 100}, {Link: "C->A", Rate: 50}, {Link: "in1->A", Rate: 200, MeanOn: time.Second, MeanOff: time.Second}}
+	cases = append(cases, cross)
 	for _, g := range []struct {
 		topo, traffic string
 		pinned        bool
@@ -148,26 +155,52 @@ func TestDirectSpecBuildMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestDirectSpecBuildValidatesOnce pins the validate-once rule on the direct
-// builder: a caller-supplied Scenario.Spec gets topospec's full validation
-// there (nothing else on the fluid path looks at it), while a spec normalize
-// expanded from Generate was validated by topogen and is not walked again.
-// The probe is a defect only Validate reports — a node declared twice — which
-// the model build itself never trips over.
+// TestDirectSpecBuildValidatesOnce pins the rule that each spec is
+// validated exactly once, by the builder that uses it. The generators do not
+// check their output (TestGeneratedSpecsValidate pins their contract
+// instead), so a spec normalize expanded from Generate reaches its builder
+// unchecked, and the builder refuses a defect in it as it refuses one in a
+// caller-supplied spec: the direct builder through Resolve, the packet
+// cloud through Spec.Build. The probe is a defect only validation reports —
+// a node declared twice — which the model build itself never trips over.
 func TestDirectSpecBuildValidatesOnce(t *testing.T) {
 	sc := scaleSpecScenario(t, SchemeCorelite)
 	spec := *sc.Spec
 	spec.Nodes = append(append([]topospec.NodeSpec(nil), spec.Nodes...), spec.Nodes[0])
 	sc.Spec = &spec
-	if _, err := buildSpecModelDirect(sc); err != nil {
-		t.Errorf("generated spec was validated a second time: %v", err)
+	want := `topospec: duplicate node "cs0"`
+	if _, err := buildSpecModelDirect(sc); err == nil || err.Error() != want {
+		t.Errorf("generated spec, direct builder: err = %v, want %q", err, want)
+	}
+	if _, err := buildCloud(sc, sim.NewScheduler()); err == nil || err.Error() != want {
+		t.Errorf("generated spec, packet cloud: err = %v, want %q", err, want)
 	}
 	sc.Generate = nil
-	if _, err := buildSpecModelDirect(sc); err == nil || !strings.Contains(err.Error(), "duplicate node") {
-		t.Errorf("caller-supplied spec: err = %v, want topospec's duplicate-node rejection", err)
+	if _, err := buildSpecModelDirect(sc); err == nil || err.Error() != want {
+		t.Errorf("caller-supplied spec: err = %v, want %q", err, want)
 	}
-	if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), "duplicate node") {
+	if _, err := Run(sc); err == nil || err.Error() != "build flow model: "+want {
 		t.Errorf("Run on a caller-supplied invalid spec: err = %v, want topospec's duplicate-node rejection", err)
+	}
+}
+
+// TestDuplicateLinkRefusedOnBothBackends: a spec that declares one link
+// twice used to be refused by the packet backend (netem: duplicate link)
+// but run by the fluid one at the last declaration's rate. Validation
+// refuses it now, in one line, on both backends and in Parse.
+func TestDuplicateLinkRefusedOnBothBackends(t *testing.T) {
+	text := pinnedY + "link C D 1Mbps 10ms\n"
+	const want = "topospec: duplicate link C->D"
+	if _, err := topospec.Parse(strings.NewReader(text)); err == nil || err.Error() != want {
+		t.Errorf("Parse: err = %v, want %q", err, want)
+	}
+	for _, backend := range []Backend{BackendPacket, BackendFlow} {
+		spec := parseSpec(t, pinnedY)
+		spec.Links = append(spec.Links, topospec.LinkSpec{From: "C", To: "D", RateBps: 1e6, Delay: 10 * time.Millisecond})
+		_, err := Run(Scenario{Scheme: SchemeCorelite, Backend: backend, Duration: time.Second, Spec: spec})
+		if err == nil || !strings.HasSuffix(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s backend: err = %v, want one line ending in %q", backend, err, want)
+		}
 	}
 }
 
@@ -186,6 +219,10 @@ func TestSmallPinnedSpecDefectsRejected(t *testing.T) {
 	hop.Flows[0].Via = []string{"in1", "A", "D", "out1"}
 	if err, want := run(hop), "build flow model: topospec: flow 1 via hop A->D has no link (disconnected path)"; err == nil || err.Error() != want {
 		t.Errorf("via hop that is not a link: err = %v, want %q", err, want)
+	}
+	offPath := Scenario{Spec: parseSpec(t, pinnedY), Cross: []CrossTraffic{{Link: "A->in1", Rate: 10}}}
+	if _, err := buildSpecModelDirect(offPath); err == nil || err.Error() != `cross stream 0: unknown link "A->in1"` {
+		t.Errorf("cross traffic on a link that is neither core nor crossed: err = %v", err)
 	}
 	dup := parseSpec(t, pinnedY)
 	dup.Nodes = append(dup.Nodes, dup.Nodes[0])

@@ -77,3 +77,51 @@ func TestPacketSizePreflight(t *testing.T) {
 		t.Errorf("the 16 384-flow fat-tree is refused: %v", err)
 	}
 }
+
+// directBuildBytes reports the bytes normalize and buildFlowModel allocate
+// for a flow-backend scenario on the generated topology, and its flow count.
+func directBuildBytes(t *testing.T, topo string) (bytes, flows float64) {
+	t.Helper()
+	gen, err := ParseGenerate(topo, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Scheme: SchemeCorelite, Backend: BackendFlow, Duration: time.Second, Seed: 1, Generate: gen}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	norm, err := sc.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := buildFlowModel(norm)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(fm)
+	return float64(after.TotalAlloc - before.TotalAlloc), float64(len(fm.model.Flows))
+}
+
+// TestDirectBuildBytesPerFlow generates and builds, without running, the
+// fluid model of fat-tree scenarios at 2 048 and 8 192 flows. The bytes per
+// flow must not grow with the flow count, and must stay under a budget of
+// 1.5x what the build measured when the direct builder moved to Resolve's
+// dense ids: about 1 400 B per flow with Go 1.24, where the name-keyed
+// builder before it took 2 700–2 800 B, so a name-keyed map creeping back
+// into the build fails here.
+func TestDirectBuildBytesPerFlow(t *testing.T) {
+	const budget = 1.5 * 1400
+	var perFlow []float64
+	for _, topo := range []string{"fattree:k=8,flows=2048", "fattree:k=8,flows=8192"} {
+		bytes, flows := directBuildBytes(t, topo)
+		perFlow = append(perFlow, bytes/flows)
+		t.Logf("%s: normalize and build allocate %.0f B (%.0f B per flow)", topo, bytes, bytes/flows)
+		if bytes/flows > budget {
+			t.Errorf("%s: %.0f B per flow, over the budget of %.0f", topo, bytes/flows, budget)
+		}
+	}
+	if lo, hi := min(perFlow[0], perFlow[1]), max(perFlow[0], perFlow[1]); hi > 1.1*lo {
+		t.Errorf("build allocates %.0f B per flow at 2 048 flows and %.0f B at 8 192: more than 10%% apart", perFlow[0], perFlow[1])
+	}
+}

@@ -303,6 +303,22 @@ func TestModelValidation(t *testing.T) {
 	}
 }
 
+// TestAddLinkIndexesDirectLinks: a model whose Links a builder filled
+// directly carries no name index; AddLink builds it on first use, so a name
+// already present still resolves to its link.
+func TestAddLinkIndexesDirectLinks(t *testing.T) {
+	m := &Model{Links: []Link{{Name: "A", Capacity: 5}, {Name: "B", Capacity: 7}}}
+	if got, err := m.AddLink("B", 7); err != nil || got != 1 {
+		t.Errorf("AddLink(B) = (%d, %v), want (1, nil)", got, err)
+	}
+	if got, err := m.AddLink("C", 9); err != nil || got != 2 {
+		t.Errorf("AddLink(C) = (%d, %v), want (2, nil)", got, err)
+	}
+	if _, err := m.AddLink("A", 6); err == nil {
+		t.Error("capacity-mismatched re-add of a directly filled link accepted")
+	}
+}
+
 // TestSeriesSlabIsolation: the measurement series share one slab, so each
 // must be capped at its own cells — an append by the caller reallocates
 // rather than writing into the next flow's first sample.

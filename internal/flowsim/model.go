@@ -46,25 +46,32 @@ type Flow struct {
 
 // Model is the capacity graph the engine allocates over: a set of links and
 // the flows crossing them. Only constraining links need to be listed (access
-// links with the same rate as the core add nothing to the allocation).
+// links with the same rate as the core add nothing to the allocation). A
+// builder that already knows its link set may fill Links directly; AddLink
+// is for builders that meet a link by name, possibly more than once.
 type Model struct {
 	Links []Link
 	Flows []Flow
 
+	// linkIndex maps a link name to its index. AddLink builds it on first
+	// use, so a model whose Links were filled directly carries none.
 	linkIndex map[string]int
 	flowIndex map[int]bool
 }
 
 // NewModel returns an empty model.
-func NewModel() *Model {
-	return &Model{linkIndex: make(map[string]int), flowIndex: make(map[int]bool)}
-}
+func NewModel() *Model { return &Model{} }
 
 // AddLink appends a link and returns its index. Adding a name twice returns
 // the existing index (capacity must then match).
 func (m *Model) AddLink(name string, capacity float64) (int, error) {
 	if m.linkIndex == nil {
-		m.linkIndex = make(map[string]int)
+		m.linkIndex = make(map[string]int, len(m.Links))
+		for i, l := range m.Links {
+			if _, dup := m.linkIndex[l.Name]; !dup {
+				m.linkIndex[l.Name] = i
+			}
+		}
 	}
 	if i, ok := m.linkIndex[name]; ok {
 		if m.Links[i].Capacity != capacity {
@@ -107,7 +114,8 @@ func (m *Model) AddFlow(f Flow) error {
 		}
 	}
 	if m.flowIndex == nil {
-		m.flowIndex = make(map[int]bool)
+		// A builder that presized Flows has said how many flows to expect.
+		m.flowIndex = make(map[int]bool, cap(m.Flows))
 	}
 	if m.flowIndex[f.Index] {
 		return fmt.Errorf("flowsim: duplicate flow index %d", f.Index)

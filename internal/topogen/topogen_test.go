@@ -268,3 +268,47 @@ func TestGenerateNoKind(t *testing.T) {
 		t.Error("Generate accepted a kind-less config")
 	}
 }
+
+// TestGeneratedSpecsValidate pins the generators' contract — every spec
+// they return passes topospec.Validate — over a grid of parameters and
+// seeds. The generators do not check their own output at run time; the
+// builder that uses a spec validates it, and this test is what keeps a
+// generator bug from surfacing there as a refused scenario.
+func TestGeneratedSpecsValidate(t *testing.T) {
+	var cfgs []Config
+	for _, k := range []int{2, 4, 6, 8} {
+		for _, flows := range []int{1, 7, 64} {
+			cfgs = append(cfgs, Config{Kind: KindFatTree, K: k, Flows: flows})
+		}
+	}
+	// ECMP pins at both ends of every flow's range: intra-pod flows have
+	// k/2 paths, so 0 and 1 are in range for any of them at k=4.
+	pins := make(map[int]int)
+	for f := 1; f <= 32; f++ {
+		pins[f] = f % 2
+	}
+	cfgs = append(cfgs, Config{Kind: KindFatTree, K: 4, Flows: 32, ECMP: pins})
+	for _, n := range []int{2, 3, 5} {
+		for _, remark := range []bool{false, true} {
+			cfgs = append(cfgs,
+				Config{Kind: KindNClouds, Clouds: n, CoresPerCloud: 1, Through: 1, Local: 0, Remark: remark},
+				Config{Kind: KindNClouds, Clouds: n, CoresPerCloud: 3, Through: 5, Local: 2, Remark: remark})
+		}
+	}
+	for _, nodes := range []int{3, 8, 20} {
+		for _, degree := range []int{0, 2, 5} {
+			cfgs = append(cfgs, Config{Kind: KindMesh, Nodes: nodes, Degree: degree, Flows: 12})
+		}
+	}
+	for _, cfg := range cfgs {
+		for seed := int64(1); seed <= 5; seed++ {
+			spec, err := cfg.Generate(seed)
+			if err != nil {
+				t.Fatalf("%+v seed %d: %v", cfg, seed, err)
+			}
+			if err := spec.Validate(); err != nil {
+				t.Errorf("%+v seed %d: generated spec fails Validate: %v", cfg, seed, err)
+			}
+		}
+	}
+}

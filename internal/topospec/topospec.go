@@ -17,9 +17,10 @@
 //
 // Lines are independent; '#' starts a comment. Node roles are `core`
 // (receives core-router behaviour) or `edge`. `link` creates one
-// unidirectional link, `duplex` a pair. Bandwidths accept bps/kbps/Mbps/
-// Gbps suffixes; delays use Go duration syntax. Flow options: `weight=`
-// (default 1) and `min=` (minimum rate contract in packets/second).
+// unidirectional link, `duplex` a pair; a directed link is declared once.
+// Bandwidths accept bps/kbps/Mbps/Gbps suffixes; delays use Go duration
+// syntax. Flow options: `weight=` (default 1) and `min=` (minimum rate
+// contract in packets/second).
 package topospec
 
 import (
@@ -38,8 +39,9 @@ import (
 	"repro/internal/topology"
 )
 
-// NodeRole classifies spec nodes.
-type NodeRole int
+// NodeRole classifies spec nodes. It is a byte so that Resolved.Roles
+// costs two bytes per link.
+type NodeRole uint8
 
 // Node roles.
 const (
@@ -305,16 +307,41 @@ func ParseBandwidth(s string) (float64, error) {
 	return v * unit, nil
 }
 
-// Validate checks the spec's internal consistency. Node names are interned
-// to dense ids once, so the per-link and per-hop checks index slices and a
-// packed id-pair set instead of hashing strings per flow — at 100k pinned
-// flows that is most of a generated scenario's set-up.
+// Resolved is a validated spec in dense form: the ids Resolve builds while
+// it checks the spec, kept so a builder need not derive them again from
+// names. Link indices index Spec.Links; flow positions follow Spec.Flows.
+type Resolved struct {
+	// Start and Hops hold each flow's via path as link indices in CSR
+	// form: flow fi crosses Hops[Start[fi]:Start[fi+1]] in path order, and
+	// a flow without a via path has an empty range. len(Start) is
+	// len(Spec.Flows)+1.
+	Start []int32
+	Hops  []int32
+	// Roles holds each link's endpoint roles, from first.
+	Roles [][2]NodeRole
+}
+
+// Path returns flow fi's via path as link indices.
+func (r *Resolved) Path(fi int) []int32 { return r.Hops[r.Start[fi]:r.Start[fi+1]] }
+
+// Validate checks the spec's internal consistency; it is Resolve without
+// the result.
 func (s *Spec) Validate() error {
+	_, err := s.Resolve()
+	return err
+}
+
+// Resolve checks the spec's internal consistency and returns its dense
+// form. Node names are interned to dense ids once, so the per-link and
+// per-hop checks index slices and a packed id-pair table instead of hashing
+// strings per flow — at 100k pinned flows that is most of a generated
+// scenario's set-up. The builder that uses a spec resolves it, once.
+func (s *Spec) Resolve() (*Resolved, error) {
 	ids := make(map[string]int32, len(s.Nodes))
 	roles := make([]NodeRole, len(s.Nodes))
 	for i, n := range s.Nodes {
 		if _, dup := ids[n.Name]; dup {
-			return fmt.Errorf("topospec: duplicate node %q", n.Name)
+			return nil, fmt.Errorf("topospec: duplicate node %q", n.Name)
 		}
 		ids[n.Name] = int32(i)
 		roles[i] = n.Role
@@ -328,28 +355,42 @@ func (s *Spec) Validate() error {
 		return -1, 0
 	}
 	pair := func(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
-	haveLink := make(map[uint64]struct{}, len(s.Links))
-	for _, l := range s.Links {
+	r := &Resolved{Roles: make([][2]NodeRole, len(s.Links))}
+	// linkAt maps a node-id pair to its link's index in s.Links.
+	linkAt := make(map[uint64]int32, len(s.Links))
+	for li, l := range s.Links {
 		from, fromRole := lookup(l.From)
 		if fromRole == 0 {
-			return fmt.Errorf("topospec: link references unknown node %q", l.From)
+			return nil, fmt.Errorf("topospec: link references unknown node %q", l.From)
 		}
 		to, toRole := lookup(l.To)
 		if toRole == 0 {
-			return fmt.Errorf("topospec: link references unknown node %q", l.To)
+			return nil, fmt.Errorf("topospec: link references unknown node %q", l.To)
 		}
 		if l.RateBps <= 0 {
-			return fmt.Errorf("topospec: link %s->%s needs a positive rate", l.From, l.To)
+			return nil, fmt.Errorf("topospec: link %s->%s needs a positive rate", l.From, l.To)
 		}
 		if l.Delay < 0 {
-			return fmt.Errorf("topospec: link %s->%s has negative delay", l.From, l.To)
+			return nil, fmt.Errorf("topospec: link %s->%s has negative delay", l.From, l.To)
 		}
-		haveLink[pair(from, to)] = struct{}{}
+		if _, dup := linkAt[pair(from, to)]; dup {
+			return nil, fmt.Errorf("topospec: duplicate link %s->%s", l.From, l.To)
+		}
+		linkAt[pair(from, to)] = int32(li)
+		r.Roles[li] = [2]NodeRole{fromRole, toRole}
 	}
 	seen := make(map[int]bool, len(s.Flows))
 	if len(s.Flows) == 0 {
-		return fmt.Errorf("topospec: no flows declared")
+		return nil, fmt.Errorf("topospec: no flows declared")
 	}
+	hops := 0
+	for _, f := range s.Flows {
+		if len(f.Via) > 1 {
+			hops += len(f.Via) - 1
+		}
+	}
+	r.Start = make([]int32, 1, len(s.Flows)+1)
+	r.Hops = make([]int32, 0, hops)
 	// Via-pinned flows install route overrides keyed by their endpoint
 	// nodes, so endpoint hosts must be uniquely wired across them. viaIn,
 	// viaOut and onPath hold, per node id, the 1-based position in s.Flows of
@@ -360,28 +401,29 @@ func (s *Spec) Validate() error {
 	for fi, f := range s.Flows {
 		stamp := int32(fi + 1)
 		if seen[f.Index] {
-			return fmt.Errorf("topospec: duplicate flow index %d", f.Index)
+			return nil, fmt.Errorf("topospec: duplicate flow index %d", f.Index)
 		}
 		seen[f.Index] = true
 		in, inRole := lookup(f.Ingress)
 		if inRole != RoleEdge {
-			return fmt.Errorf("topospec: flow %d ingress %q is not an edge node", f.Index, f.Ingress)
+			return nil, fmt.Errorf("topospec: flow %d ingress %q is not an edge node", f.Index, f.Ingress)
 		}
 		out, outRole := lookup(f.Egress)
 		if outRole != RoleEdge {
-			return fmt.Errorf("topospec: flow %d egress %q is not an edge node", f.Index, f.Egress)
+			return nil, fmt.Errorf("topospec: flow %d egress %q is not an edge node", f.Index, f.Egress)
 		}
 		if len(f.Relays) > 0 && len(f.Via) == 0 {
-			return fmt.Errorf("topospec: flow %d declares relays without a via path", f.Index)
+			return nil, fmt.Errorf("topospec: flow %d declares relays without a via path", f.Index)
 		}
 		if len(f.Via) == 0 {
+			r.Start = append(r.Start, int32(len(r.Hops)))
 			continue
 		}
 		if f.Via[0] != f.Ingress || f.Via[len(f.Via)-1] != f.Egress {
-			return fmt.Errorf("topospec: flow %d via path must run ingress -> egress (%s -> %s)", f.Index, f.Ingress, f.Egress)
+			return nil, fmt.Errorf("topospec: flow %d via path must run ingress -> egress (%s -> %s)", f.Index, f.Ingress, f.Egress)
 		}
 		if len(f.Via) < 2 {
-			return fmt.Errorf("topospec: flow %d via path needs at least two nodes", f.Index)
+			return nil, fmt.Errorf("topospec: flow %d via path needs at least two nodes", f.Index)
 		}
 		// A hop is checked when its far end is resolved (an undeclared far
 		// end, id -1, pairs with no link), which keeps the checks in path
@@ -390,40 +432,43 @@ func (s *Spec) Validate() error {
 		for i, name := range f.Via {
 			id, role := lookup(name)
 			if i > 0 {
-				if _, ok := haveLink[pair(prev, id)]; !ok {
-					return fmt.Errorf("topospec: flow %d via hop %s->%s has no link (disconnected path)", f.Index, f.Via[i-1], name)
+				li, ok := linkAt[pair(prev, id)]
+				if !ok {
+					return nil, fmt.Errorf("topospec: flow %d via hop %s->%s has no link (disconnected path)", f.Index, f.Via[i-1], name)
 				}
+				r.Hops = append(r.Hops, li)
 			}
 			if role == 0 {
-				return fmt.Errorf("topospec: flow %d via references unknown node %q", f.Index, name)
+				return nil, fmt.Errorf("topospec: flow %d via references unknown node %q", f.Index, name)
 			}
 			if onPath[id] == stamp {
-				return fmt.Errorf("topospec: flow %d via path visits %q twice", f.Index, name)
+				return nil, fmt.Errorf("topospec: flow %d via path visits %q twice", f.Index, name)
 			}
 			onPath[id] = stamp
 			prev = id
 		}
+		r.Start = append(r.Start, int32(len(r.Hops)))
 		if dup := viaIn[in]; dup != 0 {
-			return fmt.Errorf("topospec: flows %d and %d share via ingress %q (hosts must be uniquely wired)", s.Flows[dup-1].Index, f.Index, f.Ingress)
+			return nil, fmt.Errorf("topospec: flows %d and %d share via ingress %q (hosts must be uniquely wired)", s.Flows[dup-1].Index, f.Index, f.Ingress)
 		}
 		if dup := viaOut[out]; dup != 0 {
-			return fmt.Errorf("topospec: flows %d and %d share via egress %q (hosts must be uniquely wired)", s.Flows[dup-1].Index, f.Index, f.Egress)
+			return nil, fmt.Errorf("topospec: flows %d and %d share via egress %q (hosts must be uniquely wired)", s.Flows[dup-1].Index, f.Index, f.Egress)
 		}
 		viaIn[in], viaOut[out] = stamp, stamp
 		for _, rel := range f.Relays {
 			id, role := lookup(rel)
 			if id < 0 || onPath[id] != stamp {
-				return fmt.Errorf("topospec: flow %d relay %q is not on the via path", f.Index, rel)
+				return nil, fmt.Errorf("topospec: flow %d relay %q is not on the via path", f.Index, rel)
 			}
 			if rel == f.Ingress || rel == f.Egress {
-				return fmt.Errorf("topospec: flow %d relay %q cannot be an endpoint", f.Index, rel)
+				return nil, fmt.Errorf("topospec: flow %d relay %q cannot be an endpoint", f.Index, rel)
 			}
 			if role != RoleEdge {
-				return fmt.Errorf("topospec: flow %d relay %q is not an edge node", f.Index, rel)
+				return nil, fmt.Errorf("topospec: flow %d relay %q is not an edge node", f.Index, rel)
 			}
 		}
 	}
-	return nil
+	return r, nil
 }
 
 // Weights extracts the flow-index -> weight map.

@@ -1,6 +1,7 @@
 package topospec
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -274,5 +275,44 @@ flow 1 in out via=in:a:b:g:c:out relay=g
 		if got, err := cloud.Net.PathDelay(c.from, c.to); err != nil || got != c.want {
 			t.Errorf("PathDelay(%s, %s) = %v (%v), want %v", c.from, c.to, got, err, c.want)
 		}
+	}
+}
+
+// TestResolveDenseIDs pins Resolve's dense form: each flow's via path as
+// link indices in CSR form, in flow order, with an empty range for a routed
+// flow, and each link's endpoint roles.
+func TestResolveDenseIDs(t *testing.T) {
+	spec, err := Parse(strings.NewReader(`
+node A core
+node B core
+node in1 edge
+node out1 edge
+node in2 edge
+node out2 edge
+link in1 A 10Mbps 1ms
+link A B 4Mbps 10ms
+link B out1 10Mbps 1ms
+link in2 A 10Mbps 1ms
+link B out2 10Mbps 1ms
+flow 2 in2 out2 via=in2:A:B:out2
+flow 1 in1 out1
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(r.Start, r.Hops), "[0 3 3] [3 1 4]"; got != want {
+		t.Errorf("Start, Hops = %s, want %s", got, want)
+	}
+	if got := fmt.Sprint(r.Path(0), r.Path(1)); got != "[3 1 4] []" {
+		t.Errorf("paths = %s", got)
+	}
+	core, edge := RoleCore, RoleEdge
+	want := [][2]NodeRole{{edge, core}, {core, core}, {core, edge}, {edge, core}, {core, edge}}
+	if fmt.Sprint(r.Roles) != fmt.Sprint(want) {
+		t.Errorf("Roles = %v, want %v", r.Roles, want)
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // validateReference is Spec.Validate as it stood before node names were
 // interned: a role map, a [2]string-keyed link set and a fresh on-path map
-// per flow. The interned version must reject exactly the same specs with
-// exactly the same message.
+// per flow, plus the duplicate-link rule added with Resolve. The interned
+// version must reject exactly the same specs with exactly the same message.
 func validateReference(s *topospec.Spec) error {
 	roles := make(map[string]topospec.NodeRole, len(s.Nodes))
 	for _, n := range s.Nodes {
@@ -35,6 +35,9 @@ func validateReference(s *topospec.Spec) error {
 		}
 		if l.Delay < 0 {
 			return fmt.Errorf("topospec: link %s->%s has negative delay", l.From, l.To)
+		}
+		if haveLink[[2]string{l.From, l.To}] {
+			return fmt.Errorf("topospec: duplicate link %s->%s", l.From, l.To)
 		}
 		haveLink[[2]string{l.From, l.To}] = true
 	}
@@ -183,7 +186,7 @@ func TestValidateMatchesReference(t *testing.T) {
 		}
 		messages[variableParts.ReplaceAllString(got, "_")] = true
 	}
-	if len(messages) < 16 { // of 20; three need two coordinated edits, one is unreachable
+	if len(messages) < 17 { // of 21; three need two coordinated edits, one is unreachable
 		t.Errorf("the corruptions reached only %d distinct verdicts: %v", len(messages), messages)
 	}
 }
