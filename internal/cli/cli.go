@@ -109,24 +109,30 @@ func (f *Flags) Topology() (*experiments.Generate, *topospec.Spec, error) {
 	return gen, nil, err
 }
 
-// Run executes jobs on a pool of -parallel workers with -backend and -obs
-// applied, a -check-tol invariant checker attached to every job that does
-// not carry its own, and the whole batch under -cpuprofile; -memprofile is
-// written after. Each finished job's line and the -progress lines go to
+// Run executes jobs on a pool of -parallel workers, with the whole batch
+// under -cpuprofile; -memprofile is written after. Every job that leaves the
+// backend at the packet default runs on -backend, so the flag retargets a
+// batch without rebuilding its specs; under -obs every job that carries no
+// registry gets a fresh one (registries are single-run, so parallel jobs
+// never share), and under -check every job that carries no checker gets a
+// -check-tol one. Each finished job's line and the -progress lines go to
 // stderr in completion order; the profiles written are announced on
 // stdout. Results come back in job order, failed jobs included.
 func (f *Flags) Run(stdout, stderr io.Writer, jobs []run.Job) ([]run.Result, error) {
-	if f.Check {
-		for i := range jobs {
-			if jobs[i].Scenario.Check == nil {
-				jobs[i].Scenario.Check = invariant.New(invariant.Config{FairnessTol: f.CheckTol})
-			}
+	for i := range jobs {
+		sc := &jobs[i].Scenario
+		if sc.Backend == experiments.BackendPacket {
+			sc.Backend = f.Backend
+		}
+		if f.Obs != "" && sc.Obs == nil {
+			sc.Obs = obs.NewRegistry()
+		}
+		if f.Check && sc.Check == nil {
+			sc.Check = invariant.New(invariant.Config{FairnessTol: f.CheckTol})
 		}
 	}
 	cfg := run.Config{
 		Workers: f.parallel,
-		Backend: f.Backend,
-		Observe: f.Obs != "",
 		OnDone: func(r run.Result) {
 			if r.Err == nil { // failures are reported in job order
 				fmt.Fprintf(stderr, "%s done in %v (%d events, %.2f Mevents/s)\n",

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/invariant"
+	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/trace"
 )
@@ -175,5 +176,120 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if err := WriteCSV(filepath.Join(t.TempDir(), "missing", "w.csv"), res, trace.SeriesAllowed); err == nil {
 		t.Error("write into a missing directory succeeded")
+	}
+}
+
+// shortJobs is a small mixed Corelite/CSFQ batch: three figure scenarios cut
+// to a few seconds and a dumbbell.
+func shortJobs() []run.Job {
+	scs := []experiments.Scenario{experiments.Fig5Scenario(1), experiments.Fig6Scenario(2), experiments.Fig7Scenario(3)}
+	for i := range scs {
+		scs[i].Duration = time.Duration(6+i) * time.Second
+	}
+	scs = append(scs, experiments.Scenario{
+		Name: "dumbbell", Scheme: experiments.SchemeCorelite, Duration: 5 * time.Second,
+		Seed: 1, NumFlows: 2, Weights: map[int]float64{1: 1, 2: 2}, Dumbbell: true,
+	})
+	return run.FromScenarios(scs...)
+}
+
+// TestObservePerJobRegistries checks that -obs attaches a fresh registry to
+// every job — never shared between parallel jobs — and fills
+// Stats.Telemetry, while leaving figure output byte-identical to an
+// unobserved batch.
+func TestObservePerJobRegistries(t *testing.T) {
+	plainResults, err := parse(t, 0.05, "-parallel", "4").Run(io.Discard, io.Discard, shortJobs())
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	obsResults, err := parse(t, 0.05, "-parallel", "4", "-obs", t.TempDir()).Run(io.Discard, io.Discard, shortJobs())
+	if err != nil {
+		t.Fatalf("observed run: %v", err)
+	}
+
+	seen := map[*obs.Registry]string{}
+	for _, r := range obsResults {
+		if r.Err != nil {
+			t.Fatalf("job %q: %v", r.Job.Name, r.Err)
+		}
+		if r.Obs == nil {
+			t.Fatalf("job %q has no registry under -obs", r.Job.Name)
+		}
+		if prev, dup := seen[r.Obs]; dup {
+			t.Fatalf("jobs %q and %q share a registry", prev, r.Job.Name)
+		}
+		seen[r.Obs] = r.Job.Name
+		tel := r.Stats.Telemetry
+		if tel == nil {
+			t.Fatalf("job %q has no telemetry summary", r.Job.Name)
+		}
+		if tel.Samples == 0 || tel.Events == 0 {
+			t.Errorf("job %q telemetry looks empty: %+v", r.Job.Name, *tel)
+		}
+	}
+	for _, r := range plainResults {
+		if r.Obs != nil || r.Stats.Telemetry != nil {
+			t.Fatalf("job %q carries telemetry without -obs", r.Job.Name)
+		}
+	}
+
+	// Figure CSVs must be byte-identical — the sampler draws no randomness
+	// and mutates no model state. The only permitted difference is the
+	// processed-event count, which grows by exactly one event per sampling
+	// instant.
+	renderCSV := func(results []run.Result) []byte {
+		var buf bytes.Buffer
+		for _, r := range results {
+			for _, kind := range []trace.SeriesKind{trace.SeriesAllowed, trace.SeriesReceived, trace.SeriesCumulative} {
+				if err := trace.WriteCSV(&buf, r.Output, kind); err != nil {
+					t.Fatalf("WriteCSV %q: %v", r.Job.Name, err)
+				}
+			}
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(renderCSV(plainResults), renderCSV(obsResults)) {
+		t.Error("observability changed figure CSV output")
+	}
+	for i := range obsResults {
+		extra := obsResults[i].Stats.Events - plainResults[i].Stats.Events
+		samples := uint64(obsResults[i].Stats.Telemetry.Samples)
+		if extra != samples {
+			t.Errorf("job %q: event count grew by %d, want exactly the %d sampler ticks",
+				obsResults[i].Job.Name, extra, samples)
+		}
+	}
+}
+
+// TestBackendOverride pins the -backend contract: Run retargets jobs that
+// leave the backend at the packet default, and leaves explicit choices
+// alone. The flow run is distinguishable from the packet run by its event
+// count (the fluid engine processes thousands of events where the packet
+// engine processes millions).
+func TestBackendOverride(t *testing.T) {
+	sc := experiments.Fig5Scenario(1)
+	sc.Duration = 10 * time.Second
+	runOne := func(f *Flags, sc experiments.Scenario) run.Result {
+		t.Helper()
+		results, err := f.Run(io.Discard, io.Discard, run.FromScenarios(sc))
+		if err != nil || results[0].Err != nil {
+			t.Fatalf("Run: %v %v", err, results[0].Err)
+		}
+		return results[0]
+	}
+
+	packet := runOne(parse(t, 0.05), sc)
+	flow := runOne(parse(t, 0.05, "-backend", "flow"), sc)
+	if flow.Stats.Events >= packet.Stats.Events {
+		t.Errorf("flow backend processed %d events, packet %d; override did not take",
+			flow.Stats.Events, packet.Stats.Events)
+	}
+
+	// An explicit backend on the scenario wins over the flag's default.
+	explicit := sc
+	explicit.Backend = experiments.BackendFlow
+	if kept := runOne(parse(t, 0.05), explicit); kept.Stats.Events != flow.Stats.Events {
+		t.Errorf("explicit flow job processed %d events, -backend flow job %d; expected identical runs",
+			kept.Stats.Events, flow.Stats.Events)
 	}
 }

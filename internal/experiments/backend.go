@@ -76,15 +76,9 @@ type ChainTopology struct {
 // the run pool, the figures) never need to know which engine produced a
 // Result.
 func Run(sc Scenario) (*Result, error) {
-	sc, err := sc.normalize()
+	sc, err := sc.prepare()
 	if err != nil {
 		return nil, err
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if sc.SampleWindow <= 0 {
-		sc.SampleWindow = time.Second
 	}
 	switch sc.Backend {
 	case BackendFlow:
@@ -92,4 +86,21 @@ func Run(sc Scenario) (*Result, error) {
 	default: // Validate admitted only the two backends
 		return runPacket(sc)
 	}
+}
+
+// prepare is the one preparation Run and ExpectedRatesAt share: it
+// normalizes the scenario, validates it and defaults SampleWindow, so the
+// oracle refuses exactly the scenarios Run refuses.
+func (sc Scenario) prepare() (Scenario, error) {
+	sc, err := sc.normalize()
+	if err != nil {
+		return sc, err
+	}
+	if err := sc.Validate(); err != nil {
+		return sc, err
+	}
+	if sc.SampleWindow <= 0 {
+		sc.SampleWindow = time.Second
+	}
+	return sc, nil
 }

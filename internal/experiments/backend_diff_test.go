@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/invariant"
-	"repro/internal/sim"
 )
 
 // TestBackendDifferentialFigures is the acceptance pin for the engine seam:
@@ -52,11 +51,11 @@ func TestBackendDifferentialFigures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("normalize: %v", err)
 			}
-			cloud, err := buildCloud(norm, sim.NewScheduler())
+			m, err := buildFlowModel(norm)
 			if err != nil {
-				t.Fatalf("build cloud: %v", err)
+				t.Fatalf("build flow model: %v", err)
 			}
-			from, to, active, ok := steadyWindow(norm, cloud.Placements)
+			from, to, active, ok := steadyWindow(norm, m.Flows)
 			if !ok {
 				t.Fatalf("no steady window")
 			}

@@ -130,6 +130,37 @@ func TestValidateChain(t *testing.T) {
 	}
 }
 
+// TestExpectedRatesAtRefusesWhatRunRefuses: the public oracle prepares a
+// scenario exactly as Run does, so each invalid chain of TestValidateChain
+// comes back with Run's error, not with a panic or an empty answer.
+func TestExpectedRatesAtRefusesWhatRunRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Scenario)
+	}{
+		{"packet backend", func(sc *Scenario) { sc.Backend = BackendPacket }},
+		{"1 core", func(sc *Scenario) { sc.Chain.Cores = 1 }},
+		{"0 flows", func(sc *Scenario) { sc.Chain.Flows = 0 }},
+		{"dumbbell", func(sc *Scenario) { sc.Dumbbell = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := Scenario{
+				Scheme: SchemeCorelite, Backend: BackendFlow, Duration: 10 * time.Second,
+				Chain: &ChainTopology{Cores: 5, Flows: 3},
+			}
+			tc.edit(&sc)
+			_, runErr := Run(sc)
+			if runErr == nil {
+				t.Fatal("Run accepted the scenario")
+			}
+			rates, err := ExpectedRatesAt(sc, 5*time.Second)
+			if err == nil || err.Error() != runErr.Error() {
+				t.Errorf("ExpectedRatesAt = (%v, %v), want Run's error %q", rates, err, runErr)
+			}
+		})
+	}
+}
+
 // TestValidateChainBeforeNormalize: Validate is public, and callers run it on
 // the scenario as they hand it to Run — before Run's normalisation derives
 // NumFlows from the chain. A chain stands in for NumFlows there exactly like

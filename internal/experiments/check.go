@@ -4,18 +4,18 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/flowsim"
 	"repro/internal/invariant"
-	"repro/internal/topology"
 )
 
 // phaseBounds returns the instants at which the set of active flows can
 // change, sorted: 0, the horizon, and every schedule start/stop in between
 // (stops resolved against the horizon, exactly as the runner resolves them).
 // Membership is constant between consecutive bounds.
-func phaseBounds(sc Scenario, placements []topology.Placement) []time.Duration {
+func phaseBounds(sc Scenario, flows []flowsim.Flow) []time.Duration {
 	bset := map[time.Duration]bool{0: true, sc.Duration: true}
-	for _, pl := range placements {
-		for _, iv := range scheduleOf(sc, pl.Index) {
+	for _, f := range flows {
+		for _, iv := range scheduleOf(sc, f.Index) {
 			stop := iv.Stop
 			if stop == 0 || stop > sc.Duration {
 				stop = sc.Duration
@@ -36,11 +36,11 @@ func phaseBounds(sc Scenario, placements []topology.Placement) []time.Duration {
 }
 
 // activeAt returns the flows whose schedule has them active at time t.
-func activeAt(sc Scenario, placements []topology.Placement, t time.Duration) map[int]bool {
+func activeAt(sc Scenario, flows []flowsim.Flow, t time.Duration) map[int]bool {
 	active := make(map[int]bool)
-	for _, pl := range placements {
-		if scheduleOf(sc, pl.Index).ActiveAt(t, sc.Duration) {
-			active[pl.Index] = true
+	for _, f := range flows {
+		if scheduleOf(sc, f.Index).ActiveAt(t, sc.Duration) {
+			active[f.Index] = true
 		}
 	}
 	return active
@@ -49,11 +49,11 @@ func activeAt(sc Scenario, placements []topology.Placement, t time.Duration) map
 // steadyWindow finds the last interval of the run over which the set of
 // active flows is constant and non-empty — the window the fairness oracle is
 // compared over — by walking the phase bounds backwards.
-func steadyWindow(sc Scenario, placements []topology.Placement) (from, to time.Duration, active map[int]bool, ok bool) {
-	bounds := phaseBounds(sc, placements)
+func steadyWindow(sc Scenario, flows []flowsim.Flow) (from, to time.Duration, active map[int]bool, ok bool) {
+	bounds := phaseBounds(sc, flows)
 	for i := len(bounds) - 1; i > 0; i-- {
 		lo, hi := bounds[i-1], bounds[i]
-		if act := activeAt(sc, placements, lo+(hi-lo)/2); len(act) > 0 {
+		if act := activeAt(sc, flows, lo+(hi-lo)/2); len(act) > 0 {
 			return lo, hi, act, true
 		}
 	}
@@ -68,13 +68,13 @@ func steadyWindow(sc Scenario, placements []topology.Placement) (from, to time.D
 // the residual. TCP-transport flows are skipped (their goodput is
 // congestion-control-, not shaper-limited), as are windows shorter than the
 // configured minimum.
-func checkFairness(sc Scenario, fm *flowModel, res *Result) {
+func checkFairness(sc Scenario, m *flowsim.Model, res *Result) {
 	cfg := sc.Check.Config()
-	from, to, active, ok := steadyWindow(sc, fm.placements)
+	from, to, active, ok := steadyWindow(sc, m.Flows)
 	if !ok || to-from < cfg.MinSteady {
 		return
 	}
-	expected, err := expectedRates(sc, fm, active)
+	expected, err := expectedRates(sc, m, active)
 	if err != nil {
 		return
 	}

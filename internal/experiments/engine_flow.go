@@ -16,17 +16,6 @@ import (
 	"repro/internal/workload"
 )
 
-// flowModel is the one description of "who shares which link at what
-// capacity" behind the engine seam: the fluid engine simulates it, and both
-// engines' oracle (expectedRates) and fairness check read it. It carries the
-// capacity graph plus the placement metadata the measurement layer needs.
-type flowModel struct {
-	model *flowsim.Model
-	// placements mirror Model.Flows order; for generated chains they are
-	// synthetic (Index/Weight/CoreLinks filled, nodes named "chain").
-	placements []topology.Placement
-}
-
 // runFlow executes sc on the fluid engine (internal/flowsim): no packets, no
 // queues — per-flow rates advance between events as the demand-capped
 // weighted water-filling allocation, with the schemes' LIMD loops driving
@@ -35,11 +24,11 @@ type flowModel struct {
 // backend_diff_test.go). sc arrives normalized and validated, with
 // SampleWindow defaulted.
 func runFlow(sc Scenario) (*Result, error) {
-	fm, err := buildFlowModel(sc)
+	m, err := buildFlowModel(sc)
 	if err != nil {
 		return nil, fmt.Errorf("build flow model: %w", err)
 	}
-	expected, err := expectedRates(sc, fm, nil)
+	expected, err := expectedRates(sc, m, nil)
 	if err != nil {
 		return nil, fmt.Errorf("expected rates: %w", err)
 	}
@@ -57,8 +46,8 @@ func runFlow(sc Scenario) (*Result, error) {
 		epoch = sc.CSFQEdgeConfig.Epoch
 	}
 
-	schedules := make([]workload.Schedule, len(fm.model.Flows))
-	for i, f := range fm.model.Flows {
+	schedules := make([]workload.Schedule, len(m.Flows))
+	for i, f := range m.Flows {
 		schedules[i] = scheduleOf(sc, f.Index)
 	}
 
@@ -79,7 +68,7 @@ func runFlow(sc Scenario) (*Result, error) {
 	}
 
 	out, err := flowsim.Run(flowsim.Config{
-		Model:        fm.model,
+		Model:        m,
 		Horizon:      sc.Duration,
 		Epoch:        epoch,
 		SampleWindow: sc.SampleWindow,
@@ -103,17 +92,12 @@ func runFlow(sc Scenario) (*Result, error) {
 		Events:          out.Events,
 		SampleWindow:    sc.SampleWindow,
 		Duration:        sc.Duration,
-		Flows:           make([]FlowResult, 0, len(fm.model.Flows)),
+		Flows:           make([]FlowResult, 0, len(m.Flows)),
 	}
-	perEdge := make(map[string]int)
-	for i, f := range fm.model.Flows {
-		pl := fm.placements[i]
-		local := perEdge[pl.Ingress]
-		perEdge[pl.Ingress] = local + 1
+	for i, f := range m.Flows {
 		fo := &out.Flows[i]
 		fr := FlowResult{
 			Index:       f.Index,
-			ID:          packet.FlowID{Edge: pl.Ingress, Local: local},
 			Weight:      f.Weight,
 			AllowedRate: fo.Allowed,
 			ReceiveRate: fo.Rate,
@@ -125,7 +109,7 @@ func runFlow(sc Scenario) (*Result, error) {
 		res.Flows = append(res.Flows, fr)
 	}
 	if sc.Check.Enabled() {
-		checkFairness(sc, fm, res)
+		checkFairness(sc, m, res)
 		res.Violations = sc.Check.Violations()
 		res.TotalViolations = int64(len(res.Violations)) + sc.Check.Overflow()
 		res.InvariantChecks = sc.Check.Checks()
@@ -134,13 +118,16 @@ func runFlow(sc Scenario) (*Result, error) {
 }
 
 // buildFlowModel converts the scenario's topology into its capacity graph,
-// choosing the builder from the shape of the input: generated chains and
-// fully pinned specs are constructed directly — no packet network, which is
-// what lets the flow backend scale past what netem can build and route —
-// and everything else (the built-in topologies, specs with routed flows)
-// goes through the packet cloud. The spec builders are interchangeable
+// the one description of "who shares which link at what capacity" behind the
+// engine seam: the fluid engine simulates it, and both engines' oracle
+// (expectedRates) and fairness check read it. It chooses the builder from
+// the shape of the input: generated chains and fully pinned specs are
+// constructed directly — no packet network, which is what lets the flow
+// backend scale past what netem can build and route — and everything else
+// (the built-in topologies, specs with routed flows) goes through the packet
+// cloud. The spec builders are interchangeable
 // wherever both apply (TestDirectSpecBuildMatchesGeneric).
-func buildFlowModel(sc Scenario) (*flowModel, error) {
+func buildFlowModel(sc Scenario) (*flowsim.Model, error) {
 	if sc.Chain != nil {
 		return buildChainModel(sc)
 	}
@@ -157,7 +144,7 @@ func buildFlowModel(sc Scenario) (*flowModel, error) {
 // cloudModel mirrors a built packet cloud into the capacity graph: its core
 // links at their packet service rates (less cross traffic), its placements
 // as flows. The packet engine calls it on the cloud it simulates.
-func cloudModel(sc Scenario, cloud *topology.Cloud) (*flowModel, error) {
+func cloudModel(sc Scenario, cloud *topology.Cloud) (*flowsim.Model, error) {
 	caps := make(map[string]float64, len(cloud.CoreLinks))
 	for name, l := range cloud.CoreLinks {
 		caps[name] = l.PacketsPerSecond(1000)
@@ -189,7 +176,7 @@ func cloudModel(sc Scenario, cloud *topology.Cloud) (*flowModel, error) {
 			return nil, err
 		}
 	}
-	return &flowModel{model: m, placements: cloud.Placements}, nil
+	return m, nil
 }
 
 // specFullyPinned reports whether every flow in the spec pins its complete
@@ -213,14 +200,14 @@ func specFullyPinned(s *topospec.Spec) bool {
 // fluid engine then never touches; this path produces the identical model —
 // the same link set (each pinned path's links, promoted like Build does),
 // the same capacities (RateBps over 8·1000-byte packets, exactly the
-// packet network's PacketsPerSecond(1000)) and the same placements — as
+// packet network's PacketsPerSecond(1000)) and the same flows — as
 // cloudModel over Spec.Build.
 //
 // It is the spec's one validation on the fluid path, generated or not:
 // Resolve checks the spec and hands back each flow's via path as link
 // indices, so the build works on ids and keeps no name-keyed map unless
 // cross traffic needs links by name.
-func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
+func buildSpecModelDirect(sc Scenario) (*flowsim.Model, error) {
 	s := sc.Spec
 	r, err := s.Resolve()
 	if err != nil {
@@ -275,21 +262,18 @@ func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 			links[i].Capacity = caps[links[i].Name]
 		}
 	}
-	// Each flow's model links and placement names are carved, in index
-	// order, from one backing array each.
+	// Each flow's model links are carved, in index order, from one backing
+	// array.
 	flowLinks := make([]int, len(r.Hops))
-	names := make([]string, len(r.Hops))
 	m := &flowsim.Model{Links: links, Flows: make([]flowsim.Flow, 0, len(order))}
-	placements := make([]topology.Placement, 0, len(order))
 	off := 0
 	for _, fi := range order {
 		f := &s.Flows[fi]
 		path := r.Path(int(fi))
 		end := off + len(path)
-		fl, crossed := flowLinks[off:end:end], names[off:end:end]
+		fl := flowLinks[off:end:end]
 		for i, li := range path {
 			fl[i] = int(toModel[li])
-			crossed[i] = links[fl[i]].Name
 		}
 		off = end
 		if err := m.AddFlow(flowsim.Flow{
@@ -301,22 +285,13 @@ func buildSpecModelDirect(sc Scenario) (*flowModel, error) {
 		}); err != nil {
 			return nil, err
 		}
-		placements = append(placements, topology.Placement{
-			Index:     f.Index,
-			Weight:    f.Weight,
-			Ingress:   f.Ingress,
-			Egress:    f.Egress,
-			CoreLinks: crossed,
-			Hops:      len(path),
-			Relays:    f.Relays,
-		})
 	}
-	return &flowModel{model: m, placements: placements}, nil
+	return m, nil
 }
 
 // buildChainModel generates the synthetic chain: Cores−1 equal links, each
 // flow crossing a seed-deterministic contiguous span.
-func buildChainModel(sc Scenario) (*flowModel, error) {
+func buildChainModel(sc Scenario) (*flowsim.Model, error) {
 	cfg := *sc.Chain
 	if cfg.CapacityPPS <= 0 {
 		cfg.CapacityPPS = topology.LinkRateBps / 8 / float64(packet.DefaultSizeBytes)
@@ -346,15 +321,12 @@ func buildChainModel(sc Scenario) (*flowModel, error) {
 		}
 	}
 	rng := sim.NewRNG(sc.Seed).Stream("chain")
-	placements := make([]topology.Placement, 0, cfg.Flows)
 	for idx := 1; idx <= cfg.Flows; idx++ {
 		span := 1 + rng.Intn(cfg.MaxSpan)
 		start := rng.Intn(nLinks - span + 1)
 		links := make([]int, span)
-		coreLinks := make([]string, span)
-		for j := 0; j < span; j++ {
+		for j := range links {
 			links[j] = start + j
-			coreLinks[j] = names[start+j]
 		}
 		weight, ok := sc.Weights[idx]
 		if !ok {
@@ -372,13 +344,8 @@ func buildChainModel(sc Scenario) (*flowModel, error) {
 		}); err != nil {
 			return nil, err
 		}
-		placements = append(placements, topology.Placement{
-			Index: idx, Weight: weight,
-			Ingress: "chain", Egress: "chain",
-			CoreLinks: coreLinks, Hops: span,
-		})
 	}
-	return &flowModel{model: m, placements: placements}, nil
+	return m, nil
 }
 
 // applyCross subtracts each cross stream's mean rate from its link's

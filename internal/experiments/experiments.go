@@ -255,8 +255,6 @@ func ParseGenerate(topo, traffic string) (*Generate, error) {
 type FlowResult struct {
 	// Index is the paper flow number (1-based).
 	Index int
-	// ID is the network flow id.
-	ID packet.FlowID
 	// Weight is the flow's rate weight.
 	Weight float64
 	// AllowedRate samples the edge's allowed rate b_g(f) once per window
@@ -629,11 +627,11 @@ func runPacket(sc Scenario) (*Result, error) {
 	}
 	// The oracle runs before the first event, so contracts the links cannot
 	// carry are refused without simulating.
-	fm, err := cloudModel(sc, cloud)
+	m, err := cloudModel(sc, cloud)
 	if err != nil {
 		return nil, fmt.Errorf("build flow model: %w", err)
 	}
-	expected, err := expectedRates(sc, fm, nil)
+	expected, err := expectedRates(sc, m, nil)
 	if err != nil {
 		return nil, fmt.Errorf("expected rates: %w", err)
 	}
@@ -1009,7 +1007,6 @@ func runPacket(sc Scenario) (*Result, error) {
 	for _, ref := range refs {
 		fr := FlowResult{
 			Index:       ref.placement.Index,
-			ID:          ref.id,
 			Weight:      ref.placement.Weight,
 			AllowedRate: ref.allowed,
 			ReceiveRate: rec.Rate(ref.id),
@@ -1021,7 +1018,7 @@ func runPacket(sc Scenario) (*Result, error) {
 		res.Flows = append(res.Flows, fr)
 	}
 	if sc.Check.Enabled() {
-		checkFairness(sc, fm, res)
+		checkFairness(sc, m, res)
 		res.Violations = sc.Check.Violations()
 		res.TotalViolations = int64(len(res.Violations)) + sc.Check.Overflow()
 		res.InvariantChecks = sc.Check.Checks()
@@ -1030,21 +1027,23 @@ func runPacket(sc Scenario) (*Result, error) {
 }
 
 // ExpectedRatesAt solves the max-min oracle for the flows active at time t
-// under the scenario's schedule (the paper's per-phase expected values).
+// under the scenario's schedule (the paper's per-phase expected values). The
+// scenario is prepared as Run prepares it, so a scenario Run refuses comes
+// back with Run's error.
 func ExpectedRatesAt(sc Scenario, t time.Duration) (map[int]float64, error) {
-	sc, err := sc.normalize()
+	sc, err := sc.prepare()
 	if err != nil {
 		return nil, err
 	}
-	fm, err := buildFlowModel(sc)
+	m, err := buildFlowModel(sc)
 	if err != nil {
 		return nil, err
 	}
-	active := activeAt(sc, fm.placements, t)
+	active := activeAt(sc, m.Flows, t)
 	if len(active) == 0 {
 		return map[int]float64{}, nil
 	}
-	return expectedRates(sc, fm, active)
+	return expectedRates(sc, m, active)
 }
 
 // expectedRates is the weighted max-min oracle, for either engine: the
@@ -1060,8 +1059,7 @@ func ExpectedRatesAt(sc Scenario, t time.Duration) (map[int]float64, error) {
 // Contracts are admitted here: active floors that over-subscribe a link are
 // an error naming the link. Every subset of an admitted set is admitted, so
 // a scenario whose full set passes never fails later on a phase.
-func expectedRates(sc Scenario, fm *flowModel, active map[int]bool) (map[int]float64, error) {
-	m := fm.model
+func expectedRates(sc Scenario, m *flowsim.Model, active map[int]bool) (map[int]float64, error) {
 	links := make([]flowsim.Link, len(m.Links))
 	copy(links, m.Links)
 	act := make([]bool, len(m.Flows))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flowsim"
 	"repro/internal/maxmin"
 	"repro/internal/topology"
 )
@@ -14,23 +15,23 @@ import (
 // answers, posed to the map-based maxmin solver. The problem is built here,
 // from the capacity graph, so the production oracle and its reference share
 // nothing but the graph.
-func referenceRates(sc Scenario, fm *flowModel, active map[int]bool) (map[int]float64, error) {
+func referenceRates(sc Scenario, m *flowsim.Model, active map[int]bool) (map[int]float64, error) {
 	p := maxmin.Problem{
-		Capacity: make(map[string]float64, len(fm.model.Links)),
-		Flows:    make(map[string]maxmin.Flow, len(fm.model.Flows)),
+		Capacity: make(map[string]float64, len(m.Links)),
+		Flows:    make(map[string]maxmin.Flow, len(m.Flows)),
 	}
-	for _, l := range fm.model.Links {
+	for _, l := range m.Links {
 		p.Capacity[l.Name] = l.Capacity
 	}
 	mins := make(map[string]float64)
-	out := make(map[int]float64, len(fm.model.Flows))
-	for _, f := range fm.model.Flows {
+	out := make(map[int]float64, len(m.Flows))
+	for _, f := range m.Flows {
 		if active != nil && !active[f.Index] {
 			continue
 		}
 		if f.FixedDemand > 0 && sc.Scheme == SchemeCorelite {
 			for _, li := range f.Links {
-				name := fm.model.Links[li].Name
+				name := m.Links[li].Name
 				p.Capacity[name] = math.Max(0, p.Capacity[name]-f.FixedDemand)
 			}
 			out[f.Index] = f.FixedDemand
@@ -38,7 +39,7 @@ func referenceRates(sc Scenario, fm *flowModel, active map[int]bool) (map[int]fl
 		}
 		links := make([]string, len(f.Links))
 		for j, li := range f.Links {
-			links[j] = fm.model.Links[li].Name
+			links[j] = m.Links[li].Name
 		}
 		key := strconv.Itoa(f.Index)
 		p.Flows[key] = maxmin.Flow{Weight: f.Weight, Links: links}
@@ -112,30 +113,30 @@ func TestExpectedRatesMatchMaxmin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fm, err := buildFlowModel(sc)
+			m, err := buildFlowModel(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check := func(what string, got map[int]float64, active map[int]bool) {
 				t.Helper()
-				want, err := referenceRates(sc, fm, active)
+				want, err := referenceRates(sc, m, active)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", what, err)
 				}
 				requireRatesMatch(t, what, got, want, 1e-9)
 			}
-			full, err := expectedRates(sc, fm, nil)
+			full, err := expectedRates(sc, m, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("full set", full, nil)
 			// Every phase of every figure (at most 64); the 300-flow
 			// heavy-tailed fabric has 410 and is sampled.
-			bounds := phaseBounds(sc, fm.placements)
+			bounds := phaseBounds(sc, m.Flows)
 			stride := 1 + len(bounds)/66
 			for i := 0; i+1 < len(bounds); i += stride {
 				at := bounds[i] + (bounds[i+1]-bounds[i])/2
-				active := activeAt(sc, fm.placements, at)
+				active := activeAt(sc, m.Flows, at)
 				if len(active) == 0 {
 					continue
 				}

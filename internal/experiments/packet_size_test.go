@@ -94,24 +94,25 @@ func directBuildBytes(t *testing.T, topo string) (bytes, flows float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm, err := buildFlowModel(norm)
+	m, err := buildFlowModel(norm)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.KeepAlive(fm)
-	return float64(after.TotalAlloc - before.TotalAlloc), float64(len(fm.model.Flows))
+	runtime.KeepAlive(m)
+	return float64(after.TotalAlloc - before.TotalAlloc), float64(len(m.Flows))
 }
 
 // TestDirectBuildBytesPerFlow generates and builds, without running, the
 // fluid model of fat-tree scenarios at 2 048 and 8 192 flows. The bytes per
 // flow must not grow with the flow count, and must stay under a budget of
-// 1.5x what the build measured when the direct builder moved to Resolve's
-// dense ids: about 1 400 B per flow with Go 1.24, where the name-keyed
-// builder before it took 2 700–2 800 B, so a name-keyed map creeping back
-// into the build fails here.
+// 1.5x what the build measures since the model became its one flow
+// description: about 1 210 B per flow with Go 1.24. The name-keyed builder
+// took 2 700–2 800 B, and the dense one that still made a string placement
+// per flow beside the model 1 380–1 410 B, so a name-keyed map or a second
+// per-flow copy creeping back into the build fails here.
 func TestDirectBuildBytesPerFlow(t *testing.T) {
-	const budget = 1.5 * 1400
+	const budget = 1.5 * 1210
 	var perFlow []float64
 	for _, topo := range []string{"fattree:k=8,flows=2048", "fattree:k=8,flows=8192"} {
 		bytes, flows := directBuildBytes(t, topo)
@@ -123,5 +124,31 @@ func TestDirectBuildBytesPerFlow(t *testing.T) {
 	}
 	if lo, hi := min(perFlow[0], perFlow[1]), max(perFlow[0], perFlow[1]); hi > 1.1*lo {
 		t.Errorf("build allocates %.0f B per flow at 2 048 flows and %.0f B at 8 192: more than 10%% apart", perFlow[0], perFlow[1])
+	}
+}
+
+// TestChainBuildAllocsPerFlow builds, without running, the fluid model of
+// the 1000-core chain with 10 000 flows. A chain flow is its weight, floor
+// and link path and nothing more, so the build makes about one allocation
+// per flow (its path) plus the per-link names and the growth of the flow
+// table: 1.26 per flow with Go 1.24, where a second, name-keyed copy of
+// each flow beside the model took 2.26. The pin is 1.3.
+func TestChainBuildAllocsPerFlow(t *testing.T) {
+	const flows = 10_000
+	sc, err := Scenario{
+		Scheme: SchemeCorelite, Backend: BackendFlow, Duration: time.Second, Seed: 1,
+		Chain: &ChainTopology{Cores: 1000, Flows: flows},
+	}.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := buildFlowModel(sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("chain build: %.0f allocations (%.3f per flow)", allocs, allocs/flows)
+	if allocs/flows >= 1.3 {
+		t.Errorf("chain build makes %.3f allocations per flow, want fewer than 1.3", allocs/flows)
 	}
 }

@@ -80,11 +80,15 @@ func TestGeneratedParallelMatchesSerial(t *testing.T) {
 
 	// The flow backend expands the same generated scenarios through the
 	// same normalize path; its fluid solver is deterministic too.
-	flowSerial, err := New(Config{Workers: 1, Backend: experiments.BackendFlow}).Execute(context.Background(), jobs)
+	flowJobs := generatedBatch(1)
+	for i := range flowJobs {
+		flowJobs[i].Scenario.Backend = experiments.BackendFlow
+	}
+	flowSerial, err := New(Config{Workers: 1}).Execute(context.Background(), flowJobs)
 	if err != nil {
 		t.Fatalf("flow serial execute: %v", err)
 	}
-	flowParallel, err := New(Config{Workers: 8, Backend: experiments.BackendFlow}).Execute(context.Background(), jobs)
+	flowParallel, err := New(Config{Workers: 8}).Execute(context.Background(), flowJobs)
 	if err != nil {
 		t.Fatalf("flow parallel execute: %v", err)
 	}

@@ -84,9 +84,8 @@ type Result struct {
 	Output *experiments.Result
 	// Stats carries per-run instrumentation.
 	Stats Stats
-	// Obs is the job's telemetry registry (the scenario's own, or the one
-	// the pool attached under Config.Observe); nil when observability was
-	// off.
+	// Obs is the job's telemetry registry (the scenario's Obs); nil when
+	// observability was off.
 	Obs *obs.Registry
 	// Err is the scenario error, the captured panic, or the context
 	// error for jobs cancelled before they started.
@@ -113,19 +112,6 @@ type Config struct {
 	// for progress reporting; ordered output belongs after Execute
 	// returns.
 	OnDone func(Result)
-	// Observe attaches a fresh telemetry registry to every job whose
-	// scenario does not already carry one (registries are single-run, so
-	// parallel jobs never share). Summaries land in Stats.Telemetry.
-	Observe bool
-	// ObsSample is the gauge sampling interval for pool-attached
-	// registries (0 → the experiments default; negative disables
-	// sampling).
-	ObsSample time.Duration
-	// Backend, when non-zero, is applied to every job whose scenario
-	// leaves the backend at the packet default — how a CLI's -backend
-	// flag retargets a whole batch without rebuilding its specs. A job
-	// that explicitly selects a backend keeps it.
-	Backend experiments.Backend
 	// OnProgress, when non-nil (and ProgressEvery > 0), receives fleet-wide
 	// live progress aggregated over every job on a wall-clock ticker, plus
 	// one final update when the batch drains. Calls arrive from a dedicated
@@ -140,9 +126,6 @@ type Config struct {
 type Pool struct {
 	workers       int
 	onDone        func(Result)
-	observe       bool
-	obsSample     time.Duration
-	backend       experiments.Backend
 	onProgress    func(ProgressUpdate)
 	progressEvery time.Duration
 }
@@ -153,8 +136,7 @@ func New(cfg Config) *Pool {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: w, onDone: cfg.OnDone, observe: cfg.Observe,
-		obsSample: cfg.ObsSample, backend: cfg.Backend,
+	return &Pool{workers: w, onDone: cfg.OnDone,
 		onProgress: cfg.OnProgress, progressEvery: cfg.ProgressEvery}
 }
 
@@ -255,13 +237,6 @@ func (p *Pool) Execute(ctx context.Context, jobs []Job) ([]Result, error) {
 func (p *Pool) execute(index int, job Job, tracker *obs.Progress) (res Result) {
 	res = Result{Index: index, Job: job}
 	sc := job.Scenario
-	if sc.Backend == experiments.BackendPacket {
-		sc.Backend = p.backend
-	}
-	if sc.Obs == nil && p.observe {
-		sc.Obs = obs.NewRegistry()
-		sc.ObsSample = p.obsSample
-	}
 	if sc.Progress == nil {
 		sc.Progress = tracker
 	}

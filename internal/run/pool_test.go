@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/netem"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -225,115 +224,4 @@ func TestOnDoneObservesEveryJob(t *testing.T) {
 			t.Errorf("OnDone never saw job %q", j.Name)
 		}
 	}
-}
-
-// TestObservePerJobRegistries checks that Config.Observe attaches a fresh
-// registry to every job — never shared between parallel jobs — and fills
-// Stats.Telemetry, while leaving figure output byte-identical to an
-// unobserved batch.
-func TestObservePerJobRegistries(t *testing.T) {
-	jobs := shortBatch()[:4]
-	plain := New(Config{Workers: 4})
-	plainResults, err := plain.Execute(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("plain execute: %v", err)
-	}
-	observed := New(Config{Workers: 4, Observe: true})
-	obsResults, err := observed.Execute(context.Background(), jobs)
-	if err != nil {
-		t.Fatalf("observed execute: %v", err)
-	}
-
-	seen := map[*obs.Registry]string{}
-	for _, r := range obsResults {
-		if r.Err != nil {
-			t.Fatalf("job %q: %v", r.Job.Name, r.Err)
-		}
-		if r.Obs == nil {
-			t.Fatalf("job %q has no registry under Observe", r.Job.Name)
-		}
-		if prev, dup := seen[r.Obs]; dup {
-			t.Fatalf("jobs %q and %q share a registry", prev, r.Job.Name)
-		}
-		seen[r.Obs] = r.Job.Name
-		tel := r.Stats.Telemetry
-		if tel == nil {
-			t.Fatalf("job %q has no telemetry summary", r.Job.Name)
-		}
-		if tel.Samples == 0 || tel.Events == 0 {
-			t.Errorf("job %q telemetry looks empty: %+v", r.Job.Name, *tel)
-		}
-	}
-	for _, r := range plainResults {
-		if r.Obs != nil || r.Stats.Telemetry != nil {
-			t.Fatalf("job %q carries telemetry without Observe", r.Job.Name)
-		}
-	}
-
-	// Figure CSVs must be byte-identical — the sampler draws no randomness
-	// and mutates no model state. The only permitted difference is the
-	// processed-event count, which grows by exactly one event per sampling
-	// instant.
-	renderCSV := func(results []Result) []byte {
-		var buf bytes.Buffer
-		for _, r := range results {
-			for _, kind := range []trace.SeriesKind{trace.SeriesAllowed, trace.SeriesReceived, trace.SeriesCumulative} {
-				if err := trace.WriteCSV(&buf, r.Output, kind); err != nil {
-					t.Fatalf("WriteCSV %q: %v", r.Job.Name, err)
-				}
-			}
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(renderCSV(plainResults), renderCSV(obsResults)) {
-		t.Error("observability changed figure CSV output")
-	}
-	for i := range obsResults {
-		extra := obsResults[i].Stats.Events - plainResults[i].Stats.Events
-		samples := uint64(obsResults[i].Stats.Telemetry.Samples)
-		if extra != samples {
-			t.Errorf("job %q: event count grew by %d, want exactly the %d sampler ticks",
-				obsResults[i].Job.Name, extra, samples)
-		}
-	}
-}
-
-// TestBackendOverride pins the Config.Backend contract: the pool retargets
-// jobs that leave the backend at the packet default, and leaves explicit
-// choices alone. The flow run is distinguishable from the packet run by
-// its event count (the fluid engine processes thousands of events where
-// the packet engine processes millions).
-func TestBackendOverride(t *testing.T) {
-	sc := experiments.Fig5Scenario(1)
-	sc.Duration = 10 * time.Second
-
-	packet := New(Config{Workers: 1}).mustExecute(t, Job{Name: "packet", Scenario: sc})
-	flow := New(Config{Workers: 1, Backend: experiments.BackendFlow}).
-		mustExecute(t, Job{Name: "flow", Scenario: sc})
-	if flow.Stats.Events >= packet.Stats.Events {
-		t.Errorf("flow backend processed %d events, packet %d; override did not take",
-			flow.Stats.Events, packet.Stats.Events)
-	}
-
-	// An explicit backend on the scenario wins over the pool default.
-	explicit := sc
-	explicit.Backend = experiments.BackendFlow
-	kept := New(Config{Workers: 1}).mustExecute(t, Job{Name: "explicit", Scenario: explicit})
-	if kept.Stats.Events != flow.Stats.Events {
-		t.Errorf("explicit flow job processed %d events, pool-flow job %d; expected identical runs",
-			kept.Stats.Events, flow.Stats.Events)
-	}
-}
-
-// mustExecute runs one job and fails the test on any error.
-func (p *Pool) mustExecute(t *testing.T, job Job) Result {
-	t.Helper()
-	results, err := p.Execute(context.Background(), []Job{job})
-	if err != nil {
-		t.Fatalf("execute %q: %v", job.Name, err)
-	}
-	if results[0].Err != nil {
-		t.Fatalf("job %q: %v", job.Name, results[0].Err)
-	}
-	return results[0]
 }

@@ -146,6 +146,15 @@ func Paper(sched *sim.Scheduler, opts Options) (*Cloud, error) {
 	if opts.NumFlows <= 0 || opts.NumFlows > 20 {
 		return nil, fmt.Errorf("topology: NumFlows %d outside 1..20", opts.NumFlows)
 	}
+	return buildChain(sched, CoreNames(), opts.NumFlows, opts.Weights, opts, paperSlot)
+}
+
+// buildChain builds a chain of core routers, a forward link (with the
+// CoreQueue discipline) and its reverse link between each neighbouring pair,
+// then for each flow i in 1..numFlows an ingress and an egress edge node
+// wired to the cores slotOf(i) names. Rates and delays default to the paper
+// values; weights missing a flow give it opts.DefaultWeight.
+func buildChain(sched *sim.Scheduler, cores []string, numFlows int, weights map[int]float64, opts Options, slotOf func(int) (slot, error)) (*Cloud, error) {
 	defWeight := opts.DefaultWeight
 	if defWeight <= 0 {
 		defWeight = 1
@@ -160,14 +169,13 @@ func Paper(sched *sim.Scheduler, opts Options) (*Cloud, error) {
 	}
 
 	net := netem.New(sched)
-	for _, c := range CoreNames() {
+	for _, c := range cores {
 		if _, err := net.AddNode(c); err != nil {
 			return nil, err
 		}
 	}
 
-	coreLinks := make(map[string]*netem.Link, 3)
-	cores := CoreNames()
+	coreLinks := make(map[string]*netem.Link, len(cores)-1)
 	for i := 0; i+1 < len(cores); i++ {
 		name := cores[i] + "->" + cores[i+1]
 		var q netem.Discipline
@@ -188,9 +196,9 @@ func Paper(sched *sim.Scheduler, opts Options) (*Cloud, error) {
 		coreLinks[name] = fwd
 	}
 
-	placements := make([]Placement, 0, opts.NumFlows)
-	for i := 1; i <= opts.NumFlows; i++ {
-		sl, err := paperSlot(i)
+	placements := make([]Placement, 0, numFlows)
+	for i := 1; i <= numFlows; i++ {
+		sl, err := slotOf(i)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +216,7 @@ func Paper(sched *sim.Scheduler, opts Options) (*Cloud, error) {
 			return nil, err
 		}
 		w := defWeight
-		if v, ok := opts.Weights[i]; ok {
+		if v, ok := weights[i]; ok {
 			w = v
 		}
 		links := make([]string, len(sl.links))
@@ -223,7 +231,7 @@ func Paper(sched *sim.Scheduler, opts Options) (*Cloud, error) {
 		})
 	}
 
-	return &Cloud{Net: net, Placements: placements, CoreLinks: coreLinks, CoreNodes: CoreNames()}, nil
+	return &Cloud{Net: net, Placements: placements, CoreLinks: coreLinks, CoreNodes: cores}, nil
 }
 
 // MaxMinProblem translates the cloud's placements (restricted to the given
@@ -276,67 +284,6 @@ func Dumbbell(sched *sim.Scheduler, numFlows int, weights map[int]float64, opts 
 	if numFlows <= 0 {
 		return nil, fmt.Errorf("topology: numFlows %d must be positive", numFlows)
 	}
-	delay := opts.LinkDelay
-	if delay <= 0 {
-		delay = LinkDelay
-	}
-	rate := opts.LinkRateBps
-	if rate <= 0 {
-		rate = LinkRateBps
-	}
-	defWeight := opts.DefaultWeight
-	if defWeight <= 0 {
-		defWeight = 1
-	}
-	net := netem.New(sched)
-	for _, n := range []string{"A", "B"} {
-		if _, err := net.AddNode(n); err != nil {
-			return nil, err
-		}
-	}
-	var q netem.Discipline
-	if opts.CoreQueue != nil {
-		q = opts.CoreQueue("A->B", sched.Now)
-	}
-	bottleneck, err := net.AddLink("A", "B", netem.LinkConfig{RateBps: rate, Delay: delay, Queue: q})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := net.AddLink("B", "A", netem.LinkConfig{RateBps: rate, Delay: delay}); err != nil {
-		return nil, err
-	}
-	placements := make([]Placement, 0, numFlows)
-	for i := 1; i <= numFlows; i++ {
-		in, out := ingressName(i), egressName(i)
-		if _, err := net.AddNode(in); err != nil {
-			return nil, err
-		}
-		if _, err := net.AddNode(out); err != nil {
-			return nil, err
-		}
-		if _, _, err := net.Connect(in, "A", netem.LinkConfig{RateBps: rate, Delay: delay}); err != nil {
-			return nil, err
-		}
-		if _, _, err := net.Connect("B", out, netem.LinkConfig{RateBps: rate, Delay: delay}); err != nil {
-			return nil, err
-		}
-		w := defWeight
-		if v, ok := weights[i]; ok {
-			w = v
-		}
-		placements = append(placements, Placement{
-			Index:     i,
-			Weight:    w,
-			Ingress:   in,
-			Egress:    out,
-			CoreLinks: []string{"A->B"},
-			Hops:      3,
-		})
-	}
-	return &Cloud{
-		Net:        net,
-		Placements: placements,
-		CoreLinks:  map[string]*netem.Link{"A->B": bottleneck},
-		CoreNodes:  []string{"A", "B"},
-	}, nil
+	bottleneck := slot{"A", "B", []string{"A->B"}, 3}
+	return buildChain(sched, []string{"A", "B"}, numFlows, weights, opts, func(int) (slot, error) { return bottleneck, nil })
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/packet"
 )
 
 // syntheticResult builds a result with the given number of flows, each
@@ -28,7 +27,6 @@ func syntheticResult(flows, samples int) *experiments.Result {
 		}
 		res.Flows = append(res.Flows, experiments.FlowResult{
 			Index:       i,
-			ID:          packet.FlowID{Edge: "in", Local: i},
 			Weight:      1,
 			AllowedRate: s,
 		})

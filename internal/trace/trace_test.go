@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/packet"
 )
 
 func sampleResult() *experiments.Result {
@@ -23,12 +22,12 @@ func sampleResult() *experiments.Result {
 		Scheme: experiments.SchemeCorelite,
 		Flows: []experiments.FlowResult{
 			{
-				Index: 1, ID: packet.FlowID{Edge: "in1"}, Weight: 1,
+				Index: 1, Weight: 1,
 				AllowedRate: mk(10, 20, 30), ReceiveRate: mk(9, 19, 29),
 				Cumulative: mk(9, 28, 57), Delivered: 57,
 			},
 			{
-				Index: 2, ID: packet.FlowID{Edge: "in2"}, Weight: 2,
+				Index: 2, Weight: 2,
 				AllowedRate: mk(20, 40, 60), ReceiveRate: mk(18, 38, 58),
 				Cumulative: mk(18, 56, 114), Delivered: 114, Losses: 3,
 			},
