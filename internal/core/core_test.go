@@ -296,11 +296,12 @@ func TestEdgeFeedbackThrottles(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := edge.AllowedRate(local)
+	const c1c2, c2c3 = 1, 2 // two core links' ids
 	for i := 0; i < 5; i++ {
-		edge.HandleFeedback(local, "C1->C2")
+		edge.HandleFeedback(local, c1c2)
 	}
 	for i := 0; i < 3; i++ {
-		edge.HandleFeedback(local, "C2->C3")
+		edge.HandleFeedback(local, c2c3)
 	}
 	if err := s.Run(s.Now() + 100*time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -346,23 +347,11 @@ func TestDumbbellWeightedConvergence(t *testing.T) {
 		e.Start()
 	}
 
-	feedback := func(routerNode string) FeedbackFunc {
-		return func(m packet.Marker, coreID string) {
-			e, ok := edges[m.Flow.Edge]
-			if !ok {
-				return
-			}
-			local := m.Flow.Local
-			if err := net.SendControl(routerNode, m.Flow.Edge, func() {
-				e.HandleFeedback(local, coreID)
-			}); err != nil {
-				t.Errorf("SendControl: %v", err)
-			}
-		}
-	}
+	onErr := func(err error) { t.Errorf("SendControl: %v", err) }
 	rng := sim.NewRNG(42)
 	for _, name := range []string{"A", "B"} {
-		r := NewRouter(net, net.Node(name), DefaultRouterConfig(), rng.Stream(name), feedback(name))
+		fb := ControlFeedback(net, net.Node(name), edges, onErr)
+		r := NewRouter(net, net.Node(name), DefaultRouterConfig(), rng.Stream(name), fb)
 		r.Start()
 		defer r.Stop()
 	}

@@ -75,6 +75,9 @@ type Edge struct {
 	// ctrMarkers counts markers injected into the data stream (inert when
 	// observability is off).
 	ctrMarkers *obs.Counter
+	// rtt records each feedback's delivery latency, from the router's
+	// decision to its arrival here (inert when observability is off).
+	rtt *obs.Histogram
 }
 
 // edgeFlow is one flow on a Corelite edge.
@@ -88,12 +91,18 @@ type markState struct {
 	// fraction (b_g − min)/b_g per packet for flows with a minimum rate
 	// contract).
 	sinceMarker float64
-	// feedback counts marker feedbacks per core link this epoch.
-	feedback map[string]int
+	// feedback counts marker feedbacks per core link this epoch, one
+	// entry per link heard from; a flow crosses a handful of core links,
+	// so a scan finds the entry. maxCount is the largest count.
+	feedback []coreCount
+	maxCount int
 	// applied is the decrease already applied this epoch in immediate
 	// mode: β · (max over cores of feedback counts so far).
 	applied int
 }
+
+// coreCount is one core link's feedback count this epoch.
+type coreCount struct{ link, n int }
 
 // NewEdge attaches a Corelite edge to the given ingress node. Zero config
 // fields default to the paper's values.
@@ -125,6 +134,8 @@ func NewEdge(net *netem.Network, node *netem.Node, cfg EdgeConfig) *Edge {
 	}
 	e := &Edge{Edge: ingress.New(net, node, icfg), net: net, cfg: cfg}
 	e.ctrMarkers = net.Obs().Counter("edge/" + node.Name() + "/markers-injected")
+	e.rtt = net.Obs().Histogram(obs.HistFeedbackRTT, "s")
+	node.SetControl(e)
 	return e
 }
 
@@ -161,7 +172,7 @@ func (e *Edge) add(weight, minRate float64, pc workload.PacerConfig) (int, error
 	if err != nil {
 		return 0, err
 	}
-	f.State = markState{minRate: minRate, feedback: make(map[string]int)}
+	f.State = markState{minRate: minRate}
 	f.Pacer.Decorate = func(p *packet.Packet) { e.decorate(f, p) }
 	return f.ID.Local, nil
 }
@@ -260,39 +271,39 @@ func (e *Edge) Sent(local int) (int64, error) {
 	return f.Pacer.Sent(), nil
 }
 
-// HandleFeedback records one marker feedback for the flow from the named
-// core link. Core routers deliver it through the control plane. Unless
-// DeferDecrease is set, the decrease is applied immediately while keeping
-// the paper's max-over-cores semantics: the total decrease within an epoch
-// is β · max_c count_c.
-func (e *Edge) HandleFeedback(local int, coreID string) {
+// HandleControl takes a marker feedback the control plane delivers to the
+// edge's node (netem.Network.SendControl): it records the delivery latency
+// and hands the feedback to HandleFeedback.
+func (e *Edge) HandleControl(c netem.Control) {
+	e.rtt.Observe((e.net.Now() - c.Sent).Seconds())
+	e.HandleFeedback(c.Flow, c.Link)
+}
+
+// HandleFeedback records one marker feedback for the flow from the core
+// link with id link (netem.Link.ID). Unless DeferDecrease is set, the
+// decrease is applied immediately while keeping the paper's max-over-cores
+// semantics: the total decrease within an epoch is β · max_c count_c.
+func (e *Edge) HandleFeedback(local, link int) {
 	f, err := e.Flow(local)
 	if err != nil || !f.Pacer.Active() {
 		return // stale feedback for a flow that no longer exists or runs
 	}
 	st := &f.State
-	st.feedback[coreID]++
-	if e.cfg.DeferDecrease {
+	i := 0
+	for i < len(st.feedback) && st.feedback[i].link != link {
+		i++
+	}
+	if i == len(st.feedback) {
+		st.feedback = append(st.feedback, coreCount{link: link})
+	}
+	st.feedback[i].n++
+	st.maxCount = max(st.maxCount, st.feedback[i].n)
+	if e.cfg.DeferDecrease || st.maxCount <= st.applied {
 		return
 	}
-	m := maxFeedback(st.feedback)
-	if m <= st.applied {
-		return
-	}
-	delta := m - st.applied
-	st.applied = m
+	delta := st.maxCount - st.applied
+	st.applied = st.maxCount
 	f.Pacer.SetRate(f.Ctrl.ApplyIndications(e.net.Now(), float64(delta)))
-}
-
-// maxFeedback reports the largest per-core feedback count.
-func maxFeedback(counts map[string]int) int {
-	m := 0
-	for _, c := range counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // immediateEpoch and deferredEpoch apply the paper's §2.2 adaptation to
@@ -307,13 +318,13 @@ func immediateEpoch(f *edgeFlow, now time.Duration) float64 {
 }
 
 func deferredEpoch(f *edgeFlow, now time.Duration) float64 {
-	rate := f.Ctrl.OnEpoch(now, float64(maxFeedback(f.State.feedback)))
+	rate := f.Ctrl.OnEpoch(now, float64(f.State.maxCount))
 	endFeedbackEpoch(f)
 	return rate
 }
 
 // endFeedbackEpoch forgets the epoch's feedback counts.
 func endFeedbackEpoch(f *edgeFlow) {
-	clear(f.State.feedback)
-	f.State.applied = 0
+	st := &f.State
+	st.feedback, st.maxCount, st.applied = st.feedback[:0], 0, 0
 }

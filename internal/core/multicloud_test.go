@@ -119,19 +119,9 @@ func TestTwoCloudConcatenation(t *testing.T) {
 	}
 
 	// Independent router sets per cloud (separate feedback domains).
-	feedback := func(routerNode string) FeedbackFunc {
-		return func(m packet.Marker, coreID string) {
-			e, ok := edges[m.Flow.Edge]
-			if !ok {
-				return
-			}
-			local := m.Flow.Local
-			_ = net.SendControl(routerNode, m.Flow.Edge, func() { e.HandleFeedback(local, coreID) })
-		}
-	}
 	rng := sim.NewRNG(23)
 	for _, r := range []string{"A1", "A2", "B1", "B2"} {
-		NewRouter(net, net.Node(r), DefaultRouterConfig(), rng.Stream(r), feedback(r)).Start()
+		NewRouter(net, net.Node(r), DefaultRouterConfig(), rng.Stream(r), ControlFeedback(net, net.Node(r), edges, nil)).Start()
 	}
 
 	for _, start := range []struct {

@@ -137,9 +137,36 @@ func DisableDamping(cfg RouterConfig) RouterConfig {
 
 // FeedbackFunc delivers one marker feedback toward the edge that generated
 // the marker. coreID identifies the congested link so edges can take the
-// per-core maximum. The experiment harness wires it through the network's
-// control plane.
+// per-core maximum. ControlFeedback returns the one that carries it over
+// the network's control plane.
 type FeedbackFunc func(m packet.Marker, coreID string)
+
+// ControlFeedback returns the FeedbackFunc that carries router's marker
+// feedback over the network's control plane (netem.Network.SendControl) to
+// the flow's ingress edge, edges[m.Flow.Edge], with the reverse-path
+// latency; feedback for a flow whose edge is not in edges is dropped. A send
+// that fails (no path back to the edge) is handed to onErr when it is
+// non-nil. The congested link travels as its id: coreID is the name of one
+// of router's outgoing links, found by a scan over the few of them.
+func ControlFeedback(net *netem.Network, router *netem.Node, edges map[string]*Edge, onErr func(error)) FeedbackFunc {
+	out := router.Links()
+	return func(m packet.Marker, coreID string) {
+		e, ok := edges[m.Flow.Edge]
+		if !ok {
+			return
+		}
+		c := netem.Control{Flow: m.Flow.Local}
+		for _, l := range out {
+			if l.Name() == coreID {
+				c.Link = l.ID()
+				break
+			}
+		}
+		if err := net.SendControl(router, e.Node(), c); err != nil && onErr != nil {
+			onErr(err)
+		}
+	}
+}
 
 // RouterStats aggregates counters over all of a router's links.
 type RouterStats struct {

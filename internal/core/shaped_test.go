@@ -205,10 +205,14 @@ func TestRouterStatsAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := 0
+	bottleneck := net.Node("R").LinkTo("D")
 	router := NewRouter(net, net.Node("R"), DefaultRouterConfig(), sim.NewRNG(2),
 		func(m packet.Marker, coreID string) {
 			fb++
-			edge.HandleFeedback(m.Flow.Local, coreID)
+			if coreID != bottleneck.Name() {
+				t.Errorf("feedback names link %s, want the bottleneck %s", coreID, bottleneck.Name())
+			}
+			edge.HandleFeedback(m.Flow.Local, bottleneck.ID())
 		})
 	router.Start()
 	defer router.Stop()

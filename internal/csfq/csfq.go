@@ -77,7 +77,7 @@ func NewEdge(net *netem.Network, node *netem.Node, cfg EdgeConfig) *Edge {
 	if cfg.Adapt == (adapt.Config{}) {
 		cfg.Adapt = adapt.DefaultConfig()
 	}
-	return &Edge{net: net, cfg: cfg, Edge: ingress.New(net, node, ingress.Config[labelState]{
+	e := &Edge{net: net, cfg: cfg, Edge: ingress.New(net, node, ingress.Config[labelState]{
 		Scheme:      "csfq",
 		Epoch:       cfg.Epoch,
 		PhaseOffset: cfg.PhaseOffset,
@@ -90,6 +90,8 @@ func NewEdge(net *netem.Network, node *netem.Node, cfg EdgeConfig) *Edge {
 			return f.Ctrl.OnEpoch(now, float64(losses))
 		},
 	})}
+	node.SetControl(e)
+	return e
 }
 
 // AddFlow registers a flow toward dst with the given rate weight.
@@ -113,9 +115,30 @@ func (e *Edge) label(f *edgeFlow, p *packet.Packet) {
 	p.Label = st.est / f.Weight
 }
 
+// LossNotifier returns the drop listener (netem.Network.OnDrop) that sends
+// a loss notification over the control plane from the drop point to the
+// dropped packet's ingress edge, edges[p.Flow.Edge], with the path latency;
+// drops of flows whose edge is not in edges notify no one. A send that fails
+// (no path back to the edge) is handed to onErr when it is non-nil.
+func LossNotifier(net *netem.Network, edges map[string]*Edge, onErr func(error)) func(netem.Drop) {
+	return func(d netem.Drop) {
+		e, ok := edges[d.Packet.Flow.Edge]
+		if !ok {
+			return
+		}
+		err := net.SendControl(d.Node, e.Node(), netem.Control{Flow: d.Packet.Flow.Local})
+		if err != nil && onErr != nil {
+			onErr(err)
+		}
+	}
+}
+
+// HandleControl takes a loss notification the control plane delivers to
+// the edge's node (netem.Network.SendControl).
+func (e *Edge) HandleControl(c netem.Control) { e.HandleLoss(c.Flow) }
+
 // HandleLoss records one lost packet for the flow (the CSFQ congestion
-// indication). The experiment harness delivers drops through the control
-// plane with the drop-point-to-edge latency.
+// indication).
 func (e *Edge) HandleLoss(local int) {
 	if f, err := e.Flow(local); err == nil && f.Pacer.Active() {
 		f.State.losses++

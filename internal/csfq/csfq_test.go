@@ -294,16 +294,11 @@ func TestDumbbellWeightedConvergenceCSFQ(t *testing.T) {
 	// Deliver loss notifications to the owning edge with control-plane
 	// latency.
 	net.OnDrop(func(d netem.Drop) {
-		e, ok := edges[d.Packet.Flow.Edge]
-		if !ok {
-			return
-		}
-		local := d.Packet.Flow.Local
-		rec.Lose(d.Packet.Flow)
-		if err := net.SendControl(d.Node, d.Packet.Flow.Edge, func() { e.HandleLoss(local) }); err != nil {
-			t.Errorf("SendControl: %v", err)
+		if _, ok := edges[d.Packet.Flow.Edge]; ok {
+			rec.Lose(d.Packet.Flow)
 		}
 	})
+	net.OnDrop(LossNotifier(net, edges, func(err error) { t.Errorf("SendControl: %v", err) }))
 
 	for _, pl := range cloud.Placements {
 		if err := flowEdges[pl.Index].StartFlow(locals[pl.Index]); err != nil {

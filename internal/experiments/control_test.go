@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topogen"
 	"repro/internal/topospec"
@@ -103,5 +104,54 @@ func TestTCPAcksOnPinnedFatTree(t *testing.T) {
 	}
 	if got := res.Flow(1).ReceiveRate.MeanOver(10*time.Second, 20*time.Second); got < 50 {
 		t.Errorf("TCP goodput over the last 10 s = %.1f pkt/s, want an open window", got)
+	}
+}
+
+// TestControlPlaneAllocsPerMessage pins the control plane's allocation
+// cost on the paper chain: marker feedback (Corelite) and loss
+// notifications (CSFQ) travel as pooled records on the scheduler's handler
+// tier, so a message allocates nothing. The figure is marginal — the
+// allocations of a 120 s run less those of a 40 s run, over the messages
+// sent in between — so set-up cost cancels. The messages are counted on an
+// observed replay of each run: the routers' feedback counters for
+// Corelite, and for CSFQ the drops, every one of which notifies its flow's
+// edge (the chain carries no cross traffic and no unresponsive flow).
+func TestControlPlaneAllocsPerMessage(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeCorelite, SchemeCSFQ} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			chain := func(d time.Duration) Scenario {
+				sc := Fig3Scenario(1)
+				sc.Scheme, sc.Duration, sc.Schedules = scheme, d, nil
+				return sc
+			}
+			run := func(sc Scenario) {
+				if _, err := Run(sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			messages := func(sc Scenario) int64 {
+				if len(sc.Unresponsive) > 0 || len(sc.Cross) > 0 {
+					t.Fatal("every drop must notify an edge: no unresponsive flows or cross traffic")
+				}
+				sc.Obs, sc.ObsSample = obs.NewRegistry(), -1
+				run(sc)
+				sum := sc.Obs.Summary()
+				if scheme == SchemeCorelite {
+					return sum.FeedbackSent
+				}
+				return sum.Drops
+			}
+			short, long := chain(40*time.Second), chain(120*time.Second)
+			sent := messages(long) - messages(short)
+			if sent < 1000 {
+				t.Fatalf("only %d control messages between the runs; the pin needs a congested chain", sent)
+			}
+			allocs := testing.AllocsPerRun(1, func() { run(long) }) - testing.AllocsPerRun(1, func() { run(short) })
+			perMsg := allocs / float64(sent)
+			t.Logf("%s: %.0f allocations over %d control messages = %.4f per message", scheme, allocs, sent, perMsg)
+			if perMsg >= 0.05 {
+				t.Errorf("%s control plane allocates %.3f objects per message, want < 0.05", scheme, perMsg)
+			}
+		})
 	}
 }

@@ -640,7 +640,6 @@ func runPacket(sc Scenario) (*Result, error) {
 		net.SetTracer(sc.Tracer)
 	}
 	var prof *sim.LoopProfiler
-	var rttHist *obs.Histogram
 	if sc.Obs != nil {
 		// Attach before router/edge construction: instruments are grabbed
 		// once at construction time.
@@ -657,7 +656,6 @@ func runPacket(sc Scenario) (*Result, error) {
 		// stride-th event so the hot path stays within the overhead budget.
 		prof = sim.NewLoopProfiler(0)
 		sched.SetProfiler(prof)
-		rttHist = sc.Obs.Histogram(obs.HistFeedbackRTT, "s")
 	}
 	sc.Progress.SetHorizon(sc.Duration)
 	sc.Check.Attach(net)
@@ -825,35 +823,21 @@ func runPacket(sc Scenario) (*Result, error) {
 	// A control message with no path back to its edge stops the run: the
 	// flow's control loop would silently go open.
 	var ctrlErr error
-	sendControl := func(from, to string, fn func()) {
-		if err := net.SendControl(from, to, fn); err != nil && ctrlErr == nil {
+	onCtrlErr := func(err error) {
+		if ctrlErr == nil {
 			ctrlErr = err
 			sched.Halt()
 		}
 	}
 
-	// Core routers.
+	// Core routers. Marker feedback and loss notifications travel the
+	// network's control plane to the flow's ingress edge.
 	switch sc.Scheme {
 	case SchemeCorelite:
-		feedbackFor := func(routerNode string) core.FeedbackFunc {
-			return func(m packet.Marker, coreID string) {
-				e, ok := coreliteEdges[m.Flow.Edge]
-				if !ok {
-					return
-				}
-				local := m.Flow.Local
-				// Control-plane delivery with the reverse-path latency.
-				sent := net.Now()
-				sendControl(routerNode, m.Flow.Edge, func() {
-					if rttHist != nil {
-						rttHist.Observe((net.Now() - sent).Seconds())
-					}
-					e.HandleFeedback(local, coreID)
-				})
-			}
-		}
 		for _, name := range coreNodes {
-			r := core.NewRouter(net, net.Node(name), sc.RouterConfig, rng.Stream("router-"+name), feedbackFor(name))
+			node := net.Node(name)
+			fb := core.ControlFeedback(net, node, coreliteEdges, onCtrlErr)
+			r := core.NewRouter(net, node, sc.RouterConfig, rng.Stream("router-"+name), fb)
 			sc.Check.ObserveRouter(r)
 			r.Start()
 		}
@@ -865,15 +849,8 @@ func runPacket(sc Scenario) (*Result, error) {
 		for _, name := range coreNodes {
 			csfq.NewRouter(net, net.Node(name), sc.CSFQRouterConfig, rng.Stream("router-"+name))
 		}
-		net.OnDrop(func(d netem.Drop) {
-			rec.Lose(d.Packet.Flow)
-			e, ok := csfqEdges[d.Packet.Flow.Edge]
-			if !ok {
-				return
-			}
-			local := d.Packet.Flow.Local
-			sendControl(d.Node, d.Packet.Flow.Edge, func() { e.HandleLoss(local) })
-		})
+		net.OnDrop(func(d netem.Drop) { rec.Lose(d.Packet.Flow) })
+		net.OnDrop(csfq.LossNotifier(net, csfqEdges, onCtrlErr))
 	}
 
 	// Unresponsive cross traffic.

@@ -98,19 +98,9 @@ func TestMicroFlowAggregation(t *testing.T) {
 	net.Node(pl2.Egress).SetApp(appFn(func(p *packet.Packet) { delivered2++ }))
 
 	// Corelite core routers with feedback wiring.
-	feedback := func(routerNode string) core.FeedbackFunc {
-		return func(m packet.Marker, coreID string) {
-			e, ok := edges[m.Flow.Edge]
-			if !ok {
-				return
-			}
-			local := m.Flow.Local
-			_ = net.SendControl(routerNode, m.Flow.Edge, func() { e.HandleFeedback(local, coreID) })
-		}
-	}
 	rng := sim.NewRNG(17)
 	for _, name := range []string{"A", "B"} {
-		core.NewRouter(net, net.Node(name), core.DefaultRouterConfig(), rng.Stream(name), feedback(name)).Start()
+		core.NewRouter(net, net.Node(name), core.DefaultRouterConfig(), rng.Stream(name), core.ControlFeedback(net, net.Node(name), edges, nil)).Start()
 	}
 
 	e1.Start()

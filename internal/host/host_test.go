@@ -281,19 +281,9 @@ func TestTCPThroughCoreliteWeightedShapers(t *testing.T) {
 		}
 	}
 
-	feedback := func(routerNode string) core.FeedbackFunc {
-		return func(m packet.Marker, coreID string) {
-			e, ok := edges[m.Flow.Edge]
-			if !ok {
-				return
-			}
-			local := m.Flow.Local
-			_ = net.SendControl(routerNode, m.Flow.Edge, func() { e.HandleFeedback(local, coreID) })
-		}
-	}
 	rng := sim.NewRNG(9)
 	for _, name := range []string{"A", "B"} {
-		core.NewRouter(net, net.Node(name), core.DefaultRouterConfig(), rng.Stream(name), feedback(name)).Start()
+		core.NewRouter(net, net.Node(name), core.DefaultRouterConfig(), rng.Stream(name), core.ControlFeedback(net, net.Node(name), edges, nil)).Start()
 	}
 
 	for _, sender := range senders {

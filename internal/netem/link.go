@@ -81,6 +81,10 @@ type Link struct {
 // Name reports the link's identifier ("from->to").
 func (l *Link) Name() string { return l.name }
 
+// ID reports the link's dense index in creation order (its position in
+// Network.Links): a key for per-link state that needs no name lookup.
+func (l *Link) ID() int { return int(l.id) }
+
 // Port reports the link's index among its sending node's links, in
 // creation order: a dense key for per-link state a node's forwarder keeps.
 func (l *Link) Port() int { return l.port }
@@ -149,7 +153,7 @@ func (l *Link) send(p *packet.Packet) {
 	now := l.net.sched.Now()
 	if !l.queue.Enqueue(p) {
 		l.stats.DroppedOverflow++
-		l.net.notifyDrop(Drop{Packet: p, Node: l.from.name, Link: l, Reason: DropOverflow, At: now})
+		l.net.notifyDrop(Drop{Packet: p, Node: l.from, Link: l, Reason: DropOverflow, At: now})
 		return
 	}
 	l.stats.Enqueued++

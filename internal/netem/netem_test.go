@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -224,8 +225,8 @@ func TestOverflowDropNotifies(t *testing.T) {
 		if d.Reason != DropOverflow {
 			t.Errorf("drop reason = %v, want overflow", d.Reason)
 		}
-		if d.Node != "A" {
-			t.Errorf("drop node = %s, want A", d.Node)
+		if d.Node != n.Node("A") {
+			t.Errorf("drop node = %s, want A", d.Node.Name())
 		}
 	}
 }
@@ -318,26 +319,50 @@ func TestRoutingShortestDelay(t *testing.T) {
 func TestSendControlLatency(t *testing.T) {
 	s := sim.NewScheduler()
 	n := New(s)
-	mustNode(t, n, "A")
+	a := mustNode(t, n, "A")
 	mustNode(t, n, "B")
-	mustNode(t, n, "C")
+	c := mustNode(t, n, "C")
 	mustLink(t, n, "A", "B", LinkConfig{RateBps: 1e6, Delay: 3 * time.Millisecond})
 	mustLink(t, n, "B", "C", LinkConfig{RateBps: 1e6, Delay: 4 * time.Millisecond})
 	if err := n.ComputeRoutes(); err != nil {
 		t.Fatalf("ComputeRoutes: %v", err)
 	}
-	var deliveredAt time.Duration
-	if err := n.SendControl("A", "C", func() { deliveredAt = s.Now() }); err != nil {
+	var got []Control
+	var deliveredAt []time.Duration
+	c.SetControl(controlFunc(func(m Control) {
+		got, deliveredAt = append(got, m), append(deliveredAt, s.Now())
+		if len(got) == 1 {
+			// Send a second message from the first one's delivery.
+			if err := n.SendControl(a, c, Control{Flow: 4}); err != nil {
+				t.Errorf("SendControl: %v", err)
+			}
+		}
+	}))
+	if err := n.SendControl(a, c, Control{Flow: 3, Link: 1}); err != nil {
 		t.Fatalf("SendControl: %v", err)
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
-	if deliveredAt != 7*time.Millisecond {
-		t.Errorf("control delivered at %v, want 7ms", deliveredAt)
+	if want := []time.Duration{7 * time.Millisecond, 14 * time.Millisecond}; !slices.Equal(deliveredAt, want) {
+		t.Errorf("control delivered at %v, want %v", deliveredAt, want)
 	}
-	if err := n.SendControl("A", "missing", func() {}); err == nil {
+	want := []Control{{Flow: 3, Link: 1}, {Flow: 4, Sent: 7 * time.Millisecond}}
+	if !slices.Equal(got, want) {
+		t.Errorf("delivered %+v, want %+v (Sent stamped at the send)", got, want)
+	}
+	if err := n.SendControl(a, n.Node("missing"), Control{}); err == nil {
 		t.Error("SendControl to unknown node succeeded, want error")
+	}
+	if err := n.SendControl(c, a, Control{}); err == nil {
+		t.Error("SendControl with no path back succeeded, want error")
+	}
+	other := mustNode(t, New(s), "C")
+	if err := n.SendControl(a, other, Control{}); err == nil {
+		t.Error("SendControl to another network's node succeeded, want error")
+	}
+	if s.Len() != 0 {
+		t.Errorf("failed sends left %d events queued, want 0", s.Len())
 	}
 }
 

@@ -42,7 +42,7 @@ func (r DropReason) String() string {
 type Drop struct {
 	Packet *packet.Packet
 	// Node is where the drop occurred.
-	Node string
+	Node *Node
 	// Link is the intended output link (nil for routing failures).
 	Link   *Link
 	Reason DropReason
@@ -78,7 +78,7 @@ type NetStats struct {
 
 // Network is a simulated network cloud: nodes, links, per-flow link-path
 // routes (see routing), and a latency-faithful control plane for feedback
-// messages.
+// messages (see control).
 type Network struct {
 	sched *sim.Scheduler
 	nodes map[string]*Node
@@ -90,6 +90,7 @@ type Network struct {
 	stats  NetStats
 
 	routing
+	control
 
 	tracer Tracer
 
@@ -277,7 +278,7 @@ func (n *Network) notifyDrop(d Drop) {
 	if d.Packet.Marker != nil {
 		n.stats.DroppedMarkers++
 	}
-	where := d.Node
+	where := d.Node.name
 	if d.Link != nil {
 		where = d.Link.Name()
 	}

@@ -34,6 +34,7 @@ type Node struct {
 	out       []*Link // outgoing links in creation order
 	app       App
 	forwarder Forwarder
+	ctrl      ControlReceiver
 	// lastDst and lastRef remember the node's last injection, made in
 	// routing generation lastGen: a source sends its packets toward one
 	// destination, so most injections skip resolving the name.
@@ -47,6 +48,10 @@ func (n *Node) Name() string { return n.name }
 
 // SetApp installs the packet consumer for packets addressed to this node.
 func (n *Node) SetApp(a App) { n.app = a }
+
+// SetControl installs the receiver of control messages addressed to this
+// node (see Network.SendControl); an ingress edge installs itself.
+func (n *Node) SetControl(r ControlReceiver) { n.ctrl = r }
 
 // SetForwarder installs the forwarding interceptor (core-router logic).
 func (n *Node) SetForwarder(f Forwarder) {
@@ -92,7 +97,7 @@ func (n *Node) Inject(p *packet.Packet) {
 		n.lastDst, n.lastGen = p.Dst, net.gen
 	}
 	if n.lastRef.route == noRoute {
-		net.notifyDrop(Drop{Packet: p, Node: n.name, Reason: DropNoRoute, At: net.sched.Now()})
+		net.notifyDrop(Drop{Packet: p, Node: n, Reason: DropNoRoute, At: net.sched.Now()})
 		return
 	}
 	p.Route, p.Hop = n.lastRef.route, n.lastRef.hop
@@ -121,7 +126,7 @@ func (n *Network) forward(at *Node, p *packet.Packet) {
 		return
 	}
 	if out.forwarder != nil && !out.forwarder.OnForward(p, out) {
-		n.notifyDrop(Drop{Packet: p, Node: at.name, Link: out, Reason: DropPolicy, At: n.sched.Now()})
+		n.notifyDrop(Drop{Packet: p, Node: at, Link: out, Reason: DropPolicy, At: n.sched.Now()})
 		return
 	}
 	p.Hop++

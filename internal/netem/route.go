@@ -6,8 +6,6 @@ import (
 	"slices"
 	"strings"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // routing is the network's forwarding state, O(Σ path length) in size. A
@@ -185,42 +183,28 @@ func (n *Network) Path(from, to string) ([]string, error) {
 // notifications with it.
 func (n *Network) PathDelay(from, to string) (time.Duration, error) {
 	if a, b := n.nodes[from], n.nodes[to]; a != nil && b != nil {
-		if d, ok := n.pinnedDelay[pairKey(a, b)]; ok {
-			return d, nil
-		}
-		if ref := n.route(a, b); ref.route != noRoute {
-			var d time.Duration
-			for _, l := range n.rest(ref) {
-				d += l.delay
-			}
+		if d, ok := n.delay(a, b); ok {
 			return d, nil
 		}
 	}
 	return 0, fmt.Errorf("netem: no path %s -> %s", from, to)
 }
 
-// SendControl delivers fn at the destination after the one-way propagation
-// latency from -> to (PathDelay). Control messages (Corelite marker
-// feedback, CSFQ loss notifications) are tiny compared to 1KB data packets,
-// so they are modelled as consuming no data-plane bandwidth while
-// preserving exactly the path delay — see DESIGN.md §2.
-func (n *Network) SendControl(from, to string, fn func()) error {
-	d, err := n.PathDelay(from, to)
-	if err != nil {
-		return err
+// delay is PathDelay on node handles; it reports false when to cannot be
+// reached. A pinned pair costs one map lookup on the packed node ids.
+func (n *Network) delay(a, b *Node) (time.Duration, bool) {
+	if d, ok := n.pinnedDelay[pairKey(a, b)]; ok {
+		return d, true
 	}
-	if n.sched.Profiler() != nil {
-		// Attribute the delivery to the control-plane handler kind. The
-		// wrapper allocates, so it exists only when the event-loop profiler
-		// is attached; detached runs schedule fn directly.
-		inner := fn
-		fn = func() {
-			n.sched.MarkHandler(sim.KindControl)
-			inner()
-		}
+	ref := n.route(a, b)
+	if ref.route == noRoute {
+		return 0, false
 	}
-	n.sched.MustAfter(d, fn)
-	return nil
+	var d time.Duration
+	for _, l := range n.rest(ref) {
+		d += l.delay
+	}
+	return d, true
 }
 
 // searchNode is one node's shortest-path state, current only while its

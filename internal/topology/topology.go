@@ -63,17 +63,10 @@ type Placement struct {
 	// CoreLinks lists the congested links the flow crosses, for the
 	// max-min oracle.
 	CoreLinks []string
-	// Hops is the one-way hop count (for RTT bookkeeping).
-	Hops int
 	// Relays names edge nodes along the path where the flow is re-shaped
 	// into a fresh control segment (N-cloud concatenation boundaries).
 	// Empty for single-cloud flows.
 	Relays []string
-}
-
-// RTT reports the flow's round-trip propagation time in the paper topology.
-func (p Placement) RTT() time.Duration {
-	return time.Duration(2*p.Hops) * LinkDelay
 }
 
 // Cloud is a built topology plus its flow placements.
@@ -119,23 +112,22 @@ func egressName(i int) string  { return fmt.Sprintf("out%d", i) }
 type slot struct {
 	entry, exit string   // core routers the edges attach to
 	links       []string // congested links crossed
-	hops        int      // ingress->egress hop count
 }
 
 func paperSlot(i int) (slot, error) {
 	switch {
 	case i >= 1 && i <= 5:
-		return slot{"C1", "C2", []string{LinkC1C2}, 3}, nil
+		return slot{"C1", "C2", []string{LinkC1C2}}, nil
 	case i >= 6 && i <= 8:
-		return slot{"C1", "C3", []string{LinkC1C2, LinkC2C3}, 4}, nil
+		return slot{"C1", "C3", []string{LinkC1C2, LinkC2C3}}, nil
 	case i == 9 || i == 10:
-		return slot{"C1", "C4", []string{LinkC1C2, LinkC2C3, LinkC3C4}, 5}, nil
+		return slot{"C1", "C4", []string{LinkC1C2, LinkC2C3, LinkC3C4}}, nil
 	case i == 11 || i == 12:
-		return slot{"C2", "C3", []string{LinkC2C3}, 3}, nil
+		return slot{"C2", "C3", []string{LinkC2C3}}, nil
 	case i >= 13 && i <= 15:
-		return slot{"C2", "C4", []string{LinkC2C3, LinkC3C4}, 4}, nil
+		return slot{"C2", "C4", []string{LinkC2C3, LinkC3C4}}, nil
 	case i >= 16 && i <= 20:
-		return slot{"C3", "C4", []string{LinkC3C4}, 3}, nil
+		return slot{"C3", "C4", []string{LinkC3C4}}, nil
 	default:
 		return slot{}, fmt.Errorf("topology: flow index %d outside 1..20", i)
 	}
@@ -227,7 +219,6 @@ func buildChain(sched *sim.Scheduler, cores []string, numFlows int, weights map[
 			Ingress:   in,
 			Egress:    out,
 			CoreLinks: links,
-			Hops:      sl.hops,
 		})
 	}
 
@@ -284,6 +275,6 @@ func Dumbbell(sched *sim.Scheduler, numFlows int, weights map[int]float64, opts 
 	if numFlows <= 0 {
 		return nil, fmt.Errorf("topology: numFlows %d must be positive", numFlows)
 	}
-	bottleneck := slot{"A", "B", []string{"A->B"}, 3}
+	bottleneck := slot{"A", "B", []string{"A->B"}}
 	return buildChain(sched, []string{"A", "B"}, numFlows, weights, opts, func(int) (slot, error) { return bottleneck, nil })
 }

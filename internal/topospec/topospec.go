@@ -578,7 +578,6 @@ func (s *Spec) Build(sched *sim.Scheduler) (*topology.Cloud, error) {
 			Ingress:   f.Ingress,
 			Egress:    f.Egress,
 			CoreLinks: crossed,
-			Hops:      len(path) - 1,
 			Relays:    f.Relays,
 		})
 	}
