@@ -202,7 +202,7 @@ func TestRunObsBundle(t *testing.T) {
 	if !strings.Contains(sb.String(), "telemetry:") {
 		t.Errorf("missing telemetry summary line:\n%s", sb.String())
 	}
-	for _, name := range []string{"events.jsonl", "events.csv", "series.csv", "counters.csv", "trace.json"} {
+	for _, name := range []string{"events.jsonl", "series.csv", "counters.csv", "trace.json"} {
 		data, err := os.ReadFile(filepath.Join(obsDir, name))
 		if err != nil {
 			t.Fatalf("missing %s: %v", name, err)

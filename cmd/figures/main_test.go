@@ -155,7 +155,7 @@ func TestRunObsBundle(t *testing.T) {
 	if !bytes.Equal(plain, observed) {
 		t.Error("telemetry changed fig5.csv output")
 	}
-	for _, name := range []string{"fig5.events.jsonl", "fig5.events.csv", "fig5.series.csv", "fig5.counters.csv", "fig5.trace.json"} {
+	for _, name := range []string{"fig5.events.jsonl", "fig5.series.csv", "fig5.counters.csv", "fig5.trace.json"} {
 		if st, err := os.Stat(filepath.Join(obsDir, name)); err != nil || st.Size() == 0 {
 			t.Errorf("missing or empty %s (%v)", name, err)
 		}

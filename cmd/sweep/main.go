@@ -104,7 +104,7 @@ func mainRun(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if f.Obs != "" {
-		fmt.Fprintf(stdout, "\ntelemetry bundles in %s (one per point: events.jsonl, events.csv, series.csv, counters.csv, hist.jsonl, hist.csv, perf.csv, trace.json)\n", f.Obs)
+		fmt.Fprintf(stdout, "\ntelemetry bundles in %s (one per point: events.jsonl, series.csv, counters.csv, hist.jsonl, perf.csv, trace.json)\n", f.Obs)
 	}
 	return nil
 }

@@ -8,8 +8,8 @@
 //	-backend B       packet (discrete-event reference) or flow (fluid)
 //	-parallel N      worker-pool size; output is identical for any value
 //	-duration D      simulated horizon (coresim, sweep)
-//	-obs DIR         per-run telemetry bundle: events.jsonl/csv, series.csv,
-//	                 counters.csv, hist.jsonl/csv, perf.csv, trace.json
+//	-obs DIR         per-run telemetry bundle: events.jsonl, series.csv,
+//	                 counters.csv, hist.jsonl, perf.csv, trace.json
 //	-progress        one aggregated live-progress line on stderr every 2s
 //	-check           runtime invariant checker; a violation fails the command
 //	-check-tol X     its fairness-residual tolerance (coresim 0.05, sweep 0.25)
@@ -69,7 +69,7 @@ func (f *Flags) RegisterPool(fs *flag.FlagSet, checkTol float64) {
 	f.RegisterSeed(fs)
 	fs.StringVar(&f.backend, "backend", "packet", "execution engine: packet (discrete-event reference) or flow (fluid rates, orders of magnitude faster)")
 	fs.IntVar(&f.parallel, "parallel", runtime.GOMAXPROCS(0), "concurrent runs (1 = serial); output is identical for any value")
-	fs.StringVar(&f.Obs, "obs", "", "directory for per-run control-plane telemetry (events JSONL/CSV, sampled series, counters, histograms, engine perf profile, Chrome trace)")
+	fs.StringVar(&f.Obs, "obs", "", "directory for per-run control-plane telemetry (events JSONL, sampled series, counters, histograms, engine perf profile, Chrome trace)")
 	fs.BoolVar(&f.progress, "progress", false, "print aggregated live progress (sim-time rate, throughput, active flows, ETA) to stderr every 2s")
 	fs.BoolVar(&f.Check, "check", false, "attach the runtime invariant checker (conservation, queue bounds, marker accounting, fairness residual); violations fail the command")
 	fs.StringVar(&f.cpuProf, "cpuprofile", "", "write a host CPU profile of the runs to this file")

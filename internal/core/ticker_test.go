@@ -10,9 +10,9 @@ import (
 )
 
 // TestTickerRearmAllocs pins the epoch tickers of the router and the edge:
-// after Start each runs on one re-armed scheduler handle, so an epoch
-// allocates nothing, and Stop after n epochs cancels that handle — Len()
-// drops by one and epoch n+1 never fires.
+// after Start each runs on one re-armed registered handler, so an epoch
+// allocates nothing, and no tick runs after Stop — each withdrawn entry
+// fires once as a no-op and is not re-armed.
 func TestTickerRearmAllocs(t *testing.T) {
 	s := sim.NewScheduler()
 	net := netem.New(s)
@@ -49,18 +49,13 @@ func TestTickerRearmAllocs(t *testing.T) {
 		t.Fatalf("Len() = %d with both tickers re-armed, want 2", got)
 	}
 	router.Stop()
-	if got := s.Len(); got != 1 {
-		t.Fatalf("Len() = %d after Router.Stop, want 1", got)
-	}
 	edge.Stop()
-	if got := s.Len(); got != 0 {
-		t.Fatalf("Len() = %d after Edge.Stop, want 0", got)
-	}
 	before := s.Processed()
 	if err := s.Run(s.Now() + time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if s.Processed() != before {
-		t.Fatalf("%d epochs fired after Stop", s.Processed()-before)
+	// A minute holds hundreds of epochs; a tick that ran would re-arm.
+	if got := s.Processed() - before; got != 2 || s.Len() != 0 {
+		t.Fatalf("%d events ran after Stop with %d pending, want the 2 withdrawn no-ops and none", got, s.Len())
 	}
 }

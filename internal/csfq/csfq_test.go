@@ -177,10 +177,10 @@ func TestRouterDropsAboveFairShare(t *testing.T) {
 			seq++
 			net.Node("R").Inject(p)
 			if s.Now() < 10*time.Second {
-				s.MustAfter(gap, emit)
+				s.RescheduleAfter(gap)
 			}
 		}
-		s.MustAt(0, emit)
+		postAt(s, 0, emit)
 	}
 	inject("fair", 200, 200)
 	inject("hog", 600, 600)
@@ -244,10 +244,10 @@ func TestRouterUncongestedNeverDrops(t *testing.T) {
 		seq++
 		net.Node("R").Inject(p)
 		if s.Now() < 5*time.Second {
-			s.MustAfter(10*time.Millisecond, emit)
+			s.RescheduleAfter(10 * time.Millisecond)
 		}
 	}
-	s.MustAt(0, emit)
+	postAt(s, 0, emit)
 	if err := s.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -322,4 +322,9 @@ func TestDumbbellWeightedConvergenceCSFQ(t *testing.T) {
 	if rec.TotalLosses() == 0 {
 		t.Error("CSFQ run recorded no losses; its congestion signal is losses")
 	}
+}
+
+// postAt runs fn at time t on s, through a handler registered for it.
+func postAt(s *sim.Scheduler, t time.Duration, fn func()) {
+	s.PostHandlerAt(t, s.RegisterHandler(func(uint32) { fn() }), 0)
 }

@@ -43,10 +43,10 @@ func TestRouterRelabelsToAlpha(t *testing.T) {
 			seq++
 			net.Node("R").Inject(p)
 			if s.Now() < 10*time.Second {
-				s.MustAfter(2500*time.Microsecond, fire)
+				s.RescheduleAfter(2500 * time.Microsecond)
 			}
 		}
-		s.MustAt(0, fire)
+		postAt(s, 0, fire)
 	}
 	emit("a")
 	emit("b")
@@ -103,18 +103,18 @@ func TestAlphaTracksUncongestedMaxLabel(t *testing.T) {
 	burst = func() {
 		inject(600)
 		if s.Now() < 3*time.Second {
-			s.MustAfter(1600*time.Microsecond, burst) // 625 pkt/s: congested
+			s.RescheduleAfter(1600 * time.Microsecond) // 625 pkt/s: congested
 		}
 	}
-	s.MustAt(0, burst)
+	postAt(s, 0, burst)
 	var calm func()
 	calm = func() {
 		inject(100)
 		if s.Now() < 10*time.Second {
-			s.MustAfter(10*time.Millisecond, calm) // 100 pkt/s
+			s.RescheduleAfter(10 * time.Millisecond) // 100 pkt/s
 		}
 	}
-	s.MustAt(3*time.Second+time.Millisecond, calm)
+	postAt(s, 3*time.Second+time.Millisecond, calm)
 	if err := s.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +185,10 @@ func TestOverflowDecaysAlpha(t *testing.T) {
 			alphaAfterCongestion = router.Alpha(link)
 		}
 		if s.Now() < 10*time.Second {
-			s.MustAfter(time.Millisecond, fire) // 1000 pkt/s into 500
+			s.RescheduleAfter(time.Millisecond) // 1000 pkt/s into 500
 		}
 	}
-	s.MustAt(0, fire)
+	postAt(s, 0, fire)
 	if err := s.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

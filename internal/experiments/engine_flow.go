@@ -320,13 +320,25 @@ func buildChainModel(sc Scenario) (*flowsim.Model, error) {
 			return nil, err
 		}
 	}
+	// Every flow's span and start are drawn first, in flow order, so that
+	// the paths can be carved from one backing array.
 	rng := sim.NewRNG(sc.Seed).Stream("chain")
-	for idx := 1; idx <= cfg.Flows; idx++ {
+	type draw struct{ span, start int }
+	draws := make([]draw, cfg.Flows)
+	total := 0
+	for i := range draws {
 		span := 1 + rng.Intn(cfg.MaxSpan)
-		start := rng.Intn(nLinks - span + 1)
-		links := make([]int, span)
+		draws[i] = draw{span, rng.Intn(nLinks - span + 1)}
+		total += span
+	}
+	paths := make([]int, total)
+	m.Flows = make([]flowsim.Flow, 0, cfg.Flows)
+	for i, d := range draws {
+		idx := i + 1
+		links := paths[:d.span:d.span]
+		paths = paths[d.span:]
 		for j := range links {
-			links[j] = start + j
+			links[j] = d.start + j
 		}
 		weight, ok := sc.Weights[idx]
 		if !ok {

@@ -681,8 +681,24 @@ func runPacket(sc Scenario) (*Result, error) {
 		relays    []relaySeg
 	}
 	refs := make([]*flowRef, 0, len(cloud.Placements))
+	// One edge per node, shared by every flow that enters there and, under
+	// Corelite, by the relay segments of flows re-marked there: an edge
+	// numbers its flows from 0, and the control plane addresses an edge by
+	// node name.
 	coreliteEdges := make(map[string]*core.Edge)
 	csfqEdges := make(map[string]*csfq.Edge)
+	coreliteEdge := func(name string) *core.Edge {
+		e, ok := coreliteEdges[name]
+		if !ok {
+			e = core.NewEdge(net, net.Node(name), sc.EdgeConfig)
+			coreliteEdges[name] = e
+			sc.Check.ObserveEdge(e)
+		}
+		return e
+	}
+	if err := tcpNodesUnshared(sc, cloud.Placements); err != nil {
+		return nil, err
+	}
 
 	// remap translates relay-segment flow ids back to the ingress id the
 	// recorder tracks; origID applies it.
@@ -706,7 +722,7 @@ func runPacket(sc Scenario) (*Result, error) {
 		next  string
 	}
 	relayRoutes := make(map[packet.FlowID]relayHop)
-	relayEdges := make(map[string]*core.Edge)
+	relayNodes := make(map[string]bool)
 	relayApp := deliverApp(func(p *packet.Packet) {
 		hop, ok := relayRoutes[p.Flow]
 		if !ok {
@@ -727,9 +743,11 @@ func runPacket(sc Scenario) (*Result, error) {
 			// ingress node, bypassing the edge entirely. Under CSFQ it
 			// carries the label a CSFQ edge would converge to for a CBR
 			// source (rate/weight), so the cores police it; under Corelite
-			// it is unmarked and the FIFO cores cannot.
+			// it is unmarked and the FIFO cores cannot. Its negative local
+			// id is one no edge flow holds, so an edge on the same node
+			// neither shares its record nor takes its loss notifications.
 			src := workload.NewPacer(sched, workload.PacerConfig{
-				Flow:   packet.FlowID{Edge: pl.Ingress, Local: pl.Index},
+				Flow:   packet.FlowID{Edge: pl.Ingress, Local: -pl.Index},
 				Dst:    pl.Egress,
 				Inject: node.Inject,
 				Pool:   net.PacketPool(),
@@ -747,9 +765,7 @@ func runPacket(sc Scenario) (*Result, error) {
 		var tcpSender *host.Sender
 		switch sc.Scheme {
 		case SchemeCorelite:
-			e := core.NewEdge(net, node, sc.EdgeConfig)
-			coreliteEdges[pl.Ingress] = e
-			sc.Check.ObserveEdge(e)
+			e := coreliteEdge(pl.Ingress)
 			agent = e
 			if sc.Transports[pl.Index] == TransportTCP {
 				local, err = e.AddShapedFlow(pl.Weight, sc.MinRates[pl.Index], 0)
@@ -768,8 +784,11 @@ func runPacket(sc Scenario) (*Result, error) {
 				local, err = e.AddFlowContract(dst, pl.Weight, sc.MinRates[pl.Index])
 			}
 		case SchemeCSFQ:
-			e := csfq.NewEdge(net, node, sc.CSFQEdgeConfig)
-			csfqEdges[pl.Ingress] = e
+			e, ok := csfqEdges[pl.Ingress]
+			if !ok {
+				e = csfq.NewEdge(net, node, sc.CSFQEdgeConfig)
+				csfqEdges[pl.Ingress] = e
+			}
 			agent = e
 			local, err = agent.AddFlow(pl.Egress, pl.Weight)
 		}
@@ -784,12 +803,9 @@ func runPacket(sc Scenario) (*Result, error) {
 		if len(pl.Relays) > 0 && sc.Scheme == SchemeCorelite {
 			prevID := id
 			for ri, gw := range pl.Relays {
-				re, ok := relayEdges[gw]
-				if !ok {
-					re = core.NewEdge(net, net.Node(gw), sc.EdgeConfig)
-					relayEdges[gw] = re
-					coreliteEdges[gw] = re
-					sc.Check.ObserveEdge(re)
+				re := coreliteEdge(gw)
+				if !relayNodes[gw] {
+					relayNodes[gw] = true
 					net.Node(gw).SetApp(relayApp)
 					re.Start()
 				}
@@ -869,10 +885,11 @@ func runPacket(sc Scenario) (*Result, error) {
 		oo.Start()
 	}
 
-	// Flow activity schedule.
-	for _, ref := range refs {
-		ref := ref
-		startFlow := func() {
+	// Flow activity schedule: one handler for every start and stop, its arg
+	// the ref index times two, plus one for a stop.
+	activity := sched.RegisterHandler(func(arg uint32) {
+		ref := refs[arg/2]
+		if arg%2 == 0 {
 			if ref.src != nil {
 				ref.src.Start(ref.blast)
 				return
@@ -884,20 +901,21 @@ func runPacket(sc Scenario) (*Result, error) {
 			if ref.tcp != nil {
 				ref.tcp.Start()
 			}
+			return
 		}
-		stopFlow := func() {
-			if ref.src != nil {
-				ref.src.Stop()
-				return
-			}
-			_ = ref.agent.StopFlow(ref.local)
-			for _, rs := range ref.relays {
-				_ = rs.edge.StopFlow(rs.local)
-			}
-			if ref.tcp != nil {
-				ref.tcp.Stop()
-			}
+		if ref.src != nil {
+			ref.src.Stop()
+			return
 		}
+		_ = ref.agent.StopFlow(ref.local)
+		for _, rs := range ref.relays {
+			_ = rs.edge.StopFlow(rs.local)
+		}
+		if ref.tcp != nil {
+			ref.tcp.Stop()
+		}
+	})
+	for i, ref := range refs {
 		for _, iv := range scheduleOf(sc, ref.placement.Index) {
 			stop := iv.Stop
 			if stop == 0 || stop > sc.Duration {
@@ -906,15 +924,15 @@ func runPacket(sc Scenario) (*Result, error) {
 			if iv.Start >= stop {
 				continue
 			}
-			sched.MustAt(iv.Start, startFlow)
+			sched.PostHandlerAt(iv.Start, activity, uint32(2*i))
 			if stop < sc.Duration {
-				sched.MustAt(stop, stopFlow)
+				sched.PostHandlerAt(stop, activity, uint32(2*i+1))
 			}
 		}
 	}
 
 	// Measurement: flush windows and sample allowed rates.
-	sched.MustAt(sc.SampleWindow, func() {
+	measure := sched.RegisterHandler(func(uint32) {
 		sched.MarkHandler(sim.KindMeasure)
 		now := net.Now()
 		rec.Flush(now)
@@ -944,6 +962,7 @@ func runPacket(sc Scenario) (*Result, error) {
 			sched.RescheduleAfter(sc.SampleWindow)
 		}
 	})
+	sched.PostHandlerAt(sc.SampleWindow, measure, 0)
 	sc.Check.Start(sched, sc.Duration)
 
 	err = sched.Run(sc.Duration)
@@ -1079,6 +1098,38 @@ func expectedRates(sc Scenario, m *flowsim.Model, active map[int]bool) (map[int]
 		}
 	}
 	return out, nil
+}
+
+// tcpNodesUnshared refuses a TCP flow whose ingress or egress node another
+// flow enters, leaves or is re-marked at: wireTCP installs the TCP
+// receiver and the ACK sink as the only application on those two nodes.
+func tcpNodesUnshared(sc Scenario, pls []topology.Placement) error {
+	tcp := false
+	for _, t := range sc.Transports {
+		tcp = tcp || t == TransportTCP
+	}
+	if !tcp {
+		return nil
+	}
+	uses := make(map[string]int)
+	for _, pl := range pls {
+		uses[pl.Ingress]++
+		uses[pl.Egress]++
+		for _, gw := range pl.Relays {
+			uses[gw]++
+		}
+	}
+	for _, pl := range pls {
+		if sc.Transports[pl.Index] != TransportTCP {
+			continue
+		}
+		for _, node := range []string{pl.Ingress, pl.Egress} {
+			if uses[node] > 1 {
+				return fmt.Errorf("flow %d: a TCP flow needs its own ingress and egress nodes, and another flow also uses %s", pl.Index, node)
+			}
+		}
+	}
+	return nil
 }
 
 // wireTCP connects a TCP-Reno-like sender and receiver around a Corelite

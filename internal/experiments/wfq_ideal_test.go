@@ -50,10 +50,10 @@ func TestCoreliteApproachesWFQIdeal(t *testing.T) {
 				net.Node("R").Inject(packet.New(packet.FlowID{Edge: "src", Local: i}, "D", seq, s.Now()))
 				seq++
 				if s.Now() < 30*time.Second {
-					s.MustAfter(2500*time.Microsecond, fire)
+					s.RescheduleAfter(2500 * time.Microsecond)
 				}
 			}
-			s.MustAt(time.Duration(i)*100*time.Microsecond, fire)
+			postAt(s, time.Duration(i)*100*time.Microsecond, fire)
 		}
 		if err := s.Run(30 * time.Second); err != nil {
 			t.Fatal(err)
@@ -107,4 +107,9 @@ func TestCoreliteApproachesWFQIdeal(t *testing.T) {
 	if clDev > 0.20 {
 		t.Errorf("Corelite deviation = %.1f%%, want < 20%% of the oracle", clDev*100)
 	}
+}
+
+// postAt runs fn at time t on s, through a handler registered for it.
+func postAt(s *sim.Scheduler, t time.Duration, fn func()) {
+	s.PostHandlerAt(t, s.RegisterHandler(func(uint32) { fn() }), 0)
 }

@@ -234,7 +234,7 @@ func TestFullSolveIsRegionOfEverything(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		m := randomChainModel(t, rng)
 		n := len(m.Flows)
-		e, err := newEngine(Config{Model: m, Horizon: time.Second, Control: ControlLoss, Solver: SolverFull})
+		e, err := newEngine(Config{Model: m, Horizon: time.Second, Control: ControlLoss, solver: solverFull})
 		if err != nil {
 			t.Fatal(err)
 		}

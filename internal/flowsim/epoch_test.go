@@ -71,7 +71,7 @@ func denseFeedback(e *engine) (sumDemand, sumMark, linkFn, ind []float64) {
 // to three activity windows each (arrivals, departures, re-arrivals), plus
 // one fixed-demand blaster, and a side link crossed only by flows 0..2, whose
 // windows leave it empty over [3s, 5s) and refill it afterwards.
-func churnConfig(t testing.TB, ctl Control, solver SolverMode) Config {
+func churnConfig(t testing.TB, ctl Control, solver solverMode) Config {
 	const horizon = 12 * time.Second
 	rng := rand.New(rand.NewSource(42))
 	m := NewModel()
@@ -120,7 +120,7 @@ func churnConfig(t testing.TB, ctl Control, solver SolverMode) Config {
 		}
 		add(f, s)
 	}
-	return Config{Model: m, Horizon: horizon, Control: ctl, Solver: solver, Schedules: scheds}
+	return Config{Model: m, Horizon: horizon, Control: ctl, solver: solver, Schedules: scheds}
 }
 
 func sameBits(a, b []float64) (int, bool) {
@@ -139,7 +139,7 @@ func sameBits(a, b []float64) (int, bool) {
 // flows, so they also pin which flows the active-set sweep visited.
 func TestEpochMatchesDenseSweep(t *testing.T) {
 	for _, ctl := range []Control{ControlMarker, ControlLoss} {
-		for _, solver := range []SolverMode{SolverFull, SolverIncremental} {
+		for _, solver := range []solverMode{solverFull, solverIncremental} {
 			e, err := newEngine(churnConfig(t, ctl, solver))
 			if err != nil {
 				t.Fatal(err)

@@ -43,43 +43,30 @@ func (c Control) String() string {
 	}
 }
 
-// SolverMode selects how the engine re-solves the water-filling allocation
-// after events change the flow set or the demands.
-type SolverMode int
+// solverMode selects how the engine re-solves the water-filling allocation
+// after events change the flow set or the demands. Only the package's tests
+// force a mode; every run outside them uses solverAuto.
+type solverMode int
 
 const (
-	// SolverAuto (the default) picks per model: models with at least
+	// solverAuto (the default) picks per model: models with at least
 	// IncrementalMinFlows flows use the incremental dirty-set solver,
 	// smaller ones the monolithic full solve. Keeping small models on the
 	// full solve costs nothing (a full solve at figure scale is
 	// microseconds) and guarantees their output is bitwise identical across
 	// solver modes — the paper figures never depend on the incremental
 	// machinery.
-	SolverAuto SolverMode = iota
-	// SolverFull forces the monolithic solve after every change — the
+	solverAuto solverMode = iota
+	// solverFull forces the monolithic solve after every change — the
 	// differential reference the incremental solver is tested against.
-	SolverFull
-	// SolverIncremental forces the dirty-set solver regardless of model
-	// size (used by the differential tests; agreement with SolverFull is
-	// within 1e-9, not bitwise, once regional re-solves occur).
-	SolverIncremental
+	solverFull
+	// solverIncremental forces the dirty-set solver regardless of model
+	// size (agreement with solverFull is within 1e-9, not bitwise, once
+	// regional re-solves occur).
+	solverIncremental
 )
 
-// String implements fmt.Stringer.
-func (s SolverMode) String() string {
-	switch s {
-	case SolverAuto:
-		return "auto"
-	case SolverFull:
-		return "full"
-	case SolverIncremental:
-		return "incremental"
-	default:
-		return fmt.Sprintf("SolverMode(%d)", int(s))
-	}
-}
-
-// IncrementalMinFlows is the model size at which SolverAuto switches from
+// IncrementalMinFlows is the model size at which solverAuto switches from
 // the monolithic solve to the incremental dirty-set solver.
 const IncrementalMinFlows = 256
 
@@ -121,9 +108,9 @@ type Config struct {
 	// Adapt parameterizes the per-flow controllers (zero → paper
 	// defaults); MinRate is overridden per flow from the model.
 	Adapt adapt.Config
-	// Solver selects the allocation strategy (see SolverMode); the zero
-	// value is SolverAuto.
-	Solver SolverMode
+	// solver forces an allocation strategy in the package's tests; the
+	// zero value is solverAuto.
+	solver solverMode
 	// Schedules holds one activity schedule per model flow (nil entries
 	// and a nil slice mean always active).
 	Schedules []workload.Schedule
@@ -322,9 +309,6 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Control != ControlMarker && cfg.Control != ControlLoss {
 		return nil, fmt.Errorf("flowsim: unknown control %d", int(cfg.Control))
 	}
-	if cfg.Solver != SolverAuto && cfg.Solver != SolverFull && cfg.Solver != SolverIncremental {
-		return nil, fmt.Errorf("flowsim: unknown solver mode %d", int(cfg.Solver))
-	}
 	if cfg.Epoch <= 0 {
 		cfg.Epoch = 100 * time.Millisecond
 	}
@@ -394,8 +378,8 @@ func newEngine(cfg Config) (*engine, error) {
 		e.touched = make([]int32, 0, nLinks)
 		e.linkSeen = make([]bool, nLinks)
 	}
-	e.incremental = cfg.Solver == SolverIncremental ||
-		(cfg.Solver == SolverAuto && n >= IncrementalMinFlows)
+	e.incremental = cfg.solver == solverIncremental ||
+		(cfg.solver == solverAuto && n >= IncrementalMinFlows)
 	if e.incremental {
 		e.alloc.enableIncremental()
 		e.rates = make([]float64, n)

@@ -13,7 +13,7 @@ import (
 
 // churnChainConfig builds a congested chain with staggered arrivals and
 // departures, returning a Config ready to run under the given solver mode.
-func churnChainConfig(t *testing.T, solver SolverMode, ctl Control) Config {
+func churnChainConfig(t *testing.T, solver solverMode, ctl Control) Config {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	m := NewModel()
@@ -52,7 +52,7 @@ func churnChainConfig(t *testing.T, solver SolverMode, ctl Control) Config {
 		Model:     m,
 		Horizon:   30 * time.Second,
 		Control:   ctl,
-		Solver:    solver,
+		solver:    solver,
 		Schedules: scheds,
 	}
 }
@@ -64,11 +64,11 @@ func churnChainConfig(t *testing.T, solver SolverMode, ctl Control) Config {
 // trajectory is solver-independent and must match bitwise; the achieved-rate
 // series inherit only the per-solve agreement bound.
 func TestSolverIncrementalMatchesFullEngine(t *testing.T) {
-	full, err := Run(churnChainConfig(t, SolverFull, ControlMarker))
+	full, err := Run(churnChainConfig(t, solverFull, ControlMarker))
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr, err := Run(churnChainConfig(t, SolverIncremental, ControlMarker))
+	incr, err := Run(churnChainConfig(t, solverIncremental, ControlMarker))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +93,21 @@ func TestSolverIncrementalMatchesFullEngine(t *testing.T) {
 }
 
 // TestSolverAutoIsFullAtSmallScale pins the figure-safety property: below
-// IncrementalMinFlows, SolverAuto takes the monolithic path, so every
+// IncrementalMinFlows, solverAuto takes the monolithic path, so every
 // small-model run — in particular all paper figures — is byte-identical
 // whether or not the incremental machinery exists.
 func TestSolverAutoIsFullAtSmallScale(t *testing.T) {
 	for _, ctl := range []Control{ControlMarker, ControlLoss} {
-		auto, err := Run(churnChainConfig(t, SolverAuto, ctl))
+		auto, err := Run(churnChainConfig(t, solverAuto, ctl))
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Run(churnChainConfig(t, SolverFull, ctl))
+		full, err := Run(churnChainConfig(t, solverFull, ctl))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(auto, full) {
-			t.Fatalf("%v: SolverAuto output differs from SolverFull on a small model", ctl)
+			t.Fatalf("%v: solverAuto output differs from solverFull on a small model", ctl)
 		}
 	}
 }
@@ -117,7 +117,7 @@ func TestSolverAutoIsFullAtSmallScale(t *testing.T) {
 // or a late fallback, every committed region is one incremental solve, and
 // the churny chain exercises skips, folds and regional solves.
 func TestSolverTierCounters(t *testing.T) {
-	cfg := churnChainConfig(t, SolverIncremental, ControlMarker)
+	cfg := churnChainConfig(t, solverIncremental, ControlMarker)
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
 	if _, err := Run(cfg); err != nil {

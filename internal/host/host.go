@@ -119,7 +119,11 @@ type Sender struct {
 	rttvar time.Duration
 	hasRTT bool
 	rto    time.Duration
-	rtoEv  *sim.Event
+	// rtoHid is the registered retransmission-timer handler. Re-arming
+	// withdraws the pending timer the way workload.Pacer withdraws a
+	// release: bumping rtoGen turns the queued entry into a no-op.
+	rtoHid sim.HandlerID
+	rtoGen uint32
 	// Single timed segment for RTT sampling (Karn's rule: retransmitted
 	// segments are never sampled; a timeout cancels the measurement).
 	timedSeq int64
@@ -155,7 +159,7 @@ func NewSender(sched *sim.Scheduler, cfg SenderConfig) (*Sender, error) {
 	if cfg.Dst == "" {
 		return nil, fmt.Errorf("host: sender needs a destination")
 	}
-	return &Sender{
+	s := &Sender{
 		sched:    sched,
 		cfg:      cfg.TCP.withDefaults(),
 		flow:     cfg.Flow,
@@ -163,7 +167,9 @@ func NewSender(sched *sim.Scheduler, cfg SenderConfig) (*Sender, error) {
 		transmit: cfg.Transmit,
 		pool:     cfg.Pool,
 		timedSeq: -1,
-	}, nil
+	}
+	s.rtoHid = sched.RegisterHandler(s.onRTO)
+	return s, nil
 }
 
 // Stats returns a copy of the sender counters.
@@ -192,10 +198,7 @@ func (s *Sender) Start() {
 // Stop halts transmission.
 func (s *Sender) Stop() {
 	s.active = false
-	if s.rtoEv != nil {
-		s.rtoEv.Cancel()
-		s.rtoEv = nil
-	}
+	s.rtoGen++
 }
 
 // fill transmits segments while the window allows. After a timeout,
@@ -332,15 +335,14 @@ func (s *Sender) clampRTO(d time.Duration) time.Duration {
 }
 
 func (s *Sender) armRTO() {
-	if s.rtoEv != nil {
-		s.rtoEv.Cancel()
-	}
-	s.rtoEv = s.sched.MustAfter(s.rto, s.onRTO)
+	s.rtoGen++
+	s.sched.PostHandler(s.rto, s.rtoHid, s.rtoGen)
 }
 
-func (s *Sender) onRTO() {
-	s.rtoEv = nil
-	if !s.active {
+// onRTO is the registered timer handler; gen is the generation the timer
+// was armed with.
+func (s *Sender) onRTO(gen uint32) {
+	if gen != s.rtoGen || !s.active {
 		return
 	}
 	if s.maxSent == s.sndUna {

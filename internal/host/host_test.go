@@ -11,18 +11,32 @@ import (
 )
 
 // loopback wires a sender to a receiver with a fixed one-way delay and an
-// optional drop predicate, without a network.
+// optional drop predicate, without a network. The delay is fixed, so each
+// direction is a FIFO of packets in flight behind one registered handler.
 type loopback struct {
 	sched *sim.Scheduler
 	s     *Sender
 	r     *Receiver
 	delay time.Duration
 	drop  func(seq int64, kind packet.Kind) bool
+
+	data, acks      []*packet.Packet
+	dataHid, ackHid sim.HandlerID
 }
 
 func newLoopback(t *testing.T, sched *sim.Scheduler, delay time.Duration, cfg TCPConfig) *loopback {
 	t.Helper()
 	lb := &loopback{sched: sched, delay: delay}
+	lb.dataHid = sched.RegisterHandler(func(uint32) {
+		p := lb.data[0]
+		lb.data = lb.data[1:]
+		lb.r.Deliver(p)
+	})
+	lb.ackHid = sched.RegisterHandler(func(uint32) {
+		ack := lb.acks[0]
+		lb.acks = lb.acks[1:]
+		lb.s.OnAck(ack.Seq)
+	})
 	s, err := NewSender(sched, SenderConfig{
 		Flow: packet.FlowID{Edge: "S", Local: 0},
 		Dst:  "R",
@@ -31,7 +45,8 @@ func newLoopback(t *testing.T, sched *sim.Scheduler, delay time.Duration, cfg TC
 			if lb.drop != nil && lb.drop(p.Seq, p.Kind) {
 				return false
 			}
-			sched.MustAfter(lb.delay, func() { lb.r.Deliver(p) })
+			lb.data = append(lb.data, p)
+			sched.PostHandler(lb.delay, lb.dataHid, 0)
 			return true
 		},
 	})
@@ -43,7 +58,8 @@ func newLoopback(t *testing.T, sched *sim.Scheduler, delay time.Duration, cfg TC
 		if lb.drop != nil && lb.drop(ack.Seq, ack.Kind) {
 			return
 		}
-		sched.MustAfter(lb.delay, func() { lb.s.OnAck(ack.Seq) })
+		lb.acks = append(lb.acks, ack)
+		sched.PostHandler(lb.delay, lb.ackHid, 0)
 	})
 	return lb
 }
@@ -132,7 +148,7 @@ func TestTimeoutRecovery(t *testing.T) {
 	blackout := true
 	lb.drop = func(seq int64, kind packet.Kind) bool { return blackout }
 	lb.s.Start()
-	s.MustAt(2*time.Second, func() { blackout = false })
+	s.PostHandlerAt(2*time.Second, s.RegisterHandler(func(uint32) { blackout = false }), 0)
 	if err := s.Run(6 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

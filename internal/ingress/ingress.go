@@ -22,30 +22,48 @@ import (
 	"repro/internal/workload"
 )
 
-// Ticker runs a node's periodic epoch process on one re-armed scheduler
-// handle: the first tick after the node's phase offset (see
+// Ticker runs a node's periodic epoch process on one registered handler
+// that re-arms itself: the first tick after the node's phase offset (see
 // workload.EpochPhase), then one per epoch, each counted as control work.
+// Stop withdraws the pending tick the way workload.Pacer withdraws a
+// release: it bumps the generation, and the stale entry fires as a no-op.
 type Ticker struct {
-	ev *sim.Event
+	sched   *sim.Scheduler
+	hid     sim.HandlerID
+	gen     uint32
+	running bool
+	epoch   time.Duration
+	tick    func()
 }
 
 // Start arms the ticker; it is a no-op while the ticker runs.
 func (t *Ticker) Start(sched *sim.Scheduler, node string, offset, epoch time.Duration, tick func()) {
-	if t.ev != nil {
+	if t.running {
 		return
 	}
-	t.ev = sched.MustAfter(workload.EpochPhase(offset, epoch, node), func() {
-		sched.MarkHandler(sim.KindControl)
-		tick()
-		sched.RescheduleAfter(epoch)
-	})
+	if t.sched == nil {
+		t.sched, t.hid = sched, sched.RegisterHandler(t.fire)
+	}
+	t.running, t.epoch, t.tick = true, epoch, tick
+	sched.PostHandler(workload.EpochPhase(offset, epoch, node), t.hid, t.gen)
 }
 
-// Stop cancels the ticker.
+// fire is the registered tick handler; gen is the generation it was posted
+// with.
+func (t *Ticker) fire(gen uint32) {
+	t.sched.MarkHandler(sim.KindControl)
+	if gen != t.gen {
+		return // stopped after posting
+	}
+	t.tick()
+	t.sched.RescheduleAfter(t.epoch)
+}
+
+// Stop withdraws the pending tick: no tick runs after it returns.
 func (t *Ticker) Stop() {
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
+	if t.running {
+		t.running = false
+		t.gen++
 	}
 }
 

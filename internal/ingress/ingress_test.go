@@ -110,11 +110,22 @@ func TestEdgeFlowLifecycle(t *testing.T) {
 	if f.Ctrl.Rate() != rate {
 		t.Errorf("stopped flow adapted: %v -> %v", rate, f.Ctrl.Rate())
 	}
-	pending := s.Len()
+	// No tick runs after Stop: a restarted flow keeps its rate, where every
+	// tick would halve it.
 	e.Stop()
 	e.Stop()
-	if s.Len() != pending-1 {
-		t.Errorf("Stop left %d of %d events pending, want the ticker cancelled", s.Len(), pending)
+	if err := e.StartFlow(0); err != nil {
+		t.Fatal(err)
+	}
+	rate = f.Pacer.Rate()
+	if err := s.Run(s.Now() + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if f.Pacer.Rate() != rate {
+		t.Errorf("a tick ran after Stop: pacer rate %v -> %v", rate, f.Pacer.Rate())
+	}
+	if err := e.StopFlow(0); err != nil {
+		t.Fatal(err)
 	}
 	// The rate and phase gauges exist, and the phase changes were emitted.
 	var gauges []string

@@ -233,7 +233,7 @@ func (c *Checker) Start(sched *sim.Scheduler, horizon time.Duration) {
 		return
 	}
 	every := c.cfg.Every
-	sched.MustAfter(every, func() {
+	hid := sched.RegisterHandler(func(uint32) {
 		sched.MarkHandler(sim.KindMeasure)
 		now := sched.Now()
 		c.Sweep(now)
@@ -241,6 +241,7 @@ func (c *Checker) Start(sched *sim.Scheduler, horizon time.Duration) {
 			sched.RescheduleAfter(every)
 		}
 	})
+	sched.PostHandler(every, hid, 0)
 }
 
 // Report records an externally detected violation, honoring the retention

@@ -79,7 +79,7 @@ func TestSweepCleanNetwork(t *testing.T) {
 	src := net.Node("A")
 	for i := 0; i < 20; i++ {
 		i := i
-		sched.MustAt(time.Duration(i)*10*time.Millisecond, func() {
+		postAt(sched, time.Duration(i)*10*time.Millisecond, func() {
 			src.Inject(packet.New(packet.FlowID{Edge: "A", Local: 0}, "B", int64(i), 0))
 		})
 	}
@@ -106,13 +106,13 @@ func TestSweepCatchesMidFlight(t *testing.T) {
 	c := New(Config{Every: -1})
 	c.Attach(net)
 	src := net.Node("A")
-	sched.MustAt(0, func() {
+	postAt(sched, 0, func() {
 		for i := 0; i < 5; i++ {
 			src.Inject(packet.New(packet.FlowID{Edge: "A", Local: 0}, "B", int64(i), 0))
 		}
 	})
 	// 1000B at 8000 bps = 1s service each; stop mid-transfer.
-	sched.MustAt(1500*time.Millisecond, func() { c.Sweep(sched.Now()) })
+	postAt(sched, 1500*time.Millisecond, func() { c.Sweep(sched.Now()) })
 	if err := sched.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -180,4 +180,9 @@ func TestRuleStrings(t *testing.T) {
 	if got := Rule(99).String(); got != "rule(99)" {
 		t.Errorf("unknown rule String() = %q", got)
 	}
+}
+
+// postAt runs fn at time t on s, through a handler registered for it.
+func postAt(s *sim.Scheduler, t time.Duration, fn func()) {
+	s.PostHandlerAt(t, s.RegisterHandler(func(uint32) { fn() }), 0)
 }

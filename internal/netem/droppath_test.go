@@ -36,7 +36,7 @@ func TestDropsWhileLinkBusyConservation(t *testing.T) {
 	}
 	// t=0.5s, mid-service with the queue full: both drop, and the
 	// conservation identity must balance with two packets in flight.
-	s.MustAt(500*time.Millisecond, func() {
+	postAt(s, 500*time.Millisecond, func() {
 		inject(4)
 		inject(5)
 		if !l.Busy() {
@@ -50,7 +50,7 @@ func TestDropsWhileLinkBusyConservation(t *testing.T) {
 	})
 	// t=2.5s: both survivors transmitted, queue empty — a late packet must
 	// be accepted, not dropped.
-	s.MustAt(2500*time.Millisecond, func() {
+	postAt(s, 2500*time.Millisecond, func() {
 		if l.Busy() || l.Queue().Len() != 0 {
 			t.Errorf("link not drained at 2.5s: busy=%v queue=%d", l.Busy(), l.Queue().Len())
 		}

@@ -36,10 +36,10 @@ func TestFREDProtectsFragileFlow(t *testing.T) {
 			seq++
 			n.Node("R").Inject(p)
 			if s.Now() < until {
-				s.MustAfter(gap, fire)
+				s.RescheduleAfter(gap)
 			}
 		}
-		s.MustAt(0, fire)
+		postAt(s, 0, fire)
 	}
 	// Link capacity 500 pkt/s; hog sends 900, fragile 50.
 	emit("hog", 900, 10*time.Second)
@@ -101,10 +101,10 @@ func TestFREDFairerThanRED(t *testing.T) {
 				n.Node("R").Inject(packet.New(fredFlowID(edge), "D", seq, s.Now()))
 				seq++
 				if s.Now() < 20*time.Second {
-					s.MustAfter(gap, fire)
+					s.RescheduleAfter(gap)
 				}
 			}
-			s.MustAt(0, fire)
+			postAt(s, 0, fire)
 		}
 		emit("heavy", 750)
 		emit("light", 150)

@@ -63,7 +63,7 @@ func runPipelineScenario(t *testing.T, seed int64) ([]string, map[sim.HandlerKin
 		}
 		size := 1 + rng.Intn(20)
 		flow := packet.FlowID{Edge: src, Local: 1}
-		s.MustAt(time.Duration(rng.Intn(400_000))*time.Microsecond, func() {
+		postAt(s, time.Duration(rng.Intn(400_000))*time.Microsecond, func() {
 			for i := 0; i < size; i++ {
 				n.Node(src).Inject(n.PacketPool().Get(flow, dst, seq, s.Now()))
 				seq++

@@ -144,10 +144,10 @@ func TestWFQMatchesOracleOnLink(t *testing.T) {
 			n.Node("R").Inject(packet.New(wfqFlowID(edge), "D", seq, s.Now()))
 			seq++
 			if s.Now() < 20*time.Second {
-				s.MustAfter(gap, fire)
+				s.RescheduleAfter(gap)
 			}
 		}
-		s.MustAt(0, fire)
+		postAt(s, 0, fire)
 	}
 	// Both offer 400 pkt/s into a 500 pkt/s link: oracle shares 100/400.
 	emit("lo", 400)
@@ -163,4 +163,9 @@ func TestWFQMatchesOracleOnLink(t *testing.T) {
 	if hiRate < 360 || hiRate > 410 {
 		t.Errorf("weight-4 goodput = %.0f, want ~400 (its full offered load)", hiRate)
 	}
+}
+
+// postAt runs fn at time t on s, through a handler registered for it.
+func postAt(s *sim.Scheduler, t time.Duration, fn func()) {
+	s.PostHandlerAt(t, s.RegisterHandler(func(uint32) { fn() }), 0)
 }

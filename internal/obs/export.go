@@ -70,43 +70,6 @@ func (r *Registry) WriteEventsJSONL(w io.Writer) error {
 	return nil
 }
 
-// WriteEventsCSV renders the control events in the repository's tabular
-// layout (a time_s first column, like the figure CSVs).
-func (r *Registry) WriteEventsCSV(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	if _, err := io.WriteString(w, "time_s,kind,node,link,flow,qavg,fn,old,new,detail\n"); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 160)
-	for _, e := range r.events {
-		buf = buf[:0]
-		buf = strconv.AppendFloat(buf, e.At.Seconds(), 'f', 6, 64)
-		buf = append(buf, ',')
-		buf = append(buf, e.Kind.String()...)
-		buf = append(buf, ',')
-		buf = append(buf, e.Node...)
-		buf = append(buf, ',')
-		buf = append(buf, e.Link...)
-		buf = append(buf, ',')
-		buf = append(buf, e.Flow...)
-		for _, v := range [4]float64{e.QAvg, e.Fn, e.Old, e.New} {
-			buf = append(buf, ',')
-			if v != 0 {
-				buf = appendFloat(buf, v)
-			}
-		}
-		buf = append(buf, ',')
-		buf = append(buf, e.Detail...)
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteSeriesCSV renders the sampled gauge time series as
 // "time_s,<gauge>,<gauge>,..." rows at the sampler's granularity, matching
 // the figure CSVs' layout. Instants at which a gauge did not yet exist

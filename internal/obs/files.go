@@ -11,11 +11,9 @@ import (
 // every file name (use "fig5." to get "fig5.events.jsonl" and so on):
 //
 //	<prefix>events.jsonl   control events, one JSON object per line
-//	<prefix>events.csv     the same events as CSV
 //	<prefix>series.csv     sampled gauge time series, one column per gauge
 //	<prefix>counters.csv   final counter values
 //	<prefix>hist.jsonl     histograms: stats, quantiles and buckets per line
-//	<prefix>hist.csv       histogram summary rows (count/sum/min/max/p50...)
 //	<prefix>perf.csv       engine self-profile (events and wall time per
 //	                       handler kind; empty unless a profiler ran)
 //	<prefix>trace.json     Chrome trace_event timeline (chrome://tracing,
@@ -35,11 +33,9 @@ func (r *Registry) WriteDir(dir, prefix string) ([]string, error) {
 		write func(io.Writer) error
 	}{
 		{"events.jsonl", r.WriteEventsJSONL},
-		{"events.csv", r.WriteEventsCSV},
 		{"series.csv", r.WriteSeriesCSV},
 		{"counters.csv", r.WriteCounters},
 		{"hist.jsonl", r.WriteHistogramsJSONL},
-		{"hist.csv", r.WriteHistogramsCSV},
 		{"perf.csv", r.WritePerfCSV},
 		{"trace.json", r.WriteChromeTrace},
 	}

@@ -13,8 +13,8 @@ func TestWriteDirBundle(t *testing.T) {
 		t.Fatalf("WriteDir: %v", err)
 	}
 	want := []string{
-		"fig5.events.jsonl", "fig5.events.csv", "fig5.series.csv", "fig5.counters.csv",
-		"fig5.hist.jsonl", "fig5.hist.csv", "fig5.perf.csv", "fig5.trace.json",
+		"fig5.events.jsonl", "fig5.series.csv", "fig5.counters.csv",
+		"fig5.hist.jsonl", "fig5.perf.csv", "fig5.trace.json",
 	}
 	if len(paths) != len(want) {
 		t.Fatalf("WriteDir wrote %d files, want %d: %v", len(paths), len(want), paths)

@@ -152,9 +152,8 @@ func TestRegistryHistogram(t *testing.T) {
 	}
 }
 
-// TestWriteHistogramsExports pins the export formats byte-for-byte on a
-// small fixed histogram — the same determinism contract the events exports
-// have.
+// TestWriteHistogramsExports pins the JSONL export byte-for-byte on a small
+// fixed histogram — the same determinism contract the events export has.
 func TestWriteHistogramsExports(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("solve/water-fill", "s")
@@ -168,15 +167,6 @@ func TestWriteHistogramsExports(t *testing.T) {
 	wantJSONL := `{"name":"solve/water-fill","unit":"s","count":2,"sum":1,"min":0.5,"max":0.5,"p50":0.5,"p90":0.5,"p99":0.5,"buckets":[[0.5,0.53125,2]]}` + "\n"
 	if jsonl.String() != wantJSONL {
 		t.Errorf("JSONL:\n got %q\nwant %q", jsonl.String(), wantJSONL)
-	}
-
-	var csv strings.Builder
-	if err := r.WriteHistogramsCSV(&csv); err != nil {
-		t.Fatalf("WriteHistogramsCSV: %v", err)
-	}
-	wantCSV := "histogram,unit,count,sum,min,max,p50,p90,p99\nsolve/water-fill,s,2,1,0.5,0.5,0.5,0.5,0.5\n"
-	if csv.String() != wantCSV {
-		t.Errorf("CSV:\n got %q\nwant %q", csv.String(), wantCSV)
 	}
 }
 

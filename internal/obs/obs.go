@@ -351,7 +351,7 @@ func (r *Registry) StartSampler(sched *sim.Scheduler, every, horizon time.Durati
 	if r == nil || sched == nil || every <= 0 {
 		return
 	}
-	sched.MustAfter(every, func() {
+	hid := sched.RegisterHandler(func(uint32) {
 		sched.MarkHandler(sim.KindMeasure)
 		now := sched.Now()
 		r.Sample(now)
@@ -359,6 +359,7 @@ func (r *Registry) StartSampler(sched *sim.Scheduler, every, horizon time.Durati
 			sched.RescheduleAfter(every)
 		}
 	})
+	sched.PostHandler(every, hid, 0)
 }
 
 // SampleTimes returns the sampling instants.

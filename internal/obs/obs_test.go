@@ -43,7 +43,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var buf strings.Builder
 	for _, fn := range []func() error{
 		func() error { return r.WriteEventsJSONL(&buf) },
-		func() error { return r.WriteEventsCSV(&buf) },
 		func() error { return r.WriteSeriesCSV(&buf) },
 		func() error { return r.WriteCounters(&buf) },
 		func() error { return r.WriteChromeTrace(&buf) },
@@ -97,7 +96,7 @@ func TestSamplerScheduleAndLateGauge(t *testing.T) {
 	r.StartSampler(sched, 100*time.Millisecond, 500*time.Millisecond)
 	// Model event raising the gauge between samples; also registers a late
 	// gauge whose earlier samples must backfill as NaN.
-	sched.MustAt(250*time.Millisecond, func() {
+	postAt(sched, 250*time.Millisecond, func() {
 		q = 9
 		r.GaugeFunc("fn/l", func() float64 { return 2.5 })
 	})
@@ -209,24 +208,6 @@ func TestWriteEventsJSONL(t *testing.T) {
 	}
 }
 
-func TestWriteEventsCSV(t *testing.T) {
-	var buf strings.Builder
-	if err := testRegistry().WriteEventsCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if lines[0] != "time_s,kind,node,link,flow,qavg,fn,old,new,detail" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 7 {
-		t.Fatalf("got %d lines, want 7", len(lines))
-	}
-	want := "0.150000,phase-change,E1,,E1/0,,,64,32,slow-start->linear"
-	if lines[3] != want {
-		t.Fatalf("row:\n got %s\nwant %s", lines[3], want)
-	}
-}
-
 func TestWriteSeriesCSV(t *testing.T) {
 	var buf strings.Builder
 	if err := testRegistry().WriteSeriesCSV(&buf); err != nil {
@@ -258,4 +239,9 @@ func TestWriteCounters(t *testing.T) {
 	if buf.String() != want {
 		t.Fatalf("counters CSV:\n got %q\nwant %q", buf.String(), want)
 	}
+}
+
+// postAt runs fn at time t on s, through a handler registered for it.
+func postAt(s *sim.Scheduler, t time.Duration, fn func()) {
+	s.PostHandlerAt(t, s.RegisterHandler(func(uint32) { fn() }), 0)
 }

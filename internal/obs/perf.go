@@ -112,32 +112,3 @@ func (r *Registry) WriteHistogramsJSONL(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteHistogramsCSV renders one summary row per histogram:
-// "histogram,unit,count,sum,min,max,p50,p90,p99".
-func (r *Registry) WriteHistogramsCSV(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	if _, err := io.WriteString(w, "histogram,unit,count,sum,min,max,p50,p90,p99\n"); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 160)
-	for _, h := range r.hists {
-		buf = buf[:0]
-		buf = append(buf, h.name...)
-		buf = append(buf, ',')
-		buf = append(buf, h.unit...)
-		buf = append(buf, ',')
-		buf = strconv.AppendUint(buf, h.count, 10)
-		for _, v := range [...]float64{h.Sum(), h.Min(), h.Max(), h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99)} {
-			buf = append(buf, ',')
-			buf = appendFloat(buf, v)
-		}
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -47,18 +47,24 @@ func BenchmarkSchedulerFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkCancelHeavy measures lazy cancellation: each op schedules a batch
-// of handles, cancels every other one, and drains — paying for surfacing and
-// discarding the stale entries along with firing the rest.
+// BenchmarkCancelHeavy measures withdrawn events: each op posts a batch,
+// withdraws every other one by bumping its generation, and drains — the
+// stale entries fire as no-ops along with the rest.
 func BenchmarkCancelHeavy(b *testing.B) {
 	s := NewScheduler()
-	fn := func() {}
+	gens := make([]uint32, benchBatch)
+	live := 0
+	hid := s.RegisterHandler(func(arg uint32) {
+		if gens[arg%benchBatch] == arg/benchBatch {
+			live++
+		}
+	})
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
 		for i := 0; i < benchBatch; i++ {
-			e := s.MustAfter(time.Duration(i)*time.Microsecond, fn)
+			s.PostHandler(time.Duration(i)*time.Microsecond, hid, gens[i]*benchBatch+uint32(i))
 			if i%2 == 0 {
-				e.Cancel()
+				gens[i]++
 			}
 		}
 		if err := s.RunAll(); err != nil {
@@ -68,13 +74,14 @@ func BenchmarkCancelHeavy(b *testing.B) {
 	b.ReportMetric(float64(b.N)*benchBatch/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
-// BenchmarkTickerRearm measures the periodic-handle shape of the router and
-// edge epochs and the samplers: 64 tickers, each firing and re-arming its
-// own Event every 100 ms.
+// BenchmarkTickerRearm measures the periodic-handler shape of the router
+// and edge epochs and the samplers: 64 tickers, each firing and re-arming
+// its own entry every 100 ms.
 func BenchmarkTickerRearm(b *testing.B) {
 	s := NewScheduler()
+	hid := s.RegisterHandler(func(uint32) { s.RescheduleAfter(100 * time.Millisecond) })
 	for i := 0; i < 64; i++ {
-		s.MustAfter(time.Duration(i)*time.Millisecond, func() { s.RescheduleAfter(100 * time.Millisecond) })
+		s.PostHandler(time.Duration(i)*time.Millisecond, hid, uint32(i))
 	}
 	stepBatches(b, s)
 }

@@ -14,9 +14,10 @@ func runAt(t *testing.T, times []Time) {
 	t.Helper()
 	for _, g := range diffGeometries {
 		s := g.build()
+		c := newClosures(s)
 		var fired []Time
 		for _, at := range times {
-			s.MustAt(at, func() { fired = append(fired, s.Now()) })
+			c.at(at, func() { fired = append(fired, s.Now()) })
 		}
 		if err := s.RunAll(); err != nil {
 			t.Fatalf("%s: RunAll: %v", g.name, err)
@@ -72,7 +73,7 @@ func TestNewSchedulerIdleIsCheap(t *testing.T) {
 		t.Fatalf("NewScheduler allocates %.0f objects, want 1", allocs)
 	}
 	s := NewScheduler()
-	s.MustAt(time.Hour, func() {})
+	newClosures(s).at(time.Hour, func() {})
 	if s.q.buckets != nil {
 		t.Fatal("wheel built before the first event was due")
 	}

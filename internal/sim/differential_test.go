@@ -9,10 +9,11 @@ import (
 
 // refScheduler is a deliberately naive reference implementation of the
 // event-queue contract the scheduler must preserve: a sorted list ordered by
-// (time, scheduling sequence), with cancelled events skipped lazily at pop
-// time — the semantics of the original container/heap scheduler. A re-arm is
-// an eager insert at the instant the real scheduler draws the re-arm
-// sequence, under the same handle. The differential tests below run the same
+// (time, scheduling sequence) — the semantics of the original container/heap
+// scheduler. A withdrawn event stays in the list and fires as a no-op, as a
+// superseded generation does in model code. A re-arm is an eager insert at
+// the instant the real scheduler draws the re-arm sequence, under the same
+// handle. The differential tests below run the same
 // op programs through both engines and require identical firing sequences,
 // so any queue bug that perturbs the total order (and would silently change
 // every figure) is caught directly.
@@ -22,6 +23,7 @@ type refScheduler struct {
 	events  []*refEvent
 	cur     *refEvent // executing event, for rearm
 	stepped uint64
+	stale   uint64           // withdrawn events that fired as no-ops
 	fire    func(tag uint32) // registered-handler callback
 }
 
@@ -32,7 +34,7 @@ type refEvent struct {
 	h   *refHandle
 }
 
-// refHandle is the reference's cancellable handle: it follows its event
+// refHandle is the reference's withdrawable handle: it follows its event
 // across re-arms.
 type refHandle struct{ canceled bool }
 
@@ -58,24 +60,9 @@ func (r *refScheduler) at(t time.Duration, fn func()) *refHandle {
 	return h
 }
 
-// skipCanceled drops cancelled events off the front of the list.
-func (r *refScheduler) skipCanceled() {
-	for len(r.events) > 0 && r.events[0].h.canceled {
-		r.events = r.events[1:]
-	}
-}
-
 func (r *refScheduler) now() time.Duration { return r.clock }
 
-func (r *refScheduler) pending() int {
-	n := 0
-	for _, e := range r.events {
-		if !e.h.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (r *refScheduler) pending() int { return len(r.events) }
 
 func (r *refScheduler) handle(t time.Duration, fn func()) func() { return r.at(t, fn).cancel }
 
@@ -88,7 +75,6 @@ func (r *refScheduler) onPost(fire func(tag uint32)) { r.fire = fire }
 func (r *refScheduler) rearm(d time.Duration) { r.insert(r.clock+d, r.cur.fn, r.cur.h) }
 
 func (r *refScheduler) step() bool {
-	r.skipCanceled()
 	if len(r.events) == 0 {
 		return false
 	}
@@ -96,6 +82,10 @@ func (r *refScheduler) step() bool {
 	r.events = r.events[1:]
 	r.clock = e.at
 	r.stepped++
+	if e.h.canceled {
+		r.stale++
+		return true
+	}
 	r.cur = e
 	e.fn()
 	r.cur = nil
@@ -104,7 +94,6 @@ func (r *refScheduler) step() bool {
 
 func (r *refScheduler) run(horizon time.Duration) {
 	for {
-		r.skipCanceled()
 		if len(r.events) == 0 || r.events[0].at > horizon {
 			break
 		}
@@ -126,7 +115,8 @@ func (r *refScheduler) runAll() {
 type engine interface {
 	now() time.Duration
 	pending() int
-	// handle schedules a cancellable callback and returns its cancel.
+	// handle schedules a callback and returns its cancel, which withdraws
+	// it: the event still fires, as a no-op.
 	handle(at time.Duration, fn func()) (cancel func())
 	// post schedules the registered handler with tag; onPost sets what it runs.
 	post(at time.Duration, tag uint32)
@@ -138,30 +128,73 @@ type engine interface {
 	runAll()
 }
 
-// simEngine adapts a Scheduler to engine.
+// simEngine adapts a Scheduler to engine. Handles are slots in a table
+// served by one registered handler, withdrawn the way model code withdraws
+// a posted event: the slot's generation moves on, and the queued entry
+// fires as a no-op. A slot is recycled once its event fired without
+// re-arming.
 type simEngine struct {
-	s    *Scheduler
-	hid  HandlerID
-	fire func(tag uint32)
+	s       *Scheduler
+	hid     HandlerID
+	slotHid HandlerID
+	fire    func(tag uint32)
+	slots   []engineSlot
+	free    []uint32
+	rearmed bool
+}
+
+type engineSlot struct {
+	fn  func() // nil once withdrawn
+	gen uint32
 }
 
 func newSimEngine(s *Scheduler) *simEngine {
 	e := &simEngine{s: s}
 	e.hid = s.RegisterHandler(func(tag uint32) { e.fire(tag) })
+	e.slotHid = s.RegisterHandler(e.runSlot)
 	return e
+}
+
+func (e *simEngine) runSlot(i uint32) {
+	e.rearmed = false
+	if fn := e.slots[i].fn; fn != nil {
+		fn()
+	}
+	if !e.rearmed {
+		e.slots[i].fn = nil
+		e.slots[i].gen++
+		e.free = append(e.free, i)
+	}
 }
 
 func (e *simEngine) now() time.Duration { return e.s.Now() }
 func (e *simEngine) pending() int       { return e.s.Len() }
 func (e *simEngine) handle(at time.Duration, fn func()) func() {
-	return e.s.MustAt(at, fn).Cancel
+	var i uint32
+	if k := len(e.free); k > 0 {
+		i, e.free = e.free[k-1], e.free[:k-1]
+	} else {
+		i = uint32(len(e.slots))
+		e.slots = append(e.slots, engineSlot{})
+	}
+	e.slots[i].fn = fn
+	gen := e.slots[i].gen
+	e.s.PostHandlerAt(at, e.slotHid, i)
+	return func() {
+		if e.slots[i].gen == gen {
+			e.slots[i].fn = nil
+		}
+	}
 }
 func (e *simEngine) post(at time.Duration, tag uint32) { e.s.PostHandlerAt(at, e.hid, tag) }
 func (e *simEngine) onPost(fire func(tag uint32))      { e.fire = fire }
-func (e *simEngine) rearm(d time.Duration)             { e.s.RescheduleAfter(d) }
-func (e *simEngine) step() bool                        { return e.s.Step() }
-func (e *simEngine) run(horizon time.Duration)         { _ = e.s.Run(horizon) }
-func (e *simEngine) runAll()                           { _ = e.s.RunAll() }
+func (e *simEngine) rearm(d time.Duration) {
+	e.rearmed = true
+	e.s.RescheduleAfter(d)
+}
+func (e *simEngine) step() bool                { return e.s.Step() }
+func (e *simEngine) run(horizon time.Duration) { _ = e.s.Run(horizon) }
+func (e *simEngine) runAll()                   { _ = e.s.RunAll() }
 
 // firing is one observation of a run: an event firing (ord ≥ 0 is its tag)
 // or, after each op of a program, a checkpoint of the clock and the live
@@ -176,10 +209,10 @@ type firing struct {
 const (
 	opSchedule    = iota // handle at now + arg·scale
 	opTie                // handle at the last scheduled instant (FIFO tie)
-	opCancel             // cancel handle arg of those scheduled so far
+	opCancel             // withdraw handle arg of those scheduled so far
 	opStep               // run one event
 	opTicker             // handle that re-arms itself from inside its callback
-	opCancelRearm        // cancel ticker arg, before or after it re-armed
+	opCancelRearm        // withdraw ticker arg, before or after it re-armed
 	opPost               // registered-handler post; every third one re-arms once
 	opRun                // run to the horizon now + arg·scale
 	numOps
@@ -333,7 +366,7 @@ func densityJumpProgram() []byte {
 
 // resizeProgram crowds one instant with more entries than a bucket may hold
 // before the wheel re-sizes, while tickers re-arm across it, handles are
-// cancelled around it and steps stop part-way through the crowded bucket.
+// withdrawn around it and steps stop part-way through the crowded bucket.
 func resizeProgram() []byte {
 	x := programRand(3)
 	var p []byte
@@ -415,7 +448,7 @@ func diffProgram(t *testing.T, program []byte, scale time.Duration) {
 
 // TestSchedulerDifferential pins the scheduler's total order against the
 // reference: identical programs must produce identical firing sequences,
-// cancel-skips and re-arms included.
+// withdrawn no-ops and re-arms included.
 func TestSchedulerDifferential(t *testing.T) {
 	for _, scale := range diffScales {
 		for pi, program := range opPrograms() {
@@ -427,9 +460,9 @@ func TestSchedulerDifferential(t *testing.T) {
 }
 
 // TestSchedulerDifferentialPost replays the programs with every schedule op
-// turned into a registered-handler post (cancel ops then find nothing to
-// cancel): the pointer-free tier must follow exactly the same (time, seq)
-// total order as handles.
+// turned into a plain registered-handler post (cancel ops then find nothing
+// to withdraw): posts without a slot table must follow exactly the same
+// (time, seq) total order.
 func TestSchedulerDifferentialPost(t *testing.T) {
 	for _, g := range diffGeometries {
 		t.Run(g.name, func(t *testing.T) {
@@ -451,15 +484,15 @@ func TestSchedulerDifferentialPost(t *testing.T) {
 	}
 }
 
-// TestSchedulerDifferentialMixed drives both scheduling tiers at once —
-// cancellable handles, handles that re-arm themselves, registered handlers
-// with in-place re-arms, and a second registered handler posted at a constant
-// delay the way the link pipeline posts propagation arrivals — through
+// TestSchedulerDifferentialMixed drives every posting shape at once —
+// withdrawable callbacks, callbacks that re-arm themselves, registered
+// handlers with in-place re-arms, and a second registered handler posted at a
+// constant delay the way the link pipeline posts propagation arrivals — through
 // deterministic pseudo-random interleavings, in lockstep against the
 // reference list, on both wheel geometries, so any drift in sequence
 // accounting surfaces as a firing-order mismatch. The event-loop profiler
 // rides along at stride 1 and its exact per-kind counts must match the
-// reference's manual tally.
+// reference's manual tally, withdrawn no-ops counted as untagged.
 func TestSchedulerDifferentialMixed(t *testing.T) {
 	for _, g := range diffGeometries {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -515,8 +548,9 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 		got = append(got, rec{s.Now(), arg})
 	})
 
+	e := newSimEngine(s)
 	var (
-		pending    []*Event
+		pending    []func()
 		refPending []*refHandle
 		tag        uint32
 		lastAt     time.Duration
@@ -530,7 +564,7 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 	}
 	for i := 0; i < ops; i++ {
 		switch op := next(16); {
-		case op < 3: // cancellable handle (stays KindOther)
+		case op < 3: // withdrawable callback (stays KindOther)
 			at := s.Now() + time.Duration(next(8_000_000))
 			if op == 2 && lastAt >= s.Now() {
 				at = lastAt // exact tie with the previous schedule
@@ -538,12 +572,12 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 			lastAt = at
 			tg := tag
 			tag++
-			pending = append(pending, s.MustAt(at, func() { got = append(got, rec{at, tg}) }))
+			pending = append(pending, e.handle(at, func() { got = append(got, rec{at, tg}) }))
 			refPending = append(refPending, r.at(at, func() {
 				refCounts[KindOther]++
 				want = append(want, rec{at, tg})
 			}))
-		case op < 6: // periodic handle, far horizons included; re-arms once
+		case op < 6: // periodic callback, far horizons included; re-arms once
 			at := s.Now() + time.Duration(next(300_000_000))
 			lastAt = at
 			tg := tag
@@ -554,12 +588,12 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 			}
 			period := time.Duration(next(400_000_000))
 			fired, refFired := false, false
-			pending = append(pending, s.MustAt(at, func() {
+			pending = append(pending, e.handle(at, func() {
 				s.MarkHandler(mark)
 				got = append(got, rec{s.Now(), tg})
 				if !fired {
 					fired = true
-					s.RescheduleAfter(period)
+					e.rearm(period)
 				}
 			}))
 			refPending = append(refPending, r.at(at, func() {
@@ -586,10 +620,10 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 				refCounts[KindLinkProp]++
 				want = append(want, rec{at, tg})
 			})
-		case op < 13: // cancel the same pending handle on both sides
+		case op < 13: // withdraw the same pending callback on both sides
 			if len(pending) > 0 {
 				idx := int(next(uint64(len(pending))))
-				pending[idx].Cancel()
+				pending[idx]()
 				refPending[idx].cancel()
 			}
 		default: // step both sides
@@ -604,6 +638,7 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 		t.Fatalf("RunAll: %v", err)
 	}
 	r.runAll()
+	refCounts[KindOther] += r.stale
 
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, reference fired %d", len(got), len(want))
@@ -633,7 +668,7 @@ func runMixedDifferential(t *testing.T, s *Scheduler, seed uint64) {
 
 // soakProgram drives e through cycles of the long-horizon shape that broke
 // the calendar in the past: a dense burst of handles and posts (some
-// spawning children, some cancelled), a partial drain, a lone far-future
+// spawning children, some withdrawn), a partial drain, a lone far-future
 // event several rotations out, a late arrival inside the gap the wheel has
 // already fast-forwarded across, and the idle gap itself.
 func soakProgram(e engine, cycles int, seed uint64) []firing {
@@ -718,7 +753,7 @@ func swing(e engine, tag int, next func(uint64) uint64) int {
 }
 
 // TestSchedulerSoak runs the scheduler for 10⁵ simulated seconds (10³ under
-// -short) of alternating bursts, multi-rotation idle gaps and cancels, with
+// -short) of alternating bursts, multi-rotation idle gaps and withdrawals, with
 // a residency swing to 10⁴ and a 100× density jump every 500 cycles,
 // against the sorted-list reference: virtual time must never regress and the
 // firing sequence must be identical.
@@ -733,38 +768,5 @@ func TestSchedulerSoak(t *testing.T) {
 	requireSameFirings(t, got, want)
 	if s.Now() < horizon {
 		t.Fatalf("soak covered %v of virtual time, want at least %v", s.Now(), horizon)
-	}
-}
-
-// TestCancelRemovesEagerly pins that a cancelled event leaves the live count
-// immediately, wherever its entry sits in the queue, so Len() counts live
-// events only (the stale entry itself is discarded when it surfaces).
-func TestCancelRemovesEagerly(t *testing.T) {
-	s := NewScheduler()
-	var evs []*Event
-	for i := 0; i < 100; i++ {
-		evs = append(evs, s.MustAt(time.Duration(i%7)*time.Millisecond, func() {}))
-	}
-	if got := s.Len(); got != 100 {
-		t.Fatalf("Len() = %d, want 100", got)
-	}
-	// Cancel from the middle, the front, and the tail.
-	for _, i := range []int{50, 0, 99, 17, 3} {
-		evs[i].Cancel()
-	}
-	if got := s.Len(); got != 95 {
-		t.Fatalf("Len() after 5 cancels = %d, want 95", got)
-	}
-	// Double cancel stays a no-op.
-	evs[50].Cancel()
-	if got := s.Len(); got != 95 {
-		t.Fatalf("Len() after double cancel = %d, want 95", got)
-	}
-	fired := 0
-	for s.Step() {
-		fired++
-	}
-	if fired != 95 {
-		t.Fatalf("fired %d events, want 95", fired)
 	}
 }

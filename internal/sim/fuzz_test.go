@@ -10,13 +10,14 @@ var fuzzSeeds = [][]byte{
 	{0, 0, 0, 0, 0, 0},
 	{1, 1, 1, 1, 2, 0, 2, 0},
 	{0, 255, 3, 3, 3, 3},
-	// Cancel-heavy: more cancels than schedules, interleaved with steps, so
-	// stale entries surface at the front, mid-bucket and in overflow.
+	// Cancel-heavy: more cancels (withdrawals) than schedules, interleaved
+	// with steps, so stale no-ops surface at the front, mid-bucket and in
+	// overflow.
 	{0, 3, 0, 7, 0, 2, 0, 9, 2, 0, 2, 1, 2, 2, 0, 1, 2, 3, 3, 0, 0, 4, 2, 0, 2, 5, 3, 0, 2, 6, 3, 0, 3, 0},
 	// Same-timestamp burst: a long FIFO tie train with a mid-train step and
 	// a cancel inside the tie group.
 	{0, 5, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 3, 0, 1, 0, 1, 0, 2, 3, 3, 0, 3, 0},
-	// Re-arm from inside a handle: tickers with zero and non-zero periods
+	// Re-arm from inside a callback: tickers with zero and non-zero periods
 	// interleaved with plain handles and steps.
 	{4, 3, 0, 4, 4, 5, 3, 0, 3, 0, 0, 1, 4, 255, 3, 0, 7, 9, 3, 0},
 	// Cancel a re-armed handle: before its first firing, between re-arms,
@@ -28,15 +29,16 @@ var fuzzSeeds = [][]byte{
 }
 
 // FuzzScheduler interprets the fuzz input as a little op program — schedule
-// at an offset, schedule a same-time tie, cancel, step, a handle that
-// re-arms itself, cancel such a handle, a registered-handler post, run to a
-// horizon — and runs it at every diffScales stretch, so its delays cross
+// at an offset, schedule a same-time tie, cancel, step, a callback that
+// re-arms itself, cancel such a callback, a registered-handler post, run to
+// a horizon — and runs it at every diffScales stretch, so its delays cross
 // calendar buckets and rotations, on the scheduler (both wheel geometries)
 // and on the sorted-list reference. The scheduler must observe exactly what
 // the reference observes — the firing sequence with Now() at each firing,
 // and Now()/Len() after every op — with virtual time never running
 // backwards, Processed() counting exactly the events that ran, and an empty
-// queue at the end.
+// queue at the end. A cancel withdraws the event the way model code does:
+// the entry stays queued and fires as a no-op, on both sides.
 func FuzzScheduler(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)

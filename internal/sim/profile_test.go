@@ -30,15 +30,16 @@ func TestNewLoopProfilerStride(t *testing.T) {
 // untagged events land in KindOther.
 func TestProfilerAttribution(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	p := NewLoopProfiler(1)
 	s.SetProfiler(p)
 	for i := 0; i < 5; i++ {
-		s.MustAt(Time(i), func() { s.MarkHandler(KindLinkTx) })
+		c.at(Time(i), func() { s.MarkHandler(KindLinkTx) })
 	}
 	for i := 0; i < 3; i++ {
-		s.MustAt(Time(10+i), func() { s.MarkHandler(KindControl) })
+		c.at(Time(10+i), func() { s.MarkHandler(KindControl) })
 	}
-	s.MustAt(20, func() {}) // untagged
+	c.at(20, func() {}) // untagged
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,12 @@ func TestProfilerAttribution(t *testing.T) {
 // every fourth event is timed, while counting stays exact.
 func TestProfilerStridedSampling(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	p := NewLoopProfiler(4)
 	s.SetProfiler(p)
 	const n = 16
 	for i := 0; i < n; i++ {
-		s.MustAt(Time(i), func() { s.MarkHandler(KindSource) })
+		c.at(Time(i), func() { s.MarkHandler(KindSource) })
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
@@ -130,7 +132,7 @@ func TestProfilerDetached(t *testing.T) {
 	if s.Profiler() != nil {
 		t.Error("fresh scheduler has a profiler")
 	}
-	s.MustAt(0, func() { s.MarkHandler(KindLinkTx) })
+	newClosures(s).at(0, func() { s.MarkHandler(KindLinkTx) })
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@
 // The engine is the substrate on which the packet-level network simulator is
 // built (the role ns-2's scheduler plays in the original Corelite
 // evaluation). It offers a virtual clock, an event queue with stable FIFO
-// ordering for simultaneous events, cancellable timers, and seeded random
-// number streams so that every run is exactly reproducible.
+// ordering for simultaneous events, and seeded random number streams so that
+// every run is exactly reproducible.
 //
 // The engine is single-threaded by design: events execute sequentially in
 // timestamp order, so model code needs no locking and every simulation with
@@ -12,40 +12,40 @@
 //
 // # Memory model
 //
-// A queued event is a 24-byte pointer-free struct — (time, sequence, packed
-// handler id, arg) — stored inline in the queue's backing arrays. Because
-// the entries hold no pointers, the garbage collector never scans the queue
-// and reordering it (the bucket sorts of the calendar, the sift loops of its
+// A queued event is a 24-byte pointer-free struct — (time, sequence, handler
+// id, arg) — stored inline in the queue's backing arrays. Because the
+// entries hold no pointers, the garbage collector never scans the queue and
+// reordering it (the bucket sorts of the calendar, the sift loops of its
 // overflow heap) is pure memory movement with no write barriers; ordering
-// comparisons read the key straight out of the array. What an entry *runs*
-// is resolved through the handler id at dispatch time. Two tiers:
+// comparisons read the key straight out of the array.
 //
-//   - Registered handlers (RegisterHandler + PostHandler/PostHandlerAt): the
-//     handler id indexes a table of func(arg uint32) callbacks registered
-//     once per run; the arg typically indexes a caller-side pool (e.g. the
-//     in-flight timer records of the link pipeline). Scheduling one of these
-//     writes no pointers anywhere — this is the hot-path tier.
-//   - Handles (MustAt/MustAfter): a cancellable, re-armable *Event. Handles
-//     are never recycled (a stale handle after the event fired must stay a
-//     safe no-op), so each call allocates one Event record; the entry's arg
-//     names the scheduler slot holding it.
+// Every event runs a registered handler: RegisterHandler adds a
+// func(arg uint32) callback to a table once per model object, and
+// PostHandler/PostHandlerAt queue (id, arg). The arg typically indexes a
+// caller-side pool (the in-flight timer records of the link pipeline, the
+// pending control messages) or carries a generation. Scheduling writes no
+// pointers anywhere and allocates nothing.
 //
-// A callback of either tier may re-arm its own event with RescheduleAfter:
-// the event fires again later under a sequence number drawn at the call, and
-// a handle stays the same live handle — still cancellable — which is how
-// the periodic tickers (router and edge epochs, samplers) run on one Event
+// A handler may re-arm its own event with RescheduleAfter: the event fires
+// again later with the same arg, under a sequence number drawn at the call,
+// which is how the periodic tickers (router and edge epochs, samplers) run
 // for a whole simulation.
+//
+// There is no cancel. A model that must withdraw a posted event keeps a
+// generation counter, posts the current generation as the arg, and bumps
+// the counter to withdraw; the stale entry still fires, and its handler
+// sees the old generation and returns (workload.Pacer's releases, the TCP
+// retransmission timer, the epoch tickers). The no-op counts as a
+// processed event.
 //
 // # The queue
 //
 // Pending events live in one calendar queue (calendar.go) that sizes itself:
 // each time its window restarts, the bucket width follows the observed mean
 // separation of events and the bucket count follows the resident count, so
-// a bucket holds a few entries at any density. Cancel is lazy: it flags the
-// handle, Len stops counting it at once, and the stale entry is discarded
-// when it reaches the front. The (time, sequence) total order is pinned
-// against a sorted-list reference by the differential suite in
-// differential_test.go, on the self-sizing wheel and on pinned ones.
+// a bucket holds a few entries at any density. The (time, sequence) total
+// order is pinned against a sorted-list reference by the differential suite
+// in differential_test.go, on the self-sizing wheel and on pinned ones.
 package sim
 
 import (
@@ -81,69 +81,24 @@ func less(a, b *entry) bool {
 	return a.seq < b.seq
 }
 
-// HandlerID selects what a queue entry runs: hidHandle is the built-in
-// handle tier, RegisterHandler hands out the rest.
+// HandlerID selects the registered handler a queue entry runs. Id 0 is
+// never handed out, so callers may use it as "not registered".
 type HandlerID uint32
 
-const (
-	// hidHandle: arg is a slot in Scheduler.evs holding a live *Event.
-	hidHandle HandlerID = 0
-	// hidFirst is the first id RegisterHandler returns.
-	hidFirst HandlerID = 1
-)
-
-// Event is a scheduled callback handle. It is returned by MustAt/MustAfter
-// so that callers may cancel the event before it fires; a callback that
-// re-arms itself with RescheduleAfter keeps the same handle.
-type Event struct {
-	at       Time
-	fn       func()
-	sched    *Scheduler
-	slot     uint32 // scheduler evs slot while queued or executing
-	queued   bool   // an entry for this handle is waiting in the queue
-	canceled bool
-}
-
-// At reports the virtual time at which the event is (or was) scheduled to
-// fire.
-func (e *Event) At() Time { return e.at }
-
-// Cancel prevents the event from firing (again). Len() stops counting it at
-// once; the queue entry is flagged and discarded when it reaches the front.
-// Cancelling an event that already fired or was already cancelled is a
-// no-op, and a cancelled handle cannot be re-armed. Cancel must only be
-// called from within the simulation (i.e. from event callbacks or before
-// Run), never from another goroutine.
-func (e *Event) Cancel() {
-	if e.canceled {
-		return
-	}
-	e.canceled = true
-	if e.queued {
-		e.queued = false
-		e.sched.live--
-	}
-}
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
+// hidFirst is the first id RegisterHandler returns.
+const hidFirst HandlerID = 1
 
 // Scheduler owns the virtual clock and the pending-event queue. Construct one
 // with NewScheduler; the zero value has no calendar geometry and is not usable.
 type Scheduler struct {
 	now  Time
 	seq  uint64
-	live int // queued non-cancelled events
+	live int // queued events
 
 	q calendarQueue
 
-	// handlers is the registered-handler dispatch table; slots below
-	// hidFirst are reserved for the handle tier.
+	// handlers is the dispatch table; slots below hidFirst are unused.
 	handlers []func(arg uint32)
-	// evs parks handle-tier events, free-listed so a slot is reused once
-	// its event fired or its cancelled entry was discarded.
-	evs    []*Event
-	evFree []uint32
 
 	halted  bool
 	stepped uint64
@@ -170,9 +125,8 @@ func newScheduler(shift uint8, buckets int32) *Scheduler {
 // Now reports the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len reports the number of live events still queued: cancelled events stop
-// counting the moment Cancel returns, and the currently executing event is
-// not counted while its callback runs.
+// Len reports the number of events still queued; the currently executing
+// event is not counted while its callback runs.
 func (s *Scheduler) Len() int { return s.live }
 
 // Processed reports how many events have been executed so far.
@@ -225,52 +179,13 @@ func (s *Scheduler) PostHandler(d time.Duration, id HandlerID, arg uint32) {
 	s.PostHandlerAt(s.now+d, id, arg)
 }
 
-// MustAt schedules fn to run at absolute virtual time t and returns the
-// handle that cancels it. Scheduling in the past or with a nil callback is
-// a bug in the model, so it panics rather than silently reordering time.
-func (s *Scheduler) MustAt(t Time, fn func()) *Event {
-	if t < s.now {
-		s.badSchedule(t, hidHandle)
-	}
-	if fn == nil {
-		panic(errors.New("sim: schedule nil callback"))
-	}
-	ev := &Event{at: t, fn: fn, sched: s, queued: true}
-	if k := len(s.evFree); k > 0 {
-		ev.slot = s.evFree[k-1]
-		s.evFree = s.evFree[:k-1]
-		s.evs[ev.slot] = ev
-	} else {
-		ev.slot = uint32(len(s.evs))
-		s.evs = append(s.evs, ev)
-	}
-	s.q.push(entry{at: t, seq: s.seq, hid: hidHandle, arg: ev.slot})
-	s.seq++
-	s.live++
-	return ev
-}
-
-// MustAfter schedules fn to run d after the current virtual time (see
-// MustAt); a negative d panics.
-func (s *Scheduler) MustAfter(d time.Duration, fn func()) *Event {
-	return s.MustAt(s.now+d, fn)
-}
-
-// releaseEv retires a handle whose entry left the queue for good.
-func (s *Scheduler) releaseEv(ev *Event) {
-	ev.fn = nil
-	s.evs[ev.slot] = nil
-	s.evFree = append(s.evFree, ev.slot)
-}
-
 // RescheduleAfter re-arms the currently executing event to fire again d
 // after the current time — exactly as if the callback had scheduled itself
 // afresh at this point (the sequence number is drawn here, so tie ordering
 // against other events scheduled in the same callback is identical to that
-// spelling), except nothing is allocated: a registered handler keeps its
-// arg, and a handle stays the same live *Event, cancellable as before. It
-// panics when called outside an event callback, called twice within one
-// callback, or given a negative delay.
+// spelling), keeping its handler and arg. It panics when called outside an
+// event callback, called twice within one callback, or given a negative
+// delay.
 func (s *Scheduler) RescheduleAfter(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Errorf("sim: RescheduleAfter with negative delay %v", d))
@@ -292,80 +207,37 @@ func (s *Scheduler) RescheduleAfter(d time.Duration) {
 // an event callback (e.g. when a termination condition is detected).
 func (s *Scheduler) Halt() { s.halted = true }
 
-// peekLive surfaces the earliest live entry without removing it, discarding
-// cancelled handles on the way. The pointer is valid only until the next
-// queue operation; callers copy what they need.
-func (s *Scheduler) peekLive() (*entry, bool) {
-	for {
-		e, ok := s.q.peek()
-		if !ok {
-			return nil, false
-		}
-		if e.hid == hidHandle {
-			if ev := s.evs[e.arg]; ev.canceled {
-				s.releaseEv(ev)
-				s.q.dropMin()
-				continue
-			}
-		}
-		return e, true
-	}
-}
-
-// exec runs the entry peekLive just surfaced. The entry stays at the front
-// of the queue while its callback runs (new events sort strictly after it,
-// so it remains the minimum); afterwards it is dropped and, when the
-// callback re-armed it, queued again under the new key.
+// exec runs the entry at the front of the queue. The entry stays there
+// while its handler runs (new events sort strictly after it, so it remains
+// the minimum); afterwards it is dropped and, when the handler re-armed it,
+// queued again under the new key.
 func (s *Scheduler) exec(e *entry) {
 	s.now = e.at
 	s.stepped++
 	s.live--
 	hid, arg := e.hid, e.arg
-	var ev *Event
-	if hid == hidHandle {
-		ev = s.evs[arg]
-		ev.queued = false
-	}
 	s.rearmSet = false
 	s.inStep = true
 	p := s.prof
 	if p != nil {
 		p.begin()
 	}
-	if ev != nil {
-		ev.fn()
-	} else {
-		s.handlers[hid](arg)
-	}
+	s.handlers[hid](arg)
 	if p != nil {
 		p.end()
 	}
 	s.inStep = false
 	s.q.dropMin()
-	if !s.rearmSet {
-		if ev != nil {
-			s.releaseEv(ev)
-		}
-		return
+	if s.rearmSet {
+		s.q.push(entry{at: s.rearmAt, seq: s.rearmSeq, hid: hid, arg: arg})
 	}
-	if ev != nil {
-		if ev.canceled {
-			// Re-armed and cancelled in the same callback: the re-arm's
-			// count is withdrawn with the handle.
-			s.live--
-			s.releaseEv(ev)
-			return
-		}
-		ev.at, ev.queued = s.rearmAt, true
-	}
-	s.q.push(entry{at: s.rearmAt, seq: s.rearmSeq, hid: hid, arg: arg})
 }
 
 // Step executes the single earliest pending event. It reports whether an
 // event was executed (false when the queue is empty). Step must not be
 // called from within an event callback.
 func (s *Scheduler) Step() bool {
-	e, ok := s.peekLive()
+	e, ok := s.q.peek()
 	if !ok {
 		return false
 	}
@@ -380,7 +252,7 @@ func (s *Scheduler) Step() bool {
 func (s *Scheduler) Run(horizon Time) error {
 	s.halted = false
 	for !s.halted {
-		e, ok := s.peekLive()
+		e, ok := s.q.peek()
 		if !ok || e.at > horizon {
 			if s.now < horizon {
 				s.now = horizon

@@ -9,13 +9,50 @@ import (
 	"time"
 )
 
+// closures runs test callbacks through one registered handler: each
+// callback gets a slot in a table, and the posted arg names the slot. A
+// withdrawn slot still fires, as a no-op — the generation idiom model code
+// uses to take back a posted event, reduced to a nil check.
+type closures struct {
+	s   *Scheduler
+	hid HandlerID
+	fns []func()
+}
+
+func newClosures(s *Scheduler) *closures {
+	c := &closures{s: s}
+	c.hid = s.RegisterHandler(func(arg uint32) {
+		if fn := c.fns[arg]; fn != nil {
+			fn()
+		}
+	})
+	return c
+}
+
+// at posts fn at absolute time t and returns its slot.
+func (c *closures) at(t Time, fn func()) uint32 {
+	i := uint32(len(c.fns))
+	c.fns = append(c.fns, fn)
+	c.s.PostHandlerAt(t, c.hid, i)
+	return i
+}
+
+// after posts fn d after the current time and returns its slot.
+func (c *closures) after(d time.Duration, fn func()) uint32 {
+	return c.at(c.s.Now()+d, fn)
+}
+
+// withdraw turns slot i's pending firings into no-ops.
+func (c *closures) withdraw(i uint32) { c.fns[i] = nil }
+
 func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	var got []time.Duration
 	times := []time.Duration{5 * time.Second, time.Second, 3 * time.Second, 2 * time.Second}
 	for _, at := range times {
 		at := at
-		s.MustAt(at, func() { got = append(got, at) })
+		c.at(at, func() { got = append(got, at) })
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -37,10 +74,11 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.MustAt(time.Second, func() { order = append(order, i) })
+		c.at(time.Second, func() { order = append(order, i) })
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -66,12 +104,12 @@ func mustPanic(t *testing.T, what string, f func()) {
 func TestSchedulePastRejected(t *testing.T) {
 	s := NewScheduler()
 	hid := s.RegisterHandler(func(uint32) {})
-	s.MustAt(2*time.Second, func() {})
+	s.PostHandlerAt(2*time.Second, hid, 0)
 	if !s.Step() {
 		t.Fatal("Step returned false with a pending event")
 	}
-	mustPanic(t, "MustAt in the past", func() { s.MustAt(time.Second, func() {}) })
-	mustPanic(t, "MustAfter with negative delay", func() { s.MustAfter(-time.Second, func() {}) })
+	mustPanic(t, "PostHandler with negative delay", func() { s.PostHandler(-time.Second, hid, 0) })
+	mustPanic(t, "PostHandler on the unregistered id 0", func() { s.PostHandler(time.Second, 0, 0) })
 	mustPanic(t, "PostHandlerAt in the past", func() { s.PostHandlerAt(time.Second, hid, 0) })
 	mustPanic(t, "PostHandler on an unregistered id", func() { s.PostHandler(time.Second, hid+1, 0) })
 	if s.Len() != 0 {
@@ -81,7 +119,6 @@ func TestSchedulePastRejected(t *testing.T) {
 
 func TestScheduleNilCallbackRejected(t *testing.T) {
 	s := NewScheduler()
-	mustPanic(t, "MustAt with nil callback", func() { s.MustAt(time.Second, nil) })
 	mustPanic(t, "RegisterHandler(nil)", func() { s.RegisterHandler(nil) })
 }
 
@@ -90,7 +127,7 @@ func TestScheduleNilCallbackRejected(t *testing.T) {
 func TestRescheduleMisuseRejected(t *testing.T) {
 	s := NewScheduler()
 	mustPanic(t, "RescheduleAfter outside a callback", func() { s.RescheduleAfter(time.Second) })
-	s.MustAt(time.Second, func() {
+	newClosures(s).at(time.Second, func() {
 		mustPanic(t, "negative RescheduleAfter", func() { s.RescheduleAfter(-1) })
 		s.RescheduleAfter(time.Second)
 		mustPanic(t, "second RescheduleAfter", func() { s.RescheduleAfter(time.Second) })
@@ -100,108 +137,118 @@ func TestRescheduleMisuseRejected(t *testing.T) {
 	}
 }
 
+// TestCancel pins the withdraw idiom: a withdrawn event still fires, as a
+// counted no-op that advances the clock, and its callback never runs.
 func TestCancel(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	fired := false
-	e := s.MustAt(time.Second, func() { fired = true })
-	e.Cancel()
-	if !e.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	c.withdraw(c.at(time.Second, func() { fired = true }))
+	if s.Len() != 1 {
+		t.Fatalf("Len() = %d after withdrawing, want the stale entry still queued", s.Len())
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	if fired {
-		t.Error("cancelled event fired")
+		t.Error("withdrawn event ran its callback")
+	}
+	if s.Processed() != 1 || s.Now() != time.Second || s.Len() != 0 {
+		t.Errorf("Processed() = %d, Now() = %v, Len() = %d, want the no-op counted at 1s and an empty queue",
+			s.Processed(), s.Now(), s.Len())
 	}
 }
 
 func TestCancelFromEarlierEvent(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	fired := false
-	late := s.MustAt(2*time.Second, func() { fired = true })
-	s.MustAt(time.Second, func() { late.Cancel() })
+	late := c.at(2*time.Second, func() { fired = true })
+	c.at(time.Second, func() { c.withdraw(late) })
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	if fired {
-		t.Error("event cancelled by an earlier event still fired")
+		t.Error("event withdrawn by an earlier event still ran")
 	}
 }
 
-// TestHandleRearmKeepsHandle pins the ticker contract: a handle that re-arms
-// itself from inside its callback stays the same live, cancellable *Event —
-// At() follows the re-arm, and Cancel after n re-arms prevents firing n+1
-// and drops Len() by one.
-func TestHandleRearmKeepsHandle(t *testing.T) {
+// TestRearmKeepsArg pins the ticker contract: a handler that re-arms itself
+// from inside its callback fires again with the same arg, Len() counts the
+// re-arm, and withdrawing it after n re-arms stops the callbacks while the
+// stale entry still fires once as a no-op.
+func TestRearmKeepsArg(t *testing.T) {
 	s := NewScheduler()
-	fired := 0
-	ev := s.MustAfter(time.Second, func() {
-		fired++
+	var args []uint32
+	gen := uint32(7)
+	hid := s.RegisterHandler(func(arg uint32) {
+		if arg != gen {
+			return
+		}
+		args = append(args, arg)
 		s.RescheduleAfter(time.Second)
 	})
-	s.MustAt(time.Hour, func() {}) // keeps Len() comparisons non-trivial
+	s.PostHandler(time.Second, hid, gen)
+	newClosures(s).at(time.Hour, func() {}) // keeps Len() comparisons non-trivial
 	for n := 1; n <= 5; n++ {
 		if !s.Step() {
 			t.Fatalf("Step %d returned false", n)
 		}
-		if fired != n {
-			t.Fatalf("after %d steps the ticker fired %d times", n, fired)
-		}
-		if want := time.Duration(n+1) * time.Second; ev.At() != want {
-			t.Fatalf("after %d firings At() = %v, want %v", n, ev.At(), want)
+		if len(args) != n || args[n-1] != 7 || s.Now() != time.Duration(n)*time.Second {
+			t.Fatalf("after %d steps: args %v at %v", n, args, s.Now())
 		}
 	}
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len() = %d with the ticker armed, want 2", got)
 	}
-	ev.Cancel()
-	if got := s.Len(); got != 1 {
-		t.Fatalf("Len() = %d after cancelling the re-armed ticker, want 1", got)
-	}
+	gen++
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
-	if fired != 5 {
-		t.Fatalf("ticker fired %d times, want 5 (cancelled before the 6th)", fired)
+	if len(args) != 5 {
+		t.Fatalf("ticker ran %d times, want 5 (withdrawn before the 6th)", len(args))
 	}
-	if s.Now() != time.Hour || s.Processed() != 6 {
-		t.Fatalf("Now() = %v, Processed() = %d, want 1h and 6", s.Now(), s.Processed())
+	if s.Now() != time.Hour || s.Processed() != 7 {
+		t.Fatalf("Now() = %v, Processed() = %d, want 1h and 7 (5 ticks, the stale one, the far event)",
+			s.Now(), s.Processed())
 	}
 }
 
-// TestCancelInsideOwnCallback pins that a handle cancelled from inside its
-// own callback does not fire again, whichever side of the re-arm the Cancel
-// falls on, and that the live count comes out even.
+// TestCancelInsideOwnCallback pins that a ticker withdrawn from inside its
+// own callback runs no further callback, whichever side of the re-arm the
+// withdraw falls on, and that the queue drains.
 func TestCancelInsideOwnCallback(t *testing.T) {
-	for _, cancelFirst := range []bool{true, false} {
+	for _, withdrawFirst := range []bool{true, false} {
 		s := NewScheduler()
+		c := newClosures(s)
 		fired := 0
-		var ev *Event
-		ev = s.MustAfter(time.Second, func() {
+		var slot uint32
+		slot = c.after(time.Second, func() {
 			fired++
-			if cancelFirst {
-				ev.Cancel()
+			if withdrawFirst {
+				c.withdraw(slot)
 			}
 			s.RescheduleAfter(time.Second)
-			if !cancelFirst {
-				ev.Cancel()
+			if !withdrawFirst {
+				c.withdraw(slot)
 			}
 		})
 		if err := s.RunAll(); err != nil {
 			t.Fatalf("RunAll: %v", err)
 		}
-		if fired != 1 || s.Len() != 0 {
-			t.Fatalf("cancelFirst=%v: fired %d times with Len() = %d, want 1 and 0", cancelFirst, fired, s.Len())
+		if fired != 1 || s.Len() != 0 || s.Processed() != 2 {
+			t.Fatalf("withdrawFirst=%v: fired %d times with Len() = %d, Processed() = %d, want 1, 0 and 2",
+				withdrawFirst, fired, s.Len(), s.Processed())
 		}
 	}
 }
 
-// TestTickerRearmAllocs pins that a periodic handle costs nothing per period
-// once armed: no Event, no closure, no queue growth.
+// TestTickerRearmAllocs pins that a periodic handler costs nothing per
+// period once armed: no closure, no queue growth.
 func TestTickerRearmAllocs(t *testing.T) {
 	s := NewScheduler()
-	s.MustAfter(time.Millisecond, func() { s.RescheduleAfter(100 * time.Millisecond) })
+	hid := s.RegisterHandler(func(uint32) { s.RescheduleAfter(100 * time.Millisecond) })
+	s.PostHandler(time.Millisecond, hid, 0)
 	for i := 0; i < 8; i++ {
 		s.Step()
 	}
@@ -212,10 +259,11 @@ func TestTickerRearmAllocs(t *testing.T) {
 
 func TestRunHorizon(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	var fired []time.Duration
 	for _, at := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
 		at := at
-		s.MustAt(at, func() { fired = append(fired, at) })
+		c.at(at, func() { fired = append(fired, at) })
 	}
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -240,9 +288,10 @@ func TestRunHorizon(t *testing.T) {
 
 func TestHalt(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	count := 0
-	s.MustAt(time.Second, func() { count++; s.Halt() })
-	s.MustAt(2*time.Second, func() { count++ })
+	c.at(time.Second, func() { count++; s.Halt() })
+	c.at(2*time.Second, func() { count++ })
 	err := s.Run(10 * time.Second)
 	if !errors.Is(err, ErrHalted) {
 		t.Fatalf("Run returned %v, want ErrHalted", err)
@@ -254,15 +303,16 @@ func TestHalt(t *testing.T) {
 
 func TestEventsScheduledDuringRun(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	var ticks []time.Duration
 	var tick func()
 	tick = func() {
 		ticks = append(ticks, s.Now())
 		if s.Now() < 5*time.Second {
-			s.MustAfter(time.Second, tick)
+			c.after(time.Second, tick)
 		}
 	}
-	s.MustAt(time.Second, tick)
+	c.at(time.Second, tick)
 	if err := s.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -278,8 +328,9 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 
 func TestProcessedCount(t *testing.T) {
 	s := NewScheduler()
+	c := newClosures(s)
 	for i := 0; i < 7; i++ {
-		s.MustAfter(time.Duration(i)*time.Millisecond, func() {})
+		c.after(time.Duration(i)*time.Millisecond, func() {})
 	}
 	if err := s.RunAll(); err != nil {
 		t.Fatalf("RunAll: %v", err)
@@ -297,6 +348,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 			return true
 		}
 		s := NewScheduler()
+		c := newClosures(s)
 		type stamp struct {
 			at  time.Duration
 			seq int
@@ -306,7 +358,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 			at := time.Duration(d%64) * time.Millisecond
 			want = append(want, stamp{at, i})
 			i := i
-			s.MustAt(at, func() { got = append(got, stamp{s.Now(), i}) })
+			c.at(at, func() { got = append(got, stamp{s.Now(), i}) })
 		}
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
 		if err := s.RunAll(); err != nil {
@@ -327,27 +379,29 @@ func TestHeapOrderingProperty(t *testing.T) {
 	}
 }
 
-// TestRandomCancellationProperty verifies that cancelling an arbitrary subset
-// of events results in exactly the complement being executed.
+// TestRandomCancellationProperty verifies that withdrawing an arbitrary
+// subset of events results in exactly the complement running, while every
+// entry, withdrawn or not, is processed.
 func TestRandomCancellationProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewScheduler()
+		c := newClosures(s)
 		total := int(n%50) + 1
-		events := make([]*Event, total)
+		events := make([]uint32, total)
 		fired := make([]bool, total)
 		for i := 0; i < total; i++ {
 			i := i
-			events[i] = s.MustAt(time.Duration(rng.Intn(100))*time.Millisecond, func() { fired[i] = true })
+			events[i] = c.at(time.Duration(rng.Intn(100))*time.Millisecond, func() { fired[i] = true })
 		}
 		cancelled := make([]bool, total)
 		for i := 0; i < total; i++ {
 			if rng.Intn(2) == 0 {
-				events[i].Cancel()
+				c.withdraw(events[i])
 				cancelled[i] = true
 			}
 		}
-		if err := s.RunAll(); err != nil {
+		if err := s.RunAll(); err != nil || s.Processed() != uint64(total) {
 			return false
 		}
 		for i := 0; i < total; i++ {

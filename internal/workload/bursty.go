@@ -24,11 +24,16 @@ type OnOff struct {
 	meanOn    time.Duration
 	meanOff   time.Duration
 
-	on      bool
-	active  bool
-	seq     int64
-	emitEv  *sim.Event
-	phaseEv *sim.Event
+	on     bool
+	active bool
+	seq    int64
+	// emitHid and phaseHid are the registered emission and phase-flip
+	// handlers. Pending events are withdrawn the way Pacer withdraws a
+	// release: bumping gen turns the queued entries into no-ops. An OFF
+	// phase bumps it from inside the phase event, so only emissions are
+	// withdrawn; Stop withdraws both.
+	emitHid, phaseHid sim.HandlerID
+	gen               uint32
 }
 
 // OnOffConfig parameterizes an OnOff stream.
@@ -56,7 +61,7 @@ func NewOnOff(sched *sim.Scheduler, rng *sim.RNG, cfg OnOffConfig) *OnOff {
 	if size <= 0 {
 		size = packet.DefaultSizeBytes
 	}
-	return &OnOff{
+	o := &OnOff{
 		sched:     sched,
 		rng:       rng,
 		inject:    cfg.Inject,
@@ -68,6 +73,9 @@ func NewOnOff(sched *sim.Scheduler, rng *sim.RNG, cfg OnOffConfig) *OnOff {
 		meanOn:    cfg.MeanOn,
 		meanOff:   cfg.MeanOff,
 	}
+	o.emitHid = sched.RegisterHandler(o.onEmit)
+	o.phaseHid = sched.RegisterHandler(o.onPhase)
+	return o
 }
 
 // Sent reports the number of packets emitted.
@@ -94,14 +102,7 @@ func (o *OnOff) Start() {
 // Stop halts emission.
 func (o *OnOff) Stop() {
 	o.active = false
-	if o.emitEv != nil {
-		o.emitEv.Cancel()
-		o.emitEv = nil
-	}
-	if o.phaseEv != nil {
-		o.phaseEv.Cancel()
-		o.phaseEv = nil
-	}
+	o.gen++
 }
 
 func (o *OnOff) expDuration(mean time.Duration) time.Duration {
@@ -117,7 +118,7 @@ func (o *OnOff) enterOn() {
 	}
 	o.on = true
 	o.emit()
-	o.phaseEv = o.sched.MustAfter(o.expDuration(o.meanOn), func() { o.enterOff() })
+	o.sched.PostHandler(o.expDuration(o.meanOn), o.phaseHid, o.gen)
 }
 
 func (o *OnOff) enterOff() {
@@ -125,11 +126,29 @@ func (o *OnOff) enterOff() {
 		return
 	}
 	o.on = false
-	if o.emitEv != nil {
-		o.emitEv.Cancel()
-		o.emitEv = nil
+	o.gen++
+	o.sched.PostHandler(o.expDuration(o.meanOff), o.phaseHid, o.gen)
+}
+
+// onPhase is the registered phase-flip handler; gen is the generation it
+// was posted with.
+func (o *OnOff) onPhase(gen uint32) {
+	if gen != o.gen {
+		return // stopped after posting
 	}
-	o.phaseEv = o.sched.MustAfter(o.expDuration(o.meanOff), func() { o.enterOn() })
+	if o.on {
+		o.enterOff()
+	} else {
+		o.enterOn()
+	}
+}
+
+// onEmit is the registered emission handler; gen is the generation it was
+// posted with.
+func (o *OnOff) onEmit(gen uint32) {
+	if gen == o.gen { // else withdrawn by an OFF phase or Stop
+		o.emit()
+	}
 }
 
 func (o *OnOff) emit() {
@@ -142,5 +161,5 @@ func (o *OnOff) emit() {
 	o.seq++
 	o.inject(p)
 	gap := time.Duration(float64(time.Second) / o.rate)
-	o.emitEv = o.sched.MustAfter(gap, o.emit)
+	o.sched.PostHandler(gap, o.emitHid, o.gen)
 }

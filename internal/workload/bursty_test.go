@@ -48,7 +48,7 @@ func TestOnOffStopCancels(t *testing.T) {
 		Inject: func(*packet.Packet) { count++ },
 	})
 	oo.Start()
-	s.MustAt(5*time.Second, func() { oo.Stop() })
+	postAt(s, 5*time.Second, func() { oo.Stop() })
 	if err := s.Run(20 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -121,7 +121,7 @@ func TestShaperRateChangeTakesEffect(t *testing.T) {
 	sh, got, at := newTestShaper(s, 64)
 	sh.Start(1) // 1 pkt/s
 	offerN(sh, 3)
-	s.MustAt(100*time.Millisecond, func() { sh.SetRate(100) })
+	postAt(s, 100*time.Millisecond, func() { sh.SetRate(100) })
 	if err := s.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}

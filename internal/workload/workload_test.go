@@ -56,7 +56,7 @@ func TestSourceNeverExceedsRate(t *testing.T) {
 	rates := []float64{50, 200, 10, 400}
 	for i, r := range rates {
 		r := r
-		s.MustAt(time.Duration(i+1)*200*time.Millisecond, func() { src.SetRate(r) })
+		postAt(s, time.Duration(i+1)*200*time.Millisecond, func() { src.SetRate(r) })
 	}
 	if err := s.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -76,7 +76,7 @@ func TestSourceRateIncreaseTakesEffectPromptly(t *testing.T) {
 	s := sim.NewScheduler()
 	src, got, _ := newTestSource(s)
 	src.Start(1) // 1 pkt/s
-	s.MustAt(100*time.Millisecond, func() { src.SetRate(100) })
+	postAt(s, 100*time.Millisecond, func() { src.SetRate(100) })
 	if err := s.Run(500 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -92,8 +92,8 @@ func TestSourceZeroRatePausesAndResumes(t *testing.T) {
 	s := sim.NewScheduler()
 	src, got, _ := newTestSource(s)
 	src.Start(10)
-	s.MustAt(250*time.Millisecond, func() { src.SetRate(0) })
-	s.MustAt(700*time.Millisecond, func() { src.SetRate(10) })
+	postAt(s, 250*time.Millisecond, func() { src.SetRate(0) })
+	postAt(s, 700*time.Millisecond, func() { src.SetRate(10) })
 	if err := s.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestSourceStopCancelsEmission(t *testing.T) {
 	s := sim.NewScheduler()
 	src, got, _ := newTestSource(s)
 	src.Start(10)
-	s.MustAt(250*time.Millisecond, func() { src.Stop() })
+	postAt(s, 250*time.Millisecond, func() { src.Stop() })
 	if err := s.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -173,4 +173,9 @@ func TestScheduleActiveAt(t *testing.T) {
 			}
 		})
 	}
+}
+
+// postAt runs fn at time t on s, through a handler registered for it.
+func postAt(s *sim.Scheduler, t time.Duration, fn func()) {
+	s.PostHandlerAt(t, s.RegisterHandler(func(uint32) { fn() }), 0)
 }
