@@ -18,6 +18,7 @@ import (
 	"time"
 
 	corelite "repro"
+	"repro/internal/baseline"
 )
 
 // reportFairness attaches the domain metrics to a benchmark result. The
@@ -71,7 +72,7 @@ func runScenario(b *testing.B, sc corelite.Scenario) *corelite.Result {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		sc.Seed = int64(i + 1)
-		results, err := corelite.RunBatch(context.Background(), 1,
+		results, err := corelite.NewPool(corelite.PoolConfig{Workers: 1}).Execute(context.Background(),
 			[]corelite.Job{{Name: sc.Name, Scenario: sc}})
 		if err != nil {
 			b.Fatalf("run %s: %v", sc.Name, err)
@@ -93,14 +94,15 @@ func benchFigureBatch(b *testing.B, workers int) {
 	b.Helper()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		results, err := corelite.RunBatch(context.Background(), workers, corelite.FigureJobs(1))
+		results, err := corelite.NewPool(corelite.PoolConfig{Workers: workers}).Execute(context.Background(),
+			corelite.JobsFromScenarios(corelite.AllFigures(1)...))
 		if err != nil {
 			b.Fatalf("batch: %v", err)
 		}
-		if err := corelite.FirstJobErr(results); err != nil {
-			b.Fatal(err)
-		}
 		for _, r := range results {
+			if r.Err != nil {
+				b.Fatalf("job %q: %v", r.Job.Name, r.Err)
+			}
 			events += r.Stats.Events
 		}
 	}
@@ -261,7 +263,8 @@ func BenchmarkAblationKTermOn(b *testing.B) {
 
 func BenchmarkAblationKTermOff(b *testing.B) {
 	sc := corelite.Fig5Scenario(1)
-	sc.RouterConfig = corelite.DisableCorrection(corelite.DefaultRouterConfig())
+	sc.RouterConfig = corelite.DefaultRouterConfig()
+	sc.RouterConfig.CorrectionK = -1 // negative: no cubic term
 	res := runScenario(b, sc)
 	reportFairness(b, sc, res)
 }
@@ -279,7 +282,8 @@ func BenchmarkAblationDampingOn(b *testing.B) {
 
 func BenchmarkAblationDampingOff(b *testing.B) {
 	sc := corelite.Fig5Scenario(1)
-	sc.RouterConfig = corelite.DisableDamping(corelite.DefaultRouterConfig())
+	sc.RouterConfig = corelite.DefaultRouterConfig()
+	sc.RouterConfig.DampingGamma = -1 // negative: no discount
 	res := runScenario(b, sc)
 	reportFairness(b, sc, res)
 }
@@ -334,7 +338,7 @@ func BenchmarkAblationAQMRED(b *testing.B) {
 	// RED thresholds must sit above Corelite's q_thresh (8) or RED's
 	// early drops preempt the marker feedback loop: incipient detection
 	// has to see the queue before the AQM clips it.
-	cfg := corelite.REDConfig{
+	cfg := baseline.REDConfig{
 		Capacity:        40,
 		MinThresh:       12,
 		MaxThresh:       36,
@@ -343,7 +347,7 @@ func BenchmarkAblationAQMRED(b *testing.B) {
 		MeanServiceTime: 2 * time.Millisecond,
 	}
 	sc.TopologyOptions.CoreQueue = func(link string, now func() time.Duration) corelite.Discipline {
-		return corelite.NewRED(cfg, now, rng.Stream(link))
+		return baseline.NewRED(cfg, now, rng.Stream(link))
 	}
 	res := runScenario(b, sc)
 	reportFairness(b, sc, res)

@@ -23,22 +23,26 @@
 // Three layers, mirroring the paper:
 //
 //   - substrate: a deterministic discrete-event engine, links with rate /
-//     delay / drop-tail (or RED) queues, static shortest-path routing and a
+//     delay / drop-tail queues, static shortest-path routing and a
 //     latency-faithful control plane (packages internal/sim,
 //     internal/netem, internal/topology, internal/workload);
 //   - schemes: Corelite edge and core routers (internal/core) and weighted
 //     CSFQ (internal/csfq), both driving the shared slow-start + LIMD
 //     source agent (internal/adapt);
-//   - evaluation: scenario harness, per-figure runners, weighted max-min
-//     oracle, and metrics (internal/experiments, internal/maxmin,
-//     internal/metrics, internal/trace).
+//   - evaluation: scenario harness, figure scenarios, the weighted max-min
+//     oracle, and metrics (internal/experiments, internal/metrics,
+//     internal/trace).
 //
-// This package re-exports the evaluation surface; the figure runners
-// RunFig3 … RunFig10 regenerate the paper's plots as data series.
+// The comparison baselines (RED, FRED and WFQ queues, internal/baseline)
+// and the map-based max-min reference (internal/maxmin) are test oracles:
+// only tests import them. Scenario.TopologyOptions.CoreQueue accepts any
+// Discipline, so a baseline can still sit on a core link.
+//
+// This package re-exports the evaluation surface; Run(Fig5Scenario(seed))
+// and its siblings regenerate the paper's plots as data series.
 package corelite
 
 import (
-	"context"
 	"io"
 	"time"
 
@@ -70,20 +74,7 @@ type (
 	Discipline = netem.Discipline
 	// DropTail is the paper's bounded FIFO queue.
 	DropTail = netem.DropTail
-	// RED is a Random Early Detection queue.
-	RED = netem.RED
-	// REDConfig parameterizes RED.
-	REDConfig = netem.REDConfig
-	// FRED is a Flow Random Early Drop queue (per-buffered-flow state —
-	// the related-work contrast of paper §5).
-	FRED = netem.FRED
-	// FREDConfig parameterizes FRED.
-	FREDConfig = netem.FREDConfig
-	// WFQ is a Weighted Fair Queueing discipline with per-flow state —
-	// the Intserv-style ideal the paper positions core-stateless designs
-	// against.
-	WFQ = netem.WFQ
-	// RNG is a deterministic random stream (RED drop decisions).
+	// RNG is a deterministic random stream (a CoreQueue's drop decisions).
 	RNG = sim.RNG
 	// Tracer consumes packet-level trace events (see Scenario.Tracer).
 	Tracer = netem.Tracer
@@ -97,16 +88,6 @@ type (
 var (
 	// NewDropTail returns a bounded FIFO queue.
 	NewDropTail = netem.NewDropTail
-	// NewRED returns a RED queue.
-	NewRED = netem.NewRED
-	// DefaultREDConfig returns the classic RED parameterization.
-	DefaultREDConfig = netem.DefaultREDConfig
-	// NewFRED returns a FRED queue.
-	NewFRED = netem.NewFRED
-	// DefaultFREDConfig returns the classic FRED parameterization.
-	DefaultFREDConfig = netem.DefaultFREDConfig
-	// NewWFQ returns a WFQ queue with per-flow weights.
-	NewWFQ = netem.NewWFQ
 	// NewRNG returns a seeded random stream.
 	NewRNG = sim.NewRNG
 )
@@ -240,11 +221,6 @@ var (
 	DefaultAdaptConfig = adapt.DefaultConfig
 	// DefaultTCPConfig returns the TCP transport defaults.
 	DefaultTCPConfig = host.DefaultTCPConfig
-	// DisableCorrection turns off the cubic F_n term (ablation).
-	DisableCorrection = core.DisableCorrection
-	// DisableDamping turns off the outstanding-feedback discount
-	// (ablation).
-	DisableDamping = core.DisableDamping
 )
 
 // Workload scheduling types.
@@ -280,12 +256,12 @@ var (
 )
 
 // Observability (package internal/obs): attach a fresh ObsRegistry to
-// Scenario.Obs (or set PoolConfig.Observe for batches) to capture named
-// counters, sampled gauge time series, and the structured control-plane
-// event stream of a run, then export them with the registry's WriteDir /
-// WriteEventsJSONL / WriteChromeTrace methods. The layer draws no
-// randomness and perturbs no model state, so figure output is
-// byte-identical with it on or off.
+// Scenario.Obs (a batch job hands it back as JobResult.Obs) to capture
+// named counters, sampled gauge time series, and the structured
+// control-plane event stream of a run, then export them with the
+// registry's WriteDir / WriteEventsJSONL / WriteChromeTrace methods. The
+// layer draws no randomness and perturbs no model state, so figure output
+// is byte-identical with it on or off.
 type (
 	// ObsRegistry is the per-run instrumentation hub.
 	ObsRegistry = obs.Registry
@@ -347,13 +323,6 @@ var (
 // Run executes a scenario to completion.
 func Run(sc Scenario) (*Result, error) { return experiments.Run(sc) }
 
-// ParseTopology reads a custom cloud description (see package
-// internal/topospec for the format) for use as Scenario.Spec.
-func ParseTopology(r io.Reader) (*TopologySpec, error) { return topospec.Parse(r) }
-
-// ParseTopologyFile reads a custom cloud description from a file.
-func ParseTopologyFile(path string) (*TopologySpec, error) { return topospec.ParseFile(path) }
-
 // Scenario generation (packages internal/topogen, internal/trafficgen):
 // parametric topologies and workloads for at-scale runs.
 var (
@@ -376,9 +345,8 @@ func ExpectedRatesAt(sc Scenario, t time.Duration) (map[int]float64, error) {
 	return experiments.ExpectedRatesAt(sc, t)
 }
 
-// Figure scenario constructors and runners (paper §4). Each RunFigN
-// executes the corresponding scenario and returns the series the paper
-// plots.
+// Figure scenario constructors (paper §4). Run(FigNScenario(seed))
+// regenerates the series figure N plots.
 var (
 	Fig3Scenario  = experiments.Fig3Scenario
 	Fig4Scenario  = experiments.Fig4Scenario
@@ -389,23 +357,12 @@ var (
 	Fig9Scenario  = experiments.Fig9Scenario
 	Fig10Scenario = experiments.Fig10Scenario
 
-	RunFig3  = experiments.RunFig3
-	RunFig4  = experiments.RunFig4
-	RunFig5  = experiments.RunFig5
-	RunFig6  = experiments.RunFig6
-	RunFig7  = experiments.RunFig7
-	RunFig8  = experiments.RunFig8
-	RunFig9  = experiments.RunFig9
-	RunFig10 = experiments.RunFig10
-
 	// FairnessAtScaleScenario / ChurnTailScenario are the generated
 	// at-scale figures: a k=8 fat-tree under a heavy-tailed workload with
 	// unresponsive blasters, and a k=4 fat-tree under churn plus a flash
 	// crowd (take a Scheme, so each yields a Corelite and a CSFQ figure).
 	FairnessAtScaleScenario = experiments.FairnessAtScaleScenario
 	ChurnTailScenario       = experiments.ChurnTailScenario
-	RunFairnessAtScale      = experiments.RunFairnessAtScale
-	RunChurnTail            = experiments.RunChurnTail
 
 	// AllFigures enumerates the figure scenarios.
 	AllFigures = experiments.AllFigures
@@ -439,22 +396,7 @@ var (
 	// DeriveSeed maps a base seed and a job name to a reproducible
 	// per-job seed (for seed-replica batches).
 	DeriveSeed = run.DeriveSeed
-	// FirstJobErr returns the first failed job's error in a batch.
-	FirstJobErr = run.FirstErr
 )
-
-// RunBatch executes jobs on a pool of parallel workers (<= 0 means
-// GOMAXPROCS) and returns one result per job in submission order. A
-// failing or panicking scenario fails only its own job.
-func RunBatch(ctx context.Context, parallel int, jobs []Job) ([]JobResult, error) {
-	return NewPool(PoolConfig{Workers: parallel}).Execute(ctx, jobs)
-}
-
-// FigureJobs returns the full figure evaluation batch as pool jobs:
-// Figures 3-10 of the paper plus the generated at-scale figures.
-func FigureJobs(seed int64) []Job {
-	return JobsFromScenarios(AllFigures(seed)...)
-}
 
 // Sensitivity sweeps (the paper's §4.4 analysis).
 type (
@@ -466,10 +408,8 @@ type (
 
 // Sweep runners and canned parameter sets.
 var (
-	// Sweep runs a base scenario across parameter variations, serially.
-	Sweep = experiments.Sweep
 	// SweepScenarios expands a base scenario into one spec per point,
-	// ready for RunBatch.
+	// ready for a Pool.
 	SweepScenarios = experiments.SweepScenarios
 	// SummarizeSweep condenses one sweep run into its table row.
 	SummarizeSweep = experiments.Summarize

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	corelite "repro"
+	"repro/internal/baseline"
 )
 
 // TestPublicQuickstart runs the README example through the public API and
@@ -81,15 +82,14 @@ func TestPublicFigureScenarios(t *testing.T) {
 			t.Errorf("scenario %s invalid: %v", sc.Name, err)
 		}
 	}
-	// Figures 5/6 are the cheap ones; run them for real via the public
-	// runners.
-	res5, err := corelite.RunFig5(1)
+	// Figures 5/6 are the cheap ones; run them for real.
+	res5, err := corelite.Run(corelite.Fig5Scenario(1))
 	if err != nil {
-		t.Fatalf("RunFig5: %v", err)
+		t.Fatalf("Figure 5: %v", err)
 	}
-	res6, err := corelite.RunFig6(1)
+	res6, err := corelite.Run(corelite.Fig6Scenario(1))
 	if err != nil {
-		t.Fatalf("RunFig6: %v", err)
+		t.Fatalf("Figure 6: %v", err)
 	}
 	if res5.Scheme != corelite.SchemeCorelite || res6.Scheme != corelite.SchemeCSFQ {
 		t.Error("figure runner schemes wrong")
@@ -117,18 +117,18 @@ func TestPublicRunBatch(t *testing.T) {
 		}
 	}
 	jobs := corelite.JobsFromScenarios(mk("a", 1), mk("b", 2), mk("c", 3), mk("d", 4))
-	par, err := corelite.RunBatch(context.Background(), 4, jobs)
+	par, err := corelite.NewPool(corelite.PoolConfig{Workers: 4}).Execute(context.Background(), jobs)
 	if err != nil {
-		t.Fatalf("RunBatch parallel: %v", err)
+		t.Fatalf("parallel batch: %v", err)
 	}
-	ser, err := corelite.RunBatch(context.Background(), 1, jobs)
+	ser, err := corelite.NewPool(corelite.PoolConfig{Workers: 1}).Execute(context.Background(), jobs)
 	if err != nil {
-		t.Fatalf("RunBatch serial: %v", err)
-	}
-	if err := corelite.FirstJobErr(par); err != nil {
-		t.Fatal(err)
+		t.Fatalf("serial batch: %v", err)
 	}
 	for i := range jobs {
+		if par[i].Err != nil {
+			t.Fatalf("job %q: %v", jobs[i].Name, par[i].Err)
+		}
 		if par[i].Job.Name != jobs[i].Name || par[i].Index != i {
 			t.Fatalf("result %d out of order: %q", i, par[i].Job.Name)
 		}
@@ -189,8 +189,8 @@ func TestPublicExpectedRatesAt(t *testing.T) {
 	}
 }
 
-// TestPublicREDDiscipline plugs a RED core queue through the public
-// facade (the AQM-independence ablation path).
+// TestPublicREDDiscipline plugs a RED core queue into a scenario through
+// the public CoreQueue hook (the AQM-independence ablation path).
 func TestPublicREDDiscipline(t *testing.T) {
 	rng := corelite.NewRNG(3)
 	sc := corelite.Scenario{
@@ -203,7 +203,7 @@ func TestPublicREDDiscipline(t *testing.T) {
 		Dumbbell: true,
 	}
 	sc.TopologyOptions.CoreQueue = func(link string, now func() time.Duration) corelite.Discipline {
-		return corelite.NewRED(corelite.DefaultREDConfig(40, 2*time.Millisecond), now, rng.Stream(link))
+		return baseline.NewRED(baseline.DefaultREDConfig(40, 2*time.Millisecond), now, rng.Stream(link))
 	}
 	res, err := corelite.Run(sc)
 	if err != nil {

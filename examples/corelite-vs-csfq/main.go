@@ -23,11 +23,11 @@ func main() {
 }
 
 func run() error {
-	coreliteRes, err := corelite.RunFig5(1)
+	coreliteRes, err := corelite.Run(corelite.Fig5Scenario(1))
 	if err != nil {
 		return err
 	}
-	csfqRes, err := corelite.RunFig6(1)
+	csfqRes, err := corelite.Run(corelite.Fig6Scenario(1))
 	if err != nil {
 		return err
 	}

@@ -1,4 +1,4 @@
-package netem
+package baseline
 
 import (
 	"math"
@@ -74,8 +74,6 @@ type fredFlow struct {
 	qlen int
 }
 
-var _ Discipline = (*FRED)(nil)
-
 // NewFRED returns a FRED queue driven by the given clock and random
 // stream.
 func NewFRED(cfg FREDConfig, now func() time.Duration, rng *sim.RNG) *FRED {
@@ -116,7 +114,7 @@ func (f *FRED) avgcq() float64 {
 	return cq
 }
 
-// Enqueue implements Discipline.
+// Enqueue implements netem.Discipline.
 func (f *FRED) Enqueue(p *packet.Packet) bool {
 	f.updateAvg()
 	st, active := f.flows[p.Flow]
@@ -173,7 +171,7 @@ func (f *FRED) Enqueue(p *packet.Packet) bool {
 	return true
 }
 
-// Dequeue implements Discipline.
+// Dequeue implements netem.Discipline.
 func (f *FRED) Dequeue() *packet.Packet {
 	if len(f.queue) == 0 {
 		return nil
@@ -195,7 +193,7 @@ func (f *FRED) Dequeue() *packet.Packet {
 	return p
 }
 
-// Len implements Discipline.
+// Len implements netem.Discipline.
 func (f *FRED) Len() int { return len(f.queue) }
 
 func (f *FRED) updateAvg() {

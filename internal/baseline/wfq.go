@@ -1,4 +1,4 @@
-package netem
+package baseline
 
 import "repro/internal/packet"
 
@@ -35,8 +35,6 @@ type wfqFlow struct {
 	id     packet.FlowID
 }
 
-var _ Discipline = (*WFQ)(nil)
-
 // NewWFQ returns a WFQ queue holding at most capacity packets in total.
 // weightOf supplies per-flow weights (nil = all weights 1).
 func NewWFQ(capacity int, weightOf func(packet.FlowID) float64) *WFQ {
@@ -54,7 +52,7 @@ func NewWFQ(capacity int, weightOf func(packet.FlowID) float64) *WFQ {
 // per-flow state the paper's design goal rules out at the core.
 func (w *WFQ) ActiveFlows() int { return len(w.flows) }
 
-// Enqueue implements Discipline. On overflow, WFQ applies
+// Enqueue implements netem.Discipline. On overflow, WFQ applies
 // drop-from-longest-queue buffer management: the arriving packet evicts
 // the tail of the most backlogged flow (or is itself rejected when its
 // own flow holds the longest queue). Without per-flow buffer sharing, a
@@ -91,7 +89,7 @@ func (w *WFQ) Enqueue(p *packet.Packet) bool {
 	return true
 }
 
-// Dequeue implements Discipline.
+// Dequeue implements netem.Discipline.
 func (w *WFQ) Dequeue() *packet.Packet {
 	if len(w.pq) == 0 {
 		return nil
@@ -116,7 +114,7 @@ func (w *WFQ) Dequeue() *packet.Packet {
 	return p
 }
 
-// Len implements Discipline.
+// Len implements netem.Discipline.
 func (w *WFQ) Len() int { return w.length }
 
 // longestFlow returns the flow with the largest per-packet-weighted

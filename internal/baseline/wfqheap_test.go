@@ -1,4 +1,4 @@
-package netem
+package baseline
 
 import (
 	"container/heap"

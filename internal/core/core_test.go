@@ -112,6 +112,11 @@ func TestDetectorSelection(t *testing.T) {
 			t.Errorf("newDetector(%v) = %s, want %s", kind, got, wantType)
 		}
 	}
+	// A negative k is the no-cubic-term ablation.
+	off := normalizeRouterConfig(RouterConfig{CorrectionK: -1})
+	if d := newDetector(off, l).(*mm1CubicDetector); d.k != 0 {
+		t.Errorf("k=-1 gives the detector k=%v, want 0", d.k)
+	}
 }
 
 func TestEdgeMarkerSpacing(t *testing.T) {
@@ -210,8 +215,8 @@ func TestEdgeFlowLifecycle(t *testing.T) {
 	if err != nil || id.Edge != "E" || id.Local != local {
 		t.Errorf("FlowID = %v, %v", id, err)
 	}
-	if w, _ := edge.Weight(local); w != 2 {
-		t.Errorf("Weight = %v, want 2", w)
+	if f, _ := edge.Flow(local); f.Weight != 2 {
+		t.Errorf("Weight = %v, want 2", f.Weight)
 	}
 	if err := edge.StopFlow(local); err != nil {
 		t.Fatal(err)
@@ -353,7 +358,7 @@ func TestDumbbellWeightedConvergence(t *testing.T) {
 		fb := ControlFeedback(net, net.Node(name), edges, onErr)
 		r := NewRouter(net, net.Node(name), DefaultRouterConfig(), rng.Stream(name), fb)
 		r.Start()
-		defer r.Stop()
+		defer r.ticker.Stop()
 	}
 
 	for _, pl := range cloud.Placements {

@@ -79,7 +79,7 @@ func newDetector(cfg RouterConfig, link *netem.Link) detector {
 		return &mm1CubicDetector{
 			mu:      mu,
 			qthresh: cfg.QThresh,
-			k:       cfg.CorrectionK * (mu / referenceMu),
+			k:       max(0, cfg.CorrectionK) * (mu / referenceMu),
 			beta:    cfg.Beta,
 		}
 	}

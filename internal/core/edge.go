@@ -198,25 +198,6 @@ func (e *Edge) Offer(local int, p *packet.Packet) (bool, error) {
 	return f.Pacer.Offer(p), nil
 }
 
-// ShaperQueueLen reports a shaped flow's current backlog.
-func (e *Edge) ShaperQueueLen(local int) (int, error) {
-	f, err := e.shaped(local)
-	if err != nil {
-		return 0, err
-	}
-	return f.Pacer.QueueLen(), nil
-}
-
-// ShaperDropped reports packets policed (dropped) at a shaped flow's edge
-// queue.
-func (e *Edge) ShaperDropped(local int) (int64, error) {
-	f, err := e.shaped(local)
-	if err != nil {
-		return 0, err
-	}
-	return f.Pacer.Dropped(), nil
-}
-
 // decorate stamps the N_w-th out-of-profile data packet with a piggybacked
 // marker carrying the flow's normalized excess rate. For best-effort flows
 // (no contract) every packet is out of profile, giving the paper's marker
@@ -252,24 +233,6 @@ func (e *Edge) decorate(f *edgeFlow, p *packet.Packet) {
 // MarkersInjected reports how many markers this edge has stamped onto
 // outgoing packets.
 func (e *Edge) MarkersInjected() int64 { return e.markersInjected }
-
-// MinRate reports the flow's contracted minimum rate (0 = best effort).
-func (e *Edge) MinRate(local int) (float64, error) {
-	f, err := e.Flow(local)
-	if err != nil {
-		return 0, err
-	}
-	return f.State.minRate, nil
-}
-
-// Sent reports packets emitted so far for the flow.
-func (e *Edge) Sent(local int) (int64, error) {
-	f, err := e.Flow(local)
-	if err != nil {
-		return 0, err
-	}
-	return f.Pacer.Sent(), nil
-}
 
 // HandleControl takes a marker feedback the control plane delivers to the
 // edge's node (netem.Network.SendControl): it records the delivery latency

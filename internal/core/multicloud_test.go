@@ -101,7 +101,9 @@ func TestTwoCloudConcatenation(t *testing.T) {
 	}
 
 	// Cloud A's egress at "mid": arriving through-flow packets are
-	// re-offered into cloud B (re-addressed to the final egress).
+	// re-offered into cloud B (re-addressed to the final egress); the
+	// offers the shaper refuses are policed at the boundary.
+	policed := 0
 	net.Node("mid").SetApp(appRelay(func(p *packet.Packet) {
 		if p.Kind != packet.KindData {
 			return
@@ -109,7 +111,9 @@ func TestTwoCloudConcatenation(t *testing.T) {
 		q := *p
 		q.Dst = "outX"
 		q.Marker = nil // markers are per-cloud; cloud B re-marks
-		_, _ = edgeMid.Offer(throughB, &q)
+		if ok, _ := edgeMid.Offer(throughB, &q); !ok {
+			policed++
+		}
 	}))
 
 	delivered := map[string]int{}
@@ -169,11 +173,7 @@ func TestTwoCloudConcatenation(t *testing.T) {
 	// upstream capacity is precisely the inter-domain interaction problem
 	// the paper leaves as future work (§6) — the composition works, but
 	// an edge-to-edge backpressure protocol would reclaim the gap.
-	dropped, err := edgeMid.ShaperDropped(throughB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped == 0 {
+	if policed == 0 {
 		t.Error("expected boundary policing drops (cloud A over-grants relative to cloud B)")
 	}
 }

@@ -47,12 +47,9 @@ type RouterConfig struct {
 	// time-averaged queue length (paper: 8 packets).
 	QThresh float64
 	// CorrectionK is the small self-correcting constant k in the F_n
-	// formula (§3.1); 0 disables the cubic term (the ablation case).
+	// formula (§3.1); zero means the default, and a negative k disables
+	// the cubic term (the ablation case).
 	CorrectionK float64
-	// CorrectionKSet must be true for CorrectionK == 0 to be honored;
-	// otherwise the default is applied. Use DisableCorrection to build an
-	// ablation config.
-	CorrectionKSet bool
 	// Beta is the per-marker rate decrease applied by edges; F_n is the
 	// required aggregate throttle divided by Beta (paper: 1).
 	Beta float64
@@ -91,12 +88,10 @@ type RouterConfig struct {
 	// overflows the buffer. γ is the per-epoch memory (default 0.7 ≈ a
 	// three-epoch horizon, matching the evaluation topology's feedback
 	// latency); at equilibrium the damping scales sustained feedback by
-	// (1 − γ), which the cubic F_n term more than compensates. Use
-	// DisableDamping for the undamped ablation.
+	// (1 − γ), which the cubic F_n term more than compensates. Zero
+	// means the default; a negative γ turns the discount off (the
+	// undamped ablation).
 	DampingGamma float64
-	// DampingSet must be true for DampingGamma == 0 to mean "no memory"
-	// rather than the default.
-	DampingSet bool
 }
 
 // DefaultRouterConfig returns the paper's core settings with the stateless
@@ -117,22 +112,6 @@ func DefaultRouterConfig() RouterConfig {
 		LinearGain:      1,
 		EWMAWeight:      0.25,
 	}
-}
-
-// DisableCorrection returns cfg with the cubic self-correcting term turned
-// off (k = 0), the §3.1 ablation.
-func DisableCorrection(cfg RouterConfig) RouterConfig {
-	cfg.CorrectionK = 0
-	cfg.CorrectionKSet = true
-	return cfg
-}
-
-// DisableDamping returns cfg with the outstanding-feedback discount turned
-// off (the naive per-epoch F_n), for the ablation benches.
-func DisableDamping(cfg RouterConfig) RouterConfig {
-	cfg.DampingGamma = -1
-	cfg.DampingSet = true
-	return cfg
 }
 
 // FeedbackFunc delivers one marker feedback toward the edge that generated
@@ -289,7 +268,7 @@ func normalizeRouterConfig(cfg RouterConfig) RouterConfig {
 	if cfg.QThresh <= 0 {
 		cfg.QThresh = def.QThresh
 	}
-	if cfg.CorrectionK == 0 && !cfg.CorrectionKSet {
+	if cfg.CorrectionK == 0 {
 		cfg.CorrectionK = def.CorrectionK
 	}
 	if cfg.Beta <= 0 {
@@ -310,7 +289,7 @@ func normalizeRouterConfig(cfg RouterConfig) RouterConfig {
 	if cfg.PacketSizeBytes <= 0 {
 		cfg.PacketSizeBytes = def.PacketSizeBytes
 	}
-	if cfg.DampingGamma == 0 && !cfg.DampingSet {
+	if cfg.DampingGamma == 0 {
 		cfg.DampingGamma = def.DampingGamma
 	}
 	if cfg.Detector == 0 {
@@ -345,9 +324,6 @@ func (r *Router) emit(ls *linkState) func(packet.Marker) {
 		r.feedback(m, coreID)
 	}
 }
-
-// Stats returns a copy of the router counters.
-func (r *Router) Stats() RouterStats { return r.stats }
 
 // Name reports the name of the node this router is attached to.
 func (r *Router) Name() string { return r.node.Name() }
@@ -400,9 +376,6 @@ func (r *Router) OnForward(p *packet.Packet, out *netem.Link) bool {
 func (r *Router) Start() {
 	r.ticker.Start(r.net.Scheduler(), r.node.Name(), r.cfg.PhaseOffset, r.cfg.Epoch, r.onEpoch)
 }
-
-// Stop cancels epoch processing.
-func (r *Router) Stop() { r.ticker.Stop() }
 
 // onEpoch performs incipient congestion detection (§3.1) per link and hands
 // the computed F_n to the link's selector.

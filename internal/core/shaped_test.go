@@ -62,9 +62,6 @@ func TestShapedFlowOfferAndRelease(t *testing.T) {
 			t.Errorf("packet flow = %v, want re-stamped %v", p.Flow, wantID)
 		}
 	}
-	if sent, _ := edge.Sent(local); sent != 3 {
-		t.Errorf("Sent = %d, want 3", sent)
-	}
 	if edge.Node().Name() != "E" {
 		t.Errorf("Node().Name() = %q", edge.Node().Name())
 	}
@@ -75,24 +72,26 @@ func TestShapedFlowQueueAccounting(t *testing.T) {
 	if err := edge.StartFlow(local); err != nil {
 		t.Fatal(err)
 	}
-	// Rate 1 pkt/s: offers pile up in the 8-deep queue.
+	// Rate 1 pkt/s: offers pile up in the 8-deep queue, and the shaper
+	// refuses the rest.
+	queued, dropped := 0, 0
 	for i := 0; i < 12; i++ {
 		p := packet.New(packet.FlowID{}, "D", int64(i), 0)
-		_, _ = edge.Offer(local, p)
+		ok, err := edge.Offer(local, p)
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case ok:
+			queued++
+		default:
+			dropped++
+		}
 	}
-	qlen, err := edge.ShaperQueueLen(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qlen != 8 {
-		t.Errorf("ShaperQueueLen = %d, want 8", qlen)
-	}
-	dropped, err := edge.ShaperDropped(local)
-	if err != nil {
-		t.Fatal(err)
+	if queued != 8 {
+		t.Errorf("queued %d offers, want 8", queued)
 	}
 	if dropped != 4 {
-		t.Errorf("ShaperDropped = %d, want 4", dropped)
+		t.Errorf("dropped %d offers, want 4", dropped)
 	}
 	_ = s
 }
@@ -105,19 +104,13 @@ func TestShapedFlowErrors(t *testing.T) {
 	if _, err := edge.AddShapedFlow(1, -1, 8); err == nil {
 		t.Error("negative contract accepted")
 	}
-	// Offer/shaper accessors on a source-backed flow must fail.
+	// Offer on a source-backed flow must fail.
 	srcLocal, err := edge.AddFlow("D", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := edge.Offer(srcLocal, packet.New(packet.FlowID{}, "D", 0, 0)); err == nil {
 		t.Error("Offer on a source-backed flow succeeded")
-	}
-	if _, err := edge.ShaperQueueLen(srcLocal); err == nil {
-		t.Error("ShaperQueueLen on a source-backed flow succeeded")
-	}
-	if _, err := edge.ShaperDropped(srcLocal); err == nil {
-		t.Error("ShaperDropped on a source-backed flow succeeded")
 	}
 	if _, err := edge.Offer(99, packet.New(packet.FlowID{}, "D", 0, 0)); err == nil {
 		t.Error("Offer on unknown flow succeeded")
@@ -130,12 +123,15 @@ func TestContractAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minRate, err := edge.MinRate(local)
-	if err != nil || minRate != 40 {
-		t.Errorf("MinRate = %v, %v; want 40", minRate, err)
+	f, err := edge.Flow(local)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := edge.MinRate(99); err == nil {
-		t.Error("MinRate(99) succeeded")
+	if f.State.minRate != 40 {
+		t.Errorf("min rate %v, want 40", f.State.minRate)
+	}
+	if _, err := edge.Flow(99); err == nil {
+		t.Error("Flow(99) succeeded")
 	}
 }
 
@@ -162,14 +158,14 @@ func TestConfigNormalization(t *testing.T) {
 		cfg.DampingGamma != def.DampingGamma || cfg.Detector != def.Detector {
 		t.Errorf("zero config did not normalize to defaults: %+v", cfg)
 	}
-	// Ablation constructors.
-	off := normalizeRouterConfig(DisableCorrection(RouterConfig{}))
-	if off.CorrectionK != 0 {
-		t.Errorf("DisableCorrection normalized to k=%v, want 0", off.CorrectionK)
+	// Ablations: a negative k or gamma means "off" and survives
+	// normalization, twice over.
+	off := normalizeRouterConfig(normalizeRouterConfig(RouterConfig{CorrectionK: -1, DampingGamma: -1}))
+	if off.CorrectionK >= 0 {
+		t.Errorf("k=-1 normalized to %v, want negative (off)", off.CorrectionK)
 	}
-	undamped := normalizeRouterConfig(DisableDamping(RouterConfig{}))
-	if undamped.DampingGamma >= 0 {
-		t.Errorf("DisableDamping normalized to gamma=%v, want negative sentinel", undamped.DampingGamma)
+	if off.DampingGamma >= 0 {
+		t.Errorf("gamma=-1 normalized to %v, want negative (off)", off.DampingGamma)
 	}
 	// Clamp gamma >= 1.
 	high := normalizeRouterConfig(RouterConfig{DampingGamma: 2})
@@ -215,7 +211,7 @@ func TestRouterStatsAccumulate(t *testing.T) {
 			edge.HandleFeedback(m.Flow.Local, bottleneck.ID())
 		})
 	router.Start()
-	defer router.Stop()
+	defer router.ticker.Stop()
 	net.Node("D").SetApp(&captureApp{fn: func(*packet.Packet) {}})
 	edge.Start()
 	defer edge.Stop()
@@ -225,7 +221,7 @@ func TestRouterStatsAccumulate(t *testing.T) {
 	if err := s.Run(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	st := router.Stats()
+	st := router.stats
 	if st.MarkersSeen == 0 {
 		t.Error("router saw no markers")
 	}

@@ -48,7 +48,7 @@ func TestTickerRearmAllocs(t *testing.T) {
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len() = %d with both tickers re-armed, want 2", got)
 	}
-	router.Stop()
+	router.ticker.Stop()
 	edge.Stop()
 	before := s.Processed()
 	if err := s.Run(s.Now() + time.Minute); err != nil {

@@ -151,15 +151,6 @@ func (r *Router) emitAlpha(st *linkState, at time.Duration, old float64, rule st
 // Stats returns a copy of the router's counters.
 func (r *Router) Stats() RouterStats { return r.stats }
 
-// Alpha reports the current fair-share estimate for an outgoing link
-// (packets/second normalized rate), for tests and instrumentation.
-func (r *Router) Alpha(l *netem.Link) float64 {
-	if st, ok := r.links[l]; ok {
-		return st.alpha
-	}
-	return 0
-}
-
 // OnForward implements netem.Forwarder: the CSFQ acceptance test.
 func (r *Router) OnForward(p *packet.Packet, out *netem.Link) bool {
 	st, ok := r.links[out]

@@ -118,7 +118,7 @@ func TestAlphaTracksUncongestedMaxLabel(t *testing.T) {
 	if err := s.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	alpha := router.Alpha(link)
+	alpha := router.links[link].alpha
 	if math.Abs(alpha-100) > 15 {
 		t.Errorf("α after calm period = %v, want ~100 (max observed label)", alpha)
 	}
@@ -182,7 +182,7 @@ func TestOverflowDecaysAlpha(t *testing.T) {
 		seq++
 		net.Node("R").Inject(p)
 		if s.Now() == 5*time.Second {
-			alphaAfterCongestion = router.Alpha(link)
+			alphaAfterCongestion = router.links[link].alpha
 		}
 		if s.Now() < 10*time.Second {
 			s.RescheduleAfter(time.Millisecond) // 1000 pkt/s into 500
@@ -195,8 +195,8 @@ func TestOverflowDecaysAlpha(t *testing.T) {
 	if alphaAfterCongestion == 0 {
 		t.Skip("α never initialized; overflow decay unobservable")
 	}
-	if router.Alpha(link) >= alphaAfterCongestion {
+	if router.links[link].alpha >= alphaAfterCongestion {
 		t.Errorf("α did not decay under persistent overflow: %v -> %v",
-			alphaAfterCongestion, router.Alpha(link))
+			alphaAfterCongestion, router.links[link].alpha)
 	}
 }

@@ -98,9 +98,9 @@ type Scenario struct {
 	// takes its offered rate off the top of every link it crosses and the
 	// oracle expects the responsive flows to share the residual. Under
 	// CSFQ the blast is injected carrying its rate label and the cores
-	// police it down to its weighted fair share; pick blast rates above
-	// that share or the (demand-cap-free) oracle will overestimate it.
-	// Either way the flow is excluded from the fairness residual.
+	// police it down to its weighted fair share, so the oracle caps its
+	// demand at the blast rate. Either way the flow is excluded from the
+	// fairness residual.
 	Unresponsive map[int]float64
 
 	// SampleWindow is the measurement bin for the output series (0 → 1s,
@@ -1050,7 +1050,7 @@ func ExpectedRatesAt(sc Scenario, t time.Duration) (map[int]float64, error) {
 // scheme (see Scenario.Unresponsive): Corelite's FIFO core cannot police a
 // blast, so it takes its offered rate off the top of every link it crosses
 // and the responsive flows share the residual; CSFQ polices it by label, so
-// it stays an ordinary weighted member.
+// it stays an ordinary weighted member whose demand is its blast rate.
 //
 // Contracts are admitted here: active floors that over-subscribe a link are
 // an error naming the link. Every subset of an admitted set is admitted, so
@@ -1074,6 +1074,9 @@ func expectedRates(sc Scenario, m *flowsim.Model, active map[int]bool) (map[int]
 		}
 		act[i] = true
 		dem[i] = -1
+		if f.FixedDemand > 0 {
+			dem[i] = f.FixedDemand
+		}
 	}
 	if len(sc.MinRates) > 0 {
 		free := make([]float64, len(links))

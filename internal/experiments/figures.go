@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultSeed is the seed used by the figure runners; pass your own via the
+// DefaultSeed is the seed the figures are pinned at; pass your own to the
 // Scenario constructors to study seed sensitivity.
 const DefaultSeed = 1
 
@@ -40,10 +40,6 @@ func Fig3Scenario(seed int64) Scenario {
 	}
 }
 
-// RunFig3 regenerates Figure 3 (instantaneous rate under network
-// dynamics). The same Result also carries Figure 4's cumulative service.
-func RunFig3(seed int64) (*Result, error) { return Run(Fig3Scenario(seed)) }
-
 // Fig4Scenario returns the Figure 4 spec: the same simulation as Figure 3
 // under a distinct name, since Figure 4 plots the cumulative-service
 // series (FlowResult.Cumulative) of that run.
@@ -52,11 +48,6 @@ func Fig4Scenario(seed int64) Scenario {
 	sc.Name = "fig4-corelite-cumulative"
 	return sc
 }
-
-// RunFig4 regenerates Figure 4 (cumulative service). It is the same
-// simulation as Figure 3; the cumulative series is in
-// FlowResult.Cumulative.
-func RunFig4(seed int64) (*Result, error) { return Run(Fig4Scenario(seed)) }
 
 // startupScenario is the §4.2 startup-convergence setup: topology 1 with
 // 10 flows, weight ⌈i/2⌉, all starting at t=0, 80s horizon.
@@ -81,12 +72,6 @@ func Fig5Scenario(seed int64) Scenario {
 func Fig6Scenario(seed int64) Scenario {
 	return startupScenario(SchemeCSFQ, "fig6-csfq-startup", seed)
 }
-
-// RunFig5 regenerates Figure 5 (Corelite startup convergence).
-func RunFig5(seed int64) (*Result, error) { return Run(Fig5Scenario(seed)) }
-
-// RunFig6 regenerates Figure 6 (CSFQ startup convergence).
-func RunFig6(seed int64) (*Result, error) { return Run(Fig6Scenario(seed)) }
 
 // staggeredScenario is the §4.3 rapid-succession setup: 20 flows starting
 // one second apart in ascending order; weights per WeightsFig7.
@@ -116,12 +101,6 @@ func Fig7Scenario(seed int64) Scenario {
 func Fig8Scenario(seed int64) Scenario {
 	return staggeredScenario(SchemeCSFQ, "fig8-csfq-staggered", seed)
 }
-
-// RunFig7 regenerates Figure 7 (Corelite, flows entering 1s apart).
-func RunFig7(seed int64) (*Result, error) { return Run(Fig7Scenario(seed)) }
-
-// RunFig8 regenerates Figure 8 (CSFQ, flows entering 1s apart).
-func RunFig8(seed int64) (*Result, error) { return Run(Fig8Scenario(seed)) }
 
 // churnScenario is the §4.3 churn setup: flows 1–20 start 1s apart, live
 // 60s, stop 1s apart in the same order, and restart 5s after stopping;
@@ -160,12 +139,6 @@ func Fig10Scenario(seed int64) Scenario {
 	return churnScenario(SchemeCSFQ, "fig10-csfq-churn", seed)
 }
 
-// RunFig9 regenerates Figure 9 (Corelite under churn).
-func RunFig9(seed int64) (*Result, error) { return Run(Fig9Scenario(seed)) }
-
-// RunFig10 regenerates Figure 10 (CSFQ under churn).
-func RunFig10(seed int64) (*Result, error) { return Run(Fig10Scenario(seed)) }
-
 // FairnessAtScaleScenario returns the at-scale fairness figure: a k=8
 // fat-tree (80 switches) carrying 40 flows under a heavy-tailed
 // mice/elephants workload where 10% of the flows are unresponsive
@@ -193,11 +166,6 @@ func FairnessAtScaleScenario(scheme Scheme, seed int64) Scenario {
 	}
 }
 
-// RunFairnessAtScale regenerates the at-scale fairness figure.
-func RunFairnessAtScale(scheme Scheme, seed int64) (*Result, error) {
-	return Run(FairnessAtScaleScenario(scheme, seed))
-}
-
 // ChurnTailScenario returns the convergence-tail figure: a k=4 fat-tree
 // with a churning heavy-weight cohort (anti-phase on/off cycling) plus a
 // flash crowd arriving together mid-run. The interesting output is the
@@ -219,11 +187,6 @@ func ChurnTailScenario(scheme Scheme, seed int64) Scenario {
 			Traffic: &trafficgen.Config{Kind: trafficgen.KindChurn, Settle: 100 * time.Second},
 		},
 	}
-}
-
-// RunChurnTail regenerates the convergence-tail figure.
-func RunChurnTail(scheme Scheme, seed int64) (*Result, error) {
-	return Run(ChurnTailScenario(scheme, seed))
 }
 
 // AllFigures enumerates the figure scenarios in order — one spec per

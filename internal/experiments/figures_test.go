@@ -9,11 +9,11 @@ import (
 // flow arrivals, Corelite's losses stay an order of magnitude below
 // CSFQ's, and fairness at the end of the run is at least as good.
 func TestFig7Fig8LossGap(t *testing.T) {
-	cl, err := RunFig7(1)
+	cl, err := Run(Fig7Scenario(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := RunFig8(1)
+	cs, err := Run(Fig8Scenario(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFig7Fig8LossGap(t *testing.T) {
 // restart re-converge, and the system remains fair through simultaneous
 // arrivals and departures.
 func TestFig9ChurnRecovery(t *testing.T) {
-	res, err := RunFig9(1)
+	res, err := Run(Fig9Scenario(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFig9ChurnRecovery(t *testing.T) {
 // respective fair share rates": the weight-5 flows must climb past 80% of
 // their share before their rate ever decreases.
 func TestFig5LateThrottling(t *testing.T) {
-	res, err := RunFig5(1)
+	res, err := Run(Fig5Scenario(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,14 @@ func TestFig5LateThrottling(t *testing.T) {
 // end: both generated figures must expand, run, and report per-flow
 // results for every generated slot.
 func TestAtScaleRunners(t *testing.T) {
-	fair, err := RunFairnessAtScale(SchemeCorelite, 1)
+	fair, err := Run(FairnessAtScaleScenario(SchemeCorelite, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fair.Flows); got != FairnessAtScaleScenario(SchemeCorelite, 1).Generate.Topo.Flows {
 		t.Errorf("fairness-at-scale flows = %d, want %d", got, FairnessAtScaleScenario(SchemeCorelite, 1).Generate.Topo.Flows)
 	}
-	tail, err := RunChurnTail(SchemeCorelite, 1)
+	tail, err := Run(ChurnTailScenario(SchemeCorelite, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

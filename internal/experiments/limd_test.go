@@ -24,7 +24,7 @@ func TestFluidMatchesPacketSimulation(t *testing.T) {
 	}
 	fluid := states[len(states)-1].Rates
 
-	res, err := RunFig5(1)
+	res, err := Run(Fig5Scenario(1))
 	if err != nil {
 		t.Fatalf("packet sim: %v", err)
 	}

@@ -42,7 +42,9 @@ func referenceRates(sc Scenario, m *flowsim.Model, active map[int]bool) (map[int
 			links[j] = m.Links[li].Name
 		}
 		key := strconv.Itoa(f.Index)
-		p.Flows[key] = maxmin.Flow{Weight: f.Weight, Links: links}
+		// A CSFQ blaster is policed to its share but never above its
+		// blast rate: FixedDemand is its demand cap (0 = unbounded).
+		p.Flows[key] = maxmin.Flow{Weight: f.Weight, Links: links, Demand: f.FixedDemand}
 		if f.MinRate > 0 {
 			mins[key] = f.MinRate
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -48,14 +49,8 @@ func TestSharedIngressFlowsStayApart(t *testing.T) {
 				Check:    invariant.New(invariant.Config{}),
 			}
 			if blast {
-				// Under CSFQ the blast must exceed its weighted share of
-				// 125 pkt/s: the oracle has no demand cap for a policed
-				// blaster (see Scenario.Unresponsive).
-				rate := 100.0
-				if scheme == SchemeCSFQ {
-					rate = 200
-				}
-				sc.Unresponsive = map[int]float64{1: rate}
+				// Below its weighted share of 125 pkt/s under CSFQ.
+				sc.Unresponsive = map[int]float64{1: 100}
 			}
 			res, err := Run(sc)
 			if err != nil {
@@ -71,6 +66,43 @@ func TestSharedIngressFlowsStayApart(t *testing.T) {
 				}
 				seen[f.Delivered] = f.Index
 			}
+		}
+	}
+}
+
+// TestCSFQBlasterBelowShareOracle pins the oracle's answer for a CSFQ
+// blaster that sends below its weighted share of 125 pkt/s: CSFQ's cores
+// leave such a flow alone, so it keeps its 100 pkt/s and flows 2 and 3
+// split the rest 2:1, and a correct run passes the fairness check on both
+// backends.
+func TestCSFQBlasterBelowShareOracle(t *testing.T) {
+	want := map[int]float64{1: 100, 2: 800.0 / 3, 3: 400.0 / 3}
+	for _, backend := range []Backend{BackendPacket, BackendFlow} {
+		sc := Scenario{
+			Name:         "csfq-blaster-below-share",
+			Scheme:       SchemeCSFQ,
+			Backend:      backend,
+			Spec:         parseSpec(t, sharedIngress),
+			Duration:     200 * time.Second,
+			Seed:         1,
+			Unresponsive: map[int]float64{1: 100},
+			Check:        invariant.New(invariant.Config{}),
+		}
+		got, err := ExpectedRatesAt(sc, 150*time.Second)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		for i, w := range want {
+			if math.Abs(got[i]-w) > 1e-9 {
+				t.Errorf("%s: flow %d expected %.4f pkt/s, want %.4f", backend, i, got[i], w)
+			}
+		}
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		if res.TotalViolations != 0 {
+			t.Errorf("%s: %d violations, first %v", backend, res.TotalViolations, res.Violations[0])
 		}
 	}
 }

@@ -81,23 +81,6 @@ func Summarize(label string, sc Scenario, res *Result) SweepResult {
 	return sr
 }
 
-// Sweep runs the base scenario once per point, serially, and summarizes
-// each run. It regenerates the paper's §4.4 sensitivity claim ("Corelite
-// is not very sensitive to these parameters") as a table; cmd/sweep runs
-// the same specs through the internal/run pool instead.
-func Sweep(base Scenario, points []SweepPoint) ([]SweepResult, error) {
-	scs := SweepScenarios(base, points)
-	out := make([]SweepResult, 0, len(points))
-	for i, sc := range scs {
-		res, err := Run(sc)
-		if err != nil {
-			return nil, fmt.Errorf("sweep point %q: %w", points[i].Label, err)
-		}
-		out = append(out, Summarize(points[i].Label, sc, res))
-	}
-	return out, nil
-}
-
 // EpochSweep varies the congestion/adaptation epoch (paper §4.4: "different
 // core router epoch sizes").
 func EpochSweep(values ...time.Duration) []SweepPoint {

@@ -5,6 +5,21 @@ import (
 	"time"
 )
 
+// sweep runs the base scenario once per point, serially, and summarizes
+// each run, as cmd/sweep does through the run pool.
+func sweep(t *testing.T, base Scenario, points []SweepPoint) []SweepResult {
+	t.Helper()
+	var out []SweepResult
+	for i, sc := range SweepScenarios(base, points) {
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("sweep point %q: %v", points[i].Label, err)
+		}
+		out = append(out, Summarize(points[i].Label, sc, res))
+	}
+	return out
+}
+
 // shortFig5 is a trimmed startup scenario for sweep tests.
 func shortFig5() Scenario {
 	sc := Fig5Scenario(1)
@@ -13,10 +28,7 @@ func shortFig5() Scenario {
 }
 
 func TestSweepEpochSensitivity(t *testing.T) {
-	results, err := Sweep(shortFig5(), EpochSweep())
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
+	results := sweep(t, shortFig5(), EpochSweep())
 	if len(results) != 4 {
 		t.Fatalf("results = %d, want 4", len(results))
 	}
@@ -35,10 +47,7 @@ func TestSweepEpochSensitivity(t *testing.T) {
 }
 
 func TestSweepQThreshSensitivity(t *testing.T) {
-	results, err := Sweep(shortFig5(), QThreshSweep())
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
+	results := sweep(t, shortFig5(), QThreshSweep())
 	for _, r := range results {
 		if r.Jain < 0.98 {
 			t.Errorf("%s: Jain = %v, want >= 0.98", r.Label, r.Jain)
@@ -47,10 +56,7 @@ func TestSweepQThreshSensitivity(t *testing.T) {
 }
 
 func TestSweepLatencySensitivity(t *testing.T) {
-	results, err := Sweep(shortFig5(), LatencySweep())
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
+	results := sweep(t, shortFig5(), LatencySweep())
 	for _, r := range results {
 		if r.Jain < 0.97 {
 			t.Errorf("%s: Jain = %v, want >= 0.97 (large-latency channels)", r.Label, r.Jain)
@@ -59,12 +65,11 @@ func TestSweepLatencySensitivity(t *testing.T) {
 }
 
 func TestSweepErrorPropagates(t *testing.T) {
-	bad := shortFig5()
-	_, err := Sweep(bad, []SweepPoint{{
+	scs := SweepScenarios(shortFig5(), []SweepPoint{{
 		Label:  "broken",
 		Mutate: func(sc *Scenario) { sc.Duration = 0 },
 	}})
-	if err == nil {
+	if _, err := Run(scs[0]); err == nil {
 		t.Error("sweep with broken point succeeded")
 	}
 }

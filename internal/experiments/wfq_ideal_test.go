@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -32,7 +33,7 @@ func TestCoreliteApproachesWFQIdeal(t *testing.T) {
 		for i := 1; i <= 3; i++ {
 			flowWeights[packet.FlowID{Edge: "src", Local: i}] = weights[i]
 		}
-		q := netem.NewWFQ(40, func(f packet.FlowID) float64 { return flowWeights[f] })
+		q := baseline.NewWFQ(40, func(f packet.FlowID) float64 { return flowWeights[f] })
 		if _, err := net.AddLink("R", "D", netem.LinkConfig{RateBps: 4e6, Delay: time.Millisecond, Queue: q}); err != nil {
 			t.Fatal(err)
 		}

@@ -313,8 +313,8 @@ func (a *allocator) flowsOn(li int) []int32 {
 // in one shot: active[i]/demand[i] follow the solve conventions below and
 // the result is indexed like m.Flows. It is the oracle: the experiments
 // layer computes every expected rate — either backend, any size — by
-// calling it with unbounded demands, and internal/maxmin is the reference
-// it is tested against.
+// calling it with unbounded demands (a CSFQ blaster's is its blast rate),
+// and internal/maxmin is the reference it is tested against.
 func SolveMaxMin(m *Model, active []bool, demand []float64) []float64 {
 	a := newAllocator(m)
 	out := make([]float64, len(m.Flows))

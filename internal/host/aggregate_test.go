@@ -118,7 +118,7 @@ func TestMicroFlowAggregation(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	aggregate := float64(microA.Acked()+microB.Acked()) / 90
+	aggregate := float64(microA.sndUna+microB.sndUna) / 90
 	single := float64(delivered2) / 90
 	// Equal weights: the two-micro-flow aggregate and the single flow
 	// each get ~250 pkt/s.
@@ -129,7 +129,7 @@ func TestMicroFlowAggregation(t *testing.T) {
 		t.Errorf("single flow goodput = %.0f, want ~250", single)
 	}
 	// Both micro flows make progress within the aggregate.
-	if microA.Acked() == 0 || microB.Acked() == 0 {
-		t.Errorf("a micro flow starved: A=%d B=%d", microA.Acked(), microB.Acked())
+	if microA.sndUna == 0 || microB.sndUna == 0 {
+		t.Errorf("a micro flow starved: A=%d B=%d", microA.sndUna, microB.sndUna)
 	}
 }

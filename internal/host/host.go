@@ -172,15 +172,6 @@ func NewSender(sched *sim.Scheduler, cfg SenderConfig) (*Sender, error) {
 	return s, nil
 }
 
-// Stats returns a copy of the sender counters.
-func (s *Sender) Stats() SenderStats { return s.stats }
-
-// Cwnd reports the current congestion window in segments.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// Acked reports the count of cumulatively acknowledged segments.
-func (s *Sender) Acked() int64 { return s.sndUna }
-
 // Start begins transmission (the flow is backlogged: there is always data
 // to send).
 func (s *Sender) Start() {
@@ -393,12 +384,6 @@ func NewReceiver(sched *sim.Scheduler, srcNode string, sendAck func(*packet.Pack
 		buffered: make(map[int64]bool),
 	}
 }
-
-// Received reports total data segments accepted (including out-of-order).
-func (r *Receiver) Received() int64 { return r.received }
-
-// Expected reports the next expected sequence (= cumulative ACK number).
-func (r *Receiver) Expected() int64 { return r.expected }
 
 // Deliver processes one arriving data segment and emits a cumulative ACK.
 func (r *Receiver) Deliver(p *packet.Packet) {

@@ -82,17 +82,17 @@ func TestLosslessTransfer(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	lb.s.Stop()
-	st := lb.s.Stats()
+	st := lb.s.stats
 	if st.Retransmits != 0 || st.Timeouts != 0 {
 		t.Errorf("lossless path produced %d retransmits, %d timeouts", st.Retransmits, st.Timeouts)
 	}
 	// RTT 20ms, max window 128 -> up to 6400 seg/s; in 5s several
 	// thousand segments must complete.
-	if lb.s.Acked() < 5000 {
-		t.Errorf("acked %d segments in 5s, want several thousand", lb.s.Acked())
+	if lb.s.sndUna < 5000 {
+		t.Errorf("acked %d segments in 5s, want several thousand", lb.s.sndUna)
 	}
-	if lb.r.Expected() != lb.s.Acked() {
-		t.Errorf("receiver expected %d != sender acked %d", lb.r.Expected(), lb.s.Acked())
+	if lb.r.expected != lb.s.sndUna {
+		t.Errorf("receiver expected %d != sender acked %d", lb.r.expected, lb.s.sndUna)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestSlowStartDoubling(t *testing.T) {
 	if err := s.Run(320 * time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if lb.s.Cwnd() < 6 {
-		t.Errorf("cwnd after ~3 RTTs of slow start = %v, want >= 6", lb.s.Cwnd())
+	if lb.s.cwnd < 6 {
+		t.Errorf("cwnd after ~3 RTTs of slow start = %v, want >= 6", lb.s.cwnd)
 	}
 }
 
@@ -125,7 +125,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	if err := s.Run(3 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	st := lb.s.Stats()
+	st := lb.s.stats
 	if !dropped {
 		t.Fatal("the test never exercised the loss")
 	}
@@ -135,8 +135,8 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	if st.Timeouts != 0 {
 		t.Errorf("timeouts = %d, want 0 (dup ACKs should recover)", st.Timeouts)
 	}
-	if lb.s.Acked() < 1000 {
-		t.Errorf("acked %d, transfer stalled after loss", lb.s.Acked())
+	if lb.s.sndUna < 1000 {
+		t.Errorf("acked %d, transfer stalled after loss", lb.s.sndUna)
 	}
 }
 
@@ -152,12 +152,12 @@ func TestTimeoutRecovery(t *testing.T) {
 	if err := s.Run(6 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	st := lb.s.Stats()
+	st := lb.s.stats
 	if st.Timeouts == 0 {
 		t.Error("no RTO during blackout")
 	}
-	if lb.s.Acked() < 500 {
-		t.Errorf("acked %d after path healed, want a resumed transfer", lb.s.Acked())
+	if lb.s.sndUna < 500 {
+		t.Errorf("acked %d after path healed, want a resumed transfer", lb.s.sndUna)
 	}
 }
 
@@ -186,7 +186,7 @@ func TestReceiverReordersOutOfOrder(t *testing.T) {
 	ack := packet.New(packet.FlowID{}, "R", 9, 0)
 	ack.Kind = packet.KindAck
 	r.Deliver(ack)
-	if r.Received() != 4 {
+	if r.received != 4 {
 		t.Errorf("receiver counted an ACK as data")
 	}
 }
@@ -235,7 +235,7 @@ func TestTCPOverBottleneck(t *testing.T) {
 	if err := s.Run(30 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	goodput := float64(sender.Acked()) / 30
+	goodput := float64(sender.sndUna) / 30
 	if goodput < 350 {
 		t.Errorf("TCP goodput = %.0f pkt/s over a 500 pkt/s bottleneck, want > 350", goodput)
 	}
@@ -309,8 +309,8 @@ func TestTCPThroughCoreliteWeightedShapers(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	g1 := float64(senders[1].Acked()) / 90
-	g2 := float64(senders[2].Acked()) / 90
+	g1 := float64(senders[1].sndUna) / 90
+	g2 := float64(senders[2].sndUna) / 90
 	total := g1 + g2
 	if total < 380 {
 		t.Errorf("aggregate TCP goodput %.0f pkt/s, want near 500", total)

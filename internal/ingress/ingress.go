@@ -222,15 +222,6 @@ func (e *Edge[S]) AllowedRate(local int) (float64, error) {
 	return f.Ctrl.Rate(), nil
 }
 
-// Weight reports the flow's rate weight.
-func (e *Edge[S]) Weight(local int) (float64, error) {
-	f, err := e.Flow(local)
-	if err != nil {
-		return 0, err
-	}
-	return f.Weight, nil
-}
-
 // Start begins the edge's periodic epoch processing. The first tick fires
 // after the edge's phase offset so that edges across the cloud do not adapt
 // in lock-step.

@@ -90,8 +90,8 @@ func TestEdgeFlowLifecycle(t *testing.T) {
 	if len(*got) == 0 || (*got)[0].Label != 1 {
 		t.Fatalf("no stamped packet delivered: %v", *got)
 	}
-	if w, _ := e.Weight(0); w != 2 {
-		t.Errorf("weight %v", w)
+	if f.Weight != 2 {
+		t.Errorf("weight %v", f.Weight)
 	}
 	if id, _ := e.FlowID(0); id != f.ID {
 		t.Errorf("FlowID %v", id)
@@ -164,7 +164,6 @@ func TestEdgeErrors(t *testing.T) {
 		"StopFlow":  e.StopFlow(3),
 		"FlowID":    second(e.FlowID(3)),
 		"Rate":      second(e.AllowedRate(3)),
-		"Weight":    second(e.Weight(3)),
 	} {
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: %v, want %q", name, err, want)

@@ -475,14 +475,6 @@ func (c *Checker) Overflow() int64 {
 	return c.overflow
 }
 
-// Sweeps reports how many structural sweeps have completed.
-func (c *Checker) Sweeps() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.sweeps
-}
-
 // Checks reports how many individual comparisons have run.
 func (c *Checker) Checks() int64 {
 	if c == nil {

@@ -87,9 +87,6 @@ func NewFlowRecorder(window time.Duration) *FlowRecorder {
 	return &FlowRecorder{window: window, flows: make(map[packet.FlowID]*flowState)}
 }
 
-// Window reports the aggregation window.
-func (r *FlowRecorder) Window() time.Duration { return r.window }
-
 func (r *FlowRecorder) state(f packet.FlowID) *flowState {
 	st, ok := r.flows[f]
 	if !ok {
@@ -107,17 +104,6 @@ func (r *FlowRecorder) Deliver(f packet.FlowID, now time.Duration) {
 	st.total++
 	st.lastDeliver = now
 	st.hasDeliver = true
-}
-
-// LastDelivery reports when flow f's most recent packet reached the egress,
-// and false if nothing has been delivered (or the flow is unknown). The
-// gap between this and the run's end exposes flows that were starved or
-// stopped early — a silence the windowed rate series only shows as zeros.
-func (r *FlowRecorder) LastDelivery(f packet.FlowID) (time.Duration, bool) {
-	if st, ok := r.flows[f]; ok && st.hasDeliver {
-		return st.lastDeliver, true
-	}
-	return 0, false
 }
 
 // Lose records a dropped packet of flow f.
@@ -139,13 +125,6 @@ func (r *FlowRecorder) Flush(now time.Duration) {
 		st.windowCount = 0
 		st.lastFlush = now
 	}
-}
-
-// Flows returns the flow ids in first-seen order.
-func (r *FlowRecorder) Flows() []packet.FlowID {
-	out := make([]packet.FlowID, len(r.order))
-	copy(out, r.order)
-	return out
 }
 
 // Rate returns the windowed receive-rate series for f (packets/second).
@@ -182,15 +161,6 @@ func (r *FlowRecorder) Losses(f packet.FlowID) int64 {
 		return st.losses
 	}
 	return 0
-}
-
-// TotalLosses sums losses over all flows.
-func (r *FlowRecorder) TotalLosses() int64 {
-	var sum int64
-	for _, st := range r.flows {
-		sum += st.losses
-	}
-	return sum
 }
 
 // JainIndex computes Jain's fairness index (Σx)² / (n·Σx²) of the given

@@ -34,9 +34,7 @@ func TestLinkSteadyStateAllocs(t *testing.T) {
 			n.Node("A").Inject(n.PacketPool().Get(flow, "C", seq, s.Now()))
 			seq++
 		}
-		if err := s.RunAll(); err != nil {
-			t.Fatalf("RunAll: %v", err)
-		}
+		drain(s)
 	}
 	// Warm the pools and the queue capacity.
 	for i := 0; i < 8; i++ {

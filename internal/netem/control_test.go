@@ -47,9 +47,7 @@ func TestControlSendAllocatesNothing(t *testing.T) {
 				t.Fatalf("SendControl: %v", err)
 			}
 		}
-		if err := s.RunAll(); err != nil {
-			t.Fatalf("RunAll: %v", err)
-		}
+		drain(s)
 	}
 	for i := 0; i < 4; i++ {
 		burst()
@@ -87,9 +85,7 @@ func TestControlProfiledMatchesPlain(t *testing.T) {
 			}
 		})
 		s.PostHandler(0, hid, 0)
-		if err := s.RunAll(); err != nil {
-			t.Fatalf("RunAll: %v", err)
-		}
+		drain(s)
 		return got
 	}
 	plain := run(nil)
@@ -117,9 +113,7 @@ func TestControlToNodeWithoutReceiver(t *testing.T) {
 	if err := n.SendControl(c, a, Control{}); err != nil {
 		t.Fatalf("SendControl: %v", err)
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	drain(s)
 	if s.Processed() != 1 {
 		t.Errorf("processed %d events, want the one delivery", s.Processed())
 	}

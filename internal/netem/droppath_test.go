@@ -56,9 +56,7 @@ func TestDropsWhileLinkBusyConservation(t *testing.T) {
 		}
 		inject(6)
 	})
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	drain(s)
 
 	st := n.Stats()
 	if st.Injected != 7 || st.Delivered != 3 || st.Dropped != 4 {
@@ -67,7 +65,7 @@ func TestDropsWhileLinkBusyConservation(t *testing.T) {
 	}
 	ls := l.Stats()
 	if ls.InFlight() != 0 {
-		t.Errorf("link still holds %d packets after RunAll", ls.InFlight())
+		t.Errorf("link still holds %d packets after draining", ls.InFlight())
 	}
 	if ls.DroppedOverflow != 4 {
 		t.Errorf("DroppedOverflow = %d, want 4", ls.DroppedOverflow)
@@ -134,7 +132,7 @@ func TestMonitorAfterEndEpoch(t *testing.T) {
 	// Fresh epoch: peak collapses to the carried-over length, the average
 	// at zero elapsed time is the instantaneous length, and the old
 	// integral is gone.
-	if got := m.Peak(); got != 2 {
+	if got := m.peak; got != 2 {
 		t.Errorf("peak after EndEpoch = %d, want current length 2", got)
 	}
 	if got := m.Average(2 * time.Second); got != 2 {
@@ -148,7 +146,7 @@ func TestMonitorAfterEndEpoch(t *testing.T) {
 	if avg := m.EndEpoch(4 * time.Second); avg < 2.99 || avg > 3.01 {
 		t.Errorf("epoch 2 average = %v, want 3 (epoch 1 leaked in)", avg)
 	}
-	if got := m.Peak(); got != 4 {
+	if got := m.peak; got != 4 {
 		t.Errorf("peak after second EndEpoch = %d, want 4", got)
 	}
 }

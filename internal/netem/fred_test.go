@@ -4,8 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/packet"
 	"repro/internal/sim"
+)
+
+// The baselines plug into any link.
+var (
+	_ Discipline = (*baseline.RED)(nil)
+	_ Discipline = (*baseline.FRED)(nil)
+	_ Discipline = (*baseline.WFQ)(nil)
 )
 
 func fredFlowID(name string) packet.FlowID { return packet.FlowID{Edge: name, Local: 0} }
@@ -18,7 +26,7 @@ func TestFREDProtectsFragileFlow(t *testing.T) {
 	n := New(s)
 	mustNode(t, n, "R")
 	mustNode(t, n, "D")
-	fred := NewFRED(DefaultFREDConfig(40, 2*time.Millisecond), s.Now, sim.NewRNG(5))
+	fred := baseline.NewFRED(baseline.DefaultFREDConfig(40, 2*time.Millisecond), s.Now, sim.NewRNG(5))
 	mustLink(t, n, "R", "D", LinkConfig{RateBps: 4e6, Delay: time.Millisecond, Queue: fred})
 	if err := n.ComputeRoutes(); err != nil {
 		t.Fatalf("ComputeRoutes: %v", err)
@@ -67,7 +75,7 @@ func (f appFn) Receive(p *packet.Packet) { f(p) }
 
 func TestFREDStateOnlyForBufferedFlows(t *testing.T) {
 	s := sim.NewScheduler()
-	fred := NewFRED(DefaultFREDConfig(40, 2*time.Millisecond), s.Now, sim.NewRNG(5))
+	fred := baseline.NewFRED(baseline.DefaultFREDConfig(40, 2*time.Millisecond), s.Now, sim.NewRNG(5))
 	for i := 0; i < 5; i++ {
 		p := packet.New(fredFlowID("a"), "D", int64(i), 0)
 		fred.Enqueue(p)
@@ -127,10 +135,10 @@ func TestFREDFairerThanRED(t *testing.T) {
 	}
 
 	red := build(func(s *sim.Scheduler) Discipline {
-		return NewRED(DefaultREDConfig(40, 2*time.Millisecond), s.Now, sim.NewRNG(5))
+		return baseline.NewRED(baseline.DefaultREDConfig(40, 2*time.Millisecond), s.Now, sim.NewRNG(5))
 	})
 	fred := build(func(s *sim.Scheduler) Discipline {
-		return NewFRED(DefaultFREDConfig(40, 2*time.Millisecond), s.Now, sim.NewRNG(5))
+		return baseline.NewFRED(baseline.DefaultFREDConfig(40, 2*time.Millisecond), s.Now, sim.NewRNG(5))
 	})
 
 	redRatio := float64(red["heavy"]) / float64(red["light"])
@@ -147,7 +155,7 @@ func TestFREDFairerThanRED(t *testing.T) {
 
 func TestFREDCapacityOverflow(t *testing.T) {
 	s := sim.NewScheduler()
-	fred := NewFRED(FREDConfig{
+	fred := baseline.NewFRED(baseline.FREDConfig{
 		Capacity:  4,
 		MinThresh: 100, // effectively disable RED behaviour
 		MaxThresh: 200,

@@ -32,9 +32,6 @@ func (m *QueueMonitor) Observe(now time.Duration, length int) {
 // Length reports the most recently observed instantaneous queue length.
 func (m *QueueMonitor) Length() int { return m.length }
 
-// Peak reports the maximum instantaneous length seen this epoch.
-func (m *QueueMonitor) Peak() int { return m.peak }
-
 // Average reports the time-weighted mean queue length from the epoch start
 // up to now, without resetting the epoch.
 func (m *QueueMonitor) Average(now time.Duration) float64 {

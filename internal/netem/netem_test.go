@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -122,8 +123,8 @@ func TestQueueMonitorAverage(t *testing.T) {
 	if avg < 4.99 || avg > 5.01 {
 		t.Errorf("epoch average = %v, want 5", avg)
 	}
-	if m.Peak() != 0 {
-		t.Errorf("peak after epoch reset = %d, want current length 0", m.Peak())
+	if m.peak != 0 {
+		t.Errorf("peak after epoch reset = %d, want current length 0", m.peak)
 	}
 	// New epoch: constant length 4 for 1s.
 	m.Observe(2500*time.Millisecond, 4)
@@ -161,9 +162,7 @@ func TestLinkServiceRateAndDelay(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		n.Node("A").Inject(packet.New(packet.FlowID{Edge: "A", Local: 1}, "B", int64(i), s.Now()))
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	drain(s)
 	if len(sink.got) != 3 {
 		t.Fatalf("sink received %d packets, want 3", len(sink.got))
 	}
@@ -212,9 +211,7 @@ func TestOverflowDropNotifies(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		n.Node("A").Inject(packet.New(packet.FlowID{Edge: "A", Local: 1}, "B", int64(i), 0))
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	drain(s)
 	if len(sink.got) != 3 {
 		t.Errorf("sink received %d packets, want 3", len(sink.got))
 	}
@@ -272,9 +269,7 @@ func TestForwarderPolicyDrop(t *testing.T) {
 	n.Node("B").SetApp(sink)
 
 	n.Node("A").Inject(packet.New(packet.FlowID{Edge: "A", Local: 1}, "B", 0, 0))
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	drain(s)
 	if fw.seen != 1 {
 		t.Errorf("forwarder saw %d packets, want 1", fw.seen)
 	}
@@ -341,9 +336,7 @@ func TestSendControlLatency(t *testing.T) {
 	if err := n.SendControl(a, c, Control{Flow: 3, Link: 1}); err != nil {
 		t.Fatalf("SendControl: %v", err)
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	drain(s)
 	if want := []time.Duration{7 * time.Millisecond, 14 * time.Millisecond}; !slices.Equal(deliveredAt, want) {
 		t.Errorf("control delivered at %v, want %v", deliveredAt, want)
 	}
@@ -406,7 +399,7 @@ func TestConnectDuplex(t *testing.T) {
 func TestREDDropsProbabilisticallyUnderLoad(t *testing.T) {
 	s := sim.NewScheduler()
 	rng := sim.NewRNG(1)
-	red := NewRED(DefaultREDConfig(40, 2*time.Millisecond), s.Now, rng)
+	red := baseline.NewRED(baseline.DefaultREDConfig(40, 2*time.Millisecond), s.Now, rng)
 
 	// Keep the queue hovering around 20 packets so avg exceeds minThresh
 	// (5): enqueue 2, dequeue 1, repeatedly.
@@ -441,7 +434,7 @@ func TestREDDropsProbabilisticallyUnderLoad(t *testing.T) {
 func TestREDIdleDecay(t *testing.T) {
 	now := time.Duration(0)
 	rng := sim.NewRNG(1)
-	red := NewRED(DefaultREDConfig(40, 2*time.Millisecond), func() time.Duration { return now }, rng)
+	red := baseline.NewRED(baseline.DefaultREDConfig(40, 2*time.Millisecond), func() time.Duration { return now }, rng)
 	for i := 0; i < 30; i++ {
 		red.Enqueue(packet.New(packet.FlowID{}, "D", int64(i), 0))
 	}
@@ -470,9 +463,7 @@ func TestLinkStats(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		n.Node("A").Inject(packet.New(packet.FlowID{Edge: "A", Local: 1}, "B", int64(i), 0))
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	drain(s)
 	st := l.Stats()
 	if st.Enqueued != 2 { // one in service immediately + one buffered
 		t.Errorf("Enqueued = %d, want 2", st.Enqueued)

@@ -70,9 +70,7 @@ func runPipelineScenario(t *testing.T, seed int64) ([]string, map[sim.HandlerKin
 			}
 		})
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatalf("RunAll: %v", err)
-	}
+	drain(s)
 	counts := map[sim.HandlerKind]uint64{}
 	for _, st := range prof.Snapshot() {
 		counts[st.Kind] = st.Events

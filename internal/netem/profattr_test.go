@@ -35,9 +35,7 @@ func TestFusedProfilerAttribution(t *testing.T) {
 			n.Node("A").Inject(n.PacketPool().Get(flow, "C", seq, s.Now()))
 			seq++
 		}
-		if err := s.RunAll(); err != nil {
-			t.Fatalf("RunAll: %v", err)
-		}
+		drain(s)
 	}
 	if got := n.Stats().Delivered; got != seq {
 		t.Fatalf("delivered %d packets, want %d", got, seq)

@@ -60,9 +60,7 @@ func TestInstallRouteForwardsFromEveryNodeOnPath(t *testing.T) {
 	for _, src := range []string{"A", "C", "X"} {
 		n.Node(src).Inject(packet.New(packet.FlowID{Edge: src}, "D", 0, 0))
 	}
-	if err := n.Scheduler().RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	drain(n.Scheduler())
 	if len(at) != 3 {
 		t.Fatalf("delivered %v, want one packet from each of A, C, X", at)
 	}
@@ -122,9 +120,7 @@ func TestRoutesFollowTopologyChanges(t *testing.T) {
 	n.Node("A").Inject(packet.New(packet.FlowID{Edge: "A"}, "D", 0, 0))
 	mustLink(t, n, "A", "D", LinkConfig{RateBps: 1e6, Delay: time.Millisecond})
 	n.Node("A").Inject(packet.New(packet.FlowID{Edge: "A"}, "D", 1, 0))
-	if err := n.Scheduler().RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	drain(n.Scheduler())
 	if hops != 2 {
 		t.Fatalf("delivered %d packets, want 2", hops)
 	}

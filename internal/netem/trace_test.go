@@ -39,9 +39,7 @@ func TestTracerCountsLifecycle(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		n.Node("A").Inject(packet.New(packet.FlowID{Edge: "A", Local: 0}, "B", int64(i), 0))
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	drain(s)
 	if tr.Counts[EventEnqueue] != 3 {
 		t.Errorf("enqueues = %d, want 3", tr.Counts[EventEnqueue])
 	}
@@ -72,9 +70,7 @@ func TestWriterTracerFormat(t *testing.T) {
 	p := packet.New(packet.FlowID{Edge: "E1", Local: 7}, "B", 42, 0)
 	p.Marker = &packet.Marker{Flow: p.Flow, Rate: 10}
 	n.Node("A").Inject(p)
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	drain(s)
 	out := sb.String()
 	for _, want := range []string{"+ 0.000000 A->B E1/7 seq 42 size 1000 data marked",
 		"- 0.000000 A->B", "r 0.003000 B"} {
@@ -99,9 +95,7 @@ func TestWriterTracerFilter(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		n.Node("A").Inject(packet.New(packet.FlowID{Edge: "A", Local: 0}, "B", int64(i), 0))
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	drain(s)
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("filtered trace has %d lines, want 2 drops:\n%s", len(lines), sb.String())

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -17,7 +18,7 @@ func TestWFQServesByWeight(t *testing.T) {
 		wfqFlowID("a"): 1,
 		wfqFlowID("b"): 3,
 	}
-	q := NewWFQ(1<<20, func(f packet.FlowID) float64 { return weights[f] })
+	q := baseline.NewWFQ(1<<20, func(f packet.FlowID) float64 { return weights[f] })
 	// Keep both flows backlogged with 10 packets each, topping up after
 	// every dequeue.
 	served := map[string]int{}
@@ -44,7 +45,7 @@ func TestWFQServesByWeight(t *testing.T) {
 }
 
 func TestWFQFIFOWithinFlow(t *testing.T) {
-	q := NewWFQ(64, nil)
+	q := baseline.NewWFQ(64, nil)
 	f := wfqFlowID("x")
 	for i := 0; i < 5; i++ {
 		q.Enqueue(packet.New(f, "D", int64(i), 0))
@@ -61,7 +62,7 @@ func TestWFQFIFOWithinFlow(t *testing.T) {
 }
 
 func TestWFQCapacityAndState(t *testing.T) {
-	q := NewWFQ(4, nil)
+	q := baseline.NewWFQ(4, nil)
 	// Length never exceeds capacity regardless of offered load; overflow
 	// evicts from the longest flow, so a single-flow hog is rejected at
 	// the tail while a newcomer gets in by evicting the hog.
@@ -97,7 +98,7 @@ func TestWFQCapacityAndState(t *testing.T) {
 func TestWFQIdleFlowNotPenalized(t *testing.T) {
 	// A flow that goes idle and returns must not be starved by stale
 	// virtual time (its new head is stamped against the current clock).
-	q := NewWFQ(1<<20, nil)
+	q := baseline.NewWFQ(1<<20, nil)
 	a, b := wfqFlowID("a"), wfqFlowID("b")
 	// b runs alone for a while, advancing the virtual clock.
 	for i := 0; i < 100; i++ {
@@ -128,7 +129,7 @@ func TestWFQMatchesOracleOnLink(t *testing.T) {
 		wfqFlowID("lo"): 1,
 		wfqFlowID("hi"): 4,
 	}
-	q := NewWFQ(40, func(f packet.FlowID) float64 { return weights[f] })
+	q := baseline.NewWFQ(40, func(f packet.FlowID) float64 { return weights[f] })
 	mustLink(t, n, "R", "D", LinkConfig{RateBps: 4e6, Delay: time.Millisecond, Queue: q})
 	if err := n.ComputeRoutes(); err != nil {
 		t.Fatal(err)
@@ -162,6 +163,12 @@ func TestWFQMatchesOracleOnLink(t *testing.T) {
 	}
 	if hiRate < 360 || hiRate > 410 {
 		t.Errorf("weight-4 goodput = %.0f, want ~400 (its full offered load)", hiRate)
+	}
+}
+
+// drain runs s until no event is left.
+func drain(s *sim.Scheduler) {
+	for s.Step() {
 	}
 }
 

@@ -72,15 +72,6 @@ func (h *Histogram) Name() string {
 	return h.name
 }
 
-// Unit reports the unit label the histogram was registered with ("s",
-// "pkt", ...).
-func (h *Histogram) Unit() string {
-	if h == nil {
-		return ""
-	}
-	return h.unit
-}
-
 // Observe records one value. No-op on a nil receiver. Non-positive and
 // non-finite values land in a dedicated underflow bucket so a stray zero
 // cannot skew the bucketed quantiles.
@@ -133,14 +124,6 @@ func (h *Histogram) Max() float64 {
 		return 0
 	}
 	return h.max
-}
-
-// Mean reports the arithmetic mean of all observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
 }
 
 // Quantile estimates the q-quantile (q in [0, 1]) from the buckets: the

@@ -23,7 +23,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -362,27 +361,6 @@ func (r *Registry) StartSampler(sched *sim.Scheduler, every, horizon time.Durati
 	sched.PostHandler(every, hid, 0)
 }
 
-// SampleTimes returns the sampling instants.
-func (r *Registry) SampleTimes() []time.Duration {
-	if r == nil {
-		return nil
-	}
-	return r.sampleAt
-}
-
-// Series returns the sampled values of the named gauge (parallel to
-// SampleTimes; NaN marks instants before the gauge existed), or nil.
-func (r *Registry) Series(name string) []float64 {
-	if r == nil {
-		return nil
-	}
-	i, ok := r.gaugeIdx[name]
-	if !ok {
-		return nil
-	}
-	return r.series[i]
-}
-
 // Summary condenses the run's telemetry into the per-job health numbers
 // the batch runners report.
 type Summary struct {
@@ -434,15 +412,4 @@ func (r *Registry) Summary() Summary {
 		}
 	}
 	return s
-}
-
-// KindNames returns the summary's event kinds in sorted order (for
-// deterministic reporting).
-func (s Summary) KindNames() []string {
-	names := make([]string, 0, len(s.ByKind))
-	for k := range s.ByKind {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -103,26 +104,23 @@ func TestSamplerScheduleAndLateGauge(t *testing.T) {
 	if err := sched.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	ts := r.SampleTimes()
+	ts := r.sampleAt
 	if len(ts) != 5 {
 		t.Fatalf("got %d samples, want 5: %v", len(ts), ts)
 	}
 	if ts[0] != 100*time.Millisecond || ts[4] != 500*time.Millisecond {
 		t.Fatalf("sample instants %v", ts)
 	}
-	qs := r.Series("queue/l")
+	qs := r.series[r.gaugeIdx["queue/l"]]
 	if qs[1] != 0 || qs[2] != 9 {
 		t.Fatalf("queue series %v", qs)
 	}
-	fn := r.Series("fn/l")
+	fn := r.series[r.gaugeIdx["fn/l"]]
 	if fn[1] == fn[1] { // NaN != NaN
 		t.Fatalf("late gauge sample[1] = %v, want NaN", fn[1])
 	}
 	if fn[2] != 2.5 {
 		t.Fatalf("late gauge sample[2] = %v, want 2.5", fn[2])
-	}
-	if r.Series("missing") != nil {
-		t.Fatalf("unknown series not nil")
 	}
 }
 
@@ -178,14 +176,13 @@ func TestSummary(t *testing.T) {
 		t.Fatalf("summary counters: %+v", s)
 	}
 	want := []string{"alpha-update", "epoch-end", "epoch-start", "marker-selected", "phase-change"}
-	got := s.KindNames()
-	if len(got) != len(want) {
-		t.Fatalf("KindNames = %v", got)
+	var got []string
+	for k := range s.ByKind {
+		got = append(got, k)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("KindNames = %v, want %v", got, want)
-		}
+	sort.Strings(got)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("ByKind kinds = %v, want %v", got, want)
 	}
 }
 

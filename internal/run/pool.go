@@ -92,16 +92,6 @@ type Result struct {
 	Err error
 }
 
-// FirstErr returns the first (lowest-index) job error in the batch, or nil.
-func FirstErr(results []Result) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("job %q: %w", r.Job.Name, r.Err)
-		}
-	}
-	return nil
-}
-
 // Config parameterizes a Pool.
 type Config struct {
 	// Workers bounds the number of concurrently executing jobs;
@@ -139,9 +129,6 @@ func New(cfg Config) *Pool {
 	return &Pool{workers: w, onDone: cfg.OnDone,
 		onProgress: cfg.OnProgress, progressEvery: cfg.ProgressEvery}
 }
-
-// Workers reports the pool's worker bound.
-func (p *Pool) Workers() int { return p.workers }
 
 // Execute runs every job and returns one Result per job, in job order. A
 // job that fails — scenario error or panic — fails only its own result;

@@ -146,9 +146,6 @@ func (p *LoopProfiler) Snapshot() []HandlerStat {
 // MarkHandler is a nil check per call.
 func (s *Scheduler) SetProfiler(p *LoopProfiler) { s.prof = p }
 
-// Profiler returns the attached profiler (nil when detached).
-func (s *Scheduler) Profiler() *LoopProfiler { return s.prof }
-
 // MarkHandler attributes the currently executing event to kind k. Handlers
 // call it first thing in the callback; it is a single nil check when no
 // profiler is attached and must not be called from outside an event.

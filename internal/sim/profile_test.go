@@ -129,7 +129,7 @@ func TestProfilerEstWallExtrapolation(t *testing.T) {
 // snapshots to nil.
 func TestProfilerDetached(t *testing.T) {
 	s := NewScheduler()
-	if s.Profiler() != nil {
+	if s.prof != nil {
 		t.Error("fresh scheduler has a profiler")
 	}
 	newClosures(s).at(0, func() { s.MarkHandler(KindLinkTx) })

@@ -115,13 +115,6 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{q: calendarQueue{shift: initialShift, nbuckets: initialBuckets}}
 }
 
-// newScheduler builds a scheduler on a calendar pinned to buckets buckets of
-// 1<<shift ns that never re-sizes; tests use small wheels to reach the
-// rotation and fast-forward paths quickly.
-func newScheduler(shift uint8, buckets int32) *Scheduler {
-	return &Scheduler{q: calendarQueue{shift: shift, nbuckets: buckets, pinned: true}}
-}
-
 // Now reports the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
@@ -260,17 +253,6 @@ func (s *Scheduler) Run(horizon Time) error {
 			return nil
 		}
 		s.exec(e)
-	}
-	return ErrHalted
-}
-
-// RunAll executes events until the queue is empty or Halt is called.
-func (s *Scheduler) RunAll() error {
-	s.halted = false
-	for !s.halted {
-		if !s.Step() {
-			return nil
-		}
 	}
 	return ErrHalted
 }

@@ -78,18 +78,6 @@ func NewOnOff(sched *sim.Scheduler, rng *sim.RNG, cfg OnOffConfig) *OnOff {
 	return o
 }
 
-// Sent reports the number of packets emitted.
-func (o *OnOff) Sent() int64 { return o.seq }
-
-// MeanRate reports the long-run average rate: rate · on/(on+off).
-func (o *OnOff) MeanRate() float64 {
-	total := o.meanOn + o.meanOff
-	if total <= 0 {
-		return o.rate
-	}
-	return o.rate * float64(o.meanOn) / float64(total)
-}
-
 // Start begins the on/off cycle (starting ON).
 func (o *OnOff) Start() {
 	if o.active {
@@ -97,12 +85,6 @@ func (o *OnOff) Start() {
 	}
 	o.active = true
 	o.enterOn()
-}
-
-// Stop halts emission.
-func (o *OnOff) Stop() {
-	o.active = false
-	o.gen++
 }
 
 func (o *OnOff) expDuration(mean time.Duration) time.Duration {

@@ -39,9 +39,7 @@ func TestShaperReleasesAtRate(t *testing.T) {
 	if offerN(sh, 5) != 5 {
 		t.Fatal("offers rejected with room in the queue")
 	}
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	drain(s)
 	if len(*got) != 5 {
 		t.Fatalf("released %d, want 5", len(*got))
 	}
@@ -50,11 +48,11 @@ func TestShaperReleasesAtRate(t *testing.T) {
 			t.Errorf("release %d at %v, want %v", i, ts, want)
 		}
 	}
-	if sh.Sent() != 5 || sh.Dropped() != 0 {
-		t.Errorf("Sent=%d Dropped=%d", sh.Sent(), sh.Dropped())
+	if sh.sent != 5 || sh.dropped != 0 {
+		t.Errorf("Sent=%d Dropped=%d", sh.sent, sh.dropped)
 	}
-	if sh.Rate() != 10 || !sh.Active() {
-		t.Errorf("Rate=%v Active=%v", sh.Rate(), sh.Active())
+	if sh.rate != 10 || !sh.Active() {
+		t.Errorf("Rate=%v Active=%v", sh.rate, sh.Active())
 	}
 }
 
@@ -70,14 +68,14 @@ func TestShaperDropsOnOverflow(t *testing.T) {
 	if accepted != 3 {
 		t.Errorf("accepted %d of 10 into capacity-3 queue, want 3", accepted)
 	}
-	if sh.Dropped() != 7 {
-		t.Errorf("Dropped = %d, want 7", sh.Dropped())
+	if sh.dropped != 7 {
+		t.Errorf("Dropped = %d, want 7", sh.dropped)
 	}
 	if len(policed) != 7 {
 		t.Errorf("OnDrop saw %d packets, want 7", len(policed))
 	}
-	if sh.QueueLen() != 3 {
-		t.Errorf("QueueLen = %d, want 3", sh.QueueLen())
+	if len(sh.queue) != 3 {
+		t.Errorf("QueueLen = %d, want 3", len(sh.queue))
 	}
 }
 
@@ -87,8 +85,8 @@ func TestShaperOfferWhileStopped(t *testing.T) {
 	if offerN(sh, 2) != 0 {
 		t.Error("stopped shaper accepted packets")
 	}
-	if sh.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", sh.Dropped())
+	if sh.dropped != 2 {
+		t.Errorf("Dropped = %d, want 2", sh.dropped)
 	}
 	if len(*got) != 0 {
 		t.Error("stopped shaper released packets")
@@ -102,17 +100,15 @@ func TestShaperStopDiscardsBacklog(t *testing.T) {
 	offerN(sh, 4)
 	s.Step() // release the head packet
 	sh.Stop()
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	drain(s)
 	if len(*got) != 1 {
 		t.Errorf("released %d after Stop, want 1", len(*got))
 	}
-	if sh.QueueLen() != 0 {
-		t.Errorf("QueueLen after Stop = %d, want 0 (backlog discarded)", sh.QueueLen())
+	if len(sh.queue) != 0 {
+		t.Errorf("QueueLen after Stop = %d, want 0 (backlog discarded)", len(sh.queue))
 	}
-	if sh.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3 discarded backlog packets", sh.Dropped())
+	if sh.dropped != 3 {
+		t.Errorf("Dropped = %d, want 3 discarded backlog packets", sh.dropped)
 	}
 }
 
@@ -165,9 +161,7 @@ func TestShaperDecorateAtRelease(t *testing.T) {
 	offerN(sh, 2)
 	s.Step() // first release with stamp 1
 	stamp = 2.0
-	if err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	drain(s)
 	if (*got)[0].Label != 1 || (*got)[1].Label != 2 {
 		t.Errorf("labels = %v, %v; want decoration at release time (1, 2)",
 			(*got)[0].Label, (*got)[1].Label)

@@ -124,16 +124,6 @@ func (p *Pacer) Active() bool { return p.active }
 // Shaped reports whether the pacer releases host packets (see Offer).
 func (p *Pacer) Shaped() bool { return p.shaped }
 
-// Sent reports the packets released into the network so far.
-func (p *Pacer) Sent() int64 { return p.sent }
-
-// QueueLen reports the host packets currently waiting.
-func (p *Pacer) QueueLen() int { return len(p.queue) }
-
-// Dropped reports the host packets dropped (queue overflow, offers while
-// stopped, or backlog discarded by Stop).
-func (p *Pacer) Dropped() int64 { return p.dropped }
-
 // Start activates the pacer at the given rate. A minted pacer releases its
 // first packet immediately (the flow is backlogged).
 func (p *Pacer) Start(rate float64) {

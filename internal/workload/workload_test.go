@@ -175,6 +175,12 @@ func TestScheduleActiveAt(t *testing.T) {
 	}
 }
 
+// drain runs s until no event is left.
+func drain(s *sim.Scheduler) {
+	for s.Step() {
+	}
+}
+
 // postAt runs fn at time t on s, through a handler registered for it.
 func postAt(s *sim.Scheduler, t time.Duration, fn func()) {
 	s.PostHandlerAt(t, s.RegisterHandler(func(uint32) { fn() }), 0)
