@@ -4,7 +4,7 @@
 #   make race    -> race-detector pass over the concurrent packages
 #   make check   -> everything (the documented verify flow), gofmt included
 #   make profile -> CPU-profile a short evaluation run and print hot spots
-#   make loc     -> non-test, non-blank Go lines per package
+#   make loc     -> non-test, non-blank Go lines per package that a program links
 #   make bench   -> the figure, batch and observability benchmarks (go test -bench)
 #   make perf-gate -> the benchmark driver (./benchmark) on HEAD vs HEAD^1,
 #                     failing on a regression that repeats in three pairs
@@ -94,13 +94,23 @@ cover:
 		if (t+0 < base+0) { printf "coverage %.1f%% is below the %s%% baseline\n", t, base; exit 1 } \
 		else { printf "coverage %.1f%% meets the %s%% baseline\n", t, base } }'
 
-# loc prints the non-test, non-blank Go line count of every package
-# directory — the number CHANGES.md entries quote before → after — and the
-# total.
+# loc prints the non-test, non-blank Go line count of every package some
+# program links — the main packages and what they import (go list -deps) —
+# the number CHANGES.md entries quote before → after — and the total. The
+# packages only tests import are listed on one line of their own, outside
+# the total.
 loc:
-	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+	@mod=$$($(GO) list -m); \
+	linked=" $$($(GO) list -deps -f '{{.ImportPath}}' $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) | tr '\n' ' ')"; \
+	t=0; testonly=""; \
+	for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
 		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat | grep -cv '^[[:space:]]*$$'); \
-		printf '%6d %s\n' $$n .$${d#$(CURDIR)}; t=$$((t+n)); \
-	done; printf '%6d total\n' $$t
+		rel=.$${d#$(CURDIR)}; pkg=$$mod$${rel#.}; \
+		case "$$linked" in \
+		*" $$pkg "*) printf '%6d %s\n' $$n $$rel; t=$$((t+n));; \
+		*) testonly="$$testonly $$rel ($$n)";; \
+		esac; \
+	done; printf '%6d total\n' $$t; \
+	if [ -n "$$testonly" ]; then echo "test-only, not in the total:$$testonly"; fi
 
 check: build vet fmt test race

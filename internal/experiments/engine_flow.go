@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/adapt"
@@ -235,11 +236,31 @@ func buildSpecModelDirect(sc Scenario) (*flowsim.Model, error) {
 			}
 		}
 	}
+	// The model links' "from->to" names are substrings of one string grown
+	// to its exact length.
+	size := 0
+	for li, mi := range toModel {
+		if mi >= 0 {
+			size += len(s.Links[li].From) + len("->") + len(s.Links[li].To)
+		}
+	}
+	var names strings.Builder
+	names.Grow(size)
+	for li, mi := range toModel {
+		if mi >= 0 {
+			names.WriteString(s.Links[li].From)
+			names.WriteString("->")
+			names.WriteString(s.Links[li].To)
+		}
+	}
+	all, off := names.String(), 0
 	links := make([]flowsim.Link, n)
 	for li, mi := range toModel {
 		if mi >= 0 {
 			l := &s.Links[li]
-			links[mi] = flowsim.Link{Name: l.From + "->" + l.To, Capacity: l.RateBps / (8 * 1000.0)}
+			end := off + len(l.From) + len("->") + len(l.To)
+			links[mi] = flowsim.Link{Name: all[off:end], Capacity: l.RateBps / (8 * 1000.0)}
+			off = end
 		}
 	}
 	if len(sc.Cross) > 0 {
@@ -266,7 +287,7 @@ func buildSpecModelDirect(sc Scenario) (*flowsim.Model, error) {
 	// array.
 	flowLinks := make([]int, len(r.Hops))
 	m := &flowsim.Model{Links: links, Flows: make([]flowsim.Flow, 0, len(order))}
-	off := 0
+	off = 0
 	for _, fi := range order {
 		f := &s.Flows[fi]
 		path := r.Path(int(fi))

@@ -88,9 +88,9 @@ type allocator struct {
 // pre-allocated, so demand events form a list sorted once per fill; only
 // link saturation levels rise as flows freeze, so only links sit in the
 // heap. Link entries are lazy — a link is never re-enqueued when freezes
-// raise its saturation level; instead a popped link entry whose stored level
-// is stale is re-pushed at the current level (see fill). That keeps exactly
-// one live entry per link, so the heap holds at most L entries.
+// raise its saturation level; instead a link entry that reaches the top with
+// a stale level is re-keyed in place at the current level (see fill). That
+// keeps exactly one entry per link, so the heap holds at most L entries.
 type allocEntry struct {
 	level float64
 	idx   int32
@@ -109,42 +109,32 @@ func allocEntryCmp(a, b allocEntry) int {
 	return int(a.idx) - int(b.idx)
 }
 
+// less reports allocEntryCmp(e, o) < 0, written so that the heap's
+// comparisons inline.
+func (e allocEntry) less(o allocEntry) bool {
+	return e.level < o.level || !(e.level > o.level) && e.idx < o.idx
+}
+
 // allocHeapArity is the heap fan-out: as in the engine's event queue, a
 // 4-ary layout halves the tree depth and keeps each node's children in
 // adjacent slots.
 const allocHeapArity = 4
 
 // allocHeap is a 4-ary min-heap of link saturation events ordered by
-// allocEntryCmp. Both operations use the hole technique — the moving entry
+// allocEntryCmp. All operations use the hole technique — the moving entry
 // is held aside and written once at its final slot instead of swapped level
 // by level.
 type allocHeap []allocEntry
 
-func (h *allocHeap) push(e allocEntry) {
-	*h = append(*h, e)
-	es := *h
-	i := len(es) - 1
-	for i > 0 {
-		parent := (i - 1) / allocHeapArity
-		if allocEntryCmp(e, es[parent]) >= 0 {
-			break
-		}
-		es[i] = es[parent]
-		i = parent
-	}
-	es[i] = e
-}
-
-func (h *allocHeap) pop() allocEntry {
+// pop removes the top entry.
+func (h *allocHeap) pop() {
 	old := *h
-	top := old[0]
 	n := len(old) - 1
 	moved := old[n]
 	*h = old[:n]
 	if n > 0 {
 		old[:n].siftDown(0, moved)
 	}
-	return top
 }
 
 // siftDown moves e down from slot i to its final position.
@@ -161,11 +151,11 @@ func (h allocHeap) siftDown(i int, e allocEntry) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if allocEntryCmp(h[c], h[small]) < 0 {
+			if h[c].less(h[small]) {
 				small = c
 			}
 		}
-		if allocEntryCmp(h[small], e) >= 0 {
+		if !h[small].less(e) {
 			break
 		}
 		h[i] = h[small]
@@ -355,6 +345,7 @@ func (a *allocator) fill(links, flows []int32, active []bool, demand []float64, 
 	// straight onto the list that is sorted once below.
 	dq := a.demands[:0]
 	ordered := true // dq ascends by idx
+	unfrozen := 0   // listed flows not yet frozen
 	for _, fi := range flows {
 		f := &m.Flows[fi]
 		out[fi] = 0
@@ -396,6 +387,7 @@ func (a *allocator) fill(links, flows []int32, active []bool, demand []float64, 
 		}
 		a.dem[fi] = d
 		a.frozen[fi] = false
+		unfrozen++
 		for _, li := range f.Links {
 			if !a.linkDone[li] {
 				a.activeW[li] += f.Weight
@@ -419,36 +411,40 @@ func (a *allocator) fill(links, flows []int32, active []bool, demand []float64, 
 		}
 	}
 	h.heapify()
-	a.heap = h
 
 	// Merge the two queues: each step takes the lower level, and a demand
 	// cap binds before a link saturation at equal levels — the same total
-	// order one heap over both kinds would pop in.
-	for next := 0; ; {
-		if next < len(dq) && (len(a.heap) == 0 || dq[next].level <= a.heap[0].level) {
+	// order one heap over both kinds would pop in. Once every listed flow is
+	// frozen, what is left cannot freeze anything: the demand events are
+	// for frozen flows and a link's saturation would only mark it done.
+	for next := 0; unfrozen > 0; {
+		if next < len(dq) && (len(h) == 0 || dq[next].level <= h[0].level) {
 			e := dq[next]
 			next++
 			if fi := int(e.idx); !a.frozen[fi] {
 				a.freeze(fi, a.dem[fi], e.level)
+				unfrozen--
 			}
 			continue
 		}
-		if len(a.heap) == 0 {
+		if len(h) == 0 {
 			break
 		}
-		e := a.heap.pop()
+		e := h[0]
 		li := int(e.idx)
 		if a.linkDone[li] {
+			h.pop()
 			continue
 		}
 		level := a.satLevel(li)
 		if level != e.level {
-			// Stale: freezes since this entry was pushed raised the link's
-			// saturation level. Re-enqueue at the current level — the lazy
-			// counterpart of eagerly re-pushing on every freeze.
-			a.heap.push(allocEntry{level: level, idx: e.idx})
+			// Stale: freezes since this entry was queued raised the link's
+			// saturation level. Re-key it in place at the current level —
+			// the lazy counterpart of eagerly re-queueing on every freeze.
+			h.siftDown(0, allocEntry{level: level, idx: e.idx})
 			continue
 		}
+		h.pop()
 		a.linkDone[li] = true
 		froze := false
 		for _, fi32 := range a.flowsOn(li) {
@@ -461,6 +457,7 @@ func (a *allocator) fill(links, flows []int32, active []bool, demand []float64, 
 				r = d
 			}
 			a.freeze(fi, r, level)
+			unfrozen--
 			froze = true
 		}
 		if froze {
@@ -468,6 +465,11 @@ func (a *allocator) fill(links, flows []int32, active []bool, demand []float64, 
 			a.linkLevel[li] = level
 		}
 	}
+	// The links still queued saturate freezing nothing.
+	for _, e := range h {
+		a.linkDone[e.idx] = true
+	}
+	a.heap = h[:0]
 
 	// Every flow crosses at least one link, so the loop above freezes all
 	// of them; the fallback keeps fuzzed degenerate inputs total.
@@ -495,8 +497,8 @@ func (a *allocator) satLevel(li int) float64 {
 // freeze pins flow fi at excess rate r (on top of any pre-allocated
 // contract floor) and updates its region links. lvl is the water level at
 // the freeze, recorded for the incremental solver's certificate checks. Link
-// events are not re-enqueued here — the pop loop detects the raised level
-// on a link entry's next pop and re-pushes it then (lazy link events).
+// events are not re-keyed here — fill detects the raised level when the
+// link's entry next reaches the top and re-keys it then (lazy link events).
 func (a *allocator) freeze(fi int, r, lvl float64) {
 	a.frozen[fi] = true
 	a.res[fi] += r

@@ -71,8 +71,6 @@ type flowState struct {
 	windowCount int64
 	total       int64
 	lastFlush   time.Duration
-	lastDeliver time.Duration
-	hasDeliver  bool
 	rate        Series
 	cumulative  Series
 	losses      int64
@@ -102,8 +100,6 @@ func (r *FlowRecorder) Deliver(f packet.FlowID, now time.Duration) {
 	st := r.state(f)
 	st.windowCount++
 	st.total++
-	st.lastDeliver = now
-	st.hasDeliver = true
 }
 
 // Lose records a dropped packet of flow f.

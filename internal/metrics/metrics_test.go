@@ -203,32 +203,3 @@ func TestFlushWithNoDeliveriesEmitsZeroRate(t *testing.T) {
 		t.Errorf("idle window rate = %+v, want second sample 0", rate)
 	}
 }
-
-func TestFlowRecorderLastDelivery(t *testing.T) {
-	r := NewFlowRecorder(time.Second)
-	f := packet.FlowID{Edge: "E1", Local: 1}
-	last := func() (time.Duration, bool) {
-		if st, ok := r.flows[f]; ok && st.hasDeliver {
-			return st.lastDeliver, true
-		}
-		return 0, false
-	}
-	if _, ok := last(); ok {
-		t.Error("unknown flow reports a delivery time")
-	}
-	r.Lose(f) // creates state without delivering
-	if _, ok := last(); ok {
-		t.Error("flow with only losses reports a delivery time")
-	}
-	r.Deliver(f, 1500*time.Millisecond)
-	r.Deliver(f, 2300*time.Millisecond)
-	got, ok := last()
-	if !ok || got != 2300*time.Millisecond {
-		t.Errorf("LastDelivery = %v, %v; want 2.3s, true", got, ok)
-	}
-	// Flush must not disturb the delivery timestamp.
-	r.Flush(3 * time.Second)
-	if got, ok := last(); !ok || got != 2300*time.Millisecond {
-		t.Errorf("LastDelivery after Flush = %v, %v; want 2.3s, true", got, ok)
-	}
-}

@@ -121,7 +121,7 @@ func TestAddLinkRejectsDegenerateConfigs(t *testing.T) {
 // TestMonitorAfterEndEpoch pins the epoch-reset semantics the Corelite
 // core depends on: EndEpoch returns the finished epoch's average and the
 // new epoch starts from the current instantaneous length — the integral
-// and the peak must not leak across the boundary.
+// must not leak across the boundary.
 func TestMonitorAfterEndEpoch(t *testing.T) {
 	m := NewQueueMonitor(0)
 	m.Observe(0, 10)
@@ -129,12 +129,8 @@ func TestMonitorAfterEndEpoch(t *testing.T) {
 	if avg := m.EndEpoch(2 * time.Second); avg < 5.99 || avg > 6.01 {
 		t.Fatalf("epoch 1 average = %v, want 6", avg)
 	}
-	// Fresh epoch: peak collapses to the carried-over length, the average
-	// at zero elapsed time is the instantaneous length, and the old
-	// integral is gone.
-	if got := m.peak; got != 2 {
-		t.Errorf("peak after EndEpoch = %d, want current length 2", got)
-	}
+	// Fresh epoch: the average at zero elapsed time is the instantaneous
+	// length, and the old integral is gone.
 	if got := m.Average(2 * time.Second); got != 2 {
 		t.Errorf("average at epoch start = %v, want instantaneous length 2", got)
 	}
@@ -145,8 +141,5 @@ func TestMonitorAfterEndEpoch(t *testing.T) {
 	m.Observe(3*time.Second, 4)
 	if avg := m.EndEpoch(4 * time.Second); avg < 2.99 || avg > 3.01 {
 		t.Errorf("epoch 2 average = %v, want 3 (epoch 1 leaked in)", avg)
-	}
-	if got := m.peak; got != 4 {
-		t.Errorf("peak after second EndEpoch = %d, want 4", got)
 	}
 }

@@ -10,7 +10,6 @@ type QueueMonitor struct {
 	lastChange time.Duration
 	length     int
 	integral   float64 // ∫ length dt since epochStart, in length·seconds
-	peak       int
 }
 
 // NewQueueMonitor returns a monitor whose first epoch starts at now.
@@ -24,9 +23,6 @@ func (m *QueueMonitor) Observe(now time.Duration, length int) {
 	m.integral += float64(float64(m.length) * (now - m.lastChange).Seconds())
 	m.lastChange = now
 	m.length = length
-	if length > m.peak {
-		m.peak = length
-	}
 }
 
 // Length reports the most recently observed instantaneous queue length.
@@ -50,6 +46,5 @@ func (m *QueueMonitor) EndEpoch(now time.Duration) float64 {
 	m.epochStart = now
 	m.lastChange = now
 	m.integral = 0
-	m.peak = m.length
 	return avg
 }

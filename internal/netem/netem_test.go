@@ -123,9 +123,6 @@ func TestQueueMonitorAverage(t *testing.T) {
 	if avg < 4.99 || avg > 5.01 {
 		t.Errorf("epoch average = %v, want 5", avg)
 	}
-	if m.peak != 0 {
-		t.Errorf("peak after epoch reset = %d, want current length 0", m.peak)
-	}
 	// New epoch: constant length 4 for 1s.
 	m.Observe(2500*time.Millisecond, 4)
 	m.Observe(3*time.Second, 4)

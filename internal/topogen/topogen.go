@@ -349,14 +349,51 @@ func (c Config) fabricDefaults() Config {
 	return c
 }
 
-// hostName returns the canonical per-flow host node names: every generated
-// flow owns a unique ingress/egress host pair, which is what lets Build
-// pin its ECMP path as a route override keyed by those hosts.
-func hostName(flow int, ingress bool) string {
-	if ingress {
-		return "f" + strconv.Itoa(flow) + "i"
+// hostNames hands out the canonical per-flow host node names, "f<N>i" and
+// "f<N>o" for N = 1..n in flow order: every generated flow owns a unique
+// ingress/egress host pair, which is what lets Build pin its ECMP path as a
+// route override keyed by those hosts. All 2n names are substrings of one
+// string grown to its exact length, so a generated flow's names cost no
+// allocation of their own.
+type hostNames struct {
+	all string
+	off int
+}
+
+func newHostNames(n int) hostNames {
+	// A flow index of d digits names two hosts of d+2 bytes each.
+	size := 0
+	for d, lo := 1, 1; lo <= n; d, lo = d+1, 10*lo {
+		size += (min(n, 10*lo-1) - lo + 1) * 2 * (d + 2)
 	}
-	return "f" + strconv.Itoa(flow) + "o"
+	var b strings.Builder
+	b.Grow(size)
+	var num [20]byte
+	for f := 1; f <= n; f++ {
+		digits := strconv.AppendInt(num[:0], int64(f), 10)
+		b.WriteByte('f')
+		b.Write(digits)
+		b.WriteByte('i')
+		b.WriteByte('f')
+		b.Write(digits)
+		b.WriteByte('o')
+	}
+	return hostNames{all: b.String()}
+}
+
+// next returns the next flow's ingress and egress host names.
+func (h *hostNames) next() (in, out string) {
+	w := strings.IndexByte(h.all[h.off:], 'i') + 1
+	in, out = h.all[h.off:h.off+w], h.all[h.off+w:h.off+2*w]
+	h.off += 2 * w
+	return in, out
+}
+
+// carve returns the path appended to buf since start, capped at its own
+// end so that an append by a caller reallocates instead of running into the
+// next path carved from buf.
+func carve(buf []string, start int) []string {
+	return buf[start:len(buf):len(buf)]
 }
 
 // ecmpPick derives the flow's deterministic path choice: a hash of
@@ -395,26 +432,30 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 		tmpl.From, tmpl.To = b, a
 		spec.Links = append(spec.Links, tmpl)
 	}
-	core := func(i int) string { return "cs" + strconv.Itoa(i) }
-	agg := func(p, j int) string { return "p" + strconv.Itoa(p) + "a" + strconv.Itoa(j) }
-	edge := func(p, j int) string { return "p" + strconv.Itoa(p) + "e" + strconv.Itoa(j) }
-	for i := 0; i < half*half; i++ {
-		spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: core(i), Role: topospec.RoleCore})
+	// Switch names are built once, into tables: core[i] is "cs<i>",
+	// agg[p*half+j] and edge[p*half+j] are "p<p>a<j>" and "p<p>e<j>".
+	core := make([]string, half*half)
+	for i := range core {
+		core[i] = "cs" + strconv.Itoa(i)
+		spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: core[i], Role: topospec.RoleCore})
 	}
+	agg, edge := make([]string, k*half), make([]string, k*half)
 	for p := 0; p < k; p++ {
 		for j := 0; j < half; j++ {
+			agg[p*half+j] = "p" + strconv.Itoa(p) + "a" + strconv.Itoa(j)
+			edge[p*half+j] = "p" + strconv.Itoa(p) + "e" + strconv.Itoa(j)
 			spec.Nodes = append(spec.Nodes,
-				topospec.NodeSpec{Name: agg(p, j), Role: topospec.RoleCore},
-				topospec.NodeSpec{Name: edge(p, j), Role: topospec.RoleCore})
+				topospec.NodeSpec{Name: agg[p*half+j], Role: topospec.RoleCore},
+				topospec.NodeSpec{Name: edge[p*half+j], Role: topospec.RoleCore})
 		}
 	}
 	for p := 0; p < k; p++ {
 		for j := 0; j < half; j++ {
 			for e := 0; e < half; e++ {
-				duplex(fabric, edge(p, e), agg(p, j))
+				duplex(fabric, edge[p*half+e], agg[p*half+j])
 			}
 			for x := 0; x < half; x++ {
-				duplex(fabric, agg(p, j), core(j*half+x))
+				duplex(fabric, agg[p*half+j], core[j*half+x])
 			}
 		}
 	}
@@ -422,18 +463,23 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 	// Hosts: seeded placement on edge switches; a flow's endpoints must
 	// sit on distinct edge switches so every flow crosses the fabric.
 	rng := sim.NewRNG(seed).Stream("topogen/fattree")
+	hosts := newHostNames(c.Flows)
+	// Every via path is carved from one array sized for the longest
+	// (inter-pod, seven-node) path of every flow.
+	paths := make([]string, 0, 7*c.Flows)
 	for f := 1; f <= c.Flows; f++ {
 		sp, se := rng.Intn(k), rng.Intn(half)
 		dp, de := rng.Intn(k), rng.Intn(half)
 		for dp == sp && de == se {
 			dp, de = rng.Intn(k), rng.Intn(half)
 		}
-		in, out := hostName(f, true), hostName(f, false)
+		src, dst := edge[sp*half+se], edge[dp*half+de]
+		in, out := hosts.next()
 		spec.Nodes = append(spec.Nodes,
 			topospec.NodeSpec{Name: in, Role: topospec.RoleEdge},
 			topospec.NodeSpec{Name: out, Role: topospec.RoleEdge})
-		duplex(host, in, edge(sp, se))
-		duplex(host, edge(dp, de), out)
+		duplex(host, in, src)
+		duplex(host, dst, out)
 
 		// ECMP: intra-pod flows choose among the pod's k/2 aggregation
 		// switches; inter-pod flows among the (k/2)^2 core switches.
@@ -447,15 +493,15 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 		} else if choice < 0 || choice >= nPaths {
 			return nil, fmt.Errorf("topogen: flow %d ECMP path index %d out of range [0, %d)", f, choice, nPaths)
 		}
-		var via []string
+		start := len(paths)
 		if sp == dp {
-			via = []string{in, edge(sp, se), agg(sp, choice), edge(dp, de), out}
+			paths = append(paths, in, src, agg[sp*half+choice], dst, out)
 		} else {
 			a := choice / half
-			via = []string{in, edge(sp, se), agg(sp, a), core(choice), agg(dp, a), edge(dp, de), out}
+			paths = append(paths, in, src, agg[sp*half+a], core[choice], agg[dp*half+a], dst, out)
 		}
 		spec.Flows = append(spec.Flows, topospec.FlowSpec{
-			Index: f, Ingress: in, Egress: out, Weight: 1, Via: via,
+			Index: f, Ingress: in, Egress: out, Weight: 1, Via: carve(paths, start),
 		})
 	}
 	return spec, nil
@@ -467,7 +513,12 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 // through flows' end-to-end share is the minimum of their per-cloud
 // shares — the generalized two-cloud concatenation experiment.
 func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
-	spec := &topospec.Spec{}
+	nodes, links, flows := c.counts()
+	spec := &topospec.Spec{
+		Nodes: make([]topospec.NodeSpec, 0, int(nodes)),
+		Links: make([]topospec.LinkSpec, 0, int(links)),
+		Flows: make([]topospec.FlowSpec, 0, int(flows)),
+	}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	trunk := topospec.LinkSpec{RateBps: c.TrunkRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	host := topospec.LinkSpec{RateBps: c.HostRateBps, Delay: c.HostDelay, QueueCap: c.QueueCap}
@@ -477,66 +528,82 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 		tmpl.From, tmpl.To = b, a
 		spec.Links = append(spec.Links, tmpl)
 	}
-	coreName := func(cloud, i int) string {
-		return "x" + strconv.Itoa(cloud) + "c" + strconv.Itoa(i)
-	}
-	gw := func(i int) string { return "g" + strconv.Itoa(i) }
+	// Core and gateway names are built once, into tables: core[cl*cores+i]
+	// is "x<cl>c<i>", gw[i] is "g<i>".
+	cores := c.CoresPerCloud
+	core := make([]string, c.Clouds*cores)
+	gw := make([]string, c.Clouds-1)
 	for cl := 0; cl < c.Clouds; cl++ {
-		for i := 0; i < c.CoresPerCloud; i++ {
-			spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: coreName(cl, i), Role: topospec.RoleCore})
+		for i := 0; i < cores; i++ {
+			core[cl*cores+i] = "x" + strconv.Itoa(cl) + "c" + strconv.Itoa(i)
+			spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: core[cl*cores+i], Role: topospec.RoleCore})
 			if i > 0 {
-				duplex(fabric, coreName(cl, i-1), coreName(cl, i))
+				duplex(fabric, core[cl*cores+i-1], core[cl*cores+i])
 			}
 		}
 		if cl > 0 {
 			// Gateways are edge-role: under re-marking they run a fresh
 			// Corelite edge that re-shapes through traffic for the next
 			// cloud's control domain.
-			spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: gw(cl - 1), Role: topospec.RoleEdge})
-			duplex(trunk, coreName(cl-1, c.CoresPerCloud-1), gw(cl-1))
-			duplex(trunk, gw(cl-1), coreName(cl, 0))
+			gw[cl-1] = "g" + strconv.Itoa(cl-1)
+			spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: gw[cl-1], Role: topospec.RoleEdge})
+			duplex(trunk, core[cl*cores-1], gw[cl-1])
+			duplex(trunk, gw[cl-1], core[cl*cores])
 		}
 	}
 
-	addFlow := func(idx int, via []string, relays []string) {
-		in, out := hostName(idx, true), hostName(idx, false)
+	// Every flow's full path (ingress host, cores and gateways, egress
+	// host) and every through flow's relay list are carved from one array
+	// sized to their exact total.
+	throughLen := 2 + c.Clouds*cores + len(gw)
+	size := c.Through*throughLen + c.Clouds*c.Local*(2+cores)
+	if c.Remark {
+		size += c.Through * len(gw)
+	}
+	paths := make([]string, 0, size)
+	hosts := newHostNames(int(flows))
+	idx := 1
+	// addFlow adds the next flow: its hosts, their links, and the flow over
+	// the path appended to paths since start (its ingress slot left empty),
+	// re-marked at relays.
+	addFlow := func(start int, relays []string) {
+		in, out := hosts.next()
+		paths[start] = in
+		paths = append(paths, out)
+		full := carve(paths, start)
 		spec.Nodes = append(spec.Nodes,
 			topospec.NodeSpec{Name: in, Role: topospec.RoleEdge},
 			topospec.NodeSpec{Name: out, Role: topospec.RoleEdge})
-		duplex(host, in, via[0])
-		duplex(host, via[len(via)-1], out)
-		full := append([]string{in}, via...)
-		full = append(full, out)
+		duplex(host, in, full[1])
+		duplex(host, full[len(full)-2], out)
 		spec.Flows = append(spec.Flows, topospec.FlowSpec{
 			Index: idx, Ingress: in, Egress: out, Weight: 1, Via: full, Relays: relays,
 		})
+		idx++
 	}
-
-	idx := 1
 	for t := 0; t < c.Through; t++ {
-		var via, relays []string
+		var relays []string
+		if c.Remark {
+			start := len(paths)
+			paths = append(paths, gw...)
+			relays = carve(paths, start)
+		}
+		start := len(paths)
+		paths = append(paths, "")
 		for cl := 0; cl < c.Clouds; cl++ {
 			if cl > 0 {
-				via = append(via, gw(cl-1))
-				if c.Remark {
-					relays = append(relays, gw(cl-1))
-				}
+				paths = append(paths, gw[cl-1])
 			}
-			for i := 0; i < c.CoresPerCloud; i++ {
-				via = append(via, coreName(cl, i))
-			}
+			paths = append(paths, core[cl*cores:(cl+1)*cores]...)
 		}
-		addFlow(idx, via, relays)
-		idx++
+		addFlow(start, relays)
 	}
 	for cl := 0; cl < c.Clouds; cl++ {
 		for l := 0; l < c.Local; l++ {
-			var via []string
-			for i := 0; i < c.CoresPerCloud; i++ {
-				via = append(via, coreName(cl, i))
-			}
-			addFlow(idx, via, nil)
-			idx++
+			start := len(paths)
+			paths = append(paths, "")
+			paths = append(paths, core[cl*cores:(cl+1)*cores]...)
+			addFlow(start, nil)
 		}
 	}
 	_ = seed // topology is fully determined by the parameters
@@ -549,7 +616,13 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 // weight in 1..MaxWeight. Paths are left to shortest-path routing — the
 // mesh exercises the un-pinned build path.
 func (c Config) mesh(seed int64) (*topospec.Spec, error) {
-	spec := &topospec.Spec{}
+	// links is an upper bound: a chord that duplicates a link adds none.
+	nodes, links, flows := c.counts()
+	spec := &topospec.Spec{
+		Nodes: make([]topospec.NodeSpec, 0, int(nodes)),
+		Links: make([]topospec.LinkSpec, 0, int(links)),
+		Flows: make([]topospec.FlowSpec, 0, int(flows)),
+	}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	host := topospec.LinkSpec{RateBps: c.HostRateBps, Delay: c.HostDelay, QueueCap: c.QueueCap}
 	duplex := func(tmpl topospec.LinkSpec, a, b string) {
@@ -558,7 +631,11 @@ func (c Config) mesh(seed int64) (*topospec.Spec, error) {
 		tmpl.From, tmpl.To = b, a
 		spec.Links = append(spec.Links, tmpl)
 	}
-	name := func(i int) string { return "m" + strconv.Itoa(i) }
+	// Router names are built once, into a table: name[i] is "m<i>".
+	name := make([]string, c.Nodes)
+	for i := range name {
+		name[i] = "m" + strconv.Itoa(i)
+	}
 	linked := make(map[[2]int]bool)
 	connect := func(a, b int) {
 		if a == b || linked[[2]int{a, b}] {
@@ -566,10 +643,10 @@ func (c Config) mesh(seed int64) (*topospec.Spec, error) {
 		}
 		linked[[2]int{a, b}] = true
 		linked[[2]int{b, a}] = true
-		duplex(fabric, name(a), name(b))
+		duplex(fabric, name[a], name[b])
 	}
 	for i := 0; i < c.Nodes; i++ {
-		spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: name(i), Role: topospec.RoleCore})
+		spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: name[i], Role: topospec.RoleCore})
 	}
 	for i := 0; i < c.Nodes; i++ {
 		connect(i, (i+1)%c.Nodes)
@@ -580,18 +657,19 @@ func (c Config) mesh(seed int64) (*topospec.Spec, error) {
 			connect(i, rng.Intn(c.Nodes))
 		}
 	}
+	hosts := newHostNames(c.Flows)
 	for f := 1; f <= c.Flows; f++ {
 		src := rng.Intn(c.Nodes)
 		dst := rng.Intn(c.Nodes)
 		for dst == src {
 			dst = rng.Intn(c.Nodes)
 		}
-		in, out := hostName(f, true), hostName(f, false)
+		in, out := hosts.next()
 		spec.Nodes = append(spec.Nodes,
 			topospec.NodeSpec{Name: in, Role: topospec.RoleEdge},
 			topospec.NodeSpec{Name: out, Role: topospec.RoleEdge})
-		duplex(host, in, name(src))
-		duplex(host, name(dst), out)
+		duplex(host, in, name[src])
+		duplex(host, name[dst], out)
 		spec.Flows = append(spec.Flows, topospec.FlowSpec{
 			Index: f, Ingress: in, Egress: out,
 			Weight: float64(1 + rng.Intn(c.MaxWeight)),

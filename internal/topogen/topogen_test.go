@@ -1,6 +1,8 @@
 package topogen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 	"time"
@@ -308,6 +310,69 @@ func TestGeneratedSpecsValidate(t *testing.T) {
 			}
 			if err := spec.Validate(); err != nil {
 				t.Errorf("%+v seed %d: generated spec fails Validate: %v", cfg, seed, err)
+			}
+		}
+	}
+}
+
+// TestGeneratedSpecDigests pins each generator's output byte for byte: the
+// SHA-256 of Spec.Format at a fixed seed, recorded before the generators
+// carved their names and paths from shared buffers. Both fat-trees carry
+// intra-pod flows (five-node paths) beside inter-pod ones, and the N-cloud
+// spec re-marks its through flows at every gateway.
+func TestGeneratedSpecDigests(t *testing.T) {
+	for _, tc := range []struct{ topo, digest string }{
+		{"fattree:k=4,flows=64", "ae6b26df98899859824e99d468ebab164561c9c2c1b4e08fc321eeaae813d3f6"},
+		{"fattree:k=8,flows=500", "359a3a0ede685dc7539d64c75a4f899e0eb4b3e92c1c24168c8365c55428fcbe"},
+		{"nclouds:n=3,cores=3,through=3,local=2,remark=1", "587e31134abd3f3724650206a344ca56af21b2c2e3c0d140976cb34112e47a69"},
+		{"mesh:nodes=12,degree=2,flows=40", "316ee69a8af3263565675ef42a1d9f1f315fec65a78385c4f6166d920f2d3634"},
+	} {
+		cfg, err := Parse(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := cfg.Generate(7)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.topo, err)
+		}
+		sum := sha256.Sum256([]byte(spec.Format()))
+		if got := hex.EncodeToString(sum[:]); got != tc.digest {
+			t.Errorf("%s: spec digest %s, want %s", tc.topo, got, tc.digest)
+		}
+	}
+}
+
+// TestGeneratedSlabIsolation: every flow's via path (and relay list) is a
+// view into one shared array, so each must be capped at its own end — an
+// append by the caller reallocates rather than writing over the next
+// flow's first node.
+func TestGeneratedSlabIsolation(t *testing.T) {
+	for _, topo := range []string{"fattree:k=4,flows=16", "nclouds:n=3,through=2,local=2,remark=1"} {
+		cfg, err := Parse(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := cfg.Generate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range spec.Flows {
+			if cap(f.Via) != len(f.Via) || cap(f.Relays) != len(f.Relays) {
+				t.Errorf("%s flow %d: via len %d cap %d, relays len %d cap %d; want each capped at its length",
+					topo, f.Index, len(f.Via), cap(f.Via), len(f.Relays), cap(f.Relays))
+			}
+		}
+		first, second := spec.Flows[0], spec.Flows[1]
+		next := second.Via[0]
+		_ = append(first.Via, "intruder")
+		if second.Via[0] != next {
+			t.Errorf("%s: appending to flow %d's via overwrote flow %d's ingress: %q", topo, first.Index, second.Index, second.Via[0])
+		}
+		if len(first.Relays) > 0 {
+			nextRelay := second.Relays[0]
+			_ = append(first.Relays, "intruder")
+			if second.Relays[0] != nextRelay {
+				t.Errorf("%s: appending to flow %d's relays overwrote flow %d's: %q", topo, first.Index, second.Index, second.Relays[0])
 			}
 		}
 	}

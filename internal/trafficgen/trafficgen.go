@@ -263,14 +263,10 @@ func (c Config) Generate(seed int64, flows int) (Workload, error) {
 	if c.Horizon <= 0 {
 		return Workload{}, fmt.Errorf("trafficgen: config needs a positive horizon")
 	}
-	wl := Workload{
-		Weights:      make(map[int]float64, flows),
-		Schedules:    make(map[int]workload.Schedule),
-		Unresponsive: make(map[int]float64),
-	}
 	if c.Kind == KindUniform {
 		// Uniform flows are always-on: no schedules, so no settle tail to
 		// reserve.
+		wl := newWorkload(flows, 0, 0)
 		for f := 1; f <= flows; f++ {
 			wl.Weights[f] = 1
 		}
@@ -282,19 +278,36 @@ func (c Config) Generate(seed int64, flows int) (Workload, error) {
 	}
 	switch c.Kind {
 	case KindHeavyTail:
-		return c.heavyTail(seed, flows, wl, churnStop)
+		return c.heavyTail(seed, flows, churnStop)
 	case KindChurn:
-		return c.churn(seed, flows, wl, churnStop)
+		return c.churn(seed, flows, churnStop)
 	default:
 		return Workload{}, fmt.Errorf("trafficgen: config has no kind set")
 	}
+}
+
+// newWorkload returns an empty workload for flows flows, its maps sized for
+// the given numbers of scheduled and unresponsive flows.
+func newWorkload(flows, scheduled, unresponsive int) Workload {
+	return Workload{
+		Weights:      make(map[int]float64, flows),
+		Schedules:    make(map[int]workload.Schedule, scheduled),
+		Unresponsive: make(map[int]float64, unresponsive),
+	}
+}
+
+// carve returns the intervals appended to buf since start as one schedule,
+// capped at its own end so that an append by a caller reallocates instead
+// of running into the next schedule carved from buf.
+func carve(buf []workload.Interval, start int) workload.Schedule {
+	return workload.Schedule(buf[start:len(buf):len(buf)])
 }
 
 // heavyTail assigns, in flow-index order: unresponsive blasters (the last
 // UnresponsiveFrac of slots), then persistent elephants, then mice with
 // expovariate arrivals and bounded-Pareto lifetimes, all departing before
 // the settle tail.
-func (c Config) heavyTail(seed int64, flows int, wl Workload, churnStop time.Duration) (Workload, error) {
+func (c Config) heavyTail(seed int64, flows int, churnStop time.Duration) (Workload, error) {
 	rng := sim.NewRNG(seed).Stream("trafficgen/heavytail")
 	nUn := int(math.Round(c.UnresponsiveFrac * float64(flows)))
 	if nUn >= flows {
@@ -318,6 +331,9 @@ func (c Config) heavyTail(seed int64, flows int, wl Workload, churnStop time.Dur
 	if nMice > 0 {
 		meanGap = arrWindow.Seconds() / float64(nMice)
 	}
+	wl := newWorkload(flows, responsive, nUn)
+	// Every responsive flow has one window; all are carved from one array.
+	windows := make([]workload.Interval, 0, responsive)
 	at := arrStart.Seconds()
 	for f := 1; f <= flows; f++ {
 		switch {
@@ -329,7 +345,8 @@ func (c Config) heavyTail(seed int64, flows int, wl Workload, churnStop time.Dur
 		case f <= nEl:
 			wl.Weights[f] = c.ElephantWeight
 			start := time.Duration(rng.Float64() * 2 * float64(time.Second))
-			wl.Schedules[f] = workload.Window(start, 0)
+			windows = append(windows, workload.Interval{Start: start})
+			wl.Schedules[f] = carve(windows, len(windows)-1)
 		default:
 			wl.Weights[f] = c.MiceWeight
 			at += float64(rng.ExpFloat64() * meanGap)
@@ -343,16 +360,23 @@ func (c Config) heavyTail(seed int64, flows int, wl Workload, churnStop time.Dur
 			if stop > churnStop {
 				stop = churnStop
 			}
-			wl.Schedules[f] = workload.Window(start, stop)
+			windows = append(windows, workload.Interval{Start: start, Stop: stop})
+			wl.Schedules[f] = carve(windows, len(windows)-1)
 		}
 	}
 	return wl, nil
 }
 
+// maxIntervals bounds the schedule intervals one churn workload may
+// generate, checked before they are allocated: an order of magnitude above
+// a million-flow churn run over 200 s at the default period (about 1.9
+// million).
+const maxIntervals = 20_000_000
+
 // churn assigns: a heavy cohort cycling on/off every ChurnPeriod (two
 // anti-phase halves, ending on), a flash crowd arriving together and
 // departing before the settle tail, and a persistent weight-1 base.
-func (c Config) churn(seed int64, flows int, wl Workload, churnStop time.Duration) (Workload, error) {
+func (c Config) churn(seed int64, flows int, churnStop time.Duration) (Workload, error) {
 	rng := sim.NewRNG(seed).Stream("trafficgen/churn")
 	nHeavy := int(math.Round(c.HeavyFrac * float64(flows)))
 	nFlash := int(math.Round(c.FlashFrac * float64(flows)))
@@ -367,23 +391,43 @@ func (c Config) churn(seed int64, flows int, wl Workload, churnStop time.Duratio
 		flashAt = churnStop - c.FlashSpread - c.FlashLife - time.Second
 	}
 	if flashAt < 0 {
-		return wl, fmt.Errorf("trafficgen: horizon too short for a flash crowd (flashat %v)", c.FlashAt)
+		return Workload{}, fmt.Errorf("trafficgen: horizon too short for a flash crowd (flashat %v)", c.FlashAt)
 	}
+	if c.ChurnPeriod <= 0 {
+		return Workload{}, fmt.Errorf("trafficgen: churn period %v must be positive", c.ChurnPeriod)
+	}
+	// Two anti-phase halves of the heavy cohort churn the active weight mix
+	// every period: odd flows toggle from 0, even ones from ChurnPeriod.
+	// Both halves stay on from the last toggle before the settle tail to the
+	// end. onPeriods(offset) counts the on-periods before that final
+	// interval, the t = offset + 2k·period with t + period < churnStop, which
+	// sizes the one array every schedule is carved from before it is made.
+	onPeriods := func(offset time.Duration) int64 {
+		end := offset + c.ChurnPeriod
+		if c.ChurnPeriod >= churnStop || end >= churnStop {
+			return 0
+		}
+		return int64((churnStop-end-1)/(2*c.ChurnPeriod)) + 1
+	}
+	odd, even := int64(nHeavy+1)/2, int64(nHeavy)/2
+	size := odd*(onPeriods(0)+1) + even*(onPeriods(c.ChurnPeriod)+1) + int64(nFlash)
+	if size > maxIntervals {
+		return Workload{}, fmt.Errorf("trafficgen: churn period %v would generate %d schedule intervals, over the limit of %d", c.ChurnPeriod, size, maxIntervals)
+	}
+	windows := make([]workload.Interval, 0, size)
+	wl := newWorkload(flows, nHeavy+nFlash, 0)
 	for f := 1; f <= flows; f++ {
 		switch {
 		case f <= nHeavy:
 			wl.Weights[f] = c.HeavyWeight
-			// Two anti-phase halves churn the active weight mix every
-			// period; both halves stay on from the last toggle before the
-			// settle tail to the end.
 			offset := time.Duration(0)
 			if f%2 == 0 {
 				offset = c.ChurnPeriod
 			}
-			var sched workload.Schedule
+			start := len(windows)
 			t := offset
 			for t+c.ChurnPeriod < churnStop {
-				sched = append(sched, workload.Interval{Start: t, Stop: t + c.ChurnPeriod})
+				windows = append(windows, workload.Interval{Start: t, Stop: t + c.ChurnPeriod})
 				t += 2 * c.ChurnPeriod
 			}
 			// Final interval: on from the last toggle (no later than the
@@ -391,8 +435,8 @@ func (c Config) churn(seed int64, flows int, wl Workload, churnStop time.Duratio
 			if t > churnStop {
 				t = churnStop
 			}
-			sched = append(sched, workload.Interval{Start: t, Stop: 0})
-			wl.Schedules[f] = sched
+			windows = append(windows, workload.Interval{Start: t, Stop: 0})
+			wl.Schedules[f] = carve(windows, start)
 		case f <= nHeavy+nFlash:
 			wl.Weights[f] = 1
 			start := flashAt + time.Duration(rng.Float64()*float64(c.FlashSpread))
@@ -400,7 +444,8 @@ func (c Config) churn(seed int64, flows int, wl Workload, churnStop time.Duratio
 			if stop > churnStop {
 				stop = churnStop
 			}
-			wl.Schedules[f] = workload.Window(start, stop)
+			windows = append(windows, workload.Interval{Start: start, Stop: stop})
+			wl.Schedules[f] = carve(windows, len(windows)-1)
 		default:
 			wl.Weights[f] = 1
 		}

@@ -1,9 +1,15 @@
 package trafficgen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 func TestParseGrammar(t *testing.T) {
@@ -110,6 +116,14 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := (Config{Horizon: time.Minute}).Generate(1, 8); err == nil {
 		t.Error("Generate accepted a kind-less config")
+	}
+	// A churn period that is negative, or so short that the schedules would
+	// not fit in memory, is refused before anything is allocated.
+	for _, period := range []time.Duration{-time.Second, time.Nanosecond} {
+		_, err := (Config{Kind: KindChurn, Horizon: 120 * time.Second, ChurnPeriod: period}).Generate(1, 8)
+		if err == nil || !strings.Contains(err.Error(), "churn period") {
+			t.Errorf("period %v: Generate = %v, want the churn period refused", period, err)
+		}
 	}
 }
 
@@ -259,5 +273,76 @@ func TestBoundedPareto(t *testing.T) {
 	}
 	if x := boundedPareto(0.5, 1.2, 7, 7); x != 7 {
 		t.Errorf("degenerate bounds: got %v, want 7", x)
+	}
+}
+
+// workloadText renders wl for flows 1..flows, one line per flow: weight,
+// blast rate, and the schedule's intervals in nanoseconds ("always" when
+// the flow has no schedule).
+func workloadText(wl Workload, flows int) string {
+	var b strings.Builder
+	for f := 1; f <= flows; f++ {
+		fmt.Fprintf(&b, "%d w=%v", f, wl.Weights[f])
+		if r, ok := wl.Unresponsive[f]; ok {
+			fmt.Fprintf(&b, " unresp=%v", r)
+		}
+		sched, ok := wl.Schedules[f]
+		if !ok {
+			b.WriteString(" always")
+		}
+		for _, iv := range sched {
+			fmt.Fprintf(&b, " [%d,%d)", int64(iv.Start), int64(iv.Stop))
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "maps %d %d %d\n", len(wl.Weights), len(wl.Schedules), len(wl.Unresponsive))
+	return b.String()
+}
+
+// TestScheduleDigests pins both schedule generators' output at a fixed
+// seed: the SHA-256 of workloadText, recorded before the schedules were
+// carved from one shared interval array.
+func TestScheduleDigests(t *testing.T) {
+	const flows = 400
+	for _, tc := range []struct{ traffic, digest string }{
+		{"heavytail:elephants=0.05,eweight=4,unresp=0.1,urate=350", "b02e7a8ef599e4dad06ee157b498f1a4fb1a9607f1c35c3a41598444ccbde843"},
+		{"churn:period=8s,heavy=0.3,hweight=4,flash=0.25", "3ce7e3fa771d5dbb5b8bfc5e45632845ee1beb8fb0aac4d7c396730048499f5b"},
+	} {
+		cfg, err := Parse(tc.traffic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Horizon = 120 * time.Second
+		wl, err := cfg.Generate(7, flows)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.traffic, err)
+		}
+		sum := sha256.Sum256([]byte(workloadText(wl, flows)))
+		if got := hex.EncodeToString(sum[:]); got != tc.digest {
+			t.Errorf("%s: workload digest %s, want %s", tc.traffic, got, tc.digest)
+		}
+	}
+}
+
+// TestScheduleSlabIsolation: every schedule is a view into one shared
+// interval array, so each must be capped at its own end — an append by the
+// caller reallocates rather than writing over the next flow's first window.
+func TestScheduleSlabIsolation(t *testing.T) {
+	for _, kind := range []Kind{KindHeavyTail, KindChurn} {
+		cfg := Config{Kind: kind, Horizon: 120 * time.Second}
+		wl, err := cfg.Generate(1, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, s := range wl.Schedules {
+			if cap(s) != len(s) {
+				t.Errorf("%v flow %d: schedule len %d cap %d, want capped at its length", kind, f, len(s), cap(s))
+			}
+		}
+		next := wl.Schedules[2][0]
+		_ = append(wl.Schedules[1], workload.Interval{Start: time.Hour, Stop: 2 * time.Hour})
+		if got := wl.Schedules[2][0]; got != next {
+			t.Errorf("%v: appending to flow 1's schedule overwrote flow 2's first window: %v", kind, got)
+		}
 	}
 }
