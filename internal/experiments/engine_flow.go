@@ -57,8 +57,11 @@ func runFlow(sc Scenario) (*Result, error) {
 	if sc.Check.Enabled() {
 		onViolation = func(v flowsim.Violation) {
 			rule := invariant.RuleFluidConservation
-			if v.Kind == flowsim.KindBounds {
+			switch v.Kind {
+			case flowsim.KindBounds:
 				rule = invariant.RuleFluidBounds
+			case flowsim.KindWaste:
+				rule = invariant.RuleFluidWaste
 			}
 			sc.Check.Report(invariant.Violation{
 				At: v.At, Rule: rule, Site: v.Site,

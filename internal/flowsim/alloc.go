@@ -43,6 +43,12 @@ type allocator struct {
 	allLinks []int32
 	allFlows []int32
 
+	// minRate is each flow's contract floor, dense so that fill, classify and
+	// the engine's control epoch read it without touching Model.Flows. It
+	// starts as Flow.MinRate; the engine raises an unresponsive flow's entry
+	// to its FixedDemand under the marker control (see newEngine).
+	minRate []float64
+
 	// Per-flow scratch, reused across solves. frozen is true for every flow
 	// between fills (fill unfreezes only flows it then freezes again), so a
 	// saturating link's sweep of its CSR row skips flows outside the region.
@@ -245,16 +251,19 @@ func (a *allocator) sortDemands(dq []allocEntry, ordered bool) {
 // newAllocator builds the static link→flow CSR adjacency for m.
 func newAllocator(m *Model) *allocator {
 	nf, nl := len(m.Flows), len(m.Links)
+	// The per-flow float arrays share one backing array.
+	perFlow := make([]float64, 4*nf)
 	a := &allocator{
 		m:           m,
 		lfStart:     make([]int32, nl+1),
 		allLinks:    make([]int32, nl),
 		allFlows:    make([]int32, nf),
+		minRate:     carve(&perFlow, nf, nf),
 		frozen:      make([]bool, nf),
-		dem:         make([]float64, nf),
+		dem:         carve(&perFlow, nf, nf),
 		capped:      make([]bool, nf),
-		floor:       make([]float64, nf),
-		freezeLevel: make([]float64, nf),
+		floor:       carve(&perFlow, nf, nf),
+		freezeLevel: carve(&perFlow, nf, nf),
 		linkFroze:   make([]bool, nl),
 		linkLevel:   make([]float64, nl),
 		activeW:     make([]float64, nl),
@@ -274,6 +283,7 @@ func newAllocator(m *Model) *allocator {
 	total := 0
 	for fi := range m.Flows {
 		a.allFlows[fi] = int32(fi)
+		a.minRate[fi] = m.Flows[fi].MinRate
 		a.frozen[fi] = true
 		for _, li := range m.Flows[fi].Links {
 			a.lfStart[li+1]++
@@ -356,7 +366,7 @@ func (a *allocator) fill(links, flows []int32, active []bool, demand []float64, 
 			a.floor[fi] = 0
 			continue
 		}
-		floor := f.MinRate
+		floor := a.minRate[fi]
 		d := demand[fi]
 		if floor > 0 && d >= 0 && d < floor {
 			// The flow asks for less than its contract; it gets what it

@@ -57,6 +57,9 @@ type incrState struct {
 
 	// linkUsed is each link's summed achieved rate (floors included).
 	linkUsed []float64
+	// foldLimit is the usage a link may reach and still count as unsaturated
+	// for a fold: capacity − allocSatMargin·max(capacity, 1), computed once.
+	foldLimit []float64
 
 	// Region scratch, epoch-stamped so steady-state solves allocate nothing.
 	// One flow mark holds two facts: 2·stamp → the region scan reached the
@@ -129,18 +132,25 @@ func (a *allocator) enableIncremental() {
 		return
 	}
 	nf, nl := len(a.m.Flows), len(a.m.Links)
+	// The per-link float arrays share one backing array.
+	perLink := make([]float64, 3*nl)
 	a.incr = &incrState{
-		act:      make([]bool, nf),
-		dm:       make([]float64, nf),
-		wt:       make([]float64, nf),
-		linkUsed: make([]float64, nl),
-		flowMark: make([]int32, nf),
-		linkMark: make([]int32, nl),
-		bMark:    make([]int32, nl),
-		bDelta:   make([]float64, nl),
-		effDem:   make([]float64, nf),
-		newRate:  make([]float64, nf),
-		clamped:  make([]bool, nf),
+		act:       make([]bool, nf),
+		dm:        make([]float64, nf),
+		wt:        make([]float64, nf),
+		linkUsed:  carve(&perLink, nl, nl),
+		foldLimit: carve(&perLink, nl, nl),
+		flowMark:  make([]int32, nf),
+		linkMark:  make([]int32, nl),
+		bMark:     make([]int32, nl),
+		bDelta:    carve(&perLink, nl, nl),
+		effDem:    make([]float64, nf),
+		newRate:   make([]float64, nf),
+		clamped:   make([]bool, nf),
+	}
+	for li := range a.incr.foldLimit {
+		c := a.m.Links[li].Capacity
+		a.incr.foldLimit[li] = c - float64(allocSatMargin*max1(c))
 	}
 }
 
@@ -189,8 +199,8 @@ func max1(x float64) float64 {
 
 // foldHeadroom reports whether link li can absorb delta more rate and stay
 // clear of saturation by the fold margin.
-func (s *incrState) foldHeadroom(capacity float64, li int, delta float64) bool {
-	return s.linkUsed[li]+delta <= capacity-float64(allocSatMargin*max1(capacity))
+func (s *incrState) foldHeadroom(li int, delta float64) bool {
+	return s.linkUsed[li]+delta <= s.foldLimit[li]
 }
 
 // classify resolves one changed flow against the previous solution:
@@ -198,8 +208,7 @@ func (s *incrState) foldHeadroom(capacity float64, li int, delta float64) bool {
 // escalated to the regional solver.
 func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) int {
 	s := a.incr
-	m := a.m
-	f := &m.Flows[fi]
+	f := &a.m.Flows[fi]
 	oldAct := s.act[fi]
 	if f.Weight != s.wt[fi] {
 		return classDirty // weight churn always re-levels the region
@@ -235,7 +244,7 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 		return classFold
 	}
 
-	newFloor := f.MinRate
+	newFloor := a.minRate[fi]
 	if newD >= 0 && newD < newFloor {
 		newFloor = newD
 	}
@@ -251,7 +260,7 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 			rate = newFloor + ex
 		}
 		for _, li := range f.Links {
-			if a.linkFroze[li] || !s.foldHeadroom(m.Links[li].Capacity, li, rate) {
+			if a.linkFroze[li] || !s.foldHeadroom(li, rate) {
 				return classDirty
 			}
 		}
@@ -300,7 +309,7 @@ func (a *allocator) classify(fi int, newAct bool, newD float64, out []float64) i
 		if a.linkFroze[li] {
 			return classDirty
 		}
-		if delta > 0 && !s.foldHeadroom(m.Links[li].Capacity, li, delta) {
+		if delta > 0 && !s.foldHeadroom(li, delta) {
 			return classDirty
 		}
 	}
@@ -466,14 +475,13 @@ func (a *allocator) solveIncremental(active []bool, demand []float64, out []floa
 		for _, li32 := range boundary {
 			li := int(li32)
 			d := s.bDelta[li]
-			c := m.Links[li].Capacity
 			grow := false
 			if a.linkFroze[li] {
 				// Any usage shift moves a binding link's level; it must
 				// join the region and re-level.
 				grow = d != 0
 			} else {
-				grow = s.linkUsed[li]+d > c-float64(allocSatMargin*max1(c))
+				grow = s.linkUsed[li]+d > s.foldLimit[li]
 			}
 			if grow {
 				s.linkMark[li] = stamp

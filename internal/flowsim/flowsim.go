@@ -79,11 +79,15 @@ const (
 	// KindBounds: a per-flow rate out of bounds (negative, above the
 	// allowed rate, or an allowed rate below the contract floor).
 	KindBounds
+	// KindWaste: a flow held below its demand crosses no saturated link,
+	// so the allocation left capacity unused that the flow could have had.
+	KindWaste
 )
 
 // Violation is one breached fluid invariant. The engine has no packet
-// network to sweep, so it verifies its own model algebra — conservation and
-// rate bounds — and reports breaches through Config.OnViolation.
+// network to sweep, so it verifies its own model algebra — conservation,
+// rate bounds and non-wastefulness — and reports breaches through
+// Config.OnViolation.
 type Violation struct {
 	At       time.Duration
 	Kind     ViolationKind
@@ -121,8 +125,9 @@ type Config struct {
 	OnChecks func(n int64)
 	// Obs, when non-nil, records fluid-engine telemetry: per-flow rate and
 	// phase gauges, per-link alpha/fn gauges, epoch, feedback and
-	// solver-tier counters, and the wall-clock water-filling solve-time
-	// histogram (see obs.go).
+	// solver-tier counters, the wall-clock water-filling solve-time
+	// histograms, and the engine's self-profile (perf.csv: events and wall
+	// seconds of the epoch, solve and flush layers; see obs.go).
 	// The registry must be fresh (one registry per run). Attaching it never
 	// changes the Output — instruments are sampled at existing epoch
 	// boundaries and schedule no events of their own.
@@ -207,6 +212,7 @@ type engine struct {
 	lost    []float64 // dropped volume integral (ControlLoss)
 	cumPrev []float64 // cum at the previous flush
 	fb      []float64 // fractional-indication accumulators (see epoch)
+	minRate []float64 // contract floors, the allocator's dense array
 
 	// liveBits mirrors active as a bitset (arrivals and departures in step
 	// write both), so the control epoch visits live flows only — in ascending
@@ -225,17 +231,35 @@ type engine struct {
 	advT    []float64 // per-flow last integration time, seconds
 	lastSec float64   // lastT in seconds, maintained by advance
 
-	// Per-link state of the marker control epoch. Invariant between epochs:
-	// sumDemand, sumMark and linkFn are zero and linkSeen false on every link
-	// outside touched, the links under a flow that was live at the last
-	// epoch; the next epoch resets exactly those.
-	sumDemand []float64 // per-link demand sums
-	sumMark   []float64 // per-link marker-rate sums
-	linkFn    []float64 // per-link feedback volume of the last epoch
-	linkCap   []float64 // per-link capacity, flat for the epoch's link pass
-	touched   []int32
-	linkSeen  []bool
-	checkSum  []float64 // per-link conservation scratch (checkers only)
+	// Marker control epoch state. A link two or more flows cross is shared;
+	// a link exactly one flow crosses is that flow's private link, and its
+	// sums would only ever hold that flow's own demand and marker rate.
+	// Flow i's shared links are hops[hopOff[i]:hopOff[i+1]], and privCap[i]
+	// is the lowest capacity among its private links (+Inf if it has none).
+	// An epoch records each live flow's demand and marker rate in epochD
+	// and mr; a departure zeroes mr.
+	//
+	// The per-link sums are kept on shared links only. Invariant between
+	// epochs: sumDemand, sumMark and linkFn are zero and linkSeen false on
+	// every link outside touched, the shared links under a flow that was
+	// live at the last epoch; the next epoch resets exactly those.
+	// nCongested counts the shared links whose F_n is positive. A private
+	// link's F_n is never stored: linkFeedback derives it from its flow.
+	hops       []int32
+	hopOff     []int32
+	privCap    []float64
+	epochD     []float64
+	mr         []float64
+	weight     []float64 // Flow.Weight, dense for markerRate
+	beta       float64   // the controllers' β, 1 if unset
+	nCongested int
+	sumDemand  []float64 // per-link demand sums (shared links)
+	sumMark    []float64 // per-link marker-rate sums (shared links)
+	linkFn     []float64 // per-link feedback volume of the last epoch
+	linkCap    []float64 // per-link capacity, flat for the epoch's link pass
+	touched    []int32
+	linkSeen   []bool
+	checkSum   []float64 // per-link conservation scratch (checkers only)
 
 	// Change-set threading: every event that may move a flow's demand or
 	// membership marks the flow, and the pre-flush solve consumes the batch.
@@ -257,18 +281,22 @@ type engine struct {
 	// Liveness bookkeeping (Progress) and observability hooks (Obs). All
 	// instrument pointers are nil-receiver-safe, so the hot path pays a nil
 	// check at most.
-	nActive       int
-	flowSec       float64 // ∫ active dt, simulated flow-seconds
-	flowSecSent   float64 // portion already published to Progress
-	solveHistFull *obs.Histogram
-	solveHistIncr *obs.Histogram
-	ctrEpochs     *obs.Counter
-	ctrCong       *obs.Counter
-	ctrFeedback   *obs.Counter
-	ctrTouched    *obs.Counter
-	ctrTier       [numTiers]*obs.Counter
-	obsEvery      int // gauge sampling cadence in epochs; 0 = off
-	epochN        int
+	nActive     int
+	flowSec     float64 // ∫ active dt, simulated flow-seconds
+	flowSecSent float64 // portion already published to Progress
+	// solveHist is set for the two solve layers.
+	solveHist   [numLayers]*obs.Histogram
+	ctrEpochs   *obs.Counter
+	ctrCong     *obs.Counter
+	ctrFeedback *obs.Counter
+	ctrTouched  *obs.Counter
+	ctrTier     [numTiers]*obs.Counter
+	obsEvery    int // gauge sampling cadence in epochs; 0 = off
+	epochN      int
+	// profiled turns on the self-profile: perf counts and times every
+	// epoch, solve and flush (Obs only).
+	profiled bool
+	perf     [numLayers]layerPerf
 }
 
 // Run executes the fluid model to the horizon.
@@ -287,6 +315,7 @@ func Run(cfg Config) (*Output, error) {
 	progress.AddFlowSec(e.flowSec - e.flowSecSent)
 	e.flowSecSent = e.flowSec
 	progress.MarkDone()
+	e.recordPerf()
 	for i := range e.out.Flows {
 		e.out.Flows[i].Delivered = e.cum[i]
 		e.out.Flows[i].Lost = e.lost[i]
@@ -323,80 +352,116 @@ func newEngine(cfg Config) (*engine, error) {
 			len(cfg.Schedules), len(cfg.Model.Flows))
 	}
 
+	n := len(cfg.Model.Flows)
+	nLinks := len(cfg.Model.Links)
+	e := &engine{
+		cfg:      cfg,
+		m:        cfg.Model,
+		alloc:    newAllocator(cfg.Model),
+		liveBits: make([]uint64, (n+63)/64),
+		ctrl:     make([]adapt.Controller, n),
+		out:      &Output{Flows: make([]FlowOutput, n)},
+	}
+	marker := cfg.Control == ControlMarker
+	e.incremental = cfg.solver == solverIncremental ||
+		(cfg.solver == solverAuto && n >= IncrementalMinFlows)
+
+	// The per-flow and per-link arrays of one element type are carved from
+	// one backing array per type.
+	bools := make([]bool, 3*n)
+	e.active, e.fixed, e.changedMark = carve(&bools, n, n), carve(&bools, n, n), carve(&bools, n, n)
+	nf := 6
+	if marker {
+		nf += 4
+	}
+	if e.incremental {
+		nf += 2
+	}
+	floats := make([]float64, nf*n)
+	for _, p := range []*[]float64{&e.demand, &e.cur, &e.cum, &e.lost, &e.cumPrev, &e.fb} {
+		*p = carve(&floats, n, n)
+	}
+	if e.incremental {
+		e.alloc.enableIncremental()
+		e.rates, e.advT = carve(&floats, n, n), carve(&floats, n, n)
+	} else {
+		e.rates = e.cur
+	}
+
 	// Unresponsive flows under the marker control ride the allocator's
 	// contract-floor machinery: a FIFO core cannot police traffic that
 	// bypasses edge shaping, so the fixed demand is pre-allocated off the
 	// top exactly like a contracted floor and responsive flows water-fill
 	// the remainder. The loss control leaves FixedDemand as an ordinary
 	// demand cap — CSFQ's per-label policing holds the flow to its
-	// weighted share. The model copy keeps the caller's Model untouched.
-	alnModel := cfg.Model
-	anyFixed := false
-	for i := range cfg.Model.Flows {
-		if cfg.Model.Flows[i].FixedDemand > 0 {
-			anyFixed = true
-			break
+	// weighted share. Only the allocator's dense floors change; the
+	// caller's Model stays untouched.
+	e.minRate = e.alloc.minRate
+	for i := range e.ctrl {
+		f := &cfg.Model.Flows[i]
+		ac := cfg.Adapt
+		ac.MinRate = f.MinRate
+		e.ctrl[i] = *adapt.NewController(ac)
+		e.fixed[i] = f.FixedDemand > 0
+		if e.fixed[i] && marker {
+			e.minRate[i] = f.FixedDemand
 		}
-	}
-	if anyFixed && cfg.Control == ControlMarker {
-		m2 := *cfg.Model
-		m2.Flows = append([]Flow(nil), cfg.Model.Flows...)
-		for i := range m2.Flows {
-			if m2.Flows[i].FixedDemand > 0 {
-				m2.Flows[i].MinRate = m2.Flows[i].FixedDemand
-			}
-		}
-		alnModel = &m2
 	}
 
-	n := len(cfg.Model.Flows)
-	nLinks := len(cfg.Model.Links)
-	e := &engine{
-		cfg:      cfg,
-		m:        alnModel,
-		alloc:    newAllocator(alnModel),
-		active:   make([]bool, n),
-		liveBits: make([]uint64, (n+63)/64),
-		fixed:    make([]bool, n),
-		demand:   make([]float64, n),
-		cur:      make([]float64, n),
-		ctrl:     make([]adapt.Controller, n),
-		cum:      make([]float64, n),
-		lost:     make([]float64, n),
-		cumPrev:  make([]float64, n),
-		fb:       make([]float64, n),
-		out:      &Output{Flows: make([]FlowOutput, n)},
-	}
-	if cfg.Control == ControlMarker {
-		e.sumDemand = make([]float64, nLinks)
-		e.sumMark = make([]float64, nLinks)
-		e.linkFn = make([]float64, nLinks)
-		e.linkCap = make([]float64, nLinks)
+	if !marker {
+		e.changed = make([]int32, 0, n)
+	} else {
+		// Split every flow's links into shared and private ones (see
+		// engine) by the allocator's link→flow adjacency.
+		a := e.alloc
+		shared := func(li int) bool { return a.lfStart[li+1]-a.lfStart[li] > 1 }
+		nShared, nHops := 0, 0
+		for li := 0; li < nLinks; li++ {
+			if shared(li) {
+				nShared++
+				nHops += int(a.lfStart[li+1] - a.lfStart[li])
+			}
+		}
+		ints := make([]int32, n+nShared+nHops+n+1)
+		e.changed = carve(&ints, 0, n)
+		e.touched = carve(&ints, 0, nShared)
+		e.hops = carve(&ints, nHops, nHops)
+		e.hopOff = carve(&ints, n+1, n+1)
+		for _, p := range []*[]float64{&e.privCap, &e.epochD, &e.mr, &e.weight} {
+			*p = carve(&floats, n, n)
+		}
+		k := int32(0)
+		for i := range cfg.Model.Flows {
+			f := &cfg.Model.Flows[i]
+			e.hopOff[i] = k
+			e.privCap[i] = math.Inf(1)
+			for _, li := range f.Links {
+				if shared(li) {
+					e.hops[k] = int32(li)
+					k++
+				} else if c := cfg.Model.Links[li].Capacity; c < e.privCap[i] {
+					e.privCap[i] = c
+				}
+			}
+			e.weight[i] = f.Weight
+		}
+		e.hopOff[n] = k
+
+		perLink := make([]float64, 4*nLinks)
+		for _, p := range []*[]float64{&e.sumDemand, &e.sumMark, &e.linkFn, &e.linkCap} {
+			*p = carve(&perLink, nLinks, nLinks)
+		}
 		for li := range e.linkCap {
 			e.linkCap[li] = cfg.Model.Links[li].Capacity
 		}
-		e.touched = make([]int32, 0, nLinks)
 		e.linkSeen = make([]bool, nLinks)
+		e.beta = cfg.Adapt.Beta
+		if e.beta <= 0 {
+			e.beta = 1
+		}
 	}
-	e.incremental = cfg.solver == solverIncremental ||
-		(cfg.solver == solverAuto && n >= IncrementalMinFlows)
-	if e.incremental {
-		e.alloc.enableIncremental()
-		e.rates = make([]float64, n)
-		e.advT = make([]float64, n)
-	} else {
-		e.rates = e.cur
-	}
-	e.changed = make([]int32, 0, n)
-	e.changedMark = make([]bool, n)
 	if cfg.OnViolation != nil || cfg.OnChecks != nil {
 		e.checkSum = make([]float64, nLinks)
-	}
-	for i := range e.ctrl {
-		ac := cfg.Adapt
-		ac.MinRate = cfg.Model.Flows[i].MinRate
-		e.ctrl[i] = *adapt.NewController(ac)
-		e.fixed[i] = cfg.Model.Flows[i].FixedDemand > 0
 	}
 	// The 3·F measurement series are carved out of one slab (300k separate
 	// allocations otherwise dominate a 100k-flow run), kind by kind so each
@@ -405,15 +470,43 @@ func newEngine(cfg Config) (*engine, error) {
 	// running into the neighbour. The Output owns the slab.
 	nsamp := int(cfg.Horizon / cfg.SampleWindow)
 	slab := make([]metrics.Sample, 3*n*nsamp)
-	carve := func(kind, i int) metrics.Series {
+	series := func(kind, i int) metrics.Series {
 		lo := (kind*n + i) * nsamp
 		return slab[lo : lo : lo+nsamp]
 	}
 	for i := range e.out.Flows {
 		f := &e.out.Flows[i]
-		f.Allowed, f.Rate, f.Cumulative = carve(0, i), carve(1, i), carve(2, i)
+		f.Allowed, f.Rate, f.Cumulative = series(0, i), series(1, i), series(2, i)
 	}
 	return e, nil
+}
+
+// carve cuts the next n elements off *slab and returns them as a slice of
+// length l and capacity n.
+func carve[T any](slab *[]T, l, n int) []T {
+	s := (*slab)[:l:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// sharedLinks lists flow i's shared links (marker control).
+func (e *engine) sharedLinks(i int) []int32 { return e.hops[e.hopOff[i]:e.hopOff[i+1]] }
+
+// linkFeedback is link li's feedback volume F_n as of the last epoch, what
+// the fn/<link> gauge reads at epoch boundaries. A shared link's is stored;
+// a private link's is the per-link expression over its one flow's sums,
+// 0 + d and 0 + mr — zero unless that flow was live at the epoch, since a
+// departure zeroes mr.
+func (e *engine) linkFeedback(li int) float64 {
+	flows := e.alloc.flowsOn(li)
+	if len(flows) != 1 {
+		return e.linkFn[li]
+	}
+	o := flows[0]
+	if excess := e.epochD[o] - e.linkCap[li]; excess > 0 && e.mr[o] > 0 {
+		return excess / e.beta
+	}
+	return 0
 }
 
 // schedule builds the event list — per-flow activity windows, control
@@ -506,6 +599,11 @@ func (e *engine) step() {
 		e.fb[i] = 0
 		e.nActive--
 		e.markChanged(i)
+		if e.mr != nil {
+			// The flow's private links carry no feedback once it has left
+			// (the next epoch would reset a shared link the same way).
+			e.mr[i] = 0
+		}
 	case prioArrival:
 		i := int(ev.flow)
 		if e.incremental {
@@ -526,7 +624,9 @@ func (e *engine) step() {
 		e.nActive++
 		e.markChanged(i)
 	case prioEpoch:
+		t0 := e.clock()
 		e.epoch(ev.at)
+		e.lap(layerEpoch, t0)
 		if e.obsEvery > 0 {
 			e.epochN++
 			if e.epochN%e.obsEvery == 0 {
@@ -548,7 +648,9 @@ func (e *engine) step() {
 		e.samplePending = false
 	}
 	if e.flushPending {
+		t0 := e.clock()
 		e.flush(ev.at)
+		e.lap(layerFlush, t0)
 		e.flushPending = false
 	}
 }
@@ -556,16 +658,13 @@ func (e *engine) step() {
 // solve consumes the pending change batch and re-runs the water-filling
 // allocation — incrementally over the affected region when the incremental
 // solver is selected, monolithically otherwise — timing it (wall clock)
-// when the solve histograms are attached. An empty batch is a no-op.
+// under the self-profile. An empty batch is a no-op.
 func (e *engine) solve() {
 	if len(e.changed) == 0 {
 		return
 	}
-	timed := e.solveHistFull != nil
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
+	t0 := e.clock()
+	layer := layerSolveFull
 	if e.incremental {
 		touched, full := e.alloc.solveIncremental(e.active, e.demand, e.rates, e.changed)
 		e.ctrTouched.Add(int64(touched))
@@ -582,26 +681,18 @@ func (e *engine) solve() {
 				e.cur[i] = e.rates[i]
 			}
 		} else {
+			layer = layerSolveIncr
 			for _, fi := range e.alloc.incr.touchedList {
 				i := int(fi)
 				e.integrate(i)
 				e.cur[i] = e.rates[i]
 			}
 		}
-		if timed {
-			if full {
-				e.solveHistFull.Observe(time.Since(t0).Seconds())
-			} else {
-				e.solveHistIncr.Observe(time.Since(t0).Seconds())
-			}
-		}
 	} else {
 		e.alloc.solve(e.active, e.demand, e.cur)
 		e.ctrTouched.Add(int64(len(e.m.Flows)))
-		if timed {
-			e.solveHistFull.Observe(time.Since(t0).Seconds())
-		}
 	}
+	e.solveHist[layer].Observe(e.lap(layer, t0).Seconds())
 	for _, fi := range e.changed {
 		e.changedMark[fi] = false
 	}
@@ -669,7 +760,7 @@ func (e *engine) integrateAll() {
 // stream: the out-of-profile rate per unit weight, (b − min)/w (the K1
 // spacing constant cancels out of the per-link feedback shares).
 func (e *engine) markerRate(i int) float64 {
-	mr := (e.demand[i] - e.m.Flows[i].MinRate) / e.m.Flows[i].Weight
+	mr := (e.demand[i] - e.minRate[i]) / e.weight[i]
 	if mr < 0 {
 		return 0
 	}
@@ -701,13 +792,13 @@ func (e *engine) markerRate(i int) float64 {
 // Both passes walk liveBits, so an epoch costs O(live flows · span), not
 // O(flows + links). Ascending bit order is the dense scan's order, which
 // keeps every per-link floating-point sum — and so every result — bit for
-// bit what the dense sweep produced.
+// bit what the dense sweep produced. Pass 1 computes each live flow's
+// marker rate once and sums demands and marker rates on shared links only;
+// pass 2 derives a private link's F_n from its one flow, which is exact
+// because a one-term sum starting at zero is that term, and skips the
+// shared links when none of them is congested.
 func (e *engine) epoch(now time.Duration) {
 	epochSec := e.cfg.Epoch.Seconds()
-	beta := e.cfg.Adapt.Beta
-	if beta <= 0 {
-		beta = 1
-	}
 	marker := e.cfg.Control == ControlMarker
 	if marker {
 		for _, li := range e.touched {
@@ -719,10 +810,11 @@ func (e *engine) epoch(now time.Duration) {
 			for ; word != 0; word &= word - 1 {
 				i := w<<6 | bits.TrailingZeros64(word)
 				mr := e.markerRate(i)
-				for _, li := range e.m.Flows[i].Links {
+				e.epochD[i], e.mr[i] = e.demand[i], mr
+				for _, li := range e.sharedLinks(i) {
 					if !e.linkSeen[li] {
 						e.linkSeen[li] = true
-						e.touched = append(e.touched, int32(li))
+						e.touched = append(e.touched, li)
 					}
 					e.sumDemand[li] += e.demand[i]
 					e.sumMark[li] += mr
@@ -730,13 +822,17 @@ func (e *engine) epoch(now time.Duration) {
 			}
 		}
 		// Per-link feedback volume F_n = excess/β, computed once per
-		// link (the fn/<link> gauges read it between epochs). A link under
-		// no live flow has no marker mass to split, so its F_n stays the 0
-		// it was reset to.
+		// shared link (the fn/<link> gauges read it between epochs). A
+		// link under no live flow has no marker mass to split, so its F_n
+		// stays the 0 it was reset to.
+		e.nCongested = 0
 		for _, li := range e.touched {
 			excess := e.sumDemand[li] - e.linkCap[li]
 			if excess > 0 && e.sumMark[li] > 0 {
-				e.linkFn[li] = excess / beta
+				e.linkFn[li] = excess / e.beta
+				if e.linkFn[li] > 0 {
+					e.nCongested++
+				}
 			}
 		}
 	}
@@ -750,14 +846,26 @@ func (e *engine) epoch(now time.Duration) {
 			}
 			var ind float64
 			if marker {
-				if mr := e.markerRate(i); mr > 0 {
-					for _, li := range e.m.Flows[i].Links {
+				mr := e.mr[i]
+				if mr > 0 && e.nCongested > 0 {
+					for _, li := range e.sharedLinks(i) {
 						if e.linkFn[li] <= 0 {
 							continue
 						}
 						if share := e.linkFn[li] * mr / e.sumMark[li]; share > ind {
 							ind = share
 						}
+					}
+				}
+				// A private link's sums would be 0 + d and 0 + mr, so its
+				// F_n and share are the shared-link expressions with this
+				// flow's own values put in. Each step is monotone in the
+				// excess d − C, so the slowest private link gives the
+				// largest share, and it is the only one evaluated.
+				if excess := e.demand[i] - e.privCap[i]; excess > 0 && mr > 0 {
+					fn := excess / e.beta
+					if share := fn * mr / mr; share > ind {
+						ind = share
 					}
 				}
 			} else if excess := e.demand[i] - e.cur[i]; excess > 0 {
@@ -818,7 +926,11 @@ func (e *engine) flush(t time.Duration) {
 }
 
 // check verifies the fluid invariants at t: per-link conservation of the
-// achieved rates and per-flow rate bounds.
+// achieved rates, per-flow rate bounds, and non-wastefulness — a flow held
+// more than wasteEps below its demand must cross a link whose achieved sum
+// is within wasteEps of capacity (the first half of the max-min
+// certificate; it is what an all-zero or uniformly scaled-down allocation
+// fails).
 func (e *engine) check(t time.Duration) {
 	if e.cfg.OnViolation == nil && e.cfg.OnChecks == nil {
 		return
@@ -829,7 +941,7 @@ func (e *engine) check(t time.Duration) {
 			e.cfg.OnViolation(v)
 		}
 	}
-	const relEps = 1e-9
+	const relEps, wasteEps = 1e-9, 1e-6
 	// One pass over the flows accumulates every link's conservation sum —
 	// O(F·span + L), which is what keeps `-check` viable at 100k flows.
 	for li := range e.checkSum {
@@ -862,13 +974,20 @@ func (e *engine) check(t time.Duration) {
 			report(Violation{At: t, Kind: KindBounds, Site: fmt.Sprintf("flow %d", e.m.Flows[i].Index),
 				Expected: 0, Actual: e.cur[i], Detail: "negative achieved rate"})
 		}
-		bound := math.Max(e.demand[i], e.m.Flows[i].MinRate)
+		bound := math.Max(e.demand[i], e.minRate[i])
 		if e.cur[i] > float64(bound*(1+relEps))+relEps {
 			report(Violation{At: t, Kind: KindBounds, Site: fmt.Sprintf("flow %d", e.m.Flows[i].Index),
 				Expected: bound, Actual: e.cur[i],
 				Detail: "achieved rate above allowed rate"})
 		}
-		if min := e.m.Flows[i].MinRate; min > 0 {
+		if e.cur[i] < e.demand[i]*(1-wasteEps) {
+			checks++
+			if detail := e.unsaturated(i, wasteEps); detail != "" {
+				report(Violation{At: t, Kind: KindWaste, Site: fmt.Sprintf("flow %d", e.m.Flows[i].Index),
+					Expected: e.demand[i], Actual: e.cur[i], Detail: detail})
+			}
+		}
+		if min := e.minRate[i]; min > 0 {
 			checks++
 			if e.demand[i] < min*(1-relEps) {
 				report(Violation{At: t, Kind: KindBounds, Site: fmt.Sprintf("flow %d", e.m.Flows[i].Index),
@@ -880,4 +999,26 @@ func (e *engine) check(t time.Duration) {
 	if e.cfg.OnChecks != nil {
 		e.cfg.OnChecks(checks)
 	}
+}
+
+// unsaturated returns "" when flow i crosses a link whose conservation sum
+// (checkSum) is within eps of its capacity, and otherwise a violation detail
+// naming its most loaded path link (highest sum/capacity).
+func (e *engine) unsaturated(i int, eps float64) string {
+	worst, util := -1, 0.0
+	for _, li := range e.m.Flows[i].Links {
+		c := e.m.Links[li].Capacity
+		if e.checkSum[li] >= c*(1-eps) {
+			return ""
+		}
+		if u := e.checkSum[li] / c; worst < 0 || u > util {
+			worst, util = li, u
+		}
+	}
+	if worst < 0 {
+		return "achieved rate below demand on a path with no link"
+	}
+	l := &e.m.Links[worst]
+	return fmt.Sprintf("achieved rate below demand on a path with no saturated link (most loaded: %s at %g of %g)",
+		l.Name, e.checkSum[worst], l.Capacity)
 }

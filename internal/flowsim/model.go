@@ -45,10 +45,15 @@ type Flow struct {
 }
 
 // Model is the capacity graph the engine allocates over: a set of links and
-// the flows crossing them. Only constraining links need to be listed (access
-// links with the same rate as the core add nothing to the allocation). A
-// builder that already knows its link set may fill Links directly; AddLink
-// is for builders that meet a link by name, possibly more than once.
+// the flows crossing them. A builder may list only the constraining links
+// (an access link with the same rate as the core adds nothing to the
+// allocation), but the direct spec builder lists every link on a pinned
+// path, host links included. A link that exactly one flow crosses is that
+// flow's private link: the allocator treats it like any other link, and
+// the control epoch derives its feedback from that one flow instead of
+// keeping per-link sums for it. A builder that already knows its link set
+// may fill Links directly; AddLink is for builders that meet a link by
+// name, possibly more than once.
 type Model struct {
 	Links []Link
 	Flows []Flow

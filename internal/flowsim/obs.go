@@ -2,6 +2,7 @@ package flowsim
 
 import (
 	"strconv"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -26,9 +27,10 @@ func (e *engine) attachObs() {
 	if reg == nil {
 		return
 	}
-	e.solveHistFull = reg.Histogram(obs.HistSolveFull, "s")
+	e.profiled = true
+	e.solveHist[layerSolveFull] = reg.Histogram(obs.HistSolveFull, "s")
 	if e.incremental {
-		e.solveHistIncr = reg.Histogram(obs.HistSolveIncremental, "s")
+		e.solveHist[layerSolveIncr] = reg.Histogram(obs.HistSolveIncremental, "s")
 		for k, name := range tierNames {
 			e.ctrTier[k] = reg.Counter("fluid/solve/tier/" + name)
 		}
@@ -72,7 +74,7 @@ func (e *engine) attachObs() {
 		name := e.m.Links[li].Name
 		reg.GaugeFunc(obs.PrefixAlpha+name, func() float64 { return e.linkAlpha(li) })
 		if e.cfg.Control == ControlMarker {
-			reg.GaugeFunc(obs.PrefixFn+name, func() float64 { return e.linkFn[li] })
+			reg.GaugeFunc(obs.PrefixFn+name, func() float64 { return e.linkFeedback(li) })
 		}
 	}
 }
@@ -94,4 +96,56 @@ func (e *engine) linkAlpha(li int) float64 {
 		}
 	}
 	return level
+}
+
+// The engine layers the self-profile times, in perf.csv order.
+const (
+	layerEpoch = iota
+	layerSolveFull
+	layerSolveIncr
+	layerFlush
+	numLayers
+)
+
+var layerNames = [numLayers]string{"epoch", "solve-full", "solve-incremental", "flush"}
+
+// layerPerf is one layer's share of the self-profile.
+type layerPerf struct {
+	events uint64
+	wall   time.Duration
+}
+
+// clock reads the wall clock for the self-profile (the zero Time when it is
+// off).
+func (e *engine) clock() time.Time {
+	if !e.profiled {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// lap charges the wall time since t0 to layer and returns it (0 when the
+// self-profile is off).
+func (e *engine) lap(layer int, t0 time.Time) time.Duration {
+	if !e.profiled {
+		return 0
+	}
+	d := time.Since(t0)
+	e.perf[layer].events++
+	e.perf[layer].wall += d
+	return d
+}
+
+// recordPerf hands the self-profile to the registry, one row per layer.
+// Every call is timed, so Sampled equals Events.
+func (e *engine) recordPerf() {
+	if !e.profiled {
+		return
+	}
+	stats := make([]obs.PerfStat, numLayers)
+	for k, p := range e.perf {
+		stats[k] = obs.PerfStat{Kind: layerNames[k], Events: p.events,
+			WallSeconds: p.wall.Seconds(), Sampled: p.events}
+	}
+	e.cfg.Obs.RecordPerf(stats)
 }

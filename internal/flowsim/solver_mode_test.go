@@ -137,3 +137,47 @@ func TestSolverTierCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestSelfProfile checks the engine's perf rows: one per layer in order,
+// with exact counts (every epoch and flush of the horizon, and as many
+// solves of each tier as the solve histograms observed), every event timed,
+// and an Output equal to the unobserved run's.
+func TestSelfProfile(t *testing.T) {
+	cfg := churnChainConfig(t, solverIncremental, ControlMarker)
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	observed, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, observed) {
+		t.Fatal("the registry changes the Output")
+	}
+	epochs := uint64(cfg.Horizon / (100 * time.Millisecond))
+	want := []struct {
+		kind   string
+		events uint64
+	}{
+		{"epoch", epochs},
+		{"solve-full", reg.Histogram(obs.HistSolveFull, "s").Count()},
+		{"solve-incremental", reg.Histogram(obs.HistSolveIncremental, "s").Count()},
+		{"flush", uint64(cfg.Horizon / time.Second)},
+	}
+	perf := reg.Perf()
+	if len(perf) != len(want) {
+		t.Fatalf("%d perf rows, want %d: %+v", len(perf), len(want), perf)
+	}
+	for k, w := range want {
+		p := perf[k]
+		if p.Kind != w.kind || p.Events != w.events || p.Sampled != p.Events || p.WallSeconds < 0 {
+			t.Errorf("perf row %d = %+v, want kind %q with %d events, all sampled", k, p, w.kind, w.events)
+		}
+	}
+	if perf[0].WallSeconds <= 0 || perf[2].Events == 0 {
+		t.Errorf("epochs timed at %gs, %d incremental solves; want both positive", perf[0].WallSeconds, perf[2].Events)
+	}
+}

@@ -65,6 +65,9 @@ const (
 	// non-negative and never above the flow's allowed rate; allowed rates
 	// respect the contract floor).
 	RuleFluidBounds
+	// RuleFluidWaste: flow-backend non-wastefulness (a flow held below its
+	// demand crosses a saturated link).
+	RuleFluidWaste
 )
 
 // String names the rule for reports.
@@ -88,6 +91,8 @@ func (r Rule) String() string {
 		return "fluid-conservation"
 	case RuleFluidBounds:
 		return "fluid-bounds"
+	case RuleFluidWaste:
+		return "fluid-waste"
 	default:
 		return fmt.Sprintf("rule(%d)", int(r))
 	}
