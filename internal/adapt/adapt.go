@@ -146,7 +146,7 @@ func (c *Controller) Stop() {
 // waiting for the epoch boundary (the low-latency edge variant). In
 // slow-start the first indication halves the rate and flips to linear;
 // once linear, each indication subtracts β. It returns the new rate.
-func (c *Controller) ApplyIndications(now time.Duration, n float64) float64 {
+func (c *Controller) ApplyIndications(n float64) float64 {
 	if n <= 0 {
 		return c.rate
 	}

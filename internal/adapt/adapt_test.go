@@ -201,28 +201,28 @@ func TestApplyIndicationsImmediate(t *testing.T) {
 	c := NewController(DefaultConfig())
 	c.Start(0)
 	// Zero or negative indications are no-ops.
-	if got := c.ApplyIndications(0, 0); got != 1 {
+	if got := c.ApplyIndications(0); got != 1 {
 		t.Errorf("ApplyIndications(0) changed rate to %v", got)
 	}
 	// First indication in slow start halves and flips phase.
 	advance(c, 0, 30, 100*time.Millisecond, 0) // rate 8 at t=3s
-	if got := c.ApplyIndications(3*time.Second, 2); got != 4 {
+	if got := c.ApplyIndications(2); got != 4 {
 		t.Errorf("slow-start immediate indication: rate = %v, want 4", got)
 	}
 	if c.Phase() != PhaseLinear {
 		t.Errorf("phase = %v, want linear", c.Phase())
 	}
 	// Linear: each indication subtracts beta.
-	if got := c.ApplyIndications(4*time.Second, 3); got != 1 {
+	if got := c.ApplyIndications(3); got != 1 {
 		t.Errorf("linear immediate indications: rate = %v, want 1", got)
 	}
 	// Floors at zero.
-	if got := c.ApplyIndications(5*time.Second, 100); got != 0 {
+	if got := c.ApplyIndications(100); got != 0 {
 		t.Errorf("rate = %v, want floored 0", got)
 	}
 	// Stopped controller ignores indications.
 	c.Stop()
-	if got := c.ApplyIndications(6*time.Second, 1); got != 0 {
+	if got := c.ApplyIndications(1); got != 0 {
 		t.Errorf("stopped ApplyIndications = %v", got)
 	}
 }
@@ -233,11 +233,11 @@ func TestApplyIndicationsRespectsMinRate(t *testing.T) {
 	cfg.InitialRate = 80
 	c := NewController(cfg)
 	c.Start(0)
-	c.ApplyIndications(0, 1) // halve 80 -> 40, clamped to 50
+	c.ApplyIndications(1) // halve 80 -> 40, clamped to 50
 	if c.Rate() != 50 {
 		t.Errorf("rate = %v, want clamped to contract 50", c.Rate())
 	}
-	c.ApplyIndications(time.Second, 1000)
+	c.ApplyIndications(1000)
 	if c.Rate() != 50 {
 		t.Errorf("rate after massive feedback = %v, want contract floor 50", c.Rate())
 	}

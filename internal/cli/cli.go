@@ -58,7 +58,7 @@ type Flags struct {
 
 // RegisterSeed declares -seed, which also seeds -topo/-traffic generation.
 func (f *Flags) RegisterSeed(fs *flag.FlagSet) {
-	fs.Int64Var(&f.Seed, "seed", 1, "random seed (also seeds -topo/-traffic generation)")
+	fs.Int64Var(&f.Seed, "seed", experiments.DefaultSeed, "random seed (also seeds -topo/-traffic generation)")
 }
 
 // RegisterPool declares -seed and the flags of a command that runs a batch

@@ -266,7 +266,7 @@ func (e *Edge) HandleFeedback(local, link int) {
 	}
 	delta := st.maxCount - st.applied
 	st.applied = st.maxCount
-	f.Pacer.SetRate(f.Ctrl.ApplyIndications(e.net.Now(), float64(delta)))
+	f.Pacer.SetRate(f.Ctrl.ApplyIndications(float64(delta)))
 }
 
 // immediateEpoch and deferredEpoch apply the paper's §2.2 adaptation to

@@ -147,16 +147,6 @@ func ControlFeedback(net *netem.Network, router *netem.Node, edges map[string]*E
 	}
 }
 
-// RouterStats aggregates counters over all of a router's links.
-type RouterStats struct {
-	// MarkersSeen counts marked packets forwarded.
-	MarkersSeen int64
-	// FeedbackSent counts marker feedbacks bounced to edges.
-	FeedbackSent int64
-	// CongestionEpochs counts link-epochs with q_avg > q_thresh.
-	CongestionEpochs int64
-}
-
 // Router is a Corelite core router. It never drops packets by policy, keeps
 // no per-flow state, and generates weighted fair marker feedback per
 // outgoing link upon incipient congestion.
@@ -164,7 +154,6 @@ type Router struct {
 	net      *netem.Network
 	node     *netem.Node
 	cfg      RouterConfig
-	rng      *sim.RNG
 	feedback FeedbackFunc
 
 	links []*linkState
@@ -172,7 +161,6 @@ type Router struct {
 	// marker finds its link's selector in O(1) whatever the node's degree.
 	byPort []*linkState
 	ticker ingress.Ticker
-	stats  RouterStats
 
 	// Observability (all inert when the network has no registry attached).
 	obs            *obs.Registry
@@ -184,9 +172,7 @@ type Router struct {
 var _ netem.Forwarder = (*Router)(nil)
 
 type linkState struct {
-	link *netem.Link
-	// mu is the link service rate in packets per epoch.
-	mu       float64
+	link     *netem.Link
 	detector detector
 	selector selector
 	// sentThisEpoch counts feedbacks bounced during the current epoch;
@@ -218,7 +204,7 @@ type selector interface {
 // feedback must be non-nil; rng drives randomized marker selection.
 func NewRouter(net *netem.Network, node *netem.Node, cfg RouterConfig, rng *sim.RNG, feedback FeedbackFunc) *Router {
 	cfg = normalizeRouterConfig(cfg)
-	r := &Router{net: net, node: node, cfg: cfg, rng: rng, feedback: feedback}
+	r := &Router{net: net, node: node, cfg: cfg, feedback: feedback}
 	reg := net.Obs()
 	r.obs = reg
 	r.ctrMarkersSeen = reg.Counter("core/" + node.Name() + "/markers-seen")
@@ -229,7 +215,6 @@ func NewRouter(net *netem.Network, node *netem.Node, cfg RouterConfig, rng *sim.
 	for _, l := range links {
 		ls := &linkState{
 			link:     l,
-			mu:       l.PacketsPerSecond(cfg.PacketSizeBytes) * cfg.Epoch.Seconds(),
 			detector: newDetector(cfg, l),
 		}
 		name := l.Name()
@@ -311,7 +296,6 @@ func normalizeRouterConfig(cfg RouterConfig) RouterConfig {
 func (r *Router) emit(ls *linkState) func(packet.Marker) {
 	coreID := ls.link.Name()
 	return func(m packet.Marker) {
-		r.stats.FeedbackSent++
 		ls.sentThisEpoch++
 		r.ctrFeedback.Inc()
 		if r.obs.Enabled() {
@@ -363,7 +347,6 @@ func (r *Router) OnForward(p *packet.Packet, out *netem.Link) bool {
 	// A link added after construction has no state and sees no markers.
 	if port := out.Port(); p.Marker != nil && port < len(r.byPort) {
 		ls := r.byPort[port]
-		r.stats.MarkersSeen++
 		r.ctrMarkersSeen.Inc()
 		ls.selector.observe(*p.Marker)
 	}
@@ -386,7 +369,6 @@ func (r *Router) onEpoch() {
 		fn := ls.detector.endEpoch(now, qavg)
 		ls.lastFn = fn
 		if fn > 0 {
-			r.stats.CongestionEpochs++
 			r.ctrEpochs.Inc()
 		}
 		if r.obs.Enabled() {

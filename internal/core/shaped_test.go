@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -177,6 +178,8 @@ func TestConfigNormalization(t *testing.T) {
 func TestRouterStatsAccumulate(t *testing.T) {
 	s := sim.NewScheduler()
 	net := netem.New(s)
+	reg := obs.NewRegistry()
+	net.SetObs(reg)
 	for _, n := range []string{"E", "R", "D"} {
 		if _, err := net.AddNode(n); err != nil {
 			t.Fatal(err)
@@ -221,18 +224,19 @@ func TestRouterStatsAccumulate(t *testing.T) {
 	if err := s.Run(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	st := router.stats
-	if st.MarkersSeen == 0 {
+	markers := reg.Counter("core/R/markers-seen").Value()
+	sent := reg.Counter("core/R" + obs.SuffixFeedbackSent).Value()
+	if markers == 0 {
 		t.Error("router saw no markers")
 	}
-	if st.FeedbackSent == 0 || fb == 0 {
+	if sent == 0 || fb == 0 {
 		t.Error("router sent no feedback despite a single flow saturating the link")
 	}
-	if st.CongestionEpochs == 0 {
+	if reg.Counter("core/R"+obs.SuffixCongestionEpochs).Value() == 0 {
 		t.Error("no congestion epochs recorded")
 	}
-	if st.FeedbackSent != int64(fb) {
-		t.Errorf("stats FeedbackSent=%d but callback saw %d", st.FeedbackSent, fb)
+	if sent != int64(fb) {
+		t.Errorf("feedback-sent counter %d but callback saw %d", sent, fb)
 	}
 }
 

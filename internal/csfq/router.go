@@ -38,12 +38,8 @@ func DefaultRouterConfig() RouterConfig {
 
 // RouterStats aggregates counters over a router's links.
 type RouterStats struct {
-	// Arrived counts data packets offered to the router's links.
-	Arrived int64
 	// DroppedEarly counts probabilistic (fair-share) drops.
 	DroppedEarly int64
-	// Relabelled counts packets whose label was lowered to α.
-	Relabelled int64
 }
 
 // Router is a weighted CSFQ core router: per-link fair-share estimation and
@@ -159,7 +155,6 @@ func (r *Router) OnForward(p *packet.Packet, out *netem.Link) bool {
 		st = r.addLink(out)
 	}
 	now := r.net.Now()
-	r.stats.Arrived++
 	r.ctrArrived.Inc()
 
 	st.arrRate = ewmaRate(st.arrRate, st.lastArr, now, r.cfg.K, st.hasArr)
@@ -188,7 +183,6 @@ func (r *Router) OnForward(p *packet.Packet, out *netem.Link) bool {
 	st.hasAcc = true
 	if st.alpha > 0 && p.Label > st.alpha {
 		p.Label = st.alpha
-		r.stats.Relabelled++
 		r.ctrRelabelled.Inc()
 	}
 	return true

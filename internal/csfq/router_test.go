@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netem"
+	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -17,6 +18,8 @@ func TestRouterRelabelsToAlpha(t *testing.T) {
 	// downstream congested links).
 	s := sim.NewScheduler()
 	net := netem.New(s)
+	reg := obs.NewRegistry()
+	net.SetObs(reg)
 	for _, n := range []string{"R", "D"} {
 		if _, err := net.AddNode(n); err != nil {
 			t.Fatal(err)
@@ -28,7 +31,7 @@ func TestRouterRelabelsToAlpha(t *testing.T) {
 	if err := net.ComputeRoutes(); err != nil {
 		t.Fatal(err)
 	}
-	router := NewRouter(net, net.Node("R"), DefaultRouterConfig(), sim.NewRNG(3))
+	NewRouter(net, net.Node("R"), DefaultRouterConfig(), sim.NewRNG(3))
 	var labels []float64
 	net.Node("D").SetApp(appFunc(func(p *packet.Packet) { labels = append(labels, p.Label) }))
 
@@ -53,7 +56,7 @@ func TestRouterRelabelsToAlpha(t *testing.T) {
 	if err := s.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if router.Stats().Relabelled == 0 {
+	if reg.Counter("csfq/R/relabelled").Value() == 0 {
 		t.Fatal("no packets relabelled under overload")
 	}
 	// Labels in the steady-state tail should be clamped near α (~250).

@@ -10,7 +10,6 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/flowsim"
 	"repro/internal/invariant"
-	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/topospec"
@@ -318,7 +317,7 @@ func buildSpecModelDirect(sc Scenario) (*flowsim.Model, error) {
 func buildChainModel(sc Scenario) (*flowsim.Model, error) {
 	cfg := *sc.Chain
 	if cfg.CapacityPPS <= 0 {
-		cfg.CapacityPPS = topology.LinkRateBps / 8 / float64(packet.DefaultSizeBytes)
+		cfg.CapacityPPS = topology.PacketsPerSecond
 	}
 	if cfg.MaxSpan <= 0 {
 		cfg.MaxSpan = 4

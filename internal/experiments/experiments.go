@@ -628,6 +628,9 @@ func runPacket(sc Scenario) (*Result, error) {
 	// The oracle runs before the first event, so contracts the links cannot
 	// carry are refused without simulating.
 	m, err := cloudModel(sc, cloud)
+	if err == nil {
+		err = m.Validate() // the packet engine never runs the model
+	}
 	if err != nil {
 		return nil, fmt.Errorf("build flow model: %w", err)
 	}
@@ -1032,6 +1035,9 @@ func ExpectedRatesAt(sc Scenario, t time.Duration) (map[int]float64, error) {
 		return nil, err
 	}
 	m, err := buildFlowModel(sc)
+	if err == nil {
+		err = m.Validate() // the oracle solves the model without running it
+	}
 	if err != nil {
 		return nil, err
 	}

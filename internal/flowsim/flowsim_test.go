@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,8 +299,43 @@ func TestModelValidation(t *testing.T) {
 	if err := m.AddFlow(Flow{Index: 1, Weight: 1, Links: []int{li}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddFlow(Flow{Index: 1, Weight: 1, Links: []int{li}}); err == nil {
-		t.Error("duplicate flow index accepted")
+	// AddFlow keeps no index set: a duplicate is Validate's to refuse.
+	if err := m.AddFlow(Flow{Index: 1, Weight: 1, Links: []int{li}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate flow index 1") {
+		t.Errorf("Validate on a duplicate flow index: %v", err)
+	}
+}
+
+// TestRunRefusesWhatAddRefuses: Validate applies the rules of AddLink and
+// AddFlow, so a model whose Links and Flows a builder filled directly
+// cannot carry what the adders refuse. Run fails on each such model with
+// an error that names the offending flow or link.
+func TestRunRefusesWhatAddRefuses(t *testing.T) {
+	ok := Flow{Index: 1, Weight: 1, Links: []int{0}}
+	for _, c := range []struct {
+		name  string
+		link  Link
+		flow  Flow
+		error string
+	}{
+		{"linkless flow", Link{"L", 10}, Flow{Index: 2, Weight: 1}, "flow 2 crosses no links"},
+		{"negative capacity", Link{"L", -5}, ok, `link "L" has negative capacity -5`},
+		{"contract on a blaster", Link{"L", 10}, Flow{Index: 2, Weight: 1, MinRate: 2, FixedDemand: 4, Links: []int{0}}, "flow 2 is unresponsive and cannot carry a rate contract"},
+		{"empty link name", Link{"", 10}, ok, "empty link name"},
+		{"negative minimum", Link{"L", 10}, Flow{Index: 2, Weight: 1, MinRate: -1, Links: []int{0}}, "flow 2 has negative minimum rate -1"},
+		{"negative fixed demand", Link{"L", 10}, Flow{Index: 2, Weight: 1, FixedDemand: -1, Links: []int{0}}, "flow 2 has negative fixed demand -1"},
+	} {
+		flows := []Flow{ok}
+		if c.flow.Index != ok.Index {
+			flows = append(flows, c.flow)
+		}
+		m := &Model{Links: []Link{c.link}, Flows: flows}
+		_, err := Run(Config{Model: m, Horizon: time.Second, Control: ControlMarker})
+		if err == nil || !strings.Contains(err.Error(), c.error) {
+			t.Errorf("%s: Run error %v, want one naming %q", c.name, err, c.error)
+		}
 	}
 }
 

@@ -53,7 +53,9 @@ type Flow struct {
 // the control epoch derives its feedback from that one flow instead of
 // keeping per-link sums for it. A builder that already knows its link set
 // may fill Links directly; AddLink is for builders that meet a link by
-// name, possibly more than once.
+// name, possibly more than once. Validate is the model's one rule book:
+// AddLink and AddFlow apply its per-link and per-flow rules as they go, and
+// a user validates the whole model once before use.
 type Model struct {
 	Links []Link
 	Flows []Flow
@@ -61,7 +63,6 @@ type Model struct {
 	// linkIndex maps a link name to its index. AddLink builds it on first
 	// use, so a model whose Links were filled directly carries none.
 	linkIndex map[string]int
-	flowIndex map[int]bool
 }
 
 // NewModel returns an empty model.
@@ -85,70 +86,78 @@ func (m *Model) AddLink(name string, capacity float64) (int, error) {
 		}
 		return i, nil
 	}
-	if name == "" {
-		return 0, fmt.Errorf("flowsim: empty link name")
+	l := Link{Name: name, Capacity: capacity}
+	if err := checkLink(l); err != nil {
+		return 0, err
 	}
-	if capacity < 0 {
-		return 0, fmt.Errorf("flowsim: link %q has negative capacity %g", name, capacity)
-	}
-	m.Links = append(m.Links, Link{Name: name, Capacity: capacity})
+	m.Links = append(m.Links, l)
 	m.linkIndex[name] = len(m.Links) - 1
 	return len(m.Links) - 1, nil
 }
 
-// AddFlow appends a flow after validating it against the current link set.
+// AddFlow appends a flow after checking it against the current link set.
+// A duplicate index is left to Validate.
 func (m *Model) AddFlow(f Flow) error {
-	if f.Weight <= 0 {
+	if err := m.checkFlow(f); err != nil {
+		return err
+	}
+	m.Flows = append(m.Flows, f)
+	return nil
+}
+
+// Validate checks the model is runnable: every link and every flow obeys
+// the rules AddLink and AddFlow apply, and flow indices are distinct.
+func (m *Model) Validate() error {
+	if len(m.Flows) == 0 {
+		return fmt.Errorf("flowsim: model has no flows")
+	}
+	for _, l := range m.Links {
+		if err := checkLink(l); err != nil {
+			return err
+		}
+	}
+	seen := make(map[int]bool, len(m.Flows))
+	for _, f := range m.Flows {
+		if err := m.checkFlow(f); err != nil {
+			return err
+		}
+		if seen[f.Index] {
+			return fmt.Errorf("flowsim: duplicate flow index %d", f.Index)
+		}
+		seen[f.Index] = true
+	}
+	return nil
+}
+
+// checkLink applies the per-link rules.
+func checkLink(l Link) error {
+	if l.Name == "" {
+		return fmt.Errorf("flowsim: empty link name")
+	}
+	if l.Capacity < 0 {
+		return fmt.Errorf("flowsim: link %q has negative capacity %g", l.Name, l.Capacity)
+	}
+	return nil
+}
+
+// checkFlow applies the per-flow rules against the current link set.
+func (m *Model) checkFlow(f Flow) error {
+	switch {
+	case f.Weight <= 0:
 		return fmt.Errorf("flowsim: flow %d has non-positive weight %g", f.Index, f.Weight)
-	}
-	if f.MinRate < 0 {
+	case f.MinRate < 0:
 		return fmt.Errorf("flowsim: flow %d has negative minimum rate %g", f.Index, f.MinRate)
-	}
-	if f.FixedDemand < 0 {
+	case f.FixedDemand < 0:
 		return fmt.Errorf("flowsim: flow %d has negative fixed demand %g", f.Index, f.FixedDemand)
-	}
-	if f.FixedDemand > 0 && f.MinRate > 0 {
+	case f.FixedDemand > 0 && f.MinRate > 0:
 		return fmt.Errorf("flowsim: flow %d is unresponsive and cannot carry a rate contract", f.Index)
-	}
-	if len(f.Links) == 0 {
+	case len(f.Links) == 0:
 		return fmt.Errorf("flowsim: flow %d crosses no links", f.Index)
 	}
 	for _, l := range f.Links {
 		if l < 0 || l >= len(m.Links) {
 			return fmt.Errorf("flowsim: flow %d references unknown link %d", f.Index, l)
 		}
-	}
-	if m.flowIndex == nil {
-		// A builder that presized Flows has said how many flows to expect.
-		m.flowIndex = make(map[int]bool, cap(m.Flows))
-	}
-	if m.flowIndex[f.Index] {
-		return fmt.Errorf("flowsim: duplicate flow index %d", f.Index)
-	}
-	m.flowIndex[f.Index] = true
-	m.Flows = append(m.Flows, f)
-	return nil
-}
-
-// Validate checks the model is runnable.
-func (m *Model) Validate() error {
-	if len(m.Flows) == 0 {
-		return fmt.Errorf("flowsim: model has no flows")
-	}
-	seen := make(map[int]bool, len(m.Flows))
-	for _, f := range m.Flows {
-		if f.Weight <= 0 {
-			return fmt.Errorf("flowsim: flow %d has non-positive weight %g", f.Index, f.Weight)
-		}
-		for _, l := range f.Links {
-			if l < 0 || l >= len(m.Links) {
-				return fmt.Errorf("flowsim: flow %d references unknown link %d", f.Index, l)
-			}
-		}
-		if seen[f.Index] {
-			return fmt.Errorf("flowsim: duplicate flow index %d", f.Index)
-		}
-		seen[f.Index] = true
 	}
 	return nil
 }

@@ -80,20 +80,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	return c
 }
 
-// SenderStats aggregates a sender's counters.
-type SenderStats struct {
-	// Sent counts segment transmissions (including retransmissions).
-	Sent int64
-	// Retransmits counts retransmitted segments.
-	Retransmits int64
-	// FastRetransmits counts triple-dup-ACK recoveries.
-	FastRetransmits int64
-	// Timeouts counts RTO firings.
-	Timeouts int64
-	// AckedBytes counts cumulatively acknowledged payload bytes.
-	AckedBytes int64
-}
-
 // Sender is a TCP-Reno-like source. Transmit hands segments to the path
 // (typically a Corelite edge's Offer, or a node's Inject for unshaped
 // runs); the receiver calls OnAck via the return path.
@@ -130,7 +116,6 @@ type Sender struct {
 	timedAt  time.Duration
 
 	active bool
-	stats  SenderStats
 }
 
 // SenderConfig wires a Sender.
@@ -205,9 +190,7 @@ func (s *Sender) fill() {
 func (s *Sender) send(seq int64) {
 	p := s.pool.Get(s.flow, s.dst, seq, s.sched.Now())
 	p.SizeBytes = s.cfg.SegmentBytes
-	s.stats.Sent++
 	if seq < s.maxSent {
-		s.stats.Retransmits++
 		// Karn's rule: cancel the RTT measurement if the timed segment
 		// is being retransmitted.
 		if seq == s.timedSeq {
@@ -240,7 +223,6 @@ func (s *Sender) OnAck(ackNum int64) {
 		if s.nextSeq < ackNum {
 			s.nextSeq = ackNum
 		}
-		s.stats.AckedBytes += newly * int64(s.cfg.SegmentBytes)
 		s.dupAcks = 0
 		switch {
 		case s.inFast && ackNum < s.recover:
@@ -269,7 +251,6 @@ func (s *Sender) OnAck(ackNum int64) {
 		s.dupAcks++
 		if !s.inFast && s.dupAcks == s.cfg.DupAckThresh {
 			// Fast retransmit.
-			s.stats.FastRetransmits++
 			s.ssthresh = s.halfWindow()
 			s.cwnd = s.ssthresh
 			s.inFast = true
@@ -341,7 +322,6 @@ func (s *Sender) onRTO(gen uint32) {
 		s.armRTO()
 		return
 	}
-	s.stats.Timeouts++
 	s.ssthresh = s.halfWindow()
 	s.cwnd = 1
 	s.dupAcks = 0
@@ -370,8 +350,6 @@ type Receiver struct {
 
 	expected int64
 	buffered map[int64]bool
-	received int64
-	flow     packet.FlowID
 }
 
 // NewReceiver returns a receiver that acknowledges toward srcNode via
@@ -390,8 +368,6 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 	if p.Kind != packet.KindData {
 		return
 	}
-	r.received++
-	r.flow = p.Flow
 	switch {
 	case p.Seq == r.expected:
 		r.expected++

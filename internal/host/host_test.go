@@ -13,6 +13,9 @@ import (
 // loopback wires a sender to a receiver with a fixed one-way delay and an
 // optional drop predicate, without a network. The delay is fixed, so each
 // direction is a FIFO of packets in flight behind one registered handler.
+// It sorts the segments the sender hands it: a sequence number below the
+// highest one sent is a retransmission, sent either while the sender takes
+// an ACK (fast retransmit, NewReno recovery) or from its timer (RTO).
 type loopback struct {
 	sched *sim.Scheduler
 	s     *Sender
@@ -22,6 +25,10 @@ type loopback struct {
 
 	data, acks      []*packet.Packet
 	dataHid, ackHid sim.HandlerID
+
+	next              int64 // highest sequence number sent + 1
+	inAck             bool
+	ackRetx, timeRetx int
 }
 
 func newLoopback(t *testing.T, sched *sim.Scheduler, delay time.Duration, cfg TCPConfig) *loopback {
@@ -35,13 +42,23 @@ func newLoopback(t *testing.T, sched *sim.Scheduler, delay time.Duration, cfg TC
 	lb.ackHid = sched.RegisterHandler(func(uint32) {
 		ack := lb.acks[0]
 		lb.acks = lb.acks[1:]
+		lb.inAck = true
 		lb.s.OnAck(ack.Seq)
+		lb.inAck = false
 	})
 	s, err := NewSender(sched, SenderConfig{
 		Flow: packet.FlowID{Edge: "S", Local: 0},
 		Dst:  "R",
 		TCP:  cfg,
 		Transmit: func(p *packet.Packet) bool {
+			switch {
+			case p.Seq >= lb.next:
+				lb.next = p.Seq + 1
+			case lb.inAck:
+				lb.ackRetx++
+			default:
+				lb.timeRetx++
+			}
 			if lb.drop != nil && lb.drop(p.Seq, p.Kind) {
 				return false
 			}
@@ -82,9 +99,8 @@ func TestLosslessTransfer(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	lb.s.Stop()
-	st := lb.s.stats
-	if st.Retransmits != 0 || st.Timeouts != 0 {
-		t.Errorf("lossless path produced %d retransmits, %d timeouts", st.Retransmits, st.Timeouts)
+	if lb.ackRetx != 0 || lb.timeRetx != 0 {
+		t.Errorf("lossless path produced %d retransmits on ACKs, %d on timeouts", lb.ackRetx, lb.timeRetx)
 	}
 	// RTT 20ms, max window 128 -> up to 6400 seg/s; in 5s several
 	// thousand segments must complete.
@@ -125,15 +141,14 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	if err := s.Run(3 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	st := lb.s.stats
 	if !dropped {
 		t.Fatal("the test never exercised the loss")
 	}
-	if st.FastRetransmits != 1 {
-		t.Errorf("fast retransmits = %d, want 1", st.FastRetransmits)
+	if lb.ackRetx != 1 {
+		t.Errorf("retransmits on ACKs = %d, want 1 fast retransmit", lb.ackRetx)
 	}
-	if st.Timeouts != 0 {
-		t.Errorf("timeouts = %d, want 0 (dup ACKs should recover)", st.Timeouts)
+	if lb.timeRetx != 0 {
+		t.Errorf("retransmits on timeouts = %d, want 0 (dup ACKs should recover)", lb.timeRetx)
 	}
 	if lb.s.sndUna < 1000 {
 		t.Errorf("acked %d, transfer stalled after loss", lb.s.sndUna)
@@ -152,8 +167,7 @@ func TestTimeoutRecovery(t *testing.T) {
 	if err := s.Run(6 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	st := lb.s.stats
-	if st.Timeouts == 0 {
+	if lb.timeRetx == 0 {
 		t.Error("no RTO during blackout")
 	}
 	if lb.s.sndUna < 500 {
@@ -186,8 +200,8 @@ func TestReceiverReordersOutOfOrder(t *testing.T) {
 	ack := packet.New(packet.FlowID{}, "R", 9, 0)
 	ack.Kind = packet.KindAck
 	r.Deliver(ack)
-	if r.received != 4 {
-		t.Errorf("receiver counted an ACK as data")
+	if len(acks) != 4 || r.expected != 4 {
+		t.Errorf("receiver took an ACK as data: %d acks, expecting seq %d", len(acks), r.expected)
 	}
 }
 

@@ -33,8 +33,15 @@ func TestAllFiguresInvariants(t *testing.T) {
 			if res.InvariantChecks == 0 {
 				t.Fatal("checker attached but ran zero checks")
 			}
-			if sc.Check.Sweeps() < 2 {
-				t.Fatalf("Sweeps() = %d, want periodic sweeps plus the final one", sc.Check.Sweeps())
+			// One more sweep makes at most the comparisons each sweep of
+			// the run made, and the fairness pass makes at most one per
+			// flow, so the run swept at least twice: periodically, and
+			// once more at its end.
+			before := sc.Check.Checks()
+			sc.Check.Sweep(sc.Duration)
+			perSweep := sc.Check.Checks() - before
+			if swept := res.InvariantChecks - int64(len(res.Flows)); perSweep < 2 || swept < 2*perSweep {
+				t.Fatalf("%d structural checks at %d per sweep, want periodic sweeps plus the final one", swept, perSweep)
 			}
 		})
 	}

@@ -182,7 +182,6 @@ type Checker struct {
 
 	violations []Violation
 	overflow   int64
-	sweeps     int64
 	checks     int64
 }
 
@@ -318,7 +317,6 @@ func (c *Checker) Sweep(now time.Duration) {
 	if c == nil || c.net == nil {
 		return
 	}
-	c.sweeps++
 	ns := c.net.Stats()
 
 	// Network-wide conservation: every packet (and byte) injected is

@@ -25,7 +25,7 @@ func TestNilCheckerIsNoOp(t *testing.T) {
 	if got := c.Violations(); got != nil {
 		t.Fatalf("nil checker Violations() = %v, want nil", got)
 	}
-	if c.Sweeps() != 0 || c.Checks() != 0 || c.Overflow() != 0 {
+	if c.Checks() != 0 || c.Overflow() != 0 {
 		t.Fatal("nil checker reports non-zero counters")
 	}
 	if cfg := c.Config(); cfg != (Config{}) {
@@ -86,16 +86,16 @@ func TestSweepCleanNetwork(t *testing.T) {
 	if err := sched.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
+	periodic := c.Checks()
 	c.Sweep(net.Now())
+	perSweep := c.Checks() - periodic
 
 	if vs := c.Violations(); len(vs) != 0 {
 		t.Fatalf("clean run produced violations: %v", vs)
 	}
-	if c.Sweeps() < 10 {
-		t.Fatalf("Sweeps() = %d, want >= 10 (periodic sweeps + final)", c.Sweeps())
-	}
-	if c.Checks() == 0 {
-		t.Fatal("Checks() = 0, want > 0")
+	// Every sweep of this fixed network makes the same comparisons.
+	if perSweep == 0 || periodic < 9*perSweep {
+		t.Fatalf("periodic sweeps made %d checks at %d per sweep, want >= 9 sweeps (plus the final one)", periodic, perSweep)
 	}
 }
 

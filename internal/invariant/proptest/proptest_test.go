@@ -249,8 +249,8 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 			if r.Err != nil {
 				t.Fatalf("job %s: %v", r.Job.Name, r.Err)
 			}
-			if r.Stats.Violations != 0 {
-				t.Fatalf("job %s: %d violations: %v", r.Job.Name, r.Stats.Violations, r.Output.Violations)
+			if r.Output.TotalViolations != 0 {
+				t.Fatalf("job %s: %d violations: %v", r.Job.Name, r.Output.TotalViolations, r.Output.Violations)
 			}
 			if err := trace.WriteCSV(&buf, r.Output, trace.SeriesReceived); err != nil {
 				t.Fatal(err)

@@ -19,8 +19,6 @@ type LinkStats struct {
 	// currently holds (queued, in service, or propagating), the per-link
 	// term of the netem conservation invariant (see NetStats).
 	Arrived int64
-	// TxBytes counts bytes transmitted.
-	TxBytes int64
 	// EnqueuedBytes / ArrivedBytes are the byte-level counterparts of
 	// Enqueued / Arrived, for byte conservation.
 	EnqueuedBytes int64
@@ -198,7 +196,6 @@ func (n *Network) fireTx(arg uint32) {
 	p := l.inService
 	l.inService = nil
 	l.stats.Transmitted++
-	l.stats.TxBytes += int64(p.SizeBytes)
 	ti := n.getPropTimer()
 	n.propTimers[ti] = p
 	n.sched.PostHandler(l.delay, n.propHid, ti)

@@ -471,7 +471,7 @@ func TestLinkStats(t *testing.T) {
 	if st.DroppedOverflow != 2 {
 		t.Errorf("DroppedOverflow = %d, want 2", st.DroppedOverflow)
 	}
-	if st.TxBytes != 2*int64(packet.DefaultSizeBytes) {
-		t.Errorf("TxBytes = %d, want %d", st.TxBytes, 2*packet.DefaultSizeBytes)
+	if st.ArrivedBytes != 2*int64(packet.DefaultSizeBytes) {
+		t.Errorf("ArrivedBytes = %d, want %d", st.ArrivedBytes, 2*packet.DefaultSizeBytes)
 	}
 }

@@ -60,9 +60,9 @@ const (
 	// the model); the full/incremental split hangs off it.
 	HistSolve = "solve/water-fill"
 	// HistSolveFull times the monolithic solves over the whole model.
-	HistSolveFull = "solve/water-fill/full"
+	HistSolveFull = HistSolve + "/full"
 	// HistSolveIncremental times the dirty-set regional re-solves.
-	HistSolveIncremental = "solve/water-fill/incremental"
+	HistSolveIncremental = HistSolve + "/incremental"
 	// CtrSolveTouched counts the flows whose rate each solve recomputed —
 	// the direct measure of how sparse the incremental solver keeps the
 	// work ("fluid/solve/flows-touched").

@@ -57,27 +57,19 @@ type Stats struct {
 	Wall time.Duration
 	// Events is the number of simulation events processed.
 	Events uint64
-	// Forwarded is the number of packets delivered end to end, summed
-	// over flows; Dropped is the number of packets lost.
-	Forwarded int64
-	Dropped   int64
+	// Dropped is the number of packets lost.
+	Dropped int64
 	// EventsPerSec is Events over Wall.
 	EventsPerSec float64
 	// Telemetry summarizes the job's control-plane health (events by
 	// kind, peak queue, congestion epochs); nil when the job ran without
 	// an observability registry.
 	Telemetry *obs.Summary
-	// Violations is the number of invariant-checker findings (0 when the
-	// scenario ran without a checker attached).
-	Violations int
 }
 
-// Result is one job's outcome. Index is the job's position in the batch
-// Execute received, so a result slice is always in submission order
-// regardless of which worker finished first.
+// Result is one job's outcome. Execute returns results in the order it
+// received the jobs, regardless of which worker finished first.
 type Result struct {
-	// Index is the job's position in the submitted batch.
-	Index int
 	// Job echoes the executed job.
 	Job Job
 	// Output is the completed run (nil when Err is set).
@@ -142,7 +134,7 @@ func (p *Pool) Execute(ctx context.Context, jobs []Job) ([]Result, error) {
 	}
 	results := make([]Result, len(jobs))
 	for i := range jobs {
-		results[i] = Result{Index: i, Job: jobs[i], Err: ctx.Err()}
+		results[i] = Result{Job: jobs[i], Err: ctx.Err()}
 	}
 	if err := ctx.Err(); err != nil {
 		return results, err
@@ -222,7 +214,7 @@ func (p *Pool) Execute(ctx context.Context, jobs []Job) ([]Result, error) {
 // reporter's per-job tracker; it is handed to the engine and always marked
 // done on the way out so failed jobs don't stall the batch ETA.
 func (p *Pool) execute(index int, job Job, tracker *obs.Progress) (res Result) {
-	res = Result{Index: index, Job: job}
+	res = Result{Job: job}
 	sc := job.Scenario
 	if sc.Progress == nil {
 		sc.Progress = tracker
@@ -239,9 +231,6 @@ func (p *Pool) execute(index int, job Job, tracker *obs.Progress) (res Result) {
 		if res.Output != nil {
 			res.Stats.Events = res.Output.Events
 			res.Stats.Dropped = res.Output.TotalLosses
-			for _, f := range res.Output.Flows {
-				res.Stats.Forwarded += f.Delivered
-			}
 			if s := res.Stats.Wall.Seconds(); s > 0 {
 				res.Stats.EventsPerSec = float64(res.Stats.Events) / s
 			}
@@ -249,7 +238,6 @@ func (p *Pool) execute(index int, job Job, tracker *obs.Progress) (res Result) {
 				sum := res.Obs.Summary()
 				res.Stats.Telemetry = &sum
 			}
-			res.Stats.Violations = int(res.Output.TotalViolations)
 		}
 	}()
 	res.Output, res.Err = experiments.Run(sc)

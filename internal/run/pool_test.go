@@ -82,10 +82,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("parallel output differs from serial output (%d vs %d bytes)", len(a), len(b))
 	}
 	for i, r := range parallel {
-		if r.Index != i || r.Job.Name != jobs[i].Name {
-			t.Fatalf("result %d out of order: index %d name %q", i, r.Index, r.Job.Name)
+		if r.Job.Name != jobs[i].Name {
+			t.Fatalf("result %d out of order: name %q", i, r.Job.Name)
 		}
-		if r.Stats.Events == 0 || r.Stats.Forwarded == 0 || r.Stats.Wall <= 0 || r.Stats.EventsPerSec <= 0 {
+		if r.Stats.Events == 0 || r.Stats.Wall <= 0 || r.Stats.EventsPerSec <= 0 {
 			t.Errorf("job %q missing instrumentation: %+v", r.Job.Name, r.Stats)
 		}
 	}

@@ -25,11 +25,9 @@ type ProgressUpdate struct {
 	FlowSec       float64
 	FlowSecPerSec float64
 	// SimSeconds is the total simulated time completed across jobs,
-	// SimTarget the batch's total horizon (the sum of job durations);
-	// SimPerSec is the wall rate since the previous tick.
+	// SimTarget the batch's total horizon (the sum of job durations).
 	SimSeconds float64
 	SimTarget  float64
-	SimPerSec  float64
 	// ActiveFlows sums the currently active flows over running jobs.
 	ActiveFlows int64
 	// Elapsed is the wall time since Execute started.
@@ -95,7 +93,7 @@ func (p *Pool) startProgress(jobs []Job, trackers []*obs.Progress) func() {
 		tick := time.NewTicker(p.progressEvery)
 		defer tick.Stop()
 		var lastEvents uint64
-		var lastFlowSec, lastSim float64
+		var lastFlowSec float64
 		lastAt := start
 		emit := func(now time.Time) {
 			u := ProgressUpdate{Total: len(jobs), Elapsed: now.Sub(start), SimTarget: totalSim}
@@ -115,7 +113,6 @@ func (p *Pool) startProgress(jobs []Job, trackers []*obs.Progress) func() {
 			if dt := now.Sub(lastAt).Seconds(); dt > 0 {
 				u.EventsPerSec = float64(u.Events-lastEvents) / dt
 				u.FlowSecPerSec = (u.FlowSec - lastFlowSec) / dt
-				u.SimPerSec = (u.SimSeconds - lastSim) / dt
 			}
 			// ETA from the cumulative average rate — steadier than the
 			// per-tick rate when workers finish at different times.
@@ -124,7 +121,7 @@ func (p *Pool) startProgress(jobs []Job, trackers []*obs.Progress) func() {
 					u.ETA = time.Duration(remaining / (u.SimSeconds / elapsed) * float64(time.Second))
 				}
 			}
-			lastEvents, lastFlowSec, lastSim, lastAt = u.Events, u.FlowSec, u.SimSeconds, now
+			lastEvents, lastFlowSec, lastAt = u.Events, u.FlowSec, now
 			p.onProgress(u)
 		}
 		for {

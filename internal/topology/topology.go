@@ -34,8 +34,6 @@ const (
 	// LinkDelay is the per-hop propagation latency that reproduces the
 	// paper's 240–400 ms RTTs.
 	LinkDelay = 40 * time.Millisecond
-	// QueueCapacity is the router buffer: 40 packets.
-	QueueCapacity = 40
 	// PacketsPerSecond is the link service rate in the paper's 1 KB
 	// packets: 500 pkt/s.
 	PacketsPerSecond = 500.0

@@ -21,6 +21,13 @@ func newTestShaper(s *sim.Scheduler, capacity int) (*Pacer, *[]*packet.Packet, *
 	return sh, &got, &at
 }
 
+// countDrops counts the packets the pacer hands its OnDrop hook.
+func countDrops(sh *Pacer) *int {
+	n := 0
+	sh.OnDrop = func(*packet.Packet) { n++ }
+	return &n
+}
+
 func offerN(sh *Pacer, n int) int {
 	accepted := 0
 	for i := 0; i < n; i++ {
@@ -35,6 +42,7 @@ func offerN(sh *Pacer, n int) int {
 func TestShaperReleasesAtRate(t *testing.T) {
 	s := sim.NewScheduler()
 	sh, got, at := newTestShaper(s, 64)
+	dropped := countDrops(sh)
 	sh.Start(10) // 100ms spacing
 	if offerN(sh, 5) != 5 {
 		t.Fatal("offers rejected with room in the queue")
@@ -48,8 +56,8 @@ func TestShaperReleasesAtRate(t *testing.T) {
 			t.Errorf("release %d at %v, want %v", i, ts, want)
 		}
 	}
-	if sh.sent != 5 || sh.dropped != 0 {
-		t.Errorf("Sent=%d Dropped=%d", sh.sent, sh.dropped)
+	if sh.sent != 5 || *dropped != 0 {
+		t.Errorf("Sent=%d Dropped=%d", sh.sent, *dropped)
 	}
 	if sh.rate != 10 || !sh.Active() {
 		t.Errorf("Rate=%v Active=%v", sh.rate, sh.Active())
@@ -68,9 +76,6 @@ func TestShaperDropsOnOverflow(t *testing.T) {
 	if accepted != 3 {
 		t.Errorf("accepted %d of 10 into capacity-3 queue, want 3", accepted)
 	}
-	if sh.dropped != 7 {
-		t.Errorf("Dropped = %d, want 7", sh.dropped)
-	}
 	if len(policed) != 7 {
 		t.Errorf("OnDrop saw %d packets, want 7", len(policed))
 	}
@@ -82,11 +87,12 @@ func TestShaperDropsOnOverflow(t *testing.T) {
 func TestShaperOfferWhileStopped(t *testing.T) {
 	s := sim.NewScheduler()
 	sh, got, _ := newTestShaper(s, 8)
+	dropped := countDrops(sh)
 	if offerN(sh, 2) != 0 {
 		t.Error("stopped shaper accepted packets")
 	}
-	if sh.dropped != 2 {
-		t.Errorf("Dropped = %d, want 2", sh.dropped)
+	if *dropped != 2 {
+		t.Errorf("Dropped = %d, want 2", *dropped)
 	}
 	if len(*got) != 0 {
 		t.Error("stopped shaper released packets")
@@ -96,6 +102,7 @@ func TestShaperOfferWhileStopped(t *testing.T) {
 func TestShaperStopDiscardsBacklog(t *testing.T) {
 	s := sim.NewScheduler()
 	sh, got, _ := newTestShaper(s, 8)
+	dropped := countDrops(sh)
 	sh.Start(1)
 	offerN(sh, 4)
 	s.Step() // release the head packet
@@ -107,8 +114,8 @@ func TestShaperStopDiscardsBacklog(t *testing.T) {
 	if len(sh.queue) != 0 {
 		t.Errorf("QueueLen after Stop = %d, want 0 (backlog discarded)", len(sh.queue))
 	}
-	if sh.dropped != 3 {
-		t.Errorf("Dropped = %d, want 3 discarded backlog packets", sh.dropped)
+	if *dropped != 3 {
+		t.Errorf("Dropped = %d, want 3 discarded backlog packets", *dropped)
 	}
 }
 

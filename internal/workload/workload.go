@@ -51,7 +51,6 @@ type Pacer struct {
 	rate     float64 // packets per second; 0 pauses release
 	active   bool
 	sent     int64
-	dropped  int64
 	lastEmit time.Duration
 	emitted  bool // whether lastEmit is meaningful
 
@@ -193,7 +192,6 @@ func (p *Pacer) arm() {
 }
 
 func (p *Pacer) drop(q *packet.Packet) {
-	p.dropped++
 	if p.OnDrop != nil {
 		p.OnDrop(q)
 	}

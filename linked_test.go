@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
 	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -65,10 +69,7 @@ func TestProductionIsLinked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds every program of the module")
 	}
-	mains := strings.Fields(goOutput(t, "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./..."))
-	if len(mains) == 0 {
-		t.Fatal("go list found no main package")
-	}
+	mains := programs(t)
 	bin := t.TempDir()
 	goOutput(t, append([]string{"build", "-gcflags=all=-l", "-o", bin + string(filepath.Separator)}, mains...)...)
 
@@ -135,6 +136,54 @@ func TestProductionIsLinked(t *testing.T) {
 	if len(stale) > 0 {
 		t.Errorf("%d stale allowlist entries:\n\t%s", len(stale), strings.Join(stale, "\n\t"))
 	}
+}
+
+// programs returns the import paths of the module's main packages.
+func programs(t *testing.T) []string {
+	t.Helper()
+	mains := strings.Fields(goOutput(t, "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./..."))
+	if len(mains) == 0 {
+		t.Fatal("go list found no main package")
+	}
+	return mains
+}
+
+// progPackage is one package that some program imports.
+type progPackage struct {
+	path, dir string
+	files     []string // non-test Go files, as paths
+	module    bool     // declared in this module
+	export    string   // export data file, when listed with export
+}
+
+// programPackages lists the packages the given programs import, themselves
+// included, dependencies first. With export it also builds them and records
+// each package's export data file. Directories of module packages read
+// relative to the module root, so positions print short.
+func programPackages(t *testing.T, mains []string, export bool) []progPackage {
+	t.Helper()
+	args := []string{"list", "-deps", "-f",
+		`{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{.Export}}{{"\t"}}{{with .Module}}{{.Main}}{{end}}{{range .GoFiles}}{{"\t"}}{{.}}{{end}}`}
+	if export {
+		args = append(args, "-export")
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []progPackage
+	for _, line := range strings.Split(strings.TrimSpace(goOutput(t, append(args, mains...)...)), "\n") {
+		f := strings.Split(line, "\t")
+		p := progPackage{path: f[0], dir: f[1], export: f[2], module: f[3] == "true"}
+		if rel, err := filepath.Rel(wd, p.dir); err == nil && p.module {
+			p.dir = rel
+		}
+		for _, name := range f[4:] {
+			p.files = append(p.files, filepath.Join(p.dir, name))
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
 }
 
 // goOutput runs the go command and returns its standard output.
@@ -217,23 +266,14 @@ func (d funcDecl) String() string {
 // module that the given programs import (themselves included).
 func declaredFuncs(t *testing.T, mains []string) []funcDecl {
 	t.Helper()
-	args := append([]string{"list", "-deps", "-f",
-		`{{if .Module}}{{if .Module.Main}}{{.ImportPath}}{{"\t"}}{{.Dir}}{{range .GoFiles}}{{"\t"}}{{.}}{{end}}{{"\n"}}{{end}}{{end}}`},
-		mains...)
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
 	fset := token.NewFileSet()
 	var decls []funcDecl
-	for _, line := range strings.Split(strings.TrimSpace(goOutput(t, args...)), "\n") {
-		f := strings.Split(line, "\t")
-		pkg, dir := f[0], f[1]
-		if rel, err := filepath.Rel(wd, dir); err == nil {
-			dir = rel // positions read relative to the module root
+	for _, p := range programPackages(t, mains, false) {
+		if !p.module {
+			continue
 		}
-		for _, name := range f[2:] {
-			file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		for _, name := range p.files {
+			file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,9 +282,9 @@ func declaredFuncs(t *testing.T, mains []string) []funcDecl {
 				if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" {
 					continue
 				}
-				key := pkg + "." + fn.Name.Name
+				key := p.path + "." + fn.Name.Name
 				if fn.Recv != nil && len(fn.Recv.List) == 1 {
-					key = pkg + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+					key = p.path + "." + receiverName(fn.Recv.List[0].Type) + "." + fn.Name.Name
 				}
 				pos := fset.Position(fn.Pos())
 				decls = append(decls, funcDecl{key: key, pos: pos, lines: fset.Position(fn.End()).Line - pos.Line + 1})
@@ -303,5 +343,385 @@ func TestNormalizeSymbol(t *testing.T) {
 		if ok != (c.want != "") || got != c.want {
 			t.Errorf("normalizeSymbol(%q) = %q, %v; want %q", c.sym, got, ok, c.want)
 		}
+	}
+}
+
+// stateAllowlist names the fields that TestProductionStateIsRead would
+// report, each with the reason it stays. Keys are spelled as the test
+// reports them: import path, type, field. An entry whose field some program
+// reads again, or that is no longer declared, fails the test.
+var stateAllowlist = map[string]string{
+	// Parameters that benchmark/micro.go passes, so the constructors keep
+	// them and the fields that hold them.
+	"repro/internal/packet.Packet.SentAt":        "benchmark/micro.go passes a send time to packet.New and Pool.Get, which store it here",
+	"repro/internal/metrics.FlowRecorder.window": "benchmark/micro.go calls NewFlowRecorder(window), which stores it here",
+}
+
+// TestProductionStateIsRead holds production state to what some program
+// reads. It type-checks every package the module's programs import and
+// reports each struct field that a non-test file of a module package
+// declares and that no program's non-test code reads. A write is not a
+// read: an assignment's left-hand side, ++ and --, an op-assignment and a
+// composite-literal key only store. Embedded fields, and fields with a
+// struct tag (which reflection reads), are exempt. Reads in benchmark count,
+// but its own fields are out of scope: it is the measuring stick. State
+// that only tests read belongs in the tests, or on stateAllowlist with the
+// test that needs it.
+func TestProductionStateIsRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks every program of the module")
+	}
+	pkgs := programPackages(t, programs(t), true)
+	exports := map[string]string{}
+	for _, p := range pkgs {
+		exports[p.path] = p.export
+	}
+	fset := token.NewFileSet()
+	imp := progImporter{
+		checked: map[string]*types.Package{},
+		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(exports[path])
+		}),
+	}
+	var checked []checkedPkg
+	for _, p := range pkgs {
+		if !p.module {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.files {
+			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		c, err := typeCheck(fset, p.path, files, imp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.declares = p.path != "repro/benchmark"
+		imp.checked[p.path] = c.pkg
+		checked = append(checked, c)
+	}
+
+	unread, declared := unreadFields(fset, checked)
+	var report []string
+	allowed := 0
+	for _, f := range unread {
+		if _, listed := stateAllowlist[f.key]; listed {
+			allowed++
+			continue
+		}
+		report = append(report, f.String())
+	}
+	var stale []string
+	for key := range stateAllowlist {
+		switch {
+		case !declared[key]:
+			stale = append(stale, key+": not a field declared in a program-imported package")
+		case !slices.ContainsFunc(unread, func(f fieldDecl) bool { return f.key == key }):
+			stale = append(stale, key+": read by a program")
+		}
+	}
+	sort.Strings(stale)
+	t.Logf("programs read %d of %d declared fields; %d unread are allowlisted",
+		len(declared)-len(unread), len(declared), allowed)
+	if len(report) > 0 {
+		t.Errorf("%d fields are read by no program (delete them and their writes, move them to the tests, or allowlist them with a reason):\n\t%s",
+			len(report), strings.Join(report, "\n\t"))
+	}
+	if len(stale) > 0 {
+		t.Errorf("%d stale allowlist entries:\n\t%s", len(stale), strings.Join(stale, "\n\t"))
+	}
+}
+
+// progImporter resolves module packages to the ones already type-checked
+// and everything else through its export data.
+type progImporter struct {
+	checked map[string]*types.Package
+	std     types.Importer
+}
+
+func (im progImporter) Import(path string) (*types.Package, error) {
+	if p := im.checked[path]; p != nil {
+		return p, nil
+	}
+	return im.std.Import(path)
+}
+
+// checkedPkg is one type-checked package. Its files' field reads count;
+// its own fields are in scope only if it declares.
+type checkedPkg struct {
+	pkg      *types.Package
+	files    []*ast.File
+	info     *types.Info
+	declares bool
+}
+
+func typeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (checkedPkg, error) {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
+	return checkedPkg{pkg: pkg, files: files, info: info, declares: true}, err
+}
+
+// fieldDecl is one struct field a non-test file declares.
+type fieldDecl struct {
+	key string // import path + "." + type + "." + field
+	pos token.Position
+}
+
+func (f fieldDecl) String() string { return fmt.Sprintf("%s (%s)", f.key, f.pos) }
+
+// unreadFields returns the fields that declaring packages declare and that
+// no file of pkgs reads, in declaration order, and the keys of every field
+// in scope. Fields of generic types are matched through their origin, so a
+// read through any instance counts.
+func unreadFields(fset *token.FileSet, pkgs []checkedPkg) ([]fieldDecl, map[string]bool) {
+	read := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			writes := writeTargets(f, p.info)
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && !writes[sel] {
+					if v := fieldOf(p.info, sel); v != nil {
+						read[v] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unread []fieldDecl
+	declared := map[string]bool{}
+	for _, p := range pkgs {
+		if !p.declares {
+			continue
+		}
+		for _, f := range p.files {
+			for st, typeName := range structTypes(f) {
+				for _, field := range st.Fields.List {
+					if len(field.Names) == 0 || field.Tag != nil {
+						continue // embedded, or read by reflection
+					}
+					for _, name := range field.Names {
+						v, _ := p.info.Defs[name].(*types.Var)
+						if name.Name == "_" || v == nil {
+							continue
+						}
+						d := fieldDecl{key: p.pkg.Path() + "." + typeName + "." + name.Name, pos: fset.Position(name.Pos())}
+						declared[d.key] = true
+						if !read[v] {
+							unread = append(unread, d)
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(unread, func(i, j int) bool {
+		a, b := unread[i].pos, unread[j].pos
+		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
+	})
+	return unread, declared
+}
+
+// structTypes maps each struct type literal of f to the name its fields
+// are reported under: the declared type's name, extended by the field
+// names that lead to a nested struct ("T.inner"), or "struct" for a struct
+// that no type declaration names.
+func structTypes(f *ast.File) map[*ast.StructType]string {
+	names := map[*ast.StructType]string{}
+	var name func(x ast.Expr, as string)
+	name = func(x ast.Expr, as string) {
+		switch x := x.(type) {
+		case *ast.StructType:
+			names[x] = as
+			for _, field := range x.Fields.List {
+				for _, n := range field.Names {
+					name(field.Type, as+"."+n.Name)
+				}
+			}
+		case *ast.StarExpr:
+			name(x.X, as)
+		case *ast.ArrayType:
+			name(x.Elt, as)
+		case *ast.MapType:
+			name(x.Value, as)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			name(n.Type, n.Name.Name)
+		case *ast.StructType:
+			if _, ok := names[n]; !ok {
+				name(n, "struct")
+			}
+		}
+		return true
+	})
+	return names
+}
+
+// fieldOf returns the field a selector selects, at its origin, or nil if
+// it selects a method or a qualified identifier.
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return nil
+	}
+	return s.Obj().(*types.Var).Origin()
+}
+
+// writeTargets returns the field selectors of f that only store: the
+// targets of assignments, op-assignments, ++/-- and range clauses, and the
+// struct or array values a stored field or element sits inside (in
+// "x.f.g = 1" with f a struct, f is written too). A field reached through
+// a pointer, slice or map is read to find where the store goes.
+func writeTargets(f *ast.File, info *types.Info) map[*ast.SelectorExpr]bool {
+	writes := map[*ast.SelectorExpr]bool{}
+	var store func(x ast.Expr)
+	store = func(x ast.Expr) {
+		switch x := ast.Unparen(x).(type) {
+		case *ast.SelectorExpr:
+			if fieldOf(info, x) == nil {
+				return
+			}
+			writes[x] = true
+			if isValue(info, x.X) {
+				store(x.X)
+			}
+		case *ast.IndexExpr:
+			if _, isArray := info.TypeOf(x.X).Underlying().(*types.Array); isArray {
+				store(x.X)
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, x := range n.Lhs {
+				store(x)
+			}
+		case *ast.IncDecStmt:
+			store(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				for _, x := range []ast.Expr{n.Key, n.Value} {
+					if x != nil {
+						store(x)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return writes
+}
+
+// isValue reports whether a selector's operand is a struct value, so that
+// storing into one of its fields stores into it.
+func isValue(info *types.Info, x ast.Expr) bool {
+	_, isStruct := info.TypeOf(x).Underlying().(*types.Struct)
+	return isStruct
+}
+
+// TestUnreadFields pins the field analysis on in-memory sources: which
+// uses are writes, which fields are exempt, and how generic fields and
+// fields of a non-declaring package are matched.
+func TestUnreadFields(t *testing.T) {
+	lib := `package lib
+
+type S struct {
+	Read      int
+	WriteOnly int
+	OpAssign  int
+	Inc       int
+	Key       int
+	Tagged    int ` + "`json:\"tagged\"`" + `
+	E
+	inMethod  int
+	rcv       R
+	inner     struct{ x int }
+	ptr       *P
+	arr       [2]int
+	sl        []int
+	BenchRead int
+}
+
+type E struct{}
+
+type P struct{ y int }
+
+type R struct{}
+
+func (R) Get() int { return 0 }
+
+type Box[T any] struct{ v, w T }
+
+func (s S) get() int { return s.inMethod }
+
+func Use(s S) {
+	s.WriteOnly = 1
+	s.OpAssign += 2
+	s.Inc++
+	_ = S{Key: 1}
+	_ = s.Read
+	get, rget := s.get, s.rcv.Get
+	_, _ = get, rget
+	s.inner.x = 1
+	s.ptr.y = 1
+	s.arr[0] = 1
+	s.sl[0] = 1
+	b := Box[int]{}
+	_ = b.v
+	b.w = 3
+}
+`
+	bench := `package bench
+
+import "ex/lib"
+
+type Mine struct{ unread int }
+
+func F(s lib.S) int { return s.BenchRead }
+`
+	fset := token.NewFileSet()
+	imp := progImporter{checked: map[string]*types.Package{}, std: importer.Default()}
+	var pkgs []checkedPkg
+	for _, src := range []struct{ path, code string }{{"ex/lib", lib}, {"ex/bench", bench}} {
+		f, err := parser.ParseFile(fset, path.Base(src.path)+".go", src.code, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := typeCheck(fset, src.path, []*ast.File{f}, imp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.declares = src.path == "ex/lib"
+		imp.checked[src.path] = c.pkg
+		pkgs = append(pkgs, c)
+	}
+	unread, declared := unreadFields(fset, pkgs)
+	var got []string
+	for _, f := range unread {
+		got = append(got, strings.TrimPrefix(f.key, "ex/lib."))
+	}
+	want := []string{"S.WriteOnly", "S.OpAssign", "S.Inc", "S.Key", "S.inner", "S.inner.x", "S.arr", "P.y", "Box.w"}
+	if !slices.Equal(got, want) {
+		t.Errorf("unread fields %q, want %q", got, want)
+	}
+	for _, key := range []string{"S.Tagged", "S.E", "bench.Mine.unread"} {
+		if declared["ex/lib."+key] || declared["ex/"+key] {
+			t.Errorf("%s is in scope; tagged, embedded and non-declaring packages' fields are exempt", key)
+		}
+	}
+	if n := len(declared); n != 16 {
+		t.Errorf("%d fields in scope, want 16", n)
 	}
 }
