@@ -216,6 +216,10 @@ flow 5 in out
 		t.Fatalf("Parse: %v", err)
 	}
 	withSpec := func() Scenario { return Scenario{Scheme: SchemeCorelite, Duration: time.Second, Spec: spec} }
+	// The same flows out of index order take the check's other path.
+	reversed := *spec
+	reversed.Flows = []topospec.FlowSpec{spec.Flows[1], spec.Flows[0]}
+	withReversed := func() Scenario { return Scenario{Scheme: SchemeCorelite, Duration: time.Second, Spec: &reversed} }
 
 	cases := []struct {
 		name string
@@ -241,6 +245,8 @@ flow 5 in out
 		{"chain: last flow", chain(), func(sc *Scenario) { sc.MinRates = map[int]float64{10: 50} }, ""},
 		{"spec: index between its flows", withSpec(), func(sc *Scenario) { sc.Schedules = map[int]workload.Schedule{3: workload.Always()} }, "schedule for flow 3"},
 		{"spec: its own sparse indices", withSpec(), func(sc *Scenario) { sc.Unresponsive = map[int]float64{5: 500} }, ""},
+		{"spec out of index order: index between its flows", withReversed(), func(sc *Scenario) { sc.Schedules = map[int]workload.Schedule{3: workload.Always()} }, "schedule for flow 3"},
+		{"spec out of index order: its own indices", withReversed(), func(sc *Scenario) { sc.Unresponsive = map[int]float64{2: 500, 5: 500} }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

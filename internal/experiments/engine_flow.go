@@ -10,6 +10,7 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/flowsim"
 	"repro/internal/invariant"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/topospec"
@@ -24,10 +25,12 @@ import (
 // backend_diff_test.go). sc arrives normalized and validated, with
 // SampleWindow defaulted.
 func runFlow(sc Scenario) (*Result, error) {
+	start := time.Now()
 	m, err := buildFlowModel(sc)
 	if err != nil {
 		return nil, fmt.Errorf("build flow model: %w", err)
 	}
+	build := time.Since(start)
 	expected, err := expectedRates(sc, m, nil)
 	if err != nil {
 		return nil, fmt.Errorf("expected rates: %w", err)
@@ -86,6 +89,11 @@ func runFlow(sc Scenario) (*Result, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("run scenario %q: %w", sc.Name, err)
+	}
+	if sc.Obs != nil {
+		// The model build is the self-profile's first layer, one event.
+		perf := append([]obs.PerfStat{{Kind: "build", Events: 1, WallSeconds: build.Seconds(), Sampled: 1}}, sc.Obs.Perf()...)
+		sc.Obs.RecordPerf(perf)
 	}
 
 	res := &Result{
@@ -206,15 +214,21 @@ func specFullyPinned(s *topospec.Spec) bool {
 // packet network's PacketsPerSecond(1000)) and the same flows — as
 // cloudModel over Spec.Build.
 //
-// It is the spec's one validation on the fluid path, generated or not:
-// Resolve checks the spec and hands back each flow's via path as link
-// indices, so the build works on ids and keeps no name-keyed map unless
-// cross traffic needs links by name.
+// It works on the spec's dense form, each flow's via path as link indices,
+// so it keeps no name-keyed map unless cross traffic needs links by name.
+// A spec normalize generated in the same call comes with that form from
+// its generator, which is exactly what Resolve would return
+// (TestGeneratedSpecsValidate), so it is not resolved again. Any other
+// spec, the caller's own or one replaced after normalizing, is resolved
+// here, which is its one validation on the fluid path.
 func buildSpecModelDirect(sc Scenario) (*flowsim.Model, error) {
 	s := sc.Spec
-	r, err := s.Resolve()
-	if err != nil {
-		return nil, err
+	r := sc.generated.resolved
+	if sc.generated.spec != s || r == nil {
+		var err error
+		if r, err = s.Resolve(); err != nil {
+			return nil, err
+		}
 	}
 	order := make([]int32, len(s.Flows))
 	for i := range order {

@@ -7,6 +7,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -170,6 +171,21 @@ type Scenario struct {
 	// measurement boundaries only — never per event — and on the wall-clock
 	// side of the zero-perturbation contract.
 	Progress *obs.Progress
+
+	// generated is set by normalize for the spec it generated from
+	// Generate in the same call (see buildSpecModelDirect).
+	generated generatedSpec
+}
+
+// generatedSpec pairs a spec that normalize generated with the dense form
+// its generator returned (topogen.Config.GenerateResolved), which is what
+// Spec.Resolve would derive from it. The direct fluid builder uses the form
+// only while Scenario.Spec is still that spec: a spec the caller supplies,
+// or replaces after normalizing, is resolved, and so validated, by the
+// builder.
+type generatedSpec struct {
+	spec     *topospec.Spec
+	resolved *topospec.Resolved
 }
 
 // Transport selects a flow's packet producer.
@@ -324,12 +340,16 @@ func (r *Result) JainIndexAt(t time.Duration, sc Scenario) float64 {
 	return metrics.JainIndex(norm)
 }
 
+// alwaysActive is the schedule of every flow the scenario gives none. It is
+// shared, so the readers of scheduleOf's result must not modify it.
+var alwaysActive = workload.Always()
+
 // scheduleOf resolves a flow's schedule (default: always active).
 func scheduleOf(sc Scenario, index int) workload.Schedule {
 	if s, ok := sc.Schedules[index]; ok {
 		return s
 	}
-	return workload.Always()
+	return alwaysActive
 }
 
 // edgeAgent abstracts the per-scheme edge router so the harness can drive
@@ -376,7 +396,7 @@ func (sc Scenario) normalize() (Scenario, error) {
 				return sc, err
 			}
 		}
-		spec, err := sc.Generate.Topo.Generate(sc.Seed)
+		spec, resolved, err := sc.Generate.Topo.GenerateResolved(sc.Seed)
 		if err != nil {
 			return sc, err
 		}
@@ -394,29 +414,12 @@ func (sc Scenario) normalize() (Scenario, error) {
 					spec.Flows[i].Weight = w
 				}
 			}
-			if len(wl.Schedules) > 0 {
-				merged := make(map[int]workload.Schedule, len(wl.Schedules)+len(sc.Schedules))
-				for idx, s := range wl.Schedules {
-					merged[idx] = s
-				}
-				// Explicit scenario entries override generated ones.
-				for idx, s := range sc.Schedules {
-					merged[idx] = s
-				}
-				sc.Schedules = merged
-			}
-			if len(wl.Unresponsive) > 0 {
-				merged := make(map[int]float64, len(wl.Unresponsive)+len(sc.Unresponsive))
-				for idx, r := range wl.Unresponsive {
-					merged[idx] = r
-				}
-				for idx, r := range sc.Unresponsive {
-					merged[idx] = r
-				}
-				sc.Unresponsive = merged
-			}
+			// Explicit scenario entries override generated ones.
+			sc.Schedules = overlay(wl.Schedules, sc.Schedules)
+			sc.Unresponsive = overlay(wl.Unresponsive, sc.Unresponsive)
 		}
 		sc.Spec = spec
+		sc.generated = generatedSpec{spec: spec, resolved: resolved}
 	}
 	if sc.Chain != nil && sc.NumFlows == 0 {
 		sc.NumFlows = sc.Chain.Flows
@@ -434,6 +437,26 @@ func (sc Scenario) normalize() (Scenario, error) {
 		sc.MinRates = mins
 	}
 	return sc, nil
+}
+
+// overlay returns base with the entries of over laid on top. It copies base
+// only when over overrides something; the workload maps it takes are made
+// for the one scenario that normalizes them.
+func overlay[V any](base, over map[int]V) map[int]V {
+	if len(base) == 0 {
+		return over
+	}
+	if len(over) == 0 {
+		return base
+	}
+	merged := make(map[int]V, len(base)+len(over))
+	for idx, v := range base {
+		merged[idx] = v
+	}
+	for idx, v := range over {
+		merged[idx] = v
+	}
+	return merged
 }
 
 // maxSeriesCells bounds the measurement series a run may allocate — three
@@ -589,14 +612,36 @@ func (sc Scenario) Validate() error {
 func (sc Scenario) validateFlowKeys() error {
 	has := func(idx int) bool { return idx >= 1 && idx <= sc.NumFlows }
 	if sc.Spec != nil {
-		flows := sc.Spec.Weights() // one entry per flow index
-		has = func(idx int) bool { _, ok := flows[idx]; return ok }
+		has = flowIndexSet(sc.Spec.Flows)
 	} else if sc.NumFlows <= 0 {
 		return nil
 	}
 	return cmp.Or(strayFlow("weight", sc.Weights, has), strayFlow("schedule", sc.Schedules, has),
 		strayFlow("minimum rate", sc.MinRates, has), strayFlow("transport", sc.Transports, has),
 		strayFlow("unresponsive", sc.Unresponsive, has))
+}
+
+// flowIndexSet returns a membership test over the flows' indices that
+// needs no map: a binary search over the flows themselves when they are in
+// ascending index order, as generated specs are, else over a sorted copy
+// of their indices.
+func flowIndexSet(flows []topospec.FlowSpec) func(int) bool {
+	byIndex := func(f topospec.FlowSpec, idx int) int { return cmp.Compare(f.Index, idx) }
+	if slices.IsSortedFunc(flows, func(a, b topospec.FlowSpec) int { return byIndex(a, b.Index) }) {
+		return func(idx int) bool {
+			_, ok := slices.BinarySearchFunc(flows, idx, byIndex)
+			return ok
+		}
+	}
+	indices := make([]int, len(flows))
+	for i := range flows {
+		indices[i] = flows[i].Index
+	}
+	slices.Sort(indices)
+	return func(idx int) bool {
+		_, ok := slices.BinarySearch(indices, idx)
+		return ok
+	}
 }
 
 // strayFlow names the lowest key of m that is not a flow, so the message

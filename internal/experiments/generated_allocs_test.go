@@ -20,12 +20,13 @@ import (
 // to 26.5 per flow for the topology generators, 0.9 to 1.0 for the schedule
 // generators and 2.0 for the build.
 //
-// The counts are small enough that every map on the path (Resolve's node,
-// link and flow-index maps, the workload's weight and schedule maps) fits
-// one Go map table at both, so a map costs the same at both counts. Above
-// about 900 entries Go adds a table per ~900 entries to a map sized up
-// front: between 2 000 and 8 000 flows the build reads 0.032 per flow and
-// the schedule generators 0.006–0.008, all of it map tables.
+// The counts are small enough that every map on the path (the workload's
+// weight and schedule maps) fits one Go map table at both, so a map costs
+// the same at both counts. Above about 900 entries Go adds a table per ~900
+// entries to a map sized up front, so a flow-sized map reads about 0.001
+// per flow between 2 000 and 8 000 flows: the schedule generators read
+// 0.006–0.008 there, all of it map tables. TestDirectBuildAllocsAtScale
+// holds the build to a budget that no such map fits in.
 func TestGeneratedAllocsPerFlow(t *testing.T) {
 	const lo, hi = 64, 192
 	const budget = 0.01
@@ -88,4 +89,53 @@ func TestGeneratedAllocsPerFlow(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestDirectBuildAllocsAtScale pins that the generate → direct fluid build →
+// Model.Validate path of a generated fat-tree keeps no flow-sized Go map:
+// between 2 000 and 8 000 flows it adds under 0.0005 allocations per flow.
+// One map[int]bool over the flows reads 0.0037 there, and Spec.Resolve's
+// node, link and flow-index maps 0.028, which is why the build takes its
+// link ids from the generator; Model.Validate and the scenario's flow-key
+// check find duplicates and strays without a map. The public-API map
+// normalize fills (Scenario.Weights) is outside the measure.
+func TestDirectBuildAllocsAtScale(t *testing.T) {
+	const lo, hi = 2000, 8000
+	const budget = 0.0005
+	allocs := func(flows int) float64 {
+		gen, err := ParseGenerate(fmt.Sprintf("fattree:k=8,flows=%d", flows), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := Scenario{Scheme: SchemeCorelite, Backend: BackendFlow, Duration: time.Second, Seed: 1, Generate: gen}.prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !specFullyPinned(sc.Spec) || sc.generated.spec != sc.Spec || sc.generated.resolved == nil {
+			t.Fatal("the generated fat-tree does not reach the direct build with its generator's dense form")
+		}
+		return testing.AllocsPerRun(2, func() {
+			spec, resolved, err := gen.Topo.GenerateResolved(sc.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Spec, sc.generated = spec, generatedSpec{spec: spec, resolved: resolved}
+			if err := sc.validateFlowKeys(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := buildFlowModel(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a, b := allocs(lo), allocs(hi)
+	per := (b - a) / (hi - lo)
+	t.Logf("%.0f allocations at %d flows, %.0f at %d (%.5f per flow)", a, lo, b, hi, per)
+	if per > budget {
+		t.Errorf("%.5f allocations per flow, over %v", per, budget)
+	}
 }

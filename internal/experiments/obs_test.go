@@ -149,3 +149,29 @@ func TestObsSampleDisabled(t *testing.T) {
 		t.Errorf("events/counters should still record with sampling off: %+v", sum)
 	}
 }
+
+// TestObsFlowBuildRow: under a registry, a flow-backend run's self-profile
+// opens with the model build, one event, ahead of the engine's layers, so
+// perf.csv attributes the build's wall time too.
+func TestObsFlowBuildRow(t *testing.T) {
+	gen, err := ParseGenerate("fattree:k=4,flows=8", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	sc := Scenario{Scheme: SchemeCorelite, Backend: BackendFlow, Duration: 3 * time.Second, Seed: 1, Generate: gen, Obs: reg}
+	if _, err := Run(sc); err != nil {
+		t.Fatal(err)
+	}
+	perf := reg.Perf()
+	var kinds []string
+	for _, p := range perf {
+		kinds = append(kinds, p.Kind)
+	}
+	if got := strings.Join(kinds, ","); got != "build,epoch,solve-full,solve-incremental,flush" {
+		t.Fatalf("perf rows %s, want the build row ahead of the engine's", got)
+	}
+	if b := perf[0]; b.Events != 1 || b.Sampled != 1 || b.WallSeconds <= 0 {
+		t.Errorf("build row = %+v, want one timed event", b)
+	}
+}

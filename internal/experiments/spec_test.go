@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/topospec"
+	"repro/internal/workload"
 )
 
 // TestCustomSpecScenario runs Corelite end to end on a user-defined
@@ -123,5 +126,55 @@ flow 2 in2 out2 weight=1
 	csfqSc.Spec = specNoMin
 	if _, err := Run(csfqSc); err != nil {
 		t.Fatalf("CSFQ on custom spec: %v", err)
+	}
+}
+
+// TestGeneratedWorkloadOverlay: a generated scenario's explicit Schedules
+// and Unresponsive entries override the generated workload's entry for the
+// same flow and add to the rest, and normalizing leaves the caller's maps
+// as they were.
+func TestGeneratedWorkloadOverlay(t *testing.T) {
+	gen, err := ParseGenerate("fattree:k=4,flows=40", "heavytail:unresp=0.2,urate=300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := Scenario{Scheme: SchemeCorelite, Backend: BackendFlow, Duration: time.Minute, Seed: 2, Generate: gen}
+	plain, err := raw.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blaster, quiet := 0, 0
+	for idx := 1; idx <= 40; idx++ {
+		if _, ok := plain.Unresponsive[idx]; ok && blaster == 0 {
+			blaster = idx
+		} else if !ok && quiet == 0 {
+			quiet = idx
+		}
+	}
+	if blaster == 0 || quiet == 0 {
+		t.Fatalf("want a generated blaster and a responsive flow, got unresponsive %v", plain.Unresponsive)
+	}
+	window := workload.Window(time.Second, 2*time.Second)
+	raw.Unresponsive = map[int]float64{blaster: 123, quiet: 77}
+	raw.Schedules = map[int]workload.Schedule{quiet: window}
+	got, err := raw.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantUnresp := maps.Clone(plain.Unresponsive)
+	wantUnresp[blaster], wantUnresp[quiet] = 123, 77
+	if !maps.Equal(got.Unresponsive, wantUnresp) {
+		t.Errorf("Unresponsive = %v, want %v", got.Unresponsive, wantUnresp)
+	}
+	wantSched := maps.Clone(plain.Schedules)
+	if wantSched == nil {
+		wantSched = map[int]workload.Schedule{}
+	}
+	wantSched[quiet] = window
+	if !reflect.DeepEqual(got.Schedules, wantSched) {
+		t.Errorf("Schedules: got %d entries, want %d, flow %d's = %v", len(got.Schedules), len(wantSched), quiet, got.Schedules[quiet])
+	}
+	if len(raw.Unresponsive) != 2 || len(raw.Schedules) != 1 {
+		t.Errorf("normalize changed the caller's maps: %v, %v", raw.Unresponsive, raw.Schedules)
 	}
 }

@@ -509,6 +509,10 @@ func (e *engine) linkFeedback(li int) float64 {
 	return 0
 }
 
+// alwaysActive is the schedule of a flow Config.Schedules gives none; it is
+// shared and only read.
+var alwaysActive = workload.Always()
+
 // schedule builds the event list — per-flow activity windows, control
 // epochs and measurement flushes — and sorts it once by (at, prio, seq),
 // seq being the order of creation.
@@ -526,7 +530,7 @@ func (e *engine) schedule() {
 			sched = e.cfg.Schedules[i]
 		}
 		if sched == nil {
-			sched = workload.Always()
+			sched = alwaysActive
 		}
 		for _, iv := range sched {
 			stop := iv.Stop

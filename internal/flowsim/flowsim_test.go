@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -305,6 +306,48 @@ func TestModelValidation(t *testing.T) {
 	}
 	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "duplicate flow index 1") {
 		t.Errorf("Validate on a duplicate flow index: %v", err)
+	}
+}
+
+// TestValidateReportsFirstDuplicate: Validate finds duplicate flow indices
+// without a set of the indices seen, and reports what a walk in flow order
+// would meet first, whatever the order of the flows: the first flow whose
+// index an earlier flow has, unless an earlier flow breaks a per-flow rule.
+func TestValidateReportsFirstDuplicate(t *testing.T) {
+	model := func(indices ...int) *Model {
+		m := &Model{Links: []Link{{Name: "L", Capacity: 10}}}
+		for _, idx := range indices {
+			m.Flows = append(m.Flows, Flow{Index: idx, Weight: 1, Links: []int{0}})
+		}
+		return m
+	}
+	for _, c := range []struct {
+		indices []int
+		want    string
+	}{
+		{[]int{1, 2, 3}, ""},
+		{[]int{3, 1, 2}, ""},
+		{[]int{1, 2, 2, 3}, "flowsim: duplicate flow index 2"},
+		{[]int{3, 1, 2, 1, 3}, "flowsim: duplicate flow index 1"},
+		{[]int{5, 4, 4, 5}, "flowsim: duplicate flow index 4"},
+		{[]int{7, 7, 7}, "flowsim: duplicate flow index 7"},
+	} {
+		err := model(c.indices...).Validate()
+		if got := fmt.Sprint(err); (c.want == "" && err != nil) || (c.want != "" && got != c.want) {
+			t.Errorf("indices %v: err = %v, want %q", c.indices, err, c.want)
+		}
+	}
+	// A rule broken before the first repeat is reported instead of it, and
+	// one broken after it is not.
+	m := model(2, 1, 2)
+	m.Flows[1].Weight = 0
+	if err := m.Validate(); err == nil || err.Error() != "flowsim: flow 1 has non-positive weight 0" {
+		t.Errorf("weight rule before the repeat: err = %v", err)
+	}
+	m = model(2, 2, 1)
+	m.Flows[2].Weight = 0
+	if err := m.Validate(); err == nil || err.Error() != "flowsim: duplicate flow index 2" {
+		t.Errorf("weight rule after the repeat: err = %v", err)
 	}
 }
 

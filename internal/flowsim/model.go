@@ -12,7 +12,11 @@
 // tractable.
 package flowsim
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Link is one directed capacity constraint in pkt/s.
 type Link struct {
@@ -116,17 +120,47 @@ func (m *Model) Validate() error {
 			return err
 		}
 	}
-	seen := make(map[int]bool, len(m.Flows))
-	for _, f := range m.Flows {
+	dup := firstDuplicate(m.Flows)
+	for i, f := range m.Flows {
 		if err := m.checkFlow(f); err != nil {
 			return err
 		}
-		if seen[f.Index] {
+		if i == dup {
 			return fmt.Errorf("flowsim: duplicate flow index %d", f.Index)
 		}
-		seen[f.Index] = true
 	}
 	return nil
+}
+
+// firstDuplicate returns the position of the first flow whose index an
+// earlier flow already has, or -1 when the indices are distinct. Flows in
+// ascending index order, as the direct spec and chain builders produce
+// them, are distinct without further work; otherwise a sorted slice of
+// positions stands in for a set of the indices seen so far.
+func firstDuplicate(flows []Flow) int {
+	ascending := true
+	for i := 1; i < len(flows) && ascending; i++ {
+		ascending = flows[i-1].Index < flows[i].Index
+	}
+	if ascending {
+		return -1
+	}
+	pos := make([]int, len(flows))
+	for i := range pos {
+		pos[i] = i
+	}
+	slices.SortFunc(pos, func(a, b int) int {
+		return cmp.Or(cmp.Compare(flows[a].Index, flows[b].Index), cmp.Compare(a, b))
+	})
+	// In each run of equal indices the second position is where the
+	// index repeats first.
+	first := -1
+	for k := 1; k < len(pos); k++ {
+		if flows[pos[k]].Index == flows[pos[k-1]].Index && (first < 0 || pos[k] < first) {
+			first = pos[k]
+		}
+	}
+	return first
 }
 
 // checkLink applies the per-link rules.

@@ -191,18 +191,29 @@ func Parse(s string) (Config, error) {
 	return cfg, nil
 }
 
-// Generate builds the spec for cfg. The result always passes
-// topospec.Validate (TestGeneratedSpecsValidate pins it over a parameter
-// grid); the builder that uses the spec checks it, so Generate does not.
-// Errors report impossible parameter combinations (odd k, out-of-range
-// ECMP pins, ...).
+// Generate builds the spec for cfg. Errors report impossible parameter
+// combinations (odd k, out-of-range ECMP pins, ...). Generate does not check
+// its output; see GenerateResolved for what it guarantees instead.
 func (c Config) Generate(seed int64) (*topospec.Spec, error) {
+	spec, _, err := c.GenerateResolved(seed)
+	return spec, err
+}
+
+// GenerateResolved is Generate that also returns the spec's dense form,
+// recorded while the spec is built: the generator knows each link's index
+// and endpoint roles when it appends the link, and each via hop's link when
+// it lays the path. For the pinned-path kinds (fat-tree and N-cloud) it is
+// exactly what spec.Resolve returns for the spec, so a builder may use it
+// in place of that pass (TestGeneratedSpecsValidate pins the equality over
+// a grid of kinds, parameters and seeds). A mesh leaves its paths to
+// routing and comes with nil.
+func (c Config) GenerateResolved(seed int64) (*topospec.Spec, *topospec.Resolved, error) {
 	c, err := c.normalized()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := c.checkSize(c.counts()); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch c.Kind {
 	case KindFatTree:
@@ -210,7 +221,7 @@ func (c Config) Generate(seed int64) (*topospec.Spec, error) {
 	case KindNClouds:
 		return c.nClouds(seed)
 	default:
-		return c.mesh(seed)
+		return c.mesh(seed), nil, nil
 	}
 }
 
@@ -389,6 +400,43 @@ func (h *hostNames) next() (in, out string) {
 	return in, out
 }
 
+// builder appends a generated spec's links and, when r is non-nil, records
+// the spec's dense form as it goes: each link's endpoint roles, and the via
+// hops and path bounds the generator appends for each flow.
+type builder struct {
+	spec *topospec.Spec
+	r    *topospec.Resolved
+}
+
+// duplex appends the links from->to and to->from, made from tmpl, and
+// returns the index of from->to; to->from is the next one.
+func (b *builder) duplex(tmpl topospec.LinkSpec, from string, fromRole topospec.NodeRole, to string, toRole topospec.NodeRole) int32 {
+	li := int32(len(b.spec.Links))
+	tmpl.From, tmpl.To = from, to
+	b.spec.Links = append(b.spec.Links, tmpl)
+	tmpl.From, tmpl.To = to, from
+	b.spec.Links = append(b.spec.Links, tmpl)
+	if b.r != nil {
+		b.r.Roles = append(b.r.Roles, [2]topospec.NodeRole{fromRole, toRole}, [2]topospec.NodeRole{toRole, fromRole})
+	}
+	return li
+}
+
+// endFlow closes the via path of the flow whose hops were appended last.
+func (b *builder) endFlow() {
+	b.r.Start = append(b.r.Start, int32(len(b.r.Hops)))
+}
+
+// newResolved returns an empty dense form sized for links links, flows
+// flows and hops via hops in all.
+func newResolved(links, flows, hops int) *topospec.Resolved {
+	return &topospec.Resolved{
+		Start: make([]int32, 1, flows+1),
+		Hops:  make([]int32, 0, hops),
+		Roles: make([][2]topospec.NodeRole, 0, links),
+	}
+}
+
 // carve returns the path appended to buf since start, capped at its own
 // end so that an append by a caller reallocates instead of running into the
 // next path carved from buf.
@@ -416,28 +464,26 @@ func ecmpPick(seed int64, flow, n int) int {
 // "p<p>e<j>", and one host pair per flow on seeded edge switches. Core
 // switch c attaches to aggregation switch c/(k/2) in every pod, so
 // choosing c fully determines an inter-pod path.
-func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
+func (c Config) fatTree(seed int64) (*topospec.Spec, *topospec.Resolved, error) {
 	k := c.K
 	half := k / 2
+	nLinks := 2*k*half*k + 4*c.Flows
 	spec := &topospec.Spec{
 		Nodes: make([]topospec.NodeSpec, 0, half*half+k*k+2*c.Flows),
-		Links: make([]topospec.LinkSpec, 0, 2*k*half*k+4*c.Flows),
+		Links: make([]topospec.LinkSpec, 0, nLinks),
 		Flows: make([]topospec.FlowSpec, 0, c.Flows),
 	}
+	// Hops is sized for the longest (inter-pod, six-hop) path of every flow.
+	b := builder{spec: spec, r: newResolved(nLinks, c.Flows, 6*c.Flows)}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	host := topospec.LinkSpec{RateBps: c.HostRateBps, Delay: c.HostDelay, QueueCap: c.QueueCap}
-	duplex := func(tmpl topospec.LinkSpec, a, b string) {
-		tmpl.From, tmpl.To = a, b
-		spec.Links = append(spec.Links, tmpl)
-		tmpl.From, tmpl.To = b, a
-		spec.Links = append(spec.Links, tmpl)
-	}
+	const coreRole, edgeRole = topospec.RoleCore, topospec.RoleEdge
 	// Switch names are built once, into tables: core[i] is "cs<i>",
 	// agg[p*half+j] and edge[p*half+j] are "p<p>a<j>" and "p<p>e<j>".
 	core := make([]string, half*half)
 	for i := range core {
 		core[i] = "cs" + strconv.Itoa(i)
-		spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: core[i], Role: topospec.RoleCore})
+		spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: core[i], Role: coreRole})
 	}
 	agg, edge := make([]string, k*half), make([]string, k*half)
 	for p := 0; p < k; p++ {
@@ -445,17 +491,23 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 			agg[p*half+j] = "p" + strconv.Itoa(p) + "a" + strconv.Itoa(j)
 			edge[p*half+j] = "p" + strconv.Itoa(p) + "e" + strconv.Itoa(j)
 			spec.Nodes = append(spec.Nodes,
-				topospec.NodeSpec{Name: agg[p*half+j], Role: topospec.RoleCore},
-				topospec.NodeSpec{Name: edge[p*half+j], Role: topospec.RoleCore})
+				topospec.NodeSpec{Name: agg[p*half+j], Role: coreRole},
+				topospec.NodeSpec{Name: edge[p*half+j], Role: coreRole})
 		}
 	}
+	// The fabric's uplinks by index, for laying via paths as link indices:
+	// up[(p*half+e)*half+j] is edge switch e -> aggregation switch j in pod
+	// p, and up[k*half*half+p*half*half+i] is pod p's aggregation switch
+	// i/half -> core switch i. Each downlink is its uplink's index + 1.
+	up := make([]int32, 2*k*half*half)
+	toCore := up[k*half*half:]
 	for p := 0; p < k; p++ {
 		for j := 0; j < half; j++ {
 			for e := 0; e < half; e++ {
-				duplex(fabric, edge[p*half+e], agg[p*half+j])
+				up[(p*half+e)*half+j] = b.duplex(fabric, edge[p*half+e], coreRole, agg[p*half+j], coreRole)
 			}
 			for x := 0; x < half; x++ {
-				duplex(fabric, agg[p*half+j], core[j*half+x])
+				toCore[p*half*half+j*half+x] = b.duplex(fabric, agg[p*half+j], coreRole, core[j*half+x], coreRole)
 			}
 		}
 	}
@@ -476,10 +528,10 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 		src, dst := edge[sp*half+se], edge[dp*half+de]
 		in, out := hosts.next()
 		spec.Nodes = append(spec.Nodes,
-			topospec.NodeSpec{Name: in, Role: topospec.RoleEdge},
-			topospec.NodeSpec{Name: out, Role: topospec.RoleEdge})
-		duplex(host, in, src)
-		duplex(host, dst, out)
+			topospec.NodeSpec{Name: in, Role: edgeRole},
+			topospec.NodeSpec{Name: out, Role: edgeRole})
+		inLink := b.duplex(host, in, edgeRole, src, coreRole)
+		outLink := b.duplex(host, dst, coreRole, out, edgeRole)
 
 		// ECMP: intra-pod flows choose among the pod's k/2 aggregation
 		// switches; inter-pod flows among the (k/2)^2 core switches.
@@ -491,20 +543,25 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 		if !pinned {
 			choice = ecmpPick(seed, f, nPaths)
 		} else if choice < 0 || choice >= nPaths {
-			return nil, fmt.Errorf("topogen: flow %d ECMP path index %d out of range [0, %d)", f, choice, nPaths)
+			return nil, nil, fmt.Errorf("topogen: flow %d ECMP path index %d out of range [0, %d)", f, choice, nPaths)
 		}
 		start := len(paths)
+		srcUp, dstUp := up[(sp*half+se)*half:], up[(dp*half+de)*half:]
 		if sp == dp {
 			paths = append(paths, in, src, agg[sp*half+choice], dst, out)
+			b.r.Hops = append(b.r.Hops, inLink, srcUp[choice], dstUp[choice]+1, outLink)
 		} else {
 			a := choice / half
 			paths = append(paths, in, src, agg[sp*half+a], core[choice], agg[dp*half+a], dst, out)
+			b.r.Hops = append(b.r.Hops, inLink, srcUp[a], toCore[sp*half*half+choice],
+				toCore[dp*half*half+choice]+1, dstUp[a]+1, outLink)
 		}
+		b.endFlow()
 		spec.Flows = append(spec.Flows, topospec.FlowSpec{
 			Index: f, Ingress: in, Egress: out, Weight: 1, Via: carve(paths, start),
 		})
 	}
-	return spec, nil
+	return spec, b.r, nil
 }
 
 // nClouds chains n clouds of CoresPerCloud-long core chains through
@@ -512,33 +569,38 @@ func (c Config) fatTree(seed int64) (*topospec.Spec, error) {
 // re-marked at each gateway); local flows load one cloud each, so the
 // through flows' end-to-end share is the minimum of their per-cloud
 // shares — the generalized two-cloud concatenation experiment.
-func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
+func (c Config) nClouds(seed int64) (*topospec.Spec, *topospec.Resolved, error) {
 	nodes, links, flows := c.counts()
 	spec := &topospec.Spec{
 		Nodes: make([]topospec.NodeSpec, 0, int(nodes)),
 		Links: make([]topospec.LinkSpec, 0, int(links)),
 		Flows: make([]topospec.FlowSpec, 0, int(flows)),
 	}
+	cores := c.CoresPerCloud
+	// A through flow crosses every cloud's chain and both trunks of every
+	// gateway; a local flow one chain. Each adds its two host links.
+	throughHops := 2 + c.Clouds*(cores-1) + 2*(c.Clouds-1)
+	localHops := 2 + cores - 1
+	b := builder{spec: spec, r: newResolved(int(links), int(flows), c.Through*throughHops+c.Clouds*c.Local*localHops)}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	trunk := topospec.LinkSpec{RateBps: c.TrunkRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	host := topospec.LinkSpec{RateBps: c.HostRateBps, Delay: c.HostDelay, QueueCap: c.QueueCap}
-	duplex := func(tmpl topospec.LinkSpec, a, b string) {
-		tmpl.From, tmpl.To = a, b
-		spec.Links = append(spec.Links, tmpl)
-		tmpl.From, tmpl.To = b, a
-		spec.Links = append(spec.Links, tmpl)
-	}
+	const coreRole, edgeRole = topospec.RoleCore, topospec.RoleEdge
 	// Core and gateway names are built once, into tables: core[cl*cores+i]
-	// is "x<cl>c<i>", gw[i] is "g<i>".
-	cores := c.CoresPerCloud
+	// is "x<cl>c<i>", gw[i] is "g<i>". The links a flow crosses are kept
+	// by index in the same layout: chain[cl*cores+i] is core i-1 -> core i
+	// of cloud cl (i >= 1), and gateway i's trunks are gwIn[i] (from the
+	// last core of cloud i) and gwOut[i] (to the first core of cloud i+1).
 	core := make([]string, c.Clouds*cores)
 	gw := make([]string, c.Clouds-1)
+	chain := make([]int32, c.Clouds*cores)
+	gwIn, gwOut := make([]int32, c.Clouds-1), make([]int32, c.Clouds-1)
 	for cl := 0; cl < c.Clouds; cl++ {
 		for i := 0; i < cores; i++ {
 			core[cl*cores+i] = "x" + strconv.Itoa(cl) + "c" + strconv.Itoa(i)
-			spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: core[cl*cores+i], Role: topospec.RoleCore})
+			spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: core[cl*cores+i], Role: coreRole})
 			if i > 0 {
-				duplex(fabric, core[cl*cores+i-1], core[cl*cores+i])
+				chain[cl*cores+i] = b.duplex(fabric, core[cl*cores+i-1], coreRole, core[cl*cores+i], coreRole)
 			}
 		}
 		if cl > 0 {
@@ -546,9 +608,9 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 			// Corelite edge that re-shapes through traffic for the next
 			// cloud's control domain.
 			gw[cl-1] = "g" + strconv.Itoa(cl-1)
-			spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: gw[cl-1], Role: topospec.RoleEdge})
-			duplex(trunk, core[cl*cores-1], gw[cl-1])
-			duplex(trunk, gw[cl-1], core[cl*cores])
+			spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: gw[cl-1], Role: edgeRole})
+			gwIn[cl-1] = b.duplex(trunk, core[cl*cores-1], coreRole, gw[cl-1], edgeRole)
+			gwOut[cl-1] = b.duplex(trunk, gw[cl-1], edgeRole, core[cl*cores], coreRole)
 		}
 	}
 
@@ -565,17 +627,19 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 	idx := 1
 	// addFlow adds the next flow: its hosts, their links, and the flow over
 	// the path appended to paths since start (its ingress slot left empty),
-	// re-marked at relays.
-	addFlow := func(start int, relays []string) {
+	// re-marked at relays. The flow's hops were appended since hop, with
+	// the ingress link's slot left empty.
+	addFlow := func(start, hop int, relays []string) {
 		in, out := hosts.next()
 		paths[start] = in
 		paths = append(paths, out)
 		full := carve(paths, start)
 		spec.Nodes = append(spec.Nodes,
-			topospec.NodeSpec{Name: in, Role: topospec.RoleEdge},
-			topospec.NodeSpec{Name: out, Role: topospec.RoleEdge})
-		duplex(host, in, full[1])
-		duplex(host, full[len(full)-2], out)
+			topospec.NodeSpec{Name: in, Role: edgeRole},
+			topospec.NodeSpec{Name: out, Role: edgeRole})
+		b.r.Hops[hop] = b.duplex(host, in, edgeRole, full[1], coreRole)
+		b.r.Hops = append(b.r.Hops, b.duplex(host, full[len(full)-2], coreRole, out, edgeRole))
+		b.endFlow()
 		spec.Flows = append(spec.Flows, topospec.FlowSpec{
 			Index: idx, Ingress: in, Egress: out, Weight: 1, Via: full, Relays: relays,
 		})
@@ -588,26 +652,31 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 			paths = append(paths, gw...)
 			relays = carve(paths, start)
 		}
-		start := len(paths)
+		start, hop := len(paths), len(b.r.Hops)
 		paths = append(paths, "")
+		b.r.Hops = append(b.r.Hops, 0)
 		for cl := 0; cl < c.Clouds; cl++ {
 			if cl > 0 {
 				paths = append(paths, gw[cl-1])
+				b.r.Hops = append(b.r.Hops, gwIn[cl-1], gwOut[cl-1])
 			}
 			paths = append(paths, core[cl*cores:(cl+1)*cores]...)
+			b.r.Hops = append(b.r.Hops, chain[cl*cores+1:(cl+1)*cores]...)
 		}
-		addFlow(start, relays)
+		addFlow(start, hop, relays)
 	}
 	for cl := 0; cl < c.Clouds; cl++ {
 		for l := 0; l < c.Local; l++ {
-			start := len(paths)
+			start, hop := len(paths), len(b.r.Hops)
 			paths = append(paths, "")
 			paths = append(paths, core[cl*cores:(cl+1)*cores]...)
-			addFlow(start, nil)
+			b.r.Hops = append(b.r.Hops, 0)
+			b.r.Hops = append(b.r.Hops, chain[cl*cores+1:(cl+1)*cores]...)
+			addFlow(start, hop, nil)
 		}
 	}
 	_ = seed // topology is fully determined by the parameters
-	return spec, nil
+	return spec, b.r, nil
 }
 
 // mesh generates a ring of Nodes core routers with Degree extra seeded
@@ -615,7 +684,7 @@ func (c Config) nClouds(seed int64) (*topospec.Spec, error) {
 // host pair attached at two distinct random cores, with a uniform integer
 // weight in 1..MaxWeight. Paths are left to shortest-path routing — the
 // mesh exercises the un-pinned build path.
-func (c Config) mesh(seed int64) (*topospec.Spec, error) {
+func (c Config) mesh(seed int64) *topospec.Spec {
 	// links is an upper bound: a chord that duplicates a link adds none.
 	nodes, links, flows := c.counts()
 	spec := &topospec.Spec{
@@ -625,12 +694,8 @@ func (c Config) mesh(seed int64) (*topospec.Spec, error) {
 	}
 	fabric := topospec.LinkSpec{RateBps: c.FabricRateBps, Delay: c.FabricDelay, QueueCap: c.QueueCap}
 	host := topospec.LinkSpec{RateBps: c.HostRateBps, Delay: c.HostDelay, QueueCap: c.QueueCap}
-	duplex := func(tmpl topospec.LinkSpec, a, b string) {
-		tmpl.From, tmpl.To = a, b
-		spec.Links = append(spec.Links, tmpl)
-		tmpl.From, tmpl.To = b, a
-		spec.Links = append(spec.Links, tmpl)
-	}
+	const coreRole, edgeRole = topospec.RoleCore, topospec.RoleEdge
+	g := builder{spec: spec} // routed paths: no dense form to record
 	// Router names are built once, into a table: name[i] is "m<i>".
 	name := make([]string, c.Nodes)
 	for i := range name {
@@ -643,10 +708,10 @@ func (c Config) mesh(seed int64) (*topospec.Spec, error) {
 		}
 		linked[[2]int{a, b}] = true
 		linked[[2]int{b, a}] = true
-		duplex(fabric, name[a], name[b])
+		g.duplex(fabric, name[a], coreRole, name[b], coreRole)
 	}
 	for i := 0; i < c.Nodes; i++ {
-		spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: name[i], Role: topospec.RoleCore})
+		spec.Nodes = append(spec.Nodes, topospec.NodeSpec{Name: name[i], Role: coreRole})
 	}
 	for i := 0; i < c.Nodes; i++ {
 		connect(i, (i+1)%c.Nodes)
@@ -666,14 +731,14 @@ func (c Config) mesh(seed int64) (*topospec.Spec, error) {
 		}
 		in, out := hosts.next()
 		spec.Nodes = append(spec.Nodes,
-			topospec.NodeSpec{Name: in, Role: topospec.RoleEdge},
-			topospec.NodeSpec{Name: out, Role: topospec.RoleEdge})
-		duplex(host, in, name[src])
-		duplex(host, name[dst], out)
+			topospec.NodeSpec{Name: in, Role: edgeRole},
+			topospec.NodeSpec{Name: out, Role: edgeRole})
+		g.duplex(host, in, edgeRole, name[src], coreRole)
+		g.duplex(host, name[dst], coreRole, out, edgeRole)
 		spec.Flows = append(spec.Flows, topospec.FlowSpec{
 			Index: f, Ingress: in, Egress: out,
 			Weight: float64(1 + rng.Intn(c.MaxWeight)),
 		})
 	}
-	return spec, nil
+	return spec
 }

@@ -3,6 +3,7 @@ package topogen
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -271,11 +272,15 @@ func TestGenerateNoKind(t *testing.T) {
 	}
 }
 
-// TestGeneratedSpecsValidate pins the generators' contract — every spec
-// they return passes topospec.Validate — over a grid of parameters and
-// seeds. The generators do not check their own output at run time; the
-// builder that uses a spec validates it, and this test is what keeps a
-// generator bug from surfacing there as a refused scenario.
+// TestGeneratedSpecsValidate pins the generators' contract over a grid of
+// kinds, parameters and seeds: every spec they return passes
+// topospec.Validate, and the dense form a pinned-path generator (fat-tree,
+// N-cloud) returns with it deep-equals what spec.Resolve derives from the
+// names, so the fluid builder that takes the generator's form in place of
+// Resolve works on the same ids and skips only the checks this test runs.
+// A mesh's paths are routed, and it returns no dense form. The generators
+// do not check their own output at run time; this test is what keeps a
+// generator bug from surfacing as a refused scenario or a wrong model.
 func TestGeneratedSpecsValidate(t *testing.T) {
 	var cfgs []Config
 	for _, k := range []int{2, 4, 6, 8} {
@@ -304,12 +309,20 @@ func TestGeneratedSpecsValidate(t *testing.T) {
 	}
 	for _, cfg := range cfgs {
 		for seed := int64(1); seed <= 5; seed++ {
-			spec, err := cfg.Generate(seed)
+			spec, dense, err := cfg.GenerateResolved(seed)
 			if err != nil {
 				t.Fatalf("%+v seed %d: %v", cfg, seed, err)
 			}
-			if err := spec.Validate(); err != nil {
+			resolved, err := spec.Resolve()
+			if err != nil {
 				t.Errorf("%+v seed %d: generated spec fails Validate: %v", cfg, seed, err)
+				continue
+			}
+			switch {
+			case cfg.Kind == KindMesh && dense != nil:
+				t.Errorf("%+v seed %d: a mesh returned a dense form", cfg, seed)
+			case cfg.Kind != KindMesh && !reflect.DeepEqual(dense, resolved):
+				t.Errorf("%+v seed %d: the generator's dense form differs from Resolve's:\ngenerator %+v\nResolve   %+v", cfg, seed, dense, resolved)
 			}
 		}
 	}
