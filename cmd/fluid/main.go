@@ -155,7 +155,7 @@ func run(args []string) error {
 // -topo scenario: a spec file's flows, or a generated topology's with any
 // -traffic workload's weights laid over its flow slots. The LIMD recurrence
 // models one shared bottleneck, so only the weight profile carries over,
-// not the link structure.
+// not the link structure. A workload's weights come as a dense slice.
 func topologyWeights(gen *experiments.Generate, spec *topospec.Spec, seed int64) ([]float64, error) {
 	if gen != nil {
 		var err error
@@ -164,23 +164,21 @@ func topologyWeights(gen *experiments.Generate, spec *topospec.Spec, seed int64)
 		}
 	}
 	weights := make([]float64, len(spec.Flows))
-	for i, fl := range spec.Flows {
-		weights[i] = fl.Weight
+	for i := range spec.Flows {
+		weights[i] = spec.Flows[i].Weight
 	}
 	if gen != nil && gen.Traffic != nil {
 		tc := *gen.Traffic
 		if tc.Horizon == 0 {
 			tc.Horizon = time.Minute
 		}
-		wl, err := tc.Generate(seed, len(spec.Flows))
+		// Generated flows are 1..len(weights), and the workload weighs
+		// every one of them.
+		_, dense, err := tc.GenerateDense(seed, len(weights))
 		if err != nil {
 			return nil, err
 		}
-		for i, fl := range spec.Flows {
-			if w, ok := wl.Weights[fl.Index]; ok {
-				weights[i] = w
-			}
-		}
+		weights = dense
 	}
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("topology has no flows")

@@ -2,8 +2,11 @@ package main
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/flowsim"
 )
 
@@ -81,5 +84,54 @@ func TestConvergenceEpoch(t *testing.T) {
 	}
 	if _, ok := convergenceEpoch(states[:1], weights, 500, 0.15); ok {
 		t.Error("the all-32 start converged")
+	}
+}
+
+// TestTopologyWeights: a generated topology's weight vector is what laying
+// the workload's weight map over the generated spec's flows gives, with or
+// without a workload, and a spec's is its flows' own.
+func TestTopologyWeights(t *testing.T) {
+	for _, tc := range []struct{ topo, traffic string }{
+		{"fattree:k=4,flows=10", ""},
+		{"fattree:k=4,flows=40", "heavytail:elephants=0.2,eweight=4,unresp=0.1,settle=10s"},
+		{"nclouds:n=3,through=2,local=2", "churn:settle=10s"},
+		{"mesh:nodes=6,flows=7", ""},
+		{"mesh:nodes=6,flows=7", "uniform"},
+	} {
+		gen, err := experiments.ParseGenerate(tc.topo, tc.traffic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := topologyWeights(gen, nil, 3)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.topo, tc.traffic, err)
+		}
+		spec, err := gen.Topo.Generate(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, len(spec.Flows))
+		for i, fl := range spec.Flows {
+			want[i] = fl.Weight
+		}
+		if gen.Traffic != nil {
+			tc := *gen.Traffic
+			tc.Horizon = time.Minute
+			wl, err := tc.Generate(3, len(spec.Flows))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, fl := range spec.Flows {
+				want[i] = wl.Weights[fl.Index]
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s: weights %v, want %v", tc.topo, tc.traffic, got, want)
+		}
+		if spec.Flows[0].Weight = 9; tc.traffic == "" {
+			if w, err := topologyWeights(nil, spec, 3); err != nil || w[0] != 9 || len(w) != len(spec.Flows) {
+				t.Errorf("%s as a spec: weights %v, %v", tc.topo, w, err)
+			}
+		}
 	}
 }

@@ -67,14 +67,15 @@ func steadyWindow(sc Scenario, flows []flowsim.Flow) (from, to time.Duration, ac
 // transients right after the last membership change do not count against
 // the residual. TCP-transport flows are skipped (their goodput is
 // congestion-control-, not shaper-limited), as are windows shorter than the
-// configured minimum.
-func checkFairness(sc Scenario, m *flowsim.Model, res *Result) {
+// configured minimum. solver is a water-filler over m: the one the run's
+// full-set oracle solved on.
+func checkFairness(sc Scenario, m *flowsim.Model, solver *flowsim.Solver, res *Result) {
 	cfg := sc.Check.Config()
 	from, to, active, ok := steadyWindow(sc, m.Flows)
 	if !ok || to-from < cfg.MinSteady {
 		return
 	}
-	expected, err := expectedRates(sc, m, active)
+	expected, err := expectedRates(sc, m, active, solver)
 	if err != nil {
 		return
 	}

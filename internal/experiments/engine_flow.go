@@ -31,7 +31,9 @@ func runFlow(sc Scenario) (*Result, error) {
 		return nil, fmt.Errorf("build flow model: %w", err)
 	}
 	build := time.Since(start)
-	expected, err := expectedRates(sc, m, nil)
+	// The contracts are admitted before the run; the oracle solves on the
+	// engine's water-filler once the run is done with it.
+	oracle, err := askOracle(sc, m, nil)
 	if err != nil {
 		return nil, fmt.Errorf("expected rates: %w", err)
 	}
@@ -96,10 +98,11 @@ func runFlow(sc Scenario) (*Result, error) {
 		sc.Obs.RecordPerf(perf)
 	}
 
+	solver := out.Solver()
 	res := &Result{
 		Name:            sc.Name,
 		Scheme:          sc.Scheme,
-		ExpectedFullSet: expected,
+		ExpectedFullSet: oracle.answer(solver),
 		Events:          out.Events,
 		SampleWindow:    sc.SampleWindow,
 		Duration:        sc.Duration,
@@ -120,7 +123,7 @@ func runFlow(sc Scenario) (*Result, error) {
 		res.Flows = append(res.Flows, fr)
 	}
 	if sc.Check.Enabled() {
-		checkFairness(sc, m, res)
+		checkFairness(sc, m, solver, res)
 		res.Violations = sc.Check.Violations()
 		res.TotalViolations = int64(len(res.Violations)) + sc.Check.Overflow()
 		res.InvariantChecks = sc.Check.Checks()

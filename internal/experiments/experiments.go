@@ -405,13 +405,13 @@ func (sc Scenario) normalize() (Scenario, error) {
 			if cfg.Horizon == 0 {
 				cfg.Horizon = sc.Duration
 			}
-			wl, err := cfg.Generate(sc.Seed, len(spec.Flows))
+			wl, weights, err := cfg.GenerateDense(sc.Seed, len(spec.Flows))
 			if err != nil {
 				return sc, err
 			}
 			for i := range spec.Flows {
-				if w, ok := wl.Weights[spec.Flows[i].Index]; ok {
-					spec.Flows[i].Weight = w
+				if idx := spec.Flows[i].Index; idx >= 1 && idx <= len(weights) {
+					spec.Flows[i].Weight = weights[idx-1]
 				}
 			}
 			// Explicit scenario entries override generated ones.
@@ -428,7 +428,10 @@ func (sc Scenario) normalize() (Scenario, error) {
 		return sc, nil
 	}
 	sc.NumFlows = len(sc.Spec.Flows)
-	sc.Weights = sc.Spec.Weights()
+	// A spec's weights are its flows' own (FlowSpec.Weight), which every
+	// builder reads; a second copy by index would be a flow-sized map that
+	// nothing needs.
+	sc.Weights = nil
 	mins := sc.Spec.MinRates()
 	for idx, m := range sc.MinRates {
 		mins[idx] = m
@@ -622,16 +625,19 @@ func (sc Scenario) validateFlowKeys() error {
 }
 
 // flowIndexSet returns a membership test over the flows' indices that
-// needs no map: a binary search over the flows themselves when they are in
-// ascending index order, as generated specs are, else over a sorted copy
-// of their indices.
+// needs no map and copies no FlowSpec: a range check when the indices are
+// 1..len(flows) in order, as generated specs' are, else a binary search
+// over a sorted copy of them.
 func flowIndexSet(flows []topospec.FlowSpec) func(int) bool {
-	byIndex := func(f topospec.FlowSpec, idx int) int { return cmp.Compare(f.Index, idx) }
-	if slices.IsSortedFunc(flows, func(a, b topospec.FlowSpec) int { return byIndex(a, b.Index) }) {
-		return func(idx int) bool {
-			_, ok := slices.BinarySearchFunc(flows, idx, byIndex)
-			return ok
+	dense := true
+	for i := range flows {
+		if flows[i].Index != i+1 {
+			dense = false
+			break
 		}
+	}
+	if dense {
+		return func(idx int) bool { return idx >= 1 && idx <= len(flows) }
 	}
 	indices := make([]int, len(flows))
 	for i := range flows {
@@ -679,7 +685,7 @@ func runPacket(sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build flow model: %w", err)
 	}
-	expected, err := expectedRates(sc, m, nil)
+	expected, err := expectedRates(sc, m, nil, flowsim.NewSolver(m))
 	if err != nil {
 		return nil, fmt.Errorf("expected rates: %w", err)
 	}
@@ -1062,7 +1068,7 @@ func runPacket(sc Scenario) (*Result, error) {
 		res.Flows = append(res.Flows, fr)
 	}
 	if sc.Check.Enabled() {
-		checkFairness(sc, m, res)
+		checkFairness(sc, m, flowsim.NewSolver(m), res)
 		res.Violations = sc.Check.Violations()
 		res.TotalViolations = int64(len(res.Violations)) + sc.Check.Overflow()
 		res.InvariantChecks = sc.Check.Checks()
@@ -1090,68 +1096,105 @@ func ExpectedRatesAt(sc Scenario, t time.Duration) (map[int]float64, error) {
 	if len(active) == 0 {
 		return map[int]float64{}, nil
 	}
-	return expectedRates(sc, m, active)
+	return expectedRates(sc, m, active, flowsim.NewSolver(m))
 }
 
 // expectedRates is the weighted max-min oracle, for either engine: the
 // allocation of the active flows (nil = all) over the capacity graph, whose
-// capacities already account for the mean load of cross traffic. Contracted
-// flows hold their floors (Flow.MinRate) and share the excess; everyone
-// water-fills with unbounded demand. Unresponsive flows are treated per
-// scheme (see Scenario.Unresponsive): Corelite's FIFO core cannot police a
-// blast, so it takes its offered rate off the top of every link it crosses
-// and the responsive flows share the residual; CSFQ polices it by label, so
-// it stays an ordinary weighted member whose demand is its blast rate.
+// capacities already account for the mean load of cross traffic, solved on
+// solver, a water-filler over m. Contracted flows hold their floors
+// (Flow.MinRate) and share the excess; everyone water-fills with unbounded
+// demand. Unresponsive flows are treated per scheme (see
+// Scenario.Unresponsive): Corelite's FIFO core cannot police a blast, so it
+// takes its offered rate off the top of every link it crosses and the
+// responsive flows share the residual; CSFQ polices it by label, so it
+// stays an ordinary weighted member whose demand is its blast rate.
 //
 // Contracts are admitted here: active floors that over-subscribe a link are
 // an error naming the link. Every subset of an admitted set is admitted, so
 // a scenario whose full set passes never fails later on a phase.
-func expectedRates(sc Scenario, m *flowsim.Model, active map[int]bool) (map[int]float64, error) {
-	links := make([]flowsim.Link, len(m.Links))
-	copy(links, m.Links)
-	act := make([]bool, len(m.Flows))
-	dem := make([]float64, len(m.Flows))
-	out := make(map[int]float64, len(m.Flows))
+func expectedRates(sc Scenario, m *flowsim.Model, active map[int]bool, solver *flowsim.Solver) (map[int]float64, error) {
+	q, err := askOracle(sc, m, active)
+	if err != nil {
+		return nil, err
+	}
+	return q.answer(solver), nil
+}
+
+// oracleQuestion is expectedRates split in two, so that a fluid run admits
+// its contracts before it simulates and solves on the engine's water-filler
+// after it: the solve's inputs, with the blasters Corelite takes off the top
+// kept aside.
+type oracleQuestion struct {
+	m        *flowsim.Model
+	capacity []float64 // per model link; nil when no blaster lowers one
+	act      []bool
+	dem      []float64
+	blast    []bool // an active Corelite blaster, answered with its rate
+}
+
+// askOracle builds the oracle's question for the active flows (nil = all)
+// and admits their contracts.
+func askOracle(sc Scenario, m *flowsim.Model, active map[int]bool) (*oracleQuestion, error) {
+	q := &oracleQuestion{m: m, act: make([]bool, len(m.Flows)), dem: make([]float64, len(m.Flows))}
 	for i, f := range m.Flows {
 		if active != nil && !active[f.Index] {
 			continue
 		}
 		if f.FixedDemand > 0 && sc.Scheme == SchemeCorelite {
-			for _, li := range f.Links {
-				links[li].Capacity = math.Max(0, links[li].Capacity-f.FixedDemand)
+			if q.capacity == nil {
+				q.capacity = make([]float64, len(m.Links))
+				q.blast = make([]bool, len(m.Flows))
+				for li := range m.Links {
+					q.capacity[li] = m.Links[li].Capacity
+				}
 			}
-			out[f.Index] = f.FixedDemand
+			for _, li := range f.Links {
+				q.capacity[li] = math.Max(0, q.capacity[li]-f.FixedDemand)
+			}
+			q.blast[i] = true
 			continue
 		}
-		act[i] = true
-		dem[i] = -1
+		q.act[i] = true
+		q.dem[i] = -1
 		if f.FixedDemand > 0 {
-			dem[i] = f.FixedDemand
+			q.dem[i] = f.FixedDemand
 		}
 	}
 	if len(sc.MinRates) > 0 {
-		free := make([]float64, len(links))
-		for li := range links {
-			free[li] = links[li].Capacity
+		free := make([]float64, len(m.Links))
+		for li := range m.Links {
+			free[li] = m.Links[li].Capacity
 		}
+		copy(free, q.capacity)
 		for i, f := range m.Flows {
-			if !act[i] || f.MinRate <= 0 {
+			if !q.act[i] || f.MinRate <= 0 {
 				continue
 			}
 			for _, li := range f.Links {
 				if free[li] -= f.MinRate; free[li] < 0 {
-					return nil, fmt.Errorf("experiments: contracted minimums over-subscribe link %q", links[li].Name)
+					return nil, fmt.Errorf("experiments: contracted minimums over-subscribe link %q", m.Links[li].Name)
 				}
 			}
 		}
 	}
-	rates := flowsim.SolveMaxMin(&flowsim.Model{Links: links, Flows: m.Flows}, act, dem)
-	for i, f := range m.Flows {
-		if act[i] {
+	return q, nil
+}
+
+// answer solves the question on solver, a water-filler over the question's
+// model, and returns each asked flow's expected rate by flow index.
+func (q *oracleQuestion) answer(solver *flowsim.Solver) map[int]float64 {
+	rates := solver.Solve(q.capacity, q.act, q.dem)
+	out := make(map[int]float64, len(q.m.Flows))
+	for i, f := range q.m.Flows {
+		switch {
+		case q.act[i]:
 			out[f.Index] = rates[i]
+		case q.blast != nil && q.blast[i]:
+			out[f.Index] = f.FixedDemand
 		}
 	}
-	return out, nil
+	return out
 }
 
 // tcpNodesUnshared refuses a TCP flow whose ingress or egress node another

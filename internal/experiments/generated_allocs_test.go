@@ -97,8 +97,8 @@ func TestGeneratedAllocsPerFlow(t *testing.T) {
 // One map[int]bool over the flows reads 0.0037 there, and Spec.Resolve's
 // node, link and flow-index maps 0.028, which is why the build takes its
 // link ids from the generator; Model.Validate and the scenario's flow-key
-// check find duplicates and strays without a map. The public-API map
-// normalize fills (Scenario.Weights) is outside the measure.
+// check find duplicates and strays without a map. normalize keeps a spec's
+// weights in its flows alone and leaves Scenario.Weights nil.
 func TestDirectBuildAllocsAtScale(t *testing.T) {
 	const lo, hi = 2000, 8000
 	const budget = 0.0005

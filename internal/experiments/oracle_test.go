@@ -127,7 +127,7 @@ func TestExpectedRatesMatchMaxmin(t *testing.T) {
 				}
 				requireRatesMatch(t, what, got, want, 1e-9)
 			}
-			full, err := expectedRates(sc, m, nil)
+			full, err := expectedRates(sc, m, nil, flowsim.NewSolver(m))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -309,17 +309,42 @@ func (a *allocator) flowsOn(li int) []int32 {
 	return a.lfFlows[a.lfStart[li]:a.lfStart[li+1]]
 }
 
-// SolveMaxMin computes the demand-capped weighted max-min allocation for m
-// in one shot: active[i]/demand[i] follow the solve conventions below and
-// the result is indexed like m.Flows. It is the oracle: the experiments
-// layer computes every expected rate — either backend, any size — by
-// calling it with unbounded demands (a CSFQ blaster's is its blast rate),
-// and internal/maxmin is the reference it is tested against.
-func SolveMaxMin(m *Model, active []bool, demand []float64) []float64 {
-	a := newAllocator(m)
-	out := make([]float64, len(m.Flows))
-	a.solve(active, demand, out)
+// Solver runs monolithic water-filling solves over one model. It is the
+// oracle: the experiments layer computes every expected rate — either
+// backend, any size — with it, passing unbounded demands (a CSFQ blaster's
+// is its blast rate), and internal/maxmin is the reference it is tested
+// against. A fluid run's oracle solves on the allocator the engine built
+// (Output.Solver), so one run builds one link→flow adjacency.
+type Solver struct{ a *allocator }
+
+// NewSolver builds a water-filler for m. It is the one place an allocator
+// is built: the engine takes its allocator from here too.
+func NewSolver(m *Model) *Solver { return &Solver{a: newAllocator(m)} }
+
+// Solve computes the demand-capped weighted max-min allocation: active[i]
+// and demand[i] follow the solve conventions below, and the result is
+// indexed like the model's flows. capacity, when non-nil, holds one
+// capacity per model link and replaces Link.Capacity for this solve (the
+// oracle lowers links under a Corelite blaster this way). fill starts from
+// its invariants — every flow frozen, every link done — and reads nothing
+// an earlier solve or the engine's incremental state left behind, so a
+// solve returns the same bits on a fresh allocator and on a used one.
+func (s *Solver) Solve(capacity []float64, active []bool, demand []float64) []float64 {
+	a := s.a
+	out := make([]float64, len(a.m.Flows))
+	a.fill(a.allLinks, a.allFlows, capacity, active, demand, out)
+	if a.incr != nil {
+		// The solve overwrote the freeze facts the incremental baseline
+		// keeps; a later incremental call starts from a full solve.
+		a.incr.valid = false
+	}
 	return out
+}
+
+// SolveMaxMin is the one-shot form of Solver.Solve: a fresh water-filler
+// for m, one solve at the model's capacities.
+func SolveMaxMin(m *Model, active []bool, demand []float64) []float64 {
+	return NewSolver(m).Solve(nil, active, demand)
 }
 
 // solve fills out[i] with the achieved rate of flow i given each flow's
@@ -328,23 +353,28 @@ func SolveMaxMin(m *Model, active []bool, demand []float64) []float64 {
 // have len(m.Flows). It is the region of everything: links and flows go to
 // fill in ascending index order, which fixes every floating-point sum.
 func (a *allocator) solve(active []bool, demand []float64, out []float64) {
-	a.fill(a.allLinks, a.allFlows, active, demand, out)
+	a.fill(a.allLinks, a.allFlows, nil, active, demand, out)
 }
 
 // fill runs the water-filling event solver on the region made of links and
 // the flows that move on them. Region links get their full capacity — the
-// caller lists every active flow crossing them — and a listed flow's links
+// caller lists every active flow crossing them; capacity[li] when capacity
+// is non-nil, else Link.Capacity — and a listed flow's links
 // outside the region impose no constraint here (solveIncremental clamps its
 // demand to any binding outside level, and verifies the unsaturated ones
 // after the fact). Rates land in out (full-length, the listed flows' entries
 // written), and the freeze facts of the listed flows and links are recorded.
-func (a *allocator) fill(links, flows []int32, active []bool, demand []float64, out []float64) {
+func (a *allocator) fill(links, flows []int32, capacity []float64, active []bool, demand []float64, out []float64) {
 	m := a.m
 	a.res = out
 	for _, li := range links {
 		a.activeW[li] = 0
 		a.consumed[li] = 0
-		a.cap[li] = m.Links[li].Capacity
+		if capacity != nil {
+			a.cap[li] = capacity[li]
+		} else {
+			a.cap[li] = m.Links[li].Capacity
+		}
 		a.linkDone[li] = false
 		a.linkFroze[li] = false
 	}

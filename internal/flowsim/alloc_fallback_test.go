@@ -104,7 +104,7 @@ func (a *allocator) solveIncrementalParent(active []bool, demand []float64, out 
 			s.clamped[fi] = cl
 		}
 
-		a.fill(dirtyLinks, movable, active, s.effDem, s.newRate)
+		a.fill(dirtyLinks, movable, nil, active, s.effDem, s.newRate)
 
 		// Verify the boundary: accumulate the usage delta each movable flow
 		// pushes onto links outside the region.

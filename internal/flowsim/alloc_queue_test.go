@@ -237,7 +237,7 @@ func TestSplitQueueMatchesSingleHeap(t *testing.T) {
 				}
 				rng.Shuffle(len(flows), func(i, j int) { flows[i], flows[j] = flows[j], flows[i] })
 			}
-			got.fill(links, flows, active, demand, gotOut)
+			got.fill(links, flows, nil, active, demand, gotOut)
 			singleHeapFill(want, links, flows, active, demand, wantOut)
 			for i := 0; i < nFlows; i++ {
 				if gotOut[i] != wantOut[i] || got.capped[i] != want.capped[i] ||

@@ -163,7 +163,16 @@ type Output struct {
 	Flows []FlowOutput
 	// Events is the number of engine events processed.
 	Events uint64
+	// solver is the water-filler the run solved on, handed over for the
+	// caller's oracle solves.
+	solver *Solver
 }
+
+// Solver returns the water-filler the run built for its model, so a caller
+// solves more allocations over the same model (the oracle) without building
+// a second one. The engine is done with it: the floors it raised for
+// blasters under the marker control are the model's again.
+func (o *Output) Solver() *Solver { return o.solver }
 
 // Event priorities: at equal timestamps departures free capacity first, then
 // arrivals join, then the control epoch observes the new membership, and the
@@ -234,15 +243,17 @@ type engine struct {
 	// Marker control epoch state. A link two or more flows cross is shared;
 	// a link exactly one flow crosses is that flow's private link, and its
 	// sums would only ever hold that flow's own demand and marker rate.
-	// Flow i's shared links are hops[hopOff[i]:hopOff[i+1]], and privCap[i]
+	// Shared links have dense ids 0..len(sharedLink)-1 in ascending link
+	// order, and sharedLink maps an id back to its model link. Flow i's
+	// shared links are the ids hops[hopOff[i]:hopOff[i+1]], and privCap[i]
 	// is the lowest capacity among its private links (+Inf if it has none).
 	// An epoch records each live flow's demand and marker rate in epochD
 	// and mr; a departure zeroes mr.
 	//
-	// The per-link sums are kept on shared links only. Invariant between
+	// The per-link arrays below are indexed by shared id. Invariant between
 	// epochs: sumDemand, sumMark and linkFn are zero and linkSeen false on
-	// every link outside touched, the shared links under a flow that was
-	// live at the last epoch; the next epoch resets exactly those.
+	// every shared link outside touched, the shared links under a flow that
+	// was live at the last epoch; the next epoch resets exactly those.
 	// nCongested counts the shared links whose F_n is positive. A private
 	// link's F_n is never stored: linkFeedback derives it from its flow.
 	hops       []int32
@@ -253,10 +264,11 @@ type engine struct {
 	weight     []float64 // Flow.Weight, dense for markerRate
 	beta       float64   // the controllers' β, 1 if unset
 	nCongested int
-	sumDemand  []float64 // per-link demand sums (shared links)
-	sumMark    []float64 // per-link marker-rate sums (shared links)
-	linkFn     []float64 // per-link feedback volume of the last epoch
-	linkCap    []float64 // per-link capacity, flat for the epoch's link pass
+	sharedLink []int32   // model link of each shared id, ascending
+	sumDemand  []float64 // demand sums
+	sumMark    []float64 // marker-rate sums
+	linkFn     []float64 // feedback volume of the last epoch
+	linkCap    []float64 // capacity, flat for the epoch's link pass
 	touched    []int32
 	linkSeen   []bool
 	checkSum   []float64 // per-link conservation scratch (checkers only)
@@ -319,6 +331,9 @@ func Run(cfg Config) (*Output, error) {
 	for i := range e.out.Flows {
 		e.out.Flows[i].Delivered = e.cum[i]
 		e.out.Flows[i].Lost = e.lost[i]
+		if e.fixed[i] {
+			e.minRate[i] = e.m.Flows[i].MinRate
+		}
 	}
 	return e.out, nil
 }
@@ -354,13 +369,14 @@ func newEngine(cfg Config) (*engine, error) {
 
 	n := len(cfg.Model.Flows)
 	nLinks := len(cfg.Model.Links)
+	solver := NewSolver(cfg.Model)
 	e := &engine{
 		cfg:      cfg,
 		m:        cfg.Model,
-		alloc:    newAllocator(cfg.Model),
+		alloc:    solver.a,
 		liveBits: make([]uint64, (n+63)/64),
 		ctrl:     make([]adapt.Controller, n),
-		out:      &Output{Flows: make([]FlowOutput, n)},
+		out:      &Output{Flows: make([]FlowOutput, n), solver: solver},
 	}
 	marker := cfg.Control == ControlMarker
 	e.incremental = cfg.solver == solverIncremental ||
@@ -422,13 +438,27 @@ func newEngine(cfg Config) (*engine, error) {
 				nHops += int(a.lfStart[li+1] - a.lfStart[li])
 			}
 		}
-		ints := make([]int32, n+nShared+nHops+n+1)
+		ints := make([]int32, n+2*nShared+nHops+n+1)
 		e.changed = carve(&ints, 0, n)
 		e.touched = carve(&ints, 0, nShared)
+		e.sharedLink = carve(&ints, 0, nShared)
 		e.hops = carve(&ints, nHops, nHops)
 		e.hopOff = carve(&ints, n+1, n+1)
 		for _, p := range []*[]float64{&e.privCap, &e.epochD, &e.mr, &e.weight} {
 			*p = carve(&floats, n, n)
+		}
+		perShared := make([]float64, 4*nShared)
+		for _, p := range []*[]float64{&e.sumDemand, &e.sumMark, &e.linkFn, &e.linkCap} {
+			*p = carve(&perShared, 0, nShared)
+		}
+		for li := 0; li < nLinks; li++ {
+			if shared(li) {
+				e.sharedLink = append(e.sharedLink, int32(li))
+				e.sumDemand = append(e.sumDemand, 0)
+				e.sumMark = append(e.sumMark, 0)
+				e.linkFn = append(e.linkFn, 0)
+				e.linkCap = append(e.linkCap, cfg.Model.Links[li].Capacity)
+			}
 		}
 		k := int32(0)
 		for i := range cfg.Model.Flows {
@@ -437,7 +467,7 @@ func newEngine(cfg Config) (*engine, error) {
 			e.privCap[i] = math.Inf(1)
 			for _, li := range f.Links {
 				if shared(li) {
-					e.hops[k] = int32(li)
+					e.hops[k] = e.sharedID(li)
 					k++
 				} else if c := cfg.Model.Links[li].Capacity; c < e.privCap[i] {
 					e.privCap[i] = c
@@ -446,15 +476,7 @@ func newEngine(cfg Config) (*engine, error) {
 			e.weight[i] = f.Weight
 		}
 		e.hopOff[n] = k
-
-		perLink := make([]float64, 4*nLinks)
-		for _, p := range []*[]float64{&e.sumDemand, &e.sumMark, &e.linkFn, &e.linkCap} {
-			*p = carve(&perLink, nLinks, nLinks)
-		}
-		for li := range e.linkCap {
-			e.linkCap[li] = cfg.Model.Links[li].Capacity
-		}
-		e.linkSeen = make([]bool, nLinks)
+		e.linkSeen = make([]bool, nShared)
 		e.beta = cfg.Adapt.Beta
 		if e.beta <= 0 {
 			e.beta = 1
@@ -489,24 +511,32 @@ func carve[T any](slab *[]T, l, n int) []T {
 	return s
 }
 
-// sharedLinks lists flow i's shared links (marker control).
+// sharedLinks lists flow i's shared links by shared id (marker control).
 func (e *engine) sharedLinks(i int) []int32 { return e.hops[e.hopOff[i]:e.hopOff[i+1]] }
+
+// sharedID is shared link li's dense id (marker control).
+func (e *engine) sharedID(li int) int32 {
+	id, _ := slices.BinarySearch(e.sharedLink, int32(li))
+	return int32(id)
+}
 
 // linkFeedback is link li's feedback volume F_n as of the last epoch, what
 // the fn/<link> gauge reads at epoch boundaries. A shared link's is stored;
 // a private link's is the per-link expression over its one flow's sums,
 // 0 + d and 0 + mr — zero unless that flow was live at the epoch, since a
-// departure zeroes mr.
+// departure zeroes mr. A link no flow crosses has none.
 func (e *engine) linkFeedback(li int) float64 {
-	flows := e.alloc.flowsOn(li)
-	if len(flows) != 1 {
-		return e.linkFn[li]
+	switch flows := e.alloc.flowsOn(li); len(flows) {
+	case 0:
+		return 0
+	case 1:
+		o := flows[0]
+		if excess := e.epochD[o] - e.m.Links[li].Capacity; excess > 0 && e.mr[o] > 0 {
+			return excess / e.beta
+		}
+		return 0
 	}
-	o := flows[0]
-	if excess := e.epochD[o] - e.linkCap[li]; excess > 0 && e.mr[o] > 0 {
-		return excess / e.beta
-	}
-	return 0
+	return e.linkFn[e.sharedID(li)]
 }
 
 // alwaysActive is the schedule of a flow Config.Schedules gives none; it is

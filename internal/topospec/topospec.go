@@ -471,15 +471,6 @@ func (s *Spec) Resolve() (*Resolved, error) {
 	return r, nil
 }
 
-// Weights extracts the flow-index -> weight map.
-func (s *Spec) Weights() map[int]float64 {
-	out := make(map[int]float64, len(s.Flows))
-	for _, f := range s.Flows {
-		out[f.Index] = f.Weight
-	}
-	return out
-}
-
 // MinRates extracts the flow-index -> contract map (only non-zero
 // entries).
 func (s *Spec) MinRates() map[int]float64 {

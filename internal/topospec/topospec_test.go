@@ -68,8 +68,8 @@ func TestParseYSpec(t *testing.T) {
 	if len(spec.Flows) != 2 {
 		t.Fatalf("flows = %d, want 2", len(spec.Flows))
 	}
-	if w := spec.Weights(); w[2] != 3 || w[1] != 1 {
-		t.Errorf("weights = %v", w)
+	if w1, w2 := spec.Flows[0].Weight, spec.Flows[1].Weight; w1 != 1 || w2 != 3 {
+		t.Errorf("weights = %v, %v; want 1, 3", w1, w2)
 	}
 	if m := spec.MinRates(); m[2] != 50 || len(m) != 1 {
 		t.Errorf("minrates = %v", m)

@@ -35,7 +35,7 @@ func writeCSVReference(w io.Writer, res *experiments.Result, kind SeriesKind) er
 
 	timeSet := make(map[time.Duration]bool)
 	for _, f := range res.Flows {
-		for _, s := range seriesOf(f, kind) {
+		for _, s := range seriesOf(&f, kind) {
 			timeSet[s.At] = true
 		}
 	}
@@ -48,7 +48,7 @@ func writeCSVReference(w io.Writer, res *experiments.Result, kind SeriesKind) er
 	perFlow := make([]map[time.Duration]float64, len(res.Flows))
 	for i, f := range res.Flows {
 		m := make(map[time.Duration]float64)
-		for _, s := range seriesOf(f, kind) {
+		for _, s := range seriesOf(&f, kind) {
 			m[s.At] = s.Value
 		}
 		perFlow[i] = m

@@ -256,41 +256,61 @@ func boundedPareto(u, alpha, lo, hi float64) float64 {
 // Generate builds the workload for flows 1..flows. It is a pure function
 // of (Config, seed, flows).
 func (c Config) Generate(seed int64, flows int) (Workload, error) {
+	wl, weights, err := c.GenerateDense(seed, flows)
+	if err != nil {
+		return Workload{}, err
+	}
+	wl.Weights = make(map[int]float64, flows)
+	for i, w := range weights {
+		wl.Weights[i+1] = w
+	}
+	return wl, nil
+}
+
+// GenerateDense is Generate with the weights as a dense slice: weights[f-1]
+// is flow f's, and the returned Workload's Weights is nil. A caller that
+// lays the weights over flows 1..flows needs no flow-sized map.
+func (c Config) GenerateDense(seed int64, flows int) (Workload, []float64, error) {
 	c = c.withDefaults()
 	if flows < 1 {
-		return Workload{}, fmt.Errorf("trafficgen: need at least one flow, got %d", flows)
+		return Workload{}, nil, fmt.Errorf("trafficgen: need at least one flow, got %d", flows)
 	}
 	if c.Horizon <= 0 {
-		return Workload{}, fmt.Errorf("trafficgen: config needs a positive horizon")
+		return Workload{}, nil, fmt.Errorf("trafficgen: config needs a positive horizon")
 	}
+	weights := make([]float64, flows)
 	if c.Kind == KindUniform {
 		// Uniform flows are always-on: no schedules, so no settle tail to
 		// reserve.
-		wl := newWorkload(flows, 0, 0)
-		for f := 1; f <= flows; f++ {
-			wl.Weights[f] = 1
+		for i := range weights {
+			weights[i] = 1
 		}
-		return wl, nil
+		return newWorkload(0, 0), weights, nil
 	}
 	churnStop := c.Horizon - c.Settle
 	if churnStop <= 0 {
-		return Workload{}, fmt.Errorf("trafficgen: horizon %v leaves no room for the %v settle tail", c.Horizon, c.Settle)
+		return Workload{}, nil, fmt.Errorf("trafficgen: horizon %v leaves no room for the %v settle tail", c.Horizon, c.Settle)
 	}
+	var wl Workload
+	var err error
 	switch c.Kind {
 	case KindHeavyTail:
-		return c.heavyTail(seed, flows, churnStop)
+		wl, err = c.heavyTail(seed, weights, churnStop)
 	case KindChurn:
-		return c.churn(seed, flows, churnStop)
+		wl, err = c.churn(seed, weights, churnStop)
 	default:
-		return Workload{}, fmt.Errorf("trafficgen: config has no kind set")
+		err = fmt.Errorf("trafficgen: config has no kind set")
 	}
+	if err != nil {
+		return Workload{}, nil, err
+	}
+	return wl, weights, nil
 }
 
-// newWorkload returns an empty workload for flows flows, its maps sized for
-// the given numbers of scheduled and unresponsive flows.
-func newWorkload(flows, scheduled, unresponsive int) Workload {
+// newWorkload returns a workload without weights, its maps sized for the
+// given numbers of scheduled and unresponsive flows.
+func newWorkload(scheduled, unresponsive int) Workload {
 	return Workload{
-		Weights:      make(map[int]float64, flows),
 		Schedules:    make(map[int]workload.Schedule, scheduled),
 		Unresponsive: make(map[int]float64, unresponsive),
 	}
@@ -306,8 +326,9 @@ func carve(buf []workload.Interval, start int) workload.Schedule {
 // heavyTail assigns, in flow-index order: unresponsive blasters (the last
 // UnresponsiveFrac of slots), then persistent elephants, then mice with
 // expovariate arrivals and bounded-Pareto lifetimes, all departing before
-// the settle tail.
-func (c Config) heavyTail(seed int64, flows int, churnStop time.Duration) (Workload, error) {
+// the settle tail. It writes flow f's weight to weights[f-1].
+func (c Config) heavyTail(seed int64, weights []float64, churnStop time.Duration) (Workload, error) {
+	flows := len(weights)
 	rng := sim.NewRNG(seed).Stream("trafficgen/heavytail")
 	nUn := int(math.Round(c.UnresponsiveFrac * float64(flows)))
 	if nUn >= flows {
@@ -331,7 +352,7 @@ func (c Config) heavyTail(seed int64, flows int, churnStop time.Duration) (Workl
 	if nMice > 0 {
 		meanGap = arrWindow.Seconds() / float64(nMice)
 	}
-	wl := newWorkload(flows, responsive, nUn)
+	wl := newWorkload(responsive, nUn)
 	// Every responsive flow has one window; all are carved from one array.
 	windows := make([]workload.Interval, 0, responsive)
 	at := arrStart.Seconds()
@@ -340,15 +361,15 @@ func (c Config) heavyTail(seed int64, flows int, churnStop time.Duration) (Workl
 		case f > flows-nUn:
 			// Unresponsive blaster: weight 1 (its nominal contract — CSFQ
 			// polices it to this share), active for the whole run.
-			wl.Weights[f] = 1
+			weights[f-1] = 1
 			wl.Unresponsive[f] = c.UnresponsiveRate
 		case f <= nEl:
-			wl.Weights[f] = c.ElephantWeight
+			weights[f-1] = c.ElephantWeight
 			start := time.Duration(rng.Float64() * 2 * float64(time.Second))
 			windows = append(windows, workload.Interval{Start: start})
 			wl.Schedules[f] = carve(windows, len(windows)-1)
 		default:
-			wl.Weights[f] = c.MiceWeight
+			weights[f-1] = c.MiceWeight
 			at += float64(rng.ExpFloat64() * meanGap)
 			start := time.Duration(at * float64(time.Second))
 			if start > churnStop-c.MiceLifeMin {
@@ -375,8 +396,10 @@ const maxIntervals = 20_000_000
 
 // churn assigns: a heavy cohort cycling on/off every ChurnPeriod (two
 // anti-phase halves, ending on), a flash crowd arriving together and
-// departing before the settle tail, and a persistent weight-1 base.
-func (c Config) churn(seed int64, flows int, churnStop time.Duration) (Workload, error) {
+// departing before the settle tail, and a persistent weight-1 base. It
+// writes flow f's weight to weights[f-1].
+func (c Config) churn(seed int64, weights []float64, churnStop time.Duration) (Workload, error) {
+	flows := len(weights)
 	rng := sim.NewRNG(seed).Stream("trafficgen/churn")
 	nHeavy := int(math.Round(c.HeavyFrac * float64(flows)))
 	nFlash := int(math.Round(c.FlashFrac * float64(flows)))
@@ -415,11 +438,11 @@ func (c Config) churn(seed int64, flows int, churnStop time.Duration) (Workload,
 		return Workload{}, fmt.Errorf("trafficgen: churn period %v would generate %d schedule intervals, over the limit of %d", c.ChurnPeriod, size, maxIntervals)
 	}
 	windows := make([]workload.Interval, 0, size)
-	wl := newWorkload(flows, nHeavy+nFlash, 0)
+	wl := newWorkload(nHeavy+nFlash, 0)
 	for f := 1; f <= flows; f++ {
 		switch {
 		case f <= nHeavy:
-			wl.Weights[f] = c.HeavyWeight
+			weights[f-1] = c.HeavyWeight
 			offset := time.Duration(0)
 			if f%2 == 0 {
 				offset = c.ChurnPeriod
@@ -438,7 +461,7 @@ func (c Config) churn(seed int64, flows int, churnStop time.Duration) (Workload,
 			windows = append(windows, workload.Interval{Start: t, Stop: 0})
 			wl.Schedules[f] = carve(windows, start)
 		case f <= nHeavy+nFlash:
-			wl.Weights[f] = 1
+			weights[f-1] = 1
 			start := flashAt + time.Duration(rng.Float64()*float64(c.FlashSpread))
 			stop := start + c.FlashLife + time.Duration(rng.Float64()*5*float64(time.Second))
 			if stop > churnStop {
@@ -447,7 +470,7 @@ func (c Config) churn(seed int64, flows int, churnStop time.Duration) (Workload,
 			windows = append(windows, workload.Interval{Start: start, Stop: stop})
 			wl.Schedules[f] = carve(windows, len(windows)-1)
 		default:
-			wl.Weights[f] = 1
+			weights[f-1] = 1
 		}
 	}
 	return wl, nil

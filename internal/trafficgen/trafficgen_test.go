@@ -346,3 +346,38 @@ func TestScheduleSlabIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateDenseMatchesGenerate: the dense form carries Generate's
+// weights by position (flow f at f-1) and the same schedules and blasters,
+// for every kind, and refuses what Generate refuses.
+func TestGenerateDenseMatchesGenerate(t *testing.T) {
+	for _, spec := range []string{"uniform", "heavytail:unresp=0.05", "churn"} {
+		cfg, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Horizon = 120 * time.Second
+		wl, err := cfg.Generate(4, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, weights, err := cfg.GenerateDense(4, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dense.Weights != nil || len(weights) != len(wl.Weights) {
+			t.Fatalf("%s: dense form has weight map %v and %d weights, want nil and %d", spec, dense.Weights != nil, len(weights), len(wl.Weights))
+		}
+		for i, w := range weights {
+			if wl.Weights[i+1] != w {
+				t.Fatalf("%s: flow %d weight %v, Generate's %v", spec, i+1, w, wl.Weights[i+1])
+			}
+		}
+		if !reflect.DeepEqual(dense.Schedules, wl.Schedules) || !reflect.DeepEqual(dense.Unresponsive, wl.Unresponsive) {
+			t.Errorf("%s: schedules or blasters differ from Generate's", spec)
+		}
+	}
+	if _, _, err := (Config{Kind: KindHeavyTail, Horizon: time.Second}).GenerateDense(1, 10); err == nil {
+		t.Error("GenerateDense accepted a horizon shorter than the settle tail")
+	}
+}
